@@ -66,22 +66,58 @@ class RunConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        """Raise ConfigError unless every field has its documented type and range.
+
+        Config files can put any JSON value in any field, so types are checked
+        here, before anything computes with them.
+        """
+        if not isinstance(self.scenario, str):
+            raise ConfigError(f"scenario must be a string, got {self.scenario!r}")
+        if not isinstance(self.overrides, dict):
+            raise ConfigError(f"overrides must be an object, got {self.overrides!r}")
+        for name in ("horizon", "samples_per_period", "seed"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.samples_per_period < 1:
             raise ConfigError("samples-per-period must be >= 1")
+        for name in ("rtol", "atol", "restart_margin"):
+            if not _is_real(getattr(self, name)):
+                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+        if self.mu is not None and not _is_real(self.mu):
+            raise ConfigError(f"mu must be a finite number, got {self.mu!r}")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError(f"out must be a path string, got {self.out!r}")
+        if not isinstance(self.lambda_grid, (list, tuple)):
+            raise ConfigError(f"lambda_grid must be a list, got {self.lambda_grid!r}")
         if not self.lambda_grid:
             raise ConfigError("lambda grid is empty")
         for lam in self.lambda_grid:
-            if not (isinstance(lam, (int, float)) and math.isfinite(lam) and lam >= 0.0):
+            if not (_is_real(lam) and lam >= 0.0):
                 raise ConfigError(f"lambda values must be finite and >= 0, got {lam!r}")
-        if len(self.mu_bracket) != 2:
+        if not isinstance(self.mu_bracket, (list, tuple)) or len(self.mu_bracket) != 2:
             raise ConfigError("mu_bracket must have exactly two entries")
+        a, b = self.mu_bracket
+        if not (_is_real(a) and _is_real(b)):
+            raise ConfigError(
+                f"mu_bracket entries must be finite numbers, got {self.mu_bracket!r}"
+            )
+        if not a < b:
+            raise ConfigError(f"mu_bracket must satisfy a < b, got {self.mu_bracket!r}")
 
     def integrator(self) -> IntegratorConfig:
         return IntegratorConfig(
             rtol=self.rtol, atol=self.atol, restart_margin=self.restart_margin
         )
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
 
 
 # ---------------------------------------------------------------- output fmt
@@ -166,7 +202,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config key(s) {sorted(unknown)}; known: {sorted(known)}")
-        if "mu_bracket" in raw:
+        if isinstance(raw.get("mu_bracket"), list):
             raw["mu_bracket"] = tuple(raw["mu_bracket"])
         cfg = replace(cfg, **raw)
 
@@ -291,8 +327,6 @@ def cmd_bch(args: argparse.Namespace) -> int:
     ]
     for name in ("alpha", "beta", "gamma", "e", "a1", "b1", "c1", "d1", "d", "s"):
         out.append(f"{name}: " + _fmt(getattr(br, name)))
-    if br.fallback:
-        out.append("fallback: true")
     if args.check:
         defect = float(np.linalg.norm(exp_rot(cls.vector) - exp_rot(x) @ exp_rot(y)))
         out.append("check |exp(result) - exp(x) exp(y)|_F: " + _fmt(defect))

@@ -6,7 +6,9 @@ the algebra-valued equation
     Zdot = dexpinv_op(Z) @ X^G(t, lambda),   Z(t_i) = 0,
 
 with an adaptive Runge-Kutta method, stopping (by a terminal event on |Z|)
-well before the dexpinv singularity at 2*pi. Segments are chained through the
+well before the dexpinv singularity at 2*pi. The right-hand side applies
+dexpinv as the vector formula ``x + (z cross x)/2 + c2(|z|) z cross (z cross x)``
+without building the matrix. Segments are chained through the
 closed-form BCH so that ``A(t) = exp_rot(prefix_i) @ exp_rot(Z_i(t))`` is
 available at any time through dense output, without matrix products drifting
 off the group.
@@ -33,7 +35,7 @@ from .errors import (
     IntegrationError,
     SingularityError,
 )
-from .so3 import BallClass, _as_vec3, dexpinv_op, exp_rot, q_map, rot_x, rot_z
+from .so3 import BallClass, _as_vec3, _dexpinv_apply, _norm3, exp_rot, q_map, rot_x, rot_z
 
 __all__ = [
     "EulerTrajectory",
@@ -127,10 +129,12 @@ class ZSegment:
 
 
 def _check_forcing_value(x, t: float) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (3,) or not np.all(np.isfinite(x)):
-        raise DomainError(f"forcing returned a non-finite or misshaped value at t={t!r}")
-    return x
+    try:
+        return _as_vec3(x)
+    except DomainError:
+        raise DomainError(
+            f"forcing returned a non-finite or misshaped value at t={t!r}"
+        ) from None
 
 
 def _solve_capped(rhs, t_span, y0, cfg: IntegratorConfig, events):
@@ -184,10 +188,10 @@ def integrate_z_segment(
 
     def rhs(t, z):
         x = _check_forcing_value(signal.eval(t, lam), t)
-        return dexpinv_op(z) @ x
+        return _dexpinv_apply(z.tolist(), x.tolist())
 
     def boundary(t, z):
-        return float(np.linalg.norm(z)) - cutoff
+        return _norm3(z.tolist()) - cutoff
 
     boundary.terminal = True
     boundary.direction = 1
@@ -350,12 +354,12 @@ def integrate_skew_product(
     def rhs(t, y):
         z, q = y[:3], y[3:]
         x = _check_forcing_value(system.x_g(q, lam), t)
-        dz = dexpinv_op(z) @ x
+        dz = _dexpinv_apply(z.tolist(), x.tolist())
         dq = np.asarray(system.x_n(q, lam), dtype=float)
         return np.concatenate([dz, dq])
 
     def boundary(t, y):
-        return float(np.linalg.norm(y[:3])) - cutoff
+        return _norm3(y[:3].tolist()) - cutoff
 
     boundary.terminal = True
     boundary.direction = 1

@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .flow import ForcingSignal, IntegratorConfig, integrate_group
-from .so3 import exp_rot
+from .so3 import _exp_apply, exp_rot
 
 __all__ = [
     "Frame",
@@ -109,20 +109,32 @@ class Scenario:
         return g, gdot
 
     def _pieces(self, mu: float | None):
-        """(xg(t, lam), closed(t, lam), period(lam)) for this family at mu."""
+        """(xg(t, lam), closed(t, lam), period(lam)) for this family at mu.
+
+        The forcings xg run once per right-hand-side evaluation, so they work
+        on float lists (``*_l``) and apply ``exp_rot(v).T @ w`` as the vector
+        Rodrigues rotation ``_exp_apply(-v, w)``.
+        """
         fr = self.frame
         X0 = self.X0
+        X0_l, x1_l, x2_l = X0.tolist(), fr.x1.tolist(), fr.x2.tolist()
         if self.family != "example4" and mu is not None:
             raise ConfigError(f"scenario {self.name!r} takes no mu parameter")
 
         if self.family == "example1":
             g, gdot = self._g_pair(self.omega_bif)
             pdir = 2.0 * (fr.x1 + fr.x2 + fr.x0_dir)
+            pdir_l = pdir.tolist()
 
             def xg(t: float, lam: float) -> np.ndarray:
                 eps = math.sqrt(lam)
-                P = eps * pdir
-                return P * gdot(t, lam) + exp_rot(P * g(t, lam)).T @ (X0 + eps * fr.x1)
+                P = [eps * p for p in pdir_l]
+                rate = gdot(t, lam)
+                phase = g(t, lam)
+                r = _exp_apply(
+                    [-(p * phase) for p in P], [a + eps * b for a, b in zip(X0_l, x1_l)]
+                )
+                return np.array([p * rate + ri for p, ri in zip(P, r)])
 
             def closed(t: float, lam: float) -> np.ndarray:
                 eps = math.sqrt(lam)
@@ -138,11 +150,16 @@ class Scenario:
 
             def xg(t: float, lam: float) -> np.ndarray:
                 eps = math.sqrt(lam)
-                C = X0 + eps * fr.x2
+                C = [a + eps * b for a, b in zip(X0_l, x2_l)]
                 nu = abs(self.omega_bif + lam) / math.sqrt(self.x0_norm**2 + lam)
                 theta = nu * t + lam * g(t, lam)
-                w = eps * fr.x1 if self.family == "example2" else eps * (X0 + fr.x1)
-                return C * (nu + lam * gdot(t, lam)) + exp_rot(C * theta).T @ w
+                if self.family == "example2":
+                    w = [eps * b for b in x1_l]
+                else:
+                    w = [eps * (a + b) for a, b in zip(X0_l, x1_l)]
+                rate = nu + lam * gdot(t, lam)
+                r = _exp_apply([-(c * theta) for c in C], w)
+                return np.array([c * rate + ri for c, ri in zip(C, r)])
 
             def closed(t: float, lam: float) -> np.ndarray:
                 eps = math.sqrt(lam)
@@ -164,15 +181,17 @@ class Scenario:
             omega_eff = norm_c / self.k
             g, gdot = self._g_pair(omega_eff)
             C = X0 + mu_val * fr.x1
+            C_l = C.tolist()
 
             def xg(t: float, lam: float) -> np.ndarray:
                 eps = math.sqrt(lam)
                 nu = self.k * abs(omega_eff + lam) / norm_c
                 theta = nu * t + lam * g(t, lam)
-                w = (eps - mu_val) * X0 + fr.x1 + fr.x2
-                return C * (nu + lam * gdot(t, lam)) + eps**self.k * (
-                    exp_rot(C * theta).T @ w
-                )
+                w = [(eps - mu_val) * a + b + c for a, b, c in zip(X0_l, x1_l, x2_l)]
+                rate = nu + lam * gdot(t, lam)
+                amp = eps**self.k
+                r = _exp_apply([-(c * theta) for c in C_l], w)
+                return np.array([c * rate + amp * ri for c, ri in zip(C_l, r)])
 
             def closed(t: float, lam: float) -> np.ndarray:
                 eps = math.sqrt(lam)
@@ -192,7 +211,8 @@ class Scenario:
 
             def xg(t: float, lam: float) -> np.ndarray:
                 eps = math.sqrt(lam)
-                return (X0 + eps * fr.x1) * (1.0 + eps * gdot(t, lam))
+                rate = 1.0 + eps * gdot(t, lam)
+                return np.array([(a + eps * b) * rate for a, b in zip(X0_l, x1_l)])
 
             def closed(t: float, lam: float) -> np.ndarray:
                 eps = math.sqrt(lam)
@@ -252,6 +272,25 @@ _ALLOWED_OVERRIDES = {
 }
 
 
+def _number(overrides: dict, name: str, default) -> float:
+    """Override ``name`` (or ``default``) as a finite float; ConfigError otherwise."""
+    value = overrides.get(name, default)
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be a number, got {value!r}") from None
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be finite, got {value!r}")
+    return out
+
+
+def _float_array(value, name: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{name} must be numeric, got {value!r}") from None
+
+
 def available() -> list[str]:
     """Names accepted by :func:`build`."""
     return sorted(_DEFAULTS)
@@ -272,8 +311,9 @@ def build(name: str, **overrides) -> Scenario:
     Raises
     ------
     ConfigError
-        Unknown name or override, inconsistent resonance parameters, invalid
-        frame, or a g override that does not vanish at t = 0.
+        Unknown name or override, a non-numeric or non-finite value,
+        inconsistent resonance parameters, invalid frame, or a g override
+        that does not vanish at t = 0.
     """
     if name not in _DEFAULTS:
         raise ConfigError(
@@ -285,25 +325,26 @@ def build(name: str, **overrides) -> Scenario:
     spec = dict(_DEFAULTS[name])
     family = spec["family"]
 
-    k = int(overrides.get("k", 1))
-    if k < 1:
+    k_val = _number(overrides, "k", 1)
+    if not (k_val.is_integer() and k_val >= 1):
         raise ConfigError("k must be a positive integer")
+    k = int(k_val)
     if k != 1 and family != "example4":
         raise ConfigError(f"scenario {name!r} has no resonance order parameter")
 
-    x0_norm = float(overrides.get("x0_norm", spec["x0_norm"]))
+    x0_norm = _number(overrides, "x0_norm", spec["x0_norm"])
     if not x0_norm > 0.0:
         raise ConfigError("x0_norm must be positive")
     if family == "example4":
         omega_bif = x0_norm / k
         if "omega_bif" in overrides and not math.isclose(
-            float(overrides["omega_bif"]), omega_bif, rel_tol=1e-12
+            _number(overrides, "omega_bif", omega_bif), omega_bif, rel_tol=1e-12
         ):
             raise ConfigError(
                 f"example4 requires omega_bif = x0_norm / k = {omega_bif!r}"
             )
     else:
-        omega_bif = float(overrides.get("omega_bif", spec["omega_bif"]))
+        omega_bif = _number(overrides, "omega_bif", spec["omega_bif"])
         if not omega_bif > 0.0:
             raise ConfigError("omega_bif must be positive")
         if family in ("example2", "example3") and not math.isclose(
@@ -314,19 +355,19 @@ def build(name: str, **overrides) -> Scenario:
                 f"(got {x0_norm!r} vs {omega_bif!r})"
             )
 
-    r = float(overrides.get("r", 3.0))
+    r = _number(overrides, "r", 3.0)
     if not r > 0.0:
         raise ConfigError("r must be positive")
-    theta0 = float(overrides.get("theta0", spec["theta0"]))
+    theta0 = _number(overrides, "theta0", spec["theta0"])
 
     frame = overrides.get("frame", Frame())
     if not isinstance(frame, Frame):
-        rows = np.asarray(frame, dtype=float)
+        rows = _float_array(frame, "frame")
         if rows.shape != (3, 3):
             raise ConfigError("frame override must be a Frame or three row vectors")
         frame = Frame(rows[0], rows[1], rows[2])
 
-    tip_raw = np.asarray(overrides.get("tip_x0", spec["tip"]), dtype=float)
+    tip_raw = _float_array(overrides.get("tip_x0", spec["tip"]), "tip_x0")
     if tip_raw.shape != (3,) or not np.all(np.isfinite(tip_raw)):
         raise ConfigError("tip_x0 must be a finite 3-vector")
     tn = float(np.linalg.norm(tip_raw))
@@ -339,6 +380,8 @@ def build(name: str, **overrides) -> Scenario:
     if (g is None) != (gdot is None):
         raise ConfigError("g and gdot must be overridden together")
     if g is not None:
+        if not (callable(g) and callable(gdot)):
+            raise ConfigError("g and gdot overrides must be callables (t, lam) -> float")
         for lam_probe in (0.0, 0.1):
             if abs(float(g(0.0, lam_probe))) > 1e-12:
                 raise ConfigError("g override must satisfy g(0, lam) = 0")

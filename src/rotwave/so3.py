@@ -9,9 +9,27 @@ with ``hat(e_z) @ e_x = e_y`` (so ``exp_rot(t * e_z)`` is the counterclockwise
 rotation about +z). The matrix logarithm lives in the closed ball of radius pi
 with antipodal boundary points identified; :class:`BallClass` models one such
 equivalence class.
+
+Scalar kernels
+--------------
+The hot paths work on Python floats through :mod:`math` and build no 3x3
+matrix. The private scalar forms of the public matrix functions are:
+
+- ``_exp_apply(v, w)``, the scalar form of ``exp_rot(v) @ w`` (vector
+  Rodrigues);
+- ``_dexpinv_apply(z, x)``, the scalar form of ``dexpinv_op(z) @ x``, behind
+  the same DEXPINV_MARGIN guard.
+
+:func:`exp_rot`, :func:`dexp_op` and :func:`dexpinv_op` all have the shape
+``I + a hat(v) + b hat(v)^2``: ``_quadratic_matrix`` fills it from floats and
+``_quadratic_apply`` applies it to a vector. A public function and its scalar
+form take ``a`` and ``b`` from the same coefficient function. The scalar
+forms take 3-sequences of floats and skip validation; :func:`_as_vec3` runs
+at the public entry points only.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -71,9 +89,42 @@ def _as_vec3(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise DomainError(f"expected a 3-vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    x, y, z = v.tolist()
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise DomainError("expected a finite 3-vector")
     return v
+
+
+def _norm3(v) -> float:
+    x, y, z = v
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def _quadratic_apply(v, w, a: float, b: float) -> tuple[float, float, float]:
+    """``(I + a hat(v) + b hat(v)^2) @ w`` on float triples."""
+    v0, v1, v2 = v
+    w0, w1, w2 = w
+    c0 = v1 * w2 - v2 * w1
+    c1 = v2 * w0 - v0 * w2
+    c2 = v0 * w1 - v1 * w0
+    return (
+        w0 + a * c0 + b * (v1 * c2 - v2 * c1),
+        w1 + a * c1 + b * (v2 * c0 - v0 * c2),
+        w2 + a * c2 + b * (v0 * c1 - v1 * c0),
+    )
+
+
+def _quadratic_matrix(v, a: float, b: float) -> np.ndarray:
+    """``I + a hat(v) + b hat(v)^2`` filled from floats (hat(v)^2 = v v^T - |v|^2 I)."""
+    x, y, z = v
+    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
+    return np.array(
+        (
+            1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y,
+            bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x,
+            bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y),
+        )
+    ).reshape(3, 3)
 
 
 def _exp_coeffs(theta: float) -> tuple[float, float]:
@@ -83,10 +134,15 @@ def _exp_coeffs(theta: float) -> tuple[float, float]:
         a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0
         b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 * t2 * t2 / 40320.0
     else:
-        a = np.sin(theta) / theta
-        half = np.sin(0.5 * theta)
+        a = math.sin(theta) / theta
+        half = math.sin(0.5 * theta)
         b = 2.0 * half * half / (theta * theta)
     return a, b
+
+
+def _exp_apply(v, w) -> tuple[float, float, float]:
+    """Scalar form of ``exp_rot(v) @ w`` (vector Rodrigues) on float triples."""
+    return _quadratic_apply(v, w, *_exp_coeffs(_norm3(v)))
 
 
 def exp_rot(v: np.ndarray) -> np.ndarray:
@@ -102,11 +158,8 @@ def exp_rot(v: np.ndarray) -> np.ndarray:
     ndarray, shape (3, 3)
         Proper orthogonal matrix, orthogonal to machine precision.
     """
-    v = _as_vec3(v)
-    theta = float(np.linalg.norm(v))
-    a, b = _exp_coeffs(theta)
-    k = hat(v)
-    return np.eye(3) + a * k + b * (k @ k)
+    v = _as_vec3(v).tolist()
+    return _quadratic_matrix(v, *_exp_coeffs(_norm3(v)))
 
 
 def rot_x(angle: float) -> np.ndarray:
@@ -172,7 +225,7 @@ class BallClass:
 
     def __post_init__(self):
         v = _as_vec3(self.vector).copy()
-        n = float(np.linalg.norm(v))
+        n = _norm3(v.tolist())
         if n > np.pi + 1e-12:
             raise DomainError(f"ball-class vector has norm {n:.17g} > pi + 1e-12")
         if n > np.pi:
@@ -182,7 +235,7 @@ class BallClass:
 
     @property
     def norm(self) -> float:
-        return float(np.linalg.norm(self.vector))
+        return _norm3(self.vector.tolist())
 
     def angle_axis(self) -> AngleAxis:
         n = self.norm
@@ -354,8 +407,8 @@ def _dexp_coeffs(theta: float) -> tuple[float, float]:
         ca = -0.5 + t2 / 24.0 - t2 * t2 / 720.0 + t2 * t2 * t2 / 40320.0
         cb = 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0 - t2 * t2 * t2 / 362880.0
     else:
-        ca = (np.cos(theta) - 1.0) / (theta * theta)
-        cb = (theta - np.sin(theta)) / (theta * theta * theta)
+        ca = (math.cos(theta) - 1.0) / (theta * theta)
+        cb = (theta - math.sin(theta)) / (theta * theta * theta)
     return ca, cb
 
 
@@ -364,19 +417,21 @@ def dexp_op(z: np.ndarray) -> np.ndarray:
 
     ``d/dt exp_rot(Z(t)) = exp_rot(Z) @ hat(dexp_op(Z) @ Zdot)``.
     """
-    z = _as_vec3(z)
-    theta = float(np.linalg.norm(z))
-    ca, cb = _dexp_coeffs(theta)
-    k = hat(z)
-    return np.eye(3) + ca * k + cb * (k @ k)
+    z = _as_vec3(z).tolist()
+    return _quadratic_matrix(z, *_dexp_coeffs(_norm3(z)))
 
 
 def _dexpinv_c2(theta: float) -> float:
+    """Coefficient of hat(z)^2 in dexpinv; raises within DEXPINV_MARGIN of 2*pi."""
     if theta < SERIES_RADIUS:
         t2 = theta * theta
         return 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0 + t2 * t2 * t2 / 1209600.0
-    return 1.0 / (theta * theta) - np.cos(0.5 * theta) / (
-        2.0 * np.sin(0.5 * theta) * theta
+    if theta >= 2.0 * math.pi - DEXPINV_MARGIN:
+        raise SingularityError(
+            f"dexpinv evaluated at |z| = {theta:.6f}, within {DEXPINV_MARGIN:g} of 2*pi"
+        )
+    return 1.0 / (theta * theta) - math.cos(0.5 * theta) / (
+        2.0 * math.sin(0.5 * theta) * theta
     )
 
 
@@ -387,11 +442,14 @@ def dexpinv_op(z: np.ndarray) -> np.ndarray:
     singularity raises SingularityError (the integrator restarts segments
     long before reaching it).
     """
-    z = _as_vec3(z)
-    theta = float(np.linalg.norm(z))
-    if theta >= 2.0 * np.pi - DEXPINV_MARGIN:
-        raise SingularityError(
-            f"dexpinv evaluated at |z| = {theta:.6f}, within {DEXPINV_MARGIN:g} of 2*pi"
-        )
-    k = hat(z)
-    return np.eye(3) + 0.5 * k + _dexpinv_c2(theta) * (k @ k)
+    z = _as_vec3(z).tolist()
+    return _quadratic_matrix(z, 0.5, _dexpinv_c2(_norm3(z)))
+
+
+def _dexpinv_apply(z, x) -> tuple[float, float, float]:
+    """Scalar form of ``dexpinv_op(z) @ x``: ``x + (z cross x)/2 + c2 z cross (z cross x)``.
+
+    Raises SingularityError within DEXPINV_MARGIN of ``|z| = 2*pi``, as
+    :func:`dexpinv_op` does.
+    """
+    return _quadratic_apply(z, x, 0.5, _dexpinv_c2(_norm3(z)))

@@ -66,6 +66,30 @@ def rotation_oracle(v):
     return quat_to_matrix(quat_from_vec(v))
 
 
+#: the library's branch tolerance (rotwave.bch.BRANCH_TOL), restated here
+BCH_BRANCH_TOL = 1e-10
+
+
+def bch_branch_by_trace(x, y):
+    """Branch label of bch(x, y) by the product-matrix dispatch, and cos(theta).
+
+    This is the reference dispatch that forms exp(x) exp(y): the identity
+    when |prod - I|_F <= BCH_BRANCH_TOL, a half turn when the ball angle is
+    within BCH_BRANCH_TOL of pi, otherwise generic, split by the sign of
+    cos(theta) = (trace(prod) - 1) / 2 against BCH_BRANCH_TOL. Labels are the
+    values of rotwave.bch.BchBranch.
+    """
+    prod = rotation_oracle(x) @ rotation_oracle(y)
+    cos_theta = float(np.clip((np.trace(prod) - 1.0) / 2.0, -1.0, 1.0))
+    if float(np.linalg.norm(prod - np.eye(3))) <= BCH_BRANCH_TOL:
+        return "IdentityProduct", cos_theta
+    if float(np.linalg.norm(bch_oracle(x, y))) >= math.pi - BCH_BRANCH_TOL:
+        return "HalfTurnProduct", cos_theta
+    if cos_theta > BCH_BRANCH_TOL:
+        return "GenericPositive", cos_theta
+    return "GenericNonPositive", cos_theta
+
+
 def ball_distance(u, v):
     """Distance between two ball vectors modulo the antipodal identification."""
     u = np.asarray(u, dtype=float)

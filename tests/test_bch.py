@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from rotwave import DomainError, bch, bch_breakdown, bch_fold, exp_rot, log_rot
-from rotwave.bch import BchBranch
+from rotwave.bch import BRANCH_TOL, BchBranch
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -86,11 +86,17 @@ def test_class_matches_quaternion_oracle():
 
 
 def test_class_matches_matrix_log():
+    # the quaternion-only dispatch against the product-matrix one: same class
+    # and same branch label, except inside the +-BRANCH_TOL band around
+    # quarter-turn products, where both generic branches share one formula
     rng = np.random.default_rng(11)
-    xs = oracles.random_axis_vectors(rng, 300, 3 * np.pi)
-    ys = oracles.random_axis_vectors(rng, 300, 3 * np.pi)
+    xs = oracles.random_axis_vectors(rng, 10_000, 3 * np.pi)
+    ys = oracles.random_axis_vectors(rng, 10_000, 3 * np.pi)
     for x, y in zip(xs, ys):
         assert bch(x, y).isclose(log_rot(exp_rot(x) @ exp_rot(y)), tol=1e-10)
+        label, cos_theta = oracles.bch_branch_by_trace(x, y)
+        if abs(cos_theta) > BRANCH_TOL:
+            assert bch_breakdown(x, y).branch.value == label
 
 
 vec3 = st.builds(
@@ -159,13 +165,32 @@ def test_branch_labels():
     assert bch_breakdown(v, -v).branch is BchBranch.IDENTITY_PRODUCT
 
 
+@pytest.mark.parametrize("d1", [1e-13, 1e-12, 1e-11, 3e-11, 5e-11, 1e-10, 1e-9])
+def test_near_identity_products(d1):
+    # exp(x) exp(y) = exp(w) with |w| = 2 asin(d1): the identity branch takes
+    # exactly the products with |prod - I|_F = 2 sqrt(2) d1 <= BRANCH_TOL, and
+    # the generic branch divides by d1 safely right above that
+    want = (
+        BchBranch.IDENTITY_PRODUCT
+        if 2.0 * np.sqrt(2.0) * d1 <= BRANCH_TOL
+        else BchBranch.GENERIC_POSITIVE
+    )
+    rng = np.random.default_rng(31)
+    xs = oracles.random_axis_vectors(rng, 200, 3 * np.pi)
+    for x in xs:
+        w = 2.0 * np.arcsin(d1) * unit(rng.normal(size=3))
+        y = oracles.bch_oracle(-x, w)
+        assert bch_breakdown(x, y).branch is want
+        assert homomorphism_defect(x, y) < 1e-10
+
+
 def test_breakdown_reproduces_result_exactly():
     rng = np.random.default_rng(3)
     xs = oracles.random_axis_vectors(rng, 50, 3 * np.pi)
     ys = oracles.random_axis_vectors(rng, 50, 3 * np.pi)
     for x, y in zip(xs, ys):
         br = bch_breakdown(x, y)
-        if br.fallback or br.branch is BchBranch.IDENTITY_PRODUCT:
+        if br.branch is BchBranch.IDENTITY_PRODUCT:
             continue
         rebuilt = br.alpha * x + br.beta * y + br.gamma * np.cross(x, y)
         assert np.array_equal(bch(x, y).vector, rebuilt)

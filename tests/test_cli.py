@@ -257,3 +257,21 @@ def test_out_under_file_is_io_error(tmp_path, capsys):
 
 def test_bad_subcommand_exits_2(capsys):
     assert main(["frobnicate"]) == 2
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("frequency", {"horizon": "5"}),
+        ("frequency", {"lambda_grid": 0.05}),
+        ("frequency", {"overrides": {"x0_norm": "abc"}}),
+        ("drift", {"scenario": "example4", "lambda_grid": [0.01], "mu_bracket": [0.3, 0.0]}),
+    ],
+)
+def test_config_file_bad_values_exit_2(tmp_path, capsys, command, doc):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    assert main([command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

@@ -22,7 +22,7 @@ from rotwave import (
     rot_z,
     vee,
 )
-from rotwave.so3 import SERIES_RADIUS, _dexpinv_c2
+from rotwave.so3 import SERIES_RADIUS, _dexpinv_apply, _dexpinv_c2, _exp_apply
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -303,6 +303,51 @@ def test_dexpinv_singularity_guard():
         dexpinv_op((2 * np.pi - 1e-7) * EZ)
     with pytest.raises(SingularityError):
         dexpinv_op(2 * np.pi * EZ)
+
+
+def test_vector_dexpinv_matches_matrix():
+    # the scalar right-hand-side kernel against the public matrix, on both
+    # sides of the series switch and up to 1e-3 short of the singularity;
+    # relative to |dexpinv_op(z)|_2 |x|, the scale of a matrix-vector
+    # product's rounding (near 2 pi the hat^2 term cancels against the rest)
+    rng = np.random.default_rng(12)
+    dirs = oracles.random_axis_vectors(rng, 3000, 1.0)
+    norms = np.concatenate([
+        rng.uniform(1e-8, SERIES_RADIUS, size=1000),
+        rng.uniform(SERIES_RADIUS, 1e-3, size=1000),
+        rng.uniform(1e-3, 2 * np.pi - 1e-3, size=999),
+        [2 * np.pi - 1e-3],
+    ])
+    for d, n in zip(dirs, norms):
+        z = n * unit(d)
+        x = rng.normal(size=3)
+        m = dexpinv_op(z)
+        got = np.array(_dexpinv_apply(z.tolist(), x.tolist()))
+        scale = np.linalg.norm(m, 2) * np.linalg.norm(x)
+        assert np.linalg.norm(got - m @ x) <= 1e-15 * scale
+
+
+def test_vector_dexpinv_singularity_guard_matches_matrix():
+    x = [0.3, -0.1, 0.2]
+    _dexpinv_apply(((2 * np.pi - 1e-3) * EZ).tolist(), x)
+    for n in (2 * np.pi - 1e-7, 2 * np.pi, 7.0):
+        z = n * unit([1.0, 2.0, -0.5])
+        with pytest.raises(SingularityError):
+            dexpinv_op(z)
+        with pytest.raises(SingularityError):
+            _dexpinv_apply(z.tolist(), x)
+
+
+def test_vector_rodrigues_matches_matrix():
+    rng = np.random.default_rng(13)
+    vs = np.concatenate([
+        oracles.random_axis_vectors(rng, 2000, 3 * np.pi),
+        oracles.random_axis_vectors(rng, 200, 2 * SERIES_RADIUS),
+    ])
+    for v in vs:
+        w = rng.normal(size=3)
+        got = np.array(_exp_apply(v.tolist(), w.tolist()))
+        assert np.linalg.norm(got - exp_rot(v) @ w) <= 1e-15 * np.linalg.norm(w)
 
 
 def test_dexp_derivative_property():
