@@ -5,8 +5,10 @@ the algebra-valued equation
 
     Zdot = dexpinv_op(Z) @ X^G(t, lambda),   Z(t_i) = 0,
 
-with an adaptive Runge-Kutta method, stopping (by a terminal event on |Z|)
-well before the dexpinv singularity at 2*pi. The right-hand side applies
+with the DOP853 Runge-Kutta pair of :mod:`rotwave.ode`, stopping (by a
+terminal event on |Z|) well before the dexpinv singularity at 2*pi; a trial
+step whose stages reach that singularity is rejected and halved inside the
+stepper. The right-hand side works on float sequences and applies
 dexpinv as the vector formula ``x + (z cross x)/2 + c2(|z|) z cross (z cross x)``
 without building the matrix. Segments are chained through the
 closed-form BCH so that ``A(t) = exp_rot(prefix_i) @ exp_rot(Z_i(t))`` is
@@ -25,7 +27,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .bch import bch
 from .errors import (
@@ -33,8 +34,8 @@ from .errors import (
     DomainError,
     GimbalLockError,
     IntegrationError,
-    SingularityError,
 )
+from .ode import solve_ivp
 from .so3 import BallClass, _as_vec3, _dexpinv_apply, _norm3, exp_rot, q_map, rot_x, rot_z
 
 __all__ = [
@@ -68,7 +69,6 @@ class IntegratorConfig:
     atol: float = 1e-12
     restart_margin: float = 0.1
     max_step: float = math.inf
-    method_order: int = 8
 
     def __post_init__(self):
         if not (self.rtol > 0.0 and self.atol > 0.0):
@@ -77,12 +77,6 @@ class IntegratorConfig:
             raise ConfigError("restart_margin must lie in (0, pi/2)")
         if self.max_step <= 0.0:
             raise ConfigError("max_step must be positive")
-        if self.method_order < 1:
-            raise ConfigError("method_order must be >= 1")
-
-    @property
-    def method(self) -> str:
-        return "DOP853" if self.method_order >= 8 else "RK45"
 
 
 @dataclass
@@ -137,38 +131,6 @@ def _check_forcing_value(x, t: float) -> np.ndarray:
         ) from None
 
 
-def _solve_capped(rhs, t_span, y0, cfg: IntegratorConfig, events):
-    """solve_ivp with automatic max_step reduction on dexpinv overshoot.
-
-    The terminal event keeps *accepted* states below |Z| = pi - delta, but
-    with mild dynamics the solver's trial steps can grow long enough for
-    internal stages to wander past the dexpinv singularity guard at 2*pi.
-    Such a stage raises SingularityError; halving the step cap and retrying
-    keeps every stage in the valid region without touching the dynamics.
-    """
-    span = float(t_span[1] - t_span[0])
-    cap = cfg.max_step if math.isfinite(cfg.max_step) else span
-    while True:
-        try:
-            return solve_ivp(
-                rhs,
-                t_span,
-                y0,
-                method=cfg.method,
-                dense_output=True,
-                events=events,
-                rtol=cfg.rtol,
-                atol=cfg.atol,
-                max_step=cap,
-            )
-        except SingularityError:
-            cap /= 2.0
-            if cap < 1e-9 * span:
-                raise IntegrationError(
-                    f"step cap collapsed at {cap!r} while avoiding the dexpinv singularity"
-                ) from None
-
-
 def integrate_z_segment(
     signal: ForcingSignal,
     lam: float,
@@ -188,15 +150,16 @@ def integrate_z_segment(
 
     def rhs(t, z):
         x = _check_forcing_value(signal.eval(t, lam), t)
-        return _dexpinv_apply(z.tolist(), x.tolist())
+        return _dexpinv_apply(z, x.tolist())
 
     def boundary(t, z):
-        return _norm3(z.tolist()) - cutoff
+        return _norm3(z) - cutoff
 
-    boundary.terminal = True
     boundary.direction = 1
 
-    sol = _solve_capped(rhs, (t_start, t_max), np.zeros(3), cfg, [boundary])
+    sol = solve_ivp(
+        rhs, (t_start, t_max), (0.0, 0.0, 0.0), cfg.rtol, cfg.atol, cfg.max_step, [boundary]
+    )
     if sol.status == -1:
         raise IntegrationError(f"segment solve failed at t={sol.t[-1]!r}: {sol.message}")
     t_exit = float(sol.t[-1])
@@ -352,16 +315,14 @@ def integrate_skew_product(
     cutoff = np.pi - cfg.restart_margin
 
     def rhs(t, y):
-        z, q = y[:3], y[3:]
+        q = np.array(y[3:])
         x = _check_forcing_value(system.x_g(q, lam), t)
-        dz = _dexpinv_apply(z.tolist(), x.tolist())
         dq = np.asarray(system.x_n(q, lam), dtype=float)
-        return np.concatenate([dz, dq])
+        return [*_dexpinv_apply(y[:3], x.tolist()), *dq.tolist()]
 
     def boundary(t, y):
-        return _norm3(y[:3].tolist()) - cutoff
+        return _norm3(y[:3]) - cutoff
 
-    boundary.terminal = True
     boundary.direction = 1
 
     segments: list[ZSegment] = []
@@ -370,7 +331,8 @@ def integrate_skew_product(
     q = q0.copy()
     slack = 1e-12 * max(1.0, t_end)
     while t < t_end - slack or not segments:
-        sol = _solve_capped(rhs, (t, t_end), np.concatenate([np.zeros(3), q]), cfg, [boundary])
+        y0 = [0.0, 0.0, 0.0, *q.tolist()]
+        sol = solve_ivp(rhs, (t, t_end), y0, cfg.rtol, cfg.atol, cfg.max_step, [boundary])
         if sol.status == -1:
             raise IntegrationError(f"skew-product solve failed at t={sol.t[-1]!r}: {sol.message}")
         t_exit = float(sol.t[-1])
@@ -460,24 +422,13 @@ def integrate_euler(
             raise GimbalLockError(f"theta reached the chart singularity at t={t!r}")
         fx, fy, fz = _check_forcing_value(signal.eval(t, lam), t)
         m = fy * math.cos(phi) + fx * math.sin(phi)
-        return np.array(
-            [
-                fz - (math.cos(theta) / s) * m,
-                -fy * math.sin(phi) + fx * math.cos(phi),
-                m / s,
-            ]
+        return (
+            fz - (math.cos(theta) / s) * m,
+            -fy * math.sin(phi) + fx * math.cos(phi),
+            m / s,
         )
 
-    sol = solve_ivp(
-        rhs,
-        (0.0, t_end),
-        np.array([0.0, theta0, 0.0]),
-        method=cfg.method,
-        dense_output=True,
-        rtol=cfg.rtol,
-        atol=cfg.atol,
-        max_step=cfg.max_step,
-    )
+    sol = solve_ivp(rhs, (0.0, t_end), (0.0, theta0, 0.0), cfg.rtol, cfg.atol, cfg.max_step)
     if sol.status == -1:
         raise IntegrationError(f"euler-chart solve failed at t={sol.t[-1]!r}: {sol.message}")
     return EulerTrajectory(t_end, theta0, sol.sol)

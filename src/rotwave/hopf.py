@@ -19,11 +19,11 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .bch import bch
 from .errors import BracketError, DomainError, InternalInconsistency
 from .flow import ForcingSignal, GroupTrajectory, IntegratorConfig, integrate_group
+from .ode import brentq
 from .so3 import exp_rot, q_map
 
 __all__ = [
@@ -310,4 +310,4 @@ def find_orthogonal_branch(
         raise BracketError(
             f"objective does not change sign on [{a!r}, {b!r}]: g(a)={ga:.3e}, g(b)={gb:.3e}"
         )
-    return float(brentq(g, a, b, xtol=xtol))
+    return brentq(g, a, b, xtol, fa=ga, fb=gb)

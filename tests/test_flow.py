@@ -8,6 +8,7 @@ from rotwave import (
     ForcingSignal,
     GimbalLockError,
     IntegratorConfig,
+    SingularityError,
     SkewProductSystem,
     bch,
     exp_rot,
@@ -17,7 +18,10 @@ from rotwave import (
     integrate_z_segment,
     stuart_landau,
 )
+from rotwave import flow
+from rotwave.ode import solve_ivp
 from rotwave.scenarios import build
+from rotwave.so3 import _dexpinv_apply
 
 EX = np.array([1.0, 0.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
@@ -43,10 +47,6 @@ def test_config_validation():
         IntegratorConfig(restart_margin=0.0)
     with pytest.raises(ConfigError):
         IntegratorConfig(max_step=-1.0)
-    with pytest.raises(ConfigError):
-        IntegratorConfig(method_order=0)
-    assert IntegratorConfig().method == "DOP853"
-    assert IntegratorConfig(method_order=4).method == "RK45"
 
 
 # ----------------------------------------------------------------- Z segment
@@ -80,6 +80,34 @@ def test_constant_forcing_reproduces_exponential():
     traj = integrate_group(constant_signal(X0), 0.0, 10.0)
     for t in np.linspace(0.0, 10.0, 41):
         assert np.linalg.norm(traj.eval_A(t) - exp_rot(X0 * t)) < 1e-9
+
+
+@pytest.mark.parametrize("norm", [1.0, 10.0])
+def test_rotating_wave_rejects_steps_at_the_dexpinv_singularity(norm, monkeypatch):
+    # Z stays parallel to a constant X, so the error estimate vanishes and the
+    # step grows until trial stages pass the dexpinv guard near |Z| = 2 pi;
+    # the stepper must reject and halve those steps within one solve per segment
+    x = norm * EZ
+    solves, singular = [], []
+
+    def counted_solve(*args, **kwargs):
+        solves.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    def counted_apply(z, v):
+        try:
+            return _dexpinv_apply(z, v)
+        except SingularityError:
+            singular.append(1)
+            raise
+
+    monkeypatch.setattr(flow, "solve_ivp", counted_solve)
+    monkeypatch.setattr(flow, "_dexpinv_apply", counted_apply)
+    traj = integrate_group(constant_signal(x), 0.0, 200.0)
+    assert singular
+    assert len(solves) == len(traj.segments)
+    for t in np.linspace(0.0, 200.0, 401):
+        assert np.linalg.norm(traj.eval_A(t) - exp_rot(x * t)) < 1e-10
 
 
 def test_restart_chaining_is_continuous():
