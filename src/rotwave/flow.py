@@ -155,10 +155,8 @@ def integrate_z_segment(
     def boundary(t, z):
         return _norm3(z) - cutoff
 
-    boundary.direction = 1
-
     sol = solve_ivp(
-        rhs, (t_start, t_max), (0.0, 0.0, 0.0), cfg.rtol, cfg.atol, cfg.max_step, [boundary]
+        rhs, (t_start, t_max), (0.0, 0.0, 0.0), cfg.rtol, cfg.atol, cfg.max_step, boundary
     )
     if sol.status == -1:
         raise IntegrationError(f"segment solve failed at t={sol.t[-1]!r}: {sol.message}")
@@ -323,8 +321,6 @@ def integrate_skew_product(
     def boundary(t, y):
         return _norm3(y[:3]) - cutoff
 
-    boundary.direction = 1
-
     segments: list[ZSegment] = []
     prefixes: list[BallClass] = [BallClass(np.zeros(3))]
     t = 0.0
@@ -332,7 +328,7 @@ def integrate_skew_product(
     slack = 1e-12 * max(1.0, t_end)
     while t < t_end - slack or not segments:
         y0 = [0.0, 0.0, 0.0, *q.tolist()]
-        sol = solve_ivp(rhs, (t, t_end), y0, cfg.rtol, cfg.atol, cfg.max_step, [boundary])
+        sol = solve_ivp(rhs, (t, t_end), y0, cfg.rtol, cfg.atol, cfg.max_step, boundary)
         if sol.status == -1:
             raise IntegrationError(f"skew-product solve failed at t={sol.t[-1]!r}: {sol.message}")
         t_exit = float(sol.t[-1])

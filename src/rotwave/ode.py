@@ -5,7 +5,7 @@ Z-equation has three unknowns) where per-call overhead dominates:
 
 * :func:`solve_ivp` is the explicit Runge-Kutta pair DOP853 of Dormand and
   Prince, order 8 with embedded error estimators of orders 5 and 3, a
-  7th-degree dense output, and terminal events located on that dense output.
+  7th-degree dense output, and a terminal event located on that dense output.
   Step control, initial-step selection and dense output follow Hairer,
   Norsett & Wanner, *Solving Ordinary Differential Equations I: Nonstiff
   Problems*, 2nd ed., sections II.4-II.6, in the formulation of SciPy's
@@ -166,7 +166,7 @@ class OdeResult:
     """Outcome of :func:`solve_ivp`.
 
     ``t`` holds the start time and every accepted step's end (the last entry
-    is the event time when a terminal event fired), ``nfev`` counts every
+    is the event time when the event fired), ``nfev`` counts every
     right-hand-side call including ones that raised, ``sol`` is the dense
     output over the integrated range, ``status`` is 0 (reached the end),
     1 (terminal event) or -1 (step size underflow).
@@ -234,14 +234,6 @@ def _error_norm(K, h: float, scale: list[float]) -> float:
     return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * len(scale))
 
 
-def _crossed(g_old: float, g_new: float, direction: float) -> bool:
-    up = g_old <= 0.0 <= g_new
-    down = g_old >= 0.0 >= g_new
-    return (up and direction > 0) or (down and direction < 0) or (
-        (up or down) and direction == 0
-    )
-
-
 def solve_ivp(
     fun: Callable[[float, list[float]], Sequence[float]],
     t_span: tuple[float, float],
@@ -249,16 +241,16 @@ def solve_ivp(
     rtol: float,
     atol: float,
     max_step: float = math.inf,
-    events: Sequence[Callable[[float, list[float]], float]] = (),
+    event: Callable[[float, list[float]], float] | None = None,
 ) -> OdeResult:
     """Integrate ``y' = fun(t, y)`` forward over ``t_span`` with DOP853.
 
     Every step is accepted when the scaled error norm (scale
     ``atol + rtol max(|y|, |y_new|)`` per component) is below 1. Dense output
-    is built on every accepted step. Each event ``e(t, y)`` is terminal: it
-    stops the integration at the first sign change in the direction given by
-    its optional ``direction`` attribute (+1 rising, -1 falling, 0 either),
-    located by :func:`brentq` on the step's dense output.
+    is built on every accepted step. The optional ``event(t, y)`` is terminal:
+    the integration stops in the first step over which its value goes from
+    negative to non-negative, at the time located by :func:`brentq` on that
+    step's dense output.
 
     A right-hand side that raises :class:`~rotwave.errors.SingularityError`
     rejects the trial step and halves the step size, as a failed error test
@@ -280,8 +272,7 @@ def solve_ivp(
     y = [float(v) for v in y0]
     fy = f(t, y)
     h_abs = _initial_step(f, t, y, fy, t_bound, max_step, rtol, atol)
-    directions = [getattr(e, "direction", 0) for e in events]
-    g = [e(t, y) for e in events]
+    g = event(t, y) if event is not None else 0.0
     ts = [t]
     interpolants: list[_Interpolant] = []
     K: list = [None] * 16
@@ -331,15 +322,10 @@ def solve_ivp(
         t, y, fy = t_new, y_new, f_new
         if t >= t_bound:
             status = 0
-        if events:
-            g_new = [e(t, y) for e in events]
-            roots = [
-                brentq(lambda s, e=e: e(s, interp(s)), t_old, t, 4.0 * EPS)
-                for e, d, a, b in zip(events, directions, g, g_new)
-                if _crossed(a, b, d)
-            ]
-            if roots:
-                t = min(roots)
+        if event is not None:
+            g_new = event(t, y)
+            if g < 0.0 <= g_new:
+                t = brentq(lambda s: event(s, interp(s)), t_old, t, 4.0 * EPS)
                 status = 1
             g = g_new
         ts.append(t)

@@ -41,7 +41,7 @@ def _first_segment_problem(family, lam):
 @pytest.mark.parametrize("family", FAMILIES)
 def test_first_segment_matches_scipy_dop853(family, lam):
     rhs, boundary = _first_segment_problem(family, lam)
-    ours = ode.solve_ivp(rhs, (0.0, 10.0), (0.0, 0.0, 0.0), RTOL, ATOL, events=[boundary])
+    ours = ode.solve_ivp(rhs, (0.0, 10.0), (0.0, 0.0, 0.0), RTOL, ATOL, event=boundary)
     ref = scipy_solve_ivp(
         lambda t, z: np.array(rhs(t, z.tolist())), (0.0, 10.0), np.zeros(3),
         method="DOP853", dense_output=True, events=[boundary], rtol=RTOL, atol=ATOL,
