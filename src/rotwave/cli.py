@@ -41,7 +41,7 @@ from .errors import (
     SingularityError,
 )
 from .flow import IntegratorConfig, integrate_group
-from .hopf import classify, find_orthogonal_branch, primary_frequency
+from .hopf import _period_class, classify, find_orthogonal_branch, primary_frequency
 from .so3 import exp_rot
 from .tip import fit_circle, tip_trajectory
 
@@ -63,7 +63,6 @@ class RunConfig:
     atol: float = 1e-12
     restart_margin: float = 0.1
     out: str | None = None
-    seed: int = 0
 
     def validate(self) -> None:
         """Raise ConfigError unless every field has its documented type and range.
@@ -75,7 +74,7 @@ class RunConfig:
             raise ConfigError(f"scenario must be a string, got {self.scenario!r}")
         if not isinstance(self.overrides, dict):
             raise ConfigError(f"overrides must be an object, got {self.overrides!r}")
-        for name in ("horizon", "samples_per_period", "seed"):
+        for name in ("horizon", "samples_per_period"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.horizon < 1:
@@ -182,7 +181,7 @@ def _emit(text: str, out: str | None) -> None:
 
 _FLAG_FIELDS = (
     "scenario", "mu", "horizon", "samples_per_period",
-    "rtol", "atol", "restart_margin", "out", "seed",
+    "rtol", "atol", "restart_margin", "out",
 )
 
 
@@ -359,10 +358,8 @@ def cmd_drift(args: argparse.Namespace) -> int:
 def _ortho_defect(sc, lam: float, mu: float, icfg: IntegratorConfig) -> float | None:
     if lam == 0.0:
         return None  # no drift at criticality; the defect is 0/0
-    sig = sc.forcing(lam, mu)
-    T = sig.period(lam)
-    traj = integrate_group(sig, lam, T, icfg, ref_dir=sc.frame.x0_dir)
-    raw = traj.class_at(T).vector / T
+    z, T = _period_class(sc.forcing_family, lam, mu, sc.frame.x0_dir, icfg)
+    raw = z / T
     n = float(np.linalg.norm(raw))
     if n == 0.0:
         return None
@@ -421,7 +418,6 @@ def _add_common(p: argparse.ArgumentParser, with_mu_bracket: bool = False) -> No
     )
     p.add_argument("--out", help="output file (or directory for simulate)")
     p.add_argument("--config", help="JSON config file (flags override it)")
-    p.add_argument("--seed", type=int, help="recorded in dumped configs (reserved)")
     p.add_argument(
         "--dump-config", action="store_true",
         help="print the effective configuration as JSON and exit",

@@ -13,10 +13,15 @@ dexpinv as the vector formula ``x + (z cross x)/2 + c2(|z|) z cross (z cross x)`
 without building the matrix. Segments are chained through the
 closed-form BCH so that ``A(t) = exp_rot(prefix_i) @ exp_rot(Z_i(t))`` is
 available at any time through dense output, without matrix products drifting
-off the group.
+off the group. This is a Runge-Kutta-Munthe-Kaas (RKMK) method whose
+exponential coordinates are re-centred at each restart: H. Munthe-Kaas,
+"High order Runge-Kutta methods on manifolds", Appl. Numer. Math. 29 (1999);
+A. Iserles, H. Munthe-Kaas, S. P. Nørsett and A. Zanna, "Lie-group methods",
+Acta Numerica 9 (2000).
 
-A skew-product variant co-integrates normal-form coordinates q alongside Z
-(q is untouched by the Z restarts), and an Euler-angle chart integrator is
+The skew product co-integrates normal-form coordinates q alongside Z (q is
+untouched by the Z restarts); :func:`integrate_group` is its case without q,
+and both run through one restart loop. An Euler-angle chart integrator is
 provided as an independent cross-check formulation.
 """
 from __future__ import annotations
@@ -115,20 +120,38 @@ class ZSegment:
     _dense: Callable = field(repr=False)
 
     def eval(self, t: float) -> np.ndarray:
-        y = self._dense(t)
-        return np.asarray(y[:3], dtype=float)
-
-    def eval_state(self, t: float) -> np.ndarray:
-        return np.asarray(self._dense(t), dtype=float)
+        return np.asarray(self._dense(t)[:3], dtype=float)
 
 
-def _check_forcing_value(x, t: float) -> np.ndarray:
-    try:
-        return _as_vec3(x)
-    except DomainError:
-        raise DomainError(
-            f"forcing returned a non-finite or misshaped value at t={t!r}"
-        ) from None
+def _check_forcing_value(x, t: float) -> list[float]:
+    """The forcing value as a float triple; DomainError unless it is a finite 3-vector."""
+    v = np.asarray(x, dtype=float)
+    if v.shape == (3,):
+        xyz = v.tolist()
+        x1, x2, x3 = xyz
+        if math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3):
+            return xyz
+    raise DomainError(f"forcing returned a non-finite or misshaped value at t={t!r}")
+
+
+def _check_in_range(t: float, t_end: float) -> None:
+    if not (-1e-9 <= t <= t_end + 1e-9):
+        raise DomainError(f"t={t!r} outside the integrated range [0, {t_end!r}]")
+
+
+def _solve_segment(rhs, t_start: float, t_max: float, q, cfg: IntegratorConfig) -> ZSegment:
+    """One solve of the state ``(Z, q)`` from ``(0, q)`` until ``|Z| = pi - delta`` or t_max."""
+    cutoff = np.pi - cfg.restart_margin
+
+    def boundary(t, y):
+        return _norm3(y[:3]) - cutoff
+
+    sol = solve_ivp(
+        rhs, (t_start, t_max), [0.0, 0.0, 0.0, *q], cfg.rtol, cfg.atol, cfg.max_step, boundary
+    )
+    if sol.status == -1:
+        raise IntegrationError(f"segment solve failed at t={sol.t[-1]!r}: {sol.message}")
+    return ZSegment(t_start, float(sol.t[-1]), sol.sol)
 
 
 def integrate_z_segment(
@@ -145,23 +168,12 @@ def integrate_z_segment(
     (ZSegment, float)
         The dense segment and its exit time (== t_max when no restart fired).
     """
-    cfg = config or IntegratorConfig()
-    cutoff = np.pi - cfg.restart_margin
 
     def rhs(t, z):
-        x = _check_forcing_value(signal.eval(t, lam), t)
-        return _dexpinv_apply(z, x.tolist())
+        return _dexpinv_apply(z, _check_forcing_value(signal.eval(t, lam), t))
 
-    def boundary(t, z):
-        return _norm3(z) - cutoff
-
-    sol = solve_ivp(
-        rhs, (t_start, t_max), (0.0, 0.0, 0.0), cfg.rtol, cfg.atol, cfg.max_step, boundary
-    )
-    if sol.status == -1:
-        raise IntegrationError(f"segment solve failed at t={sol.t[-1]!r}: {sol.message}")
-    t_exit = float(sol.t[-1])
-    return ZSegment(t_start, t_exit, sol.sol), t_exit
+    seg = _solve_segment(rhs, t_start, t_max, (), config or IntegratorConfig())
+    return seg, seg.t_end
 
 
 @dataclass
@@ -183,18 +195,17 @@ class GroupTrajectory:
         if self._starts is None:
             self._starts = [seg.t_start for seg in self.segments]
 
-    def _locate(self, t: float) -> int:
-        if not (-1e-9 <= t <= self.t_end + 1e-9):
-            raise DomainError(f"t={t!r} outside the integrated range [0, {self.t_end!r}]")
-        i = bisect.bisect_right(self._starts, t) - 1
-        return min(max(i, 0), len(self.segments) - 1)
+    def _state_at(self, t: float) -> tuple[int, list[float]]:
+        """Index of the segment holding t and its dense state ``(Z, q)`` there."""
+        _check_in_range(t, self.t_end)
+        i = min(max(bisect.bisect_right(self._starts, t) - 1, 0), len(self.segments) - 1)
+        seg = self.segments[i]
+        return i, seg._dense(min(max(t, seg.t_start), seg.t_end))
 
     def class_at(self, t: float) -> BallClass:
         """Ball class of A(t) (no hemisphere reduction)."""
-        i = self._locate(t)
-        seg = self.segments[i]
-        t_clamped = min(max(t, seg.t_start), seg.t_end)
-        return bch(self.prefixes[i].vector, seg.eval(t_clamped))
+        i, y = self._state_at(t)
+        return bch(self.prefixes[i].vector, y[:3])
 
     def eval_Z(self, t: float) -> np.ndarray:
         """Hemisphere-mapped logarithm of A(t) around ``ref_dir``."""
@@ -205,13 +216,54 @@ class GroupTrajectory:
         return exp_rot(self.eval_Z(t))
 
 
-def _derive_ref(x0: np.ndarray, what: str) -> np.ndarray:
+@dataclass
+class QTrajectory:
+    """Dense normal-form coordinates q(t), read from the co-integrated GroupTrajectory's state."""
+
+    group: GroupTrajectory
+
+    def eval(self, t: float) -> np.ndarray:
+        return np.asarray(self.group._state_at(t)[1][3:], dtype=float)
+
+
+def _reference(t_end: float, ref_dir, forcing_at_origin: Callable, what: str) -> np.ndarray:
+    """Check the horizon; return ``ref_dir`` or the unit direction of the forcing at the origin."""
+    if not t_end > 0.0:
+        raise DomainError("t_end must be positive")
+    if ref_dir is not None:
+        return _as_vec3(ref_dir)
+    x0 = np.array(_check_forcing_value(forcing_at_origin(), 0.0))
     n = float(np.linalg.norm(x0))
     if n < 1e-12:
         raise DomainError(
             f"cannot derive a reference direction: {what} is zero; pass ref_dir explicitly"
         )
     return x0 / n
+
+
+def _integrate_restarting(
+    segment: Callable[[float, list[float]], ZSegment], q0: list[float], t_end: float, ref
+) -> GroupTrajectory:
+    """Chain segments ``segment(t, q)``, each from ``Z(t) = 0`` and ``q(t) = q``, up to t_end.
+
+    Each restart folds the exit value of Z into the BCH prefix chain and hands
+    the exit value of q on to the next segment.
+    """
+    segments: list[ZSegment] = []
+    prefixes: list[BallClass] = [BallClass(np.zeros(3))]
+    t, q = 0.0, q0
+    slack = 1e-12 * max(1.0, t_end)
+    while t < t_end - slack or not segments:
+        seg = segment(t, q)
+        if seg.t_end <= t + slack:
+            raise IntegrationError(f"integration stalled at t={t!r} (restart made no progress)")
+        segments.append(seg)
+        t = seg.t_end
+        if t < t_end:
+            y = seg._dense(t)
+            prefixes.append(bch(prefixes[-1].vector, y[:3]))
+            q = y[3:]
+    return GroupTrajectory(segments, prefixes[: len(segments)], ref, t_end)
 
 
 def integrate_group(
@@ -222,6 +274,9 @@ def integrate_group(
     ref_dir: np.ndarray | None = None,
 ) -> GroupTrajectory:
     """Integrate ``Adot = A hat(X^G(t, lam))``, ``A(0) = I`` over [0, t_end].
+
+    This is the skew product without normal-form coordinates: each restart
+    segment is one call of :func:`integrate_z_segment`.
 
     Parameters
     ----------
@@ -240,47 +295,10 @@ def integrate_group(
     GroupTrajectory
     """
     cfg = config or IntegratorConfig()
-    if not t_end > 0.0:
-        raise DomainError("t_end must be positive")
-    if ref_dir is None:
-        ref = _derive_ref(_check_forcing_value(signal.eval(0.0, 0.0), 0.0), "X^G(0, 0)")
-    else:
-        ref = _as_vec3(ref_dir)
-
-    segments: list[ZSegment] = []
-    prefixes: list[BallClass] = [BallClass(np.zeros(3))]
-    t = 0.0
-    slack = 1e-12 * max(1.0, t_end)
-    while t < t_end - slack or not segments:
-        seg, t_exit = integrate_z_segment(signal, lam, t, t_end, cfg)
-        if t_exit <= t + slack:
-            raise IntegrationError(f"integration stalled at t={t!r} (restart made no progress)")
-        segments.append(seg)
-        if t_exit < t_end:
-            prefixes.append(bch(prefixes[-1].vector, seg.eval(t_exit)))
-        t = t_exit
-    return GroupTrajectory(segments, prefixes[: len(segments)], ref, t_end)
-
-
-@dataclass
-class QTrajectory:
-    """Dense normal-form coordinates q(t) shared with a co-integrated GroupTrajectory."""
-
-    segments: list[ZSegment]
-    dim_q: int
-    t_end: float
-    _starts: list[float] = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self._starts is None:
-            self._starts = [seg.t_start for seg in self.segments]
-
-    def eval(self, t: float) -> np.ndarray:
-        if not (-1e-9 <= t <= self.t_end + 1e-9):
-            raise DomainError(f"t={t!r} outside the integrated range [0, {self.t_end!r}]")
-        i = min(max(bisect.bisect_right(self._starts, t) - 1, 0), len(self.segments) - 1)
-        seg = self.segments[i]
-        return seg.eval_state(min(max(t, seg.t_start), seg.t_end))[3:]
+    ref = _reference(t_end, ref_dir, lambda: signal.eval(0.0, 0.0), "X^G(0, 0)")
+    return _integrate_restarting(
+        lambda t, q: integrate_z_segment(signal, lam, t, t_end, cfg)[0], [], t_end, ref
+    )
 
 
 def integrate_skew_product(
@@ -298,50 +316,23 @@ def integrate_skew_product(
     condition.
     """
     cfg = config or IntegratorConfig()
-    if not t_end > 0.0:
-        raise DomainError("t_end must be positive")
+    ref = _reference(
+        t_end, ref_dir, lambda: system.x_g(np.zeros(system.dim_q), 0.0), "X^G at (q=0, lam=0)"
+    )
     q0 = np.asarray(q0, dtype=float)
     if q0.shape != (system.dim_q,):
         raise DomainError(f"q0 must have shape ({system.dim_q},), got {q0.shape}")
-    if ref_dir is None:
-        origin = np.zeros(system.dim_q)
-        ref = _derive_ref(
-            _check_forcing_value(system.x_g(origin, 0.0), 0.0), "X^G at (q=0, lam=0)"
-        )
-    else:
-        ref = _as_vec3(ref_dir)
-    cutoff = np.pi - cfg.restart_margin
 
     def rhs(t, y):
         q = np.array(y[3:])
         x = _check_forcing_value(system.x_g(q, lam), t)
         dq = np.asarray(system.x_n(q, lam), dtype=float)
-        return [*_dexpinv_apply(y[:3], x.tolist()), *dq.tolist()]
+        return [*_dexpinv_apply(y[:3], x), *dq.tolist()]
 
-    def boundary(t, y):
-        return _norm3(y[:3]) - cutoff
-
-    segments: list[ZSegment] = []
-    prefixes: list[BallClass] = [BallClass(np.zeros(3))]
-    t = 0.0
-    q = q0.copy()
-    slack = 1e-12 * max(1.0, t_end)
-    while t < t_end - slack or not segments:
-        y0 = [0.0, 0.0, 0.0, *q.tolist()]
-        sol = solve_ivp(rhs, (t, t_end), y0, cfg.rtol, cfg.atol, cfg.max_step, boundary)
-        if sol.status == -1:
-            raise IntegrationError(f"skew-product solve failed at t={sol.t[-1]!r}: {sol.message}")
-        t_exit = float(sol.t[-1])
-        if t_exit <= t + slack:
-            raise IntegrationError(f"integration stalled at t={t!r} (restart made no progress)")
-        segments.append(ZSegment(t, t_exit, sol.sol))
-        state_end = segments[-1].eval_state(t_exit)
-        if t_exit < t_end:
-            prefixes.append(bch(prefixes[-1].vector, state_end[:3]))
-        q = state_end[3:]
-        t = t_exit
-    traj = GroupTrajectory(segments, prefixes[: len(segments)], ref, t_end)
-    return traj, QTrajectory(segments, system.dim_q, t_end)
+    traj = _integrate_restarting(
+        lambda t, q: _solve_segment(rhs, t, t_end, q, cfg), q0.tolist(), t_end, ref
+    )
+    return traj, QTrajectory(traj)
 
 
 def stuart_landau(omega_bif: float) -> Callable[[np.ndarray, float], np.ndarray]:
@@ -374,8 +365,7 @@ class EulerTrajectory:
 
     def eval_angles(self, t: float) -> np.ndarray:
         """(phi, theta, psi) at time t."""
-        if not (-1e-9 <= t <= self.t_end + 1e-9):
-            raise DomainError(f"t={t!r} outside the integrated range [0, {self.t_end!r}]")
+        _check_in_range(t, self.t_end)
         return np.asarray(self._dense(min(max(t, 0.0), self.t_end)), dtype=float)
 
     def eval_A(self, t: float) -> np.ndarray:

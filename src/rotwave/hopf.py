@@ -118,6 +118,11 @@ def classify_resonance(
     return ResonanceClass(ResonanceKind.NONRESONANT, None, omega_bif, x0_norm)
 
 
+def _winding(x0_norm: float, T0: float, res_tol: float) -> int:
+    """Winding count: full turns of the primary rotation |x0| per Hopf period T0."""
+    return int(math.floor(x0_norm * T0 / (2.0 * np.pi) + 0.5 * res_tol))
+
+
 def primary_frequency(
     traj: GroupTrajectory, T: float, ref_dir: np.ndarray | None = None
 ) -> np.ndarray:
@@ -165,7 +170,7 @@ def lifted_frequency(
     if not T0 > 0.0:
         raise DomainError("T0 must be positive")
     x0_norm = float(np.linalg.norm(x0))
-    k = int(math.floor(x0_norm * T0 / (2.0 * np.pi) + 0.5 * res_tol))
+    k = _winding(x0_norm, T0, res_tol)
     n = float(np.linalg.norm(X))
     if n > ZERO_X_TOL:
         return ((n + k * abs(omega_lambda)) / n) * X
@@ -231,7 +236,7 @@ def classify(
     x0_norm = float(np.linalg.norm(x0))
     res = classify_resonance(x0_norm, omega_bif, res_tol)
     T0 = 2.0 * np.pi / omega_bif
-    k_w = int(math.floor(x0_norm * T0 / (2.0 * np.pi) + 0.5 * res_tol))
+    k_w = _winding(x0_norm, T0, res_tol)
     n = float(np.linalg.norm(X))
 
     if res.kind is ResonanceKind.DEGENERATE:
@@ -251,6 +256,14 @@ def classify(
     else:
         motion = MotionClass.SLOW_MEANDER_ABOUT_X0
     return FrequencyReport(lam, X, Xf, res, k_w, ortho, motion)
+
+
+def _period_class(family, lam: float, mu: float, ref_dir, config=None) -> tuple[np.ndarray, float]:
+    """Unreduced ball representative of log A(T) for ``family(lam, mu)``, and T."""
+    sig = family(lam, mu)
+    T = float(sig.period(lam))
+    traj = integrate_group(sig, lam, T, config, ref_dir=ref_dir)
+    return traj.class_at(T).vector, T
 
 
 def find_orthogonal_branch(
@@ -296,10 +309,8 @@ def find_orthogonal_branch(
         raise DomainError("mu_bracket must satisfy a < b")
 
     def g(mu: float) -> float:
-        sig = family(lam, mu)
-        T = float(sig.period(lam))
-        traj = integrate_group(sig, lam, T, config, ref_dir=u0)
-        return float(traj.class_at(T).vector @ u0) / T
+        z, T = _period_class(family, lam, mu, u0, config)
+        return float(z @ u0) / T
 
     ga, gb = g(a), g(b)
     if ga == 0.0:

@@ -21,7 +21,7 @@ bed for the integrator, the frequency extraction, and the drift finder:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -90,6 +90,7 @@ class Scenario:
     k: int = 1
     g_override: _GFunc | None = None
     gdot_override: _GFunc | None = None
+    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def X0(self) -> np.ndarray:
@@ -111,6 +112,18 @@ class Scenario:
     def _pieces(self, mu: float | None):
         """(xg(t, lam), closed(t, lam), period(lam)) for this family at mu.
 
+        Built once per mu; only the latest mu is kept, since a root find asks
+        for a new mu on every evaluation.
+        """
+        if mu not in self._built:
+            pieces = self._build_pieces(mu)
+            self._built.clear()
+            self._built[mu] = pieces
+        return self._built[mu]
+
+    def _build_pieces(self, mu: float | None):
+        """The three closures of :meth:`_pieces`.
+
         The forcings xg run once per right-hand-side evaluation, so they work
         on float lists (``*_l``) and apply ``exp_rot(v).T @ w`` as the vector
         Rodrigues rotation ``_exp_apply(-v, w)``.
@@ -121,6 +134,7 @@ class Scenario:
         if self.family != "example4" and mu is not None:
             raise ConfigError(f"scenario {self.name!r} takes no mu parameter")
 
+        omega_eff = self.omega_bif
         if self.family == "example1":
             g, gdot = self._g_pair(self.omega_bif)
             pdir = 2.0 * (fr.x1 + fr.x2 + fr.x0_dir)
@@ -140,12 +154,7 @@ class Scenario:
                 eps = math.sqrt(lam)
                 return exp_rot((X0 + eps * fr.x1) * t) @ exp_rot(eps * pdir * g(t, lam))
 
-            def period(lam: float) -> float:
-                return 2.0 * np.pi / abs(self.omega_bif + lam)
-
-            return xg, closed, period
-
-        if self.family in ("example2", "example3"):
+        elif self.family in ("example2", "example3"):
             g, gdot = self._g_pair(self.omega_bif)
 
             def xg(t: float, lam: float) -> np.ndarray:
@@ -168,12 +177,7 @@ class Scenario:
                 w = eps * fr.x1 if self.family == "example2" else eps * (X0 + fr.x1)
                 return exp_rot(w * t) @ exp_rot(C * (nu * t + lam * g(t, lam)))
 
-            def period(lam: float) -> float:
-                return 2.0 * np.pi / abs(self.omega_bif + lam)
-
-            return xg, closed, period
-
-        if self.family == "example4":
+        elif self.family == "example4":
             mu_val = 0.0 if mu is None else float(mu)
             norm_c = math.sqrt(self.x0_norm**2 + mu_val**2)
             # the effective Hopf frequency shifts with mu so that
@@ -201,12 +205,7 @@ class Scenario:
                     C * (nu * t + lam * g(t, lam))
                 )
 
-            def period(lam: float) -> float:
-                return 2.0 * np.pi / abs(omega_eff + lam)
-
-            return xg, closed, period
-
-        if self.family == "example5":
+        elif self.family == "example5":
             g, gdot = self._g_pair(self.omega_bif)
 
             def xg(t: float, lam: float) -> np.ndarray:
@@ -218,12 +217,13 @@ class Scenario:
                 eps = math.sqrt(lam)
                 return exp_rot((X0 + eps * fr.x1) * (t + eps * g(t, lam)))
 
-            def period(lam: float) -> float:
-                return 2.0 * np.pi / abs(self.omega_bif + lam)
+        else:  # pragma: no cover
+            raise ConfigError(f"unknown family {self.family!r}")
 
-            return xg, closed, period
+        def period(lam: float) -> float:
+            return 2.0 * np.pi / abs(omega_eff + lam)
 
-        raise ConfigError(f"unknown family {self.family!r}")  # pragma: no cover
+        return xg, closed, period
 
     def forcing(self, lam: float = 0.0, mu: float | None = None) -> ForcingSignal:
         """ForcingSignal for this family (mu bound here; the signal's eval

@@ -266,6 +266,7 @@ def test_bad_subcommand_exits_2(capsys):
         ("frequency", {"lambda_grid": 0.05}),
         ("frequency", {"overrides": {"x0_norm": "abc"}}),
         ("drift", {"scenario": "example4", "lambda_grid": [0.01], "mu_bracket": [0.3, 0.0]}),
+        ("frequency", {"seed": 0}),
     ],
 )
 def test_config_file_bad_values_exit_2(tmp_path, capsys, command, doc):

@@ -242,6 +242,20 @@ def test_skew_product_frozen_coordinates_are_rigid():
         assert np.allclose(qtraj.eval(t), [0.3, -0.1], atol=1e-12)
 
 
+def test_skew_product_without_q_is_the_group_integrator():
+    # one restart loop serves both: with dim_q = 0 and a q-free forcing the
+    # skew product must reproduce integrate_group exactly, restart for restart
+    sys = SkewProductSystem(x_g=lambda q, lam: X0, x_n=lambda q, lam: np.zeros(0), dim_q=0)
+    traj_q, _ = integrate_skew_product(sys, np.zeros(0), 0.0, 10.0)
+    traj = integrate_group(constant_signal(X0), 0.0, 10.0)
+    assert len(traj.segments) > 5
+    assert [(s.t_start, s.t_end) for s in traj_q.segments] == [
+        (s.t_start, s.t_end) for s in traj.segments
+    ]
+    for t in np.linspace(0.0, 10.0, 41):
+        assert np.array_equal(traj_q.class_at(t).vector, traj.class_at(t).vector)
+
+
 def test_stuart_landau_circle():
     lam = 0.25
     omega = 2.0
