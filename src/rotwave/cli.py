@@ -28,18 +28,7 @@ import numpy as np
 
 from . import scenarios
 from .bch import bch, bch_breakdown
-from .errors import (
-    BracketError,
-    ConfigError,
-    DomainError,
-    FitError,
-    GimbalLockError,
-    IntegrationError,
-    InternalInconsistency,
-    IoError,
-    RotwaveError,
-    SingularityError,
-)
+from .errors import ConfigError, FitError, IoError, RotwaveError
 from .flow import IntegratorConfig, integrate_group
 from .hopf import _period_class, classify, find_orthogonal_branch, primary_frequency
 from .so3 import exp_rot
@@ -116,7 +105,12 @@ def _is_int(v) -> bool:
 
 
 def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 # ---------------------------------------------------------------- output fmt
@@ -470,16 +464,7 @@ def main(argv=None) -> int:
     except (ConfigError, IoError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
-    except (
-        BracketError,
-        DomainError,
-        FitError,
-        GimbalLockError,
-        IntegrationError,
-        InternalInconsistency,
-        SingularityError,
-        RotwaveError,
-    ) as exc:
+    except RotwaveError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3
 

@@ -33,15 +33,26 @@ from typing import Callable
 
 import numpy as np
 
-from .bch import bch
+from .bch import _bch_full, bch
 from .errors import (
     ConfigError,
     DomainError,
     GimbalLockError,
     IntegrationError,
 )
-from .ode import solve_ivp
-from .so3 import BallClass, _as_vec3, _dexpinv_apply, _norm3, exp_rot, q_map, rot_x, rot_z
+from .ode import OdeSolution, solve_ivp
+from .so3 import (
+    BallClass,
+    _as_unit3,
+    _ball_vector,
+    _dexpinv_apply,
+    _exp_matrix,
+    _finite3,
+    _norm3,
+    _q_map,
+    rot_x,
+    rot_z,
+)
 
 __all__ = [
     "EulerTrajectory",
@@ -117,7 +128,7 @@ class ZSegment:
 
     t_start: float
     t_end: float
-    _dense: Callable = field(repr=False)
+    _dense: OdeSolution = field(repr=False)
 
     def eval(self, t: float) -> np.ndarray:
         return np.asarray(self._dense(t)[:3], dtype=float)
@@ -183,37 +194,64 @@ class GroupTrajectory:
     ``class_at(t)`` is the ball class of the full product up to t (prefix
     composed with the live segment through BCH); ``eval_Z`` applies the
     hemisphere map around ``ref_dir``; ``eval_A`` exponentiates.
+
+    A sample runs on Python floats from the dense state to the matrix: one
+    bisect over a step table that spans all segments finds the DOP853 step
+    holding t (a restart time belongs to the later segment, an inner step
+    boundary to the earlier step), its interpolant gives Z, and the closed-form
+    BCH composes Z with the segment's prefix. Only ``class_at`` builds a
+    :class:`BallClass`.
     """
 
     segments: list[ZSegment]
     prefixes: list[BallClass]
     ref_dir: np.ndarray
     t_end: float
-    _starts: list[float] = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self._starts is None:
-            self._starts = [seg.t_start for seg in self.segments]
+        self._ref = _as_unit3(self.ref_dir)
+        self._t_last = self.segments[-1].t_end
+        # step k of the table covers (ends[k-1], ends[k]]; the last step of a
+        # segment that ends in a restart is keyed one ulp below the restart time
+        self._ends: list[float] = []
+        self._steps: list = []
+        self._step_prefix: list = []
+        last = len(self.segments) - 1
+        for i, (seg, prefix) in enumerate(zip(self.segments, self.prefixes)):
+            ends = seg._dense.ts[1:]
+            if i < last:
+                ends[-1] = math.nextafter(ends[-1], -math.inf)
+            self._ends += ends
+            self._steps += seg._dense.interpolants
+            self._step_prefix += [prefix.vector.tolist()] * len(ends)
 
     def _state_at(self, t: float) -> tuple[int, list[float]]:
-        """Index of the segment holding t and its dense state ``(Z, q)`` there."""
+        """Index of the step holding t and the dense state ``(Z, q)`` there."""
         _check_in_range(t, self.t_end)
-        i = min(max(bisect.bisect_right(self._starts, t) - 1, 0), len(self.segments) - 1)
-        seg = self.segments[i]
-        return i, seg._dense(min(max(t, seg.t_start), seg.t_end))
+        t = min(max(t, 0.0), self._t_last)
+        k = bisect.bisect_left(self._ends, t)
+        return k, self._steps[k](t)
+
+    def _product(self, t: float):
+        """BCH of the prefix and Z(t) as a float triple, before the ball check."""
+        k, y = self._state_at(t)
+        return _bch_full(self._step_prefix[k], _finite3(y[:3]))[0]
+
+    def _class_vector(self, t: float):
+        """``class_at(t).vector`` as a float triple."""
+        return _ball_vector(self._product(t))
 
     def class_at(self, t: float) -> BallClass:
         """Ball class of A(t) (no hemisphere reduction)."""
-        i, y = self._state_at(t)
-        return bch(self.prefixes[i].vector, y[:3])
+        return BallClass(np.array(self._product(t)))
 
     def eval_Z(self, t: float) -> np.ndarray:
         """Hemisphere-mapped logarithm of A(t) around ``ref_dir``."""
-        return q_map(self.class_at(t), self.ref_dir)
+        return np.array(_q_map(self._class_vector(t), self._ref))
 
     def eval_A(self, t: float) -> np.ndarray:
         """The rotation A(t)."""
-        return exp_rot(self.eval_Z(t))
+        return _exp_matrix(_q_map(self._class_vector(t), self._ref))
 
 
 @dataclass
@@ -231,7 +269,7 @@ def _reference(t_end: float, ref_dir, forcing_at_origin: Callable, what: str) ->
     if not t_end > 0.0:
         raise DomainError("t_end must be positive")
     if ref_dir is not None:
-        return _as_vec3(ref_dir)
+        return np.array(_as_unit3(ref_dir))
     x0 = np.array(_check_forcing_value(forcing_at_origin(), 0.0))
     n = float(np.linalg.norm(x0))
     if n < 1e-12:

@@ -20,11 +20,11 @@ from typing import Callable
 
 import numpy as np
 
-from .bch import bch
+from .bch import _bch_full
 from .errors import BracketError, DomainError, InternalInconsistency
 from .flow import ForcingSignal, GroupTrajectory, IntegratorConfig, integrate_group
 from .ode import brentq
-from .so3 import exp_rot, q_map
+from .so3 import _as_vec3, _ball_vector, _exp_matrix, _finite3, q_map
 
 __all__ = [
     "FrequencyReport",
@@ -195,20 +195,28 @@ def periodic_part(
     bifurcation), and that exponent's direction legitimately crosses every
     hemisphere as the forcing oscillates, so reducing it through the
     antipode would replace small norms by values near 2*pi.
+
+    Each sample composes ``-X t`` with the class of A(t) on Python floats
+    through the same chain as ``traj.eval_A``.
     """
-    X = np.asarray(X, dtype=float)
-    Xf = np.asarray(Xf, dtype=float)
+    neg_x = (-_as_vec3(X)).tolist()
+    neg_xf = (-_as_vec3(Xf)).tolist()
     if not T > 0.0:
         raise DomainError("T must be positive")
 
+    def log_b(neg: list[float], t: float):
+        """Ball vector of ``bch(neg * t, class_at(t).vector)`` as a float triple."""
+        w = traj._class_vector(t)
+        return _ball_vector(_bch_full(_finite3([a * t for a in neg]), w)[0])
+
     def log_bf(t: float) -> np.ndarray:
-        return bch(-Xf * t, traj.class_at(t).vector).vector.copy()
+        return np.array(log_b(neg_xf, t))
 
     def eval_bf(t: float) -> np.ndarray:
-        return exp_rot(log_bf(t))
+        return _exp_matrix(log_b(neg_xf, t))
 
     def eval_b(t: float) -> np.ndarray:
-        return exp_rot(bch(-X * t, traj.class_at(t).vector).vector)
+        return _exp_matrix(log_b(neg_x, t))
 
     return PeriodicPart(log_bf, eval_bf, eval_b, T)
 

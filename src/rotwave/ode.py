@@ -180,19 +180,24 @@ class OdeResult:
 
 
 class _Interpolant:
-    """Dense output of one DOP853 step: the degree-7 polynomial in ``x = (t - t0)/h``."""
+    """Dense output of one DOP853 step: the degree-7 polynomial in ``x = (t - t0)/h``.
 
-    __slots__ = ("t0", "h", "y0", "F")
+    ``rows`` holds one Horner row ``(y0, f0, ..., f6)`` per state component,
+    zipped once when the step is accepted.
+    """
+
+    __slots__ = ("t0", "h", "rows")
 
     def __init__(self, t0: float, h: float, y0: list[float], F: list[list[float]]):
-        self.t0, self.h, self.y0, self.F = t0, h, y0, F
+        self.t0, self.h = t0, h
+        self.rows = tuple(zip(y0, *F))
 
     def __call__(self, t: float) -> list[float]:
         x = (t - self.t0) / self.h
         u = 1.0 - x
         return [
             ((((((f6 * x + f5) * u + f4) * x + f3) * u + f2) * x + f1) * u + f0) * x + y0
-            for y0, f0, f1, f2, f3, f4, f5, f6 in zip(self.y0, *self.F)
+            for y0, f0, f1, f2, f3, f4, f5, f6 in self.rows
         ]
 
 

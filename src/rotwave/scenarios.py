@@ -277,7 +277,7 @@ def _number(overrides: dict, name: str, default) -> float:
     value = overrides.get(name, default)
     try:
         out = float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be a number, got {value!r}") from None
     if not math.isfinite(out):
         raise ConfigError(f"{name} must be finite, got {value!r}")
@@ -287,7 +287,7 @@ def _number(overrides: dict, name: str, default) -> float:
 def _float_array(value, name: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{name} must be numeric, got {value!r}") from None
 
 
@@ -422,7 +422,7 @@ def verify_against_closed_form(
         signal, lam, float(t_grid[-1]), config, ref_dir=scenario.frame.x0_dir
     )
     worst = 0.0
-    for t in t_grid:
+    for t in t_grid.tolist():
         dev = float(
             np.linalg.norm(traj.eval_A(t) - scenario.closed_form(t, lam, mu))
         )

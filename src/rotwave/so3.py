@@ -89,10 +89,24 @@ def _as_vec3(v) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     if v.shape != (3,):
         raise DomainError(f"expected a 3-vector, got shape {v.shape}")
-    x, y, z = v.tolist()
+    _finite3(v.tolist())
+    return v
+
+
+def _finite3(v):
+    """The float triple ``v`` itself; DomainError unless all three components are finite."""
+    x, y, z = v
     if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         raise DomainError("expected a finite 3-vector")
     return v
+
+
+def _as_unit3(v) -> list[float]:
+    """``v`` as a float triple; DomainError unless it is a unit vector to within 1e-10."""
+    r = _as_vec3(v).tolist()
+    if abs(_norm3(r) - 1.0) > 1e-10:
+        raise DomainError("q_map reference direction must be a unit vector")
+    return r
 
 
 def _norm3(v) -> float:
@@ -145,6 +159,11 @@ def _exp_apply(v, w) -> tuple[float, float, float]:
     return _quadratic_apply(v, w, *_exp_coeffs(_norm3(v)))
 
 
+def _exp_matrix(v) -> np.ndarray:
+    """Scalar form of :func:`exp_rot` on a float triple."""
+    return _quadratic_matrix(v, *_exp_coeffs(_norm3(v)))
+
+
 def exp_rot(v: np.ndarray) -> np.ndarray:
     """Rotation matrix ``exp(hat(v))`` by the Rodrigues formula.
 
@@ -158,8 +177,7 @@ def exp_rot(v: np.ndarray) -> np.ndarray:
     ndarray, shape (3, 3)
         Proper orthogonal matrix, orthogonal to machine precision.
     """
-    v = _as_vec3(v).tolist()
-    return _quadratic_matrix(v, *_exp_coeffs(_norm3(v)))
+    return _exp_matrix(_as_vec3(v).tolist())
 
 
 def rot_x(angle: float) -> np.ndarray:
@@ -205,6 +223,22 @@ def as_rotation(m: np.ndarray, drift_tol: float = 1e-12) -> np.ndarray:
     return r
 
 
+def _ball_vector(v):
+    """The ball representative of the finite float triple ``v`` (BallClass's check).
+
+    Raises DomainError when ``|v| > pi + 1e-12``; a smaller overshoot past pi
+    is floating-point noise and is snapped back onto the boundary sphere.
+    """
+    n = _norm3(v)
+    if not n <= math.pi + 1e-12:
+        raise DomainError(f"ball-class vector has norm {n:.17g} > pi + 1e-12")
+    if n > math.pi:
+        s = math.pi / n
+        x, y, z = v
+        return (x * s, y * s, z * s)
+    return v
+
+
 class AngleAxis(NamedTuple):
     """Angle in [0, pi] and unit axis (axis is +z by convention at angle 0)."""
 
@@ -224,12 +258,7 @@ class BallClass:
     vector: np.ndarray
 
     def __post_init__(self):
-        v = _as_vec3(self.vector).copy()
-        n = _norm3(v.tolist())
-        if n > np.pi + 1e-12:
-            raise DomainError(f"ball-class vector has norm {n:.17g} > pi + 1e-12")
-        if n > np.pi:
-            v *= np.pi / n  # snap fp overshoot back onto the boundary sphere
+        v = np.array(_ball_vector(_as_vec3(self.vector).tolist()))
         v.flags.writeable = False
         object.__setattr__(self, "vector", v)
 
@@ -382,22 +411,25 @@ def q_map(c: BallClass, ref_dir: np.ndarray) -> np.ndarray:
     ndarray, shape (3,)
         Vector with ``exp_rot(result) == exp_rot(c.vector)``.
     """
-    ref = _as_vec3(ref_dir)
-    if abs(float(np.linalg.norm(ref)) - 1.0) > 1e-10:
-        raise DomainError("q_map reference direction must be a unit vector")
-    n = c.norm
-    v = np.array(c.vector)
+    return np.array(_q_map(c.vector.tolist(), _as_unit3(ref_dir)))
+
+
+def _q_map(v, ref):
+    """Scalar form of :func:`q_map` on a ball vector and a checked unit reference, as float triples."""
+    n = _norm3(v)
     if n == 0.0:
         return v
-    u = v / n
-    t = float(u @ ref)
+    x, y, z = v
+    u = (x / n, y / n, z / n)
+    t = u[0] * ref[0] + u[1] * ref[1] + u[2] * ref[2]
     if t >= -HEMI_BAND:
-        if n >= np.pi - 1e-12 and abs(t) <= HEMI_BAND:
+        if n >= math.pi - 1e-12 and abs(t) <= HEMI_BAND:
             # antipodal class with boundary direction: canonicalize the rep
-            if not _in_north_set(_rotation_to_pole(ref) @ u):
-                return -v
+            if not _in_north_set(_rotation_to_pole(np.array(ref)) @ np.array(u)):
+                return (-x, -y, -z)
         return v
-    return (1.0 - 2.0 * np.pi / n) * v
+    s = 1.0 - 2.0 * math.pi / n
+    return (s * x, s * y, s * z)
 
 
 def _dexp_coeffs(theta: float) -> tuple[float, float]:

@@ -68,7 +68,8 @@ def tip_trajectory(traj, x0, r: float, sample_times, period: float | None = None
     Returns
     -------
     TipTrack
-        Points are ``A(0)^-1 A(t) x0``, so the track starts at x0.
+        Points are ``A(0)^-1 A(t) x0``, so the track starts at x0. The sampled
+        matrices are stacked and multiplied in one batched matmul.
     """
     x0 = _as_vec3(x0)
     if not r > 0.0:
@@ -77,16 +78,18 @@ def tip_trajectory(traj, x0, r: float, sample_times, period: float | None = None
         raise DomainError(f"|x0| = {np.linalg.norm(x0):.12g} is not on the sphere of radius {r!r}")
     times = np.atleast_1d(np.asarray(sample_times, dtype=float))
     a0_inv = traj.eval_A(0.0).T
-    points = np.array([a0_inv @ traj.eval_A(t) @ x0 for t in times])
+
+    def track(ts) -> np.ndarray:
+        return a0_inv @ np.array([traj.eval_A(t) for t in ts]).reshape(-1, 3, 3) @ x0
+
+    points = track(times.tolist())
 
     period_samples = None
     if period is not None:
         if not period > 0.0:
             raise DomainError("period must be positive")
         m = int(math.floor(traj.t_end / period + 1e-9))
-        period_samples = np.array(
-            [a0_inv @ traj.eval_A(i * period) @ x0 for i in range(m + 1)]
-        )
+        period_samples = track([i * period for i in range(m + 1)])
     return TipTrack(float(r), x0.copy(), times, points, period_samples)
 
 

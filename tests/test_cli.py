@@ -1,10 +1,16 @@
 """Command-line interface: flags, outputs, exit codes, determinism."""
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rotwave.cli import main
+from rotwave import RotwaveError
+from rotwave.cli import RunConfig, main
+from rotwave.scenarios import _ALLOWED_OVERRIDES, available, build
 
 CSV_HEADER = "t," + ",".join(f"a{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)) + ",tipx,tipy,tipz"
 
@@ -276,3 +282,43 @@ def test_config_file_bad_values_exit_2(tmp_path, capsys, command, doc):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# ------------------------------------------------------------------ fuzzing
+
+#: any value a JSON document can hold, as Python's json module reads it:
+#: NaN and infinities included, and integers past the float range, which
+#: json parses exactly and float() refuses with OverflowError
+BIG_INTS = st.sampled_from([10**400, -(10**400)])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | BIG_INTS | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=8,
+)
+
+
+@settings(max_examples=200)
+@given(doc=st.dictionaries(st.sampled_from(sorted(RunConfig.__dataclass_fields__)), JSON_VALUES))
+def test_config_file_fuzz_exits_0_or_2(tmp_path_factory, doc):
+    cfg = tmp_path_factory.mktemp("fuzz") / "run.json"
+    cfg.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["simulate", "--config", str(cfg), "--dump-config"])
+    assert rc in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if rc == 2:
+        assert err.getvalue().startswith("error: ")
+
+
+@settings(max_examples=200)
+@given(
+    name=st.sampled_from(available()),
+    overrides=st.dictionaries(st.sampled_from(sorted(_ALLOWED_OVERRIDES)), JSON_VALUES),
+)
+def test_scenario_overrides_fuzz_raise_only_rotwave_errors(name, overrides):
+    # a config file's "overrides" object reaches scenarios.build unchanged
+    try:
+        build(name, **overrides)
+    except RotwaveError:
+        pass

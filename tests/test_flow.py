@@ -1,4 +1,8 @@
 """Lie-group integration: Z segments, restart chaining, charts, skew products."""
+import bisect
+import functools
+import math
+
 import numpy as np
 import pytest
 
@@ -16,6 +20,7 @@ from rotwave import (
     integrate_group,
     integrate_skew_product,
     integrate_z_segment,
+    q_map,
     stuart_landau,
 )
 from rotwave import flow
@@ -185,6 +190,99 @@ def test_eval_outside_range_raises():
         traj.class_at(-0.5)
     with pytest.raises(DomainError):
         integrate_group(constant_signal(EZ), 0.0, -1.0)
+
+
+def test_non_unit_ref_dir_fails_before_integrating(monkeypatch):
+    calls = []
+
+    def counted_solve(*args, **kwargs):
+        calls.append(1)
+        return solve_ivp(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "solve_ivp", counted_solve)
+    with pytest.raises(DomainError, match="unit vector"):
+        integrate_group(constant_signal(X0), 0.0, 10.0, ref_dir=[0.0, 0.0, 2.0])
+    sys = SkewProductSystem(x_g=lambda q, lam: X0, x_n=lambda q, lam: np.zeros(2), dim_q=2)
+    with pytest.raises(DomainError, match="unit vector"):
+        integrate_skew_product(sys, np.zeros(2), 0.0, 10.0, ref_dir=[0.0, 1e-3, 1.0])
+    assert calls == []
+
+
+# --------------------------------------------------------- the sampling chain
+
+#: the five families at a small and a large lambda, and a dim_q = 2 skew product
+CHAIN_CASES = [
+    (name, lam)
+    for name in ("case1", "case2", "case3", "example4", "example5")
+    for lam in (1e-3, 0.1)
+] + [("skew", 0.04)]
+
+
+@functools.lru_cache(maxsize=None)
+def chain_trajectory(name, lam):
+    """(GroupTrajectory, QTrajectory or None, T, X0, omega_bif).
+
+    The horizon spans two periods T and at least 5 time units, so that the
+    slow families (|X0| = 2) restart too.
+    """
+    if name == "skew":
+        omega = 2.0
+        system = SkewProductSystem(
+            x_g=lambda q, lam_: X0 + q[0] * EX, x_n=stuart_landau(omega), dim_q=2
+        )
+        T = 2 * np.pi / omega
+        traj, qtraj = integrate_skew_product(system, [np.sqrt(lam), 0.0], lam, 2 * T)
+        return traj, qtraj, T, X0, omega
+    sc = build(name)
+    T = sc.period(lam)
+    traj = integrate_group(sc.forcing(lam), lam, max(2 * T, 5.0), ref_dir=sc.frame.x0_dir)
+    return traj, None, T, sc.X0, sc.omega_bif
+
+
+def probe_times(traj):
+    """Jittered times, each restart time with its neighbouring floats, every
+    inner step boundary, the ends, and the clamped slack just outside them."""
+    rng = np.random.default_rng(7)
+    ts = [traj.t_end * (i + rng.random()) / 60 for i in range(60)]
+    for seg in traj.segments[1:]:
+        r = seg.t_start
+        ts += [math.nextafter(r, -math.inf), r, math.nextafter(r, math.inf)]
+    for seg in traj.segments:
+        ts += seg._dense.ts[1:-1]
+    return ts + [0.0, traj.t_end, -5e-10, traj.t_end + 5e-10]
+
+
+def locate(traj, t):
+    """Segment index and clamped time of t; a restart time belongs to the later segment."""
+    i = max(bisect.bisect_right([seg.t_start for seg in traj.segments], t) - 1, 0)
+    seg = traj.segments[i]
+    return i, min(max(t, seg.t_start), seg.t_end)
+
+
+def composed_class(traj, t):
+    """``class_at(t)`` composed from the public pieces: segment, prefix and bch."""
+    i, s = locate(traj, t)
+    return bch(traj.prefixes[i].vector, traj.segments[i].eval(s))
+
+
+@pytest.mark.parametrize("name, lam", CHAIN_CASES)
+def test_sampling_chain_is_the_composition_of_public_pieces(name, lam):
+    traj, qtraj, _, _, _ = chain_trajectory(name, lam)
+    assert len(traj.segments) > 1
+    for t in probe_times(traj):
+        cls = composed_class(traj, t)
+        z = q_map(cls, traj.ref_dir)
+        assert np.array_equal(traj.class_at(t).vector, cls.vector)
+        assert np.array_equal(traj.eval_Z(t), z)
+        assert np.array_equal(traj.eval_A(t), exp_rot(z))
+        if qtraj is not None:
+            i, s = locate(traj, t)
+            assert np.array_equal(qtraj.eval(t), traj.segments[i]._dense(s)[3:])
+    evals = [traj.class_at, traj.eval_Z, traj.eval_A] + ([qtraj.eval] if qtraj else [])
+    for t in (-2e-9, traj.t_end + 2e-9):
+        for f in evals:
+            with pytest.raises(DomainError):
+                f(t)
 
 
 # ---------------------------------------------------------------- Euler chart

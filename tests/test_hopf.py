@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 import oracles
+from test_flow import CHAIN_CASES, chain_trajectory, composed_class, probe_times
 from rotwave import (
     BracketError,
     DomainError,
@@ -10,6 +11,7 @@ from rotwave import (
     InternalInconsistency,
     MotionClass,
     ResonanceKind,
+    bch,
     classify,
     classify_resonance,
     exp_rot,
@@ -174,6 +176,24 @@ def test_periodic_part_identities():
     # B^f is T-periodic
     for t in (0.1 * T, 0.5 * T):
         assert np.linalg.norm(part.eval_Bf(t + T) - part.eval_Bf(t)) < 1e-7
+
+
+@pytest.mark.parametrize("name, lam", CHAIN_CASES)
+def test_periodic_part_is_the_composition_of_public_pieces(name, lam):
+    traj, _, T, x0, omega_bif = chain_trajectory(name, lam)
+    X = primary_frequency(traj, T)
+    Xf = classify(x0, omega_bif, X, T, lam).Xf
+    part = periodic_part(traj, X, Xf, T)
+    for t in probe_times(traj):
+        cls = composed_class(traj, t).vector
+        log_bf = bch(-Xf * t, cls).vector
+        assert np.array_equal(part.log_Bf(t), log_bf)
+        assert np.array_equal(part.eval_Bf(t), exp_rot(log_bf))
+        assert np.array_equal(part.eval_B(t), exp_rot(bch(-X * t, cls).vector))
+    for t in (-2e-9, traj.t_end + 2e-9):
+        for f in (part.log_Bf, part.eval_Bf, part.eval_B):
+            with pytest.raises(DomainError):
+                f(t)
 
 
 # ----------------------------------------------------------------- classify
