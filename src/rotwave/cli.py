@@ -36,6 +36,10 @@ from .tip import fit_circle, tip_trajectory
 
 __all__ = ["RunConfig", "main", "entry"]
 
+#: largest horizon x samples-per-period: the rows simulate writes per lambda
+#: (one more with t = 0), which also bounds the frequency horizon
+MAX_SAMPLES = 1_000_000
+
 
 @dataclass
 class RunConfig:
@@ -70,6 +74,11 @@ class RunConfig:
             raise ConfigError("horizon must be >= 1")
         if self.samples_per_period < 1:
             raise ConfigError("samples-per-period must be >= 1")
+        if self.horizon * self.samples_per_period > MAX_SAMPLES:
+            raise ConfigError(
+                f"horizon x samples-per-period must be <= {MAX_SAMPLES} "
+                "(the rows simulate writes per lambda)"
+            )
         for name in ("rtol", "atol", "restart_margin"):
             if not _is_real(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
@@ -187,7 +196,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
                 raw = json.load(fh)
         except OSError as exc:
             raise ConfigError(f"cannot read config file {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a JSON object")
@@ -400,7 +409,11 @@ def _add_common(p: argparse.ArgumentParser, with_mu_bracket: bool = False) -> No
     p.add_argument("--lambda", dest="lam", type=float, help="single bifurcation parameter")
     p.add_argument("--lambda-grid", help="comma-separated lambda values")
     p.add_argument("--mu", type=float, help="drift parameter (two-parameter scenarios)")
-    p.add_argument("--horizon", type=int, help="run length in relative periods (default 5)")
+    p.add_argument(
+        "--horizon", type=int,
+        help=f"run length in relative periods (default 5; horizon x samples-per-period "
+        f"<= {MAX_SAMPLES})",
+    )
     p.add_argument(
         "--samples-per-period", type=int, help="output samples per period (default 100)"
     )

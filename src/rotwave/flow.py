@@ -19,6 +19,17 @@ exponential coordinates are re-centred at each restart: H. Munthe-Kaas,
 A. Iserles, H. Munthe-Kaas, S. P. Nørsett and A. Zanna, "Lie-group methods",
 Acta Numerica 9 (2000).
 
+A T-periodic forcing is integrated over one relative period only. Its
+monodromy ``A(t + T) = A(T) A(t)`` extends the trajectory exactly on the
+group: with W the ball vector of A(T),
+
+    A(nT + tau) = exp(n W) A(tau),   0 <= tau <= T,
+
+so every later time costs one BCH more than a time inside the period (and
+that one is cached per period count and segment). The error at nT is n times
+the error of W, which is why the period is integrated ten times tighter than
+the configured tolerances.
+
 The skew product co-integrates normal-form coordinates q alongside Z (q is
 untouched by the Z restarts); :func:`integrate_group` is its case without q,
 and both run through one restart loop. An Euler-angle chart integrator is
@@ -28,7 +39,7 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -72,6 +83,12 @@ __all__ = [
 #: |sin(theta)| below which the Euler chart is considered degenerate
 GIMBAL_TOL = 1e-6
 
+#: how much tighter than the configured rtol/atol one period is integrated
+PERIOD_TOL_FACTOR = 10.0
+
+#: entries of a trajectory's (period count, segment) prefix cache before it is emptied
+PREFIX_CACHE_SIZE = 1024
+
 
 @dataclass(frozen=True)
 class IntegratorConfig:
@@ -79,6 +96,15 @@ class IntegratorConfig:
 
     ``restart_margin`` is the distance delta from the ball boundary at which a
     Z segment is cut: the terminal event fires at ``|Z| = pi - delta``.
+
+    :func:`integrate_group` integrates a periodic forcing over one relative
+    period at ``rtol / PERIOD_TOL_FACTOR`` and ``atol / PERIOD_TOL_FACTOR``
+    and reaches every later time through the monodromy. The error of
+    ``A(nT)`` is n times the error of the period map, so the period is
+    integrated that much tighter than the tolerances asked for; at the
+    defaults the largest error over ten periods is then below that of a
+    direct integration. An aperiodic forcing (``period=None``) and the skew
+    product are integrated over the whole horizon at ``rtol`` and ``atol``.
     """
 
     rtol: float = 1e-10
@@ -102,11 +128,16 @@ class ForcingSignal:
     Attributes
     ----------
     eval : callable (t, lam) -> axis vector
-    period : callable (lam) -> minimal forcing period T(lam) > 0
+    period : callable (lam) -> T(lam) > 0, or None
+        T(lam) must be an exact period of ``eval(., lam)``:
+        :func:`integrate_group` integrates only [0, T] and takes every later
+        time from the monodromy, so a wrong period gives a wrong trajectory
+        past T. ``None`` marks an aperiodic signal, which is integrated over
+        its whole horizon.
     """
 
     eval: Callable[[float, float], np.ndarray]
-    period: Callable[[float], float]
+    period: Callable[[float], float] | None
 
 
 @dataclass
@@ -171,20 +202,16 @@ def integrate_z_segment(
     t_start: float,
     t_max: float,
     config: IntegratorConfig | None = None,
-) -> tuple[ZSegment, float]:
+) -> ZSegment:
     """Solve one Z segment from ``Z(t_start) = 0`` until ``|Z| = pi - delta`` or t_max.
 
-    Returns
-    -------
-    (ZSegment, float)
-        The dense segment and its exit time (== t_max when no restart fired).
+    The segment's ``t_end`` is its exit time (== t_max when no restart fired).
     """
 
     def rhs(t, z):
         return _dexpinv_apply(z, _check_forcing_value(signal.eval(t, lam), t))
 
-    seg = _solve_segment(rhs, t_start, t_max, (), config or IntegratorConfig())
-    return seg, seg.t_end
+    return _solve_segment(rhs, t_start, t_max, (), config or IntegratorConfig())
 
 
 @dataclass
@@ -195,11 +222,24 @@ class GroupTrajectory:
     composed with the live segment through BCH); ``eval_Z`` applies the
     hemisphere map around ``ref_dir``; ``eval_A`` exponentiates.
 
+    The segments cover [0, T] when the forcing has period T < t_end, and
+    [0, t_end] otherwise (``T`` is None for an aperiodic forcing). The
+    trajectory holds (T, W), W the ball vector of A(T) (None when no time
+    lies past T), and answers every time up to t_end through the monodromy:
+    ``t = nT + tau`` with n >= 0 as small as possible and tau clamped to
+    [0, T], and
+
+        A(nT + tau) = exp(n W) A(tau).
+
+    For n >= 1 the composite prefix ``bch(n W, prefix_i)`` of the segment
+    holding tau is cached per (n, i), so a sample past T costs the same
+    single BCH as one inside the period.
+
     A sample runs on Python floats from the dense state to the matrix: one
     bisect over a step table that spans all segments finds the DOP853 step
-    holding t (a restart time belongs to the later segment, an inner step
-    boundary to the earlier step), its interpolant gives Z, and the closed-form
-    BCH composes Z with the segment's prefix. Only ``class_at`` builds a
+    holding tau (a restart time belongs to the later segment, an inner step
+    boundary to the earlier step), its interpolant gives Z, and the
+    closed-form BCH composes Z with the prefix. Only ``class_at`` builds a
     :class:`BallClass`.
     """
 
@@ -207,6 +247,7 @@ class GroupTrajectory:
     prefixes: list[BallClass]
     ref_dir: np.ndarray
     t_end: float
+    T: float | None = None
 
     def __post_init__(self):
         self._ref = _as_unit3(self.ref_dir)
@@ -216,6 +257,7 @@ class GroupTrajectory:
         self._ends: list[float] = []
         self._steps: list = []
         self._step_prefix: list = []
+        self._step_segment: list[int] = []
         last = len(self.segments) - 1
         for i, (seg, prefix) in enumerate(zip(self.segments, self.prefixes)):
             ends = seg._dense.ts[1:]
@@ -224,18 +266,49 @@ class GroupTrajectory:
             self._ends += ends
             self._steps += seg._dense.interpolants
             self._step_prefix += [prefix.vector.tolist()] * len(ends)
+            self._step_segment += [i] * len(ends)
+        self._extended: dict[tuple[int, int], tuple] = {}
+        self.W = None
+        self._t_extend = math.inf  # times past this come from the monodromy
+        if self.T is not None and self.T < self.t_end:
+            self.W = self._class_vector(self.T)
+            self._t_extend = self.T
 
-    def _state_at(self, t: float) -> tuple[int, list[float]]:
-        """Index of the step holding t and the dense state ``(Z, q)`` there."""
+    def _state_at(self, t: float) -> tuple[int, int, list[float]]:
+        """Periods n before t, the step k holding tau = t - nT, and the dense state ``(Z, q)``."""
         _check_in_range(t, self.t_end)
-        t = min(max(t, 0.0), self._t_last)
+        n = 0
+        if t > self._t_extend:
+            if t > self.t_end:
+                t = self.t_end
+            n = math.ceil(t / self.T) - 1
+            t -= n * self.T
+        if t < 0.0:
+            t = 0.0
+        elif t > self._t_last:
+            t = self._t_last
         k = bisect.bisect_left(self._ends, t)
-        return k, self._steps[k](t)
+        return n, k, self._steps[k](t)
+
+    def _extend(self, key: tuple[int, int], k: int):
+        """Cache and return the class of ``exp(n W) exp(prefix)``, key = (n, segment of step k)."""
+        if len(self._extended) >= PREFIX_CACHE_SIZE:
+            self._extended.clear()
+        nw = [key[0] * w for w in self.W]
+        prefix = self._extended[key] = _ball_vector(_bch_full(nw, self._step_prefix[k])[0])
+        return prefix
 
     def _product(self, t: float):
-        """BCH of the prefix and Z(t) as a float triple, before the ball check."""
-        k, y = self._state_at(t)
-        return _bch_full(self._step_prefix[k], _finite3(y[:3]))[0]
+        """BCH of the prefix and Z(tau) as a float triple, before the ball check."""
+        n, k, y = self._state_at(t)
+        if n:
+            key = (n, self._step_segment[k])
+            prefix = self._extended.get(key)
+            if prefix is None:
+                prefix = self._extend(key, k)
+        else:
+            prefix = self._step_prefix[k]
+        return _bch_full(prefix, _finite3(y[:3]))[0]
 
     def _class_vector(self, t: float):
         """``class_at(t).vector`` as a float triple."""
@@ -261,7 +334,7 @@ class QTrajectory:
     group: GroupTrajectory
 
     def eval(self, t: float) -> np.ndarray:
-        return np.asarray(self.group._state_at(t)[1][3:], dtype=float)
+        return np.asarray(self.group._state_at(t)[2][3:], dtype=float)
 
 
 def _reference(t_end: float, ref_dir, forcing_at_origin: Callable, what: str) -> np.ndarray:
@@ -280,28 +353,39 @@ def _reference(t_end: float, ref_dir, forcing_at_origin: Callable, what: str) ->
 
 
 def _integrate_restarting(
-    segment: Callable[[float, list[float]], ZSegment], q0: list[float], t_end: float, ref
-) -> GroupTrajectory:
-    """Chain segments ``segment(t, q)``, each from ``Z(t) = 0`` and ``q(t) = q``, up to t_end.
+    segment: Callable[[float, list[float]], ZSegment], q0: list[float], t_stop: float
+) -> tuple[list[ZSegment], list[BallClass]]:
+    """Chain segments ``segment(t, q)``, each from ``Z(t) = 0`` and ``q(t) = q``, up to t_stop.
 
     Each restart folds the exit value of Z into the BCH prefix chain and hands
-    the exit value of q on to the next segment.
+    the exit value of q on to the next segment. Returns the segments and
+    their prefixes.
     """
     segments: list[ZSegment] = []
     prefixes: list[BallClass] = [BallClass(np.zeros(3))]
     t, q = 0.0, q0
-    slack = 1e-12 * max(1.0, t_end)
-    while t < t_end - slack or not segments:
+    slack = 1e-12 * max(1.0, t_stop)
+    while t < t_stop - slack or not segments:
         seg = segment(t, q)
         if seg.t_end <= t + slack:
             raise IntegrationError(f"integration stalled at t={t!r} (restart made no progress)")
         segments.append(seg)
         t = seg.t_end
-        if t < t_end:
+        if t < t_stop:
             y = seg._dense(t)
             prefixes.append(bch(prefixes[-1].vector, y[:3]))
             q = y[3:]
-    return GroupTrajectory(segments, prefixes[: len(segments)], ref, t_end)
+    return segments, prefixes[: len(segments)]
+
+
+def _period(signal: ForcingSignal, lam: float) -> float | None:
+    """``signal.period(lam)`` as a positive finite float, or None for an aperiodic signal."""
+    if signal.period is None:
+        return None
+    T = float(signal.period(lam))
+    if not (math.isfinite(T) and T > 0.0):
+        raise DomainError(f"forcing period must be positive and finite, got {T!r}")
+    return T
 
 
 def integrate_group(
@@ -314,7 +398,11 @@ def integrate_group(
     """Integrate ``Adot = A hat(X^G(t, lam))``, ``A(0) = I`` over [0, t_end].
 
     This is the skew product without normal-form coordinates: each restart
-    segment is one call of :func:`integrate_z_segment`.
+    segment is one call of :func:`integrate_z_segment`. A periodic signal is
+    integrated over [0, min(t_end, T)] only, at the tolerances divided by
+    ``PERIOD_TOL_FACTOR``; the trajectory reaches later times through the
+    monodromy (see :class:`GroupTrajectory`). An aperiodic signal
+    (``period=None``) is integrated over [0, t_end] at the tolerances given.
 
     Parameters
     ----------
@@ -334,9 +422,15 @@ def integrate_group(
     """
     cfg = config or IntegratorConfig()
     ref = _reference(t_end, ref_dir, lambda: signal.eval(0.0, 0.0), "X^G(0, 0)")
-    return _integrate_restarting(
-        lambda t, q: integrate_z_segment(signal, lam, t, t_end, cfg)[0], [], t_end, ref
+    T = _period(signal, lam)
+    t_stop = t_end
+    if T is not None:
+        t_stop = min(t_end, T)
+        cfg = replace(cfg, rtol=cfg.rtol / PERIOD_TOL_FACTOR, atol=cfg.atol / PERIOD_TOL_FACTOR)
+    segments, prefixes = _integrate_restarting(
+        lambda t, q: integrate_z_segment(signal, lam, t, t_stop, cfg), [], t_stop
     )
+    return GroupTrajectory(segments, prefixes, ref, t_end, T)
 
 
 def integrate_skew_product(
@@ -351,7 +445,8 @@ def integrate_skew_product(
 
     The combined state is ``(Z, q)``; the terminal event restarts only Z, and
     q continues across restarts with its event-time value as the next initial
-    condition.
+    condition. q need not be periodic, so the whole horizon is integrated at
+    the tolerances given and the trajectory has no period (``T`` is None).
     """
     cfg = config or IntegratorConfig()
     ref = _reference(
@@ -367,9 +462,10 @@ def integrate_skew_product(
         dq = np.asarray(system.x_n(q, lam), dtype=float)
         return [*_dexpinv_apply(y[:3], x), *dq.tolist()]
 
-    traj = _integrate_restarting(
-        lambda t, q: _solve_segment(rhs, t, t_end, q, cfg), q0.tolist(), t_end, ref
+    segments, prefixes = _integrate_restarting(
+        lambda t, q: _solve_segment(rhs, t, t_end, q, cfg), q0.tolist(), t_end
     )
+    traj = GroupTrajectory(segments, prefixes, ref, t_end)
     return traj, QTrajectory(traj)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .bch import _bch_full
 from .errors import BracketError, DomainError, InternalInconsistency
-from .flow import ForcingSignal, GroupTrajectory, IntegratorConfig, integrate_group
+from .flow import ForcingSignal, GroupTrajectory, IntegratorConfig, _period, integrate_group
 from .ode import brentq
 from .so3 import _as_vec3, _ball_vector, _exp_matrix, _finite3, q_map
 
@@ -269,7 +269,9 @@ def classify(
 def _period_class(family, lam: float, mu: float, ref_dir, config=None) -> tuple[np.ndarray, float]:
     """Unreduced ball representative of log A(T) for ``family(lam, mu)``, and T."""
     sig = family(lam, mu)
-    T = float(sig.period(lam))
+    T = _period(sig, lam)
+    if T is None:
+        raise DomainError("the drift objective needs a periodic forcing; the signal has no period")
     traj = integrate_group(sig, lam, T, config, ref_dir=ref_dir)
     return traj.class_at(T).vector, T
 

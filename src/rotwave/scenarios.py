@@ -227,7 +227,13 @@ class Scenario:
 
     def forcing(self, lam: float = 0.0, mu: float | None = None) -> ForcingSignal:
         """ForcingSignal for this family (mu bound here; the signal's eval
-        still takes (t, lam), so the lambda-family stays intact)."""
+        still takes (t, lam), so the lambda-family stays intact).
+
+        With a ``g``/``gdot`` override the signal's period is None (aperiodic):
+        :func:`build` checks ``g(0, lam) = 0`` but cannot check that g has the
+        nominal period, so such a forcing is integrated over its whole
+        horizon. :meth:`period` still reports the nominal T.
+        """
         xg, _, period = self._pieces(mu)
 
         def eval_xg(t: float, lam_: float) -> np.ndarray:
@@ -235,7 +241,7 @@ class Scenario:
                 raise DomainError("lambda must be nonnegative")
             return xg(t, lam_)
 
-        return ForcingSignal(eval=eval_xg, period=period)
+        return ForcingSignal(eval=eval_xg, period=None if self.g_override is not None else period)
 
     def closed_form(self, t: float, lam: float, mu: float | None = None) -> np.ndarray:
         """Exact A(t, lam[, mu]) for this family."""
@@ -243,7 +249,7 @@ class Scenario:
         return closed(t, lam)
 
     def period(self, lam: float = 0.0, mu: float | None = None) -> float:
-        """Relative forcing period T(lam[, mu])."""
+        """Relative forcing period T(lam[, mu]) of the built-in waveform."""
         _, _, period = self._pieces(mu)
         return period(lam)
 

@@ -49,7 +49,6 @@ __all__ = [
     "log_rot",
     "q_map",
     "rot_x",
-    "rot_y",
     "rot_z",
     "vee",
 ]
@@ -184,12 +183,6 @@ def rot_x(angle: float) -> np.ndarray:
     """Rotation by ``angle`` about +x."""
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(angle: float) -> np.ndarray:
-    """Rotation by ``angle`` about +y."""
-    c, s = np.cos(angle), np.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
 
 
 def rot_z(angle: float) -> np.ndarray:

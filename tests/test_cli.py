@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotwave import RotwaveError
-from rotwave.cli import RunConfig, main
+from rotwave.cli import MAX_SAMPLES, RunConfig, main
 from rotwave.scenarios import _ALLOWED_OVERRIDES, available, build
 
 CSV_HEADER = "t," + ",".join(f"a{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)) + ",tipx,tipy,tipz"
@@ -273,6 +273,10 @@ def test_bad_subcommand_exits_2(capsys):
         ("frequency", {"overrides": {"x0_norm": "abc"}}),
         ("drift", {"scenario": "example4", "lambda_grid": [0.01], "mu_bracket": [0.3, 0.0]}),
         ("frequency", {"seed": 0}),
+        ("simulate", {"horizon": 10**400}),
+        ("simulate", {"horizon": 10**12}),
+        ("simulate", {"horizon": 10001, "samples_per_period": 100}),
+        ("frequency", {"horizon": 10**400}),
     ],
 )
 def test_config_file_bad_values_exit_2(tmp_path, capsys, command, doc):
@@ -282,6 +286,21 @@ def test_config_file_bad_values_exit_2(tmp_path, capsys, command, doc):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+def test_sample_count_bound(tmp_path, capsys):
+    # horizon x samples-per-period up to MAX_SAMPLES validates, one more does not
+    assert main(["simulate", "--horizon", str(MAX_SAMPLES // 4), "--samples-per-period", "4",
+                 "--dump-config"]) == 0
+    assert main(["simulate", "--horizon", str(MAX_SAMPLES + 1), "--samples-per-period", "1",
+                 "--dump-config"]) == 2
+    assert str(MAX_SAMPLES) in capsys.readouterr().err
+    # an integer past Python's digit limit for int parsing is a JSON error too
+    cfg = tmp_path / "run.json"
+    cfg.write_text('{"horizon": 1' + "0" * 5000 + "}")
+    assert main(["simulate", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # ------------------------------------------------------------------ fuzzing
@@ -297,10 +316,28 @@ JSON_VALUES = st.recursive(
 )
 
 
+CONFIG_KEYS = sorted(RunConfig.__dataclass_fields__)
+
+#: values that validate, so that a share of the fuzzed configs is small
+#: enough (a few rows) to be run for real
+RUNNABLE = {
+    "scenario": st.sampled_from(available()),
+    "lambda_grid": st.lists(st.floats(0.0, 0.2), min_size=1, max_size=2),
+    "mu": st.none() | st.floats(0.0, 0.3),
+    "rtol": st.floats(1e-12, 1e-6),
+    "atol": st.floats(1e-14, 1e-8),
+    "restart_margin": st.floats(0.01, 1.5),
+}
+CONFIG_DOCS = st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES) | st.fixed_dictionaries(
+    {"horizon": st.integers(1, 2), "samples_per_period": st.integers(1, 3)}, optional=RUNNABLE
+)
+
+
 @settings(max_examples=200)
-@given(doc=st.dictionaries(st.sampled_from(sorted(RunConfig.__dataclass_fields__)), JSON_VALUES))
+@given(doc=CONFIG_DOCS)
 def test_config_file_fuzz_exits_0_or_2(tmp_path_factory, doc):
-    cfg = tmp_path_factory.mktemp("fuzz") / "run.json"
+    tmp = tmp_path_factory.mktemp("fuzz")
+    cfg = tmp / "run.json"
     cfg.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
@@ -308,6 +345,20 @@ def test_config_file_fuzz_exits_0_or_2(tmp_path_factory, doc):
     assert rc in (0, 2)
     assert "Traceback" not in err.getvalue()
     if rc == 2:
+        assert err.getvalue().startswith("error: ")
+        return
+    # a config that validates is also run, when its output is a few rows;
+    # exit 3 is a numerical failure that a fuzzed tolerance or lambda may cause
+    dumped = json.loads(out.getvalue())
+    rows = len(dumped["lambda_grid"]) * (dumped["horizon"] * dumped["samples_per_period"] + 1)
+    if rows > 12:
+        return
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp / "out")])
+    assert rc in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if rc != 0:
         assert err.getvalue().startswith("error: ")
 
 

@@ -1,10 +1,13 @@
 """Lie-group integration: Z segments, restart chaining, charts, skew products."""
 import bisect
+import dataclasses
 import functools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rotwave import (
     ConfigError,
@@ -25,7 +28,7 @@ from rotwave import (
 )
 from rotwave import flow
 from rotwave.ode import solve_ivp
-from rotwave.scenarios import build
+from rotwave.scenarios import Frame, build
 from rotwave.so3 import _dexpinv_apply
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -37,6 +40,11 @@ X0 = 2.0 * EZ  # constant primary rotation used throughout
 def constant_signal(x):
     x = np.asarray(x, dtype=float)
     return ForcingSignal(eval=lambda t, lam: x, period=lambda lam: 2 * np.pi / np.linalg.norm(x))
+
+
+def aperiodic(signal):
+    """The same forcing with ``period=None``: integrated directly over the whole horizon."""
+    return dataclasses.replace(signal, period=None)
 
 
 # -------------------------------------------------------------------- config
@@ -58,15 +66,15 @@ def test_config_validation():
 
 def test_segment_constant_forcing_exits_at_cutoff():
     # |X0| = 2: Z = X0 t grows until |Z| = pi - 0.1
-    seg, t_exit = integrate_z_segment(constant_signal(X0), 0.0, 0.0, 10.0)
+    seg = integrate_z_segment(constant_signal(X0), 0.0, 0.0, 10.0)
+    t_exit = seg.t_end
     assert abs(t_exit - (np.pi - 0.1) / 2.0) < 1e-9
     for t in (0.0, 0.3, 1.0, t_exit):
         assert np.allclose(seg.eval(t), X0 * t, atol=1e-10)
 
 
 def test_segment_without_restart_runs_to_t_max():
-    seg, t_exit = integrate_z_segment(constant_signal(0.1 * EZ), 0.0, 0.0, 2.0)
-    assert t_exit == 2.0
+    seg = integrate_z_segment(constant_signal(0.1 * EZ), 0.0, 0.0, 2.0)
     assert seg.t_end == 2.0
 
 
@@ -81,18 +89,14 @@ def test_non_finite_forcing_rejected():
 # ------------------------------------------------------------ group equation
 
 def test_constant_forcing_reproduces_exponential():
-    # spans ~13 restart segments over [0, 10]
+    # one period (pi, 3 restart segments), then the monodromy over [0, 10]
     traj = integrate_group(constant_signal(X0), 0.0, 10.0)
     for t in np.linspace(0.0, 10.0, 41):
         assert np.linalg.norm(traj.eval_A(t) - exp_rot(X0 * t)) < 1e-9
 
 
-@pytest.mark.parametrize("norm", [1.0, 10.0])
-def test_rotating_wave_rejects_steps_at_the_dexpinv_singularity(norm, monkeypatch):
-    # Z stays parallel to a constant X, so the error estimate vanishes and the
-    # step grows until trial stages pass the dexpinv guard near |Z| = 2 pi;
-    # the stepper must reject and halve those steps within one solve per segment
-    x = norm * EZ
+def count_solves_and_singular_stages(monkeypatch):
+    """Lists that grow by one per ``solve_ivp`` call and per singular dexpinv stage."""
     solves, singular = [], []
 
     def counted_solve(*args, **kwargs):
@@ -108,20 +112,57 @@ def test_rotating_wave_rejects_steps_at_the_dexpinv_singularity(norm, monkeypatc
 
     monkeypatch.setattr(flow, "solve_ivp", counted_solve)
     monkeypatch.setattr(flow, "_dexpinv_apply", counted_apply)
-    traj = integrate_group(constant_signal(x), 0.0, 200.0)
+    return solves, singular
+
+
+@pytest.mark.parametrize("norm", [1.0, 10.0])
+def test_rotating_wave_rejects_steps_at_the_dexpinv_singularity(norm, monkeypatch):
+    # Z stays parallel to a constant X, so the error estimate vanishes and the
+    # step grows until trial stages pass the dexpinv guard near |Z| = 2 pi;
+    # the stepper must reject and halve those steps within one solve per segment
+    x = norm * EZ
+    solves, singular = count_solves_and_singular_stages(monkeypatch)
+    traj = integrate_group(aperiodic(constant_signal(x)), 0.0, 200.0)
     assert singular
     assert len(solves) == len(traj.segments)
+    assert traj.segments[-1].t_end == 200.0
+    for t in np.linspace(0.0, 200.0, 401):
+        assert np.linalg.norm(traj.eval_A(t) - exp_rot(x * t)) < 1e-10
+
+
+@pytest.mark.parametrize("norm", [1.0, 10.0])
+def test_rotating_wave_over_one_period_extends_to_the_whole_horizon(norm, monkeypatch):
+    # the periodic form integrates one period 2 pi / norm (at the tighter
+    # period tolerances its steps need not reach the guard) and extends it
+    # over 32 or 318 periods
+    x = norm * EZ
+    solves, _ = count_solves_and_singular_stages(monkeypatch)
+    traj = integrate_group(constant_signal(x), 0.0, 200.0)
+    assert len(solves) == len(traj.segments) == 3
+    assert traj.segments[-1].t_end == traj.T == 2 * np.pi / norm
     for t in np.linspace(0.0, 200.0, 401):
         assert np.linalg.norm(traj.eval_A(t) - exp_rot(x * t)) < 1e-10
 
 
 def test_restart_chaining_is_continuous():
-    traj = integrate_group(constant_signal(X0), 0.0, 10.0)
+    traj = integrate_group(aperiodic(constant_signal(X0)), 0.0, 10.0)
     t_cut = traj.segments[0].t_end
     before = traj.eval_A(t_cut - 1e-9)
     after = traj.eval_A(t_cut + 1e-9)
     assert np.linalg.norm(after - before) < 1e-7
     assert len(traj.segments) == int(np.ceil(10.0 / ((np.pi - 0.1) / 2.0)))
+
+
+def test_restart_and_period_chaining_is_continuous():
+    # the period pi holds 3 restart segments; past it the monodromy takes over
+    traj = integrate_group(constant_signal(X0), 0.0, 10.0)
+    T = traj.T
+    assert len(traj.segments) == int(np.ceil(T / ((np.pi - 0.1) / 2.0)))
+    cuts = [seg.t_end for seg in traj.segments[:-1]]
+    for t_cut in cuts + [n * T for n in (1, 2, 3)] + [c + 2 * T for c in cuts]:
+        before = traj.eval_A(t_cut - 1e-9)
+        after = traj.eval_A(t_cut + 1e-9)
+        assert np.linalg.norm(after - before) < 1e-7
 
 
 def test_case1_matches_closed_form_over_period():
@@ -142,6 +183,90 @@ def test_period_shift_structure():
     a_T = traj.eval_A(T)
     for t in (0.1 * T, 0.4 * T, 0.9 * T):
         assert np.linalg.norm(traj.eval_A(t + T) - a_T @ traj.eval_A(t)) < 1e-8
+
+
+FAMILIES = ("case1", "case2", "case3", "example4", "example5")
+
+#: direct integration over 50T at the default tolerances reaches at most
+#: 2.2e-9 from the closed form (case1, lambda = 0.1); the monodromy extension
+#: of one period integrated at tol / 10 stays below 3.5e-10
+ERR_50T = 2.5e-9
+
+
+@pytest.mark.parametrize("lam", [1e-4, 0.1])
+@pytest.mark.parametrize("name", FAMILIES)
+def test_period_extension_matches_direct_integration_over_50_periods(name, lam):
+    sc = build(name)
+    sig = sc.forcing(lam)
+    T = sc.period(lam)
+    t_end = 50.37 * T  # not a multiple of T
+    ext = integrate_group(sig, lam, t_end, ref_dir=sc.frame.x0_dir)
+    direct = integrate_group(aperiodic(sig), lam, t_end, ref_dir=sc.frame.x0_dir)
+    assert ext.T == T and ext.segments[-1].t_end == T
+    assert direct.T is None and direct.segments[-1].t_end == t_end
+    times = [n * T for n in range(51)] + np.linspace(0.0, t_end, 101).tolist() + [t_end]
+    for t in times:
+        a_ext, a_direct, a_exact = ext.eval_A(t), direct.eval_A(t), sc.closed_form(t, lam)
+        assert np.linalg.norm(a_ext - a_exact) < ERR_50T
+        assert np.linalg.norm(a_direct - a_exact) < ERR_50T
+        assert np.linalg.norm(a_ext - a_direct) < ERR_50T
+
+
+def test_horizon_shorter_than_a_period_is_integrated_directly():
+    sc = build("case2")
+    lam = 0.1
+    T = sc.period(lam)
+    traj = integrate_group(sc.forcing(lam), lam, 0.6 * T, ref_dir=sc.frame.x0_dir)
+    assert traj.T == T and traj.W is None
+    assert traj.segments[-1].t_end == 0.6 * T
+    for t in np.linspace(0.0, 0.6 * T, 31):
+        assert np.linalg.norm(traj.eval_A(t) - sc.closed_form(t, lam)) < 1e-9
+    with pytest.raises(DomainError):
+        traj.eval_A(0.7 * T)
+
+
+def test_g_override_is_integrated_over_the_whole_horizon():
+    # sin(2t) does not repeat with the nominal period 2 pi / (20 + lam), so
+    # the forcing is aperiodic: extending one period would be wrong
+    sc = build(
+        "case1", g=lambda t, lam: math.sin(2.0 * t), gdot=lambda t, lam: 2.0 * math.cos(2.0 * t)
+    )
+    lam = 0.01
+    T = sc.period(lam)
+    sig = sc.forcing(lam)
+    assert sig.period is None
+    traj = integrate_group(sig, lam, 3.5 * T)
+    assert traj.T is None and traj.W is None
+    assert traj.segments[-1].t_end == 3.5 * T
+    wrong = integrate_group(dataclasses.replace(sig, period=lambda lam_: T), lam, 3.5 * T)
+    times = np.linspace(0.0, 3.5 * T, 36)
+    assert max(np.linalg.norm(traj.eval_A(t) - sc.closed_form(t, lam)) for t in times) < 1e-8
+    assert max(np.linalg.norm(wrong.eval_A(t) - sc.closed_form(t, lam)) for t in times) > 1e-3
+
+
+def rotation_frame(v):
+    """The frame (x0_dir, x1, x2) = columns (2, 0, 1) of exp_rot(v): right-handed."""
+    r = exp_rot(v)
+    return Frame(r[:, 2], r[:, 0], r[:, 1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(FAMILIES),
+    lam=st.floats(1e-4, 0.1),
+    u=st.floats(0.0, 2.0),
+    v=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+)
+def test_monodromy_holds_under_direct_integration(name, lam, u, v):
+    # the basis of the period extension: A(t + T) = A(T) A(t) for a
+    # T-periodic forcing, checked on a direct integration over [0, 3T] in a
+    # random frame
+    sc = build(name, frame=rotation_frame(v))
+    T = sc.period(lam)
+    traj = integrate_group(aperiodic(sc.forcing(lam)), lam, 3 * T, ref_dir=sc.frame.x0_dir)
+    t = u * T
+    a_T = traj.eval_A(T)
+    assert np.linalg.norm(traj.eval_A(t + T) - a_T @ traj.eval_A(t)) < 1e-8
 
 
 def test_trajectory_stays_orthogonal():
@@ -190,6 +315,9 @@ def test_eval_outside_range_raises():
         traj.class_at(-0.5)
     with pytest.raises(DomainError):
         integrate_group(constant_signal(EZ), 0.0, -1.0)
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="period"):
+            integrate_group(ForcingSignal(lambda t, lam: EZ, lambda lam: bad), 0.0, 1.0)
 
 
 def test_non_unit_ref_dir_fails_before_integrating(monkeypatch):
@@ -223,7 +351,8 @@ def chain_trajectory(name, lam):
     """(GroupTrajectory, QTrajectory or None, T, X0, omega_bif).
 
     The horizon spans two periods T and at least 5 time units, so that the
-    slow families (|X0| = 2) restart too.
+    samples of every family reach past its integrated period and the
+    Stuart-Landau skew product (integrated over its whole horizon) restarts.
     """
     if name == "skew":
         omega = 2.0
@@ -239,36 +368,63 @@ def chain_trajectory(name, lam):
     return traj, None, T, sc.X0, sc.omega_bif
 
 
+def with_neighbours(r):
+    return [math.nextafter(r, -math.inf), r, math.nextafter(r, math.inf)]
+
+
 def probe_times(traj):
-    """Jittered times, each restart time with its neighbouring floats, every
-    inner step boundary, the ends, and the clamped slack just outside them."""
+    """Jittered times, each restart time with its neighbouring floats (also one
+    period later), every inner step boundary, each period multiple nT inside
+    the horizon with its neighbouring floats, the ends, and the clamped slack
+    just outside them."""
     rng = np.random.default_rng(7)
     ts = [traj.t_end * (i + rng.random()) / 60 for i in range(60)]
     for seg in traj.segments[1:]:
-        r = seg.t_start
-        ts += [math.nextafter(r, -math.inf), r, math.nextafter(r, math.inf)]
+        ts += with_neighbours(seg.t_start)
+        if traj.W is not None:
+            ts += with_neighbours(seg.t_start + traj.T)
     for seg in traj.segments:
         ts += seg._dense.ts[1:-1]
+    if traj.W is not None:
+        for n in range(1, int(traj.t_end / traj.T) + 1):
+            ts += with_neighbours(n * traj.T)
     return ts + [0.0, traj.t_end, -5e-10, traj.t_end + 5e-10]
 
 
-def locate(traj, t):
-    """Segment index and clamped time of t; a restart time belongs to the later segment."""
-    i = max(bisect.bisect_right([seg.t_start for seg in traj.segments], t) - 1, 0)
+def split(traj, t):
+    """Periods n and the time tau with t = nT + tau, n as small as possible,
+    after clamping t into [0, t_end]; n = 0 without a period."""
+    t = min(max(t, 0.0), traj.t_end)
+    if traj.W is None or t <= traj.T:
+        return 0, t
+    n = math.ceil(t / traj.T) - 1
+    return n, t - n * traj.T
+
+
+def locate(traj, tau):
+    """Segment index and clamped time of tau; a restart time belongs to the later segment."""
+    i = max(bisect.bisect_right([seg.t_start for seg in traj.segments], tau) - 1, 0)
     seg = traj.segments[i]
-    return i, min(max(t, seg.t_start), seg.t_end)
+    return i, min(max(tau, seg.t_start), seg.t_end)
 
 
 def composed_class(traj, t):
-    """``class_at(t)`` composed from the public pieces: segment, prefix and bch."""
-    i, s = locate(traj, t)
-    return bch(traj.prefixes[i].vector, traj.segments[i].eval(s))
+    """``class_at(t)`` composed from the public pieces: bch(bch(n W, prefix), Z(tau))."""
+    n, tau = split(traj, t)
+    i, s = locate(traj, tau)
+    prefix = traj.prefixes[i].vector
+    if n:
+        prefix = bch(n * np.asarray(traj.W), prefix).vector
+    return bch(prefix, traj.segments[i].eval(s))
 
 
 @pytest.mark.parametrize("name, lam", CHAIN_CASES)
 def test_sampling_chain_is_the_composition_of_public_pieces(name, lam):
     traj, qtraj, _, _, _ = chain_trajectory(name, lam)
-    assert len(traj.segments) > 1
+    # the families sample past their period; all but the slow ones (|X0| = 2)
+    # restart within it, and the skew product restarts over its horizon
+    assert (traj.W is None) == (name == "skew")
+    assert len(traj.segments) > 1 or name in ("case1", "example5")
     for t in probe_times(traj):
         cls = composed_class(traj, t)
         z = q_map(cls, traj.ref_dir)
@@ -276,7 +432,7 @@ def test_sampling_chain_is_the_composition_of_public_pieces(name, lam):
         assert np.array_equal(traj.eval_Z(t), z)
         assert np.array_equal(traj.eval_A(t), exp_rot(z))
         if qtraj is not None:
-            i, s = locate(traj, t)
+            i, s = locate(traj, split(traj, t)[1])
             assert np.array_equal(qtraj.eval(t), traj.segments[i]._dense(s)[3:])
     evals = [traj.class_at, traj.eval_Z, traj.eval_A] + ([qtraj.eval] if qtraj else [])
     for t in (-2e-9, traj.t_end + 2e-9):
@@ -345,12 +501,31 @@ def test_skew_product_without_q_is_the_group_integrator():
     # skew product must reproduce integrate_group exactly, restart for restart
     sys = SkewProductSystem(x_g=lambda q, lam: X0, x_n=lambda q, lam: np.zeros(0), dim_q=0)
     traj_q, _ = integrate_skew_product(sys, np.zeros(0), 0.0, 10.0)
-    traj = integrate_group(constant_signal(X0), 0.0, 10.0)
+    traj = integrate_group(aperiodic(constant_signal(X0)), 0.0, 10.0)
     assert len(traj.segments) > 5
     assert [(s.t_start, s.t_end) for s in traj_q.segments] == [
         (s.t_start, s.t_end) for s in traj.segments
     ]
     for t in np.linspace(0.0, 10.0, 41):
+        assert np.array_equal(traj_q.class_at(t).vector, traj.class_at(t).vector)
+
+
+def test_skew_product_without_q_is_the_group_integrator_over_one_period():
+    # a periodic forcing runs the same loop over [0, T] at the tolerances / 10
+    sys = SkewProductSystem(x_g=lambda q, lam: X0, x_n=lambda q, lam: np.zeros(0), dim_q=0)
+    T = np.pi
+    cfg = IntegratorConfig()
+    tight = IntegratorConfig(
+        rtol=cfg.rtol / flow.PERIOD_TOL_FACTOR, atol=cfg.atol / flow.PERIOD_TOL_FACTOR
+    )
+    traj_q, _ = integrate_skew_product(sys, np.zeros(0), 0.0, T, tight)
+    traj = integrate_group(constant_signal(X0), 0.0, 10.0, cfg)
+    assert traj.T == T and traj_q.T is None
+    assert len(traj.segments) > 1
+    assert [(s.t_start, s.t_end) for s in traj_q.segments] == [
+        (s.t_start, s.t_end) for s in traj.segments
+    ]
+    for t in np.linspace(0.0, T, 41):
         assert np.array_equal(traj_q.class_at(t).vector, traj.class_at(t).vector)
 
 

@@ -280,3 +280,7 @@ def test_orthogonal_branch_domain_checks():
         find_orthogonal_branch(sc.forcing_family, 1e-2, (0.3, 0.2), sc.X0)
     with pytest.raises(DomainError):
         find_orthogonal_branch(sc.forcing_family, 1e-2, (0.0, 0.3), np.zeros(3))
+    # a g override makes the forcing aperiodic: the per-period objective is undefined
+    sc = build("example4", g=lambda t, lam: np.sin(t), gdot=lambda t, lam: np.cos(t))
+    with pytest.raises(DomainError, match="periodic"):
+        find_orthogonal_branch(sc.forcing_family, 1e-2, (0.0, 0.3), sc.X0)
