@@ -32,19 +32,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import DomainError
 from .so3 import BallClass, _as_vec3
 
-__all__ = ["BchBranch", "BchBreakdown", "bch", "bch_breakdown", "bch_fold"]
+__all__ = ["BchBranch", "BchBreakdown", "bch", "bch_breakdown"]
 
 #: branch-dispatch tolerance on cos(theta_prod) and on identity detection
 BRANCH_TOL = 1e-10
-
-_ZERO3 = np.zeros(3)
 
 #: |prod - I|_F per unit of d1
 _FROB_PER_D1 = 2.0 * math.sqrt(2.0)
@@ -172,22 +168,3 @@ def bch_breakdown(x: np.ndarray, y: np.ndarray) -> BchBreakdown:
     """Branch, coefficients, and quaternion intermediates of ``bch(x, y)``."""
     _, fields = _bch_full(_as_vec3(x).tolist(), _as_vec3(y).tolist())
     return BchBreakdown(*fields)
-
-
-def bch_fold(parts: Iterable[np.ndarray] | Sequence[np.ndarray]) -> BallClass:
-    """Left fold of :func:`bch` over a sequence of axis vectors.
-
-    ``bch_fold([z1, z2, ..., zn])`` is the class of
-    ``exp_rot(z1) @ exp_rot(z2) @ ... @ exp_rot(zn)`` (earliest factor
-    leftmost). An empty sequence raises DomainError; a single element is
-    reduced into the ball.
-    """
-    it = iter(parts)
-    try:
-        first = next(it)
-    except StopIteration:
-        raise DomainError("bch_fold requires at least one element") from None
-    acc = bch(first, _ZERO3)
-    for z in it:
-        acc = bch(acc.vector, z)
-    return acc

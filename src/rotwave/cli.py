@@ -236,6 +236,24 @@ def _parse_float_list(text: str, flag: str) -> list:
         raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
 
 
+def _load_scenario(args: argparse.Namespace, drift: bool = False):
+    """The run's config and its scenario, checked before anything is run or dumped.
+
+    ConfigError for a config that the subcommand would reject: an unknown
+    scenario or bad overrides, ``mu`` on a family without a drift parameter,
+    and (``drift``) a one-parameter family.
+    """
+    cfg = _load_config(args)
+    sc = scenarios.build(cfg.scenario, **cfg.overrides)
+    if drift and not sc.takes_mu:
+        raise ConfigError(
+            f"scenario {sc.name!r} has no drift parameter; use a two-parameter family (example4)"
+        )
+    if cfg.mu is not None and not sc.takes_mu:
+        raise ConfigError(f"scenario {sc.name!r} takes no mu parameter")
+    return cfg, sc
+
+
 def _maybe_dump(cfg: RunConfig, args: argparse.Namespace) -> bool:
     if getattr(args, "dump_config", False):
         doc = asdict(cfg)
@@ -248,10 +266,9 @@ def _maybe_dump(cfg: RunConfig, args: argparse.Namespace) -> bool:
 # ---------------------------------------------------------------- subcommands
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    cfg, sc = _load_scenario(args)
     if _maybe_dump(cfg, args):
         return 0
-    sc = scenarios.build(cfg.scenario, **cfg.overrides)
     icfg = cfg.integrator()
     outdir = Path(cfg.out or ".")
     header = "t," + ",".join(f"a{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)) + ",tipx,tipy,tipz"
@@ -307,10 +324,9 @@ def _frequency_entry(sc, lam: float, cfg: RunConfig, icfg: IntegratorConfig) -> 
 
 
 def cmd_frequency(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    cfg, sc = _load_scenario(args)
     if _maybe_dump(cfg, args):
         return 0
-    sc = scenarios.build(cfg.scenario, **cfg.overrides)
     icfg = cfg.integrator()
     entries = [_frequency_entry(sc, lam, cfg, icfg) for lam in cfg.lambda_grid]
     _emit(_json_text(entries), cfg.out)
@@ -337,14 +353,9 @@ def cmd_bch(args: argparse.Namespace) -> int:
 
 
 def cmd_drift(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    cfg, sc = _load_scenario(args, drift=True)
     if _maybe_dump(cfg, args):
         return 0
-    sc = scenarios.build(cfg.scenario, **cfg.overrides)
-    if not sc.takes_mu:
-        raise ConfigError(
-            f"scenario {sc.name!r} has no drift parameter; use a two-parameter family (example4)"
-        )
     icfg = cfg.integrator()
     entries = []
     for lam in cfg.lambda_grid:
@@ -371,17 +382,17 @@ def _ortho_defect(sc, lam: float, mu: float, icfg: IntegratorConfig) -> float | 
 
 def cmd_verify(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
+    names = [cfg.scenario] if getattr(args, "scenario", None) else list_all_examples()
+    built = [scenarios.build(name, **cfg.overrides) for name in names]
     if _maybe_dump(cfg, args):
         return 0
     icfg = cfg.integrator()
-    names = [cfg.scenario] if getattr(args, "scenario", None) else list_all_examples()
     lams = cfg.lambda_grid if getattr(args, "lam", None) or getattr(args, "lambda_grid", None) \
         else [0.0, 1e-4, 1e-2]
     tol = 1e-7
     worst = 0.0
     failed = False
-    for name in names:
-        sc = scenarios.build(name, **cfg.overrides)
+    for sc in built:
         mus = [None] if not sc.takes_mu else [0.0, 0.1, 0.3]
         for lam in lams:
             for mu in mus:
@@ -391,7 +402,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 failed = failed or not ok
                 tag = "" if mu is None else f" mu={_fmt(mu)}"
                 sys.stdout.write(
-                    f"{name} lambda={_fmt(lam)}{tag}: max|A_num - A_closed|_F = "
+                    f"{sc.name} lambda={_fmt(lam)}{tag}: max|A_num - A_closed|_F = "
                     f"{dev:.3e} {'ok' if ok else 'FAIL'}\n"
                 )
     sys.stdout.write(f"worst deviation: {worst:.3e} (tolerance {tol:g})\n")

@@ -40,7 +40,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -127,7 +127,11 @@ class ForcingSignal:
 
     Attributes
     ----------
-    eval : callable (t, lam) -> axis vector
+    eval : callable (t, lam) -> finite 3-sequence
+        The axis vector X^G(t, lam) as any sequence of three finite numbers.
+        A list or tuple of three Python floats reaches the integrator as it
+        is; a numpy array or other numbers are converted once per call. The
+        built-in forcings return float lists.
     period : callable (lam) -> T(lam) > 0, or None
         T(lam) must be an exact period of ``eval(., lam)``:
         :func:`integrate_group` integrates only [0, T] and takes every later
@@ -136,7 +140,7 @@ class ForcingSignal:
         its whole horizon.
     """
 
-    eval: Callable[[float, float], np.ndarray]
+    eval: Callable[[float, float], Sequence[float]]
     period: Callable[[float], float] | None
 
 
@@ -165,14 +169,22 @@ class ZSegment:
         return np.asarray(self._dense(t)[:3], dtype=float)
 
 
-def _check_forcing_value(x, t: float) -> list[float]:
-    """The forcing value as a float triple; DomainError unless it is a finite 3-vector."""
-    v = np.asarray(x, dtype=float)
-    if v.shape == (3,):
-        xyz = v.tolist()
-        x1, x2, x3 = xyz
-        if math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3):
-            return xyz
+def _check_forcing_value(x, t: float) -> Sequence[float]:
+    """The forcing value as a float triple; DomainError unless it is a finite 3-vector.
+
+    A list or tuple of three floats is returned as it is; anything else
+    (numpy arrays, other numbers) goes through ``np.asarray``.
+    """
+    if not (
+        (type(x) is list or type(x) is tuple) and len(x) == 3
+        and type(x[0]) is float and type(x[1]) is float and type(x[2]) is float
+    ):
+        v = np.asarray(x, dtype=float)
+        # a misshaped value fails the finiteness check below
+        x = v.tolist() if v.shape == (3,) else (math.nan,) * 3
+    x1, x2, x3 = x
+    if math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3):
+        return x
     raise DomainError(f"forcing returned a non-finite or misshaped value at t={t!r}")
 
 

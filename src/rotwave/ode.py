@@ -20,10 +20,10 @@ floats; nothing here builds a numpy array.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import sys
 from dataclasses import dataclass
-from operator import mul
 from typing import Callable, Sequence
 
 from .errors import SingularityError
@@ -133,28 +133,84 @@ _D = (
 )
 
 
-def _split(row):
-    """(stage indices, coefficients) of a sparse tableau row."""
-    return tuple(zip(*row))
+def _terms(row, i: int) -> str:
+    """``c0*k0_i + c3*k3_i + ...`` over a sparse row, in tableau order.
+
+    Evaluated left to right, this is exactly the float arithmetic of
+    ``sum(c * k for c, k in row)`` on Python 3.11 (up to the sign of an
+    all-zero sum, which ``sum`` starts from the integer 0).
+    """
+    return " + ".join(f"{c!r}*k{j}_{i}" for j, c in row)
 
 
-_A, _B, _E5, _E3, _A_EXTRA, _D = (
-    tuple(_split(r) for r in _A), _split(_B), _split(_E5), _split(_E3),
-    tuple(_split(r) for r in _A_EXTRA), tuple(_split(r) for r in _D),
-)
+def _step_source(n: int) -> str:
+    """Source of one DOP853 step on an n-component state, as straight-line code.
+
+    ``step(f, t, y, fy, h, rtol, atol)`` evaluates stages 1-12, forms the
+    order-8 solution ``yn`` and ``fn = f(t + h, yn)``, and the error norm. It
+    returns ``(yn, fn, err, rows)``; when ``err < 1`` it also evaluates the
+    dense-output stages 13-15 and ``rows`` holds one Horner row
+    ``(y, f0, ..., f6)`` per component for :class:`_Interpolant`, else
+    ``rows`` is None. Stage s of component i is the local ``k{s}_{i}``.
+    """
+    comps = range(n)
+
+    def unpack(s: int) -> str:
+        return ", ".join(f"k{s}_{i}" for i in comps) + ","
+
+    def stage(s: int, c: float, row) -> str:
+        args = ", ".join(f"y_{i} + ({_terms(row, i)}) * h" for i in comps)
+        return f"    {unpack(s)} = f(t + {c!r} * h, [{args}])"
+
+    lines = [
+        "def step(f, t, y, fy, h, rtol, atol):",
+        f"    {', '.join(f'y_{i}' for i in comps)}, = y",
+        f"    {unpack(0)} = fy",
+    ]
+    lines += [stage(s, c, row) for s, (c, row) in enumerate(zip(_C, _A), start=1)]
+    for i in comps:
+        lines.append(f"    yn_{i} = y_{i} + h * ({_terms(_B, i)})")
+    lines += [
+        f"    yn = [{', '.join(f'yn_{i}' for i in comps)}]",
+        "    fn = f(t + h, yn)",
+        f"    {unpack(12)} = fn",
+    ]
+    for i in comps:
+        lines += [
+            f"    a_{i} = abs(y_{i})",
+            f"    b_{i} = abs(yn_{i})",
+            # max(a, b) of two floats, NaN included
+            f"    s_{i} = atol + (b_{i} if b_{i} > a_{i} else a_{i}) * rtol",
+        ]
+    for name, row in (("n5", _E5), ("n3", _E3)):
+        sq = " + ".join(f"(({_terms(row, i)}) / s_{i})**2" for i in comps)
+        lines.append(f"    {name} = {sq}")
+    lines += [
+        "    if n5 == 0.0 and n3 == 0.0:",
+        "        err = 0.0",
+        "    else:",
+        f"        err = abs(h) * n5 / sqrt((n5 + 0.01 * n3) * {n})",
+        "    if not err < 1.0:",
+        "        return yn, fn, err, None",
+    ]
+    lines += [stage(s, c, row) for s, (c, row) in enumerate(zip(_C_EXTRA, _A_EXTRA), start=13)]
+    rows = []
+    for i in comps:
+        dense = ", ".join(f"h * ({_terms(row, i)})" for row in _D)
+        lines.append(f"    d_{i} = yn_{i} - y_{i}")
+        rows.append(
+            f"(y_{i}, d_{i}, h * k0_{i} - d_{i}, 2.0 * d_{i} - h * (k12_{i} + k0_{i}), {dense})"
+        )
+    lines.append(f"    return yn, fn, err, ({', '.join(rows)},)")
+    return "\n".join(lines) + "\n"
 
 
-def _combine(K, row) -> list[float]:
-    """``sum_j coef_j K[j]`` componentwise, for a row from :func:`_split`."""
-    idx, coef = row
-    return [sum(map(mul, coef, col)) for col in zip(*[K[j] for j in idx])]
-
-
-def _fill_stages(f, t, y, h, K, first, nodes, rows) -> None:
-    """Evaluate stages ``first, first + 1, ...`` of a step of size h into K."""
-    for s, (c, row) in enumerate(zip(nodes, rows), start=first):
-        dy = _combine(K, row)
-        K[s] = f(t + c * h, [v + d * h for v, d in zip(y, dy)])
+@functools.lru_cache(maxsize=None)
+def _step_kernel(n: int) -> Callable:
+    """The compiled :func:`_step_source` kernel for n-component states, built once per n."""
+    namespace = {"sqrt": math.sqrt}
+    exec(compile(_step_source(n), f"<DOP853 step, n={n}>", "exec"), namespace)
+    return namespace["step"]
 
 
 def _rms(v) -> float:
@@ -183,14 +239,13 @@ class _Interpolant:
     """Dense output of one DOP853 step: the degree-7 polynomial in ``x = (t - t0)/h``.
 
     ``rows`` holds one Horner row ``(y0, f0, ..., f6)`` per state component,
-    zipped once when the step is accepted.
+    as the step kernel returns them.
     """
 
     __slots__ = ("t0", "h", "rows")
 
-    def __init__(self, t0: float, h: float, y0: list[float], F: list[list[float]]):
-        self.t0, self.h = t0, h
-        self.rows = tuple(zip(y0, *F))
+    def __init__(self, t0: float, h: float, rows: tuple):
+        self.t0, self.h, self.rows = t0, h, rows
 
     def __call__(self, t: float) -> list[float]:
         x = (t - self.t0) / self.h
@@ -230,15 +285,6 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol) -> float:
     return min(100.0 * h0, h1, span, max_step)
 
 
-def _error_norm(K, h: float, scale: list[float]) -> float:
-    """RMS norm of the order-5 error estimate, damped by the order-3 one."""
-    n5 = sum((e / s) ** 2 for e, s in zip(_combine(K, _E5), scale))
-    n3 = sum((e / s) ** 2 for e, s in zip(_combine(K, _E3), scale))
-    if n5 == 0.0 and n3 == 0.0:
-        return 0.0
-    return abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * len(scale))
-
-
 def solve_ivp(
     fun: Callable[[float, list[float]], Sequence[float]],
     t_span: tuple[float, float],
@@ -250,10 +296,13 @@ def solve_ivp(
 ) -> OdeResult:
     """Integrate ``y' = fun(t, y)`` forward over ``t_span`` with DOP853.
 
-    Every step is accepted when the scaled error norm (scale
+    Every step is accepted when the scaled error norm (the RMS norm of the
+    order-5 error estimate, damped by the order-3 one, with scale
     ``atol + rtol max(|y|, |y_new|)`` per component) is below 1. Dense output
-    is built on every accepted step. The optional ``event(t, y)`` is terminal:
-    the integration stops in the first step over which its value goes from
+    is built on every accepted step. One step is straight-line float code
+    generated from the tableau for the state's dimension
+    (:func:`_step_source`). The optional ``event(t, y)`` is terminal: the
+    integration stops in the first step over which its value goes from
     negative to non-negative, at the time located by :func:`brentq` on that
     step's dense output.
 
@@ -275,12 +324,12 @@ def solve_ivp(
         return fun(s, y)
 
     y = [float(v) for v in y0]
+    step = _step_kernel(len(y))
     fy = f(t, y)
     h_abs = _initial_step(f, t, y, fy, t_bound, max_step, rtol, atol)
     g = event(t, y) if event is not None else 0.0
     ts = [t]
     interpolants: list[_Interpolant] = []
-    K: list = [None] * 16
     status = None
     while status is None:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
@@ -293,14 +342,7 @@ def solve_ivp(
             h = t_new - t
             h_abs = h
             try:
-                K[0] = fy
-                _fill_stages(f, t, y, h, K, 1, _C, _A)
-                y_new = [v + h * d for v, d in zip(y, _combine(K, _B))]
-                f_new = K[12] = f(t + h, y_new)
-                scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
-                err = _error_norm(K, h, scale)
-                if err < 1.0:
-                    _fill_stages(f, t, y, h, K, 13, _C_EXTRA, _A_EXTRA)
+                y_new, f_new, err, rows = step(f, t, y, fy, h, rtol, atol)
             except SingularityError:
                 h_abs *= 0.5
                 rejected = True
@@ -314,14 +356,7 @@ def solve_ivp(
             h_abs *= max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT)
             rejected = True
 
-        delta = [b - a for a, b in zip(y, y_new)]
-        F = [
-            delta,
-            [h * a - d for a, d in zip(fy, delta)],
-            [2.0 * d - h * (b + a) for d, a, b in zip(delta, fy, f_new)],
-            *([h * v for v in _combine(K, row)] for row in _D),
-        ]
-        interp = _Interpolant(t, h, y, F)
+        interp = _Interpolant(t, h, rows)
         interpolants.append(interp)
         t_old = t
         t, y, fy = t_new, y_new, f_new

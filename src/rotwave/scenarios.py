@@ -125,8 +125,9 @@ class Scenario:
         """The three closures of :meth:`_pieces`.
 
         The forcings xg run once per right-hand-side evaluation, so they work
-        on float lists (``*_l``) and apply ``exp_rot(v).T @ w`` as the vector
-        Rodrigues rotation ``_exp_apply(-v, w)``.
+        on float lists (``*_l``), apply ``exp_rot(v).T @ w`` as the vector
+        Rodrigues rotation ``_exp_apply(-v, w)`` and return a list of three
+        floats, which the integrator takes without a numpy round trip.
         """
         fr = self.frame
         X0 = self.X0
@@ -140,7 +141,7 @@ class Scenario:
             pdir = 2.0 * (fr.x1 + fr.x2 + fr.x0_dir)
             pdir_l = pdir.tolist()
 
-            def xg(t: float, lam: float) -> np.ndarray:
+            def xg(t: float, lam: float) -> list[float]:
                 eps = math.sqrt(lam)
                 P = [eps * p for p in pdir_l]
                 rate = gdot(t, lam)
@@ -148,7 +149,7 @@ class Scenario:
                 r = _exp_apply(
                     [-(p * phase) for p in P], [a + eps * b for a, b in zip(X0_l, x1_l)]
                 )
-                return np.array([p * rate + ri for p, ri in zip(P, r)])
+                return [p * rate + ri for p, ri in zip(P, r)]
 
             def closed(t: float, lam: float) -> np.ndarray:
                 eps = math.sqrt(lam)
@@ -157,7 +158,7 @@ class Scenario:
         elif self.family in ("example2", "example3"):
             g, gdot = self._g_pair(self.omega_bif)
 
-            def xg(t: float, lam: float) -> np.ndarray:
+            def xg(t: float, lam: float) -> list[float]:
                 eps = math.sqrt(lam)
                 C = [a + eps * b for a, b in zip(X0_l, x2_l)]
                 nu = abs(self.omega_bif + lam) / math.sqrt(self.x0_norm**2 + lam)
@@ -168,7 +169,7 @@ class Scenario:
                     w = [eps * (a + b) for a, b in zip(X0_l, x1_l)]
                 rate = nu + lam * gdot(t, lam)
                 r = _exp_apply([-(c * theta) for c in C], w)
-                return np.array([c * rate + ri for c, ri in zip(C, r)])
+                return [c * rate + ri for c, ri in zip(C, r)]
 
             def closed(t: float, lam: float) -> np.ndarray:
                 eps = math.sqrt(lam)
@@ -187,7 +188,7 @@ class Scenario:
             C = X0 + mu_val * fr.x1
             C_l = C.tolist()
 
-            def xg(t: float, lam: float) -> np.ndarray:
+            def xg(t: float, lam: float) -> list[float]:
                 eps = math.sqrt(lam)
                 nu = self.k * abs(omega_eff + lam) / norm_c
                 theta = nu * t + lam * g(t, lam)
@@ -195,7 +196,7 @@ class Scenario:
                 rate = nu + lam * gdot(t, lam)
                 amp = eps**self.k
                 r = _exp_apply([-(c * theta) for c in C_l], w)
-                return np.array([c * rate + amp * ri for c, ri in zip(C_l, r)])
+                return [c * rate + amp * ri for c, ri in zip(C_l, r)]
 
             def closed(t: float, lam: float) -> np.ndarray:
                 eps = math.sqrt(lam)
@@ -208,10 +209,10 @@ class Scenario:
         elif self.family == "example5":
             g, gdot = self._g_pair(self.omega_bif)
 
-            def xg(t: float, lam: float) -> np.ndarray:
+            def xg(t: float, lam: float) -> list[float]:
                 eps = math.sqrt(lam)
                 rate = 1.0 + eps * gdot(t, lam)
-                return np.array([(a + eps * b) * rate for a, b in zip(X0_l, x1_l)])
+                return [(a + eps * b) * rate for a, b in zip(X0_l, x1_l)]
 
             def closed(t: float, lam: float) -> np.ndarray:
                 eps = math.sqrt(lam)
@@ -236,7 +237,7 @@ class Scenario:
         """
         xg, _, period = self._pieces(mu)
 
-        def eval_xg(t: float, lam_: float) -> np.ndarray:
+        def eval_xg(t: float, lam_: float) -> list[float]:
             if lam_ < 0.0:
                 raise DomainError("lambda must be nonnegative")
             return xg(t, lam_)

@@ -1,11 +1,11 @@
-"""Closed-form composition: homomorphism, branches, breakdown, folding."""
+"""Closed-form composition: homomorphism, branches, breakdown, chained products."""
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from rotwave import DomainError, bch, bch_breakdown, bch_fold, exp_rot, log_rot
+from rotwave import bch, bch_breakdown, exp_rot, log_rot
 from rotwave.bch import BRANCH_TOL, BchBranch
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -224,11 +224,12 @@ def test_intermediates_match_quaternion_identities():
 
 # -------------------------------------------------------------------- fold
 
-def test_fold_single_and_padded():
-    v = np.array([0.0, 0.0, 4.0])
-    reduced = np.array([0.0, 0.0, 4.0 - 2 * np.pi])
-    assert np.allclose(bch_fold([v]).vector, reduced, atol=1e-14)
-    assert np.allclose(bch_fold([v, np.zeros(3), np.zeros(3)]).vector, reduced, atol=1e-13)
+def bch_chain(parts):
+    """Left fold of bch, as the restart loop composes its segment prefixes."""
+    acc = bch(parts[0], np.zeros(3))
+    for z in parts[1:]:
+        acc = bch(acc.vector, z)
+    return acc
 
 
 def test_fold_matches_matrix_product_small():
@@ -237,7 +238,7 @@ def test_fold_matches_matrix_product_small():
     prod = np.eye(3)
     for p in parts:
         prod = prod @ exp_rot(p)
-    assert bch_fold(parts).isclose(log_rot(prod), tol=1e-10)
+    assert bch_chain(parts).isclose(log_rot(prod), tol=1e-10)
 
 
 def test_fold_matches_matrix_product_long():
@@ -246,9 +247,4 @@ def test_fold_matches_matrix_product_long():
     prod = np.eye(3)
     for p in parts:
         prod = prod @ exp_rot(p)
-    assert bch_fold(parts).isclose(log_rot(prod), tol=1e-9)
-
-
-def test_fold_empty_raises():
-    with pytest.raises(DomainError):
-        bch_fold([])
+    assert bch_chain(parts).isclose(log_rot(prod), tol=1e-9)

@@ -220,6 +220,27 @@ def test_dump_config(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []  # dump only, no run
 
 
+@pytest.mark.parametrize(
+    "command, doc",
+    [
+        ("simulate", {"scenario": "nope"}),
+        ("frequency", {"overrides": {"x0_norm": -1.0}}),
+        ("simulate", {"scenario": "case1", "mu": 0.1}),
+        ("drift", {"scenario": "case2"}),
+    ],
+)
+def test_dump_config_rejects_what_the_run_rejects(tmp_path, capsys, command, doc):
+    # unknown scenario, bad overrides, mu without a drift parameter, drift
+    # on a one-parameter family: the dump exits 2 as the run does
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    for extra in (["--dump-config"], ["--out", str(tmp_path / "out")]):
+        assert main([command, "--config", str(cfg), *extra]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_lambda_flags_are_exclusive(capsys):
     rc = main(["frequency", "--scenario", "case1",
                "--lambda", "0.05", "--lambda-grid", "0.01,0.05"])

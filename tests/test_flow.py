@@ -212,6 +212,18 @@ def test_period_extension_matches_direct_integration_over_50_periods(name, lam):
         assert np.linalg.norm(a_ext - a_direct) < ERR_50T
 
 
+@pytest.mark.parametrize("lam", [1e-4, 0.1])
+@pytest.mark.parametrize("name", FAMILIES)
+def test_period_extension_over_500_periods_meets_the_closed_form_bound(name, lam):
+    # criterion 3's closed-form bound, 1e-7, holds at 500T through the monodromy
+    sc = build(name)
+    T = sc.period(lam)
+    traj = integrate_group(sc.forcing(lam), lam, 500 * T, ref_dir=sc.frame.x0_dir)
+    assert traj.segments[-1].t_end == T
+    for t in np.linspace(0.0, 500 * T, 2001).tolist():
+        assert np.linalg.norm(traj.eval_A(t) - sc.closed_form(t, lam)) < 1e-7
+
+
 def test_horizon_shorter_than_a_period_is_integrated_directly():
     sc = build("case2")
     lam = 0.1

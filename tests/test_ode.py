@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -15,7 +16,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq as scipy_brentq
 
 import rotwave
-from rotwave import ode
+from rotwave import SingularityError, SkewProductSystem, integrate_skew_product, ode, stuart_landau
 from rotwave.scenarios import build
 from rotwave.so3 import _dexpinv_apply, _norm3
 
@@ -65,6 +66,122 @@ def test_step_size_underflow_matches_scipy():
     assert ours.message == ref.message
     assert abs(ours.t[-1] - ref.t[-1]) < 1e-9
     assert abs(len(ours.t) - len(ref.t)) <= 1
+
+
+# ------------------------------------------ the generated step kernel, bitwise
+
+def _combine(K, row):
+    """``sum_j coef_j K[j]`` componentwise over a sparse (stage, coef) row."""
+    idx, coef = zip(*row)
+    return [sum(map(mul, coef, col)) for col in zip(*[K[j] for j in idx])]
+
+
+def _fill_stages(f, t, y, h, K, first, nodes, rows):
+    for s, (c, row) in enumerate(zip(nodes, rows), start=first):
+        dy = _combine(K, row)
+        K[s] = f(t + c * h, [v + d * h for v, d in zip(y, dy)])
+
+
+def _reference_step(f, t, y, fy, h, rtol, atol):
+    """One DOP853 step as the tableau loop over a stage list K, in the kernel's convention."""
+    K = [None] * 16
+    K[0] = fy
+    _fill_stages(f, t, y, h, K, 1, ode._C, ode._A)
+    y_new = [v + h * d for v, d in zip(y, _combine(K, ode._B))]
+    f_new = K[12] = f(t + h, y_new)
+    scale = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+    n5 = sum((e / s) ** 2 for e, s in zip(_combine(K, ode._E5), scale))
+    n3 = sum((e / s) ** 2 for e, s in zip(_combine(K, ode._E3), scale))
+    err = 0.0 if n5 == 0.0 and n3 == 0.0 else abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * len(y))
+    if not err < 1.0:
+        return y_new, f_new, err, None
+    _fill_stages(f, t, y, h, K, 13, ode._C_EXTRA, ode._A_EXTRA)
+    delta = [b - a for a, b in zip(y, y_new)]
+    F = [
+        delta,
+        [h * a - d for a, d in zip(fy, delta)],
+        [2.0 * d - h * (b + a) for d, a, b in zip(delta, fy, f_new)],
+        *([h * v for v in _combine(K, row)] for row in ode._D),
+    ]
+    return y_new, f_new, err, tuple(zip(y, *F))
+
+
+def _with_reference_step(monkeypatch, run):
+    """``run()`` once with the generated kernel and once with the tableau loop."""
+    ours = run()
+    with monkeypatch.context() as m:
+        m.setattr(ode, "_step_kernel", lambda n: _reference_step)
+        ref = run()
+    return ours, ref
+
+
+def _assert_same_solution(ours, ref, t_end):
+    assert ours.ts == ref.ts
+    for t in np.linspace(ours.ts[0], t_end, 1000).tolist():
+        assert ours(t) == ref(t)
+
+
+def test_kernel_equals_tableau_loop_on_the_underflow_case(monkeypatch):
+    ours, ref = _with_reference_step(
+        monkeypatch,
+        lambda: ode.solve_ivp(lambda t, y: [y[0] * y[0]], (0.0, 2.0), [1.0], RTOL, ATOL),
+    )
+    assert ref.status == -1
+    assert (ours.status, ours.nfev, ours.t) == (ref.status, ref.nfev, ref.t)
+    _assert_same_solution(ours.sol, ref.sol, ref.t[-1])
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_kernel_equals_tableau_loop_on_a_first_segment(family, monkeypatch):
+    rhs, boundary = _first_segment_problem(family, 0.05)
+    ours, ref = _with_reference_step(
+        monkeypatch,
+        lambda: ode.solve_ivp(rhs, (0.0, 10.0), (0.0, 0.0, 0.0), RTOL, ATOL, event=boundary),
+    )
+    assert ref.status == 1
+    assert (ours.status, ours.nfev, ours.t) == (ref.status, ref.nfev, ref.t)
+    _assert_same_solution(ours.sol, ref.sol, ref.t[-1])
+
+
+def test_kernel_equals_tableau_loop_on_the_skew_product(monkeypatch):
+    # state (Z, q) with dim_q = 2: five components, restarts included
+    omega, lam = 20.0, 0.05
+    x0 = np.array([0.0, 0.0, 2.0])
+    system = SkewProductSystem(
+        x_g=lambda q, lam_: x0 + q[0] * np.array([1.0, 0.0, 0.0]),
+        x_n=stuart_landau(omega), dim_q=2,
+    )
+    T = 2 * np.pi / omega
+    ours, ref = _with_reference_step(
+        monkeypatch,
+        lambda: integrate_skew_product(system, [np.sqrt(lam), 0.0], lam, 12 * T)[0],
+    )
+    assert len(ref.segments) > 1
+    assert [s.t_end for s in ours.segments] == [s.t_end for s in ref.segments]
+    for a, b in zip(ours.segments, ref.segments):
+        assert len(a._dense(a.t_start)) == 5
+        _assert_same_solution(a._dense, b._dense, a.t_end)
+
+
+def test_singular_stage_rejects_the_step_and_halves_it(monkeypatch):
+    # the fifth call (stage 3 of the first step) raises once; the step is
+    # retried at half its size, and the tableau loop does the same
+    def run():
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            if len(calls) == 5:
+                raise SingularityError("stage at the singularity")
+            return [math.cos(t) * y[1], -y[0]]
+
+        return ode.solve_ivp(rhs, (0.0, 5.0), [1.0, 0.5], RTOL, ATOL)
+
+    plain = ode.solve_ivp(lambda t, y: [math.cos(t) * y[1], -y[0]], (0.0, 5.0), [1.0, 0.5], RTOL, ATOL)
+    ours, ref = _with_reference_step(monkeypatch, run)
+    assert ours.t[1] == plain.t[1] * 0.5
+    assert ours.nfev == ref.nfev and ours.nfev > plain.nfev
+    _assert_same_solution(ours.sol, ref.sol, 5.0)
 
 
 BRENT_CASES = [

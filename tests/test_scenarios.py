@@ -148,7 +148,7 @@ def test_forcing_is_periodic():
         sig = sc.forcing(lam, mu=mu)
         T = sig.period(lam)
         for t in (0.0, 0.3 * T, 0.8 * T):
-            assert np.linalg.norm(sig.eval(t + T, lam) - sig.eval(t, lam)) < 1e-10, name
+            assert np.linalg.norm(np.asarray(sig.eval(t + T, lam)) - sig.eval(t, lam)) < 1e-10, name
 
 
 def test_negative_lambda_rejected_at_eval():
