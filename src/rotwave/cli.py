@@ -188,8 +188,11 @@ _FLAG_FIELDS = (
 )
 
 
-def _load_config(args: argparse.Namespace) -> RunConfig:
+def _load_config(args: argparse.Namespace) -> tuple[RunConfig, frozenset]:
+    """The run's validated config and the names of the fields that the config
+    file or a flag set (the rest hold their defaults)."""
     cfg = RunConfig()
+    raw = {}
     if getattr(args, "config", None):
         try:
             with open(args.config) as fh:
@@ -226,7 +229,7 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         updates["mu_bracket"] = tuple(pair)
     cfg = replace(cfg, **updates)
     cfg.validate()
-    return cfg
+    return cfg, frozenset(raw) | frozenset(updates)
 
 
 def _parse_float_list(text: str, flag: str) -> list:
@@ -243,15 +246,19 @@ def _load_scenario(args: argparse.Namespace, drift: bool = False):
     scenario or bad overrides, ``mu`` on a family without a drift parameter,
     and (``drift``) a one-parameter family.
     """
-    cfg = _load_config(args)
+    cfg, _ = _load_config(args)
     sc = scenarios.build(cfg.scenario, **cfg.overrides)
     if drift and not sc.takes_mu:
         raise ConfigError(
             f"scenario {sc.name!r} has no drift parameter; use a two-parameter family (example4)"
         )
+    _check_mu(cfg, sc)
+    return cfg, sc
+
+
+def _check_mu(cfg: RunConfig, sc) -> None:
     if cfg.mu is not None and not sc.takes_mu:
         raise ConfigError(f"scenario {sc.name!r} takes no mu parameter")
-    return cfg, sc
 
 
 def _maybe_dump(cfg: RunConfig, args: argparse.Namespace) -> bool:
@@ -381,19 +388,28 @@ def _ortho_defect(sc, lam: float, mu: float, icfg: IntegratorConfig) -> float | 
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
-    names = [cfg.scenario] if getattr(args, "scenario", None) else list_all_examples()
+    """Verify the configured scenario, lambda grid and mu where the config
+    file or a flag sets them; by default every example at lambda = 0, 1e-4
+    and 1e-2, and example4 at mu = 0, 0.1 and 0.3."""
+    cfg, given = _load_config(args)
+    names = [cfg.scenario] if "scenario" in given else list_all_examples()
     built = [scenarios.build(name, **cfg.overrides) for name in names]
+    for sc in built:
+        _check_mu(cfg, sc)
     if _maybe_dump(cfg, args):
         return 0
     icfg = cfg.integrator()
-    lams = cfg.lambda_grid if getattr(args, "lam", None) or getattr(args, "lambda_grid", None) \
-        else [0.0, 1e-4, 1e-2]
+    lams = cfg.lambda_grid if "lambda_grid" in given else [0.0, 1e-4, 1e-2]
     tol = 1e-7
     worst = 0.0
     failed = False
     for sc in built:
-        mus = [None] if not sc.takes_mu else [0.0, 0.1, 0.3]
+        if not sc.takes_mu:
+            mus = [None]
+        elif cfg.mu is None:
+            mus = [0.0, 0.1, 0.3]
+        else:
+            mus = [cfg.mu]
         for lam in lams:
             for mu in mus:
                 dev = scenarios.verify_against_closed_form(sc, lam, mu, config=icfg)

@@ -131,7 +131,9 @@ class ForcingSignal:
         The axis vector X^G(t, lam) as any sequence of three finite numbers.
         A list or tuple of three Python floats reaches the integrator as it
         is; a numpy array or other numbers are converted once per call. The
-        built-in forcings return float lists.
+        built-in forcings return float lists; they may be called at any lam,
+        compute what depends on lam alone once per lam, and raise DomainError
+        for a negative lam.
     period : callable (lam) -> T(lam) > 0, or None
         T(lam) must be an exact period of ``eval(., lam)``:
         :func:`integrate_group` integrates only [0, T] and takes every later
@@ -220,8 +222,10 @@ def integrate_z_segment(
     The segment's ``t_end`` is its exit time (== t_max when no restart fired).
     """
 
+    xg = signal.eval
+
     def rhs(t, z):
-        return _dexpinv_apply(z, _check_forcing_value(signal.eval(t, lam), t))
+        return _dexpinv_apply(z, _check_forcing_value(xg(t, lam), t))
 
     return _solve_segment(rhs, t_start, t_max, (), config or IntegratorConfig())
 

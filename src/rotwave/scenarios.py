@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError
 from .flow import ForcingSignal, IntegratorConfig, integrate_group
-from .so3 import _exp_apply, exp_rot
+from .so3 import _exp_apply, _exp_matrix, _finite3
 
 __all__ = [
     "Frame",
@@ -75,6 +75,11 @@ class Frame:
 _GFunc = Callable[[float, float], float]
 
 
+def _exp_product(u: list[float], v: list[float]) -> np.ndarray:
+    """``exp_rot(u) @ exp_rot(v)`` for float triples: two Rodrigues matrices and their product."""
+    return _exp_matrix(_finite3(u)) @ _exp_matrix(_finite3(v))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One forcing family instance; built via :func:`build`."""
@@ -100,14 +105,23 @@ class Scenario:
     def takes_mu(self) -> bool:
         return self.family == "example4"
 
-    def _g_pair(self, omega_eff: float) -> tuple[_GFunc, _GFunc]:
+    def _wave(self, omega_eff: float) -> Callable[[float, float], tuple[float, float]]:
+        """``wave(t, lam) -> (g, gdot)``: the built-in sin((omega_eff + lam) t)
+        and its derivative, or the ``g``/``gdot`` override."""
         if self.g_override is not None:
-            return self.g_override, self.gdot_override
-        def g(t: float, lam: float) -> float:
-            return math.sin((omega_eff + lam) * t)
-        def gdot(t: float, lam: float) -> float:
-            return (omega_eff + lam) * math.cos((omega_eff + lam) * t)
-        return g, gdot
+            g, gdot = self.g_override, self.gdot_override
+
+            def wave(t: float, lam: float) -> tuple[float, float]:
+                return g(t, lam), gdot(t, lam)
+
+        else:
+
+            def wave(t: float, lam: float) -> tuple[float, float]:
+                rate = omega_eff + lam
+                phase = rate * t
+                return math.sin(phase), rate * math.cos(phase)
+
+        return wave
 
     def _pieces(self, mu: float | None):
         """(xg(t, lam), closed(t, lam), period(lam)) for this family at mu.
@@ -124,59 +138,82 @@ class Scenario:
     def _build_pieces(self, mu: float | None):
         """The three closures of :meth:`_pieces`.
 
+        ``xg`` and ``closed`` may be called at any lambda; a negative lambda
+        raises DomainError. What depends on lambda alone (eps = sqrt(lambda),
+        eps times a frame vector, ``X0 + eps X1``, C, nu, w, eps^k) is
+        computed once per lambda by ``constants`` and kept in a last-lambda
+        memo shared by both closures: one ``(lam, constants)`` tuple, read
+        whole and replaced by one assignment, so a lambda is never paired
+        with another lambda's constants. The memo is keyed by the lambda
+        object itself (``is``): the integrator passes one object for a whole
+        run, ``-0.0`` and ``0.0`` (equal, but with constants of different
+        sign) never share an entry, and an equal lambda in another object
+        only recomputes.
+
         The forcings xg run once per right-hand-side evaluation, so they work
         on float lists (``*_l``), apply ``exp_rot(v).T @ w`` as the vector
         Rodrigues rotation ``_exp_apply(-v, w)`` and return a list of three
-        floats, which the integrator takes without a numpy round trip.
+        floats, which the integrator takes without a numpy round trip. The
+        closed forms build their axis vectors as float lists from the same
+        constants and return the Rodrigues product ``_exp_product(u, v)``.
+        Each float operation is that of the module docstring's formulas
+        evaluated with numpy vectors and ``exp_rot``, in the same order, so
+        the values equal theirs bitwise.
         """
         fr = self.frame
-        X0 = self.X0
-        X0_l, x1_l, x2_l = X0.tolist(), fr.x1.tolist(), fr.x2.tolist()
+        X0_l, x1_l, x2_l = self.X0.tolist(), fr.x1.tolist(), fr.x2.tolist()
         if self.family != "example4" and mu is not None:
             raise ConfigError(f"scenario {self.name!r} takes no mu parameter")
 
         omega_eff = self.omega_bif
         if self.family == "example1":
-            g, gdot = self._g_pair(self.omega_bif)
-            pdir = 2.0 * (fr.x1 + fr.x2 + fr.x0_dir)
-            pdir_l = pdir.tolist()
+            pdir_l = (2.0 * (fr.x1 + fr.x2 + fr.x0_dir)).tolist()
+
+            def constants(lam: float):
+                eps = math.sqrt(lam)
+                # P = eps pdir and X0 + eps X1
+                return [eps * p for p in pdir_l], [a + eps * b for a, b in zip(X0_l, x1_l)]
 
             def xg(t: float, lam: float) -> list[float]:
-                eps = math.sqrt(lam)
-                P = [eps * p for p in pdir_l]
-                rate = gdot(t, lam)
-                phase = g(t, lam)
-                r = _exp_apply(
-                    [-(p * phase) for p in P], [a + eps * b for a, b in zip(X0_l, x1_l)]
-                )
-                return [p * rate + ri for p, ri in zip(P, r)]
+                key, c = memo
+                if lam is not key:
+                    c = lookup(lam)
+                (p0, p1, p2), v = c
+                phase, rate = wave(t, lam)
+                r0, r1, r2 = _exp_apply((-(p0 * phase), -(p1 * phase), -(p2 * phase)), v)
+                return [p0 * rate + r0, p1 * rate + r1, p2 * rate + r2]
 
             def closed(t: float, lam: float) -> np.ndarray:
-                eps = math.sqrt(lam)
-                return exp_rot((X0 + eps * fr.x1) * t) @ exp_rot(eps * pdir * g(t, lam))
+                P, v = lookup(lam)
+                phase = wave(t, lam)[0]
+                return _exp_product([a * t for a in v], [p * phase for p in P])
 
         elif self.family in ("example2", "example3"):
-            g, gdot = self._g_pair(self.omega_bif)
-
-            def xg(t: float, lam: float) -> list[float]:
+            def constants(lam: float):
                 eps = math.sqrt(lam)
                 C = [a + eps * b for a, b in zip(X0_l, x2_l)]
                 nu = abs(self.omega_bif + lam) / math.sqrt(self.x0_norm**2 + lam)
-                theta = nu * t + lam * g(t, lam)
                 if self.family == "example2":
                     w = [eps * b for b in x1_l]
                 else:
                     w = [eps * (a + b) for a, b in zip(X0_l, x1_l)]
-                rate = nu + lam * gdot(t, lam)
-                r = _exp_apply([-(c * theta) for c in C], w)
-                return [c * rate + ri for c, ri in zip(C, r)]
+                return C, nu, w
+
+            def xg(t: float, lam: float) -> list[float]:
+                key, c = memo
+                if lam is not key:
+                    c = lookup(lam)
+                (c0, c1, c2), nu, w = c
+                g, gdot = wave(t, lam)
+                theta = nu * t + lam * g
+                rate = nu + lam * gdot
+                r0, r1, r2 = _exp_apply((-(c0 * theta), -(c1 * theta), -(c2 * theta)), w)
+                return [c0 * rate + r0, c1 * rate + r1, c2 * rate + r2]
 
             def closed(t: float, lam: float) -> np.ndarray:
-                eps = math.sqrt(lam)
-                C = X0 + eps * fr.x2
-                nu = abs(self.omega_bif + lam) / math.sqrt(self.x0_norm**2 + lam)
-                w = eps * fr.x1 if self.family == "example2" else eps * (X0 + fr.x1)
-                return exp_rot(w * t) @ exp_rot(C * (nu * t + lam * g(t, lam)))
+                C, nu, w = lookup(lam)
+                theta = nu * t + lam * wave(t, lam)[0]
+                return _exp_product([a * t for a in w], [a * theta for a in C])
 
         elif self.family == "example4":
             mu_val = 0.0 if mu is None else float(mu)
@@ -184,42 +221,66 @@ class Scenario:
             # the effective Hopf frequency shifts with mu so that
             # X^G(t, 0, mu) = X0 + mu X1 holds exactly
             omega_eff = norm_c / self.k
-            g, gdot = self._g_pair(omega_eff)
-            C = X0 + mu_val * fr.x1
-            C_l = C.tolist()
+            c0, c1, c2 = C_l = (self.X0 + mu_val * fr.x1).tolist()
+
+            def constants(lam: float):
+                eps = math.sqrt(lam)
+                nu = self.k * abs(omega_eff + lam) / norm_c
+                w = [(eps - mu_val) * a + b + c for a, b, c in zip(X0_l, x1_l, x2_l)]
+                amp = eps**self.k
+                return nu, w, amp, [amp * a for a in w]
 
             def xg(t: float, lam: float) -> list[float]:
-                eps = math.sqrt(lam)
-                nu = self.k * abs(omega_eff + lam) / norm_c
-                theta = nu * t + lam * g(t, lam)
-                w = [(eps - mu_val) * a + b + c for a, b, c in zip(X0_l, x1_l, x2_l)]
-                rate = nu + lam * gdot(t, lam)
-                amp = eps**self.k
-                r = _exp_apply([-(c * theta) for c in C_l], w)
-                return [c * rate + amp * ri for c, ri in zip(C_l, r)]
+                key, c = memo
+                if lam is not key:
+                    c = lookup(lam)
+                nu, w, amp, _ = c
+                g, gdot = wave(t, lam)
+                theta = nu * t + lam * g
+                rate = nu + lam * gdot
+                r0, r1, r2 = _exp_apply((-(c0 * theta), -(c1 * theta), -(c2 * theta)), w)
+                return [c0 * rate + amp * r0, c1 * rate + amp * r1, c2 * rate + amp * r2]
 
             def closed(t: float, lam: float) -> np.ndarray:
-                eps = math.sqrt(lam)
-                nu = self.k * abs(omega_eff + lam) / norm_c
-                w = (eps - mu_val) * X0 + fr.x1 + fr.x2
-                return exp_rot(eps**self.k * w * t) @ exp_rot(
-                    C * (nu * t + lam * g(t, lam))
-                )
+                nu, _, _, amp_w = lookup(lam)
+                theta = nu * t + lam * wave(t, lam)[0]
+                return _exp_product([a * t for a in amp_w], [a * theta for a in C_l])
 
         elif self.family == "example5":
-            g, gdot = self._g_pair(self.omega_bif)
+            def constants(lam: float):
+                eps = math.sqrt(lam)
+                return eps, [a + eps * b for a, b in zip(X0_l, x1_l)]
 
             def xg(t: float, lam: float) -> list[float]:
-                eps = math.sqrt(lam)
-                rate = 1.0 + eps * gdot(t, lam)
-                return [(a + eps * b) * rate for a, b in zip(X0_l, x1_l)]
+                key, c = memo
+                if lam is not key:
+                    c = lookup(lam)
+                eps, (v0, v1, v2) = c
+                rate = 1.0 + eps * wave(t, lam)[1]
+                return [v0 * rate, v1 * rate, v2 * rate]
 
             def closed(t: float, lam: float) -> np.ndarray:
-                eps = math.sqrt(lam)
-                return exp_rot((X0 + eps * fr.x1) * (t + eps * g(t, lam)))
+                eps, v = lookup(lam)
+                s = t + eps * wave(t, lam)[0]
+                return _exp_matrix(_finite3([a * s for a in v]))
 
         else:  # pragma: no cover
             raise ConfigError(f"unknown family {self.family!r}")
+
+        wave = self._wave(omega_eff)
+        memo = (object(), None)  # a key no caller can pass
+
+        # xg repeats lookup's hit test inline: it runs once per
+        # right-hand-side evaluation, and a call per evaluation costs time
+        def lookup(lam: float):
+            nonlocal memo
+            key, c = memo
+            if lam is not key:
+                if lam < 0.0:
+                    raise DomainError("lambda must be nonnegative")
+                c = constants(lam)
+                memo = (lam, c)
+            return c
 
         def period(lam: float) -> float:
             return 2.0 * np.pi / abs(omega_eff + lam)
@@ -230,19 +291,17 @@ class Scenario:
         """ForcingSignal for this family (mu bound here; the signal's eval
         still takes (t, lam), so the lambda-family stays intact).
 
+        The eval is the family's closure itself: it may be called at any
+        lambda, computes the lambda-only constants once per lambda (see
+        :meth:`_build_pieces`), and raises DomainError for a negative lambda.
+
         With a ``g``/``gdot`` override the signal's period is None (aperiodic):
         :func:`build` checks ``g(0, lam) = 0`` but cannot check that g has the
         nominal period, so such a forcing is integrated over its whole
         horizon. :meth:`period` still reports the nominal T.
         """
         xg, _, period = self._pieces(mu)
-
-        def eval_xg(t: float, lam_: float) -> list[float]:
-            if lam_ < 0.0:
-                raise DomainError("lambda must be nonnegative")
-            return xg(t, lam_)
-
-        return ForcingSignal(eval=eval_xg, period=None if self.g_override is not None else period)
+        return ForcingSignal(eval=xg, period=None if self.g_override is not None else period)
 
     def closed_form(self, t: float, lam: float, mu: float | None = None) -> np.ndarray:
         """Exact A(t, lam[, mu]) for this family."""

@@ -207,6 +207,71 @@ def test_verify_single_scenario(capsys):
     assert "worst deviation:" in out
 
 
+def verify_lines(capsys, argv):
+    rc = main(["verify", *argv])
+    lines = capsys.readouterr().out.splitlines()
+    assert rc == 0 and lines[-1].startswith("worst deviation:")
+    return lines[:-1]
+
+
+def test_verify_lambda_zero_runs_lambda_zero_alone(capsys):
+    lines = verify_lines(capsys, ["--scenario", "example5", "--lambda", "0"])
+    assert len(lines) == 1 and lines[0].startswith("example5 lambda=0: ")
+    lines = verify_lines(capsys, ["--scenario", "example5", "--lambda-grid", "0,0"])
+    assert [line.split(":")[0] for line in lines] == ["example5 lambda=0"] * 2
+
+
+def test_verify_honours_the_config_file(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scenario": "example5", "lambda_grid": [0.01]}))
+    lines = verify_lines(capsys, ["--config", str(cfg)])
+    assert len(lines) == 1 and lines[0].startswith("example5 lambda=0.01: ")
+    # flags override the file
+    lines = verify_lines(capsys, ["--config", str(cfg), "--scenario", "example1"])
+    assert len(lines) == 1 and lines[0].startswith("example1 lambda=0.01: ")
+    cfg.write_text(json.dumps({"scenario": "example4", "lambda_grid": [0.0, 0.01], "mu": 0.1}))
+    lines = verify_lines(capsys, ["--config", str(cfg)])
+    assert [line.split(":")[0] for line in lines] == [
+        "example4 lambda=0 mu=0.10000000000000001",
+        "example4 lambda=0.01 mu=0.10000000000000001",
+    ]
+    lines = verify_lines(capsys, ["--scenario", "example4", "--lambda", "0.01", "--mu", "0.2"])
+    assert [line.split(":")[0] for line in lines] == [
+        "example4 lambda=0.01 mu=0.20000000000000001"
+    ]
+
+
+def test_verify_defaults_without_scenario_or_grid(tmp_path, capsys):
+    # a file and a flag that set neither scenario nor lambda keep every
+    # example at the default grid
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"horizon": 2}))
+    lines = verify_lines(capsys, ["--config", str(cfg), "--rtol", "1e-9"])
+    assert len(lines) == 5 * 3 + 2 * 3  # example4 at three mu
+    assert {line.split(" ")[0] for line in lines} == {f"example{i}" for i in range(1, 6)}
+    assert {line.split(" ")[1].split(":")[0] for line in lines} == {
+        "lambda=0", "lambda=0.0001", "lambda=0.01"
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        ([], {"scenario": "example5", "mu": 0.1}),
+        (["--scenario", "case2", "--mu", "0.1"], {}),
+        (["--mu", "0.1"], {}),  # the default run includes one-parameter families
+    ],
+)
+def test_verify_rejects_mu_on_a_one_parameter_family(tmp_path, capsys, argv, doc):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    for extra in ([], ["--dump-config"]):
+        assert main(["verify", "--config", str(cfg), *argv, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "takes no mu parameter" in captured.err
+
+
 # ------------------------------------------------------------ config wiring
 
 def test_dump_config(capsys, tmp_path):

@@ -1,9 +1,11 @@
 """Frequency extraction, resonance/motion classification, drift branches."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from test_flow import CHAIN_CASES, chain_trajectory, composed_class, probe_times
+from test_flow import CHAIN_CASES, FAMILIES, chain_trajectory, composed_class, probe_times
 from rotwave import (
     BracketError,
     DomainError,
@@ -21,7 +23,7 @@ from rotwave import (
     periodic_part,
     primary_frequency,
 )
-from rotwave.scenarios import build
+from rotwave.scenarios import Frame, build
 
 EX = np.array([1.0, 0.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
@@ -252,6 +254,35 @@ def test_classify_degenerate():
 def test_classify_domain_checks():
     with pytest.raises(DomainError):
         classify(2.0 * EZ, 20.0, 0.1 * EX, 0.0, 0.3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(FAMILIES),
+    lam=st.floats(1e-4, 0.1),
+    u=st.floats(0.0, 3.0),
+    v=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+)
+def test_rotating_the_frame_conjugates_the_flow(name, lam, u, v):
+    # frame equivariance: the frame R F gives A' = R A R^T, X' = R X and the
+    # same resonance and motion labels (criterion 3's 1e-7 on A, criterion
+    # 4's 1e-6 on X)
+    R = exp_rot(np.asarray(v))
+    sc = build(name)
+    fr = sc.frame
+    sc_r = build(name, frame=Frame(R @ fr.x0_dir, R @ fr.x1, R @ fr.x2))
+    T = sc.period(lam)
+    traj = integrate_group(sc.forcing(lam), lam, 3 * T, ref_dir=fr.x0_dir)
+    traj_r = integrate_group(sc_r.forcing(lam), lam, 3 * T, ref_dir=sc_r.frame.x0_dir)
+    for t in (u * T, 0.37 * T, 1.5 * T, 3 * T):
+        assert np.linalg.norm(traj_r.eval_A(t) - R @ traj.eval_A(t) @ R.T) < 1e-7
+    X = primary_frequency(traj, T)
+    X_r = primary_frequency(traj_r, T)
+    assert np.max(np.abs(X_r - R @ X)) < 1e-6
+    rep = classify(sc.X0, sc.omega_bif, X, T, lam)
+    rep_r = classify(sc_r.X0, sc_r.omega_bif, X_r, T, lam)
+    assert rep_r.resonance.kind is rep.resonance.kind and rep_r.resonance.k == rep.resonance.k
+    assert rep_r.motion is rep.motion and rep_r.k_winding == rep.k_winding
 
 
 # ------------------------------------------------------------- drift finder

@@ -1,9 +1,12 @@
 """Forcing families: construction, validation, closed forms vs the group ODE."""
+import math
+
 import numpy as np
 import pytest
 
-from rotwave import ConfigError, DomainError, hat
+from rotwave import ConfigError, DomainError, exp_rot, hat
 from rotwave.scenarios import Frame, available, build, verify_against_closed_form
+from rotwave.so3 import _exp_apply
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -184,3 +187,157 @@ def test_closed_form_satisfies_group_ode():
 def test_integrator_matches_closed_form():
     assert verify_against_closed_form(build("example1"), 0.01) < 1e-7
     assert verify_against_closed_form(build("example4"), 0.01, mu=0.1) < 1e-7
+
+
+# ------------------------------------------ bitwise guard on the closures
+
+def reference_pieces(sc, mu=None):
+    """(xg, closed) recomputing every constant on each call: the forcings
+    as float lists with the vector Rodrigues rotation, the closed forms with
+    numpy vectors and exp_rot, each float operation in the order the
+    formulas of the module docstring take. The library's closures, which
+    compute the lambda-only constants once per lambda, must give the same
+    bits."""
+    fr = sc.frame
+    X0 = sc.X0
+    X0_l, x1_l, x2_l = X0.tolist(), fr.x1.tolist(), fr.x2.tolist()
+    omega_eff = sc.omega_bif
+    if sc.family == "example4":
+        mu_val = 0.0 if mu is None else float(mu)
+        norm_c = math.sqrt(sc.x0_norm**2 + mu_val**2)
+        omega_eff = norm_c / sc.k
+    if sc.g_override is not None:
+        g, gdot = sc.g_override, sc.gdot_override
+    else:
+        def g(t, lam):
+            return math.sin((omega_eff + lam) * t)
+
+        def gdot(t, lam):
+            return (omega_eff + lam) * math.cos((omega_eff + lam) * t)
+
+    if sc.family == "example1":
+        pdir = 2.0 * (fr.x1 + fr.x2 + fr.x0_dir)
+
+        def xg(t, lam):
+            eps = math.sqrt(lam)
+            P = [eps * p for p in pdir.tolist()]
+            rate, phase = gdot(t, lam), g(t, lam)
+            r = _exp_apply([-(p * phase) for p in P], [a + eps * b for a, b in zip(X0_l, x1_l)])
+            return [p * rate + ri for p, ri in zip(P, r)]
+
+        def closed(t, lam):
+            eps = math.sqrt(lam)
+            return exp_rot((X0 + eps * fr.x1) * t) @ exp_rot(eps * pdir * g(t, lam))
+
+    elif sc.family in ("example2", "example3"):
+        def parts(lam):
+            eps = math.sqrt(lam)
+            nu = abs(sc.omega_bif + lam) / math.sqrt(sc.x0_norm**2 + lam)
+            w = eps * fr.x1 if sc.family == "example2" else eps * (X0 + fr.x1)
+            return X0 + eps * fr.x2, nu, w
+
+        def xg(t, lam):
+            C, nu, w = parts(lam)
+            theta = nu * t + lam * g(t, lam)
+            rate = nu + lam * gdot(t, lam)
+            r = _exp_apply([-(c * theta) for c in C.tolist()], w.tolist())
+            return [c * rate + ri for c, ri in zip(C.tolist(), r)]
+
+        def closed(t, lam):
+            C, nu, w = parts(lam)
+            return exp_rot(w * t) @ exp_rot(C * (nu * t + lam * g(t, lam)))
+
+    elif sc.family == "example4":
+        C = X0 + mu_val * fr.x1
+
+        def parts(lam):
+            eps = math.sqrt(lam)
+            nu = sc.k * abs(omega_eff + lam) / norm_c
+            return eps, nu, (eps - mu_val) * X0 + fr.x1 + fr.x2
+
+        def xg(t, lam):
+            eps, nu, w = parts(lam)
+            theta = nu * t + lam * g(t, lam)
+            rate = nu + lam * gdot(t, lam)
+            amp = eps**sc.k
+            r = _exp_apply([-(c * theta) for c in C.tolist()], w.tolist())
+            return [c * rate + amp * ri for c, ri in zip(C.tolist(), r)]
+
+        def closed(t, lam):
+            eps, nu, w = parts(lam)
+            return exp_rot(eps**sc.k * w * t) @ exp_rot(C * (nu * t + lam * g(t, lam)))
+
+    else:
+        def xg(t, lam):
+            eps = math.sqrt(lam)
+            rate = 1.0 + eps * gdot(t, lam)
+            return [(a + eps * b) * rate for a, b in zip(X0_l, x1_l)]
+
+        def closed(t, lam):
+            eps = math.sqrt(lam)
+            return exp_rot((X0 + eps * fr.x1) * (t + eps * g(t, lam)))
+
+    return xg, closed
+
+
+GUARD_LAMBDAS = (0.0, -0.0, 1e-4, 0.05, 0.1)
+
+
+#: x0_dir with a negative zero: X0 + eps X1 keeps the sign of eps = sqrt(-0.0)
+SIGNED_ZERO_FRAME = Frame(np.array([-0.0, 0.0, 1.0]), EX, EY)
+
+
+def guard_cases():
+    for name in ALL_NAMES:
+        mus = (None, 0.0, 0.1, 0.3) if name == "example4" else (None,)
+        for mu in mus:
+            yield build(name), mu
+        yield build(name, frame=SIGNED_ZERO_FRAME), None
+    yield build(
+        "case1", g=lambda t, lam: np.sin(2.0 * t), gdot=lambda t, lam: 2.0 * np.cos(2.0 * t)
+    ), None
+
+
+def assert_bitwise(sc, mu, t, lam, ref_xg, ref_closed, sig):
+    got = np.asarray(sig.eval(t, lam), dtype=float)
+    want = np.asarray(ref_xg(t, lam), dtype=float)
+    assert got.tobytes() == want.tobytes(), (sc.name, mu, t, lam, got, want)
+    got = sc.closed_form(t, lam, mu)
+    want = ref_closed(t, lam)
+    assert got.tobytes() == want.tobytes(), (sc.name, mu, t, lam, got, want)
+
+
+def test_closures_are_bitwise_the_numpy_formulas():
+    """Forcings and closed forms equal the numpy formulas byte for byte, for
+    every lambda in turn and with lambda alternating between evaluations,
+    so the last-lambda memo never serves another lambda's constants."""
+    ts = np.linspace(0.0, 3.0, 50).tolist()
+    for sc, mu in guard_cases():
+        ref_xg, ref_closed = reference_pieces(sc, mu)
+        sig = sc.forcing(0.05, mu)
+        for lam in GUARD_LAMBDAS:
+            for t in ts:
+                assert_bitwise(sc, mu, t, lam, ref_xg, ref_closed, sig)
+        for i, t in enumerate(ts):
+            # equal lambdas in fresh objects, and 0.0 next to -0.0
+            for lam in (GUARD_LAMBDAS[i % 5], float(repr(GUARD_LAMBDAS[(i + 2) % 5])), -0.0, 0.0):
+                assert_bitwise(sc, mu, t, lam, ref_xg, ref_closed, sig)
+
+
+def test_negative_zero_lambda_keeps_its_sign():
+    # 0.0 and -0.0 compare equal but must not share the memo's constants
+    sig = build("example5", frame=SIGNED_ZERO_FRAME).forcing(0.0)
+    for _ in range(3):
+        assert math.copysign(1.0, sig.eval(0.3, 0.0)[0]) == 1.0
+        assert math.copysign(1.0, sig.eval(0.3, -0.0)[0]) == -1.0
+
+
+def test_negative_lambda_raises_on_every_call():
+    for sc, mu in guard_cases():
+        sig = sc.forcing(0.05, mu)
+        for _ in range(3):
+            sig.eval(0.1, 0.05)
+            with pytest.raises(DomainError):
+                sig.eval(0.1, -0.1)
+            with pytest.raises(DomainError):
+                sc.closed_form(0.1, -0.1, mu)
