@@ -244,7 +244,8 @@ def _load_scenario(args: argparse.Namespace, drift: bool = False):
 
     ConfigError for a config that the subcommand would reject: an unknown
     scenario or bad overrides, ``mu`` on a family without a drift parameter,
-    and (``drift``) a one-parameter family.
+    and (``drift``) a one-parameter family or any ``mu``, since drift
+    searches for mu* itself.
     """
     cfg, _ = _load_config(args)
     sc = scenarios.build(cfg.scenario, **cfg.overrides)
@@ -252,6 +253,8 @@ def _load_scenario(args: argparse.Namespace, drift: bool = False):
         raise ConfigError(
             f"scenario {sc.name!r} has no drift parameter; use a two-parameter family (example4)"
         )
+    if drift and cfg.mu is not None:
+        raise ConfigError("drift searches for mu* itself and takes no mu; set --mu-bracket instead")
     _check_mu(cfg, sc)
     return cfg, sc
 

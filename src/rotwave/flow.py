@@ -110,15 +110,12 @@ class IntegratorConfig:
     rtol: float = 1e-10
     atol: float = 1e-12
     restart_margin: float = 0.1
-    max_step: float = math.inf
 
     def __post_init__(self):
         if not (self.rtol > 0.0 and self.atol > 0.0):
             raise ConfigError("rtol and atol must be positive")
         if not (0.0 < self.restart_margin < np.pi / 2):
             raise ConfigError("restart_margin must lie in (0, pi/2)")
-        if self.max_step <= 0.0:
-            raise ConfigError("max_step must be positive")
 
 
 @dataclass
@@ -202,9 +199,7 @@ def _solve_segment(rhs, t_start: float, t_max: float, q, cfg: IntegratorConfig) 
     def boundary(t, y):
         return _norm3(y[:3]) - cutoff
 
-    sol = solve_ivp(
-        rhs, (t_start, t_max), [0.0, 0.0, 0.0, *q], cfg.rtol, cfg.atol, cfg.max_step, boundary
-    )
+    sol = solve_ivp(rhs, (t_start, t_max), [0.0, 0.0, 0.0, *q], cfg.rtol, cfg.atol, boundary)
     if sol.status == -1:
         raise IntegrationError(f"segment solve failed at t={sol.t[-1]!r}: {sol.message}")
     return ZSegment(t_start, float(sol.t[-1]), sol.sol)
@@ -564,7 +559,7 @@ def integrate_euler(
             m / s,
         )
 
-    sol = solve_ivp(rhs, (0.0, t_end), (0.0, theta0, 0.0), cfg.rtol, cfg.atol, cfg.max_step)
+    sol = solve_ivp(rhs, (0.0, t_end), (0.0, theta0, 0.0), cfg.rtol, cfg.atol)
     if sol.status == -1:
         raise IntegrationError(f"euler-chart solve failed at t={sol.t[-1]!r}: {sol.message}")
     return EulerTrajectory(t_end, theta0, sol.sol)

@@ -44,10 +44,10 @@ __all__ = [
 #: resonance; the generic lifting formula would amplify the noise direction)
 ZERO_X_TOL = 1e-9
 
-#: default resonance tolerance, relative to omega_bif
+#: resonance tolerance, relative to omega_bif
 RES_TOL = 1e-9
 
-#: default threshold on <X_hat, X0_hat> for the orthogonal-drift label
+#: threshold on <X_hat, X0_hat> for the orthogonal-drift label
 ORTHO_TOL = 1e-6
 
 
@@ -98,12 +98,10 @@ class PeriodicPart:
     T: float
 
 
-def classify_resonance(
-    x0_norm: float, omega_bif: float, res_tol: float = RES_TOL
-) -> ResonanceClass:
+def classify_resonance(x0_norm: float, omega_bif: float) -> ResonanceClass:
     """Classify |X_0| against multiples of the Hopf frequency.
 
-    Resonant means ``|x0_norm - k * omega_bif| < res_tol * omega_bif`` for
+    Resonant means ``|x0_norm - k * omega_bif| < RES_TOL * omega_bif`` for
     some integer k >= 1; x0_norm == 0 is Degenerate.
     """
     if omega_bif <= 0.0:
@@ -113,14 +111,14 @@ def classify_resonance(
     if x0_norm == 0.0:
         return ResonanceClass(ResonanceKind.DEGENERATE, None, omega_bif, x0_norm)
     k = int(round(x0_norm / omega_bif))
-    if k >= 1 and abs(x0_norm - k * omega_bif) < res_tol * omega_bif:
+    if k >= 1 and abs(x0_norm - k * omega_bif) < RES_TOL * omega_bif:
         return ResonanceClass(ResonanceKind.RESONANT, k, omega_bif, x0_norm)
     return ResonanceClass(ResonanceKind.NONRESONANT, None, omega_bif, x0_norm)
 
 
-def _winding(x0_norm: float, T0: float, res_tol: float) -> int:
+def _winding(x0_norm: float, T0: float) -> int:
     """Winding count: full turns of the primary rotation |x0| per Hopf period T0."""
-    return int(math.floor(x0_norm * T0 / (2.0 * np.pi) + 0.5 * res_tol))
+    return int(math.floor(x0_norm * T0 / (2.0 * np.pi) + 0.5 * RES_TOL))
 
 
 def primary_frequency(
@@ -151,11 +149,10 @@ def lifted_frequency(
     x0: np.ndarray,
     omega_lambda: float,
     res: ResonanceClass,
-    res_tol: float = RES_TOL,
 ) -> np.ndarray:
     """Restore the winding hidden by the ball-class logarithm near resonance.
 
-    The winding count is ``k = floor(|x0| T0 / (2 pi) + res_tol / 2)``; the
+    The winding count is ``k = floor(|x0| T0 / (2 pi) + RES_TOL / 2)``; the
     lifted representative is ``(|X| + k |omega_lambda|) X / |X|``, or
     ``k |omega_lambda| x0 / |x0|`` when X vanished at exact resonance.
 
@@ -170,7 +167,7 @@ def lifted_frequency(
     if not T0 > 0.0:
         raise DomainError("T0 must be positive")
     x0_norm = float(np.linalg.norm(x0))
-    k = _winding(x0_norm, T0, res_tol)
+    k = _winding(x0_norm, T0)
     n = float(np.linalg.norm(X))
     if n > ZERO_X_TOL:
         return ((n + k * abs(omega_lambda)) / n) * X
@@ -227,14 +224,12 @@ def classify(
     X: np.ndarray,
     T: float,
     lam: float,
-    res_tol: float = RES_TOL,
-    ortho_tol: float = ORTHO_TOL,
 ) -> FrequencyReport:
     """Assemble the frequency report and motion label for one run.
 
     Label precedence: lam == 0 is RigidRotation; |X| T in 2 pi Z (within
     1e-9) is PeriodicSolution; nonresonant classes are MeanderO1; resonant
-    classes split into OrthogonalDrift (|<X_hat, x0_hat>| < ortho_tol) and
+    classes split into OrthogonalDrift (|<X_hat, x0_hat>| < ORTHO_TOL) and
     SlowMeanderAboutX0. A degenerate class (|x0| = 0) gets motion None.
     """
     x0 = np.asarray(x0, dtype=float)
@@ -242,15 +237,15 @@ def classify(
     if not T > 0.0:
         raise DomainError("T must be positive")
     x0_norm = float(np.linalg.norm(x0))
-    res = classify_resonance(x0_norm, omega_bif, res_tol)
+    res = classify_resonance(x0_norm, omega_bif)
     T0 = 2.0 * np.pi / omega_bif
-    k_w = _winding(x0_norm, T0, res_tol)
+    k_w = _winding(x0_norm, T0)
     n = float(np.linalg.norm(X))
 
     if res.kind is ResonanceKind.DEGENERATE:
         return FrequencyReport(lam, X, X.copy(), res, 0, None, None)
 
-    Xf = lifted_frequency(X, T0, x0, 2.0 * np.pi / T, res, res_tol)
+    Xf = lifted_frequency(X, T0, x0, 2.0 * np.pi / T, res)
     ortho = float(X @ x0) / (n * x0_norm) if n > 0.0 else None
 
     if lam == 0.0:
@@ -259,7 +254,7 @@ def classify(
         motion = MotionClass.PERIODIC_SOLUTION
     elif res.kind is ResonanceKind.NONRESONANT:
         motion = MotionClass.MEANDER_O1
-    elif abs(ortho) < ortho_tol:
+    elif abs(ortho) < ORTHO_TOL:
         motion = MotionClass.ORTHOGONAL_DRIFT
     else:
         motion = MotionClass.SLOW_MEANDER_ABOUT_X0
@@ -282,14 +277,14 @@ def find_orthogonal_branch(
     mu_bracket: tuple[float, float],
     x0: np.ndarray,
     config: IntegratorConfig | None = None,
-    xtol: float = 1e-13,
 ) -> float:
     """Parameter value mu* at which the drift is orthogonal to the primary axis.
 
     The objective is ``g(mu) = <Z(T)/T, x0_hat>`` evaluated on the unreduced
     ball representative of the per-period logarithm (the hemisphere map
     would fold sign information and can leave g one-signed across the
-    bracket). Roots are located by a bracketing Brent iteration.
+    bracket). Roots are located by a bracketing Brent iteration to an
+    absolute tolerance of 1e-13.
 
     Parameters
     ----------
@@ -331,4 +326,4 @@ def find_orthogonal_branch(
         raise BracketError(
             f"objective does not change sign on [{a!r}, {b!r}]: g(a)={ga:.3e}, g(b)={gb:.3e}"
         )
-    return brentq(g, a, b, xtol, fa=ga, fb=gb)
+    return brentq(g, a, b, 1e-13, fa=ga, fb=gb)

@@ -268,7 +268,7 @@ class OdeSolution:
         return self.interpolants[min(max(i, 0), len(self.interpolants) - 1)](t)
 
 
-def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol) -> float:
+def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
     """Starting step from the local-error heuristic of Hairer et al., sec. II.4."""
     span = t_bound - t0
     scale = [atol + abs(v) * rtol for v in y0]
@@ -282,7 +282,7 @@ def _initial_step(fun, t0, y0, f0, t_bound, max_step, rtol, atol) -> float:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** -ERROR_EXPONENT
-    return min(100.0 * h0, h1, span, max_step)
+    return min(100.0 * h0, h1, span)
 
 
 def solve_ivp(
@@ -291,7 +291,6 @@ def solve_ivp(
     y0: Sequence[float],
     rtol: float,
     atol: float,
-    max_step: float = math.inf,
     event: Callable[[float, list[float]], float] | None = None,
 ) -> OdeResult:
     """Integrate ``y' = fun(t, y)`` forward over ``t_span`` with DOP853.
@@ -313,8 +312,6 @@ def solve_ivp(
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
         raise ValueError("t_span must be increasing")
-    if not max_step > 0.0:
-        raise ValueError("max_step must be positive")
     rtol = max(rtol, 100.0 * EPS)
     nfev = 0
 
@@ -326,14 +323,14 @@ def solve_ivp(
     y = [float(v) for v in y0]
     step = _step_kernel(len(y))
     fy = f(t, y)
-    h_abs = _initial_step(f, t, y, fy, t_bound, max_step, rtol, atol)
+    h_abs = _initial_step(f, t, y, fy, t_bound, rtol, atol)
     g = event(t, y) if event is not None else 0.0
     ts = [t]
     interpolants: list[_Interpolant] = []
     status = None
     while status is None:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
-        h_abs = max_step if h_abs > max_step else max(h_abs, min_step)
+        h_abs = max(h_abs, min_step)
         rejected = False
         while True:
             if h_abs < min_step:

@@ -16,7 +16,7 @@ bed for the integrator, the frequency extraction, and the drift finder:
 ``example5``  modulated rotating wave with collinear modulation:
               X^G = (X0 + eps X1)(1 + eps gdot), A = exp((X0+eps X1)(t+eps g)).
 
-``case1``..``case3`` are parameterized study instances of examples 1-3.
+``case1``..``case3`` are examples 1-3 under the names of the study cases.
 """
 from __future__ import annotations
 
@@ -138,11 +138,19 @@ class Scenario:
     def _build_pieces(self, mu: float | None):
         """The three closures of :meth:`_pieces`.
 
-        ``xg`` and ``closed`` may be called at any lambda; a negative lambda
-        raises DomainError. What depends on lambda alone (eps = sqrt(lambda),
-        eps times a frame vector, ``X0 + eps X1``, C, nu, w, eps^k) is
+        example1-4 share one shape, ``A = exp(u t) exp(C theta(t))`` with the
+        forcing ``X^G = C theta' + amp Ad(exp(-C theta)) w``, so one forcing
+        ``xg`` and one closed form ``closed`` serve all four, and each family
+        supplies only ``constants(lam) -> (C, nu, w, amp, u)``. theta = g
+        when nu is None (example1), else ``nu t + lam g``; u = amp w, and
+        example1-3 take amp = 1.0 and u = w, exact since ``1.0 * x == x``.
+        example5, whose modulation is collinear with ``X0 + eps X1``, has
+        its own pair.
+
+        ``xg``, ``closed`` and ``period`` may be called at any lambda; a
+        negative lambda raises DomainError. What depends on lambda alone is
         computed once per lambda by ``constants`` and kept in a last-lambda
-        memo shared by both closures: one ``(lam, constants)`` tuple, read
+        memo shared by the closures: one ``(lam, constants)`` tuple, read
         whole and replaced by one assignment, so a lambda is never paired
         with another lambda's constants. The memo is keyed by the lambda
         object itself (``is``): the integrator passes one object for a whole
@@ -171,49 +179,19 @@ class Scenario:
 
             def constants(lam: float):
                 eps = math.sqrt(lam)
-                # P = eps pdir and X0 + eps X1
-                return [eps * p for p in pdir_l], [a + eps * b for a, b in zip(X0_l, x1_l)]
-
-            def xg(t: float, lam: float) -> list[float]:
-                key, c = memo
-                if lam is not key:
-                    c = lookup(lam)
-                (p0, p1, p2), v = c
-                phase, rate = wave(t, lam)
-                r0, r1, r2 = _exp_apply((-(p0 * phase), -(p1 * phase), -(p2 * phase)), v)
-                return [p0 * rate + r0, p1 * rate + r1, p2 * rate + r2]
-
-            def closed(t: float, lam: float) -> np.ndarray:
-                P, v = lookup(lam)
-                phase = wave(t, lam)[0]
-                return _exp_product([a * t for a in v], [p * phase for p in P])
+                # C = P = eps pdir; u = w = X0 + eps X1
+                w = [a + eps * b for a, b in zip(X0_l, x1_l)]
+                return [eps * p for p in pdir_l], None, w, 1.0, w
 
         elif self.family in ("example2", "example3"):
+            wdir_l = x1_l if self.family == "example2" else [a + b for a, b in zip(X0_l, x1_l)]
+
             def constants(lam: float):
                 eps = math.sqrt(lam)
                 C = [a + eps * b for a, b in zip(X0_l, x2_l)]
                 nu = abs(self.omega_bif + lam) / math.sqrt(self.x0_norm**2 + lam)
-                if self.family == "example2":
-                    w = [eps * b for b in x1_l]
-                else:
-                    w = [eps * (a + b) for a, b in zip(X0_l, x1_l)]
-                return C, nu, w
-
-            def xg(t: float, lam: float) -> list[float]:
-                key, c = memo
-                if lam is not key:
-                    c = lookup(lam)
-                (c0, c1, c2), nu, w = c
-                g, gdot = wave(t, lam)
-                theta = nu * t + lam * g
-                rate = nu + lam * gdot
-                r0, r1, r2 = _exp_apply((-(c0 * theta), -(c1 * theta), -(c2 * theta)), w)
-                return [c0 * rate + r0, c1 * rate + r1, c2 * rate + r2]
-
-            def closed(t: float, lam: float) -> np.ndarray:
-                C, nu, w = lookup(lam)
-                theta = nu * t + lam * wave(t, lam)[0]
-                return _exp_product([a * t for a in w], [a * theta for a in C])
+                w = [eps * b for b in wdir_l]
+                return C, nu, w, 1.0, w
 
         elif self.family == "example4":
             mu_val = 0.0 if mu is None else float(mu)
@@ -221,36 +199,24 @@ class Scenario:
             # the effective Hopf frequency shifts with mu so that
             # X^G(t, 0, mu) = X0 + mu X1 holds exactly
             omega_eff = norm_c / self.k
-            c0, c1, c2 = C_l = (self.X0 + mu_val * fr.x1).tolist()
+            C_l = (self.X0 + mu_val * fr.x1).tolist()
 
             def constants(lam: float):
                 eps = math.sqrt(lam)
                 nu = self.k * abs(omega_eff + lam) / norm_c
                 w = [(eps - mu_val) * a + b + c for a, b, c in zip(X0_l, x1_l, x2_l)]
                 amp = eps**self.k
-                return nu, w, amp, [amp * a for a in w]
-
-            def xg(t: float, lam: float) -> list[float]:
-                key, c = memo
-                if lam is not key:
-                    c = lookup(lam)
-                nu, w, amp, _ = c
-                g, gdot = wave(t, lam)
-                theta = nu * t + lam * g
-                rate = nu + lam * gdot
-                r0, r1, r2 = _exp_apply((-(c0 * theta), -(c1 * theta), -(c2 * theta)), w)
-                return [c0 * rate + amp * r0, c1 * rate + amp * r1, c2 * rate + amp * r2]
-
-            def closed(t: float, lam: float) -> np.ndarray:
-                nu, _, _, amp_w = lookup(lam)
-                theta = nu * t + lam * wave(t, lam)[0]
-                return _exp_product([a * t for a in amp_w], [a * theta for a in C_l])
+                return C_l, nu, w, amp, [amp * a for a in w]
 
         elif self.family == "example5":
             def constants(lam: float):
                 eps = math.sqrt(lam)
                 return eps, [a + eps * b for a, b in zip(X0_l, x1_l)]
 
+        else:  # pragma: no cover
+            raise ConfigError(f"unknown family {self.family!r}")
+
+        if self.family == "example5":
             def xg(t: float, lam: float) -> list[float]:
                 key, c = memo
                 if lam is not key:
@@ -264,8 +230,25 @@ class Scenario:
                 s = t + eps * wave(t, lam)[0]
                 return _exp_matrix(_finite3([a * s for a in v]))
 
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown family {self.family!r}")
+        else:
+            def xg(t: float, lam: float) -> list[float]:
+                key, c = memo
+                if lam is not key:
+                    c = lookup(lam)
+                (c0, c1, c2), nu, w, amp, _ = c
+                g, gdot = wave(t, lam)
+                if nu is None:
+                    theta, rate = g, gdot
+                else:
+                    theta, rate = nu * t + lam * g, nu + lam * gdot
+                r0, r1, r2 = _exp_apply((-(c0 * theta), -(c1 * theta), -(c2 * theta)), w)
+                return [c0 * rate + amp * r0, c1 * rate + amp * r1, c2 * rate + amp * r2]
+
+            def closed(t: float, lam: float) -> np.ndarray:
+                C, nu, _, _, u = lookup(lam)
+                g = wave(t, lam)[0]
+                theta = g if nu is None else nu * t + lam * g
+                return _exp_product([a * t for a in u], [a * theta for a in C])
 
         wave = self._wave(omega_eff)
         memo = (object(), None)  # a key no caller can pass
@@ -283,6 +266,7 @@ class Scenario:
             return c
 
         def period(lam: float) -> float:
+            lookup(lam)  # the lambda check
             return 2.0 * np.pi / abs(omega_eff + lam)
 
         return xg, closed, period
@@ -309,7 +293,8 @@ class Scenario:
         return closed(t, lam)
 
     def period(self, lam: float = 0.0, mu: float | None = None) -> float:
-        """Relative forcing period T(lam[, mu]) of the built-in waveform."""
+        """Relative forcing period T(lam[, mu]) of the built-in waveform
+        (DomainError for a negative lam)."""
         _, _, period = self._pieces(mu)
         return period(lam)
 
@@ -328,10 +313,9 @@ _DEFAULTS: dict[str, dict] = {
     "example3": dict(family="example3", omega_bif=20.0, x0_norm=20.0, theta0=0.5, tip=_TIP_B),
     "example4": dict(family="example4", omega_bif=20.0, x0_norm=20.0, theta0=0.5, tip=_TIP_B),
     "example5": dict(family="example5", omega_bif=20.0, x0_norm=2.0, theta0=0.01, tip=_TIP_A),
-    "case1": dict(family="example1", omega_bif=20.0, x0_norm=2.0, theta0=0.01, tip=_TIP_A),
-    "case2": dict(family="example2", omega_bif=20.0, x0_norm=20.0, theta0=0.02, tip=_TIP_A),
-    "case3": dict(family="example3", omega_bif=20.0, x0_norm=20.0, theta0=0.5, tip=_TIP_B),
 }
+# the study instances case1..case3 are examples 1-3 under their own names
+_DEFAULTS.update({f"case{i}": _DEFAULTS[f"example{i}"] for i in (1, 2, 3)})
 
 _ALLOWED_OVERRIDES = {
     "omega_bif", "x0_norm", "r", "theta0", "tip_x0", "frame", "k", "g", "gdot",

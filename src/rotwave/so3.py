@@ -191,10 +191,10 @@ def rot_z(angle: float) -> np.ndarray:
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
-def as_rotation(m: np.ndarray, drift_tol: float = 1e-12) -> np.ndarray:
+def as_rotation(m: np.ndarray) -> np.ndarray:
     """Validate ``m`` as a rotation matrix, re-orthonormalizing small drift.
 
-    Matrices within ``drift_tol`` of orthogonality pass through unchanged;
+    Matrices within 1e-12 of orthogonality pass through unchanged;
     drift up to 1e-3 is repaired by projection onto SO(3) (polar factor);
     anything worse raises DomainError.
     """
@@ -205,7 +205,7 @@ def as_rotation(m: np.ndarray, drift_tol: float = 1e-12) -> np.ndarray:
         float(np.linalg.norm(m.T @ m - np.eye(3))),
         abs(float(np.linalg.det(m)) - 1.0),
     )
-    if err <= drift_tol:
+    if err <= 1e-12:
         return m
     if err > 1e-3:
         raise DomainError(f"matrix is not a rotation (orthogonality defect {err:.3e})")

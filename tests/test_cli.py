@@ -196,6 +196,25 @@ def test_drift_needs_mu_scenario(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["--mu", "5"], {}),
+        ([], {"mu": 5.0}),
+        (["--mu", "0.1"], {"mu": 0.1}),
+    ],
+)
+def test_drift_rejects_mu(tmp_path, capsys, argv, doc):
+    # drift searches for mu* itself, so a mu from a flag or the file is an error
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scenario": "example4", "lambda_grid": [0.01], **doc}))
+    for extra in ([], ["--dump-config"]):
+        assert main(["drift", "--config", str(cfg), *argv, *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "takes no mu" in captured.err
+
+
 # ------------------------------------------------------------------- verify
 
 def test_verify_single_scenario(capsys):

@@ -58,8 +58,6 @@ def test_config_validation():
         IntegratorConfig(restart_margin=2.0)
     with pytest.raises(ConfigError):
         IntegratorConfig(restart_margin=0.0)
-    with pytest.raises(ConfigError):
-        IntegratorConfig(max_step=-1.0)
 
 
 # ----------------------------------------------------------------- Z segment

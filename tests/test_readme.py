@@ -1,0 +1,14 @@
+"""The README's Python examples run as written."""
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run_in_order():
+    # later blocks use the names of earlier ones, so they share one namespace
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), flags=re.S)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(README), "exec"), namespace)

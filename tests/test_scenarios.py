@@ -341,3 +341,13 @@ def test_negative_lambda_raises_on_every_call():
                 sig.eval(0.1, -0.1)
             with pytest.raises(DomainError):
                 sc.closed_form(0.1, -0.1, mu)
+
+
+def test_period_rejects_negative_lambda():
+    # case1 at lambda = -20 would divide by |omega_bif + lambda| = 0
+    for sc, mu in guard_cases():
+        for _ in range(3):
+            assert sc.period(0.05, mu) > 0.0
+            for lam in (-0.1, -20.0):
+                with pytest.raises(DomainError):
+                    sc.period(lam, mu)
