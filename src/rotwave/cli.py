@@ -434,11 +434,13 @@ def list_all_examples() -> list:
 
 # --------------------------------------------------------------------- parser
 
-def _add_common(p: argparse.ArgumentParser, with_mu_bracket: bool = False) -> None:
+def _add_common(p: argparse.ArgumentParser, drift: bool = False) -> None:
+    """The shared flags; drift searches for mu* itself, so it takes --mu-bracket, not --mu."""
     p.add_argument("--scenario", help="scenario name (see rotwave verify --help)")
     p.add_argument("--lambda", dest="lam", type=float, help="single bifurcation parameter")
     p.add_argument("--lambda-grid", help="comma-separated lambda values")
-    p.add_argument("--mu", type=float, help="drift parameter (two-parameter scenarios)")
+    if not drift:
+        p.add_argument("--mu", type=float, help="drift parameter (two-parameter scenarios)")
     p.add_argument(
         "--horizon", type=int,
         help=f"run length in relative periods (default 5; horizon x samples-per-period "
@@ -459,7 +461,7 @@ def _add_common(p: argparse.ArgumentParser, with_mu_bracket: bool = False) -> No
         "--dump-config", action="store_true",
         help="print the effective configuration as JSON and exit",
     )
-    if with_mu_bracket:
+    if drift:
         p.add_argument("--mu-bracket", help="comma-separated bracket for mu* (default 0,0.3)")
 
 
@@ -485,8 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also print the homomorphism defect of the result")
     p.set_defaults(func=cmd_bch)
 
-    p = sub.add_parser("drift", help="locate the orthogonal-drift branch mu*(lambda)")
-    _add_common(p, with_mu_bracket=True)
+    # no abbreviations: drift has no --mu, which would otherwise abbreviate --mu-bracket
+    p = sub.add_parser(
+        "drift", help="locate the orthogonal-drift branch mu*(lambda)", allow_abbrev=False
+    )
+    _add_common(p, drift=True)
     p.set_defaults(func=cmd_drift)
 
     p = sub.add_parser("verify", help="check built-in families against their closed forms")

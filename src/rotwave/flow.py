@@ -86,8 +86,9 @@ GIMBAL_TOL = 1e-6
 #: how much tighter than the configured rtol/atol one period is integrated
 PERIOD_TOL_FACTOR = 10.0
 
-#: entries of a trajectory's (period count, segment) prefix cache before it is emptied
-PREFIX_CACHE_SIZE = 1024
+#: entries of each of a trajectory's two caches (sample time -> class vector and
+#: (period count, segment) -> prefix) before that cache is emptied
+CACHE_SIZE = 1024
 
 
 @dataclass(frozen=True)
@@ -252,6 +253,11 @@ class GroupTrajectory:
     boundary to the earlier step), its interpolant gives Z, and the
     closed-form BCH composes Z with the prefix. Only ``class_at`` builds a
     :class:`BallClass`.
+
+    ``eval_A``, ``eval_Z`` and :func:`rotwave.hopf.periodic_part` share one
+    class vector per time, cached under ``float(t)`` (at most ``CACHE_SIZE`` =
+    1024 times, emptied when full): a repeated time costs one lookup plus the
+    hemisphere map and Rodrigues, or one BCH. ``class_at`` bypasses the cache.
     """
 
     segments: list[ZSegment]
@@ -279,6 +285,7 @@ class GroupTrajectory:
             self._step_prefix += [prefix.vector.tolist()] * len(ends)
             self._step_segment += [i] * len(ends)
         self._extended: dict[tuple[int, int], tuple] = {}
+        self._classes: dict[float, tuple] = {}
         self.W = None
         self._t_extend = math.inf  # times past this come from the monodromy
         if self.T is not None and self.T < self.t_end:
@@ -303,7 +310,7 @@ class GroupTrajectory:
 
     def _extend(self, key: tuple[int, int], k: int):
         """Cache and return the class of ``exp(n W) exp(prefix)``, key = (n, segment of step k)."""
-        if len(self._extended) >= PREFIX_CACHE_SIZE:
+        if len(self._extended) >= CACHE_SIZE:
             self._extended.clear()
         nw = [key[0] * w for w in self.W]
         prefix = self._extended[key] = _ball_vector(_bch_full(nw, self._step_prefix[k])[0])
@@ -322,8 +329,15 @@ class GroupTrajectory:
         return _bch_full(prefix, _finite3(y[:3]))[0]
 
     def _class_vector(self, t: float):
-        """``class_at(t).vector`` as a float triple."""
-        return _ball_vector(self._product(t))
+        """``class_at(t).vector`` as a float triple, cached per ``float(t)``."""
+        t = float(t)
+        v = self._classes.get(t)
+        if v is None:
+            v = _ball_vector(self._product(t))
+            if len(self._classes) >= CACHE_SIZE:
+                self._classes.clear()
+            self._classes[t] = v
+        return v
 
     def class_at(self, t: float) -> BallClass:
         """Ball class of A(t) (no hemisphere reduction)."""

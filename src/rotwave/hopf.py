@@ -194,7 +194,8 @@ def periodic_part(
     antipode would replace small norms by values near 2*pi.
 
     Each sample composes ``-X t`` with the class of A(t) on Python floats
-    through the same chain as ``traj.eval_A``.
+    through the same chain as ``traj.eval_A``, and shares its cached class
+    vector: a time that ``eval_A`` has already sampled costs one BCH.
     """
     neg_x = (-_as_vec3(X)).tolist()
     neg_xf = (-_as_vec3(Xf)).tolist()

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotwave import RotwaveError
-from rotwave.cli import MAX_SAMPLES, RunConfig, main
+from rotwave.cli import MAX_SAMPLES, RunConfig, build_parser, main
 from rotwave.scenarios import _ALLOWED_OVERRIDES, available, build
 
 CSV_HEADER = "t," + ",".join(f"a{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)) + ",tipx,tipy,tipz"
@@ -205,14 +205,33 @@ def test_drift_needs_mu_scenario(capsys):
     ],
 )
 def test_drift_rejects_mu(tmp_path, capsys, argv, doc):
-    # drift searches for mu* itself, so a mu from a flag or the file is an error
+    # drift searches for mu* itself: it has no --mu flag, which argparse
+    # rejects before the file is read, and a mu in the file is an error
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"scenario": "example4", "lambda_grid": [0.01], **doc}))
     for extra in ([], ["--dump-config"]):
         assert main(["drift", "--config", str(cfg), *argv, *extra]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("error: ")
-        assert "takes no mu" in captured.err
+        assert captured.out == ""
+        if argv:
+            assert "unrecognized arguments: --mu" in captured.err
+        else:
+            assert captured.err.startswith("error: ") and "takes no mu" in captured.err
+
+
+def test_drift_has_no_mu_flag():
+    # --mu is neither offered nor taken as an abbreviation of --mu-bracket
+    # (a bracket-shaped value would otherwise pass as one)
+    out = io.StringIO()
+    with redirect_stdout(out), pytest.raises(SystemExit):
+        build_parser().parse_args(["drift", "--help"])
+    assert "--mu-bracket" in out.getvalue() and "--mu " not in out.getvalue()
+    for flag in (["--mu", "0.1"], ["--mu", "0.05,0.2"], ["--mu=0.1"], ["--mu-b", "0,0.3"]):
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            rc = main(["drift", "--scenario", "example4", "--lambda", "0.01", *flag])
+        assert rc == 2 and "unrecognized arguments: --mu" in err.getvalue(), flag
+        assert "Traceback" not in err.getvalue()
 
 
 # ------------------------------------------------------------------- verify

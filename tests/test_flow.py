@@ -18,13 +18,17 @@ from rotwave import (
     SingularityError,
     SkewProductSystem,
     bch,
+    classify,
     exp_rot,
     integrate_euler,
     integrate_group,
     integrate_skew_product,
     integrate_z_segment,
+    periodic_part,
+    primary_frequency,
     q_map,
     stuart_landau,
+    tip_trajectory,
 )
 from rotwave import flow
 from rotwave.ode import solve_ivp
@@ -449,6 +453,72 @@ def test_sampling_chain_is_the_composition_of_public_pieces(name, lam):
         for f in evals:
             with pytest.raises(DomainError):
                 f(t)
+
+
+# ------------------------------------------------------- sample-time cache
+
+def sampled_case(name, lam):
+    """A fresh trajectory over two periods and its public samplers by name."""
+    sc = build(name)
+    T = sc.period(lam)
+    traj = integrate_group(sc.forcing(lam), lam, 2 * T, ref_dir=sc.frame.x0_dir)
+    X = primary_frequency(traj, T)
+    part = periodic_part(traj, X, classify(sc.X0, sc.omega_bif, X, T, lam).Xf, T)
+    samplers = {
+        "eval_A": traj.eval_A,
+        "eval_Z": traj.eval_Z,
+        "class_at": lambda t: traj.class_at(t).vector,
+        "log_Bf": part.log_Bf,
+        "eval_Bf": part.eval_Bf,
+        "eval_B": part.eval_B,
+        "tip": lambda t: tip_trajectory(traj, sc.tip_x0, sc.r, [t]).points[0],
+    }
+    return traj, samplers
+
+
+@pytest.mark.parametrize("name, lam", [("case2", 0.1), ("example4", 1e-3), ("example5", 0.1)])
+def test_cached_samples_are_bitwise_the_cold_ones(name, lam):
+    # every sampler, called cold on its own fresh trajectory, gives the bytes
+    # it gives on a trajectory whose cache the others filled first, in any
+    # order, with np.float64 times, and with 0.0 and -0.0 in either order
+    warm_traj, warm = sampled_case(name, lam)
+    times = probe_times(warm_traj) + [-0.0]
+    rng = np.random.default_rng(3)
+    for key in rng.permutation(sorted(warm)):
+        for t in rng.permutation(times):
+            warm[key](np.float64(t) if rng.random() < 0.5 else float(t))
+    cached = [c for v in warm_traj._classes.values() for c in v]
+    assert all(type(c) is float for c in [*warm_traj._classes, *cached])
+    for key in sorted(warm):
+        cold = sampled_case(name, lam)[1][key]
+        for t in times:
+            first = cold(t).tobytes()
+            assert warm[key](t).tobytes() == first, (key, t)
+            assert cold(t).tobytes() == first and cold(np.float64(t)).tobytes() == first
+        zero = sampled_case(name, lam)[1][key]
+        assert zero(-0.0).tobytes() == zero(0.0).tobytes() == cold(-0.0).tobytes()
+
+
+def test_sample_cache_is_bounded_and_refills_with_the_same_values():
+    traj, _ = sampled_case("case2", 0.1)
+    times = np.linspace(0.0, traj.t_end, 2 * flow.CACHE_SIZE + 37).tolist()
+    for _ in range(2):
+        for t in times:
+            z = traj.eval_Z(t)
+            assert len(traj._classes) <= flow.CACHE_SIZE
+            assert np.array_equal(z, q_map(traj.class_at(t), traj.ref_dir))
+    assert np.array_equal(traj.eval_A(times[0]), exp_rot(traj.eval_Z(times[0])))
+
+
+def test_out_of_range_time_raises_after_in_range_samples():
+    traj, samplers = sampled_case("example4", 0.01)
+    for f in samplers.values():
+        f(0.5 * traj.t_end)
+        for t in (traj.t_end + 2e-9, -2e-9, math.nan, math.inf):
+            for _ in range(2):
+                with pytest.raises(DomainError):
+                    f(t)
+    assert all(math.isfinite(t) and 0.0 <= t <= traj.t_end for t in traj._classes)
 
 
 # ---------------------------------------------------------------- Euler chart

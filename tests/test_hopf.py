@@ -5,7 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from test_flow import CHAIN_CASES, FAMILIES, chain_trajectory, composed_class, probe_times
+from test_flow import (
+    CHAIN_CASES,
+    FAMILIES,
+    chain_trajectory,
+    composed_class,
+    probe_times,
+    rotation_frame,
+)
 from rotwave import (
     BracketError,
     DomainError,
@@ -22,7 +29,9 @@ from rotwave import (
     lifted_frequency,
     periodic_part,
     primary_frequency,
+    tip_trajectory,
 )
+from rotwave.hopf import ORTHO_TOL
 from rotwave.scenarios import Frame, build
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -251,6 +260,24 @@ def test_classify_degenerate():
     assert np.array_equal(rep.Xf, rep.X)
 
 
+#: each family's (resonance kind, k, motion) at every lambda > 0
+FAMILY_LABELS = {
+    "case1": (ResonanceKind.NONRESONANT, None, MotionClass.MEANDER_O1),
+    "case2": (ResonanceKind.RESONANT, 1, MotionClass.ORTHOGONAL_DRIFT),
+    "case3": (ResonanceKind.RESONANT, 1, MotionClass.SLOW_MEANDER_ABOUT_X0),
+    "example4": (ResonanceKind.RESONANT, 1, MotionClass.SLOW_MEANDER_ABOUT_X0),
+    "example5": (ResonanceKind.NONRESONANT, None, MotionClass.MEANDER_O1),
+}
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_labels_hold_as_lambda_vanishes(name):
+    # noise must not flip a label as lambda -> 0: at 1e-12 case2's ortho
+    # defect is 1.5e-9, against ORTHO_TOL = 1e-6
+    rep = run_report(name, 1e-12)
+    assert (rep.resonance.kind, rep.resonance.k, rep.motion) == FAMILY_LABELS[name]
+
+
 def test_classify_domain_checks():
     with pytest.raises(DomainError):
         classify(2.0 * EZ, 20.0, 0.1 * EX, 0.0, 0.3)
@@ -285,6 +312,33 @@ def test_rotating_the_frame_conjugates_the_flow(name, lam, u, v):
     assert rep_r.motion is rep.motion and rep_r.k_winding == rep.k_winding
 
 
+#: bound on max_t |log B^f(t)| / sqrt(lambda) of the nonresonant families;
+#: measured up to 3.457 for case1 and 2.019 for example5, lambda in [1e-8, 0.1]
+PERIODIC_PART_BOUND = 4.0
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(("case1", "example5")),
+    log_lam=st.floats(-8.0, -1.0),
+    v=st.tuples(*[st.floats(-np.pi, np.pi)] * 3),
+)
+def test_periodic_part_is_of_order_sqrt_lambda(name, log_lam, v):
+    # A = exp(X^f t) B^f(t) with |log B^f| = O(sqrt(lambda)) as lambda -> 0,
+    # in a random frame; the tip is sampled first, so log_Bf reads the
+    # trajectory's cached class vectors as the sampling workloads do
+    lam = 10.0**log_lam
+    sc = build(name, frame=rotation_frame(v))
+    T = sc.period(lam)
+    traj = integrate_group(sc.forcing(lam), lam, 2 * T, ref_dir=sc.frame.x0_dir)
+    X = primary_frequency(traj, T)
+    part = periodic_part(traj, X, classify(sc.X0, sc.omega_bif, X, T, lam).Xf, T)
+    times = np.linspace(0.0, 2 * T, 101).tolist()
+    tip_trajectory(traj, sc.tip_x0, sc.r, times)
+    worst = max(np.linalg.norm(part.log_Bf(t)) for t in times)
+    assert worst < PERIODIC_PART_BOUND * np.sqrt(lam)
+
+
 # ------------------------------------------------------------- drift finder
 
 def test_orthogonal_branch_is_sqrt_lambda():
@@ -292,6 +346,23 @@ def test_orthogonal_branch_is_sqrt_lambda():
     lam = 1e-2
     mu = find_orthogonal_branch(sc.forcing_family, lam, (0.0, 0.3), sc.X0)
     assert abs(mu - 0.1) < 1e-6
+
+
+@settings(max_examples=20, deadline=None)
+@given(log_lam=st.floats(-8.0, -1.1), v=st.tuples(*[st.floats(-np.pi, np.pi)] * 3))
+def test_resonant_branch_drifts_orthogonally_to_x0(log_lam, v):
+    # the paper's resonant claim: on the example4 branch mu*(lambda) the
+    # primary frequency vector is orthogonal to X0, in any frame
+    lam = 10.0**log_lam
+    sc = build("example4", frame=rotation_frame(v))
+    mu = find_orthogonal_branch(sc.forcing_family, lam, (0.0, 0.3), sc.X0)
+    sig = sc.forcing(lam, mu)
+    T = sig.period(lam)
+    traj = integrate_group(sig, lam, T, ref_dir=sc.frame.x0_dir)
+    X = primary_frequency(traj, T)
+    rep = classify(sc.X0, sc.omega_bif, X, T, lam)
+    assert abs(rep.ortho_defect) < ORTHO_TOL
+    assert rep.motion is MotionClass.ORTHOGONAL_DRIFT
 
 
 def test_orthogonal_branch_lambda_zero():
