@@ -1,0 +1,85 @@
+"""List the executable lines of src/rotwave that the tier-1 suite never runs.
+
+Runs the suite in this interpreter under a ``sys.settrace`` line collector
+and prints ``file:line: source`` for every executable line (one that carries
+bytecode) that no test reached. The CLI tests call ``main`` in-process and
+hypothesis is derandomized (tests/conftest.py), so the listing repeats from
+run to run. Lines that run only in a subprocess, such as the ``__main__``
+entry point, cannot be seen here.
+
+Exits 1 when more lines are unreached than ``CEILING``, 2 when the suite
+itself fails, else 0. ``CEILING`` is the number of lines that CHANGES.md
+names as unreached on purpose; lower it when a line gets reached or deleted.
+
+Usage, from the repository root::
+
+    python scripts/unreached_lines.py
+
+Tracing slows the suite about 3.5-fold.
+"""
+from __future__ import annotations
+
+import sys
+import threading
+import types
+from pathlib import Path
+
+#: unreached lines allowed; each one is named, with its reason, in CHANGES.md
+CEILING = 0
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "rotwave"
+
+
+def executable_lines(path: Path) -> set[int]:
+    """Line numbers that carry bytecode in the module at ``path`` or any code nested in it."""
+    lines: set[int] = set()
+    todo = [compile(path.read_text(), str(path), "exec")]
+    while todo:
+        code = todo.pop()
+        lines.update(line for _, _, line in code.co_lines() if line is not None)
+        todo.extend(c for c in code.co_consts if isinstance(c, types.CodeType))
+    return lines
+
+
+def main() -> int:
+    files = {str(p): p for p in sorted(PACKAGE.glob("*.py"))}
+    hit: dict[str, set[int]] = {name: set() for name in files}
+
+    def local(frame, event, arg):
+        hit[frame.f_code.co_filename].add(frame.f_lineno)
+        return local
+
+    def tracer(frame, event, arg):
+        lines = hit.get(frame.f_code.co_filename)
+        if lines is None:
+            return None
+        lines.add(frame.f_lineno)
+        return local
+
+    sys.path.insert(0, str(ROOT / "src"))
+    import pytest
+
+    threading.settrace(tracer)
+    sys.settrace(tracer)
+    try:
+        status = pytest.main(["-q", "-p", "no:cacheprovider", str(ROOT / "tests")])
+    finally:
+        sys.settrace(None)
+        threading.settrace(None)
+
+    unreached = []
+    for name, path in files.items():
+        source = path.read_text().splitlines()
+        for line in sorted(executable_lines(path) - hit[name]):
+            unreached.append(f"{path.relative_to(ROOT)}:{line}: {source[line - 1].strip()}")
+    print("\n".join(unreached))
+    print(f"{len(unreached)} unreached executable line(s) in src/rotwave (ceiling {CEILING})")
+    if status != 0:
+        print(f"the test suite failed (pytest exit {int(status)})")
+        return 2
+    return 1 if len(unreached) > CEILING else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

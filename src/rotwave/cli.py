@@ -129,14 +129,12 @@ def _fmt(x: float) -> str:
 
 
 def _json_text(obj, indent: int = 0) -> str:
-    """Fixed-format JSON: floats at 17 significant digits, insertion key order."""
+    """Fixed-format JSON: floats at 17 significant digits, insertion key order.
+
+    No emitted value is a boolean (validation rejects them) or an empty list."""
     pad = "  " * indent
     if obj is None:
         return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):
@@ -145,8 +143,6 @@ def _json_text(obj, indent: int = 0) -> str:
         return _fmt(obj)
     if isinstance(obj, (list, tuple, np.ndarray)):
         items = [_json_text(v, indent + 1) for v in obj]
-        if not items:
-            return "[]"
         body = ",\n".join("  " * (indent + 1) + s for s in items)
         return "[\n" + body + "\n" + pad + "]"
     if isinstance(obj, dict):
@@ -163,8 +159,7 @@ def _json_text(obj, indent: int = 0) -> str:
 def _write_text(path: str | Path, text: str) -> None:
     try:
         p = Path(path)
-        if p.parent and not p.parent.exists():
-            p.parent.mkdir(parents=True, exist_ok=True)
+        p.parent.mkdir(parents=True, exist_ok=True)
         with open(p, "w", newline="\n") as fh:
             fh.write(text)
     except OSError as exc:
@@ -207,8 +202,6 @@ def _load_config(args: argparse.Namespace) -> tuple[RunConfig, frozenset]:
         unknown = set(raw) - known
         if unknown:
             raise ConfigError(f"unknown config key(s) {sorted(unknown)}; known: {sorted(known)}")
-        if isinstance(raw.get("mu_bracket"), list):
-            raw["mu_bracket"] = tuple(raw["mu_bracket"])
         cfg = replace(cfg, **raw)
 
     updates = {}
@@ -266,9 +259,7 @@ def _check_mu(cfg: RunConfig, sc) -> None:
 
 def _maybe_dump(cfg: RunConfig, args: argparse.Namespace) -> bool:
     if getattr(args, "dump_config", False):
-        doc = asdict(cfg)
-        doc["mu_bracket"] = list(cfg.mu_bracket)
-        sys.stdout.write(_json_text(doc) + "\n")
+        sys.stdout.write(_json_text(asdict(cfg)) + "\n")
         return True
     return False
 
@@ -395,7 +386,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     file or a flag sets them; by default every example at lambda = 0, 1e-4
     and 1e-2, and example4 at mu = 0, 0.1 and 0.3."""
     cfg, given = _load_config(args)
-    names = [cfg.scenario] if "scenario" in given else list_all_examples()
+    names = [cfg.scenario] if "scenario" in given else [
+        n for n in scenarios.available() if n.startswith("example")
+    ]
     built = [scenarios.build(name, **cfg.overrides) for name in names]
     for sc in built:
         _check_mu(cfg, sc)
@@ -406,6 +399,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     tol = 1e-7
     worst = 0.0
     failed = False
+    lines = []
     for sc in built:
         if not sc.takes_mu:
             mus = [None]
@@ -420,35 +414,35 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 ok = dev < tol
                 failed = failed or not ok
                 tag = "" if mu is None else f" mu={_fmt(mu)}"
-                sys.stdout.write(
+                lines.append(
                     f"{sc.name} lambda={_fmt(lam)}{tag}: max|A_num - A_closed|_F = "
                     f"{dev:.3e} {'ok' if ok else 'FAIL'}\n"
                 )
-    sys.stdout.write(f"worst deviation: {worst:.3e} (tolerance {tol:g})\n")
+    lines.append(f"worst deviation: {worst:.3e} (tolerance {tol:g})\n")
+    _emit("".join(lines), cfg.out)
     return 3 if failed else 0
-
-
-def list_all_examples() -> list:
-    return [n for n in scenarios.available() if n.startswith("example")]
 
 
 # --------------------------------------------------------------------- parser
 
-def _add_common(p: argparse.ArgumentParser, drift: bool = False) -> None:
-    """The shared flags; drift searches for mu* itself, so it takes --mu-bracket, not --mu."""
+def _add_common(p: argparse.ArgumentParser, drift: bool = False, horizon: bool = True) -> None:
+    """The shared flags. drift searches for mu* itself, so it takes --mu-bracket, not
+    --mu; ``horizon`` adds --horizon and --samples-per-period, which only
+    simulate and frequency read."""
     p.add_argument("--scenario", help="scenario name (see rotwave verify --help)")
     p.add_argument("--lambda", dest="lam", type=float, help="single bifurcation parameter")
     p.add_argument("--lambda-grid", help="comma-separated lambda values")
     if not drift:
         p.add_argument("--mu", type=float, help="drift parameter (two-parameter scenarios)")
-    p.add_argument(
-        "--horizon", type=int,
-        help=f"run length in relative periods (default 5; horizon x samples-per-period "
-        f"<= {MAX_SAMPLES})",
-    )
-    p.add_argument(
-        "--samples-per-period", type=int, help="output samples per period (default 100)"
-    )
+    if horizon:
+        p.add_argument(
+            "--horizon", type=int,
+            help=f"run length in relative periods (default 5; horizon x samples-per-period "
+            f"<= {MAX_SAMPLES})",
+        )
+        p.add_argument(
+            "--samples-per-period", type=int, help="output samples per period (default 100)"
+        )
     p.add_argument("--rtol", type=float, help="integrator relative tolerance (default 1e-10)")
     p.add_argument("--atol", type=float, help="integrator absolute tolerance (default 1e-12)")
     p.add_argument(
@@ -491,11 +485,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "drift", help="locate the orthogonal-drift branch mu*(lambda)", allow_abbrev=False
     )
-    _add_common(p, drift=True)
+    _add_common(p, drift=True, horizon=False)
     p.set_defaults(func=cmd_drift)
 
     p = sub.add_parser("verify", help="check built-in families against their closed forms")
-    _add_common(p)
+    _add_common(p, horizon=False)
     p.set_defaults(func=cmd_verify)
 
     return parser

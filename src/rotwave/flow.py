@@ -516,11 +516,6 @@ class EulerTrajectory:
     t_end: float
     theta0: float
     _dense: Callable = field(repr=False)
-    _a0_inv: np.ndarray = field(repr=False, default=None)
-
-    def __post_init__(self):
-        if self._a0_inv is None:
-            self._a0_inv = rot_x(self.theta0).T
 
     def eval_angles(self, t: float) -> np.ndarray:
         """(phi, theta, psi) at time t."""
@@ -529,7 +524,7 @@ class EulerTrajectory:
 
     def eval_A(self, t: float) -> np.ndarray:
         phi, theta, psi = self.eval_angles(t)
-        return self._a0_inv @ rot_z(psi) @ rot_x(theta) @ rot_z(phi)
+        return rot_x(self.theta0).T @ rot_z(psi) @ rot_x(theta) @ rot_z(phi)
 
 
 def integrate_euler(

@@ -9,7 +9,13 @@ so A(T) = exp(X T) and the motion decomposes as A(t) = exp(X t) B(t) with
 B T-periodic. Near a k:1 resonance the per-period rotation about the primary
 axis hides k full turns that the ball-class logarithm cannot see; the lifted
 frequency X^f restores them, giving a representative with |X^f| near
-|X_0| instead of near zero and a periodic part that stays O(sqrt(lambda)).
+|X_0| instead of near zero.
+
+For the nonresonant families the periodic part B^f of A(t) = exp(X^f t)
+B^f(t) stays O(sqrt(lambda)). For the resonant families it does not: X^f
+lifts along X, which is orthogonal to X_0 under orthogonal drift while A(t)
+turns about X_0, and max_t |log B^f(t)| tends to pi (case2, example4) or
+stays near 0.1 (case3) as lambda -> 0.
 """
 from __future__ import annotations
 
@@ -137,8 +143,6 @@ def primary_frequency(
     """
     if not T > 0.0:
         raise DomainError("T must be positive")
-    if T > traj.t_end + 1e-9:
-        raise DomainError(f"trajectory covers [0, {traj.t_end!r}], cannot evaluate at T={T!r}")
     ref = traj.ref_dir if ref_dir is None else ref_dir
     return q_map(traj.class_at(T), ref) / T
 
@@ -155,6 +159,9 @@ def lifted_frequency(
     The winding count is ``k = floor(|x0| T0 / (2 pi) + RES_TOL / 2)``; the
     lifted representative is ``(|X| + k |omega_lambda|) X / |X|``, or
     ``k |omega_lambda| x0 / |x0|`` when X vanished at exact resonance.
+    The lift restores |X^f| near |x0|; only for nonresonant classes does it
+    also leave a periodic part of order sqrt(lambda) (see the module
+    docstring).
 
     Raises
     ------
@@ -187,11 +194,12 @@ def periodic_part(
     """Periodic factors B and B^f of the decomposition A(t) = exp(X t) B(t).
 
     ``log_Bf(t)`` is the ball-class representative of BCH(-X^f t, log A(t)).
-    No hemisphere reduction is applied to it: the decomposition exists to
-    exhibit a uniformly small exponent (O(sqrt(lambda)) near the
-    bifurcation), and that exponent's direction legitimately crosses every
-    hemisphere as the forcing oscillates, so reducing it through the
-    antipode would replace small norms by values near 2*pi.
+    No hemisphere reduction is applied to it: for nonresonant classes the
+    decomposition exhibits a uniformly small exponent (O(sqrt(lambda)) near
+    the bifurcation), and that exponent's direction legitimately crosses
+    every hemisphere as the forcing oscillates, so reducing it through the
+    antipode would replace small norms by values near 2*pi. For resonant
+    classes ``|log_Bf|`` is not small (see the module docstring).
 
     Each sample composes ``-X t`` with the class of A(t) on Python floats
     through the same chain as ``traj.eval_A``, and shares its cached class
@@ -319,11 +327,7 @@ def find_orthogonal_branch(
         return float(z @ u0) / T
 
     ga, gb = g(a), g(b)
-    if ga == 0.0:
-        return a
-    if gb == 0.0:
-        return b
-    if (ga > 0.0) == (gb > 0.0):
+    if ga != 0.0 and gb != 0.0 and (ga > 0.0) == (gb > 0.0):
         raise BracketError(
             f"objective does not change sign on [{a!r}, {b!r}]: g(a)={ga:.3e}, g(b)={gb:.3e}"
         )

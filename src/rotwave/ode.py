@@ -269,14 +269,24 @@ class OdeSolution:
 
 
 def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
-    """Starting step from the local-error heuristic of Hairer et al., sec. II.4."""
+    """Starting step from the local-error heuristic of Hairer et al., sec. II.4.
+
+    A probe that raises SingularityError is retried at half the step; below
+    ten ulps of ``t0`` that step is returned, for the stepper to report."""
     span = t_bound - t0
     scale = [atol + abs(v) * rtol for v in y0]
     d0 = _rms([v / s for v, s in zip(y0, scale)])
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
-    f1 = fun(t0 + h0, [v + h0 * f for v, f in zip(y0, f0)])
+    while True:
+        try:
+            f1 = fun(t0 + h0, [v + h0 * f for v, f in zip(y0, f0)])
+            break
+        except SingularityError:
+            h0 *= 0.5
+            if h0 < 10.0 * (math.nextafter(t0, math.inf) - t0):
+                return h0
     d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -306,8 +316,9 @@ def solve_ivp(
     step's dense output.
 
     A right-hand side that raises :class:`~rotwave.errors.SingularityError`
-    rejects the trial step and halves the step size, as a failed error test
-    does; the failed call still counts in ``nfev``.
+    rejects the trial step, or the probe of the initial-step heuristic, and
+    halves the step size, as a failed error test does; the failed call still
+    counts in ``nfev``.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:

@@ -38,11 +38,6 @@ __all__ = [
     "verify_against_closed_form",
 ]
 
-_EX = np.array([1.0, 0.0, 0.0])
-_EY = np.array([0.0, 1.0, 0.0])
-_EZ = np.array([0.0, 0.0, 1.0])
-
-
 @dataclass(frozen=True)
 class Frame:
     """Orthonormal right-handed frame with ``x0_dir x x1 = x2``.
@@ -51,9 +46,9 @@ class Frame:
     drift plane.
     """
 
-    x0_dir: np.ndarray = field(default_factory=lambda: _EZ.copy())
-    x1: np.ndarray = field(default_factory=lambda: _EX.copy())
-    x2: np.ndarray = field(default_factory=lambda: _EY.copy())
+    x0_dir: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
+    x1: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
+    x2: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
 
     def __post_init__(self):
         vecs = [np.asarray(v, dtype=float) for v in (self.x0_dir, self.x1, self.x2)]
@@ -208,13 +203,10 @@ class Scenario:
                 amp = eps**self.k
                 return C_l, nu, w, amp, [amp * a for a in w]
 
-        elif self.family == "example5":
+        else:  # example5
             def constants(lam: float):
                 eps = math.sqrt(lam)
                 return eps, [a + eps * b for a, b in zip(X0_l, x1_l)]
-
-        else:  # pragma: no cover
-            raise ConfigError(f"unknown family {self.family!r}")
 
         if self.family == "example5":
             def xg(t: float, lam: float) -> list[float]:
@@ -334,6 +326,13 @@ def _number(overrides: dict, name: str, default) -> float:
     return out
 
 
+def _has_bool(value) -> bool:
+    """Whether ``value`` is a boolean or a (nested) list or tuple holding one."""
+    if isinstance(value, (list, tuple)):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, (bool, np.bool_))
+
+
 def _float_array(value, name: str) -> np.ndarray:
     try:
         return np.asarray(value, dtype=float)
@@ -361,7 +360,8 @@ def build(name: str, **overrides) -> Scenario:
     Raises
     ------
     ConfigError
-        Unknown name or override, a non-numeric or non-finite value,
+        Unknown name or override, a non-numeric or non-finite value (a
+        boolean, also inside a list, counts as non-numeric),
         inconsistent resonance parameters, invalid frame, or a g override
         that does not vanish at t = 0.
     """
@@ -372,6 +372,9 @@ def build(name: str, **overrides) -> Scenario:
     bad = set(overrides) - _ALLOWED_OVERRIDES
     if bad:
         raise ConfigError(f"unknown override(s) {sorted(bad)}; allowed: {sorted(_ALLOWED_OVERRIDES)}")
+    for key, value in overrides.items():
+        if _has_bool(value):  # float(True) would pass as 1.0
+            raise ConfigError(f"{key} must be numeric, not a boolean: {value!r}")
     spec = dict(_DEFAULTS[name])
     family = spec["family"]
 

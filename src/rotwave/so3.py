@@ -31,14 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, SingularityError
 
 __all__ = [
-    "AngleAxis",
     "BallClass",
     "as_rotation",
     "dexp_op",
@@ -63,8 +61,6 @@ DEXPINV_MARGIN = 1e-6
 #: half-width of the band around the equator of the reference hemisphere in
 #: which a direction counts as "boundary" for the hemisphere map
 HEMI_BAND = 1e-6
-
-_EZ = np.array([0.0, 0.0, 1.0])
 
 
 def hat(v: np.ndarray) -> np.ndarray:
@@ -209,11 +205,9 @@ def as_rotation(m: np.ndarray) -> np.ndarray:
         return m
     if err > 1e-3:
         raise DomainError(f"matrix is not a rotation (orthogonality defect {err:.3e})")
+    # |det m - 1| <= 1e-3 keeps det m > 0, so the polar factor has det +1
     u, _, vt = np.linalg.svd(m)
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        r = u @ np.diag([1.0, 1.0, -1.0]) @ vt
-    return r
+    return u @ vt
 
 
 def _ball_vector(v):
@@ -230,13 +224,6 @@ def _ball_vector(v):
         x, y, z = v
         return (x * s, y * s, z * s)
     return v
-
-
-class AngleAxis(NamedTuple):
-    """Angle in [0, pi] and unit axis (axis is +z by convention at angle 0)."""
-
-    angle: float
-    axis: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,12 +245,6 @@ class BallClass:
     @property
     def norm(self) -> float:
         return _norm3(self.vector.tolist())
-
-    def angle_axis(self) -> AngleAxis:
-        n = self.norm
-        if n == 0.0:
-            return AngleAxis(0.0, _EZ.copy())
-        return AngleAxis(n, self.vector / n)
 
     def isclose(self, other: "BallClass", tol: float = 1e-12) -> bool:
         """Class equality within ``tol`` (antipodal boundary reps compare equal)."""
@@ -330,58 +311,35 @@ def log_rot(r: np.ndarray) -> BallClass:
     # (the two signs are different rotations) and the skew part still holds
     # it: w . axis = sin(angle) * (n . axis)
     d = float(w @ axis)
-    if abs(d) > 8.0 * np.finfo(float).eps:
-        if d < 0.0:
-            axis = -axis
-    else:
+    if abs(d) <= 8.0 * np.finfo(float).eps:
         # indistinguishable from a half turn: both signs reconstruct r to
         # machine precision, pick the canonical antipodal representative
-        for comp in axis:
-            if comp != 0.0:
-                if comp < 0.0:
-                    axis = -axis
-                break
+        d = axis[np.flatnonzero(axis)[0]]
+    if d < 0.0:
+        axis = -axis
     return BallClass(angle * axis)
 
 
-def _rotation_to_pole(ref: np.ndarray) -> np.ndarray:
-    """A rotation sending the unit vector ``ref`` to +z."""
-    c = float(ref @ _EZ)
-    w = np.cross(ref, _EZ)
-    s = float(np.linalg.norm(w))
-    if s < 1e-12:
-        if c > 0:
-            return np.eye(3)
-        return np.diag([1.0, -1.0, -1.0])  # half turn about +x
-    return exp_rot(np.arctan2(s, c) * w / s)
+def _northern(u, c: float) -> bool:
+    """Whether the unit vector ``u``, with ``c = u . ref``, is on the reference side.
 
-
-def _in_north_set(u: np.ndarray, tol: float = 1e-9) -> bool:
-    """Deterministic 'northern' rule for unit vectors (used only for tie-breaks)."""
-    if u[2] > tol:
-        return True
-    if u[2] < -tol:
-        return False
-    if u[1] > tol:
-        return True
-    if u[1] < -tol:
-        return False
-    return u[0] < 0.0
+    The sign of c decides off the equator (``|c| > 1e-9``); on it +y wins,
+    then -x, then +z. Exactly one of two antipodes is northern."""
+    if abs(c) > 1e-9:
+        return c > 0.0
+    x, y, z = u
+    if abs(y) > 1e-9:
+        return y > 0.0
+    return x < 0.0 if x != 0.0 else z > 0.0
 
 
 def hemisphere_sign(u: np.ndarray, ref: np.ndarray) -> float:
-    """+1 if the unit vector ``u`` lies in the closed hemisphere around ``ref``.
+    """+1 if the unit vector ``u`` lies on the side of ``ref``, else -1.
 
-    Directions within HEMI_BAND of the equator count as the reference
-    hemisphere (+1) except that exact tie-break questions are settled by the
-    north-set rule after rotating ``ref`` to the pole.
+    The sign of ``c = u . ref`` decides when ``|c| > 1e-9``, so any c < -1e-9
+    gives -1; on the equator +y wins, then -x, then +z (:func:`_northern`).
     """
-    c = float(u @ ref)
-    if c > HEMI_BAND:
-        return 1.0
-    if c < -HEMI_BAND:
-        return -1.0
-    return 1.0 if _in_north_set(_rotation_to_pole(ref) @ u) else -1.0
+    return 1.0 if _northern(u, float(u @ ref)) else -1.0
 
 
 def q_map(c: BallClass, ref_dir: np.ndarray) -> np.ndarray:
@@ -416,10 +374,9 @@ def _q_map(v, ref):
     u = (x / n, y / n, z / n)
     t = u[0] * ref[0] + u[1] * ref[1] + u[2] * ref[2]
     if t >= -HEMI_BAND:
-        if n >= math.pi - 1e-12 and abs(t) <= HEMI_BAND:
+        if n >= math.pi - 1e-12 and abs(t) <= HEMI_BAND and not _northern(u, t):
             # antipodal class with boundary direction: canonicalize the rep
-            if not _in_north_set(_rotation_to_pole(np.array(ref)) @ np.array(u)):
-                return (-x, -y, -z)
+            return (-x, -y, -z)
         return v
     s = 1.0 - 2.0 * math.pi / n
     return (s * x, s * y, s * z)

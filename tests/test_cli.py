@@ -1,6 +1,9 @@
 """Command-line interface: flags, outputs, exit codes, determinism."""
 import io
 import json
+import runpy
+import sys
+import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
 import numpy as np
@@ -8,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotwave import RotwaveError
+from rotwave import RotwaveError, cli
 from rotwave.cli import MAX_SAMPLES, RunConfig, build_parser, main
 from rotwave.scenarios import _ALLOWED_OVERRIDES, available, build
 
@@ -88,6 +91,16 @@ def test_frequency_case2_orthogonal_drift(capsys):
     assert abs(entry["norm_Xf"] - (np.sqrt(0.05) + 20.05)) < 1e-6
     assert entry["circle_fit"] is not None
     assert entry["circle_fit"]["rms"] < 1e-6 * 3.0
+
+
+def test_frequency_case2_circle_axis_is_minus_x(capsys):
+    # the README command: the tip circle's axis is +-e_x, on the equator of
+    # the fit's default reference +z, so the equator tie-break picks -e_x
+    # (anti-parallel to X, which points along +e_x)
+    entries = run_frequency(capsys, ["--scenario", "case2", "--lambda-grid", "0.05,0.1"])
+    for entry in entries:
+        assert np.allclose(entry["circle_fit"]["axis"], [-1.0, 0.0, 0.0], rtol=0.0, atol=1e-9)
+        assert entry["X"][0] > 0.0
 
 
 def test_frequency_case1_rigid_at_zero(capsys):
@@ -252,6 +265,26 @@ def verify_lines(capsys, argv):
     return lines[:-1]
 
 
+def test_verify_writes_its_report_to_out(tmp_path, capsys):
+    argv = ["verify", "--scenario", "example5", "--lambda", "0.01"]
+    assert main(argv) == 0
+    report = capsys.readouterr().out
+    out = tmp_path / "sub" / "verify.txt"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == report
+
+
+@pytest.mark.parametrize("command", ["drift", "verify"])
+@pytest.mark.parametrize("flag", ["--horizon", "--samples-per-period"])
+def test_drift_and_verify_take_no_sampling_flags(command, flag):
+    # neither subcommand samples a trajectory, so argparse rejects the flags
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main([command, "--scenario", "example4", "--lambda", "0.01", flag, "2"])
+    assert rc == 2 and f"unrecognized arguments: {flag}" in err.getvalue()
+
+
 def test_verify_lambda_zero_runs_lambda_zero_alone(capsys):
     lines = verify_lines(capsys, ["--scenario", "example5", "--lambda", "0"])
     assert len(lines) == 1 and lines[0].startswith("example5 lambda=0: ")
@@ -344,6 +377,26 @@ def test_dump_config_rejects_what_the_run_rejects(tmp_path, capsys, command, doc
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["frequency", "--scenario", "case2"],
+        ["drift", "--scenario", "example4"],
+        ["verify", "--scenario", "example5"],
+    ],
+)
+def test_dump_config_runs_nothing(argv, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("--dump-config integrated")
+
+    monkeypatch.setattr(cli, "integrate_group", fail)
+    monkeypatch.setattr(cli, "find_orthogonal_branch", fail)
+    monkeypatch.setattr(cli.scenarios, "verify_against_closed_form", fail)
+    assert main([*argv, "--lambda", "0.01", "--dump-config"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["scenario"] == argv[2] and doc["lambda_grid"] == [0.01]
+
+
 def test_lambda_flags_are_exclusive(capsys):
     rc = main(["frequency", "--scenario", "case1",
                "--lambda", "0.05", "--lambda-grid", "0.01,0.05"])
@@ -371,6 +424,29 @@ def test_config_file_malformed(tmp_path, capsys):
     cfg = tmp_path / "run.json"
     cfg.write_text("{not json")
     assert main(["frequency", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize(
+    "text, message", [(None, "cannot read config file"), ("[1, 2]", "must contain a JSON object")]
+)
+def test_config_file_unreadable_or_not_an_object(tmp_path, capsys, text, message):
+    cfg = tmp_path / "run.json"
+    if text is not None:
+        cfg.write_text(text)
+    assert main(["frequency", "--config", str(cfg)]) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["drift", "--scenario", "example4", "--mu-bracket", "0.1"], "exactly two"),
+        (["frequency", "--lambda-grid", "a,b"], "comma-separated numbers"),
+    ],
+)
+def test_number_list_flags_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_negative_lambda_rejected(capsys):
@@ -401,15 +477,60 @@ def test_bad_subcommand_exits_2(capsys):
         ("simulate", {"horizon": 10**12}),
         ("simulate", {"horizon": 10001, "samples_per_period": 100}),
         ("frequency", {"horizon": 10**400}),
+        # each range check of RunConfig.validate
+        ("simulate", {"horizon": 0}),
+        ("simulate", {"samples_per_period": 0}),
+        ("simulate", {"rtol": 10**400}),
+        ("simulate", {"rtol": True}),
+        ("simulate", {"scenario": "example4", "mu": "0.1"}),
+        ("simulate", {"out": 5}),
+        ("simulate", {"lambda_grid": []}),
+        ("drift", {"scenario": "example4", "mu_bracket": ["a", 0.3]}),
+        # booleans are not numbers, in an override scalar or a nested list
+        ("simulate", {"overrides": {"k": True, "r": True}}),
+        ("simulate", {"overrides": {"r": True}}),
+        ("frequency", {"overrides": {"tip_x0": [0.0, True, 1.0]}}),
+        ("frequency", {"overrides": {"frame": [[0, 0, 1], [1, 0, 0], [0, True, 0]]}}),
     ],
 )
 def test_config_file_bad_values_exit_2(tmp_path, capsys, command, doc):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(doc))
-    assert main([command, "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    for extra in ([], ["--dump-config"]):
+        assert main([command, "--config", str(cfg), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert "Traceback" not in captured.err
+
+
+def test_ortho_defect_of_a_zero_class_is_none(monkeypatch):
+    # X = 0 at mu* has no direction: the defect is 0/0, reported as null
+    monkeypatch.setattr(cli, "_period_class", lambda *args: (np.zeros(3), 0.3))
+    assert cli._ortho_defect(build("example4"), 0.01, 0.1, None) is None
+
+
+def test_json_text_rejects_what_it_cannot_format():
+    with pytest.raises(TypeError, match="cannot serialize"):
+        cli._json_text([0.5, object()])
+
+
+def test_entry_points_exit_with_mains_code(monkeypatch, capsys):
+    # the console script and python -m rotwave.cli
+    monkeypatch.setattr(sys, "argv", ["rotwave", "bch", "0", "0", "1", "0", "0", "1"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 0
+    first = capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc, warnings.catch_warnings():
+        # runpy warns that rotwave.cli is already imported; it runs it afresh
+        warnings.simplefilter("ignore", RuntimeWarning)
+        runpy.run_module("rotwave.cli", run_name="__main__")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == first
+    monkeypatch.setattr(sys, "argv", ["rotwave", "verify", "--horizon", "2"])
+    with pytest.raises(SystemExit) as exc:
+        cli.entry()
+    assert exc.value.code == 2
 
 
 def test_sample_count_bound(tmp_path, capsys):

@@ -14,6 +14,7 @@ from rotwave import (
     DomainError,
     ForcingSignal,
     GimbalLockError,
+    IntegrationError,
     IntegratorConfig,
     SingularityError,
     SkewProductSystem,
@@ -86,6 +87,49 @@ def test_non_finite_forcing_rejected():
     )
     with pytest.raises(DomainError):
         integrate_z_segment(bad, 0.0, 0.0, 1.0)
+
+
+def test_zero_forcing_at_the_origin_needs_a_ref_dir():
+    # the default hemisphere reference is the direction of X^G(0, 0)
+    zero = ForcingSignal(eval=lambda t, lam: [0.0, 0.0, t], period=None)
+    with pytest.raises(DomainError, match="pass ref_dir explicitly"):
+        integrate_group(zero, 0.0, 1.0)
+    traj = integrate_group(zero, 0.0, 1.0, ref_dir=EZ)
+    assert np.linalg.norm(traj.eval_A(1.0) - exp_rot(0.5 * EZ)) < 1e-12
+
+
+def singular_past_half(t, lam):
+    """A forcing whose every evaluation past t = 0.5 raises SingularityError."""
+    if t > 0.5:
+        raise SingularityError(f"t = {t!r} is past the wall")
+    return [0.0, 0.0, 1.0]
+
+
+def test_segment_solve_that_cannot_pass_a_singularity_fails():
+    # the stepper halves every step that reaches past t = 0.5 until the step
+    # underflows; the solve's failure is an IntegrationError, not a short
+    # trajectory
+    with pytest.raises(IntegrationError, match="segment solve failed at t=0.49999"):
+        integrate_group(ForcingSignal(singular_past_half, None), 0.0, 1.0)
+    with pytest.raises(IntegrationError, match="euler-chart solve failed at t=0.49999"):
+        integrate_euler(ForcingSignal(singular_past_half, None), 0.0, 1.0, 0.5)
+
+
+def test_restart_that_makes_no_progress_stalls():
+    # |X| = 1e13 reaches the restart cutoff pi - 0.1 within 3e-13, below the
+    # loop's 1e-12 progress slack
+    fast = ForcingSignal(eval=lambda t, lam: [0.0, 0.0, 1e13], period=None)
+    with pytest.raises(IntegrationError, match="stalled at t=0.0"):
+        integrate_group(fast, 0.0, 1.0)
+
+
+def test_large_constant_forcing_integrates_through_the_initial_step_probe():
+    # the initial-step heuristic probes at h0 = 1e-6, where Z = 10 lies past
+    # the dexpinv singularity; the probe is retried at half the step
+    x = np.array([1e7, 0.0, 0.0])
+    traj = integrate_group(ForcingSignal(eval=lambda t, lam: x.tolist(), period=None), 0.0, 1e-5)
+    for t in np.linspace(0.0, 1e-5, 41):
+        assert np.linalg.norm(traj.eval_A(t) - exp_rot(x * t)) < 1e-9
 
 
 # ------------------------------------------------------------ group equation
@@ -533,6 +577,16 @@ def test_euler_gimbal_lock_at_pole():
         integrate_euler(sig, 0.0, 1.0, -0.5)
     with pytest.raises(DomainError):
         integrate_euler(sig, 0.0, 1.0, 3.5)
+    with pytest.raises(DomainError):
+        integrate_euler(sig, 0.0, 0.0, 0.5)
+
+
+def test_euler_gimbal_lock_in_flight():
+    # F = -e_x from theta0 = 0.5 keeps phi = 0 and gives theta = 0.5 - t,
+    # which reaches the pole at t = 0.5
+    sig = ForcingSignal(eval=lambda t, lam: [-1.0, 0.0, 0.0], period=None)
+    with pytest.raises(GimbalLockError, match="at t=0.5"):
+        integrate_euler(sig, 0.0, 0.5, 0.5)
 
 
 def test_euler_pure_z_forcing_is_precession():

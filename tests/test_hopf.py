@@ -19,6 +19,7 @@ from rotwave import (
     ForcingSignal,
     InternalInconsistency,
     MotionClass,
+    ResonanceClass,
     ResonanceKind,
     bch,
     classify,
@@ -144,6 +145,16 @@ def test_lifted_zero_x_nonresonant_is_inconsistent():
         lifted_frequency(np.zeros(3), 2 * np.pi / 20.0, 2.0 * EZ, 20.0, res)
 
 
+def test_lifted_frequency_domain_checks():
+    res = classify_resonance(20.0, 20.0)
+    with pytest.raises(DomainError):
+        lifted_frequency(np.zeros(3), 0.0, 20.0 * EZ, 20.0, res)
+    # a resonant class with |x0| = 0 cannot come from classify_resonance
+    forged = ResonanceClass(ResonanceKind.RESONANT, 1, 20.0, 0.0)
+    with pytest.raises(InternalInconsistency, match="resonant class with"):
+        lifted_frequency(np.zeros(3), 2 * np.pi / 20.0, np.zeros(3), 20.0, forged)
+
+
 # -------------------------------------------------------------- periodic part
 
 def test_periodic_part_constant_forcing_is_trivial():
@@ -153,6 +164,12 @@ def test_periodic_part_constant_forcing_is_trivial():
     for t in (0.0, 1.0, 2.5):
         assert np.linalg.norm(part.eval_B(t) - np.eye(3)) < 1e-9
         assert np.linalg.norm(part.log_Bf(t)) < 1e-9
+
+
+def test_periodic_part_domain_check():
+    traj = integrate_group(constant_signal(EZ), 0.0, 1.0)
+    with pytest.raises(DomainError):
+        periodic_part(traj, EZ, EZ, 0.0)
 
 
 def test_periodic_part_example1_explicit_exponent():
@@ -374,6 +391,15 @@ def test_orthogonal_branch_bracket_error():
     sc = build("example4")
     with pytest.raises(BracketError):
         find_orthogonal_branch(sc.forcing_family, 1e-2, (0.2, 0.3), sc.X0)
+
+
+@pytest.mark.parametrize("bracket", [(0.0, 1.0), (-1.0, 0.0)])
+def test_orthogonal_branch_at_an_exact_zero_bracket_end(bracket):
+    # forcing (1, 0, mu): at mu = 0 Z(T) = (T, 0, 0) exactly, so g(0) = 0.0
+    def family(lam, mu):
+        return ForcingSignal(eval=lambda t, l: [1.0, 0.0, mu], period=lambda l: 1.0)
+
+    assert find_orthogonal_branch(family, 0.01, bracket, EZ) == 0.0
 
 
 def test_orthogonal_branch_domain_checks():

@@ -218,6 +218,71 @@ def test_brentq_rejects_a_one_signed_bracket():
         ode.brentq(lambda x: x * x + 1.0, -1.0, 1.0, 1e-12)
 
 
+def test_brentq_argument_and_value_checks():
+    with pytest.raises(ValueError, match="xtol"):
+        ode.brentq(math.sin, -1.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="NaN"):
+        ode.brentq(lambda x: math.nan if x > 0.0 else -1.0, -1.0, 1.0, 1e-12)
+    with pytest.raises(ValueError, match="NaN"):
+        ode.brentq(lambda x: -1.0, -1.0, 1.0, 1e-12, fb=math.nan)
+
+
+def test_brentq_returns_an_exact_zero_end():
+    assert ode.brentq(lambda x: x, 0.0, 1.0, 1e-12) == 0.0
+    assert ode.brentq(lambda x: x, -1.0, 0.0, 1e-12) == 0.0
+
+
+def test_brentq_gives_up_after_its_iteration_limit():
+    # a sign step at 0 in a bracket of width 2e300: Brent falls back to
+    # bisection, which needs about 1000 halvings to reach the tolerance
+    with pytest.raises(RuntimeError, match="Failed to converge"):
+        ode.brentq(lambda x: -1.0 if x < 0.0 else 1.0, -1e300, 1e300, 1e-300)
+
+
+def test_t_span_must_increase():
+    with pytest.raises(ValueError, match="increasing"):
+        ode.solve_ivp(lambda t, y: [1.0], (1.0, 1.0), [0.0], RTOL, ATOL)
+
+
+def test_zero_derivative_takes_the_fallback_initial_step():
+    # y' = 0: both derivative norms vanish, and the heuristic falls back to
+    # max(1e-6, 1e-3 h0) = 1e-6 (h0 = 1e-6), then grows the step tenfold
+    # per accepted step
+    sol = ode.solve_ivp(lambda t, y: [0.0], (0.0, 1.0), [1.0], RTOL, ATOL)
+    assert sol.status == 0 and sol.t[:3] == [0.0, 1e-6, 1.1e-5]
+    assert sol.sol(0.5) == [1.0]
+
+
+def test_singular_initial_probe_is_retried_at_half_the_step():
+    # the heuristic's probe at t0 + h0 raises; it is retried at half the
+    # step, and the solve matches the one whose probe did not raise
+    def run(raise_first_probe):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            if raise_first_probe and len(calls) == 2:
+                raise SingularityError("probe at the singularity")
+            return [math.cos(t) * y[1], -y[0]]
+
+        return ode.solve_ivp(rhs, (0.0, 5.0), [1.0, 0.5], RTOL, ATOL), calls
+
+    (plain, plain_calls), (retried, calls) = run(False), run(True)
+    assert calls[2] == 0.5 * plain_calls[1]
+    assert retried.status == 0 and retried.nfev == plain.nfev + 1
+
+
+def test_initial_probe_that_always_raises_ends_in_step_underflow():
+    # halving stops below ten ulps of t0, and the stepper reports status -1
+    def rhs(t, y):
+        if t > 0.0:
+            raise SingularityError("singular for every t > 0")
+        return [1.0]
+
+    sol = ode.solve_ivp(rhs, (0.0, 1.0), [0.0], RTOL, ATOL)
+    assert sol.status == -1 and sol.t == [0.0]
+
+
 def test_runtime_does_not_import_scipy():
     src = str(Path(rotwave.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)

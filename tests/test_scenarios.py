@@ -77,6 +77,8 @@ def test_frame_validation():
         Frame(x0_dir=EZ, x1=EZ, x2=EY)
     with pytest.raises(ConfigError):
         Frame(x0_dir=EZ, x1=EY, x2=EX)  # left-handed
+    with pytest.raises(ConfigError, match="finite"):
+        Frame(x0_dir=[0.0, math.nan, 1.0])
 
 
 def test_frame_override_as_rows():
@@ -105,6 +107,24 @@ def test_example4_omega_is_derived():
     with pytest.raises(ConfigError):
         build("example4", omega_bif=5.0)
     build("example4", omega_bif=20.0)  # consistent override passes
+
+
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"r": math.inf}, "finite"),
+        ({"theta0": math.nan}, "finite"),
+        ({"omega_bif": -1.0}, "omega_bif must be positive"),
+        ({"r": 0.0}, "r must be positive"),
+        ({"k": True}, "boolean"),
+        ({"r": np.True_}, "boolean"),
+        ({"tip_x0": [0.0, 1.0, False]}, "boolean"),
+        ({"frame": [[0, 0, 1], (1, 0, 0), [0, 1, True]]}, "boolean"),
+    ],
+)
+def test_override_values_must_be_finite_positive_numbers(overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        build("case1", **overrides)
 
 
 def test_k_restricted_to_example4():

@@ -16,13 +16,21 @@ from rotwave import (
     dexpinv_op,
     exp_rot,
     hat,
+    hemisphere_sign,
     log_rot,
     q_map,
     rot_x,
     rot_z,
     vee,
 )
-from rotwave.so3 import SERIES_RADIUS, _dexpinv_apply, _dexpinv_c2, _exp_apply
+from rotwave.so3 import (
+    SERIES_RADIUS,
+    _dexpinv_apply,
+    _dexpinv_c2,
+    _exp_apply,
+    _northern,
+    _q_map,
+)
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -62,6 +70,23 @@ def test_hat_commutator_is_cross_product():
 def test_vee_rejects_non_skew():
     with pytest.raises(DomainError):
         vee(np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: vee(np.zeros((2, 2))),
+        lambda: hat([1.0, 2.0]),
+        lambda: hat([math.nan, 0.0, 0.0]),
+        lambda: exp_rot([0.0, math.inf, 0.0]),
+        lambda: as_rotation(np.eye(2)),
+        lambda: as_rotation(np.full((3, 3), math.nan)),
+        lambda: BallClass(np.zeros(4)),
+    ],
+)
+def test_shape_and_finiteness_checks(call):
+    with pytest.raises(DomainError):
+        call()
 
 
 @given(vec3)
@@ -172,6 +197,17 @@ def test_exp_log_round_trip_on_random_rotations():
         assert np.linalg.norm(exp_rot(log_rot(r).vector) - r) < 1e-10
 
 
+@pytest.mark.parametrize("gap", [0.0, 1e-7])
+def test_log_near_half_turn_flips_the_extracted_axis(gap):
+    # the rank-one extraction returns the axis with its dominant component
+    # positive; here that is -n. Below pi the skew part's sign flips it back
+    # to n; at pi exactly the canonical representative (first nonzero
+    # component positive) is n as well
+    n = unit([1.0, -3.0, 2.0])
+    cls = log_rot(oracles.rotation_oracle((np.pi - gap) * n))
+    assert np.linalg.norm(cls.vector - (np.pi - gap) * n) < 1e-9
+
+
 def test_log_near_half_turn():
     # angles above pi - 1e-6 take the symmetric-part branch and round-trip
     # tightly; just below, the vee branch's axis comes from a vector of norm
@@ -215,10 +251,11 @@ def test_ball_class_antipodal_equality():
     assert BallClass(0.5 * EZ) != BallClass(-0.5 * EZ)
 
 
-def test_ball_class_angle_axis():
-    aa = BallClass([0.0, 0.0, 0.5]).angle_axis()
-    assert aa.angle == 0.5
-    assert np.allclose(aa.axis, EZ)
+def test_ball_class_equality_and_repr():
+    cls = BallClass([0.0, 0.0, 0.5])
+    assert cls != 3
+    assert not cls == (0.0, 0.0, 0.5)
+    assert repr(cls) == "BallClass([0.  0.  0.5])"
 
 
 # --------------------------------------------------------------------- q_map
@@ -247,6 +284,50 @@ def test_q_map_preserves_rotation():
         ref = unit(rng.normal(size=3))
         out = q_map(cls, ref)
         assert np.linalg.norm(exp_rot(out) - exp_rot(v)) < 1e-12
+
+
+# Unit vectors on the equator of each reference, as (u, northern): +y wins,
+# then -x, then +z.
+EQUATOR_CASES = [
+    (EX, EZ, False),
+    (-EX, EZ, True),
+    (EY, EZ, True),
+    (unit([-1.0, 1e-10, 0.0]), EZ, True),
+    (EZ, EX, True),
+    (unit([0.0, -1.0, 1.0]), EX, False),
+    (-EX, EY, True),
+    (EZ, EY, True),
+    (-EZ, EY, False),
+    (unit([1.0, 0.0, 1.0]), unit([1.0, 0.0, -1.0]), False),
+    (unit([-1.0, 0.0, -1.0]), unit([1.0, 0.0, -1.0]), True),
+]
+
+
+@pytest.mark.parametrize("u, ref, north", EQUATOR_CASES)
+def test_northern_breaks_equator_ties_by_fixed_axes(u, ref, north):
+    c = float(u @ ref)
+    assert abs(c) <= 1e-9
+    assert _northern(u, c) == north
+    assert _northern(-u, float(-u @ ref)) != north
+    assert hemisphere_sign(u, ref) == (1.0 if north else -1.0)
+
+
+def test_northern_off_the_equator_follows_the_sign_of_c():
+    u = unit([1.0, 0.0, 2e-9])
+    assert _northern(u, float(u @ EZ))
+    assert not _northern(-u, float(-u @ EZ))
+    # inside the old 1e-6 band a clearly negative c is -1
+    assert hemisphere_sign(unit([1.0, 0.0, -1e-7]), EZ) == -1.0
+
+
+@pytest.mark.parametrize("u, ref, north", EQUATOR_CASES)
+def test_q_map_flips_a_boundary_class_to_its_northern_representative(u, ref, north):
+    v = (np.pi * u).tolist()
+    expected = v if north else (-np.pi * u).tolist()
+    for rep in (v, (-np.pi * u).tolist()):
+        out = _q_map(rep, ref.tolist())
+        assert np.array_equal(out, expected)
+        assert np.array_equal(q_map(BallClass(rep), ref), expected)
 
 
 def test_q_map_requires_unit_ref():

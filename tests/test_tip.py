@@ -45,6 +45,8 @@ def test_tip_rejects_off_sphere_seed():
         tip_trajectory(traj, np.array([1.0, 0.0, 0.0]), 3.0, [0.0])
     with pytest.raises(DomainError):
         tip_trajectory(traj, 3.0 * EZ, -3.0, [0.0])
+    with pytest.raises(DomainError):
+        tip_trajectory(traj, 3.0 * EZ, 3.0, [0.0], period=0.0)
 
 
 def test_tip_period_samples():
