@@ -6,120 +6,21 @@ lifted frequency vectors after a Hopf bifurcation, classifies the resulting
 motion (rigid rotation, meander, resonant drift), locates orthogonal-drift
 parameter branches, and generates tip trajectories with circle verification.
 """
-from .bch import BchBranch, BchBreakdown, bch, bch_breakdown
-from .errors import (
-    BracketError,
-    ConfigError,
-    DomainError,
-    FitError,
-    GimbalLockError,
-    IntegrationError,
-    InternalInconsistency,
-    IoError,
-    RotwaveError,
-    SingularityError,
-)
-from .flow import (
-    EulerTrajectory,
-    ForcingSignal,
-    GroupTrajectory,
-    IntegratorConfig,
-    QTrajectory,
-    SkewProductSystem,
-    integrate_euler,
-    integrate_group,
-    integrate_skew_product,
-    integrate_z_segment,
-    stuart_landau,
-)
-from .hopf import (
-    FrequencyReport,
-    MotionClass,
-    PeriodicPart,
-    ResonanceClass,
-    ResonanceKind,
-    classify,
-    classify_resonance,
-    find_orthogonal_branch,
-    lifted_frequency,
-    periodic_part,
-    primary_frequency,
-)
-from .scenarios import Frame, Scenario, available, build, verify_against_closed_form
-from .so3 import (
-    BallClass,
-    as_rotation,
-    dexp_op,
-    dexpinv_op,
-    exp_rot,
-    hat,
-    hemisphere_sign,
-    log_rot,
-    q_map,
-    rot_x,
-    rot_z,
-    vee,
-)
-from .tip import CircleFit, TipTrack, fit_circle, tip_trajectory
+import sys as _sys
+
+# each submodule lists its public names in __all__, and the package re-exports them
+from .bch import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .flow import *  # noqa: F403
+from .hopf import *  # noqa: F403
+from .scenarios import *  # noqa: F403
+from .so3 import *  # noqa: F403
+from .tip import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BallClass",
-    "BchBranch",
-    "BchBreakdown",
-    "BracketError",
-    "CircleFit",
-    "ConfigError",
-    "DomainError",
-    "EulerTrajectory",
-    "FitError",
-    "ForcingSignal",
-    "Frame",
-    "FrequencyReport",
-    "GimbalLockError",
-    "GroupTrajectory",
-    "IntegrationError",
-    "IntegratorConfig",
-    "InternalInconsistency",
-    "IoError",
-    "MotionClass",
-    "PeriodicPart",
-    "QTrajectory",
-    "ResonanceClass",
-    "ResonanceKind",
-    "RotwaveError",
-    "Scenario",
-    "SingularityError",
-    "SkewProductSystem",
-    "TipTrack",
-    "as_rotation",
-    "available",
-    "bch",
-    "bch_breakdown",
-    "build",
-    "classify",
-    "classify_resonance",
-    "dexp_op",
-    "dexpinv_op",
-    "exp_rot",
-    "find_orthogonal_branch",
-    "fit_circle",
-    "hat",
-    "hemisphere_sign",
-    "integrate_euler",
-    "integrate_group",
-    "integrate_skew_product",
-    "integrate_z_segment",
-    "lifted_frequency",
-    "log_rot",
-    "periodic_part",
-    "primary_frequency",
-    "q_map",
-    "rot_x",
-    "rot_z",
-    "stuart_landau",
-    "tip_trajectory",
-    "vee",
-    "verify_against_closed_form",
-]
+__all__ = sorted(
+    name
+    for module in ("bch", "errors", "flow", "hopf", "scenarios", "so3", "tip")
+    for name in _sys.modules[f"{__name__}.{module}"].__all__
+)

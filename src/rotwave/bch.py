@@ -33,9 +33,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
-from .so3 import BallClass, _as_vec3
+from .so3 import BallClass, _vec3
 
 __all__ = ["BchBranch", "BchBreakdown", "bch", "bch_breakdown"]
 
@@ -147,7 +145,7 @@ def _bch_full(x, y) -> tuple[tuple[float, float, float], tuple]:
     return result, (alpha, beta, gamma, branch, e, a1, b1, c1, d1, d, s)
 
 
-def bch(x: np.ndarray, y: np.ndarray) -> BallClass:
+def bch(x, y) -> BallClass:
     """Ball class of ``exp_rot(x) @ exp_rot(y)``.
 
     Parameters
@@ -160,11 +158,9 @@ def bch(x: np.ndarray, y: np.ndarray) -> BallClass:
     BallClass
         [W] with ``exp_rot(W)`` equal to the product (homomorphism property).
     """
-    w, _ = _bch_full(_as_vec3(x).tolist(), _as_vec3(y).tolist())
-    return BallClass(np.array(w))
+    return BallClass(_bch_full(_vec3(x), _vec3(y))[0])
 
 
-def bch_breakdown(x: np.ndarray, y: np.ndarray) -> BchBreakdown:
+def bch_breakdown(x, y) -> BchBreakdown:
     """Branch, coefficients, and quaternion intermediates of ``bch(x, y)``."""
-    _, fields = _bch_full(_as_vec3(x).tolist(), _as_vec3(y).tolist())
-    return BchBreakdown(*fields)
+    return BchBreakdown(*_bch_full(_vec3(x), _vec3(y))[1])

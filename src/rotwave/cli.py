@@ -14,6 +14,9 @@ verify     integrate every built-in family against its closed form
 All numeric output uses 17 significant digits and fixed key order, so reruns
 are byte-identical. Exit codes: 0 success, 2 configuration error, 3
 numerical failure (integration, bracketing, fitting, or chart singularity).
+
+Every subcommand but ``frequency`` runs on Python floats and never imports
+numpy; ``frequency`` loads it for the tip samples and the circle fit.
 """
 from __future__ import annotations
 
@@ -24,15 +27,16 @@ import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
-import numpy as np
-
 from . import scenarios
-from .bch import bch, bch_breakdown
+from ._numpy import lazy_numpy
+from .bch import BchBreakdown, _bch_full
 from .errors import ConfigError, FitError, IoError, RotwaveError
 from .flow import IntegratorConfig, integrate_group
 from .hopf import _period_class, classify, find_orthogonal_branch, primary_frequency
-from .so3 import exp_rot
+from .so3 import _ball_vector, _dot3, _exp_entries, _finite3, _frob_dist, _matmul3, _matvec3, _norm3
 from .tip import fit_circle, tip_trajectory
+
+np = lazy_numpy(globals())
 
 __all__ = ["RunConfig", "main", "entry"]
 
@@ -137,11 +141,11 @@ def _json_text(obj, indent: int = 0) -> str:
         return "null"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, int):
+        return str(obj)
+    if isinstance(obj, float):
         return _fmt(obj)
-    if isinstance(obj, (list, tuple, np.ndarray)):
+    if isinstance(obj, (list, tuple)):
         items = [_json_text(v, indent + 1) for v in obj]
         body = ",\n".join("  " * (indent + 1) + s for s in items)
         return "[\n" + body + "\n" + pad + "]"
@@ -282,11 +286,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         lines = [header]
         for i in range(n + 1):
             t = i * T / cfg.samples_per_period
-            a = traj.eval_A(min(t, traj.t_end))
-            tippt = a @ sc.tip_x0
-            lines.append(
-                ",".join([_fmt(t)] + [_fmt(v) for v in a.reshape(-1)] + [_fmt(v) for v in tippt])
-            )
+            a = traj._A_entries(min(t, traj.t_end))
+            row = (t, *a, *_matvec3(a, sc.tip_x0))
+            lines.append(",".join([_fmt(v) for v in row]))
         path = outdir / f"{sc.name}_lambda{lam!r}.csv"
         _write_text(path, "\n".join(lines) + "\n")
         sys.stdout.write(f"wrote {path} ({n + 1} rows)\n")
@@ -335,19 +337,20 @@ def cmd_frequency(args: argparse.Namespace) -> int:
 
 
 def cmd_bch(args: argparse.Namespace) -> int:
-    x = np.array(args.components[:3])
-    y = np.array(args.components[3:])
-    cls = bch(x, y)
-    br = bch_breakdown(x, y)
+    x = _finite3(args.components[:3])
+    y = _finite3(args.components[3:])
+    w, fields = _bch_full(x, y)
+    w = _ball_vector(w)
+    br = BchBreakdown(*fields)
     out = [
-        "result: [" + ", ".join(_fmt(v) for v in cls.vector) + "]",
-        "norm: " + _fmt(cls.norm),
+        "result: [" + ", ".join(_fmt(v) for v in w) + "]",
+        "norm: " + _fmt(_norm3(w)),
         "branch: " + br.branch.value,
     ]
     for name in ("alpha", "beta", "gamma", "e", "a1", "b1", "c1", "d1", "d", "s"):
         out.append(f"{name}: " + _fmt(getattr(br, name)))
     if args.check:
-        defect = float(np.linalg.norm(exp_rot(cls.vector) - exp_rot(x) @ exp_rot(y)))
+        defect = _frob_dist(_exp_entries(w), _matmul3(_exp_entries(x), _exp_entries(y)))
         out.append("check |exp(result) - exp(x) exp(y)|_F: " + _fmt(defect))
     sys.stdout.write("\n".join(out) + "\n")
     return 0
@@ -374,11 +377,11 @@ def _ortho_defect(sc, lam: float, mu: float, icfg: IntegratorConfig) -> float | 
     if lam == 0.0:
         return None  # no drift at criticality; the defect is 0/0
     z, T = _period_class(sc.forcing_family, lam, mu, sc.frame.x0_dir, icfg)
-    raw = z / T
-    n = float(np.linalg.norm(raw))
+    raw = [a / T for a in z]
+    n = _norm3(raw)
     if n == 0.0:
         return None
-    return float(raw @ sc.frame.x0_dir) / n
+    return _dot3(raw, sc.frame.x0_dir) / n
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

@@ -1,5 +1,10 @@
 """Exception taxonomy shared across the package."""
 
+__all__ = [
+    "BracketError", "ConfigError", "DomainError", "FitError", "GimbalLockError",
+    "IntegrationError", "InternalInconsistency", "IoError", "RotwaveError", "SingularityError",
+]
+
 
 class RotwaveError(Exception):
     """Base class for all errors raised by this package."""

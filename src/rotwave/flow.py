@@ -42,9 +42,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
-import numpy as np
-
-from .bch import _bch_full, bch
+from ._numpy import lazy_numpy
+from .bch import _bch_full
 from .errors import (
     ConfigError,
     DomainError,
@@ -57,13 +56,16 @@ from .so3 import (
     _as_unit3,
     _ball_vector,
     _dexpinv_apply,
-    _exp_matrix,
+    _exp_entries,
     _finite3,
     _norm3,
     _q_map,
+    _vec3,
     rot_x,
     rot_z,
 )
+
+np = lazy_numpy(globals())
 
 __all__ = [
     "EulerTrajectory",
@@ -115,7 +117,7 @@ class IntegratorConfig:
     def __post_init__(self):
         if not (self.rtol > 0.0 and self.atol > 0.0):
             raise ConfigError("rtol and atol must be positive")
-        if not (0.0 < self.restart_margin < np.pi / 2):
+        if not (0.0 < self.restart_margin < math.pi / 2):
             raise ConfigError("restart_margin must lie in (0, pi/2)")
 
 
@@ -173,18 +175,20 @@ def _check_forcing_value(x, t: float) -> Sequence[float]:
     """The forcing value as a float triple; DomainError unless it is a finite 3-vector.
 
     A list or tuple of three floats is returned as it is; anything else
-    (numpy arrays, other numbers) goes through ``np.asarray``.
+    (numpy arrays, other numbers) goes through :func:`_vec3`.
     """
-    if not (
+    if (
         (type(x) is list or type(x) is tuple) and len(x) == 3
         and type(x[0]) is float and type(x[1]) is float and type(x[2]) is float
     ):
-        v = np.asarray(x, dtype=float)
-        # a misshaped value fails the finiteness check below
-        x = v.tolist() if v.shape == (3,) else (math.nan,) * 3
-    x1, x2, x3 = x
-    if math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3):
-        return x
+        x1, x2, x3 = x
+        if math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3):
+            return x
+    else:
+        try:
+            return _vec3(x)
+        except DomainError:
+            pass
     raise DomainError(f"forcing returned a non-finite or misshaped value at t={t!r}")
 
 
@@ -195,7 +199,7 @@ def _check_in_range(t: float, t_end: float) -> None:
 
 def _solve_segment(rhs, t_start: float, t_max: float, q, cfg: IntegratorConfig) -> ZSegment:
     """One solve of the state ``(Z, q)`` from ``(0, q)`` until ``|Z| = pi - delta`` or t_max."""
-    cutoff = np.pi - cfg.restart_margin
+    cutoff = math.pi - cfg.restart_margin
 
     def boundary(t, y):
         return _norm3(y[:3]) - cutoff
@@ -247,12 +251,14 @@ class GroupTrajectory:
     holding tau is cached per (n, i), so a sample past T costs the same
     single BCH as one inside the period.
 
-    A sample runs on Python floats from the dense state to the matrix: one
-    bisect over a step table that spans all segments finds the DOP853 step
-    holding tau (a restart time belongs to the later segment, an inner step
-    boundary to the earlier step), its interpolant gives Z, and the
-    closed-form BCH composes Z with the prefix. Only ``class_at`` builds a
-    :class:`BallClass`.
+    A sample runs on Python floats from the dense state to the nine entries
+    of A(t): one bisect over a step table that spans all segments finds the
+    DOP853 step holding tau (a restart time belongs to the later segment, an
+    inner step boundary to the earlier step), its interpolant gives Z, and
+    the closed-form BCH composes Z with the prefix. The prefixes, the ball
+    vectors of A at the restart times, are float triples; ``ref_dir`` is one
+    too. Only ``class_at`` builds a :class:`BallClass` and only the public
+    samplers build ndarrays.
 
     ``eval_A``, ``eval_Z`` and :func:`rotwave.hopf.periodic_part` share one
     class vector per time, cached under ``float(t)`` (at most ``CACHE_SIZE`` =
@@ -261,8 +267,8 @@ class GroupTrajectory:
     """
 
     segments: list[ZSegment]
-    prefixes: list[BallClass]
-    ref_dir: np.ndarray
+    prefixes: list[tuple[float, float, float]]
+    ref_dir: Sequence[float]
     t_end: float
     T: float | None = None
 
@@ -282,7 +288,7 @@ class GroupTrajectory:
                 ends[-1] = math.nextafter(ends[-1], -math.inf)
             self._ends += ends
             self._steps += seg._dense.interpolants
-            self._step_prefix += [prefix.vector.tolist()] * len(ends)
+            self._step_prefix += [prefix] * len(ends)
             self._step_segment += [i] * len(ends)
         self._extended: dict[tuple[int, int], tuple] = {}
         self._classes: dict[float, tuple] = {}
@@ -341,15 +347,19 @@ class GroupTrajectory:
 
     def class_at(self, t: float) -> BallClass:
         """Ball class of A(t) (no hemisphere reduction)."""
-        return BallClass(np.array(self._product(t)))
+        return BallClass(self._product(t))
 
     def eval_Z(self, t: float) -> np.ndarray:
         """Hemisphere-mapped logarithm of A(t) around ``ref_dir``."""
         return np.array(_q_map(self._class_vector(t), self._ref))
 
+    def _A_entries(self, t: float) -> tuple:
+        """The nine entries of A(t), row-major: the float form of :meth:`eval_A`."""
+        return _exp_entries(_q_map(self._class_vector(t), self._ref))
+
     def eval_A(self, t: float) -> np.ndarray:
         """The rotation A(t)."""
-        return _exp_matrix(_q_map(self._class_vector(t), self._ref))
+        return np.array(self._A_entries(t)).reshape(3, 3)
 
 
 @dataclass
@@ -362,32 +372,32 @@ class QTrajectory:
         return np.asarray(self.group._state_at(t)[2][3:], dtype=float)
 
 
-def _reference(t_end: float, ref_dir, forcing_at_origin: Callable, what: str) -> np.ndarray:
+def _reference(t_end: float, ref_dir, forcing_at_origin: Callable, what: str) -> tuple:
     """Check the horizon; return ``ref_dir`` or the unit direction of the forcing at the origin."""
     if not t_end > 0.0:
         raise DomainError("t_end must be positive")
     if ref_dir is not None:
-        return np.array(_as_unit3(ref_dir))
-    x0 = np.array(_check_forcing_value(forcing_at_origin(), 0.0))
-    n = float(np.linalg.norm(x0))
+        return _as_unit3(ref_dir)
+    x0 = _check_forcing_value(forcing_at_origin(), 0.0)
+    n = _norm3(x0)
     if n < 1e-12:
         raise DomainError(
             f"cannot derive a reference direction: {what} is zero; pass ref_dir explicitly"
         )
-    return x0 / n
+    return tuple(a / n for a in x0)
 
 
 def _integrate_restarting(
     segment: Callable[[float, list[float]], ZSegment], q0: list[float], t_stop: float
-) -> tuple[list[ZSegment], list[BallClass]]:
+) -> tuple[list[ZSegment], list[tuple]]:
     """Chain segments ``segment(t, q)``, each from ``Z(t) = 0`` and ``q(t) = q``, up to t_stop.
 
     Each restart folds the exit value of Z into the BCH prefix chain and hands
     the exit value of q on to the next segment. Returns the segments and
-    their prefixes.
+    their prefixes, as ball vectors (float triples).
     """
     segments: list[ZSegment] = []
-    prefixes: list[BallClass] = [BallClass(np.zeros(3))]
+    prefixes: list[tuple] = [(0.0, 0.0, 0.0)]
     t, q = 0.0, q0
     slack = 1e-12 * max(1.0, t_stop)
     while t < t_stop - slack or not segments:
@@ -398,7 +408,7 @@ def _integrate_restarting(
         t = seg.t_end
         if t < t_stop:
             y = seg._dense(t)
-            prefixes.append(bch(prefixes[-1].vector, y[:3]))
+            prefixes.append(_ball_vector(_bch_full(prefixes[-1], y[:3])[0]))
             q = y[3:]
     return segments, prefixes[: len(segments)]
 
@@ -542,23 +552,26 @@ def integrate_euler(
         theta_dot = -Fy sin(phi) + Fx cos(phi)
         psi_dot   = (Fy cos(phi) + Fx sin(phi)) / sin(theta)
 
-    with phi(0) = psi(0) = 0 and theta(0) = theta0 in (0, pi). Evaluation
-    with |sin(theta)| < 1e-6 raises GimbalLockError (theta0 = 0 raises
-    immediately). This formulation exists as an independent cross-check of
-    the Z-equation integrator; it cannot pass through the chart singularity.
+    with phi(0) = psi(0) = 0 and theta(0) = theta0 in (0, pi). A
+    right-hand-side evaluation with sin(theta) < 1e-6, near a pole or past
+    one, raises GimbalLockError (theta0 = 0 raises immediately). Every
+    accepted step ends in such an evaluation (its last stage is taken at the
+    step's end point), so the solve stops with GimbalLockError rather than
+    return an angle outside the chart. This formulation exists as an
+    independent cross-check of the Z-equation integrator.
     """
     cfg = config or IntegratorConfig()
     if not t_end > 0.0:
         raise DomainError("t_end must be positive")
     if abs(math.sin(theta0)) < GIMBAL_TOL:
         raise GimbalLockError(f"theta0 = {theta0!r} is at the chart singularity")
-    if not (0.0 < theta0 < np.pi):
+    if not (0.0 < theta0 < math.pi):
         raise DomainError("theta0 must lie in (0, pi)")
 
     def rhs(t, y):
         phi, theta, _psi = y
         s = math.sin(theta)
-        if abs(s) < GIMBAL_TOL:
+        if s < GIMBAL_TOL:
             raise GimbalLockError(f"theta reached the chart singularity at t={t!r}")
         fx, fy, fz = _check_forcing_value(signal.eval(t, lam), t)
         m = fy * math.cos(phi) + fx * math.sin(phi)

@@ -24,13 +24,14 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Callable
 
-import numpy as np
-
+from ._numpy import lazy_numpy
 from .bch import _bch_full
 from .errors import BracketError, DomainError, InternalInconsistency
 from .flow import ForcingSignal, GroupTrajectory, IntegratorConfig, _period, integrate_group
 from .ode import brentq
-from .so3 import _as_vec3, _ball_vector, _exp_matrix, _finite3, q_map
+from .so3 import _ball_vector, _dot3, _exp_matrix, _finite3, _norm3, _vec3, q_map
+
+np = lazy_numpy(globals())
 
 __all__ = [
     "FrequencyReport",
@@ -124,7 +125,7 @@ def classify_resonance(x0_norm: float, omega_bif: float) -> ResonanceClass:
 
 def _winding(x0_norm: float, T0: float) -> int:
     """Winding count: full turns of the primary rotation |x0| per Hopf period T0."""
-    return int(math.floor(x0_norm * T0 / (2.0 * np.pi) + 0.5 * RES_TOL))
+    return int(math.floor(x0_norm * T0 / (2.0 * math.pi) + 0.5 * RES_TOL))
 
 
 def primary_frequency(
@@ -205,8 +206,8 @@ def periodic_part(
     through the same chain as ``traj.eval_A``, and shares its cached class
     vector: a time that ``eval_A`` has already sampled costs one BCH.
     """
-    neg_x = (-_as_vec3(X)).tolist()
-    neg_xf = (-_as_vec3(Xf)).tolist()
+    neg_x = [-a for a in _vec3(X)]
+    neg_xf = [-a for a in _vec3(Xf)]
     if not T > 0.0:
         raise DomainError("T must be positive")
 
@@ -247,19 +248,19 @@ def classify(
         raise DomainError("T must be positive")
     x0_norm = float(np.linalg.norm(x0))
     res = classify_resonance(x0_norm, omega_bif)
-    T0 = 2.0 * np.pi / omega_bif
+    T0 = 2.0 * math.pi / omega_bif
     k_w = _winding(x0_norm, T0)
     n = float(np.linalg.norm(X))
 
     if res.kind is ResonanceKind.DEGENERATE:
         return FrequencyReport(lam, X, X.copy(), res, 0, None, None)
 
-    Xf = lifted_frequency(X, T0, x0, 2.0 * np.pi / T, res)
+    Xf = lifted_frequency(X, T0, x0, 2.0 * math.pi / T, res)
     ortho = float(X @ x0) / (n * x0_norm) if n > 0.0 else None
 
     if lam == 0.0:
         motion = MotionClass.RIGID_ROTATION
-    elif abs(n * T - 2.0 * np.pi * round(n * T / (2.0 * np.pi))) < 1e-9:
+    elif abs(n * T - 2.0 * math.pi * round(n * T / (2.0 * math.pi))) < 1e-9:
         motion = MotionClass.PERIODIC_SOLUTION
     elif res.kind is ResonanceKind.NONRESONANT:
         motion = MotionClass.MEANDER_O1
@@ -270,14 +271,14 @@ def classify(
     return FrequencyReport(lam, X, Xf, res, k_w, ortho, motion)
 
 
-def _period_class(family, lam: float, mu: float, ref_dir, config=None) -> tuple[np.ndarray, float]:
-    """Unreduced ball representative of log A(T) for ``family(lam, mu)``, and T."""
+def _period_class(family, lam: float, mu: float, ref_dir, config=None) -> tuple[tuple, float]:
+    """Unreduced ball vector of log A(T) for ``family(lam, mu)``, as a float triple, and T."""
     sig = family(lam, mu)
     T = _period(sig, lam)
     if T is None:
         raise DomainError("the drift objective needs a periodic forcing; the signal has no period")
     traj = integrate_group(sig, lam, T, config, ref_dir=ref_dir)
-    return traj.class_at(T).vector, T
+    return traj._class_vector(T), T
 
 
 def find_orthogonal_branch(
@@ -311,11 +312,11 @@ def find_orthogonal_branch(
     BracketError
         If g has the same sign at both ends of the bracket.
     """
-    x0 = np.asarray(x0, dtype=float)
-    n0 = float(np.linalg.norm(x0))
+    x0 = _vec3(x0)
+    n0 = _norm3(x0)
     if n0 == 0.0:
         raise DomainError("x0 must be nonzero")
-    u0 = x0 / n0
+    u0 = tuple(a / n0 for a in x0)
     if lam == 0.0:
         return 0.0
     a, b = float(mu_bracket[0]), float(mu_bracket[1])
@@ -324,7 +325,7 @@ def find_orthogonal_branch(
 
     def g(mu: float) -> float:
         z, T = _period_class(family, lam, mu, u0, config)
-        return float(z @ u0) / T
+        return _dot3(z, u0) / T
 
     ga, gb = g(a), g(b)
     if ga != 0.0 and gb != 0.0 and (ga > 0.0) == (gb > 0.0):

@@ -225,7 +225,9 @@ class OdeResult:
     is the event time when the event fired), ``nfev`` counts every
     right-hand-side call including ones that raised, ``sol`` is the dense
     output over the integrated range, ``status`` is 0 (reached the end),
-    1 (terminal event) or -1 (step size underflow).
+    1 (terminal event) or -1 (step size underflow). ``singular_rejections``
+    counts the trial steps rejected because the right-hand side raised
+    SingularityError (a probe of the initial-step heuristic is no step).
     """
 
     t: list[float]
@@ -233,6 +235,7 @@ class OdeResult:
     sol: OdeSolution
     status: int
     message: str
+    singular_rejections: int
 
 
 class _Interpolant:
@@ -318,13 +321,13 @@ def solve_ivp(
     A right-hand side that raises :class:`~rotwave.errors.SingularityError`
     rejects the trial step, or the probe of the initial-step heuristic, and
     halves the step size, as a failed error test does; the failed call still
-    counts in ``nfev``.
+    counts in ``nfev``, and the step in ``singular_rejections``.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
         raise ValueError("t_span must be increasing")
     rtol = max(rtol, 100.0 * EPS)
-    nfev = 0
+    nfev = singular = 0
 
     def f(s: float, y: list[float]):
         nonlocal nfev
@@ -345,7 +348,8 @@ def solve_ivp(
         rejected = False
         while True:
             if h_abs < min_step:
-                return OdeResult(ts, nfev, OdeSolution(ts, interpolants), -1, MESSAGES[-1])
+                sol = OdeSolution(ts, interpolants)
+                return OdeResult(ts, nfev, sol, -1, MESSAGES[-1], singular)
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = h
@@ -354,6 +358,7 @@ def solve_ivp(
             except SingularityError:
                 h_abs *= 0.5
                 rejected = True
+                singular += 1
                 continue
             if err < 1.0:
                 factor = MAX_FACTOR
@@ -377,7 +382,7 @@ def solve_ivp(
                 status = 1
             g = g_new
         ts.append(t)
-    return OdeResult(ts, nfev, OdeSolution(ts, interpolants), status, MESSAGES[status])
+    return OdeResult(ts, nfev, OdeSolution(ts, interpolants), status, MESSAGES[status], singular)
 
 
 def brentq(

@@ -21,14 +21,24 @@ bed for the integrator, the frequency extraction, and the drift finder:
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
-import numpy as np
-
 from .errors import ConfigError, DomainError
 from .flow import ForcingSignal, IntegratorConfig, integrate_group
-from .so3 import _exp_apply, _exp_matrix, _finite3
+from .so3 import (
+    _cross3,
+    _dot3,
+    _exp_apply,
+    _exp_entries,
+    _exp_matrix,
+    _finite3,
+    _frob_dist,
+    _matmul3,
+    _norm3,
+    _vec3,
+)
 
 __all__ = [
     "Frame",
@@ -43,36 +53,30 @@ class Frame:
     """Orthonormal right-handed frame with ``x0_dir x x1 = x2``.
 
     x0_dir is the primary rotation direction; x1, x2 span the transverse
-    drift plane.
+    drift plane. Each is stored as a float triple.
     """
 
-    x0_dir: np.ndarray = field(default_factory=lambda: np.array([0.0, 0.0, 1.0]))
-    x1: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0, 0.0]))
-    x2: np.ndarray = field(default_factory=lambda: np.array([0.0, 1.0, 0.0]))
+    x0_dir: tuple = (0.0, 0.0, 1.0)
+    x1: tuple = (1.0, 0.0, 0.0)
+    x2: tuple = (0.0, 1.0, 0.0)
 
     def __post_init__(self):
-        vecs = [np.asarray(v, dtype=float) for v in (self.x0_dir, self.x1, self.x2)]
-        for name, v in zip(("x0_dir", "x1", "x2"), vecs):
-            if v.shape != (3,) or not np.all(np.isfinite(v)):
-                raise ConfigError(f"frame vector {name} must be a finite 3-vector")
-            if abs(float(np.linalg.norm(v)) - 1.0) > 1e-10:
+        for name in ("x0_dir", "x1", "x2"):
+            try:
+                v = _vec3(getattr(self, name))
+            except DomainError:
+                raise ConfigError(f"frame vector {name} must be a finite 3-vector") from None
+            if abs(_norm3(v) - 1.0) > 1e-10:
                 raise ConfigError(f"frame vector {name} must be unit within 1e-10")
-        z, x1, x2 = vecs
-        if max(abs(float(z @ x1)), abs(float(z @ x2)), abs(float(x1 @ x2))) > 1e-10:
+            object.__setattr__(self, name, v)
+        z, x1, x2 = self.x0_dir, self.x1, self.x2
+        if max(abs(_dot3(z, x1)), abs(_dot3(z, x2)), abs(_dot3(x1, x2))) > 1e-10:
             raise ConfigError("frame vectors must be mutually orthogonal within 1e-10")
-        if float(np.linalg.norm(np.cross(z, x1) - x2)) > 1e-10:
+        if _norm3([a - b for a, b in zip(_cross3(z, x1), x2)]) > 1e-10:
             raise ConfigError("frame must be right-handed: x0_dir x x1 = x2")
-        object.__setattr__(self, "x0_dir", z)
-        object.__setattr__(self, "x1", x1)
-        object.__setattr__(self, "x2", x2)
 
 
 _GFunc = Callable[[float, float], float]
-
-
-def _exp_product(u: list[float], v: list[float]) -> np.ndarray:
-    """``exp_rot(u) @ exp_rot(v)`` for float triples: two Rodrigues matrices and their product."""
-    return _exp_matrix(_finite3(u)) @ _exp_matrix(_finite3(v))
 
 
 @dataclass(frozen=True)
@@ -85,7 +89,7 @@ class Scenario:
     x0_norm: float
     r: float
     theta0: float
-    tip_x0: np.ndarray
+    tip_x0: tuple
     frame: Frame
     k: int = 1
     g_override: _GFunc | None = None
@@ -93,8 +97,8 @@ class Scenario:
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
-    def X0(self) -> np.ndarray:
-        return self.x0_norm * self.frame.x0_dir
+    def X0(self) -> tuple:
+        return tuple(self.x0_norm * a for a in self.frame.x0_dir)
 
     @property
     def takes_mu(self) -> bool:
@@ -119,7 +123,7 @@ class Scenario:
         return wave
 
     def _pieces(self, mu: float | None):
-        """(xg(t, lam), closed(t, lam), period(lam)) for this family at mu.
+        """(xg(t, lam), closed(t, lam, exp, mul), period(lam)) for this family at mu.
 
         Built once per mu; only the latest mu is kept, since a root find asks
         for a new mu on every evaluation.
@@ -158,19 +162,21 @@ class Scenario:
         Rodrigues rotation ``_exp_apply(-v, w)`` and return a list of three
         floats, which the integrator takes without a numpy round trip. The
         closed forms build their axis vectors as float lists from the same
-        constants and return the Rodrigues product ``_exp_product(u, v)``.
-        Each float operation is that of the module docstring's formulas
-        evaluated with numpy vectors and ``exp_rot``, in the same order, so
-        the values equal theirs bitwise.
+        constants and return the product ``mul(exp(u), exp(v))`` of their
+        Rodrigues matrices: ``exp`` and ``mul`` are ``_exp_matrix`` and
+        ``@`` for :meth:`closed_form` and ``_exp_entries`` and ``_matmul3``
+        on the float chain. Each float operation is that of the module
+        docstring's formulas evaluated with numpy vectors and ``exp_rot``, in
+        the same order, so the values equal theirs bitwise.
         """
         fr = self.frame
-        X0_l, x1_l, x2_l = self.X0.tolist(), fr.x1.tolist(), fr.x2.tolist()
+        X0_l, x1_l, x2_l = list(self.X0), list(fr.x1), list(fr.x2)
         if self.family != "example4" and mu is not None:
             raise ConfigError(f"scenario {self.name!r} takes no mu parameter")
 
         omega_eff = self.omega_bif
         if self.family == "example1":
-            pdir_l = (2.0 * (fr.x1 + fr.x2 + fr.x0_dir)).tolist()
+            pdir_l = [2.0 * (a + b + c) for a, b, c in zip(x1_l, x2_l, fr.x0_dir)]
 
             def constants(lam: float):
                 eps = math.sqrt(lam)
@@ -194,7 +200,7 @@ class Scenario:
             # the effective Hopf frequency shifts with mu so that
             # X^G(t, 0, mu) = X0 + mu X1 holds exactly
             omega_eff = norm_c / self.k
-            C_l = (self.X0 + mu_val * fr.x1).tolist()
+            C_l = [a + mu_val * b for a, b in zip(X0_l, x1_l)]
 
             def constants(lam: float):
                 eps = math.sqrt(lam)
@@ -217,10 +223,10 @@ class Scenario:
                 rate = 1.0 + eps * wave(t, lam)[1]
                 return [v0 * rate, v1 * rate, v2 * rate]
 
-            def closed(t: float, lam: float) -> np.ndarray:
+            def closed(t: float, lam: float, exp, mul):
                 eps, v = lookup(lam)
                 s = t + eps * wave(t, lam)[0]
-                return _exp_matrix(_finite3([a * s for a in v]))
+                return exp(_finite3([a * s for a in v]))
 
         else:
             def xg(t: float, lam: float) -> list[float]:
@@ -236,11 +242,11 @@ class Scenario:
                 r0, r1, r2 = _exp_apply((-(c0 * theta), -(c1 * theta), -(c2 * theta)), w)
                 return [c0 * rate + amp * r0, c1 * rate + amp * r1, c2 * rate + amp * r2]
 
-            def closed(t: float, lam: float) -> np.ndarray:
+            def closed(t: float, lam: float, exp, mul):
                 C, nu, _, _, u = lookup(lam)
                 g = wave(t, lam)[0]
                 theta = g if nu is None else nu * t + lam * g
-                return _exp_product([a * t for a in u], [a * theta for a in C])
+                return mul(exp(_finite3([a * t for a in u])), exp(_finite3([a * theta for a in C])))
 
         wave = self._wave(omega_eff)
         memo = (object(), None)  # a key no caller can pass
@@ -259,7 +265,7 @@ class Scenario:
 
         def period(lam: float) -> float:
             lookup(lam)  # the lambda check
-            return 2.0 * np.pi / abs(omega_eff + lam)
+            return 2.0 * math.pi / abs(omega_eff + lam)
 
         return xg, closed, period
 
@@ -279,10 +285,13 @@ class Scenario:
         xg, _, period = self._pieces(mu)
         return ForcingSignal(eval=xg, period=None if self.g_override is not None else period)
 
-    def closed_form(self, t: float, lam: float, mu: float | None = None) -> np.ndarray:
-        """Exact A(t, lam[, mu]) for this family."""
-        _, closed, _ = self._pieces(mu)
-        return closed(t, lam)
+    def closed_form(self, t: float, lam: float, mu: float | None = None):
+        """Exact A(t, lam[, mu]) for this family, as a 3x3 ndarray."""
+        return self._pieces(mu)[1](t, lam, _exp_matrix, operator.matmul)
+
+    def _closed_entries(self, t: float, lam: float, mu: float | None = None) -> tuple:
+        """The nine entries of :meth:`closed_form`, row-major, on the float chain."""
+        return self._pieces(mu)[1](t, lam, _exp_entries, _matmul3)
 
     def period(self, lam: float = 0.0, mu: float | None = None) -> float:
         """Relative forcing period T(lam[, mu]) of the built-in waveform
@@ -296,8 +305,8 @@ class Scenario:
         return lambda lam, mu: self.forcing(lam, mu)
 
 
-_TIP_A = np.array([0.0, 0.92, 2.85])
-_TIP_B = np.array([0.44, 0.14, 2.96])
+_TIP_A = (0.0, 0.92, 2.85)
+_TIP_B = (0.44, 0.14, 2.96)
 
 _DEFAULTS: dict[str, dict] = {
     "example1": dict(family="example1", omega_bif=20.0, x0_norm=2.0, theta0=0.01, tip=_TIP_A),
@@ -327,17 +336,10 @@ def _number(overrides: dict, name: str, default) -> float:
 
 
 def _has_bool(value) -> bool:
-    """Whether ``value`` is a boolean or a (nested) list or tuple holding one."""
+    """Whether ``value`` is a boolean (a numpy one too) or a (nested) list or tuple holding one."""
     if isinstance(value, (list, tuple)):
         return any(_has_bool(v) for v in value)
-    return isinstance(value, (bool, np.bool_))
-
-
-def _float_array(value, name: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be numeric, got {value!r}") from None
+    return isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", "") == "b"
 
 
 def available() -> list[str]:
@@ -415,18 +417,23 @@ def build(name: str, **overrides) -> Scenario:
 
     frame = overrides.get("frame", Frame())
     if not isinstance(frame, Frame):
-        rows = _float_array(frame, "frame")
-        if rows.shape != (3, 3):
-            raise ConfigError("frame override must be a Frame or three row vectors")
-        frame = Frame(rows[0], rows[1], rows[2])
+        try:
+            rows = [_vec3(row) for row in frame]
+        except (TypeError, DomainError):
+            rows = []
+        if len(rows) != 3:
+            raise ConfigError("frame override must be a Frame or three finite row vectors")
+        frame = Frame(*rows)
 
-    tip_raw = _float_array(overrides.get("tip_x0", spec["tip"]), "tip_x0")
-    if tip_raw.shape != (3,) or not np.all(np.isfinite(tip_raw)):
-        raise ConfigError("tip_x0 must be a finite 3-vector")
-    tn = float(np.linalg.norm(tip_raw))
+    try:
+        tip_raw = _vec3(overrides.get("tip_x0", spec["tip"]))
+    except DomainError:
+        raise ConfigError("tip_x0 must be a finite 3-vector") from None
+    tn = _norm3(tip_raw)
     if tn == 0.0:
         raise ConfigError("tip_x0 must be nonzero")
-    tip_x0 = tip_raw * (r / tn)  # project onto the sphere of radius r
+    s = r / tn
+    tip_x0 = tuple(a * s for a in tip_raw)  # project onto the sphere of radius r
 
     g = overrides.get("g")
     gdot = overrides.get("gdot")
@@ -458,26 +465,24 @@ def verify_against_closed_form(
     scenario: Scenario,
     lam: float,
     mu: float | None = None,
-    t_grid: np.ndarray | None = None,
+    t_grid=None,
     config: IntegratorConfig | None = None,
 ) -> float:
     """Max Frobenius deviation between the integrated and exact trajectories.
 
-    Defaults to 201 samples over two relative periods.
+    Defaults to 201 samples over two relative periods, spaced as
+    ``numpy.linspace(0, 2T, 201)`` spaces them. The matrices and their
+    difference are formed on the float chain.
     """
     if t_grid is None:
-        T = scenario.period(lam, mu)
-        t_grid = np.linspace(0.0, 2.0 * T, 201)
+        stop = 2.0 * scenario.period(lam, mu)
+        step = stop / 200
+        t_grid = [i * step for i in range(200)] + [stop]
     else:
-        t_grid = np.asarray(t_grid, dtype=float)
+        t_grid = [float(t) for t in t_grid]
     signal = scenario.forcing(lam, mu)
-    traj = integrate_group(
-        signal, lam, float(t_grid[-1]), config, ref_dir=scenario.frame.x0_dir
-    )
+    traj = integrate_group(signal, lam, t_grid[-1], config, ref_dir=scenario.frame.x0_dir)
     worst = 0.0
-    for t in t_grid.tolist():
-        dev = float(
-            np.linalg.norm(traj.eval_A(t) - scenario.closed_form(t, lam, mu))
-        )
-        worst = max(worst, dev)
+    for t in t_grid:
+        worst = max(worst, _frob_dist(traj._A_entries(t), scenario._closed_entries(t, lam, mu)))
     return worst

@@ -21,20 +21,24 @@ matrix. The private scalar forms of the public matrix functions are:
   the same DEXPINV_MARGIN guard.
 
 :func:`exp_rot`, :func:`dexp_op` and :func:`dexpinv_op` all have the shape
-``I + a hat(v) + b hat(v)^2``: ``_quadratic_matrix`` fills it from floats and
-``_quadratic_apply`` applies it to a vector. A public function and its scalar
-form take ``a`` and ``b`` from the same coefficient function. The scalar
-forms take 3-sequences of floats and skip validation; :func:`_as_vec3` runs
-at the public entry points only.
+``I + a hat(v) + b hat(v)^2``: ``_quadratic_entries`` fills it from floats, as
+a row-major tuple of nine, and ``_quadratic_apply`` applies it to a vector.
+A public function and its scalar form take ``a`` and ``b`` from the same
+coefficient function. The scalar forms take 3-sequences of floats and skip
+validation; :func:`_vec3` runs at the public entry points only. ``_matmul3``,
+``_matvec3`` and ``_frob_dist`` multiply and compare nine-float matrices,
+summing left to right. numpy is imported by the first call that builds an
+ndarray.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import lazy_numpy
 from .errors import DomainError, SingularityError
+
+np = lazy_numpy(globals())
 
 __all__ = [
     "BallClass",
@@ -65,8 +69,7 @@ HEMI_BAND = 1e-6
 
 def hat(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix of the axis vector ``v`` (so ``hat(v) @ w = v x w``)."""
-    v = _as_vec3(v)
-    x, y, z = v
+    x, y, z = _vec3(v)
     return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
@@ -80,12 +83,13 @@ def vee(m: np.ndarray) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
-def _as_vec3(v) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise DomainError(f"expected a 3-vector, got shape {v.shape}")
-    _finite3(v.tolist())
-    return v
+def _vec3(v) -> tuple[float, float, float]:
+    """``v`` as a float triple; DomainError unless it is a finite 3-vector."""
+    try:
+        x, y, z = v
+        return _finite3((float(x), float(y), float(z)))
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"expected a 3-vector, got {v!r}") from None
 
 
 def _finite3(v):
@@ -96,9 +100,9 @@ def _finite3(v):
     return v
 
 
-def _as_unit3(v) -> list[float]:
+def _as_unit3(v) -> tuple[float, float, float]:
     """``v`` as a float triple; DomainError unless it is a unit vector to within 1e-10."""
-    r = _as_vec3(v).tolist()
+    r = _vec3(v)
     if abs(_norm3(r) - 1.0) > 1e-10:
         raise DomainError("q_map reference direction must be a unit vector")
     return r
@@ -123,17 +127,46 @@ def _quadratic_apply(v, w, a: float, b: float) -> tuple[float, float, float]:
     )
 
 
-def _quadratic_matrix(v, a: float, b: float) -> np.ndarray:
-    """``I + a hat(v) + b hat(v)^2`` filled from floats (hat(v)^2 = v v^T - |v|^2 I)."""
+def _dot3(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _cross3(u, v) -> tuple[float, float, float]:
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _matmul3(a, b) -> tuple:
+    """Product of two row-major 3x3 matrices of nine floats each."""
+    return tuple(
+        a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6]
+        for i in (0, 3, 6) for j in (0, 1, 2)
+    )
+
+
+def _matvec3(a, v) -> tuple[float, float, float]:
+    """A row-major 3x3 matrix of nine floats applied to a float triple."""
+    x, y, z = v
+    return tuple(a[i] * x + a[i + 1] * y + a[i + 2] * z for i in (0, 3, 6))
+
+
+def _frob_dist(a, b) -> float:
+    """Frobenius norm of the difference of two matrices of nine floats each."""
+    s = 0.0
+    for x, y in zip(a, b):
+        d = x - y
+        s += d * d
+    return math.sqrt(s)
+
+
+def _quadratic_entries(v, a: float, b: float) -> tuple:
+    """``I + a hat(v) + b hat(v)^2`` as nine floats, row-major (hat(v)^2 = v v^T - |v|^2 I)."""
     x, y, z = v
     bxy, bxz, byz = b * x * y, b * x * z, b * y * z
-    return np.array(
-        (
-            1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y,
-            bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x,
-            bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y),
-        )
-    ).reshape(3, 3)
+    return (
+        1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y,
+        bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x,
+        bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y),
+    )
 
 
 def _exp_coeffs(theta: float) -> tuple[float, float]:
@@ -154,9 +187,14 @@ def _exp_apply(v, w) -> tuple[float, float, float]:
     return _quadratic_apply(v, w, *_exp_coeffs(_norm3(v)))
 
 
+def _exp_entries(v) -> tuple:
+    """Scalar form of :func:`exp_rot` on a float triple: nine floats, row-major."""
+    return _quadratic_entries(v, *_exp_coeffs(_norm3(v)))
+
+
 def _exp_matrix(v) -> np.ndarray:
-    """Scalar form of :func:`exp_rot` on a float triple."""
-    return _quadratic_matrix(v, *_exp_coeffs(_norm3(v)))
+    """:func:`_exp_entries` as a 3x3 ndarray."""
+    return np.array(_exp_entries(v)).reshape(3, 3)
 
 
 def exp_rot(v: np.ndarray) -> np.ndarray:
@@ -172,7 +210,7 @@ def exp_rot(v: np.ndarray) -> np.ndarray:
     ndarray, shape (3, 3)
         Proper orthogonal matrix, orthogonal to machine precision.
     """
-    return _exp_matrix(_as_vec3(v).tolist())
+    return _exp_matrix(_vec3(v))
 
 
 def rot_x(angle: float) -> np.ndarray:
@@ -238,7 +276,7 @@ class BallClass:
     vector: np.ndarray
 
     def __post_init__(self):
-        v = np.array(_ball_vector(_as_vec3(self.vector).tolist()))
+        v = np.array(_ball_vector(_vec3(self.vector)))
         v.flags.writeable = False
         object.__setattr__(self, "vector", v)
 
@@ -251,7 +289,7 @@ class BallClass:
         d = float(np.linalg.norm(self.vector - other.vector))
         if d <= tol:
             return True
-        if min(self.norm, other.norm) >= np.pi - max(tol, 1e-9):
+        if min(self.norm, other.norm) >= math.pi - max(tol, 1e-9):
             return float(np.linalg.norm(self.vector + other.vector)) <= tol
         return False
 
@@ -294,7 +332,7 @@ def log_rot(r: np.ndarray) -> BallClass:
     # atan2 stays well conditioned at both ends, where arccos((tr-1)/2)
     # flattens quadratically and loses half the digits
     angle = float(np.arctan2(s, c))
-    if angle < np.pi - 1e-6:
+    if angle < math.pi - 1e-6:
         if s < 1e-12:
             return BallClass(w)  # angle ~ 0: w is already the vector to O(angle^3)
         return BallClass(w * (angle / s))
@@ -399,8 +437,8 @@ def dexp_op(z: np.ndarray) -> np.ndarray:
 
     ``d/dt exp_rot(Z(t)) = exp_rot(Z) @ hat(dexp_op(Z) @ Zdot)``.
     """
-    z = _as_vec3(z).tolist()
-    return _quadratic_matrix(z, *_dexp_coeffs(_norm3(z)))
+    z = _vec3(z)
+    return np.array(_quadratic_entries(z, *_dexp_coeffs(_norm3(z)))).reshape(3, 3)
 
 
 def _dexpinv_c2(theta: float) -> float:
@@ -424,8 +462,8 @@ def dexpinv_op(z: np.ndarray) -> np.ndarray:
     singularity raises SingularityError (the integrator restarts segments
     long before reaching it).
     """
-    z = _as_vec3(z).tolist()
-    return _quadratic_matrix(z, 0.5, _dexpinv_c2(_norm3(z)))
+    z = _vec3(z)
+    return np.array(_quadratic_entries(z, 0.5, _dexpinv_c2(_norm3(z)))).reshape(3, 3)
 
 
 def _dexpinv_apply(z, x) -> tuple[float, float, float]:

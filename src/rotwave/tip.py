@@ -11,14 +11,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
+from ._numpy import lazy_numpy
 from .errors import DomainError, FitError
-from .so3 import _as_vec3, hemisphere_sign
+from .so3 import _vec3, hemisphere_sign
+
+np = lazy_numpy(globals())
 
 __all__ = ["CircleFit", "TipTrack", "fit_circle", "tip_trajectory"]
-
-_EZ = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -71,7 +70,7 @@ def tip_trajectory(traj, x0, r: float, sample_times, period: float | None = None
         Points are ``A(0)^-1 A(t) x0``, so the track starts at x0. The sampled
         matrices are stacked and multiplied in one batched matmul.
     """
-    x0 = _as_vec3(x0)
+    x0 = np.array(_vec3(x0))
     if not r > 0.0:
         raise DomainError("r must be positive")
     if abs(float(np.linalg.norm(x0)) - r) > 1e-9 * r:
@@ -93,7 +92,7 @@ def tip_trajectory(traj, x0, r: float, sample_times, period: float | None = None
     return TipTrack(float(r), x0.copy(), times, points, period_samples)
 
 
-def fit_circle(points, ref_axis=_EZ) -> CircleFit:
+def fit_circle(points, ref_axis=(0.0, 0.0, 1.0)) -> CircleFit:
     """Fit a plane (hence a circle, for points on a sphere) through sample points.
 
     The axis is the smallest-variance direction of the centered covariance,

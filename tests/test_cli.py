@@ -491,6 +491,11 @@ def test_bad_subcommand_exits_2(capsys):
         ("simulate", {"overrides": {"r": True}}),
         ("frequency", {"overrides": {"tip_x0": [0.0, True, 1.0]}}),
         ("frequency", {"overrides": {"frame": [[0, 0, 1], [1, 0, 0], [0, True, 0]]}}),
+        # vectors that are not three finite numbers
+        ("simulate", {"overrides": {"tip_x0": [10**400, 0.0, 1.0]}}),
+        ("simulate", {"overrides": {"tip_x0": "abc"}}),
+        ("simulate", {"overrides": {"frame": [[0, 0, 1], [1, 0, 0]]}}),
+        ("simulate", {"overrides": {"frame": 5}}),
     ],
 )
 def test_config_file_bad_values_exit_2(tmp_path, capsys, command, doc):

@@ -339,7 +339,7 @@ def test_trajectory_stays_orthogonal():
 def test_lambda_zero_is_rigid_rotation():
     sc = build("case2")
     traj = integrate_group(sc.forcing(0.0), 0.0, 2.0)
-    x0 = sc.X0
+    x0 = np.array(sc.X0)
     for t in np.linspace(0.0, 2.0, 9):
         assert np.linalg.norm(traj.eval_A(t) - exp_rot(x0 * t)) < 1e-9
 
@@ -470,7 +470,7 @@ def composed_class(traj, t):
     """``class_at(t)`` composed from the public pieces: bch(bch(n W, prefix), Z(tau))."""
     n, tau = split(traj, t)
     i, s = locate(traj, tau)
-    prefix = traj.prefixes[i].vector
+    prefix = traj.prefixes[i]
     if n:
         prefix = bch(n * np.asarray(traj.W), prefix).vector
     return bch(prefix, traj.segments[i].eval(s))
@@ -587,6 +587,15 @@ def test_euler_gimbal_lock_in_flight():
     sig = ForcingSignal(eval=lambda t, lam: [-1.0, 0.0, 0.0], period=None)
     with pytest.raises(GimbalLockError, match="at t=0.5"):
         integrate_euler(sig, 0.0, 0.5, 0.5)
+
+
+def test_euler_gimbal_lock_past_the_pole():
+    # over [0, 1] no stage lands within 1e-6 of the pole at t = 0.5, but the
+    # stages past it have sin(theta) < 0 and raise; the chart never returns
+    # theta = 0.5 - t < 0
+    sig = ForcingSignal(eval=lambda t, lam: [-1.0, 0.0, 0.0], period=None)
+    with pytest.raises(GimbalLockError, match=r"at t=0\.50"):
+        integrate_euler(sig, 0.0, 1.0, 0.5)
 
 
 def test_euler_pure_z_forcing_is_precession():

@@ -182,7 +182,7 @@ def test_periodic_part_example1_explicit_exponent():
     traj = integrate_group(sc.forcing(lam), lam, 2 * T)
     X = primary_frequency(traj, T)
     part = periodic_part(traj, X, X, T)
-    pdir = 2.0 * (sc.frame.x1 + sc.frame.x2 + sc.frame.x0_dir)
+    pdir = 2.0 * (np.add(sc.frame.x1, sc.frame.x2) + sc.frame.x0_dir)
     omega = sc.omega_bif + lam
     for t in np.linspace(0.0, 2 * T, 17):
         expected = eps * pdir * np.sin(omega * t)

@@ -181,6 +181,8 @@ def test_singular_stage_rejects_the_step_and_halves_it(monkeypatch):
     ours, ref = _with_reference_step(monkeypatch, run)
     assert ours.t[1] == plain.t[1] * 0.5
     assert ours.nfev == ref.nfev and ours.nfev > plain.nfev
+    assert ours.singular_rejections == ref.singular_rejections == 1
+    assert plain.singular_rejections == 0
     _assert_same_solution(ours.sol, ref.sol, 5.0)
 
 

@@ -1,5 +1,6 @@
 """Forcing families: construction, validation, closed forms vs the group ODE."""
 import math
+import types
 
 import numpy as np
 import pytest
@@ -218,8 +219,9 @@ def reference_pieces(sc, mu=None):
     formulas of the module docstring take. The library's closures, which
     compute the lambda-only constants once per lambda, must give the same
     bits."""
-    fr = sc.frame
-    X0 = sc.X0
+    # the frame's float triples as numpy vectors
+    fr = types.SimpleNamespace(**{k: np.array(v) for k, v in vars(sc.frame).items()})
+    X0 = np.array(sc.X0)
     X0_l, x1_l, x2_l = X0.tolist(), fr.x1.tolist(), fr.x2.tolist()
     omega_eff = sc.omega_bif
     if sc.family == "example4":
