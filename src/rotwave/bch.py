@@ -33,7 +33,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .so3 import BallClass, _vec3
+from ._numpy import lazy_numpy
+from .so3 import BallClass, _cross3, _dot3, _mapped, _vec3
+
+np = lazy_numpy(globals())
 
 __all__ = ["BchBranch", "BchBreakdown", "bch", "bch_breakdown"]
 
@@ -87,10 +90,7 @@ def _bch_full(x, y) -> tuple[tuple[float, float, float], tuple]:
     else:
         cos_ang = 0.0  # unused: the degenerate terms vanish with sin(0)
 
-    e = chx * chy - shx * shy * cos_ang
-    a1 = shx * chy
-    b1 = chx * shy
-    c1 = shx * shy
+    e, a1, b1, c1 = _quaternion(chx, shx, chy, shy, cos_ang)
 
     h_alpha = a1 / nx if nx > 0.0 else chy
     h_beta = b1 / ny if ny > 0.0 else chx
@@ -103,13 +103,8 @@ def _bch_full(x, y) -> tuple[tuple[float, float, float], tuple]:
     else:
         h_gamma = 1.0
 
-    # X x Y in numpy.cross's operation order, so the breakdown contract holds
-    k0 = x1 * y2 - x2 * y1
-    k1 = x2 * y0 - x0 * y2
-    k2 = x0 * y1 - x1 * y0
-    q0 = h_alpha * x0 + h_beta * y0 + h_gamma * k0
-    q1 = h_alpha * x1 + h_beta * y1 + h_gamma * k1
-    q2 = h_alpha * x2 + h_beta * y2 + h_gamma * k2
+    kxy = _cross3(x, y)  # numpy.cross's operation order: the breakdown contract holds
+    q0, q1, q2 = _combine(x, y, kxy, h_alpha, h_beta, h_gamma)
     d1 = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2)
     d = 2.0 * d1 * abs(e)
     s = 1.0 if e >= 0.0 else -1.0
@@ -137,12 +132,48 @@ def _bch_full(x, y) -> tuple[tuple[float, float, float], tuple]:
     alpha = k * h_alpha
     beta = k * h_beta
     gamma = k * h_gamma
-    result = (
-        alpha * x0 + beta * y0 + gamma * k0,
-        alpha * x1 + beta * y1 + gamma * k1,
-        alpha * x2 + beta * y2 + gamma * k2,
-    )
+    result = _combine(x, y, kxy, alpha, beta, gamma)
     return result, (alpha, beta, gamma, branch, e, a1, b1, c1, d1, d, s)
+
+
+def _quaternion(chx, shx, chy, shy, cos_ang):
+    """e, a1, b1 and c1 of the product quaternion; floats or arrays alike."""
+    return chx * chy - shx * shy * cos_ang, shx * chy, chx * shy, shx * shy
+
+
+def _combine(x, y, k, a, b, c):
+    """``a x + b y + c k`` for triples of floats or of arrays (k is X x Y)."""
+    return (
+        a * x[0] + b * y[0] + c * k[0],
+        a * x[1] + b * y[1] + c * k[1],
+        a * x[2] + b * y[2] + c * k[2],
+    )
+
+
+def _bch_arrays(x, y):
+    """:func:`_bch_full`'s result over triples of arrays, and the mask of its generic elements.
+
+    The zero-norm branches run through ``np.where``, so a zero prefix stays
+    in the mask. An identity or half-turn product, or a non-finite one, is
+    left out of it for the caller to redo alone.
+    """
+    nx, ny = np.sqrt(_dot3(x, x)), np.sqrt(_dot3(y, y))
+    chx, shx = _mapped(math.cos, 0.5 * nx), _mapped(math.sin, 0.5 * nx)
+    chy, shy = _mapped(math.cos, 0.5 * ny), _mapped(math.sin, 0.5 * ny)
+    px, py = nx > 0.0, ny > 0.0
+    cos_ang = np.where(px & py, np.clip(_dot3(x, y) / (nx * ny), -1.0, 1.0), 0.0)
+    e, a1, b1, c1 = _quaternion(chx, shx, chy, shy, cos_ang)
+    h_alpha = np.where(px, a1 / nx, chy)
+    h_beta = np.where(py, b1 / ny, chx)
+    h_gamma = np.where(px & py, c1 / (nx * ny), np.where(py, shy / ny, np.where(px, shx / nx, 1.0)))
+    kxy = _cross3(x, y)
+    q = _combine(x, y, kxy, h_alpha, h_beta, h_gamma)
+    d1 = np.sqrt(_dot3(q, q))
+    theta_q = 2.0 * _mapped(math.atan2, d1, e)
+    theta_ball = np.where(theta_q <= math.pi, theta_q, 2.0 * math.pi - theta_q)
+    k = np.where(e >= 0.0, 1.0, -1.0) * theta_ball / d1
+    generic = (_FROB_PER_D1 * d1 > BRANCH_TOL) & (theta_ball < math.pi - BRANCH_TOL)
+    return _combine(x, y, kxy, k * h_alpha, k * h_beta, k * h_gamma), generic
 
 
 def bch(x, y) -> BallClass:

@@ -34,15 +34,11 @@ from .errors import ConfigError, FitError, IoError, RotwaveError
 from .flow import IntegratorConfig, integrate_group
 from .hopf import _period_class, classify, find_orthogonal_branch, primary_frequency
 from .so3 import _ball_vector, _dot3, _exp_entries, _finite3, _frob_dist, _matmul3, _matvec3, _norm3
-from .tip import fit_circle, tip_trajectory
+from .tip import MAX_SAMPLES, fit_circle, tip_trajectory
 
 np = lazy_numpy(globals())
 
 __all__ = ["RunConfig", "main", "entry"]
-
-#: largest horizon x samples-per-period: the rows simulate writes per lambda
-#: (one more with t = 0), which also bounds the frequency horizon
-MAX_SAMPLES = 1_000_000
 
 
 @dataclass

@@ -43,23 +43,25 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 from ._numpy import lazy_numpy
-from .bch import _bch_full
+from .bch import _bch_arrays, _bch_full
 from .errors import (
     ConfigError,
     DomainError,
     GimbalLockError,
     IntegrationError,
 )
-from .ode import OdeSolution, solve_ivp
+from .ode import OdeSolution, _horner, solve_ivp
 from .so3 import (
     BallClass,
     _as_unit3,
     _ball_vector,
     _dexpinv_apply,
     _exp_entries,
+    _exp_entries_arrays,
     _finite3,
     _norm3,
     _q_map,
+    _q_map_arrays,
     _vec3,
     rot_x,
     rot_z,
@@ -91,6 +93,11 @@ PERIOD_TOL_FACTOR = 10.0
 #: entries of each of a trajectory's two caches (sample time -> class vector and
 #: (period count, segment) -> prefix) before that cache is emptied
 CACHE_SIZE = 1024
+
+#: fewest times that GroupTrajectory.eval_A samples in one vectorised pass.
+#: The pass costs ~0.3 ms however few times it holds, a time alone ~11 us: they
+#: break even near 40 times (2 cores, Python 3.11, numpy 2.4)
+BATCH_MIN = 40
 
 
 @dataclass(frozen=True)
@@ -197,6 +204,15 @@ def _check_in_range(t: float, t_end: float) -> None:
         raise DomainError(f"t={t!r} outside the integrated range [0, {t_end!r}]")
 
 
+def _time_list(t) -> list | None:
+    """The times of a 1-D ndarray as Python floats; None for a single time."""
+    if not (isinstance(t, np.ndarray) and t.ndim):
+        return None
+    if t.ndim != 1:
+        raise DomainError(f"times must be one number or a 1-D array, got shape {t.shape}")
+    return t.astype(float).tolist()
+
+
 def _solve_segment(rhs, t_start: float, t_max: float, q, cfg: IntegratorConfig) -> ZSegment:
     """One solve of the state ``(Z, q)`` from ``(0, q)`` until ``|Z| = pi - delta`` or t_max."""
     cutoff = math.pi - cfg.restart_margin
@@ -257,8 +273,12 @@ class GroupTrajectory:
     inner step boundary to the earlier step), its interpolant gives Z, and
     the closed-form BCH composes Z with the prefix. The prefixes, the ball
     vectors of A at the restart times, are float triples; ``ref_dir`` is one
-    too. Only ``class_at`` builds a :class:`BallClass` and only the public
-    samplers build ndarrays.
+    too. Only ``class_at`` builds a :class:`BallClass`; the public samplers
+    build ndarrays from the floats.
+
+    ``eval_A`` also takes a 1-D ndarray of times; from ``BATCH_MIN`` times on
+    it runs the chain once over them all, elementwise on arrays, bitwise equal
+    to the per-time samples (:meth:`_A_batch`).
 
     ``eval_A``, ``eval_Z`` and :func:`rotwave.hopf.periodic_part` share one
     class vector per time, cached under ``float(t)`` (at most ``CACHE_SIZE`` =
@@ -279,17 +299,16 @@ class GroupTrajectory:
         # segment that ends in a restart is keyed one ulp below the restart time
         self._ends: list[float] = []
         self._steps: list = []
-        self._step_prefix: list = []
         self._step_segment: list[int] = []
         last = len(self.segments) - 1
-        for i, (seg, prefix) in enumerate(zip(self.segments, self.prefixes)):
+        for i, seg in enumerate(self.segments):
             ends = seg._dense.ts[1:]
             if i < last:
                 ends[-1] = math.nextafter(ends[-1], -math.inf)
             self._ends += ends
             self._steps += seg._dense.interpolants
-            self._step_prefix += [prefix] * len(ends)
             self._step_segment += [i] * len(ends)
+        self._arrays = None  # the step table as ndarrays, built by the first batch
         self._extended: dict[tuple[int, int], tuple] = {}
         self._classes: dict[float, tuple] = {}
         self.W = None
@@ -314,25 +333,22 @@ class GroupTrajectory:
         k = bisect.bisect_left(self._ends, t)
         return n, k, self._steps[k](t)
 
-    def _extend(self, key: tuple[int, int], k: int):
-        """Cache and return the class of ``exp(n W) exp(prefix)``, key = (n, segment of step k)."""
-        if len(self._extended) >= CACHE_SIZE:
-            self._extended.clear()
-        nw = [key[0] * w for w in self.W]
-        prefix = self._extended[key] = _ball_vector(_bch_full(nw, self._step_prefix[k])[0])
+    def _prefix(self, n: int, i: int):
+        """The class of ``exp(n W) exp(prefix_i)``: prefix i for n = 0, else cached per (n, i)."""
+        if not n:
+            return self.prefixes[i]
+        prefix = self._extended.get((n, i))
+        if prefix is None:
+            if len(self._extended) >= CACHE_SIZE:
+                self._extended.clear()
+            nw = [n * w for w in self.W]
+            prefix = self._extended[n, i] = _ball_vector(_bch_full(nw, self.prefixes[i])[0])
         return prefix
 
     def _product(self, t: float):
         """BCH of the prefix and Z(tau) as a float triple, before the ball check."""
         n, k, y = self._state_at(t)
-        if n:
-            key = (n, self._step_segment[k])
-            prefix = self._extended.get(key)
-            if prefix is None:
-                prefix = self._extend(key, k)
-        else:
-            prefix = self._step_prefix[k]
-        return _bch_full(prefix, _finite3(y[:3]))[0]
+        return _bch_full(self._prefix(n, self._step_segment[k]), _finite3(y[:3]))[0]
 
     def _class_vector(self, t: float):
         """``class_at(t).vector`` as a float triple, cached per ``float(t)``."""
@@ -357,9 +373,61 @@ class GroupTrajectory:
         """The nine entries of A(t), row-major: the float form of :meth:`eval_A`."""
         return _exp_entries(_q_map(self._class_vector(t), self._ref))
 
-    def eval_A(self, t: float) -> np.ndarray:
-        """The rotation A(t)."""
-        return np.array(self._A_entries(t)).reshape(3, 3)
+    def eval_A(self, t) -> np.ndarray:
+        """The rotation A(t), or the (m, 3, 3) stack of A at a 1-D ndarray of m times."""
+        ts = _time_list(t)
+        if ts is None:
+            return np.array(self._A_entries(t)).reshape(3, 3)
+        if len(ts) < BATCH_MIN:
+            return np.array([self._A_entries(s) for s in ts]).reshape(-1, 3, 3)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._A_batch(ts)
+
+    def _A_batch(self, ts: list[float]) -> np.ndarray:
+        """:meth:`eval_A` of many times: the per-time chain, step by step on arrays.
+
+        numpy rounds + - * / and sqrt as Python floats do, and sin, cos and
+        atan2 are math's, so each sample is bitwise its per-time value. A time
+        whose product is the identity or a half turn, needs the snap onto the
+        boundary sphere or lies in the hemisphere band is redone alone. The
+        class vectors enter the sample-time cache.
+        """
+        t = np.array(ts)
+        ok = (t >= -1e-9) & (t <= self.t_end + 1e-9)
+        if not ok.all():
+            _check_in_range(ts[int(ok.argmin())], self.t_end)
+        n, tau = np.zeros(len(ts)), t
+        if self.W is not None:
+            tau = np.minimum(t, self.t_end)
+            n = np.where(t > self.T, np.ceil(tau / self.T) - 1.0, 0.0)
+            tau = tau - n * self.T
+        tau = np.where(tau < 0.0, 0.0, np.where(tau > self._t_last, self._t_last, tau))
+        if self._arrays is None:
+            rows = np.array([step.rows[:3] for step in self._steps]).transpose(2, 1, 0)
+            t0, h = np.array([[step.t0, step.h] for step in self._steps]).T
+            self._arrays = np.array(self._ends), t0, h, rows, np.array(self._step_segment)
+        ends, t0, h, rows, segment = self._arrays
+        k = np.searchsorted(ends, tau)
+        x = (tau - t0[k]) / h[k]
+        z = _horner(x, 1.0 - x, rows[:, :, k])  # Z(tau), one row per component
+        if not np.isfinite(z).all():
+            raise DomainError("expected a finite 3-vector")
+        # the prefix class of each time, from one per (n, segment) pair
+        m = len(self.segments)
+        pairs, which = np.unique(n.astype(int) * m + segment[k], return_inverse=True)
+        prefixes = np.array([self._prefix(*divmod(p, m)) for p in pairs.tolist()])
+        v, generic = _bch_arrays(prefixes.T[:, which], z)
+        w, plain = _q_map_arrays(v, self._ref)
+        stack = np.stack(_exp_entries_arrays(w), axis=-1).reshape(-1, 3, 3)
+        classes, fast = self._classes, (generic & plain).tolist()
+        for i, (ti, vi) in enumerate(zip(ts, zip(*(c.tolist() for c in v)))):
+            if not fast[i]:
+                stack[i] = np.reshape(self._A_entries(ti), (3, 3))
+                continue
+            if len(classes) >= CACHE_SIZE:
+                classes.clear()
+            classes[ti] = vi
+        return stack
 
 
 @dataclass
@@ -532,7 +600,11 @@ class EulerTrajectory:
         _check_in_range(t, self.t_end)
         return np.asarray(self._dense(min(max(t, 0.0), self.t_end)), dtype=float)
 
-    def eval_A(self, t: float) -> np.ndarray:
+    def eval_A(self, t) -> np.ndarray:
+        """A(t), or the (m, 3, 3) stack of A at a 1-D ndarray of m times, one time after another."""
+        ts = _time_list(t)
+        if ts is not None:
+            return np.array([self.eval_A(s) for s in ts]).reshape(-1, 3, 3)
         phi, theta, psi = self.eval_angles(t)
         return rot_x(self.theta0).T @ rot_z(psi) @ rot_x(theta) @ rot_z(phi)
 

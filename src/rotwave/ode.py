@@ -253,10 +253,13 @@ class _Interpolant:
     def __call__(self, t: float) -> list[float]:
         x = (t - self.t0) / self.h
         u = 1.0 - x
-        return [
-            ((((((f6 * x + f5) * u + f4) * x + f3) * u + f2) * x + f1) * u + f0) * x + y0
-            for y0, f0, f1, f2, f3, f4, f5, f6 in self.rows
-        ]
+        return [_horner(x, u, row) for row in self.rows]
+
+
+def _horner(x, u, row):
+    """One Horner row at ``x`` and ``u = 1 - x``; floats, or arrays of x, u and row entries."""
+    y0, f0, f1, f2, f3, f4, f5, f6 = row
+    return ((((((f6 * x + f5) * u + f4) * x + f3) * u + f2) * x + f1) * u + f0) * x + y0
 
 
 class OdeSolution:

@@ -29,6 +29,10 @@ validation; :func:`_vec3` runs at the public entry points only. ``_matmul3``,
 ``_matvec3`` and ``_frob_dist`` multiply and compare nine-float matrices,
 summing left to right. numpy is imported by the first call that builds an
 ndarray.
+
+``_exp_entries_arrays`` and ``_q_map_arrays`` run the same formulas on
+triples of 1-D arrays, with math's sin mapped over the elements
+(``_mapped``), so that each element is bitwise its scalar value.
 """
 from __future__ import annotations
 
@@ -172,14 +176,34 @@ def _quadratic_entries(v, a: float, b: float) -> tuple:
 def _exp_coeffs(theta: float) -> tuple[float, float]:
     # sin(t)/t and (1 - cos t)/t^2 = 2 sin^2(t/2)/t^2, series-switched
     if theta < SERIES_RADIUS:
-        t2 = theta * theta
-        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0
-        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 * t2 * t2 / 40320.0
-    else:
-        a = math.sin(theta) / theta
-        half = math.sin(0.5 * theta)
-        b = 2.0 * half * half / (theta * theta)
+        return _exp_series(theta * theta)
+    return _exp_closed(theta, math.sin(theta), math.sin(0.5 * theta))
+
+
+def _exp_series(t2):
+    """The Taylor polynomials of the two Rodrigues coefficients in ``t2 = theta^2``."""
+    a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0
+    b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 * t2 * t2 / 40320.0
     return a, b
+
+
+def _exp_closed(theta, sin_theta, sin_half):
+    """The two Rodrigues coefficients from ``sin(theta)`` and ``sin(theta/2)``."""
+    return sin_theta / theta, 2.0 * sin_half * sin_half / (theta * theta)
+
+
+def _mapped(f, *arrays) -> np.ndarray:
+    """The math function ``f`` elementwise over 1-D arrays: math's rounding, not numpy's."""
+    return np.array(list(map(f, *(a.tolist() for a in arrays))), dtype=float)
+
+
+def _exp_entries_arrays(v) -> tuple:
+    """:func:`_exp_entries` of a triple of arrays, elementwise: nine arrays."""
+    theta = np.sqrt(_dot3(v, v))
+    near = theta < SERIES_RADIUS
+    closed = _exp_closed(theta, _mapped(math.sin, theta), _mapped(math.sin, 0.5 * theta))
+    a, b = (np.where(near, s, c) for s, c in zip(_exp_series(theta * theta), closed))
+    return _quadratic_entries(v, a, b)
 
 
 def _exp_apply(v, w) -> tuple[float, float, float]:
@@ -401,6 +425,18 @@ def q_map(c: BallClass, ref_dir: np.ndarray) -> np.ndarray:
         Vector with ``exp_rot(result) == exp_rot(c.vector)``.
     """
     return np.array(_q_map(c.vector.tolist(), _as_unit3(ref_dir)))
+
+
+def _q_map_arrays(v, ref):
+    """:func:`_q_map` of :func:`_ball_vector` over a triple of arrays, and the mask of its elements.
+
+    An element outside the mask (zero, past pi, or on the boundary sphere
+    within the equator band) is left for the caller to redo alone."""
+    n = np.sqrt(_dot3(v, v))
+    c = _dot3([a / n for a in v], ref)
+    band = (n >= math.pi - 1e-12) & (np.abs(c) <= HEMI_BAND)
+    s = 1.0 - 2.0 * math.pi / n
+    return [np.where(c >= -HEMI_BAND, a, s * a) for a in v], (n > 0.0) & (n <= math.pi) & ~band
 
 
 def _q_map(v, ref):

@@ -19,6 +19,11 @@ np = lazy_numpy(globals())
 
 __all__ = ["CircleFit", "TipTrack", "fit_circle", "tip_trajectory"]
 
+#: most samples one request may ask for: tip_trajectory's period samples, and
+#: the CLI's horizon x samples-per-period, the rows simulate writes per lambda
+#: (one more with t = 0), which also bounds the frequency horizon
+MAX_SAMPLES = 1_000_000
+
 
 @dataclass(frozen=True)
 class TipTrack:
@@ -58,17 +63,19 @@ def tip_trajectory(traj, x0, r: float, sample_times, period: float | None = None
         Seed point with ``|x0| = r`` within 1e-9 * r.
     r : float
         Sphere radius (> 0).
-    sample_times : array_like
+    sample_times : array_like, 1-D
         Times within the integrated range.
     period : float, optional
-        When given, points at t = 0, period, 2*period, ... (as far as the
-        trajectory reaches) are collected into ``period_samples``.
+        When given (positive and finite), points at t = 0, period, 2*period,
+        ... (as far as the trajectory reaches, at most ``MAX_SAMPLES``) are
+        collected into ``period_samples``.
 
     Returns
     -------
     TipTrack
-        Points are ``A(0)^-1 A(t) x0``, so the track starts at x0. The sampled
-        matrices are stacked and multiplied in one batched matmul.
+        Points are ``A(0)^-1 A(t) x0``, so the track starts at x0. One
+        ``eval_A`` call on ``[0, *sample_times]`` and one on the period times
+        give the matrices, as stacks for one batched matmul each.
     """
     x0 = np.array(_vec3(x0))
     if not r > 0.0:
@@ -76,19 +83,20 @@ def tip_trajectory(traj, x0, r: float, sample_times, period: float | None = None
     if abs(float(np.linalg.norm(x0)) - r) > 1e-9 * r:
         raise DomainError(f"|x0| = {np.linalg.norm(x0):.12g} is not on the sphere of radius {r!r}")
     times = np.atleast_1d(np.asarray(sample_times, dtype=float))
-    a0_inv = traj.eval_A(0.0).T
-
-    def track(ts) -> np.ndarray:
-        return a0_inv @ np.array([traj.eval_A(t) for t in ts]).reshape(-1, 3, 3) @ x0
-
-    points = track(times.tolist())
-
+    if times.ndim != 1:
+        raise DomainError(f"sample_times must be 1-D, got shape {times.shape}")
+    if period is not None:
+        if not 0.0 < period < math.inf:
+            raise DomainError(f"period must be positive and finite, got {period!r}")
+        count = traj.t_end / period + 1e-9
+        if not count < MAX_SAMPLES:
+            raise DomainError(f"t_end / period asks for more than {MAX_SAMPLES} period samples")
+    stack = traj.eval_A(np.concatenate(([0.0], times)))
+    a0_inv = stack[0].T
+    points = a0_inv @ stack[1:] @ x0
     period_samples = None
     if period is not None:
-        if not period > 0.0:
-            raise DomainError("period must be positive")
-        m = int(math.floor(traj.t_end / period + 1e-9))
-        period_samples = track([i * period for i in range(m + 1)])
+        period_samples = a0_inv @ traj.eval_A(np.arange(int(count) + 1) * period) @ x0
     return TipTrack(float(r), x0.copy(), times, points, period_samples)
 
 
@@ -110,6 +118,8 @@ def fit_circle(points, ref_axis=(0.0, 0.0, 1.0)) -> CircleFit:
     n = pts.shape[0]
     if n < 3:
         raise FitError(f"need at least 3 points to fit a circle, got {n}")
+    if not np.isfinite(pts).all():
+        raise DomainError("points must be finite")
     centroid = pts.mean(axis=0)
     centered = pts - centroid
     cov = centered.T @ centered / n

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import oracles
 from rotwave import bch, bch_breakdown, exp_rot, log_rot
-from rotwave.bch import BRANCH_TOL, BchBranch
+from rotwave.bch import BRANCH_TOL, BchBranch, _bch_arrays, _bch_full
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -248,3 +248,25 @@ def test_fold_matches_matrix_product_long():
     for p in parts:
         prod = prod @ exp_rot(p)
     assert bch_chain(parts).isclose(log_rot(prod), tol=1e-9)
+
+
+def test_array_bch_is_bitwise_the_per_pair_one_off_its_rare_branches():
+    rng = np.random.default_rng(21)
+    x = oracles.random_axis_vectors(rng, 80, np.pi)
+    y = oracles.random_axis_vectors(rng, 80, 4.0)
+    x[:10] = 0.0  # zero prefixes, as in the first segment
+    y[10:20] = 0.0  # zero right factors, as at a restart time
+    pairs = list(zip(x.tolist(), y.tolist()))
+    rare = [
+        ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0]),  # identity product
+        ([0.0, 0.0, 2.0], [0.0, 0.0, np.pi - 2.0]),  # half turn
+        ([np.nan, 0.0, 0.0], [0.0, 0.0, 1.0]),  # not finite
+    ]
+    for a, b in rare[:2]:
+        assert _bch_full(a, b)[1][3] in (BchBranch.IDENTITY_PRODUCT, BchBranch.HALF_TURN_PRODUCT)
+    xs, ys = (np.array(v).T for v in zip(*(pairs + rare)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got, generic = _bch_arrays(xs, ys)
+    assert generic.tolist() == [True] * len(pairs) + [False] * len(rare)
+    want = np.array([_bch_full(a, b)[0] for a, b in pairs])
+    assert np.array(got).T[generic].tobytes() == want.tobytes()

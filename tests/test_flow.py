@@ -565,6 +565,113 @@ def test_out_of_range_time_raises_after_in_range_samples():
     assert all(math.isfinite(t) and 0.0 <= t <= traj.t_end for t in traj._classes)
 
 
+# ----------------------------------------------------------- batched sampling
+
+def cold_each(traj, times):
+    """eval_A at each time, one call per time, on an emptied sample-time cache."""
+    traj._classes.clear()
+    each = np.array([traj.eval_A(t) for t in times]).reshape(-1, 3, 3)
+    traj._classes.clear()
+    return each
+
+
+@given(
+    case=st.sampled_from(CHAIN_CASES),
+    picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=40),
+    spread=st.lists(st.floats(0.0, 1.0), max_size=20),
+)
+def test_batched_eval_A_is_bitwise_the_per_time_samples(case, picks, spread):
+    # the probe times hold t = 0, t_end, the multiples nT, the restart times
+    # (and one period later) with their neighbours, and the inner step ends
+    traj = chain_trajectory(*case)[0]
+    pool = probe_times(traj)
+    times = [pool[i % len(pool)] for i in picks] + [u * traj.t_end for u in spread]
+    each = cold_each(traj, times)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flow, "BATCH_MIN", 1)
+        assert traj.eval_A(np.array(times)).tobytes() == each.tobytes()
+
+
+@pytest.mark.parametrize("name, lam", CHAIN_CASES)
+def test_batch_over_the_probe_times_fills_the_cache(name, lam):
+    traj = chain_trajectory(name, lam)[0]
+    times = probe_times(traj)
+    assert len(times) >= flow.BATCH_MIN
+    each = cold_each(traj, times)
+    assert traj.eval_A(np.array(times)).tobytes() == each.tobytes()
+    # later per-time samples at the same times are cache hits
+    assert {float(t) for t in times} <= set(traj._classes)
+    assert np.array([traj.eval_A(t) for t in times]).tobytes() == each.tobytes()
+
+
+def test_short_arrays_are_sampled_time_by_time(monkeypatch):
+    traj = chain_trajectory("case2", 0.1)[0]
+    batches = []
+    batch = flow.GroupTrajectory._A_batch
+    monkeypatch.setattr(
+        flow.GroupTrajectory, "_A_batch", lambda s, ts: batches.append(ts) or batch(s, ts)
+    )
+    for m in (0, 1, flow.BATCH_MIN - 1, flow.BATCH_MIN):
+        times = np.linspace(0.0, traj.t_end, m)
+        assert traj.eval_A(times).tobytes() == cold_each(traj, times.tolist()).tobytes()
+    assert [len(ts) for ts in batches] == [flow.BATCH_MIN]
+
+
+def test_batch_leaves_identity_and_half_turn_products_to_the_per_time_chain(monkeypatch):
+    # rotation at rate 2 about z: A(0) is the identity product and A(pi/2) a
+    # half turn whose vector lies on the equator of ref_dir = e_x
+    traj = integrate_group(constant_signal(X0), 0.0, 3.0, ref_dir=EX)
+    times = [0.0, math.pi / 2, *np.linspace(0.05, 3.0, flow.BATCH_MIN).tolist()]
+    each = cold_each(traj, times)
+    alone = []
+    entries = flow.GroupTrajectory._A_entries
+    monkeypatch.setattr(
+        flow.GroupTrajectory, "_A_entries", lambda s, t: alone.append(t) or entries(s, t)
+    )
+    assert traj.eval_A(np.array(times)).tobytes() == each.tobytes()
+    assert alone == [0.0, math.pi / 2]
+
+
+def test_batch_cache_stays_bounded():
+    traj = chain_trajectory("example4", 0.1)[0]
+    times = np.linspace(0.0, traj.t_end, 2 * flow.CACHE_SIZE + 37)
+    each = cold_each(traj, times.tolist())
+    assert traj.eval_A(times).tobytes() == each.tobytes()
+    assert 0 < len(traj._classes) <= flow.CACHE_SIZE
+
+
+def test_batch_errors_are_the_per_time_errors():
+    traj = chain_trajectory("case3", 1e-3)[0]
+    good = np.linspace(0.0, traj.t_end, flow.BATCH_MIN).tolist()
+    for bad in (traj.t_end + 2e-9, -2e-9, math.nan, math.inf):
+        times = good[:7] + [bad] + good[7:] + [-1.0]
+        with pytest.raises(DomainError) as per_time:
+            cold_each(traj, times)
+        with pytest.raises(DomainError) as batched:
+            traj.eval_A(np.array(times))
+        assert str(batched.value) == str(per_time.value)
+    with pytest.raises(DomainError, match="1-D"):
+        traj.eval_A(np.zeros((2, flow.BATCH_MIN)))
+    # a dense state that is not finite: the same error from either chain
+    traj = integrate_group(constant_signal(X0), 0.0, 1.0)
+    times = np.linspace(0.0, 1.0, flow.BATCH_MIN)
+    traj.eval_A(times)  # builds the step table's arrays
+    for step in traj._steps:
+        step.rows = ((math.inf,) * 8, *step.rows[1:])
+    traj._arrays[3][:, 0] = math.inf  # coefficient, component, step
+    for sample in (lambda: cold_each(traj, times.tolist()), lambda: traj.eval_A(times)):
+        with pytest.raises(DomainError, match="finite 3-vector"):
+            sample()
+
+
+def test_euler_eval_A_takes_an_array_of_times():
+    euler = integrate_euler(constant_signal(X0 + EX), 0.0, 2.0, 0.7)
+    times = np.linspace(0.0, 2.0, 9)
+    assert euler.eval_A(times).tobytes() == np.array([euler.eval_A(t) for t in times]).tobytes()
+    with pytest.raises(DomainError, match="1-D"):
+        euler.eval_A(times.reshape(3, 3))
+
+
 # ---------------------------------------------------------------- Euler chart
 
 def test_euler_gimbal_lock_at_pole():

@@ -25,6 +25,10 @@ from rotwave import (
 )
 from rotwave.so3 import (
     SERIES_RADIUS,
+    _ball_vector,
+    _exp_entries,
+    _exp_entries_arrays,
+    _q_map_arrays,
     _dexpinv_apply,
     _dexpinv_c2,
     _exp_apply,
@@ -443,3 +447,35 @@ def test_dexp_derivative_property():
         fd = (exp_rot(z0 + h * w) - exp_rot(z0 - h * w)) / (2 * h)
         body = exp_rot(z0).T @ fd
         assert np.linalg.norm(body - hat(dexp_op(z0) @ w)) < 1e-8
+
+
+# ------------------------------------------------------------- array forms
+
+def test_array_exponential_is_bitwise_the_per_vector_one():
+    rng = np.random.default_rng(12)
+    vs = np.concatenate([
+        np.zeros((1, 3)),
+        oracles.random_axis_vectors(rng, 50, 0.5 * SERIES_RADIUS),
+        oracles.random_axis_vectors(rng, 50, 2 * SERIES_RADIUS),
+        oracles.random_axis_vectors(rng, 50, 2 * np.pi),
+    ])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = np.stack(_exp_entries_arrays(vs.T), axis=-1)
+    assert got.tobytes() == np.array([_exp_entries(v) for v in vs.tolist()]).tobytes()
+
+
+def test_array_hemisphere_map_leaves_zero_snapped_and_band_vectors_out():
+    ref = (0.6, 0.0, 0.8)
+    rng = np.random.default_rng(13)
+    plain = oracles.random_axis_vectors(rng, 60, np.pi - 1e-6).tolist()
+    rare = [
+        (0.0, 0.0, 0.0),  # zero
+        (0.0, np.pi * (1 + 1e-13), 0.0),  # past pi: snapped onto the sphere
+        (0.8 * np.pi, 0.0, -0.6 * np.pi),  # boundary sphere, on the equator
+    ]
+    vs = plain + rare
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w, mask = _q_map_arrays(np.array(vs).T, ref)
+    assert mask.tolist() == [True] * len(plain) + [False] * len(rare)
+    got = np.array(w).T[mask]
+    assert got.tobytes() == np.array([_q_map(_ball_vector(v), ref) for v in plain]).tobytes()

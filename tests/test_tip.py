@@ -8,10 +8,13 @@ from rotwave import (
     FitError,
     ForcingSignal,
     fit_circle,
+    integrate_euler,
     integrate_group,
     tip_trajectory,
 )
+from rotwave import flow
 from rotwave.scenarios import build
+from rotwave.tip import MAX_SAMPLES
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -47,6 +50,47 @@ def test_tip_rejects_off_sphere_seed():
         tip_trajectory(traj, 3.0 * EZ, -3.0, [0.0])
     with pytest.raises(DomainError):
         tip_trajectory(traj, 3.0 * EZ, 3.0, [0.0], period=0.0)
+    with pytest.raises(DomainError, match="sample_times must be 1-D"):
+        tip_trajectory(traj, 3.0 * EZ, 3.0, [[0.1, 0.2]])
+
+
+class Unsampled:
+    """A trajectory that fails the test when sampled."""
+
+    t_end = 0.63
+
+    def eval_A(self, t):
+        raise AssertionError("sampled before the period was checked")
+
+
+@pytest.mark.parametrize("period", [np.inf, np.nan, -1.0, 0.0, 1e-300, 5e-324,
+                                    Unsampled.t_end / MAX_SAMPLES])
+def test_tip_rejects_a_period_before_sampling(period):
+    # the last three ask for at least MAX_SAMPLES period samples; the check
+    # comes before any list of period times is built
+    with pytest.raises(DomainError, match="period"):
+        tip_trajectory(Unsampled(), 3.0 * EZ, 3.0, [0.0], period=period)
+
+
+def test_tip_samples_through_one_array_call_each():
+    sc = build("case2")
+    lam = 0.05
+    T = sc.period(lam)
+    traj = integrate_group(sc.forcing(lam), lam, 2 * T, ref_dir=sc.frame.x0_dir)
+    times = np.linspace(0.0, 2 * T, 3 * flow.BATCH_MIN)
+    calls = []
+    traj.eval_A = lambda t: calls.append(np.shape(t)) or type(traj).eval_A(traj, t)
+    track = tip_trajectory(traj, sc.tip_x0, sc.r, times, period=T)
+    assert calls == [(len(times) + 1,), (3,)]
+    del traj.eval_A
+    traj._classes.clear()
+    a0_inv = traj.eval_A(0.0).T
+    each = np.array([traj.eval_A(t) for t in times.tolist()])
+    assert track.points.tobytes() == (a0_inv @ each @ np.asarray(sc.tip_x0)).tobytes()
+    # the Euler chart takes the same array calls
+    euler = integrate_euler(sc.forcing(lam), lam, 0.5, 0.4)
+    track = tip_trajectory(euler, 3.0 * EZ, 3.0, np.linspace(0.0, 0.5, 5), period=0.25)
+    assert track.period_samples.shape == (3, 3)
 
 
 def test_tip_period_samples():
@@ -105,6 +149,11 @@ def test_fit_circle_degenerate_inputs():
         fit_circle(line)
     with pytest.raises(DomainError):
         fit_circle(np.zeros((4, 2)))
+    for bad in (np.nan, np.inf):
+        pts = oracles.circle_points(EZ, 2.0, 3.0, 12)
+        pts[4, 1] = bad
+        with pytest.raises(DomainError, match="finite"):
+            fit_circle(pts)
 
 
 # ------------------------------------------------- period samples -> circles
