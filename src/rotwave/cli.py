@@ -30,10 +30,10 @@ from pathlib import Path
 from . import scenarios
 from ._numpy import lazy_numpy
 from .bch import BchBreakdown, _bch_full
-from .errors import ConfigError, FitError, IoError, RotwaveError
+from .errors import ConfigError, DomainError, FitError, IoError, RotwaveError
 from .flow import IntegratorConfig, integrate_group
 from .hopf import _period_class, classify, find_orthogonal_branch, primary_frequency
-from .so3 import _ball_vector, _dot3, _exp_entries, _finite3, _frob_dist, _matmul3, _matvec3, _norm3
+from .so3 import _ball_vector, _dot3, _exp_entries, _frob_dist, _matmul3, _matvec3, _norm3, _vec3
 from .tip import MAX_SAMPLES, fit_circle, tip_trajectory
 
 np = lazy_numpy(globals())
@@ -54,7 +54,6 @@ class RunConfig:
     samples_per_period: int = 100
     rtol: float = 1e-10
     atol: float = 1e-12
-    restart_margin: float = 0.1
     out: str | None = None
 
     def validate(self) -> None:
@@ -79,7 +78,7 @@ class RunConfig:
                 f"horizon x samples-per-period must be <= {MAX_SAMPLES} "
                 "(the rows simulate writes per lambda)"
             )
-        for name in ("rtol", "atol", "restart_margin"):
+        for name in ("rtol", "atol"):
             if not _is_real(getattr(self, name)):
                 raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.mu is not None and not _is_real(self.mu):
@@ -104,9 +103,7 @@ class RunConfig:
             raise ConfigError(f"mu_bracket must satisfy a < b, got {self.mu_bracket!r}")
 
     def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(
-            rtol=self.rtol, atol=self.atol, restart_margin=self.restart_margin
-        )
+        return IntegratorConfig(rtol=self.rtol, atol=self.atol)
 
 
 def _is_int(v) -> bool:
@@ -179,7 +176,7 @@ def _emit(text: str, out: str | None) -> None:
 
 _FLAG_FIELDS = (
     "scenario", "mu", "horizon", "samples_per_period",
-    "rtol", "atol", "restart_margin", "out",
+    "rtol", "atol", "out",
 )
 
 
@@ -222,6 +219,15 @@ def _load_config(args: argparse.Namespace) -> tuple[RunConfig, frozenset]:
         updates["mu_bracket"] = tuple(pair)
     cfg = replace(cfg, **updates)
     cfg.validate()
+    # a config file's integers become the floats that the same flags give
+    cfg = replace(
+        cfg,
+        lambda_grid=[float(lam) for lam in cfg.lambda_grid],
+        mu=None if cfg.mu is None else float(cfg.mu),
+        mu_bracket=tuple(float(v) for v in cfg.mu_bracket),
+        rtol=float(cfg.rtol),
+        atol=float(cfg.atol),
+    )
     return cfg, frozenset(raw) | frozenset(updates)
 
 
@@ -333,8 +339,11 @@ def cmd_frequency(args: argparse.Namespace) -> int:
 
 
 def cmd_bch(args: argparse.Namespace) -> int:
-    x = _finite3(args.components[:3])
-    y = _finite3(args.components[3:])
+    try:
+        x = _vec3(args.components[:3])
+        y = _vec3(args.components[3:])
+    except DomainError as exc:
+        raise ConfigError(f"bch components: {exc}") from None
     w, fields = _bch_full(x, y)
     w = _ball_vector(w)
     br = BchBreakdown(*fields)
@@ -426,8 +435,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def _add_common(p: argparse.ArgumentParser, drift: bool = False, horizon: bool = True) -> None:
     """The shared flags. drift searches for mu* itself, so it takes --mu-bracket, not
-    --mu; ``horizon`` adds --horizon and --samples-per-period, which only
-    simulate and frequency read."""
+    --mu; ``horizon`` adds --horizon, which only simulate and frequency read."""
     p.add_argument("--scenario", help="scenario name (see rotwave verify --help)")
     p.add_argument("--lambda", dest="lam", type=float, help="single bifurcation parameter")
     p.add_argument("--lambda-grid", help="comma-separated lambda values")
@@ -439,15 +447,8 @@ def _add_common(p: argparse.ArgumentParser, drift: bool = False, horizon: bool =
             help=f"run length in relative periods (default 5; horizon x samples-per-period "
             f"<= {MAX_SAMPLES})",
         )
-        p.add_argument(
-            "--samples-per-period", type=int, help="output samples per period (default 100)"
-        )
     p.add_argument("--rtol", type=float, help="integrator relative tolerance (default 1e-10)")
     p.add_argument("--atol", type=float, help="integrator absolute tolerance (default 1e-12)")
-    p.add_argument(
-        "--restart-margin", type=float,
-        help="distance from the ball boundary at which Z segments restart (default 0.1)",
-    )
     p.add_argument("--out", help="output file (or directory for simulate)")
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument(
@@ -467,6 +468,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate", help="integrate a scenario and write trajectory CSVs")
     _add_common(p)
+    p.add_argument(
+        "--samples-per-period", type=int, help="output samples per period (default 100)"
+    )
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("frequency", help="frequency vectors, resonance, and motion labels")

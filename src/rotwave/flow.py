@@ -25,10 +25,9 @@ group: with W the ball vector of A(T),
 
     A(nT + tau) = exp(n W) A(tau),   0 <= tau <= T,
 
-so every later time costs one BCH more than a time inside the period (and
-that one is cached per period count and segment). The error at nT is n times
-the error of W, which is why the period is integrated ten times tighter than
-the configured tolerances.
+so every later time costs one BCH more than a time inside the period. The
+error at nT is n times the error of W, which is why the period is integrated
+ten times tighter than the configured tolerances.
 
 The skew product co-integrates normal-form coordinates q alongside Z (q is
 untouched by the Z restarts); :func:`integrate_group` is its case without q,
@@ -59,6 +58,7 @@ from .so3 import (
     _exp_entries,
     _exp_entries_arrays,
     _finite3,
+    _float_array,
     _norm3,
     _q_map,
     _q_map_arrays,
@@ -90,8 +90,13 @@ GIMBAL_TOL = 1e-6
 #: how much tighter than the configured rtol/atol one period is integrated
 PERIOD_TOL_FACTOR = 10.0
 
-#: entries of each of a trajectory's two caches (sample time -> class vector and
-#: (period count, segment) -> prefix) before that cache is emptied
+#: distance from the ball boundary at which a Z segment is cut (the terminal
+#: event fires at |Z| = pi - RESTART_MARGIN). Where a chart restarts is a free
+#: choice of the method: margins from 0.02 to 0.8 give the same trajectories
+#: to integration error at about the same cost
+RESTART_MARGIN = 0.1
+
+#: sample times whose class vectors a trajectory caches before emptying the cache
 CACHE_SIZE = 1024
 
 #: fewest times that GroupTrajectory.eval_A samples in one vectorised pass.
@@ -103,9 +108,6 @@ BATCH_MIN = 40
 @dataclass(frozen=True)
 class IntegratorConfig:
     """Adaptive-integrator settings shared by all formulations.
-
-    ``restart_margin`` is the distance delta from the ball boundary at which a
-    Z segment is cut: the terminal event fires at ``|Z| = pi - delta``.
 
     :func:`integrate_group` integrates a periodic forcing over one relative
     period at ``rtol / PERIOD_TOL_FACTOR`` and ``atol / PERIOD_TOL_FACTOR``
@@ -119,13 +121,10 @@ class IntegratorConfig:
 
     rtol: float = 1e-10
     atol: float = 1e-12
-    restart_margin: float = 0.1
 
     def __post_init__(self):
         if not (self.rtol > 0.0 and self.atol > 0.0):
             raise ConfigError("rtol and atol must be positive")
-        if not (0.0 < self.restart_margin < math.pi / 2):
-            raise ConfigError("restart_margin must lie in (0, pi/2)")
 
 
 @dataclass
@@ -214,8 +213,8 @@ def _time_list(t) -> list | None:
 
 
 def _solve_segment(rhs, t_start: float, t_max: float, q, cfg: IntegratorConfig) -> ZSegment:
-    """One solve of the state ``(Z, q)`` from ``(0, q)`` until ``|Z| = pi - delta`` or t_max."""
-    cutoff = math.pi - cfg.restart_margin
+    """Solve the state ``(Z, q)`` from ``(0, q)`` until ``|Z| = pi - RESTART_MARGIN`` or t_max."""
+    cutoff = math.pi - RESTART_MARGIN
 
     def boundary(t, y):
         return _norm3(y[:3]) - cutoff
@@ -233,7 +232,7 @@ def integrate_z_segment(
     t_max: float,
     config: IntegratorConfig | None = None,
 ) -> ZSegment:
-    """Solve one Z segment from ``Z(t_start) = 0`` until ``|Z| = pi - delta`` or t_max.
+    """Solve one Z segment from ``Z(t_start) = 0`` until ``|Z| = pi - RESTART_MARGIN`` or t_max.
 
     The segment's ``t_end`` is its exit time (== t_max when no restart fired).
     """
@@ -263,9 +262,8 @@ class GroupTrajectory:
 
         A(nT + tau) = exp(n W) A(tau).
 
-    For n >= 1 the composite prefix ``bch(n W, prefix_i)`` of the segment
-    holding tau is cached per (n, i), so a sample past T costs the same
-    single BCH as one inside the period.
+    For n >= 1 a sample first composes the prefix of the segment holding tau
+    with n W, so it costs two BCHs where a sample inside the period costs one.
 
     A sample runs on Python floats from the dense state to the nine entries
     of A(t): one bisect over a step table that spans all segments finds the
@@ -309,7 +307,6 @@ class GroupTrajectory:
             self._steps += seg._dense.interpolants
             self._step_segment += [i] * len(ends)
         self._arrays = None  # the step table as ndarrays, built by the first batch
-        self._extended: dict[tuple[int, int], tuple] = {}
         self._classes: dict[float, tuple] = {}
         self.W = None
         self._t_extend = math.inf  # times past this come from the monodromy
@@ -334,16 +331,10 @@ class GroupTrajectory:
         return n, k, self._steps[k](t)
 
     def _prefix(self, n: int, i: int):
-        """The class of ``exp(n W) exp(prefix_i)``: prefix i for n = 0, else cached per (n, i)."""
+        """The class of ``exp(n W) exp(prefix_i)`` as a float triple."""
         if not n:
             return self.prefixes[i]
-        prefix = self._extended.get((n, i))
-        if prefix is None:
-            if len(self._extended) >= CACHE_SIZE:
-                self._extended.clear()
-            nw = [n * w for w in self.W]
-            prefix = self._extended[n, i] = _ball_vector(_bch_full(nw, self.prefixes[i])[0])
-        return prefix
+        return _ball_vector(_bch_full([n * w for w in self.W], self.prefixes[i])[0])
 
     def _product(self, t: float):
         """BCH of the prefix and Z(tau) as a float triple, before the ball check."""
@@ -555,9 +546,7 @@ def integrate_skew_product(
     ref = _reference(
         t_end, ref_dir, lambda: system.x_g(np.zeros(system.dim_q), 0.0), "X^G at (q=0, lam=0)"
     )
-    q0 = np.asarray(q0, dtype=float)
-    if q0.shape != (system.dim_q,):
-        raise DomainError(f"q0 must have shape ({system.dim_q},), got {q0.shape}")
+    q0 = _float_array(q0, (system.dim_q,), "q0")
 
     def rhs(t, y):
         q = np.array(y[3:])

@@ -29,7 +29,7 @@ from .bch import _bch_full
 from .errors import BracketError, DomainError, InternalInconsistency
 from .flow import ForcingSignal, GroupTrajectory, IntegratorConfig, _period, integrate_group
 from .ode import brentq
-from .so3 import _ball_vector, _dot3, _exp_matrix, _finite3, _norm3, _vec3, q_map
+from .so3 import _ball_vector, _dot3, _exp_matrix, _finite3, _float_array, _norm3, _vec3, q_map
 
 np = lazy_numpy(globals())
 
@@ -128,10 +128,9 @@ def _winding(x0_norm: float, T0: float) -> int:
     return int(math.floor(x0_norm * T0 / (2.0 * math.pi) + 0.5 * RES_TOL))
 
 
-def primary_frequency(
-    traj: GroupTrajectory, T: float, ref_dir: np.ndarray | None = None
-) -> np.ndarray:
-    """Frequency vector X with ``exp_rot(X * T) = A(T)``, hemisphere-reduced.
+def primary_frequency(traj: GroupTrajectory, T: float) -> np.ndarray:
+    """Frequency vector X with ``exp_rot(X * T) = A(T)``, hemisphere-reduced
+    around the trajectory's ``ref_dir``.
 
     Parameters
     ----------
@@ -139,13 +138,10 @@ def primary_frequency(
         Must cover [0, T].
     T : float
         Relative period of the forcing.
-    ref_dir : array_like, optional
-        Hemisphere reference; defaults to the trajectory's own.
     """
     if not T > 0.0:
         raise DomainError("T must be positive")
-    ref = traj.ref_dir if ref_dir is None else ref_dir
-    return q_map(traj.class_at(T), ref) / T
+    return q_map(traj.class_at(T), traj.ref_dir) / T
 
 
 def lifted_frequency(
@@ -170,8 +166,8 @@ def lifted_frequency(
         If X vanishes in a nonresonant class (the log cannot lose a full turn
         off resonance, so a zero X there indicates an upstream bug).
     """
-    X = np.asarray(X, dtype=float)
-    x0 = np.asarray(x0, dtype=float)
+    X = _float_array(X, (3,), "X")
+    x0 = _float_array(x0, (3,), "x0")
     if not T0 > 0.0:
         raise DomainError("T0 must be positive")
     x0_norm = float(np.linalg.norm(x0))
@@ -242,8 +238,8 @@ def classify(
     classes split into OrthogonalDrift (|<X_hat, x0_hat>| < ORTHO_TOL) and
     SlowMeanderAboutX0. A degenerate class (|x0| = 0) gets motion None.
     """
-    x0 = np.asarray(x0, dtype=float)
-    X = np.asarray(X, dtype=float)
+    x0 = _float_array(x0, (3,), "x0")
+    X = _float_array(X, (3,), "X")
     if not T > 0.0:
         raise DomainError("T must be positive")
     x0_norm = float(np.linalg.norm(x0))

@@ -88,7 +88,6 @@ class Scenario:
     omega_bif: float
     x0_norm: float
     r: float
-    theta0: float
     tip_x0: tuple
     frame: Frame
     k: int = 1
@@ -309,17 +308,17 @@ _TIP_A = (0.0, 0.92, 2.85)
 _TIP_B = (0.44, 0.14, 2.96)
 
 _DEFAULTS: dict[str, dict] = {
-    "example1": dict(family="example1", omega_bif=20.0, x0_norm=2.0, theta0=0.01, tip=_TIP_A),
-    "example2": dict(family="example2", omega_bif=20.0, x0_norm=20.0, theta0=0.02, tip=_TIP_A),
-    "example3": dict(family="example3", omega_bif=20.0, x0_norm=20.0, theta0=0.5, tip=_TIP_B),
-    "example4": dict(family="example4", omega_bif=20.0, x0_norm=20.0, theta0=0.5, tip=_TIP_B),
-    "example5": dict(family="example5", omega_bif=20.0, x0_norm=2.0, theta0=0.01, tip=_TIP_A),
+    "example1": dict(family="example1", omega_bif=20.0, x0_norm=2.0, tip=_TIP_A),
+    "example2": dict(family="example2", omega_bif=20.0, x0_norm=20.0, tip=_TIP_A),
+    "example3": dict(family="example3", omega_bif=20.0, x0_norm=20.0, tip=_TIP_B),
+    "example4": dict(family="example4", omega_bif=20.0, x0_norm=20.0, tip=_TIP_B),
+    "example5": dict(family="example5", omega_bif=20.0, x0_norm=2.0, tip=_TIP_A),
 }
 # the study instances case1..case3 are examples 1-3 under their own names
 _DEFAULTS.update({f"case{i}": _DEFAULTS[f"example{i}"] for i in (1, 2, 3)})
 
 _ALLOWED_OVERRIDES = {
-    "omega_bif", "x0_norm", "r", "theta0", "tip_x0", "frame", "k", "g", "gdot",
+    "omega_bif", "x0_norm", "r", "tip_x0", "frame", "k", "g", "gdot",
 }
 
 
@@ -355,7 +354,7 @@ def build(name: str, **overrides) -> Scenario:
     name : str
         One of :func:`available`.
     **overrides
-        omega_bif, x0_norm, r, theta0, tip_x0, frame (Frame or 3 rows),
+        omega_bif, x0_norm, r, tip_x0, frame (Frame or 3 rows),
         k (example4 resonance order), g and gdot (waveform callables
         (t, lam) -> float with g(0, lam) = 0).
 
@@ -413,7 +412,6 @@ def build(name: str, **overrides) -> Scenario:
     r = _number(overrides, "r", 3.0)
     if not r > 0.0:
         raise ConfigError("r must be positive")
-    theta0 = _number(overrides, "theta0", spec["theta0"])
 
     frame = overrides.get("frame", Frame())
     if not isinstance(frame, Frame):
@@ -452,7 +450,6 @@ def build(name: str, **overrides) -> Scenario:
         omega_bif=omega_bif,
         x0_norm=x0_norm,
         r=r,
-        theta0=theta0,
         tip_x0=tip_x0,
         frame=frame,
         k=k,
@@ -465,21 +462,17 @@ def verify_against_closed_form(
     scenario: Scenario,
     lam: float,
     mu: float | None = None,
-    t_grid=None,
     config: IntegratorConfig | None = None,
 ) -> float:
     """Max Frobenius deviation between the integrated and exact trajectories.
 
-    Defaults to 201 samples over two relative periods, spaced as
+    Takes 201 samples over two relative periods, spaced as
     ``numpy.linspace(0, 2T, 201)`` spaces them. The matrices and their
     difference are formed on the float chain.
     """
-    if t_grid is None:
-        stop = 2.0 * scenario.period(lam, mu)
-        step = stop / 200
-        t_grid = [i * step for i in range(200)] + [stop]
-    else:
-        t_grid = [float(t) for t in t_grid]
+    stop = 2.0 * scenario.period(lam, mu)
+    step = stop / 200
+    t_grid = [i * step for i in range(200)] + [stop]
     signal = scenario.forcing(lam, mu)
     traj = integrate_group(signal, lam, t_grid[-1], config, ref_dir=scenario.frame.x0_dir)
     worst = 0.0

@@ -79,21 +79,42 @@ def hat(v: np.ndarray) -> np.ndarray:
 
 def vee(m: np.ndarray) -> np.ndarray:
     """Inverse of :func:`hat`. Raises DomainError if ``m`` is not skew within 1e-10."""
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3):
-        raise DomainError(f"vee expects a 3x3 matrix, got shape {m.shape}")
+    m = _float_array(m, (3, 3), "vee's matrix")
     if np.max(np.abs(m + m.T)) > 1e-10:
         raise DomainError("vee: matrix is not skew-symmetric within 1e-10")
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
 def _vec3(v) -> tuple[float, float, float]:
-    """``v`` as a float triple; DomainError unless it is a finite 3-vector."""
+    """``v`` as a float triple; DomainError unless it is a 3-vector with a finite squared norm."""
     try:
         x, y, z = v
-        return _finite3((float(x), float(y), float(z)))
+        x, y, z = r = (float(x), float(y), float(z))
     except (TypeError, ValueError, OverflowError):
         raise DomainError(f"expected a 3-vector, got {v!r}") from None
+    if not math.isfinite(x * x + y * y + z * z):
+        raise DomainError(f"expected a finite 3-vector with a finite norm, got {v!r}")
+    return r
+
+
+def _float_array(value, shape: tuple, what: str) -> np.ndarray:
+    """``value`` as a float ndarray; DomainError unless it is numeric, finite and of ``shape``.
+
+    A None in ``shape`` matches any length; booleans and strings are not numeric.
+    """
+    try:
+        a = np.asarray(value)
+    except (TypeError, ValueError):  # ragged nesting
+        a = None
+    if a is None or a.dtype.kind not in "iuf":
+        raise DomainError(f"{what} must be an array of numbers")
+    if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
+        want = str(shape).replace("None", "n")
+        raise DomainError(f"{what} must be {len(shape)}-D with shape {want}, got shape {a.shape}")
+    a = a.astype(float, copy=False)
+    if not np.isfinite(a).all():
+        raise DomainError(f"{what} must be finite")
+    return a
 
 
 def _finite3(v):
@@ -256,9 +277,7 @@ def as_rotation(m: np.ndarray) -> np.ndarray:
     drift up to 1e-3 is repaired by projection onto SO(3) (polar factor);
     anything worse raises DomainError.
     """
-    m = np.asarray(m, dtype=float)
-    if m.shape != (3, 3) or not np.all(np.isfinite(m)):
-        raise DomainError("rotation must be a finite 3x3 matrix")
+    m = _float_array(m, (3, 3), "rotation")
     err = max(
         float(np.linalg.norm(m.T @ m - np.eye(3))),
         abs(float(np.linalg.det(m)) - 1.0),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from ._numpy import lazy_numpy
 from .errors import DomainError, FitError
-from .so3 import _vec3, hemisphere_sign
+from .so3 import _float_array, _vec3, hemisphere_sign
 
 np = lazy_numpy(globals())
 
@@ -82,9 +82,7 @@ def tip_trajectory(traj, x0, r: float, sample_times, period: float | None = None
         raise DomainError("r must be positive")
     if abs(float(np.linalg.norm(x0)) - r) > 1e-9 * r:
         raise DomainError(f"|x0| = {np.linalg.norm(x0):.12g} is not on the sphere of radius {r!r}")
-    times = np.atleast_1d(np.asarray(sample_times, dtype=float))
-    if times.ndim != 1:
-        raise DomainError(f"sample_times must be 1-D, got shape {times.shape}")
+    times = _float_array(sample_times, (None,), "sample_times")
     if period is not None:
         if not 0.0 < period < math.inf:
             raise DomainError(f"period must be positive and finite, got {period!r}")
@@ -112,14 +110,10 @@ def fit_circle(points, ref_axis=(0.0, 0.0, 1.0)) -> CircleFit:
         For fewer than 3 points, coincident points, or collinear points
         (plane normal not determined).
     """
-    pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise DomainError(f"points must have shape (n, 3), got {pts.shape}")
+    pts = _float_array(points, (None, 3), "points")
     n = pts.shape[0]
     if n < 3:
         raise FitError(f"need at least 3 points to fit a circle, got {n}")
-    if not np.isfinite(pts).all():
-        raise DomainError("points must be finite")
     centroid = pts.mean(axis=0)
     centered = pts - centroid
     cov = centered.T @ centered / n
@@ -130,7 +124,7 @@ def fit_circle(points, ref_axis=(0.0, 0.0, 1.0)) -> CircleFit:
     if evals[1] <= 1e-14 * evals[2]:
         raise FitError("points are collinear; plane normal is undetermined")
     axis = evecs[:, 0]
-    axis = hemisphere_sign(axis, np.asarray(ref_axis, dtype=float)) * axis
+    axis = hemisphere_sign(axis, _float_array(ref_axis, (3,), "ref_axis")) * axis
     heights = pts @ axis
     height = float(heights.mean())
     in_plane = pts - np.outer(heights, axis)

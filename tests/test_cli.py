@@ -170,6 +170,18 @@ def test_bch_identity_product(capsys):
     assert "result: [0, 0, 0]" in out
 
 
+@pytest.mark.parametrize(
+    "components",
+    [["1e308", "1e308", "0"], ["1e200", "0", "1e200"], ["inf", "0", "0"], ["0", "nan", "0"]],
+    ids=["1e308", "1e200", "inf", "nan"],
+)
+def test_bch_components_without_a_finite_norm_exit_2(capsys, components):
+    # a configuration error like every other bad number; 1e308 ended in a traceback
+    assert main(["bch", "0", "0", "1", *components]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bch components: ") and "Traceback" not in err
+
+
 def test_bch_reduces_large_input(capsys):
     rc = main(["bch", "0", "0", "4", "0", "0", "0"])
     assert rc == 0
@@ -283,6 +295,23 @@ def test_drift_and_verify_take_no_sampling_flags(command, flag):
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         rc = main([command, "--scenario", "example4", "--lambda", "0.01", flag, "2"])
     assert rc == 2 and f"unrecognized arguments: {flag}" in err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        *[(cmd, "--restart-margin") for cmd in ("simulate", "frequency", "drift", "verify")],
+        ("frequency", "--samples-per-period"),
+    ],
+)
+def test_removed_flags_are_refused(command, flag):
+    # the restart margin is flow.RESTART_MARGIN, and frequency writes no per-period rows
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        rc = main([command, "--scenario", "example4", "--lambda", "0.01", flag, "2",
+                   "--dump-config"])
+    assert rc == 2 and f"unrecognized arguments: {flag}" in err.getvalue()
+    assert "Traceback" not in err.getvalue()
 
 
 def test_verify_lambda_zero_runs_lambda_zero_alone(capsys):
@@ -496,6 +525,9 @@ def test_bad_subcommand_exits_2(capsys):
         ("simulate", {"overrides": {"tip_x0": "abc"}}),
         ("simulate", {"overrides": {"frame": [[0, 0, 1], [1, 0, 0]]}}),
         ("simulate", {"overrides": {"frame": 5}}),
+        # settings that no longer exist
+        ("simulate", {"restart_margin": 0.1}),
+        ("frequency", {"overrides": {"theta0": 0.5}}),
     ],
 )
 def test_config_file_bad_values_exit_2(tmp_path, capsys, command, doc):
@@ -553,6 +585,30 @@ def test_sample_count_bound(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_config_file_numbers_run_as_the_same_flags(tmp_path, capsys):
+    # JSON integers become the floats that the flags give: lambda 0 names the file lambda0.0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({
+        "scenario": "example4", "lambda_grid": [0], "mu": 0, "mu_bracket": [0, 1],
+        "rtol": 1, "atol": 1, "horizon": 1, "samples_per_period": 4,
+    }))
+    flags = ["--scenario", "example4", "--lambda", "0", "--mu", "0", "--rtol", "1",
+             "--atol", "1", "--horizon", "1", "--samples-per-period", "4"]
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "file")]) == 0
+    assert main(["simulate", *flags, "--out", str(tmp_path / "flags")]) == 0
+    files = sorted(p.name for p in (tmp_path / "file").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "flags").iterdir())
+    assert files == ["example4_lambda0.0.csv"]
+    name = files[0]
+    assert (tmp_path / "file" / name).read_bytes() == (tmp_path / "flags" / name).read_bytes()
+    # the dumped text of such integers is unchanged
+    capsys.readouterr()
+    assert main(["simulate", "--config", str(cfg), "--dump-config"]) == 0
+    dumped = capsys.readouterr().out
+    assert '"lambda_grid": [\n    0\n  ]' in dumped and '"rtol": 1,' in dumped
+    assert json.loads(dumped)["mu_bracket"] == [0, 1]
+
+
 # ------------------------------------------------------------------ fuzzing
 
 #: any value a JSON document can hold, as Python's json module reads it:
@@ -576,7 +632,6 @@ RUNNABLE = {
     "mu": st.none() | st.floats(0.0, 0.3),
     "rtol": st.floats(1e-12, 1e-6),
     "atol": st.floats(1e-14, 1e-8),
-    "restart_margin": st.floats(0.01, 1.5),
 }
 CONFIG_DOCS = st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON_VALUES) | st.fixed_dictionaries(
     {"horizon": st.integers(1, 2), "samples_per_period": st.integers(1, 3)}, optional=RUNNABLE

@@ -59,10 +59,7 @@ def test_config_validation():
         IntegratorConfig(rtol=0.0)
     with pytest.raises(ConfigError):
         IntegratorConfig(atol=-1e-12)
-    with pytest.raises(ConfigError):
-        IntegratorConfig(restart_margin=2.0)
-    with pytest.raises(ConfigError):
-        IntegratorConfig(restart_margin=0.0)
+    assert [f.name for f in dataclasses.fields(IntegratorConfig)] == ["rtol", "atol"]
 
 
 # ----------------------------------------------------------------- Z segment
@@ -344,15 +341,19 @@ def test_lambda_zero_is_rigid_rotation():
         assert np.linalg.norm(traj.eval_A(t) - exp_rot(x0 * t)) < 1e-9
 
 
-def test_restart_margin_invariance():
-    # halving the restart margin must not move the assembled trajectory
-    sc = build("case1")
+def test_restart_margin_invariance(monkeypatch):
+    # halving the restart margin moves the restarts, not the assembled trajectory
     lam = 0.01
     t_end = 4.0
-    a = integrate_group(sc.forcing(lam), lam, t_end, IntegratorConfig(restart_margin=0.1))
-    b = integrate_group(sc.forcing(lam), lam, t_end, IntegratorConfig(restart_margin=0.05))
-    for t in np.linspace(0.0, t_end, 17):
-        assert np.linalg.norm(a.eval_A(t) - b.eval_A(t)) < 1e-9
+    for name in ("case1", "case2"):  # case2 restarts inside its period, case1 does not
+        sc = build(name)
+        monkeypatch.setattr(flow, "RESTART_MARGIN", 0.1)
+        a = integrate_group(sc.forcing(lam), lam, t_end)
+        monkeypatch.setattr(flow, "RESTART_MARGIN", 0.05)
+        b = integrate_group(sc.forcing(lam), lam, t_end)
+        for t in np.linspace(0.0, t_end, 17):
+            assert np.linalg.norm(a.eval_A(t) - b.eval_A(t)) < 1e-9
+    assert [seg.t_end for seg in a.segments] != [seg.t_end for seg in b.segments]
 
 
 def test_class_at_is_unreduced_chain():
@@ -723,7 +724,7 @@ def test_euler_cross_checks_group_integrator():
     lam = 0.05
     T = sc.period(lam)
     group = integrate_group(sc.forcing(lam), lam, T)
-    euler = integrate_euler(sc.forcing(lam), lam, T, sc.theta0)
+    euler = integrate_euler(sc.forcing(lam), lam, T, 0.5)
     for t in np.linspace(0.0, T, 9):
         assert np.linalg.norm(euler.eval_A(t) - group.eval_A(t)) < 1e-6
 

@@ -21,16 +21,21 @@ from rotwave import (
     MotionClass,
     ResonanceClass,
     ResonanceKind,
+    SkewProductSystem,
+    as_rotation,
     bch,
     classify,
     classify_resonance,
     exp_rot,
     find_orthogonal_branch,
+    fit_circle,
     integrate_group,
+    integrate_skew_product,
     lifted_frequency,
     periodic_part,
     primary_frequency,
     tip_trajectory,
+    vee,
 )
 from rotwave.hopf import ORTHO_TOL
 from rotwave.scenarios import Frame, build
@@ -412,3 +417,47 @@ def test_orthogonal_branch_domain_checks():
     sc = build("example4", g=lambda t, lam: np.sin(t), gdot=lambda t, lam: np.cos(t))
     with pytest.raises(DomainError, match="periodic"):
         find_orthogonal_branch(sc.forcing_family, 1e-2, (0.0, 0.3), sc.X0)
+
+
+# ------------------------------------------------------- array-like inputs
+
+def unit_z_trajectory():
+    return integrate_group(constant_signal(EZ), 0.0, 1.0)
+
+
+FROZEN_Q = SkewProductSystem(x_g=lambda q, lam: EZ, x_n=lambda q, lam: np.zeros(2), dim_q=2)
+RAGGED = [[0.1], [0.2, 0.3]]
+RES = classify_resonance(20.0, 20.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: tip_trajectory(unit_z_trajectory(), 3.0 * EZ, 3.0, RAGGED),
+        lambda: tip_trajectory(unit_z_trajectory(), 3.0 * EZ, 3.0, ["a", 0.1]),
+        lambda: fit_circle([[0, 0, 1], [0, 1], [1, 0, 0]]),
+        lambda: fit_circle([["a", 0, 1], [0, 1, 0], [1, 0, 0]]),
+        lambda: fit_circle([[0, 0, 1], [0, 1, 0], [1, 0, 0]], ref_axis=[[0], [0, 1]]),
+        lambda: classify(RAGGED, 20.0, EZ, 0.3, 0.01),
+        lambda: classify(20.0 * EZ, 20.0, ["a", 0.0, 1.0], 0.3, 0.01),
+        lambda: classify(20.0 * EZ, 20.0, [1.0, 0.0], 0.3, 0.01),
+        lambda: classify(20.0 * EZ, 20.0, [np.nan, 0.0, 1.0], 0.3, 0.01),
+        lambda: lifted_frequency([1.0, 0.0], 0.3, 20.0 * EZ, 20.0, RES),
+        lambda: lifted_frequency(EZ, 0.3, RAGGED, 20.0, RES),
+        lambda: integrate_skew_product(FROZEN_Q, RAGGED, 0.0, 1.0),
+        lambda: integrate_skew_product(FROZEN_Q, ["a", 0.1], 0.0, 1.0),
+        lambda: vee([[0, 1, 0], [-1, 0], [0, 0, 0]]),
+        lambda: as_rotation([["1", 0, 0], [0, 1, 0], [0, 0, 1]]),
+    ],
+    ids=[
+        "tip-ragged-times", "tip-string-times", "fit-ragged-points", "fit-string-points",
+        "fit-ragged-ref_axis",
+        "classify-ragged-x0", "classify-string-X", "classify-2-vector-X", "classify-nan-X",
+        "lifted-2-vector-X", "lifted-ragged-x0", "skew-ragged-q0", "skew-string-q0",
+        "vee-ragged", "as_rotation-string",
+    ],
+)
+def test_bad_array_inputs_raise_domain_error(call):
+    # ragged, non-numeric, misshaped or non-finite arrays: DomainError, never numpy's errors
+    with pytest.raises(DomainError):
+        call()

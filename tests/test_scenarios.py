@@ -37,11 +37,11 @@ def test_case_defaults():
     sc = build("case1")
     assert sc.family == "example1"
     assert sc.omega_bif == 20.0 and sc.x0_norm == 2.0
-    assert sc.r == 3.0 and sc.theta0 == 0.01
+    assert sc.r == 3.0
     assert abs(np.linalg.norm(sc.tip_x0) - 3.0) < 1e-12
     assert np.allclose(sc.X0, 2.0 * EZ)
     sc3 = build("case3")
-    assert sc3.family == "example3" and sc3.theta0 == 0.5
+    assert sc3.family == "example3"
 
 
 def test_unknown_name_lists_available():
@@ -52,6 +52,8 @@ def test_unknown_name_lists_available():
 def test_unknown_override_rejected():
     with pytest.raises(ConfigError, match="unknown override"):
         build("case1", lam=0.1)
+    with pytest.raises(ConfigError, match="unknown override"):
+        build("case1", theta0=0.5)  # the Euler chart's start, which nothing read
 
 
 def test_tip_seed_is_projected_to_sphere():
@@ -61,6 +63,12 @@ def test_tip_seed_is_projected_to_sphere():
         build("case1", tip_x0=(0.0, 0.0, 0.0))
     with pytest.raises(ConfigError):
         build("case1", tip_x0=(np.inf, 0.0, 1.0))
+
+
+def test_tip_seed_whose_norm_overflows_is_refused():
+    # finite components, squared norm past the float range: the scale r / |tip| was 0
+    with pytest.raises(ConfigError, match="tip_x0"):
+        build("case1", tip_x0=[1e200, 0.0, 0.0])
 
 
 def test_takes_mu_flag():
@@ -114,7 +122,7 @@ def test_example4_omega_is_derived():
     "overrides, message",
     [
         ({"r": math.inf}, "finite"),
-        ({"theta0": math.nan}, "finite"),
+        ({"x0_norm": math.nan}, "finite"),
         ({"omega_bif": -1.0}, "omega_bif must be positive"),
         ({"r": 0.0}, "r must be positive"),
         ({"k": True}, "boolean"),
@@ -140,6 +148,8 @@ def test_k_restricted_to_example4():
 def test_g_and_gdot_must_pair():
     with pytest.raises(ConfigError):
         build("case1", g=lambda t, lam: np.sin(t))
+    with pytest.raises(ConfigError, match="callables"):
+        build("case1", g=0.0, gdot=0.0)  # as a config file's overrides can give them
     with pytest.raises(ConfigError, match="g\\(0"):
         build("case1", g=lambda t, lam: np.cos(t), gdot=lambda t, lam: -np.sin(t))
     sc = build(
@@ -147,7 +157,7 @@ def test_g_and_gdot_must_pair():
         g=lambda t, lam: np.sin(2.0 * t),
         gdot=lambda t, lam: 2.0 * np.cos(2.0 * t),
     )
-    assert verify_against_closed_form(sc, 0.01, t_grid=np.linspace(0.0, 0.5, 51)) < 1e-7
+    assert verify_against_closed_form(sc, 0.01) < 1e-7
 
 
 # ----------------------------------------------------- forcing family shape

@@ -12,6 +12,8 @@ from rotwave import (
     DomainError,
     SingularityError,
     as_rotation,
+    bch,
+    bch_breakdown,
     dexp_op,
     dexpinv_op,
     exp_rot,
@@ -91,6 +93,17 @@ def test_vee_rejects_non_skew():
 def test_shape_and_finiteness_checks(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [exp_rot, dexp_op, lambda v: bch(v, EZ), lambda v: bch_breakdown(EZ, v)],
+    ids=["exp_rot", "dexp_op", "bch", "bch_breakdown"],
+)
+def test_vectors_whose_squared_norm_overflows_are_refused(call):
+    # finite components; these raised math's "math domain error" ValueError
+    with pytest.raises(DomainError, match="finite norm"):
+        call([1e200, 1e200, 0.0])
 
 
 @given(vec3)
