@@ -56,11 +56,15 @@ class RunConfig:
     atol: float = 1e-12
     out: str | None = None
 
-    def validate(self) -> None:
+    def validate(self, command: str) -> None:
         """Raise ConfigError unless every field has its documented type and range.
 
         Config files can put any JSON value in any field, so types are checked
-        here, before anything computes with them.
+        here, before anything computes with them. ``horizon`` is at most
+        MAX_SAMPLES for every subcommand, so that ``horizon * T`` stays a
+        float; the rows bound ``horizon * samples_per_period`` applies to
+        ``command == "simulate"`` only, the one subcommand that samples
+        per period.
         """
         if not isinstance(self.scenario, str):
             raise ConfigError(f"scenario must be a string, got {self.scenario!r}")
@@ -73,7 +77,9 @@ class RunConfig:
             raise ConfigError("horizon must be >= 1")
         if self.samples_per_period < 1:
             raise ConfigError("samples-per-period must be >= 1")
-        if self.horizon * self.samples_per_period > MAX_SAMPLES:
+        if self.horizon > MAX_SAMPLES:
+            raise ConfigError(f"horizon must be <= {MAX_SAMPLES}")
+        if command == "simulate" and self.horizon * self.samples_per_period > MAX_SAMPLES:
             raise ConfigError(
                 f"horizon x samples-per-period must be <= {MAX_SAMPLES} "
                 "(the rows simulate writes per lambda)"
@@ -218,7 +224,7 @@ def _load_config(args: argparse.Namespace) -> tuple[RunConfig, frozenset]:
             raise ConfigError("--mu-bracket needs exactly two comma-separated numbers")
         updates["mu_bracket"] = tuple(pair)
     cfg = replace(cfg, **updates)
-    cfg.validate()
+    cfg.validate(args.command)
     # a config file's integers become the floats that the same flags give
     cfg = replace(
         cfg,
@@ -444,8 +450,7 @@ def _add_common(p: argparse.ArgumentParser, drift: bool = False, horizon: bool =
     if horizon:
         p.add_argument(
             "--horizon", type=int,
-            help=f"run length in relative periods (default 5; horizon x samples-per-period "
-            f"<= {MAX_SAMPLES})",
+            help=f"run length in relative periods (default 5, at most {MAX_SAMPLES})",
         )
     p.add_argument("--rtol", type=float, help="integrator relative tolerance (default 1e-10)")
     p.add_argument("--atol", type=float, help="integrator absolute tolerance (default 1e-12)")
@@ -469,7 +474,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="integrate a scenario and write trajectory CSVs")
     _add_common(p)
     p.add_argument(
-        "--samples-per-period", type=int, help="output samples per period (default 100)"
+        "--samples-per-period", type=int,
+        help=f"output samples per period (default 100; horizon x samples-per-period "
+        f"<= {MAX_SAMPLES})",
     )
     p.set_defaults(func=cmd_simulate)
 

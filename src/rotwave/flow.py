@@ -178,7 +178,8 @@ class ZSegment:
 
 
 def _check_forcing_value(x, t: float) -> Sequence[float]:
-    """The forcing value as a float triple; DomainError unless it is a finite 3-vector.
+    """The forcing value as a float triple; DomainError unless it is a 3-vector
+    with a finite squared norm (:func:`_vec3`'s rule).
 
     A list or tuple of three floats is returned as it is; anything else
     (numpy arrays, other numbers) goes through :func:`_vec3`.
@@ -188,7 +189,7 @@ def _check_forcing_value(x, t: float) -> Sequence[float]:
         and type(x[0]) is float and type(x[1]) is float and type(x[2]) is float
     ):
         x1, x2, x3 = x
-        if math.isfinite(x1) and math.isfinite(x2) and math.isfinite(x3):
+        if math.isfinite(x1 * x1 + x2 * x2 + x3 * x3):
             return x
     else:
         try:

@@ -13,18 +13,21 @@ equivalence class.
 Scalar kernels
 --------------
 The hot paths work on Python floats through :mod:`math` and build no 3x3
-matrix. The private scalar forms of the public matrix functions are:
+matrix. :func:`exp_rot`, :func:`dexp_op` and :func:`dexpinv_op` all have the
+shape ``I + a hat(v) + b hat(v)^2``; ``_quadratic_entries`` fills it from
+floats, as a row-major tuple of nine. The two forms that the right-hand side
+of the integrator calls apply it to a vector without building it:
 
 - ``_exp_apply(v, w)``, the scalar form of ``exp_rot(v) @ w`` (vector
   Rodrigues);
 - ``_dexpinv_apply(z, x)``, the scalar form of ``dexpinv_op(z) @ x``, behind
   the same DEXPINV_MARGIN guard.
 
-:func:`exp_rot`, :func:`dexp_op` and :func:`dexpinv_op` all have the shape
-``I + a hat(v) + b hat(v)^2``: ``_quadratic_entries`` fills it from floats, as
-a row-major tuple of nine, and ``_quadratic_apply`` applies it to a vector.
-A public function and its scalar form take ``a`` and ``b`` from the same
-coefficient function. The scalar forms take 3-sequences of floats and skip
+Each is straight-line code whose only call is its coefficient function: it
+unpacks its two triples once and spells out the norm and the two cross
+products ``v x w`` and ``v x (v x w)``. A public function and its scalar form
+take ``a`` and ``b`` from the same coefficient function (``_exp_coeffs``,
+``_dexpinv_c2``). The scalar forms take 3-sequences of floats and skip
 validation; :func:`_vec3` runs at the public entry points only. ``_matmul3``,
 ``_matvec3`` and ``_frob_dist`` multiply and compare nine-float matrices,
 summing left to right. numpy is imported by the first call that builds an
@@ -138,20 +141,6 @@ def _norm3(v) -> float:
     return math.sqrt(x * x + y * y + z * z)
 
 
-def _quadratic_apply(v, w, a: float, b: float) -> tuple[float, float, float]:
-    """``(I + a hat(v) + b hat(v)^2) @ w`` on float triples."""
-    v0, v1, v2 = v
-    w0, w1, w2 = w
-    c0 = v1 * w2 - v2 * w1
-    c1 = v2 * w0 - v0 * w2
-    c2 = v0 * w1 - v1 * w0
-    return (
-        w0 + a * c0 + b * (v1 * c2 - v2 * c1),
-        w1 + a * c1 + b * (v2 * c0 - v0 * c2),
-        w2 + a * c2 + b * (v0 * c1 - v1 * c0),
-    )
-
-
 def _dot3(u, v) -> float:
     return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
 
@@ -228,8 +217,19 @@ def _exp_entries_arrays(v) -> tuple:
 
 
 def _exp_apply(v, w) -> tuple[float, float, float]:
-    """Scalar form of ``exp_rot(v) @ w`` (vector Rodrigues) on float triples."""
-    return _quadratic_apply(v, w, *_exp_coeffs(_norm3(v)))
+    """Scalar form of ``exp_rot(v) @ w`` (vector Rodrigues) on float triples:
+    ``w + a v x w + b v x (v x w)``."""
+    v0, v1, v2 = v
+    w0, w1, w2 = w
+    a, b = _exp_coeffs(math.sqrt(v0 * v0 + v1 * v1 + v2 * v2))
+    c0 = v1 * w2 - v2 * w1
+    c1 = v2 * w0 - v0 * w2
+    c2 = v0 * w1 - v1 * w0
+    return (
+        w0 + a * c0 + b * (v1 * c2 - v2 * c1),
+        w1 + a * c1 + b * (v2 * c0 - v0 * c2),
+        w2 + a * c2 + b * (v0 * c1 - v1 * c0),
+    )
 
 
 def _exp_entries(v) -> tuple:
@@ -527,4 +527,14 @@ def _dexpinv_apply(z, x) -> tuple[float, float, float]:
     Raises SingularityError within DEXPINV_MARGIN of ``|z| = 2*pi``, as
     :func:`dexpinv_op` does.
     """
-    return _quadratic_apply(z, x, 0.5, _dexpinv_c2(_norm3(z)))
+    z0, z1, z2 = z
+    x0, x1, x2 = x
+    b = _dexpinv_c2(math.sqrt(z0 * z0 + z1 * z1 + z2 * z2))
+    c0 = z1 * x2 - z2 * x1
+    c1 = z2 * x0 - z0 * x2
+    c2 = z0 * x1 - z1 * x0
+    return (
+        x0 + 0.5 * c0 + b * (z1 * c2 - z2 * c1),
+        x1 + 0.5 * c1 + b * (z2 * c0 - z0 * c2),
+        x2 + 0.5 * c2 + b * (z0 * c1 - z1 * c0),
+    )

@@ -4,7 +4,9 @@ Everything here is computed through a *different* route than the library
 under test: rotation composition goes through unit quaternions, matrices come
 from the quaternion-to-matrix formula, and singular-limit coefficients come
 from extended-precision evaluation or explicit Taylor polynomials. None of
-these functions import from ``rotwave``.
+these functions import from ``rotwave``. The exception to the different
+route is the composed kernel form (:func:`quadratic_apply_composed`), which
+repeats the library's arithmetic in its earlier shape to pin it bit for bit.
 """
 import math
 
@@ -143,6 +145,31 @@ def c2_ref(theta):
     t = np.longdouble(theta)
     val = 1.0 / (t * t) - np.cos(t / 2.0) / (2.0 * np.sin(t / 2.0) * t)
     return float(val)
+
+
+def norm3_composed(v):
+    """Euclidean norm of a float triple, summed x, y, z as the library does."""
+    x, y, z = v
+    return math.sqrt(x * x + y * y + z * z)
+
+
+def quadratic_apply_composed(v, w, a, b):
+    """``(I + a hat(v) + b hat(v)^2) @ w`` on float triples, through ``v x w``.
+
+    The library once applied exp and dexpinv through this function and
+    :func:`norm3_composed`; composed with the library's coefficient functions
+    it is the bitwise reference for the straight-line kernels.
+    """
+    v0, v1, v2 = v
+    w0, w1, w2 = w
+    c0 = v1 * w2 - v2 * w1
+    c1 = v2 * w0 - v0 * w2
+    c2 = v0 * w1 - v1 * w0
+    return (
+        w0 + a * c0 + b * (v1 * c2 - v2 * c1),
+        w1 + a * c1 + b * (v2 * c0 - v0 * c2),
+        w2 + a * c2 + b * (v0 * c1 - v1 * c0),
+    )
 
 
 def circle_points(axis, height, r, n, phase=0.0):

@@ -585,6 +585,19 @@ def test_sample_count_bound(tmp_path, capsys):
     assert err.startswith("error: ") and "Traceback" not in err
 
 
+def test_frequency_horizon_is_bounded_alone(capsys):
+    # frequency reads no samples_per_period: past 10000 periods (the rows bound
+    # at the default 100 samples) it runs, and only horizon <= MAX_SAMPLES holds
+    args = ["frequency", "--scenario", "case2", "--lambda", "0.05"]
+    assert main([*args, "--horizon", "5"]) == 0
+    five = capsys.readouterr().out
+    assert main([*args, "--horizon", "10001"]) == 0
+    assert capsys.readouterr().out == five
+    assert main([*args, "--horizon", str(MAX_SAMPLES + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and f"horizon must be <= {MAX_SAMPLES}" in captured.err
+
+
 def test_config_file_numbers_run_as_the_same_flags(tmp_path, capsys):
     # JSON integers become the floats that the flags give: lambda 0 names the file lambda0.0
     cfg = tmp_path / "run.json"

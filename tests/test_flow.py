@@ -79,11 +79,19 @@ def test_segment_without_restart_runs_to_t_max():
 
 
 def test_non_finite_forcing_rejected():
-    bad = ForcingSignal(
-        eval=lambda t, lam: np.array([np.nan, 0.0, 0.0]), period=lambda lam: 1.0
-    )
-    with pytest.raises(DomainError):
-        integrate_z_segment(bad, 0.0, 0.0, 1.0)
+    # finite components whose squared norm overflows count as non-finite,
+    # whatever container the forcing returns them in
+    for kind in (list, tuple, np.array):
+        for value in ([math.nan, 0.0, 0.0], [1e200, 1e200, 0.0]):
+            bad = ForcingSignal(eval=lambda t, lam: kind(value), period=lambda lam: 1.0)
+            with pytest.raises(DomainError):
+                integrate_z_segment(bad, 0.0, 0.0, 1.0)
+            # from t = 0.25 on, so that the right-hand side meets it, not the ref_dir check
+            late = ForcingSignal(
+                eval=lambda t, lam: kind(value) if t > 0.25 else [0.0, 0.0, 1.0], period=None
+            )
+            with pytest.raises(DomainError, match="non-finite or misshaped value"):
+                integrate_group(late, 0.0, 1.0)
 
 
 def test_zero_forcing_at_the_origin_needs_a_ref_dir():

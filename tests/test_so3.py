@@ -34,6 +34,7 @@ from rotwave.so3 import (
     _dexpinv_apply,
     _dexpinv_c2,
     _exp_apply,
+    _exp_coeffs,
     _northern,
     _q_map,
 )
@@ -446,6 +447,41 @@ def test_vector_rodrigues_matches_matrix():
         w = rng.normal(size=3)
         got = np.array(_exp_apply(v.tolist(), w.tolist()))
         assert np.linalg.norm(got - exp_rot(v) @ w) <= 1e-15 * np.linalg.norm(w)
+
+
+def _bits(triple):
+    return [x.hex() for x in triple]
+
+
+def test_straight_line_kernels_are_bitwise_the_composed_forms():
+    # the two right-hand-side kernels against the composed form they replaced,
+    # byte for byte: series and closed branches, exp up to 3 pi, dexpinv up to
+    # 1e-3 short of its singularity, and zero vectors of every sign
+    rng = np.random.default_rng(14)
+    zeros = [[sx * 0.0, sy * 0.0, sz * 0.0] for sx in (1, -1) for sy in (1, -1) for sz in (1, -1)]
+    nonzero = [0.3, -0.1, 0.2]
+    zero_pairs = [(v, w) for v in zeros for w in [*zeros, nonzero]] + [(nonzero, w) for w in zeros]
+
+    def pairs(vs):
+        return [*zip(vs, rng.normal(size=(len(vs), 3)).tolist()), *zero_pairs]
+
+    small = oracles.random_axis_vectors(rng, 500, SERIES_RADIUS).tolist()
+    exp_vs = small + oracles.random_axis_vectors(rng, 1500, 3 * np.pi).tolist()
+    dexpinv_vs = small + oracles.random_axis_vectors(rng, 1500, 2 * np.pi - 1e-3).tolist()
+    dexpinv_vs.append(((2 * np.pi - 1e-3) * unit([1.0, -2.0, 0.5])).tolist())
+    for v, w in pairs(exp_vs):
+        want = oracles.quadratic_apply_composed(v, w, *_exp_coeffs(oracles.norm3_composed(v)))
+        assert _bits(_exp_apply(v, w)) == _bits(want)
+    for z, x in pairs(dexpinv_vs):
+        want = oracles.quadratic_apply_composed(z, x, 0.5, _dexpinv_c2(oracles.norm3_composed(z)))
+        assert _bits(_dexpinv_apply(z, x)) == _bits(want)
+    # at 2 pi both raise the same SingularityError
+    z = (2 * np.pi * unit([1.0, 2.0, -0.5])).tolist()
+    with pytest.raises(SingularityError) as composed:
+        oracles.quadratic_apply_composed(z, nonzero, 0.5, _dexpinv_c2(oracles.norm3_composed(z)))
+    with pytest.raises(SingularityError) as flat:
+        _dexpinv_apply(z, nonzero)
+    assert str(flat.value) == str(composed.value)
 
 
 def test_dexp_derivative_property():
