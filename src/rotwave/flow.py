@@ -30,9 +30,10 @@ error at nT is n times the error of W, which is why the period is integrated
 ten times tighter than the configured tolerances.
 
 The skew product co-integrates normal-form coordinates q alongside Z (q is
-untouched by the Z restarts); :func:`integrate_group` is its case without q,
-and both run through one restart loop. An Euler-angle chart integrator is
-provided as an independent cross-check formulation.
+untouched by the Z restarts); :func:`integrate_group` is its case without q.
+Both run through one restart loop into one :class:`GroupTrajectory`, which
+samples A and q. An Euler-angle chart integrator is provided as an
+independent cross-check formulation.
 """
 from __future__ import annotations
 
@@ -74,9 +75,7 @@ __all__ = [
     "ForcingSignal",
     "GroupTrajectory",
     "IntegratorConfig",
-    "QTrajectory",
     "SkewProductSystem",
-    "ZSegment",
     "integrate_euler",
     "integrate_group",
     "integrate_skew_product",
@@ -123,8 +122,8 @@ class IntegratorConfig:
     atol: float = 1e-12
 
     def __post_init__(self):
-        if not (self.rtol > 0.0 and self.atol > 0.0):
-            raise ConfigError("rtol and atol must be positive")
+        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
+            raise ConfigError("rtol and atol must be positive and finite")
 
 
 @dataclass
@@ -165,18 +164,6 @@ class SkewProductSystem:
     dim_q: int
 
 
-@dataclass
-class ZSegment:
-    """One restart segment: dense Z(t) on [t_start, t_end] with Z(t_start) = 0."""
-
-    t_start: float
-    t_end: float
-    _dense: OdeSolution = field(repr=False)
-
-    def eval(self, t: float) -> np.ndarray:
-        return np.asarray(self._dense(t)[:3], dtype=float)
-
-
 def _check_forcing_value(x, t: float) -> Sequence[float]:
     """The forcing value as a float triple; DomainError unless it is a 3-vector
     with a finite squared norm (:func:`_vec3`'s rule).
@@ -199,9 +186,15 @@ def _check_forcing_value(x, t: float) -> Sequence[float]:
     raise DomainError(f"forcing returned a non-finite or misshaped value at t={t!r}")
 
 
-def _check_in_range(t: float, t_end: float) -> None:
+def _time_in_range(t, t_end: float) -> float:
+    """``t`` as a float; DomainError unless it is one real number in [0, t_end] (to 1e-9)."""
+    try:
+        t = float(t)
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"a time must be one real number, got {t!r}") from None
     if not (-1e-9 <= t <= t_end + 1e-9):
         raise DomainError(f"t={t!r} outside the integrated range [0, {t_end!r}]")
+    return t
 
 
 def _time_list(t) -> list | None:
@@ -210,10 +203,13 @@ def _time_list(t) -> list | None:
         return None
     if t.ndim != 1:
         raise DomainError(f"times must be one number or a 1-D array, got shape {t.shape}")
-    return t.astype(float).tolist()
+    try:
+        return t.astype(float).tolist()
+    except (TypeError, ValueError):
+        raise DomainError(f"times must be real numbers, got dtype {t.dtype}") from None
 
 
-def _solve_segment(rhs, t_start: float, t_max: float, q, cfg: IntegratorConfig) -> ZSegment:
+def _solve_segment(rhs, t_start: float, t_max: float, q, cfg: IntegratorConfig) -> OdeSolution:
     """Solve the state ``(Z, q)`` from ``(0, q)`` until ``|Z| = pi - RESTART_MARGIN`` or t_max."""
     cutoff = math.pi - RESTART_MARGIN
 
@@ -223,7 +219,7 @@ def _solve_segment(rhs, t_start: float, t_max: float, q, cfg: IntegratorConfig) 
     sol = solve_ivp(rhs, (t_start, t_max), [0.0, 0.0, 0.0, *q], cfg.rtol, cfg.atol, boundary)
     if sol.status == -1:
         raise IntegrationError(f"segment solve failed at t={sol.t[-1]!r}: {sol.message}")
-    return ZSegment(t_start, float(sol.t[-1]), sol.sol)
+    return sol.sol
 
 
 def integrate_z_segment(
@@ -232,10 +228,10 @@ def integrate_z_segment(
     t_start: float,
     t_max: float,
     config: IntegratorConfig | None = None,
-) -> ZSegment:
+) -> OdeSolution:
     """Solve one Z segment from ``Z(t_start) = 0`` until ``|Z| = pi - RESTART_MARGIN`` or t_max.
 
-    The segment's ``t_end`` is its exit time (== t_max when no restart fired).
+    Returns its dense output; ``ts[-1]`` is the exit time (== t_max when no restart fired).
     """
 
     xg = signal.eval
@@ -250,9 +246,11 @@ def integrate_z_segment(
 class GroupTrajectory:
     """Piecewise Z representation of the group trajectory with A(0) = I.
 
-    ``class_at(t)`` is the ball class of the full product up to t (prefix
-    composed with the live segment through BCH); ``eval_Z`` applies the
-    hemisphere map around ``ref_dir``; ``eval_A`` exponentiates.
+    ``segments`` are the dense outputs (``OdeSolution``) of the state ``(Z, q)``
+    from Z = 0 over each restart segment ``[ts[0], ts[-1]]``. ``class_at(t)``
+    is the ball class of the full product up to t (prefix composed with the
+    live segment through BCH); ``eval_Z`` applies the hemisphere map around
+    ``ref_dir``; ``eval_A`` exponentiates; ``eval_q`` gives q (empty if none).
 
     The segments cover [0, T] when the forcing has period T < t_end, and
     [0, t_end] otherwise (``T`` is None for an aperiodic forcing). The
@@ -273,7 +271,8 @@ class GroupTrajectory:
     the closed-form BCH composes Z with the prefix. The prefixes, the ball
     vectors of A at the restart times, are float triples; ``ref_dir`` is one
     too. Only ``class_at`` builds a :class:`BallClass`; the public samplers
-    build ndarrays from the floats.
+    build ndarrays from the floats. A time that is not one real number in
+    [0, t_end] raises DomainError.
 
     ``eval_A`` also takes a 1-D ndarray of times; from ``BATCH_MIN`` times on
     it runs the chain once over them all, elementwise on arrays, bitwise equal
@@ -285,15 +284,14 @@ class GroupTrajectory:
     hemisphere map and Rodrigues, or one BCH. ``class_at`` bypasses the cache.
     """
 
-    segments: list[ZSegment]
+    segments: list[OdeSolution]
     prefixes: list[tuple[float, float, float]]
-    ref_dir: Sequence[float]
+    ref_dir: tuple[float, float, float]
     t_end: float
     T: float | None = None
 
     def __post_init__(self):
-        self._ref = _as_unit3(self.ref_dir)
-        self._t_last = self.segments[-1].t_end
+        self._t_last = self.segments[-1].ts[-1]
         # step k of the table covers (ends[k-1], ends[k]]; the last step of a
         # segment that ends in a restart is keyed one ulp below the restart time
         self._ends: list[float] = []
@@ -301,11 +299,11 @@ class GroupTrajectory:
         self._step_segment: list[int] = []
         last = len(self.segments) - 1
         for i, seg in enumerate(self.segments):
-            ends = seg._dense.ts[1:]
+            ends = seg.ts[1:]
             if i < last:
                 ends[-1] = math.nextafter(ends[-1], -math.inf)
             self._ends += ends
-            self._steps += seg._dense.interpolants
+            self._steps += seg.interpolants
             self._step_segment += [i] * len(ends)
         self._arrays = None  # the step table as ndarrays, built by the first batch
         self._classes: dict[float, tuple] = {}
@@ -316,8 +314,8 @@ class GroupTrajectory:
             self._t_extend = self.T
 
     def _state_at(self, t: float) -> tuple[int, int, list[float]]:
-        """Periods n before t, the step k holding tau = t - nT, and the dense state ``(Z, q)``."""
-        _check_in_range(t, self.t_end)
+        """Periods n before t, the step k holding tau = t - nT, and the dense state ``(Z, q)``;
+        t is a float that :func:`_time_in_range` has checked."""
         n = 0
         if t > self._t_extend:
             if t > self.t_end:
@@ -344,7 +342,7 @@ class GroupTrajectory:
 
     def _class_vector(self, t: float):
         """``class_at(t).vector`` as a float triple, cached per ``float(t)``."""
-        t = float(t)
+        t = _time_in_range(t, self.t_end)
         v = self._classes.get(t)
         if v is None:
             v = _ball_vector(self._product(t))
@@ -355,15 +353,19 @@ class GroupTrajectory:
 
     def class_at(self, t: float) -> BallClass:
         """Ball class of A(t) (no hemisphere reduction)."""
-        return BallClass(self._product(t))
+        return BallClass(self._product(_time_in_range(t, self.t_end)))
 
     def eval_Z(self, t: float) -> np.ndarray:
         """Hemisphere-mapped logarithm of A(t) around ``ref_dir``."""
-        return np.array(_q_map(self._class_vector(t), self._ref))
+        return np.array(_q_map(self._class_vector(t), self.ref_dir))
+
+    def eval_q(self, t: float) -> np.ndarray:
+        """Normal-form coordinates q(t) of a skew product (empty without them)."""
+        return np.array(self._state_at(_time_in_range(t, self.t_end))[2][3:])
 
     def _A_entries(self, t: float) -> tuple:
         """The nine entries of A(t), row-major: the float form of :meth:`eval_A`."""
-        return _exp_entries(_q_map(self._class_vector(t), self._ref))
+        return _exp_entries(_q_map(self._class_vector(t), self.ref_dir))
 
     def eval_A(self, t) -> np.ndarray:
         """The rotation A(t), or the (m, 3, 3) stack of A at a 1-D ndarray of m times."""
@@ -387,7 +389,7 @@ class GroupTrajectory:
         t = np.array(ts)
         ok = (t >= -1e-9) & (t <= self.t_end + 1e-9)
         if not ok.all():
-            _check_in_range(ts[int(ok.argmin())], self.t_end)
+            _time_in_range(ts[int(ok.argmin())], self.t_end)
         n, tau = np.zeros(len(ts)), t
         if self.W is not None:
             tau = np.minimum(t, self.t_end)
@@ -409,7 +411,7 @@ class GroupTrajectory:
         pairs, which = np.unique(n.astype(int) * m + segment[k], return_inverse=True)
         prefixes = np.array([self._prefix(*divmod(p, m)) for p in pairs.tolist()])
         v, generic = _bch_arrays(prefixes.T[:, which], z)
-        w, plain = _q_map_arrays(v, self._ref)
+        w, plain = _q_map_arrays(v, self.ref_dir)
         stack = np.stack(_exp_entries_arrays(w), axis=-1).reshape(-1, 3, 3)
         classes, fast = self._classes, (generic & plain).tolist()
         for i, (ti, vi) in enumerate(zip(ts, zip(*(c.tolist() for c in v)))):
@@ -420,16 +422,6 @@ class GroupTrajectory:
                 classes.clear()
             classes[ti] = vi
         return stack
-
-
-@dataclass
-class QTrajectory:
-    """Dense normal-form coordinates q(t), read from the co-integrated GroupTrajectory's state."""
-
-    group: GroupTrajectory
-
-    def eval(self, t: float) -> np.ndarray:
-        return np.asarray(self.group._state_at(t)[2][3:], dtype=float)
 
 
 def _reference(t_end: float, ref_dir, forcing_at_origin: Callable, what: str) -> tuple:
@@ -448,26 +440,26 @@ def _reference(t_end: float, ref_dir, forcing_at_origin: Callable, what: str) ->
 
 
 def _integrate_restarting(
-    segment: Callable[[float, list[float]], ZSegment], q0: list[float], t_stop: float
-) -> tuple[list[ZSegment], list[tuple]]:
+    segment: Callable[[float, list[float]], OdeSolution], q0: list[float], t_stop: float
+) -> tuple[list[OdeSolution], list[tuple]]:
     """Chain segments ``segment(t, q)``, each from ``Z(t) = 0`` and ``q(t) = q``, up to t_stop.
 
     Each restart folds the exit value of Z into the BCH prefix chain and hands
     the exit value of q on to the next segment. Returns the segments and
     their prefixes, as ball vectors (float triples).
     """
-    segments: list[ZSegment] = []
+    segments: list[OdeSolution] = []
     prefixes: list[tuple] = [(0.0, 0.0, 0.0)]
     t, q = 0.0, q0
     slack = 1e-12 * max(1.0, t_stop)
     while t < t_stop - slack or not segments:
         seg = segment(t, q)
-        if seg.t_end <= t + slack:
+        if seg.ts[-1] <= t + slack:
             raise IntegrationError(f"integration stalled at t={t!r} (restart made no progress)")
         segments.append(seg)
-        t = seg.t_end
+        t = seg.ts[-1]
         if t < t_stop:
-            y = seg._dense(t)
+            y = seg(t)
             prefixes.append(_ball_vector(_bch_full(prefixes[-1], y[:3])[0]))
             q = y[3:]
     return segments, prefixes[: len(segments)]
@@ -535,13 +527,14 @@ def integrate_skew_product(
     t_end: float,
     config: IntegratorConfig | None = None,
     ref_dir: np.ndarray | None = None,
-) -> tuple[GroupTrajectory, QTrajectory]:
+) -> GroupTrajectory:
     """Co-integrate the group equation with normal-form coordinates.
 
     The combined state is ``(Z, q)``; the terminal event restarts only Z, and
     q continues across restarts with its event-time value as the next initial
     condition. q need not be periodic, so the whole horizon is integrated at
-    the tolerances given and the trajectory has no period (``T`` is None).
+    the tolerances given and the trajectory has no period (``T`` is None);
+    its ``eval_q`` gives q(t).
     """
     cfg = config or IntegratorConfig()
     ref = _reference(
@@ -558,8 +551,7 @@ def integrate_skew_product(
     segments, prefixes = _integrate_restarting(
         lambda t, q: _solve_segment(rhs, t, t_end, q, cfg), q0.tolist(), t_end
     )
-    traj = GroupTrajectory(segments, prefixes, ref, t_end)
-    return traj, QTrajectory(traj)
+    return GroupTrajectory(segments, prefixes, ref, t_end)
 
 
 def stuart_landau(omega_bif: float) -> Callable[[np.ndarray, float], np.ndarray]:
@@ -587,7 +579,7 @@ class EulerTrajectory:
 
     def eval_angles(self, t: float) -> np.ndarray:
         """(phi, theta, psi) at time t."""
-        _check_in_range(t, self.t_end)
+        t = _time_in_range(t, self.t_end)
         return np.asarray(self._dense(min(max(t, 0.0), self.t_end)), dtype=float)
 
     def eval_A(self, t) -> np.ndarray:

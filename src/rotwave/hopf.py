@@ -78,15 +78,12 @@ class ResonanceClass:
 
     kind: ResonanceKind
     k: int | None
-    omega_bif: float
-    x0_norm: float
 
 
 @dataclass(frozen=True)
 class FrequencyReport:
     """Everything the motion classification knows about one (lambda) run."""
 
-    lam: float
     X: np.ndarray
     Xf: np.ndarray
     resonance: ResonanceClass
@@ -102,30 +99,33 @@ class PeriodicPart:
     log_Bf: Callable[[float], np.ndarray]
     eval_Bf: Callable[[float], np.ndarray]
     eval_B: Callable[[float], np.ndarray]
-    T: float
 
 
 def classify_resonance(x0_norm: float, omega_bif: float) -> ResonanceClass:
     """Classify |X_0| against multiples of the Hopf frequency.
 
     Resonant means ``|x0_norm - k * omega_bif| < RES_TOL * omega_bif`` for
-    some integer k >= 1; x0_norm == 0 is Degenerate.
+    some integer k >= 1; x0_norm == 0 is Degenerate. DomainError unless
+    omega_bif is positive, x0_norm nonnegative and their ratio finite.
     """
-    if omega_bif <= 0.0:
-        raise DomainError("omega_bif must be positive")
-    if x0_norm < 0.0:
-        raise DomainError("x0_norm must be nonnegative")
+    if not 0.0 < omega_bif < math.inf:
+        raise DomainError("omega_bif must be positive and finite")
+    if not 0.0 <= x0_norm / omega_bif < math.inf:
+        raise DomainError(f"x0_norm / omega_bif must be finite and nonnegative, got {x0_norm!r}")
     if x0_norm == 0.0:
-        return ResonanceClass(ResonanceKind.DEGENERATE, None, omega_bif, x0_norm)
+        return ResonanceClass(ResonanceKind.DEGENERATE, None)
     k = int(round(x0_norm / omega_bif))
     if k >= 1 and abs(x0_norm - k * omega_bif) < RES_TOL * omega_bif:
-        return ResonanceClass(ResonanceKind.RESONANT, k, omega_bif, x0_norm)
-    return ResonanceClass(ResonanceKind.NONRESONANT, None, omega_bif, x0_norm)
+        return ResonanceClass(ResonanceKind.RESONANT, k)
+    return ResonanceClass(ResonanceKind.NONRESONANT, None)
 
 
 def _winding(x0_norm: float, T0: float) -> int:
     """Winding count: full turns of the primary rotation |x0| per Hopf period T0."""
-    return int(math.floor(x0_norm * T0 / (2.0 * math.pi) + 0.5 * RES_TOL))
+    turns = x0_norm * T0 / (2.0 * math.pi) + 0.5 * RES_TOL
+    if not turns < math.inf:
+        raise DomainError(f"|x0| T0 / (2 pi) must be finite, got {turns!r}")
+    return int(math.floor(turns))
 
 
 def primary_frequency(traj: GroupTrajectory, T: float) -> np.ndarray:
@@ -221,7 +221,7 @@ def periodic_part(
     def eval_b(t: float) -> np.ndarray:
         return _exp_matrix(log_b(neg_x, t))
 
-    return PeriodicPart(log_bf, eval_bf, eval_b, T)
+    return PeriodicPart(log_bf, eval_bf, eval_b)
 
 
 def classify(
@@ -240,8 +240,8 @@ def classify(
     """
     x0 = _float_array(x0, (3,), "x0")
     X = _float_array(X, (3,), "X")
-    if not T > 0.0:
-        raise DomainError("T must be positive")
+    if not 0.0 < T < math.inf:
+        raise DomainError("T must be positive and finite")
     x0_norm = float(np.linalg.norm(x0))
     res = classify_resonance(x0_norm, omega_bif)
     T0 = 2.0 * math.pi / omega_bif
@@ -249,7 +249,7 @@ def classify(
     n = float(np.linalg.norm(X))
 
     if res.kind is ResonanceKind.DEGENERATE:
-        return FrequencyReport(lam, X, X.copy(), res, 0, None, None)
+        return FrequencyReport(X, X.copy(), res, 0, None, None)
 
     Xf = lifted_frequency(X, T0, x0, 2.0 * math.pi / T, res)
     ortho = float(X @ x0) / (n * x0_norm) if n > 0.0 else None
@@ -264,7 +264,7 @@ def classify(
         motion = MotionClass.ORTHOGONAL_DRIFT
     else:
         motion = MotionClass.SLOW_MEANDER_ABOUT_X0
-    return FrequencyReport(lam, X, Xf, res, k_w, ortho, motion)
+    return FrequencyReport(X, Xf, res, k_w, ortho, motion)
 
 
 def _period_class(family, lam: float, mu: float, ref_dir, config=None) -> tuple[tuple, float]:

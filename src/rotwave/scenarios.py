@@ -146,7 +146,8 @@ class Scenario:
         its own pair.
 
         ``xg``, ``closed`` and ``period`` may be called at any lambda; a
-        negative lambda raises DomainError. What depends on lambda alone is
+        negative or non-finite lambda raises DomainError, and constants past
+        the float range ConfigError. What depends on lambda alone is
         computed once per lambda by ``constants`` and kept in a last-lambda
         memo shared by the closures: one ``(lam, constants)`` tuple, read
         whole and replaced by one assignment, so a lambda is never paired
@@ -195,7 +196,10 @@ class Scenario:
 
         elif self.family == "example4":
             mu_val = 0.0 if mu is None else float(mu)
-            norm_c = math.sqrt(self.x0_norm**2 + mu_val**2)
+            try:
+                norm_c = math.sqrt(self.x0_norm**2 + mu_val**2)
+            except OverflowError:
+                raise ConfigError(f"|X0 + mu X1| overflows at mu = {mu!r}") from None
             # the effective Hopf frequency shifts with mu so that
             # X^G(t, 0, mu) = X0 + mu X1 holds exactly
             omega_eff = norm_c / self.k
@@ -256,9 +260,12 @@ class Scenario:
             nonlocal memo
             key, c = memo
             if lam is not key:
-                if lam < 0.0:
-                    raise DomainError("lambda must be nonnegative")
-                c = constants(lam)
+                if not 0.0 <= lam < math.inf:
+                    raise DomainError(f"lambda must be nonnegative and finite, got {lam!r}")
+                try:
+                    c = constants(lam)
+                except OverflowError:
+                    raise ConfigError(f"scenario {self.name} overflows at lambda {lam!r}") from None
                 memo = (lam, c)
             return c
 
@@ -294,7 +301,7 @@ class Scenario:
 
     def period(self, lam: float = 0.0, mu: float | None = None) -> float:
         """Relative forcing period T(lam[, mu]) of the built-in waveform
-        (DomainError for a negative lam)."""
+        (DomainError for a negative or non-finite lam)."""
         _, _, period = self._pieces(mu)
         return period(lam)
 

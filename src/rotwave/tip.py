@@ -27,11 +27,8 @@ MAX_SAMPLES = 1_000_000
 
 @dataclass(frozen=True)
 class TipTrack:
-    """Sampled tip path: parallel arrays of times and points (plus period samples)."""
+    """Sampled tip path: the points at the sample times (plus period samples)."""
 
-    r: float
-    x0: np.ndarray
-    times: np.ndarray
     points: np.ndarray
     period_samples: np.ndarray | None = None
 
@@ -95,7 +92,7 @@ def tip_trajectory(traj, x0, r: float, sample_times, period: float | None = None
     period_samples = None
     if period is not None:
         period_samples = a0_inv @ traj.eval_A(np.arange(int(count) + 1) * period) @ x0
-    return TipTrack(float(r), x0.copy(), times, points, period_samples)
+    return TipTrack(points, period_samples)
 
 
 def fit_circle(points, ref_axis=(0.0, 0.0, 1.0)) -> CircleFit:

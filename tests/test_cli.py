@@ -540,6 +540,28 @@ def test_config_file_bad_values_exit_2(tmp_path, capsys, command, doc):
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv, doc",
+    [
+        (["verify", "--scenario", "example4", "--mu", "1e300"], None),
+        (["frequency", "--scenario", "example4", "--mu", "1e200"], None),
+        (["drift", "--scenario", "example4", "--lambda", "0.01", "--mu-bracket", "0,1e300"], None),
+        (["verify"], {"scenario": "case2", "overrides": {"x0_norm": 1e200, "omega_bif": 1e200}}),
+        (["verify", "--lambda", "100"], {"scenario": "example4", "overrides": {"k": 400}}),
+    ],
+)
+def test_parameters_whose_constants_overflow_exit_2(tmp_path, capsys, argv, doc):
+    # mu**2, x0_norm**2 and sqrt(lambda)**k pass validation but overflow the
+    # float range when the scenario's constants are first computed
+    if doc is not None:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(doc))
+        argv = [*argv, "--config", str(cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
+
+
 def test_ortho_defect_of_a_zero_class_is_none(monkeypatch):
     # X = 0 at mu* has no direction: the defect is 0/0, reported as null
     monkeypatch.setattr(cli, "_period_class", lambda *args: (np.zeros(3), 0.3))
@@ -684,10 +706,16 @@ def test_config_file_fuzz_exits_0_or_2(tmp_path_factory, doc):
 @given(
     name=st.sampled_from(available()),
     overrides=st.dictionaries(st.sampled_from(sorted(_ALLOWED_OVERRIDES)), JSON_VALUES),
+    lam=st.floats(0.0, 1e3),
 )
-def test_scenario_overrides_fuzz_raise_only_rotwave_errors(name, overrides):
-    # a config file's "overrides" object reaches scenarios.build unchanged
+def test_scenario_overrides_fuzz_raise_only_rotwave_errors(name, overrides, lam):
+    # a config file's "overrides" object reaches scenarios.build unchanged; the
+    # scenario computes its constants when a period, forcing or closed form
+    # first asks for them
     try:
-        build(name, **overrides)
+        sc = build(name, **overrides)
+        sc.period(lam)
+        sc.forcing(lam).eval(1.0, lam)
+        sc.closed_form(1.0, lam)
     except RotwaveError:
         pass

@@ -59,6 +59,11 @@ def test_config_validation():
         IntegratorConfig(rtol=0.0)
     with pytest.raises(ConfigError):
         IntegratorConfig(atol=-1e-12)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ConfigError, match="finite"):
+            IntegratorConfig(rtol=bad)
+        with pytest.raises(ConfigError, match="finite"):
+            IntegratorConfig(atol=bad)
     assert [f.name for f in dataclasses.fields(IntegratorConfig)] == ["rtol", "atol"]
 
 
@@ -67,15 +72,15 @@ def test_config_validation():
 def test_segment_constant_forcing_exits_at_cutoff():
     # |X0| = 2: Z = X0 t grows until |Z| = pi - 0.1
     seg = integrate_z_segment(constant_signal(X0), 0.0, 0.0, 10.0)
-    t_exit = seg.t_end
+    t_exit = seg.ts[-1]
     assert abs(t_exit - (np.pi - 0.1) / 2.0) < 1e-9
     for t in (0.0, 0.3, 1.0, t_exit):
-        assert np.allclose(seg.eval(t), X0 * t, atol=1e-10)
+        assert np.allclose(seg(t), X0 * t, atol=1e-10)
 
 
 def test_segment_without_restart_runs_to_t_max():
     seg = integrate_z_segment(constant_signal(0.1 * EZ), 0.0, 0.0, 2.0)
-    assert seg.t_end == 2.0
+    assert seg.ts[-1] == 2.0
 
 
 def test_non_finite_forcing_rejected():
@@ -176,7 +181,7 @@ def test_rotating_wave_rejects_steps_at_the_dexpinv_singularity(norm, monkeypatc
     traj = integrate_group(aperiodic(constant_signal(x)), 0.0, 200.0)
     assert singular
     assert len(solves) == len(traj.segments)
-    assert traj.segments[-1].t_end == 200.0
+    assert traj.segments[-1].ts[-1] == 200.0
     for t in np.linspace(0.0, 200.0, 401):
         assert np.linalg.norm(traj.eval_A(t) - exp_rot(x * t)) < 1e-10
 
@@ -190,14 +195,14 @@ def test_rotating_wave_over_one_period_extends_to_the_whole_horizon(norm, monkey
     solves, _ = count_solves_and_singular_stages(monkeypatch)
     traj = integrate_group(constant_signal(x), 0.0, 200.0)
     assert len(solves) == len(traj.segments) == 3
-    assert traj.segments[-1].t_end == traj.T == 2 * np.pi / norm
+    assert traj.segments[-1].ts[-1] == traj.T == 2 * np.pi / norm
     for t in np.linspace(0.0, 200.0, 401):
         assert np.linalg.norm(traj.eval_A(t) - exp_rot(x * t)) < 1e-10
 
 
 def test_restart_chaining_is_continuous():
     traj = integrate_group(aperiodic(constant_signal(X0)), 0.0, 10.0)
-    t_cut = traj.segments[0].t_end
+    t_cut = traj.segments[0].ts[-1]
     before = traj.eval_A(t_cut - 1e-9)
     after = traj.eval_A(t_cut + 1e-9)
     assert np.linalg.norm(after - before) < 1e-7
@@ -209,7 +214,7 @@ def test_restart_and_period_chaining_is_continuous():
     traj = integrate_group(constant_signal(X0), 0.0, 10.0)
     T = traj.T
     assert len(traj.segments) == int(np.ceil(T / ((np.pi - 0.1) / 2.0)))
-    cuts = [seg.t_end for seg in traj.segments[:-1]]
+    cuts = [seg.ts[-1] for seg in traj.segments[:-1]]
     for t_cut in cuts + [n * T for n in (1, 2, 3)] + [c + 2 * T for c in cuts]:
         before = traj.eval_A(t_cut - 1e-9)
         after = traj.eval_A(t_cut + 1e-9)
@@ -253,8 +258,8 @@ def test_period_extension_matches_direct_integration_over_50_periods(name, lam):
     t_end = 50.37 * T  # not a multiple of T
     ext = integrate_group(sig, lam, t_end, ref_dir=sc.frame.x0_dir)
     direct = integrate_group(aperiodic(sig), lam, t_end, ref_dir=sc.frame.x0_dir)
-    assert ext.T == T and ext.segments[-1].t_end == T
-    assert direct.T is None and direct.segments[-1].t_end == t_end
+    assert ext.T == T and ext.segments[-1].ts[-1] == T
+    assert direct.T is None and direct.segments[-1].ts[-1] == t_end
     times = [n * T for n in range(51)] + np.linspace(0.0, t_end, 101).tolist() + [t_end]
     for t in times:
         a_ext, a_direct, a_exact = ext.eval_A(t), direct.eval_A(t), sc.closed_form(t, lam)
@@ -270,7 +275,7 @@ def test_period_extension_over_500_periods_meets_the_closed_form_bound(name, lam
     sc = build(name)
     T = sc.period(lam)
     traj = integrate_group(sc.forcing(lam), lam, 500 * T, ref_dir=sc.frame.x0_dir)
-    assert traj.segments[-1].t_end == T
+    assert traj.segments[-1].ts[-1] == T
     for t in np.linspace(0.0, 500 * T, 2001).tolist():
         assert np.linalg.norm(traj.eval_A(t) - sc.closed_form(t, lam)) < 1e-7
 
@@ -281,7 +286,7 @@ def test_horizon_shorter_than_a_period_is_integrated_directly():
     T = sc.period(lam)
     traj = integrate_group(sc.forcing(lam), lam, 0.6 * T, ref_dir=sc.frame.x0_dir)
     assert traj.T == T and traj.W is None
-    assert traj.segments[-1].t_end == 0.6 * T
+    assert traj.segments[-1].ts[-1] == 0.6 * T
     for t in np.linspace(0.0, 0.6 * T, 31):
         assert np.linalg.norm(traj.eval_A(t) - sc.closed_form(t, lam)) < 1e-9
     with pytest.raises(DomainError):
@@ -300,7 +305,7 @@ def test_g_override_is_integrated_over_the_whole_horizon():
     assert sig.period is None
     traj = integrate_group(sig, lam, 3.5 * T)
     assert traj.T is None and traj.W is None
-    assert traj.segments[-1].t_end == 3.5 * T
+    assert traj.segments[-1].ts[-1] == 3.5 * T
     wrong = integrate_group(dataclasses.replace(sig, period=lambda lam_: T), lam, 3.5 * T)
     times = np.linspace(0.0, 3.5 * T, 36)
     assert max(np.linalg.norm(traj.eval_A(t) - sc.closed_form(t, lam)) for t in times) < 1e-8
@@ -361,7 +366,7 @@ def test_restart_margin_invariance(monkeypatch):
         b = integrate_group(sc.forcing(lam), lam, t_end)
         for t in np.linspace(0.0, t_end, 17):
             assert np.linalg.norm(a.eval_A(t) - b.eval_A(t)) < 1e-9
-    assert [seg.t_end for seg in a.segments] != [seg.t_end for seg in b.segments]
+    assert [seg.ts[-1] for seg in a.segments] != [seg.ts[-1] for seg in b.segments]
 
 
 def test_class_at_is_unreduced_chain():
@@ -415,7 +420,7 @@ CHAIN_CASES = [
 
 @functools.lru_cache(maxsize=None)
 def chain_trajectory(name, lam):
-    """(GroupTrajectory, QTrajectory or None, T, X0, omega_bif).
+    """(GroupTrajectory, T, X0, omega_bif).
 
     The horizon spans two periods T and at least 5 time units, so that the
     samples of every family reach past its integrated period and the
@@ -427,12 +432,12 @@ def chain_trajectory(name, lam):
             x_g=lambda q, lam_: X0 + q[0] * EX, x_n=stuart_landau(omega), dim_q=2
         )
         T = 2 * np.pi / omega
-        traj, qtraj = integrate_skew_product(system, [np.sqrt(lam), 0.0], lam, 2 * T)
-        return traj, qtraj, T, X0, omega
+        traj = integrate_skew_product(system, [np.sqrt(lam), 0.0], lam, 2 * T)
+        return traj, T, X0, omega
     sc = build(name)
     T = sc.period(lam)
     traj = integrate_group(sc.forcing(lam), lam, max(2 * T, 5.0), ref_dir=sc.frame.x0_dir)
-    return traj, None, T, sc.X0, sc.omega_bif
+    return traj, T, sc.X0, sc.omega_bif
 
 
 def with_neighbours(r):
@@ -447,11 +452,11 @@ def probe_times(traj):
     rng = np.random.default_rng(7)
     ts = [traj.t_end * (i + rng.random()) / 60 for i in range(60)]
     for seg in traj.segments[1:]:
-        ts += with_neighbours(seg.t_start)
+        ts += with_neighbours(seg.ts[0])
         if traj.W is not None:
-            ts += with_neighbours(seg.t_start + traj.T)
+            ts += with_neighbours(seg.ts[0] + traj.T)
     for seg in traj.segments:
-        ts += seg._dense.ts[1:-1]
+        ts += seg.ts[1:-1]
     if traj.W is not None:
         for n in range(1, int(traj.t_end / traj.T) + 1):
             ts += with_neighbours(n * traj.T)
@@ -470,9 +475,9 @@ def split(traj, t):
 
 def locate(traj, tau):
     """Segment index and clamped time of tau; a restart time belongs to the later segment."""
-    i = max(bisect.bisect_right([seg.t_start for seg in traj.segments], tau) - 1, 0)
+    i = max(bisect.bisect_right([seg.ts[0] for seg in traj.segments], tau) - 1, 0)
     seg = traj.segments[i]
-    return i, min(max(tau, seg.t_start), seg.t_end)
+    return i, min(max(tau, seg.ts[0]), seg.ts[-1])
 
 
 def composed_class(traj, t):
@@ -482,12 +487,12 @@ def composed_class(traj, t):
     prefix = traj.prefixes[i]
     if n:
         prefix = bch(n * np.asarray(traj.W), prefix).vector
-    return bch(prefix, traj.segments[i].eval(s))
+    return bch(prefix, traj.segments[i](s)[:3])
 
 
 @pytest.mark.parametrize("name, lam", CHAIN_CASES)
 def test_sampling_chain_is_the_composition_of_public_pieces(name, lam):
-    traj, qtraj, _, _, _ = chain_trajectory(name, lam)
+    traj, _, _, _ = chain_trajectory(name, lam)
     # the families sample past their period; all but the slow ones (|X0| = 2)
     # restart within it, and the skew product restarts over its horizon
     assert (traj.W is None) == (name == "skew")
@@ -498,10 +503,10 @@ def test_sampling_chain_is_the_composition_of_public_pieces(name, lam):
         assert np.array_equal(traj.class_at(t).vector, cls.vector)
         assert np.array_equal(traj.eval_Z(t), z)
         assert np.array_equal(traj.eval_A(t), exp_rot(z))
-        if qtraj is not None:
-            i, s = locate(traj, split(traj, t)[1])
-            assert np.array_equal(qtraj.eval(t), traj.segments[i]._dense(s)[3:])
-    evals = [traj.class_at, traj.eval_Z, traj.eval_A] + ([qtraj.eval] if qtraj else [])
+        # q of the skew product; an empty array for the q-free families
+        i, s = locate(traj, split(traj, t)[1])
+        assert np.array_equal(traj.eval_q(t), traj.segments[i](s)[3:])
+    evals = [traj.class_at, traj.eval_Z, traj.eval_A, traj.eval_q]
     for t in (-2e-9, traj.t_end + 2e-9):
         for f in evals:
             with pytest.raises(DomainError):
@@ -572,6 +577,19 @@ def test_out_of_range_time_raises_after_in_range_samples():
                 with pytest.raises(DomainError):
                     f(t)
     assert all(math.isfinite(t) and 0.0 <= t <= traj.t_end for t in traj._classes)
+
+
+def test_a_time_that_is_not_one_real_number_raises_domain_error():
+    traj, samplers = sampled_case("case2", 0.1)
+    euler = integrate_euler(constant_signal(EZ), 0.0, 1.0, 0.5)
+    samplers.update(eval_q=traj.eval_q, euler_A=euler.eval_A, euler_angles=euler.eval_angles)
+    for f in samplers.values():
+        for t in ([0.1, 0.2], "a", None, 1j, 10**400):
+            with pytest.raises(DomainError):
+                f(t)
+    for f in (traj.eval_A, euler.eval_A):
+        with pytest.raises(DomainError, match="real numbers"):
+            f(np.array(["a"] * flow.BATCH_MIN))
 
 
 # ----------------------------------------------------------- batched sampling
@@ -749,21 +767,21 @@ def test_skew_product_frozen_coordinates_are_rigid():
     sys = SkewProductSystem(
         x_g=lambda q, lam: X0, x_n=lambda q, lam: np.zeros(2), dim_q=2
     )
-    traj, qtraj = integrate_skew_product(sys, np.array([0.3, -0.1]), 0.0, 5.0)
+    traj = integrate_skew_product(sys, np.array([0.3, -0.1]), 0.0, 5.0)
     for t in np.linspace(0.0, 5.0, 11):
         assert np.linalg.norm(traj.eval_A(t) - exp_rot(X0 * t)) < 1e-9
-        assert np.allclose(qtraj.eval(t), [0.3, -0.1], atol=1e-12)
+        assert np.allclose(traj.eval_q(t), [0.3, -0.1], atol=1e-12)
 
 
 def test_skew_product_without_q_is_the_group_integrator():
     # one restart loop serves both: with dim_q = 0 and a q-free forcing the
     # skew product must reproduce integrate_group exactly, restart for restart
     sys = SkewProductSystem(x_g=lambda q, lam: X0, x_n=lambda q, lam: np.zeros(0), dim_q=0)
-    traj_q, _ = integrate_skew_product(sys, np.zeros(0), 0.0, 10.0)
+    traj_q = integrate_skew_product(sys, np.zeros(0), 0.0, 10.0)
     traj = integrate_group(aperiodic(constant_signal(X0)), 0.0, 10.0)
     assert len(traj.segments) > 5
-    assert [(s.t_start, s.t_end) for s in traj_q.segments] == [
-        (s.t_start, s.t_end) for s in traj.segments
+    assert [(s.ts[0], s.ts[-1]) for s in traj_q.segments] == [
+        (s.ts[0], s.ts[-1]) for s in traj.segments
     ]
     for t in np.linspace(0.0, 10.0, 41):
         assert np.array_equal(traj_q.class_at(t).vector, traj.class_at(t).vector)
@@ -777,12 +795,12 @@ def test_skew_product_without_q_is_the_group_integrator_over_one_period():
     tight = IntegratorConfig(
         rtol=cfg.rtol / flow.PERIOD_TOL_FACTOR, atol=cfg.atol / flow.PERIOD_TOL_FACTOR
     )
-    traj_q, _ = integrate_skew_product(sys, np.zeros(0), 0.0, T, tight)
+    traj_q = integrate_skew_product(sys, np.zeros(0), 0.0, T, tight)
     traj = integrate_group(constant_signal(X0), 0.0, 10.0, cfg)
     assert traj.T == T and traj_q.T is None
     assert len(traj.segments) > 1
-    assert [(s.t_start, s.t_end) for s in traj_q.segments] == [
-        (s.t_start, s.t_end) for s in traj.segments
+    assert [(s.ts[0], s.ts[-1]) for s in traj_q.segments] == [
+        (s.ts[0], s.ts[-1]) for s in traj.segments
     ]
     for t in np.linspace(0.0, T, 41):
         assert np.array_equal(traj_q.class_at(t).vector, traj.class_at(t).vector)
@@ -795,12 +813,12 @@ def test_stuart_landau_circle():
         x_g=lambda q, lam_: X0, x_n=stuart_landau(omega), dim_q=2
     )
     q0 = np.array([np.sqrt(lam), 0.0])
-    _, qtraj = integrate_skew_product(sys, q0, lam, 10.0)
+    traj = integrate_skew_product(sys, q0, lam, 10.0)
     for t in np.linspace(0.0, 10.0, 21):
-        q = qtraj.eval(t)
+        q = traj.eval_q(t)
         assert abs(np.linalg.norm(q) - np.sqrt(lam)) < 1e-9
     # one revolution takes 2 pi / omega
-    assert np.allclose(qtraj.eval(2 * np.pi / omega), q0, atol=1e-8)
+    assert np.allclose(traj.eval_q(2 * np.pi / omega), q0, atol=1e-8)
 
 
 def test_skew_product_cross_checks_explicit_forcing():
@@ -811,7 +829,7 @@ def test_skew_product_cross_checks_explicit_forcing():
         x_g=lambda q, lam_: X0 + q[0] * EX, x_n=stuart_landau(omega), dim_q=2
     )
     q0 = np.array([np.sqrt(lam), 0.0])
-    traj_q, _ = integrate_skew_product(sys, q0, lam, 6.0)
+    traj_q = integrate_skew_product(sys, q0, lam, 6.0)
     explicit = ForcingSignal(
         eval=lambda t, lam_: X0 + np.sqrt(lam) * np.cos(omega * t) * EX,
         period=lambda lam_: 2 * np.pi / omega,
@@ -827,6 +845,6 @@ def test_skew_product_shape_checks():
     )
     with pytest.raises(DomainError):
         integrate_skew_product(sys, np.zeros(3), 0.0, 1.0)
-    _, qtraj = integrate_skew_product(sys, np.zeros(2), 0.0, 1.0)
+    traj = integrate_skew_product(sys, np.zeros(2), 0.0, 1.0)
     with pytest.raises(DomainError):
-        qtraj.eval(5.0)
+        traj.eval_q(5.0)

@@ -1,4 +1,6 @@
 """Frequency extraction, resonance/motion classification, drift branches."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,10 +70,14 @@ def test_resonance_tolerance_is_relative():
 
 
 def test_resonance_domain_checks():
-    with pytest.raises(DomainError):
-        classify_resonance(2.0, 0.0)
-    with pytest.raises(DomainError):
-        classify_resonance(-1.0, 20.0)
+    # a NaN or infinite argument, and a ratio past the float range, cannot be
+    # rounded to a resonance order
+    for x0_norm, omega_bif in [
+        (2.0, 0.0), (-1.0, 20.0), (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+        (1.0, math.inf), (1e300, 1e-300),
+    ]:
+        with pytest.raises(DomainError):
+            classify_resonance(x0_norm, omega_bif)
 
 
 # --------------------------------------------------------- primary frequency
@@ -152,10 +158,12 @@ def test_lifted_zero_x_nonresonant_is_inconsistent():
 
 def test_lifted_frequency_domain_checks():
     res = classify_resonance(20.0, 20.0)
-    with pytest.raises(DomainError):
-        lifted_frequency(np.zeros(3), 0.0, 20.0 * EZ, 20.0, res)
+    # T0 = 0, an infinite T0, and |x0| T0 past the float range
+    for T0, x0 in [(0.0, 20.0 * EZ), (math.inf, 20.0 * EZ), (1e300, 1e10 * EZ)]:
+        with pytest.raises(DomainError):
+            lifted_frequency(0.1 * EX, T0, x0, 1.0, res)
     # a resonant class with |x0| = 0 cannot come from classify_resonance
-    forged = ResonanceClass(ResonanceKind.RESONANT, 1, 20.0, 0.0)
+    forged = ResonanceClass(ResonanceKind.RESONANT, 1)
     with pytest.raises(InternalInconsistency, match="resonant class with"):
         lifted_frequency(np.zeros(3), 2 * np.pi / 20.0, np.zeros(3), 20.0, forged)
 
@@ -213,7 +221,7 @@ def test_periodic_part_identities():
 
 @pytest.mark.parametrize("name, lam", CHAIN_CASES)
 def test_periodic_part_is_the_composition_of_public_pieces(name, lam):
-    traj, _, T, x0, omega_bif = chain_trajectory(name, lam)
+    traj, T, x0, omega_bif = chain_trajectory(name, lam)
     X = primary_frequency(traj, T)
     Xf = classify(x0, omega_bif, X, T, lam).Xf
     part = periodic_part(traj, X, Xf, T)
@@ -301,8 +309,9 @@ def test_labels_hold_as_lambda_vanishes(name):
 
 
 def test_classify_domain_checks():
-    with pytest.raises(DomainError):
-        classify(2.0 * EZ, 20.0, 0.1 * EX, 0.0, 0.3)
+    for omega_bif, T in [(20.0, 0.0), (20.0, math.inf), (math.nan, 0.3), (math.inf, 0.3)]:
+        with pytest.raises(DomainError):
+            classify(2.0 * EZ, omega_bif, 0.1 * EX, T, 0.3)
 
 
 @settings(max_examples=60, deadline=None)

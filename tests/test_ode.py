@@ -154,13 +154,13 @@ def test_kernel_equals_tableau_loop_on_the_skew_product(monkeypatch):
     T = 2 * np.pi / omega
     ours, ref = _with_reference_step(
         monkeypatch,
-        lambda: integrate_skew_product(system, [np.sqrt(lam), 0.0], lam, 12 * T)[0],
+        lambda: integrate_skew_product(system, [np.sqrt(lam), 0.0], lam, 12 * T),
     )
     assert len(ref.segments) > 1
-    assert [s.t_end for s in ours.segments] == [s.t_end for s in ref.segments]
+    assert [s.ts[-1] for s in ours.segments] == [s.ts[-1] for s in ref.segments]
     for a, b in zip(ours.segments, ref.segments):
-        assert len(a._dense(a.t_start)) == 5
-        _assert_same_solution(a._dense, b._dense, a.t_end)
+        assert len(a(a.ts[0])) == 5
+        _assert_same_solution(a, b, a.ts[-1])
 
 
 def test_singular_stage_rejects_the_step_and_halves_it(monkeypatch):

@@ -380,6 +380,6 @@ def test_period_rejects_negative_lambda():
     for sc, mu in guard_cases():
         for _ in range(3):
             assert sc.period(0.05, mu) > 0.0
-            for lam in (-0.1, -20.0):
+            for lam in (-0.1, -20.0, math.nan, math.inf):
                 with pytest.raises(DomainError):
                     sc.period(lam, mu)
