@@ -397,7 +397,7 @@ class GroupTrajectory:
             tau = tau - n * self.T
         tau = np.where(tau < 0.0, 0.0, np.where(tau > self._t_last, self._t_last, tau))
         if self._arrays is None:
-            rows = np.array([step.rows[:3] for step in self._steps]).transpose(2, 1, 0)
+            rows = np.array([step.dense_rows()[:3] for step in self._steps]).transpose(2, 1, 0)
             t0, h = np.array([[step.t0, step.h] for step in self._steps]).T
             self._arrays = np.array(self._ends), t0, h, rows, np.array(self._step_segment)
         ends, t0, h, rows, segment = self._arrays

@@ -162,6 +162,8 @@ def lifted_frequency(
 
     Raises
     ------
+    DomainError
+        If an input is misshaped or not finite, or T0 is not positive.
     InternalInconsistency
         If X vanishes in a nonresonant class (the log cannot lose a full turn
         off resonance, so a zero X there indicates an upstream bug).
@@ -170,6 +172,8 @@ def lifted_frequency(
     x0 = _float_array(x0, (3,), "x0")
     if not T0 > 0.0:
         raise DomainError("T0 must be positive")
+    if not math.isfinite(omega_lambda):
+        raise DomainError(f"omega_lambda must be finite, got {omega_lambda!r}")
     x0_norm = float(np.linalg.norm(x0))
     k = _winding(x0_norm, T0)
     n = float(np.linalg.norm(X))
@@ -237,16 +241,23 @@ def classify(
     1e-9) is PeriodicSolution; nonresonant classes are MeanderO1; resonant
     classes split into OrthogonalDrift (|<X_hat, x0_hat>| < ORTHO_TOL) and
     SlowMeanderAboutX0. A degenerate class (|x0| = 0) gets motion None.
+    DomainError unless lam is nonnegative and finite, T positive and finite
+    and |X| T finite.
     """
     x0 = _float_array(x0, (3,), "x0")
     X = _float_array(X, (3,), "X")
     if not 0.0 < T < math.inf:
         raise DomainError("T must be positive and finite")
+    if not 0.0 <= lam < math.inf:
+        raise DomainError(f"lambda must be nonnegative and finite, got {lam!r}")
     x0_norm = float(np.linalg.norm(x0))
     res = classify_resonance(x0_norm, omega_bif)
     T0 = 2.0 * math.pi / omega_bif
     k_w = _winding(x0_norm, T0)
-    n = float(np.linalg.norm(X))
+    with np.errstate(over="ignore"):
+        n = float(np.linalg.norm(X))
+    if not n * T < math.inf:
+        raise DomainError(f"|X| T must be finite, got |X| = {n!r} and T = {T!r}")
 
     if res.kind is ResonanceKind.DEGENERATE:
         return FrequencyReport(X, X.copy(), res, 0, None, None)

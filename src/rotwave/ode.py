@@ -5,7 +5,8 @@ Z-equation has three unknowns) where per-call overhead dominates:
 
 * :func:`solve_ivp` is the explicit Runge-Kutta pair DOP853 of Dormand and
   Prince, order 8 with embedded error estimators of orders 5 and 3, a
-  7th-degree dense output, and a terminal event located on that dense output.
+  7th-degree dense output, built for a step only when it is sampled, and a
+  terminal event located on that dense output.
   Step control, initial-step selection and dense output follow Hairer,
   Norsett & Wanner, *Solving Ordinary Differential Equations I: Nonstiff
   Problems*, 2nd ed., sections II.4-II.6, in the formulation of SciPy's
@@ -143,29 +144,41 @@ def _terms(row, i: int) -> str:
     return " + ".join(f"{c!r}*k{j}_{i}" for j, c in row)
 
 
+#: the stages that the dense-output kernel reads from the step: those of the
+#: rows of stages 13-15 and of the interpolant, with f(t, y) and f(t + h, y_new)
+_DENSE_INPUTS = tuple(sorted({0, 12} | {j for row in _A_EXTRA + _D for j, _ in row if j < 13}))
+
+
 def _step_source(n: int) -> str:
-    """Source of one DOP853 step on an n-component state, as straight-line code.
+    """Source of the two DOP853 kernels on an n-component state, as straight-line code.
 
     ``step(f, t, y, fy, h, rtol, atol)`` evaluates stages 1-12, forms the
     order-8 solution ``yn`` and ``fn = f(t + h, yn)``, and the error norm. It
-    returns ``(yn, fn, err, rows)``; when ``err < 1`` it also evaluates the
-    dense-output stages 13-15 and ``rows`` holds one Horner row
-    ``(y, f0, ..., f6)`` per component for :class:`_Interpolant`, else
-    ``rows`` is None. Stage s of component i is the local ``k{s}_{i}``.
+    returns ``(yn, fn, err, stages)``, ``stages`` the flat tuple of the
+    components of the stages in ``_DENSE_INPUTS``.
+
+    ``dense(f, t, y, yn, h, stages)`` evaluates the dense-output stages 13-15
+    of that step and returns one Horner row ``(y, f0, ..., f6)`` per component
+    for :class:`_Interpolant`. It is a separate kernel because only a step
+    that someone samples needs it; its floats and their order are those of
+    one kernel doing both.
+
+    Stage s of component i is the local ``k{s}_{i}`` in both.
     """
     comps = range(n)
 
-    def unpack(s: int) -> str:
-        return ", ".join(f"k{s}_{i}" for i in comps) + ","
+    def names(s: str) -> str:
+        return ", ".join(f"{s}_{i}" for i in comps) + ","
 
     def stage(s: int, c: float, row) -> str:
         args = ", ".join(f"y_{i} + ({_terms(row, i)}) * h" for i in comps)
-        return f"    {unpack(s)} = f(t + {c!r} * h, [{args}])"
+        return f"    {names(f'k{s}')} = f(t + {c!r} * h, [{args}])"
 
+    kept = " ".join(names(f"k{s}") for s in _DENSE_INPUTS)
     lines = [
         "def step(f, t, y, fy, h, rtol, atol):",
-        f"    {', '.join(f'y_{i}' for i in comps)}, = y",
-        f"    {unpack(0)} = fy",
+        f"    {names('y')} = y",
+        f"    {names('k0')} = fy",
     ]
     lines += [stage(s, c, row) for s, (c, row) in enumerate(zip(_C, _A), start=1)]
     for i in comps:
@@ -173,7 +186,7 @@ def _step_source(n: int) -> str:
     lines += [
         f"    yn = [{', '.join(f'yn_{i}' for i in comps)}]",
         "    fn = f(t + h, yn)",
-        f"    {unpack(12)} = fn",
+        f"    {names('k12')} = fn",
     ]
     for i in comps:
         lines += [
@@ -190,8 +203,12 @@ def _step_source(n: int) -> str:
         "        err = 0.0",
         "    else:",
         f"        err = abs(h) * n5 / sqrt((n5 + 0.01 * n3) * {n})",
-        "    if not err < 1.0:",
-        "        return yn, fn, err, None",
+        f"    return yn, fn, err, ({kept})",
+        "",
+        "def dense(f, t, y, yn, h, stages):",
+        f"    {names('y')} = y",
+        f"    {names('yn')} = yn",
+        f"    {kept} = stages",
     ]
     lines += [stage(s, c, row) for s, (c, row) in enumerate(zip(_C_EXTRA, _A_EXTRA), start=13)]
     rows = []
@@ -201,16 +218,17 @@ def _step_source(n: int) -> str:
         rows.append(
             f"(y_{i}, d_{i}, h * k0_{i} - d_{i}, 2.0 * d_{i} - h * (k12_{i} + k0_{i}), {dense})"
         )
-    lines.append(f"    return yn, fn, err, ({', '.join(rows)},)")
+    lines.append(f"    return ({', '.join(rows)},)")
     return "\n".join(lines) + "\n"
 
 
 @functools.lru_cache(maxsize=None)
-def _step_kernel(n: int) -> Callable:
-    """The compiled :func:`_step_source` kernel for n-component states, built once per n."""
+def _step_kernel(n: int) -> tuple[Callable, Callable]:
+    """The compiled :func:`_step_source` kernels ``(step, dense)`` for n-component states,
+    built once per n."""
     namespace = {"sqrt": math.sqrt}
     exec(compile(_step_source(n), f"<DOP853 step, n={n}>", "exec"), namespace)
-    return namespace["step"]
+    return namespace["step"], namespace["dense"]
 
 
 def _rms(v) -> float:
@@ -222,8 +240,10 @@ class OdeResult:
     """Outcome of :func:`solve_ivp`.
 
     ``t`` holds the start time and every accepted step's end (the last entry
-    is the event time when the event fired), ``nfev`` counts every
-    right-hand-side call including ones that raised, ``sol`` is the dense
+    is the event time when the event fired), ``nfev`` counts the
+    right-hand-side calls made inside :func:`solve_ivp`, including ones that
+    raised (the dense-output stages that ``sol`` evaluates later, when a step
+    is first sampled, are not counted), ``sol`` is the dense
     output over the integrated range, ``status`` is 0 (reached the end),
     1 (terminal event) or -1 (step size underflow). ``singular_rejections``
     counts the trial steps rejected because the right-hand side raised
@@ -242,18 +262,32 @@ class _Interpolant:
     """Dense output of one DOP853 step: the degree-7 polynomial in ``x = (t - t0)/h``.
 
     ``rows`` holds one Horner row ``(y0, f0, ..., f6)`` per state component,
-    as the step kernel returns them.
+    as the dense kernel returns them, or None until the step is first
+    sampled. Until then ``pending`` holds ``(fun, dense, y, yn, stages)``,
+    what the dense kernel needs to evaluate stages 13-15; :meth:`dense_rows`
+    does that once, keeps the rows and drops the stages.
     """
 
-    __slots__ = ("t0", "h", "rows")
+    __slots__ = ("t0", "h", "rows", "pending")
 
-    def __init__(self, t0: float, h: float, rows: tuple):
-        self.t0, self.h, self.rows = t0, h, rows
+    def __init__(self, t0: float, h: float, rows: tuple | None, pending: tuple | None = None):
+        self.t0, self.h, self.rows, self.pending = t0, h, rows, pending
 
     def __call__(self, t: float) -> list[float]:
+        rows = self.rows
+        if rows is None:
+            rows = self.dense_rows()
         x = (t - self.t0) / self.h
         u = 1.0 - x
-        return [_horner(x, u, row) for row in self.rows]
+        return [_horner(x, u, row) for row in rows]
+
+    def dense_rows(self) -> tuple:
+        """The Horner rows, evaluating the deferred dense-output stages on first use."""
+        if self.rows is None:
+            fun, dense, y, yn, stages = self.pending
+            self.rows = dense(fun, self.t0, y, yn, self.h, stages)
+            self.pending = None
+        return self.rows
 
 
 def _horner(x, u, row):
@@ -313,18 +347,28 @@ def solve_ivp(
 
     Every step is accepted when the scaled error norm (the RMS norm of the
     order-5 error estimate, damped by the order-3 one, with scale
-    ``atol + rtol max(|y|, |y_new|)`` per component) is below 1. Dense output
-    is built on every accepted step. One step is straight-line float code
-    generated from the tableau for the state's dimension
-    (:func:`_step_source`). The optional ``event(t, y)`` is terminal: the
-    integration stops in the first step over which its value goes from
-    negative to non-negative, at the time located by :func:`brentq` on that
-    step's dense output.
+    ``atol + rtol max(|y|, |y_new|)`` per component) is below 1. One step is
+    straight-line float code generated from the tableau for the state's
+    dimension (:func:`_step_source`), stages 0-12 and the error norm. The
+    optional ``event(t, y)``, evaluated at the end of each trial step that
+    passes the error test, is terminal: the integration stops in the first
+    step over which its value goes from negative to non-negative, at the time
+    located by :func:`brentq` on that step's dense output.
+
+    The dense-output stages 13-15 of a step run only when something needs its
+    interpolant: inside the step for the step in which the event fires, else
+    the first time ``sol`` samples the step, and then once. A step that is
+    never sampled costs 12 right-hand-side calls instead of 15. ``fun`` must
+    therefore be a pure function of ``(t, y)``: a deferred stage calls it
+    after this function has returned, possibly after other solves, and must
+    get the value it would have got here. Those calls do not count in
+    ``nfev``, and an error they raise reaches the caller of ``sol``.
 
     A right-hand side that raises :class:`~rotwave.errors.SingularityError`
     rejects the trial step, or the probe of the initial-step heuristic, and
     halves the step size, as a failed error test does; the failed call still
-    counts in ``nfev``, and the step in ``singular_rejections``.
+    counts in ``nfev``, and the step in ``singular_rejections``. That holds
+    for the dense stages of the event step too.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
@@ -338,7 +382,7 @@ def solve_ivp(
         return fun(s, y)
 
     y = [float(v) for v in y0]
-    step = _step_kernel(len(y))
+    step, dense = _step_kernel(len(y))
     fy = f(t, y)
     h_abs = _initial_step(f, t, y, fy, t_bound, rtol, atol)
     g = event(t, y) if event is not None else 0.0
@@ -356,8 +400,13 @@ def solve_ivp(
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = h
+            rows = None
             try:
-                y_new, f_new, err, rows = step(f, t, y, fy, h, rtol, atol)
+                y_new, f_new, err, stages = step(f, t, y, fy, h, rtol, atol)
+                if err < 1.0 and event is not None:
+                    g_new = event(t_new, y_new)
+                    if g < 0.0 <= g_new:
+                        rows = dense(f, t, y, y_new, h, stages)
             except SingularityError:
                 h_abs *= 0.5
                 rejected = True
@@ -372,15 +421,14 @@ def solve_ivp(
             h_abs *= max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT)
             rejected = True
 
-        interp = _Interpolant(t, h, rows)
+        interp = _Interpolant(t, h, rows, (fun, dense, y, y_new, stages) if rows is None else None)
         interpolants.append(interp)
         t_old = t
         t, y, fy = t_new, y_new, f_new
         if t >= t_bound:
             status = 0
         if event is not None:
-            g_new = event(t, y)
-            if g < 0.0 <= g_new:
+            if rows is not None:
                 t = brentq(lambda s: event(s, interp(s)), t_old, t, 4.0 * EPS)
                 status = 1
             g = g_new

@@ -314,6 +314,27 @@ def test_classify_domain_checks():
             classify(2.0 * EZ, omega_bif, 0.1 * EX, T, 0.3)
 
 
+@pytest.mark.parametrize("lam", [math.nan, -1.0, -1e-300, math.inf])
+def test_classify_rejects_a_lambda_outside_the_scenarios_domain(lam):
+    # lam was read only by the lam == 0 test, so these were labelled MeanderO1
+    with pytest.raises(DomainError, match="lambda"):
+        classify(2.0 * EZ, 20.0, 0.1 * EX, 0.5, lam)
+
+
+def test_classify_rejects_an_overflowing_winding_product():
+    # |X| T = 1e310 overflows; the lattice test rounded it and raised OverflowError
+    with pytest.raises(DomainError, match=r"\|X\| T"):
+        classify([0.0, 0.0, 2.0], 20.0, [1e300, 0.0, 0.0], 1e10, 0.1)
+
+
+@pytest.mark.parametrize("omega_lambda", [math.inf, -math.inf, math.nan])
+def test_lifted_frequency_rejects_a_non_finite_omega_lambda(omega_lambda):
+    # omega_lambda = inf gave [inf, nan, nan] without an error
+    res = classify_resonance(20.0, 20.0)
+    with pytest.raises(DomainError, match="omega_lambda"):
+        lifted_frequency(0.1 * EX, 2 * np.pi / 20.0, 20.0 * EZ, omega_lambda, res)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     name=st.sampled_from(FAMILIES),

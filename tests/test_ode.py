@@ -16,7 +16,15 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq as scipy_brentq
 
 import rotwave
-from rotwave import SingularityError, SkewProductSystem, integrate_skew_product, ode, stuart_landau
+from rotwave import (
+    ForcingSignal,
+    SingularityError,
+    SkewProductSystem,
+    integrate_group,
+    integrate_skew_product,
+    ode,
+    stuart_landau,
+)
 from rotwave.scenarios import build
 from rotwave.so3 import _dexpinv_apply, _norm3
 
@@ -83,7 +91,8 @@ def _fill_stages(f, t, y, h, K, first, nodes, rows):
 
 
 def _reference_step(f, t, y, fy, h, rtol, atol):
-    """One DOP853 step as the tableau loop over a stage list K, in the kernel's convention."""
+    """Stages 0-12 and the error norm of one DOP853 step as the tableau loop over a
+    stage list K, in the step kernel's convention; K stands for the kernel's stages."""
     K = [None] * 16
     K[0] = fy
     _fill_stages(f, t, y, h, K, 1, ode._C, ode._A)
@@ -93,9 +102,14 @@ def _reference_step(f, t, y, fy, h, rtol, atol):
     n5 = sum((e / s) ** 2 for e, s in zip(_combine(K, ode._E5), scale))
     n3 = sum((e / s) ** 2 for e, s in zip(_combine(K, ode._E3), scale))
     err = 0.0 if n5 == 0.0 and n3 == 0.0 else abs(h) * n5 / math.sqrt((n5 + 0.01 * n3) * len(y))
-    if not err < 1.0:
-        return y_new, f_new, err, None
+    return y_new, f_new, err, K
+
+
+def _reference_dense(f, t, y, y_new, h, K):
+    """Stages 13-15 and the Horner rows of that step as the tableau loop, in the
+    dense kernel's convention."""
     _fill_stages(f, t, y, h, K, 13, ode._C_EXTRA, ode._A_EXTRA)
+    fy, f_new = K[0], K[12]
     delta = [b - a for a, b in zip(y, y_new)]
     F = [
         delta,
@@ -103,14 +117,14 @@ def _reference_step(f, t, y, fy, h, rtol, atol):
         [2.0 * d - h * (b + a) for d, a, b in zip(delta, fy, f_new)],
         *([h * v for v in _combine(K, row)] for row in ode._D),
     ]
-    return y_new, f_new, err, tuple(zip(y, *F))
+    return tuple(zip(y, *F))
 
 
 def _with_reference_step(monkeypatch, run):
-    """``run()`` once with the generated kernel and once with the tableau loop."""
+    """``run()`` once with the generated kernels and once with the tableau loop."""
     ours = run()
     with monkeypatch.context() as m:
-        m.setattr(ode, "_step_kernel", lambda n: _reference_step)
+        m.setattr(ode, "_step_kernel", lambda n: (_reference_step, _reference_dense))
         ref = run()
     return ours, ref
 
@@ -184,6 +198,84 @@ def test_singular_stage_rejects_the_step_and_halves_it(monkeypatch):
     assert ours.singular_rejections == ref.singular_rejections == 1
     assert plain.singular_rejections == 0
     _assert_same_solution(ours.sol, ref.sol, 5.0)
+
+
+def test_singular_dense_stage_of_the_event_step_rejects_the_step(monkeypatch):
+    # the event fires in the last step, whose dense stages 13-15 are the
+    # solve's last three calls; stage 13 raises once, and the step is
+    # retried at half its size, as a singular stage 1-12 would be
+    def event(t, y):
+        return t - 2.5
+
+    def run(raise_at):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            if len(calls) == raise_at:
+                raise SingularityError("dense stage at the singularity")
+            return [math.cos(t) * y[1], -y[0]]
+
+        return ode.solve_ivp(rhs, (0.0, 5.0), [1.0, 0.5], RTOL, ATOL, event=event)
+
+    plain = run(None)
+    assert plain.status == 1 and plain.singular_rejections == 0
+    last = len(plain.t) - 2  # index of the event step
+    ours, ref = _with_reference_step(monkeypatch, lambda: run(plain.nfev - 2))
+    assert (ours.status, ours.nfev, ours.t) == (ref.status, ref.nfev, ref.t)
+    assert ours.singular_rejections == ref.singular_rejections == 1
+    assert ours.t[: last + 1] == plain.t[: last + 1]
+    t, h = plain.t[last], plain.sol.interpolants[last].h
+    assert ours.sol.interpolants[last].h == (t + 0.5 * h) - t
+    assert ours.status == 1 and abs(ours.t[-1] - 2.5) < 1e-12
+    _assert_same_solution(ours.sol, ref.sol, ours.t[-1])
+
+
+def _counted_forcing(family, lam):
+    """The family's forcing at ``lam`` with a log of its calls, and its period."""
+    sc = build(family)
+    sig = sc.forcing(lam)
+    calls = []
+
+    def xg(t, lam_):
+        calls.append(t)
+        return sig.eval(t, lam_)
+
+    return ForcingSignal(xg, sig.period), sc.period(lam), calls
+
+
+@pytest.mark.parametrize("family, events", [("case1", 0), ("case2", 2)])
+def test_unsampled_steps_skip_the_dense_stages(family, events):
+    # one period: only the event steps (one per restart) build their dense
+    # output in the solve; sampling every step then costs 3 right-hand sides
+    # per remaining step, once
+    sig, T, calls = _counted_forcing(family, 0.05)
+    traj = integrate_group(sig, 0.05, T)
+    steps = traj._steps
+    assert len(traj.segments) - 1 == events
+    assert sum(step.rows is not None for step in steps) == events
+    unsampled = len(calls)
+    for step in steps:
+        step(step.t0 + 0.5 * step.h)
+    assert len(calls) - unsampled == 3 * (len(steps) - events)
+    assert all(step.rows is not None and step.pending is None for step in steps)
+    for step in steps:
+        step(step.t0 + 0.25 * step.h)
+    assert len(calls) - unsampled == 3 * (len(steps) - events)
+
+
+def test_deferred_dense_output_is_the_eager_one_after_another_lambda():
+    # the forcing keeps the constants of the last lambda it saw; integrating
+    # another lambda in between makes every deferred stage recompute them
+    sig, T, _ = _counted_forcing("case1", 0.05)
+    eager = integrate_group(sig, 0.05, T)
+    rows = [step.dense_rows() for step in eager._steps]
+    lazy = integrate_group(sig, 0.05, T)
+    integrate_group(sig, 0.1, T)
+    assert any(step.rows is None for step in lazy._steps)
+    times = np.linspace(0.0, T, 1000).tolist()
+    assert [lazy.eval_A(t).tobytes() for t in times] == [eager.eval_A(t).tobytes() for t in times]
+    assert [step.rows for step in lazy._steps] == rows
 
 
 BRENT_CASES = [
