@@ -611,8 +611,12 @@ def integrate_euler(
     one, raises GimbalLockError (theta0 = 0 raises immediately). Every
     accepted step ends in such an evaluation (its last stage is taken at the
     step's end point), so the solve stops with GimbalLockError rather than
-    return an angle outside the chart. This formulation exists as an
-    independent cross-check of the Z-equation integrator.
+    return an angle outside the chart. The dense-output stages 13-15 of a
+    step other than the last run when the trajectory is first sampled inside
+    that step (see :func:`rotwave.ode.solve_ivp`), so a GimbalLockError from
+    one of them is raised by ``eval_angles`` / ``eval_A``, not by the solve.
+    This formulation exists as an independent cross-check of the Z-equation
+    integrator.
     """
     cfg = config or IntegratorConfig()
     if not t_end > 0.0:

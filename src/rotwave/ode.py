@@ -5,8 +5,8 @@ Z-equation has three unknowns) where per-call overhead dominates:
 
 * :func:`solve_ivp` is the explicit Runge-Kutta pair DOP853 of Dormand and
   Prince, order 8 with embedded error estimators of orders 5 and 3, a
-  7th-degree dense output, built for a step only when it is sampled, and a
-  terminal event located on that dense output.
+  7th-degree dense output, built only for the last step and for the steps
+  that are sampled, and a terminal event located on that dense output.
   Step control, initial-step selection and dense output follow Hairer,
   Norsett & Wanner, *Solving Ordinary Differential Equations I: Nonstiff
   Problems*, 2nd ed., sections II.4-II.6, in the formulation of SciPy's
@@ -159,9 +159,10 @@ def _step_source(n: int) -> str:
 
     ``dense(f, t, y, yn, h, stages)`` evaluates the dense-output stages 13-15
     of that step and returns one Horner row ``(y, f0, ..., f6)`` per component
-    for :class:`_Interpolant`. It is a separate kernel because only a step
-    that someone samples needs it; its floats and their order are those of
-    one kernel doing both.
+    for :class:`_Interpolant`. It is a separate kernel because only the last
+    step of a solve and a step that is sampled need it (:func:`solve_ivp`
+    says when it runs); its floats and their order are those of one kernel
+    doing both.
 
     Stage s of component i is the local ``k{s}_{i}`` in both.
     """
@@ -243,7 +244,7 @@ class OdeResult:
     is the event time when the event fired), ``nfev`` counts the
     right-hand-side calls made inside :func:`solve_ivp`, including ones that
     raised (the dense-output stages that ``sol`` evaluates later, when a step
-    is first sampled, are not counted), ``sol`` is the dense
+    other than the last is first sampled, are not counted), ``sol`` is the dense
     output over the integrated range, ``status`` is 0 (reached the end),
     1 (terminal event) or -1 (step size underflow). ``singular_rejections``
     counts the trial steps rejected because the right-hand side raised
@@ -262,30 +263,39 @@ class _Interpolant:
     """Dense output of one DOP853 step: the degree-7 polynomial in ``x = (t - t0)/h``.
 
     ``rows`` holds one Horner row ``(y0, f0, ..., f6)`` per state component,
-    as the dense kernel returns them, or None until the step is first
-    sampled. Until then ``pending`` holds ``(fun, dense, y, yn, stages)``,
-    what the dense kernel needs to evaluate stages 13-15; :meth:`dense_rows`
-    does that once, keeps the rows and drops the stages.
+    as the dense kernel returns them, or None until a sample needs them.
+    Until then ``pending`` holds ``(f, dense, y, yn, stages)``, what the
+    dense kernel needs to evaluate stages 13-15; :meth:`dense_rows` does that
+    once, keeps the rows and drops the stages.
+
+    A sample at the step's start needs no rows: at ``x = 0`` the polynomial
+    is ``S 0 + y0``, S the rest of the Horner scheme, which is bitwise ``y0``
+    while S is finite, unless ``y0`` is ``-0.0`` (the sum then takes the sign
+    of ``S 0``). So such a sample returns the step's start state, and builds
+    the rows only if a component of it is ``-0.0``.
     """
 
     __slots__ = ("t0", "h", "rows", "pending")
 
-    def __init__(self, t0: float, h: float, rows: tuple | None, pending: tuple | None = None):
-        self.t0, self.h, self.rows, self.pending = t0, h, rows, pending
+    def __init__(self, t0: float, h: float, pending: tuple):
+        self.t0, self.h, self.rows, self.pending = t0, h, None, pending
 
     def __call__(self, t: float) -> list[float]:
+        x = (t - self.t0) / self.h
         rows = self.rows
         if rows is None:
+            y = self.pending[2]
+            if x == 0.0 and all(a or math.copysign(1.0, a) > 0.0 for a in y):
+                return list(y)
             rows = self.dense_rows()
-        x = (t - self.t0) / self.h
         u = 1.0 - x
         return [_horner(x, u, row) for row in rows]
 
     def dense_rows(self) -> tuple:
         """The Horner rows, evaluating the deferred dense-output stages on first use."""
         if self.rows is None:
-            fun, dense, y, yn, stages = self.pending
-            self.rows = dense(fun, self.t0, y, yn, self.h, stages)
+            f, dense, y, yn, stages = self.pending
+            self.rows = dense(f, self.t0, y, yn, self.h, stages)
             self.pending = None
         return self.rows
 
@@ -356,19 +366,23 @@ def solve_ivp(
     located by :func:`brentq` on that step's dense output.
 
     The dense-output stages 13-15 of a step run only when something needs its
-    interpolant: inside the step for the step in which the event fires, else
-    the first time ``sol`` samples the step, and then once. A step that is
-    never sampled costs 12 right-hand-side calls instead of 15. ``fun`` must
-    therefore be a pure function of ``(t, y)``: a deferred stage calls it
-    after this function has returned, possibly after other solves, and must
-    get the value it would have got here. Those calls do not count in
-    ``nfev``, and an error they raise reaches the caller of ``sol``.
+    interpolant: inside the trial step for the last step (the one in which
+    the event fires or that reaches ``t_bound``), since callers read the end
+    of the range from it (``brentq``, a restart state, A(T)); else the first
+    time ``sol`` samples the step at a time other than its start, and then
+    once. A step that is never sampled costs 12 right-hand-side calls instead
+    of 15. ``fun`` must therefore be a pure function of ``(t, y)``: a
+    deferred stage calls it after this function has returned, possibly after
+    other solves, and must get the value it would have got here. Those calls
+    do not count in ``nfev``, and an error they raise reaches the caller of
+    ``sol``.
 
     A right-hand side that raises :class:`~rotwave.errors.SingularityError`
     rejects the trial step, or the probe of the initial-step heuristic, and
     halves the step size, as a failed error test does; the failed call still
     counts in ``nfev``, and the step in ``singular_rejections``. That holds
-    for the dense stages of the event step too.
+    for the dense stages of the last step too. An error that ``event``
+    raises reaches the caller.
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
@@ -389,6 +403,7 @@ def solve_ivp(
     ts = [t]
     interpolants: list[_Interpolant] = []
     status = None
+    fired = False
     while status is None:
         min_step = 10.0 * (math.nextafter(t, math.inf) - t)
         h_abs = max(h_abs, min_step)
@@ -400,19 +415,28 @@ def solve_ivp(
             t_new = min(t + h_abs, t_bound)
             h = t_new - t
             h_abs = h
-            rows = None
             try:
                 y_new, f_new, err, stages = step(f, t, y, fy, h, rtol, atol)
-                if err < 1.0 and event is not None:
-                    g_new = event(t_new, y_new)
-                    if g < 0.0 <= g_new:
-                        rows = dense(f, t, y, y_new, h, stages)
             except SingularityError:
                 h_abs *= 0.5
                 rejected = True
                 singular += 1
                 continue
             if err < 1.0:
+                interp = _Interpolant(t, h, (f, dense, y, y_new, stages))
+                if event is not None:
+                    g_new = event(t_new, y_new)
+                    fired = g < 0.0 <= g_new
+                if fired or t_new >= t_bound:
+                    # the last step: callers read the end of the range
+                    # (brentq, a restart state, A(T)) from its dense output
+                    try:
+                        interp.dense_rows()
+                    except SingularityError:
+                        h_abs *= 0.5
+                        rejected = True
+                        singular += 1
+                        continue
                 factor = MAX_FACTOR
                 if err > 0.0:
                     factor = min(MAX_FACTOR, SAFETY * err**ERROR_EXPONENT)
@@ -421,14 +445,13 @@ def solve_ivp(
             h_abs *= max(MIN_FACTOR, SAFETY * err**ERROR_EXPONENT)
             rejected = True
 
-        interp = _Interpolant(t, h, rows, (fun, dense, y, y_new, stages) if rows is None else None)
         interpolants.append(interp)
         t_old = t
         t, y, fy = t_new, y_new, f_new
         if t >= t_bound:
             status = 0
         if event is not None:
-            if rows is not None:
+            if fired:
                 t = brentq(lambda s: event(s, interp(s)), t_old, t, 4.0 * EPS)
                 status = 1
             g = g_new

@@ -200,13 +200,16 @@ def test_singular_stage_rejects_the_step_and_halves_it(monkeypatch):
     _assert_same_solution(ours.sol, ref.sol, 5.0)
 
 
-def test_singular_dense_stage_of_the_event_step_rejects_the_step(monkeypatch):
-    # the event fires in the last step, whose dense stages 13-15 are the
-    # solve's last three calls; stage 13 raises once, and the step is
-    # retried at half its size, as a singular stage 1-12 would be
-    def event(t, y):
-        return t - 2.5
+def _event_at_2_5(t, y):
+    return t - 2.5
 
+
+@pytest.mark.parametrize("event", [_event_at_2_5, None], ids=["event", "end"])
+def test_singular_dense_stage_of_the_last_step_rejects_the_step(event, monkeypatch):
+    # the last step (the event fires in it, or it reaches the end of the
+    # range) builds its dense output in the solve, so its stages 13-15 are
+    # the solve's last three calls; stage 13 raises once, and the step is
+    # retried at half its size, as a singular stage 1-12 would be
     def run(raise_at):
         calls = []
 
@@ -219,16 +222,54 @@ def test_singular_dense_stage_of_the_event_step_rejects_the_step(monkeypatch):
         return ode.solve_ivp(rhs, (0.0, 5.0), [1.0, 0.5], RTOL, ATOL, event=event)
 
     plain = run(None)
-    assert plain.status == 1 and plain.singular_rejections == 0
-    last = len(plain.t) - 2  # index of the event step
+    assert plain.singular_rejections == 0
+    last = len(plain.t) - 2  # index of the last step
     ours, ref = _with_reference_step(monkeypatch, lambda: run(plain.nfev - 2))
     assert (ours.status, ours.nfev, ours.t) == (ref.status, ref.nfev, ref.t)
     assert ours.singular_rejections == ref.singular_rejections == 1
     assert ours.t[: last + 1] == plain.t[: last + 1]
     t, h = plain.t[last], plain.sol.interpolants[last].h
     assert ours.sol.interpolants[last].h == (t + 0.5 * h) - t
-    assert ours.status == 1 and abs(ours.t[-1] - 2.5) < 1e-12
+    if event is None:
+        assert ours.status == plain.status == 0 and ours.t[-1] == 5.0
+    else:
+        assert ours.status == plain.status == 1 and abs(ours.t[-1] - 2.5) < 1e-12
     _assert_same_solution(ours.sol, ref.sol, ours.t[-1])
+
+
+def test_an_event_that_raises_reaches_the_caller():
+    # only the right-hand side's SingularityError rejects a step
+    def event(t, y):
+        if t > 1.0:
+            raise SingularityError("event past t = 1")
+        return -1.0
+
+    with pytest.raises(SingularityError, match="event past"):
+        ode.solve_ivp(lambda t, y: [-y[0]], (0.0, 5.0), [1.0], RTOL, ATOL, event=event)
+
+
+@pytest.mark.parametrize("z0", [0.0, -0.0], ids=["plus-zero", "minus-zero"])
+def test_a_sample_at_a_step_start_needs_no_dense_stages(z0):
+    # at x = 0 the polynomial is bitwise the step's start state, except for a
+    # -0.0 component, whose sign the rest of the Horner scheme sets (here to
+    # +0.0), so a start with one builds the rows
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        return [-y[1], y[0], -0.0 * y[0]]
+
+    sol = ode.solve_ivp(rhs, (0.0, 5.0), [1.0, 0.0, z0], RTOL, ATOL).sol
+    steps = sol.interpolants
+    solved = len(calls)
+    starts = [step(t) for step, t in zip(steps, sol.ts)]
+    built = [step.rows is not None for step in steps]
+    assert built[0] is (math.copysign(1.0, z0) < 0.0)
+    assert built[-1] and len(calls) - solved == 3 * (sum(built) - 1)
+    for step, got in zip(steps, starts):
+        want = [ode._horner(0.0, 1.0, row) for row in step.dense_rows()]
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+    assert starts[0][2].hex() == "0x0.0p+0"
 
 
 def _counted_forcing(family, lam):
@@ -246,22 +287,24 @@ def _counted_forcing(family, lam):
 
 @pytest.mark.parametrize("family, events", [("case1", 0), ("case2", 2)])
 def test_unsampled_steps_skip_the_dense_stages(family, events):
-    # one period: only the event steps (one per restart) build their dense
-    # output in the solve; sampling every step then costs 3 right-hand sides
-    # per remaining step, once
+    # one period: only the last step of each segment (an event step per
+    # restart, then the step that reaches T) builds its dense output in the
+    # solve; sampling every step then costs 3 right-hand sides per remaining
+    # step, once
     sig, T, calls = _counted_forcing(family, 0.05)
     traj = integrate_group(sig, 0.05, T)
     steps = traj._steps
-    assert len(traj.segments) - 1 == events
-    assert sum(step.rows is not None for step in steps) == events
+    assert len(traj.segments) == events + 1
+    assert [step.rows is not None for step in steps].count(True) == events + 1
+    assert all(seg.interpolants[-1].rows is not None for seg in traj.segments)
     unsampled = len(calls)
     for step in steps:
         step(step.t0 + 0.5 * step.h)
-    assert len(calls) - unsampled == 3 * (len(steps) - events)
+    assert len(calls) - unsampled == 3 * (len(steps) - events - 1)
     assert all(step.rows is not None and step.pending is None for step in steps)
     for step in steps:
         step(step.t0 + 0.25 * step.h)
-    assert len(calls) - unsampled == 3 * (len(steps) - events)
+    assert len(calls) - unsampled == 3 * (len(steps) - events - 1)
 
 
 def test_deferred_dense_output_is_the_eager_one_after_another_lambda():
@@ -275,7 +318,7 @@ def test_deferred_dense_output_is_the_eager_one_after_another_lambda():
     assert any(step.rows is None for step in lazy._steps)
     times = np.linspace(0.0, T, 1000).tolist()
     assert [lazy.eval_A(t).tobytes() for t in times] == [eager.eval_A(t).tobytes() for t in times]
-    assert [step.rows for step in lazy._steps] == rows
+    assert [step.dense_rows() for step in lazy._steps] == rows
 
 
 BRENT_CASES = [
