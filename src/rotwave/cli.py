@@ -309,11 +309,13 @@ def _frequency_entry(sc, lam: float, cfg: RunConfig, icfg: IntegratorConfig) -> 
         sc.forcing(lam, cfg.mu), lam, cfg.horizon * T, icfg, ref_dir=sc.frame.x0_dir
     )
     X = primary_frequency(traj, T)
+    norm_X = float(np.linalg.norm(X))
     report = classify(sc.X0, sc.omega_bif, X, T, lam)
     n_ps = min(5, cfg.horizon)
     track = tip_trajectory(traj, sc.tip_x0, sc.r, [i * T for i in range(n_ps + 1)])
     try:
-        fit = fit_circle(track.points)
+        # the axis points along X (X = 0 gives coincident samples, no fit)
+        fit = fit_circle(track.points, ref_axis=X / norm_X if norm_X else X)
         circle = {
             "axis": [float(v) for v in fit.axis],
             "radius": fit.radius,
@@ -323,9 +325,9 @@ def _frequency_entry(sc, lam: float, cfg: RunConfig, icfg: IntegratorConfig) -> 
         circle = None  # e.g. exactly-periodic tip: all period samples coincide
     return {
         "lambda": lam,
-        "X": [float(v) for v in report.X],
+        "X": [float(v) for v in X],
         "Xf": [float(v) for v in report.Xf],
-        "norm_X": float(np.linalg.norm(report.X)),
+        "norm_X": norm_X,
         "norm_Xf": float(np.linalg.norm(report.Xf)),
         "resonance": {"kind": report.resonance.kind.value, "k": report.resonance.k},
         "ortho_defect": report.ortho_defect,

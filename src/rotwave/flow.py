@@ -75,7 +75,6 @@ __all__ = [
     "ForcingSignal",
     "GroupTrajectory",
     "IntegratorConfig",
-    "SkewProductSystem",
     "integrate_euler",
     "integrate_group",
     "integrate_skew_product",
@@ -149,19 +148,6 @@ class ForcingSignal:
 
     eval: Callable[[float, float], Sequence[float]]
     period: Callable[[float], float] | None
-
-
-@dataclass
-class SkewProductSystem:
-    """Group forcing driven by normal-form coordinates.
-
-    ``x_g(q, lam)`` is the axis-vector forcing, ``x_n(q, lam)`` the
-    normal-coordinate vector field on R^dim_q.
-    """
-
-    x_g: Callable[[np.ndarray, float], np.ndarray]
-    x_n: Callable[[np.ndarray, float], np.ndarray]
-    dim_q: int
 
 
 def _check_forcing_value(x, t: float) -> Sequence[float]:
@@ -521,7 +507,8 @@ def integrate_group(
 
 
 def integrate_skew_product(
-    system: SkewProductSystem,
+    x_g: Callable[[np.ndarray, float], Sequence[float]],
+    x_n: Callable[[np.ndarray, float], np.ndarray],
     q0: np.ndarray,
     lam: float,
     t_end: float,
@@ -530,22 +517,22 @@ def integrate_skew_product(
 ) -> GroupTrajectory:
     """Co-integrate the group equation with normal-form coordinates.
 
-    The combined state is ``(Z, q)``; the terminal event restarts only Z, and
+    ``x_g(q, lam)`` is the axis-vector forcing and ``x_n(q, lam)`` the
+    vector field of q, on R^n with n = ``len(q0)``; q0 must be a finite 1-D
+    array. The combined state is ``(Z, q)``; the terminal event restarts only Z, and
     q continues across restarts with its event-time value as the next initial
     condition. q need not be periodic, so the whole horizon is integrated at
     the tolerances given and the trajectory has no period (``T`` is None);
     its ``eval_q`` gives q(t).
     """
     cfg = config or IntegratorConfig()
-    ref = _reference(
-        t_end, ref_dir, lambda: system.x_g(np.zeros(system.dim_q), 0.0), "X^G at (q=0, lam=0)"
-    )
-    q0 = _float_array(q0, (system.dim_q,), "q0")
+    q0 = _float_array(q0, (None,), "q0")
+    ref = _reference(t_end, ref_dir, lambda: x_g(np.zeros(len(q0)), 0.0), "X^G at (q=0, lam=0)")
 
     def rhs(t, y):
         q = np.array(y[3:])
-        x = _check_forcing_value(system.x_g(q, lam), t)
-        dq = np.asarray(system.x_n(q, lam), dtype=float)
+        x = _check_forcing_value(x_g(q, lam), t)
+        dq = np.asarray(x_n(q, lam), dtype=float)
         return [*_dexpinv_apply(y[:3], x), *dq.tolist()]
 
     segments, prefixes = _integrate_restarting(

@@ -84,20 +84,18 @@ class ResonanceClass:
 class FrequencyReport:
     """Everything the motion classification knows about one (lambda) run."""
 
-    X: np.ndarray
     Xf: np.ndarray
     resonance: ResonanceClass
-    k_winding: int
     ortho_defect: float | None
     motion: MotionClass | None
 
 
 @dataclass(frozen=True)
 class PeriodicPart:
-    """Periodic factors of A(t) = exp(X t) B(t) = exp(X^f t) B^f(t)."""
+    """Periodic factors of A(t) = exp(X t) B(t) = exp(X^f t) B^f(t); B^f is
+    ``exp_rot(log_Bf(t))``."""
 
     log_Bf: Callable[[float], np.ndarray]
-    eval_Bf: Callable[[float], np.ndarray]
     eval_B: Callable[[float], np.ndarray]
 
 
@@ -219,13 +217,10 @@ def periodic_part(
     def log_bf(t: float) -> np.ndarray:
         return np.array(log_b(neg_xf, t))
 
-    def eval_bf(t: float) -> np.ndarray:
-        return _exp_matrix(log_b(neg_xf, t))
-
     def eval_b(t: float) -> np.ndarray:
         return _exp_matrix(log_b(neg_x, t))
 
-    return PeriodicPart(log_bf, eval_bf, eval_b)
+    return PeriodicPart(log_bf, eval_b)
 
 
 def classify(
@@ -253,14 +248,13 @@ def classify(
     x0_norm = float(np.linalg.norm(x0))
     res = classify_resonance(x0_norm, omega_bif)
     T0 = 2.0 * math.pi / omega_bif
-    k_w = _winding(x0_norm, T0)
     with np.errstate(over="ignore"):
         n = float(np.linalg.norm(X))
     if not n * T < math.inf:
         raise DomainError(f"|X| T must be finite, got |X| = {n!r} and T = {T!r}")
 
     if res.kind is ResonanceKind.DEGENERATE:
-        return FrequencyReport(X, X.copy(), res, 0, None, None)
+        return FrequencyReport(X.copy(), res, None, None)
 
     Xf = lifted_frequency(X, T0, x0, 2.0 * math.pi / T, res)
     ortho = float(X @ x0) / (n * x0_norm) if n > 0.0 else None
@@ -275,7 +269,7 @@ def classify(
         motion = MotionClass.ORTHOGONAL_DRIFT
     else:
         motion = MotionClass.SLOW_MEANDER_ABOUT_X0
-    return FrequencyReport(X, Xf, res, k_w, ortho, motion)
+    return FrequencyReport(Xf, res, ortho, motion)
 
 
 def _period_class(family, lam: float, mu: float, ref_dir, config=None) -> tuple[tuple, float]:

@@ -196,14 +196,19 @@ def _step_source(n: int) -> str:
             # max(a, b) of two floats, NaN included
             f"    s_{i} = atol + (b_{i} if b_{i} > a_{i} else a_{i}) * rtol",
         ]
+    lines.append("    try:")
     for name, row in (("n5", _E5), ("n3", _E3)):
         sq = " + ".join(f"(({_terms(row, i)}) / s_{i})**2" for i in comps)
-        lines.append(f"    {name} = {sq}")
+        lines.append(f"        {name} = {sq}")
     lines += [
-        "    if n5 == 0.0 and n3 == 0.0:",
-        "        err = 0.0",
+        # a float ** raises on overflow where numpy gives inf: the step fails
+        "    except OverflowError:",
+        "        err = inf",
         "    else:",
-        f"        err = abs(h) * n5 / sqrt((n5 + 0.01 * n3) * {n})",
+        "        if n5 == 0.0 and n3 == 0.0:",
+        "            err = 0.0",
+        "        else:",
+        f"            err = abs(h) * n5 / sqrt((n5 + 0.01 * n3) * {n})",
         f"    return yn, fn, err, ({kept})",
         "",
         "def dense(f, t, y, yn, h, stages):",
@@ -227,7 +232,7 @@ def _step_source(n: int) -> str:
 def _step_kernel(n: int) -> tuple[Callable, Callable]:
     """The compiled :func:`_step_source` kernels ``(step, dense)`` for n-component states,
     built once per n."""
-    namespace = {"sqrt": math.sqrt}
+    namespace = {"sqrt": math.sqrt, "inf": math.inf}
     exec(compile(_step_source(n), f"<DOP853 step, n={n}>", "exec"), namespace)
     return namespace["step"], namespace["dense"]
 

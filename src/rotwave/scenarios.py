@@ -76,9 +76,6 @@ class Frame:
             raise ConfigError("frame must be right-handed: x0_dir x x1 = x2")
 
 
-_GFunc = Callable[[float, float], float]
-
-
 @dataclass(frozen=True)
 class Scenario:
     """One forcing family instance; built via :func:`build`."""
@@ -91,8 +88,6 @@ class Scenario:
     tip_x0: tuple
     frame: Frame
     k: int = 1
-    g_override: _GFunc | None = None
-    gdot_override: _GFunc | None = None
     _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -102,24 +97,6 @@ class Scenario:
     @property
     def takes_mu(self) -> bool:
         return self.family == "example4"
-
-    def _wave(self, omega_eff: float) -> Callable[[float, float], tuple[float, float]]:
-        """``wave(t, lam) -> (g, gdot)``: the built-in sin((omega_eff + lam) t)
-        and its derivative, or the ``g``/``gdot`` override."""
-        if self.g_override is not None:
-            g, gdot = self.g_override, self.gdot_override
-
-            def wave(t: float, lam: float) -> tuple[float, float]:
-                return g(t, lam), gdot(t, lam)
-
-        else:
-
-            def wave(t: float, lam: float) -> tuple[float, float]:
-                rate = omega_eff + lam
-                phase = rate * t
-                return math.sin(phase), rate * math.cos(phase)
-
-        return wave
 
     def _pieces(self, mu: float | None):
         """(xg(t, lam), closed(t, lam, exp, mul), period(lam)) for this family at mu.
@@ -139,8 +116,9 @@ class Scenario:
         example1-4 share one shape, ``A = exp(u t) exp(C theta(t))`` with the
         forcing ``X^G = C theta' + amp Ad(exp(-C theta)) w``, so one forcing
         ``xg`` and one closed form ``closed`` serve all four, and each family
-        supplies only ``constants(lam) -> (C, nu, w, amp, u)``. theta = g
-        when nu is None (example1), else ``nu t + lam g``; u = amp w, and
+        supplies only ``constants(lam) -> (C, nu, w, amp, u)``. With the
+        modulation ``g = sin((omega_eff + lam) t)``, theta = g when nu is
+        None (example1), else ``nu t + lam g``; u = amp w, and
         example1-3 take amp = 1.0 and u = w, exact since ``1.0 * x == x``.
         example5, whose modulation is collinear with ``X0 + eps X1``, has
         its own pair.
@@ -223,12 +201,13 @@ class Scenario:
                 if lam is not key:
                     c = lookup(lam)
                 eps, (v0, v1, v2) = c
-                rate = 1.0 + eps * wave(t, lam)[1]
+                freq = omega_eff + lam
+                rate = 1.0 + eps * (freq * math.cos(freq * t))
                 return [v0 * rate, v1 * rate, v2 * rate]
 
             def closed(t: float, lam: float, exp, mul):
                 eps, v = lookup(lam)
-                s = t + eps * wave(t, lam)[0]
+                s = t + eps * math.sin((omega_eff + lam) * t)
                 return exp(_finite3([a * s for a in v]))
 
         else:
@@ -237,7 +216,9 @@ class Scenario:
                 if lam is not key:
                     c = lookup(lam)
                 (c0, c1, c2), nu, w, amp, _ = c
-                g, gdot = wave(t, lam)
+                freq = omega_eff + lam
+                phase = freq * t
+                g, gdot = math.sin(phase), freq * math.cos(phase)
                 if nu is None:
                     theta, rate = g, gdot
                 else:
@@ -247,11 +228,10 @@ class Scenario:
 
             def closed(t: float, lam: float, exp, mul):
                 C, nu, _, _, u = lookup(lam)
-                g = wave(t, lam)[0]
+                g = math.sin((omega_eff + lam) * t)
                 theta = g if nu is None else nu * t + lam * g
                 return mul(exp(_finite3([a * t for a in u])), exp(_finite3([a * theta for a in C])))
 
-        wave = self._wave(omega_eff)
         memo = (object(), None)  # a key no caller can pass
 
         # xg repeats lookup's hit test inline: it runs once per
@@ -282,14 +262,9 @@ class Scenario:
         The eval is the family's closure itself: it may be called at any
         lambda, computes the lambda-only constants once per lambda (see
         :meth:`_build_pieces`), and raises DomainError for a negative lambda.
-
-        With a ``g``/``gdot`` override the signal's period is None (aperiodic):
-        :func:`build` checks ``g(0, lam) = 0`` but cannot check that g has the
-        nominal period, so such a forcing is integrated over its whole
-        horizon. :meth:`period` still reports the nominal T.
         """
         xg, _, period = self._pieces(mu)
-        return ForcingSignal(eval=xg, period=None if self.g_override is not None else period)
+        return ForcingSignal(eval=xg, period=period)
 
     def closed_form(self, t: float, lam: float, mu: float | None = None):
         """Exact A(t, lam[, mu]) for this family, as a 3x3 ndarray."""
@@ -300,8 +275,7 @@ class Scenario:
         return self._pieces(mu)[1](t, lam, _exp_entries, _matmul3)
 
     def period(self, lam: float = 0.0, mu: float | None = None) -> float:
-        """Relative forcing period T(lam[, mu]) of the built-in waveform
-        (DomainError for a negative or non-finite lam)."""
+        """Relative forcing period T(lam[, mu]) (DomainError for a negative or non-finite lam)."""
         _, _, period = self._pieces(mu)
         return period(lam)
 
@@ -325,7 +299,7 @@ _DEFAULTS: dict[str, dict] = {
 _DEFAULTS.update({f"case{i}": _DEFAULTS[f"example{i}"] for i in (1, 2, 3)})
 
 _ALLOWED_OVERRIDES = {
-    "omega_bif", "x0_norm", "r", "tip_x0", "frame", "k", "g", "gdot",
+    "omega_bif", "x0_norm", "r", "tip_x0", "frame", "k",
 }
 
 
@@ -362,16 +336,14 @@ def build(name: str, **overrides) -> Scenario:
         One of :func:`available`.
     **overrides
         omega_bif, x0_norm, r, tip_x0, frame (Frame or 3 rows),
-        k (example4 resonance order), g and gdot (waveform callables
-        (t, lam) -> float with g(0, lam) = 0).
+        k (example4 resonance order).
 
     Raises
     ------
     ConfigError
         Unknown name or override, a non-numeric or non-finite value (a
         boolean, also inside a list, counts as non-numeric),
-        inconsistent resonance parameters, invalid frame, or a g override
-        that does not vanish at t = 0.
+        inconsistent resonance parameters, or an invalid frame.
     """
     if name not in _DEFAULTS:
         raise ConfigError(
@@ -440,17 +412,6 @@ def build(name: str, **overrides) -> Scenario:
     s = r / tn
     tip_x0 = tuple(a * s for a in tip_raw)  # project onto the sphere of radius r
 
-    g = overrides.get("g")
-    gdot = overrides.get("gdot")
-    if (g is None) != (gdot is None):
-        raise ConfigError("g and gdot must be overridden together")
-    if g is not None:
-        if not (callable(g) and callable(gdot)):
-            raise ConfigError("g and gdot overrides must be callables (t, lam) -> float")
-        for lam_probe in (0.0, 0.1):
-            if abs(float(g(0.0, lam_probe))) > 1e-12:
-                raise ConfigError("g override must satisfy g(0, lam) = 0")
-
     return Scenario(
         name=name,
         family=family,
@@ -460,8 +421,6 @@ def build(name: str, **overrides) -> Scenario:
         tip_x0=tip_x0,
         frame=frame,
         k=k,
-        g_override=g,
-        gdot_override=gdot,
     )
 
 

@@ -95,11 +95,11 @@ def tip_trajectory(traj, x0, r: float, sample_times, period: float | None = None
     return TipTrack(points, period_samples)
 
 
-def fit_circle(points, ref_axis=(0.0, 0.0, 1.0)) -> CircleFit:
+def fit_circle(points, ref_axis) -> CircleFit:
     """Fit a plane (hence a circle, for points on a sphere) through sample points.
 
     The axis is the smallest-variance direction of the centered covariance,
-    oriented into the hemisphere of ``ref_axis`` (default north).
+    oriented into the hemisphere of ``ref_axis``, a 3-vector that need not be unit.
 
     Raises
     ------

@@ -93,13 +93,12 @@ def test_frequency_case2_orthogonal_drift(capsys):
     assert entry["circle_fit"]["rms"] < 1e-6 * 3.0
 
 
-def test_frequency_case2_circle_axis_is_minus_x(capsys):
-    # the README command: the tip circle's axis is +-e_x, on the equator of
-    # the fit's default reference +z, so the equator tie-break picks -e_x
-    # (anti-parallel to X, which points along +e_x)
+def test_frequency_case2_circle_axis_follows_X(capsys):
+    # the README command: the tip circle's axis is oriented by the run's X,
+    # which points along +e_x
     entries = run_frequency(capsys, ["--scenario", "case2", "--lambda-grid", "0.05,0.1"])
     for entry in entries:
-        assert np.allclose(entry["circle_fit"]["axis"], [-1.0, 0.0, 0.0], rtol=0.0, atol=1e-9)
+        assert np.allclose(entry["circle_fit"]["axis"], [1.0, 0.0, 0.0], rtol=0.0, atol=1e-9)
         assert entry["X"][0] > 0.0
 
 
@@ -214,6 +213,21 @@ def test_drift_bad_bracket_is_numerical_error(capsys):
                "--mu-bracket", "0.2,0.3"])
     assert rc == 3
     assert "sign" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--scenario", "example3", "--lambda", "0.01", "--atol", "1e-200"],
+        ["simulate", "--atol", "1e-320"],
+    ],
+)
+def test_tiny_atol_is_numerical_error(tmp_path, capsys, argv):
+    # the error norm's squares overflow the float range: every step fails
+    # until the step size underflows, so the run exits 3 with no traceback
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "step size" in err and "Traceback" not in err
 
 
 def test_drift_needs_mu_scenario(capsys):
@@ -528,6 +542,7 @@ def test_bad_subcommand_exits_2(capsys):
         # settings that no longer exist
         ("simulate", {"restart_margin": 0.1}),
         ("frequency", {"overrides": {"theta0": 0.5}}),
+        ("frequency", {"overrides": {"g": 0}}),
     ],
 )
 def test_config_file_bad_values_exit_2(tmp_path, capsys, command, doc):

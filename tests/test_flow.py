@@ -17,7 +17,6 @@ from rotwave import (
     IntegrationError,
     IntegratorConfig,
     SingularityError,
-    SkewProductSystem,
     bch,
     classify,
     exp_rot,
@@ -293,25 +292,6 @@ def test_horizon_shorter_than_a_period_is_integrated_directly():
         traj.eval_A(0.7 * T)
 
 
-def test_g_override_is_integrated_over_the_whole_horizon():
-    # sin(2t) does not repeat with the nominal period 2 pi / (20 + lam), so
-    # the forcing is aperiodic: extending one period would be wrong
-    sc = build(
-        "case1", g=lambda t, lam: math.sin(2.0 * t), gdot=lambda t, lam: 2.0 * math.cos(2.0 * t)
-    )
-    lam = 0.01
-    T = sc.period(lam)
-    sig = sc.forcing(lam)
-    assert sig.period is None
-    traj = integrate_group(sig, lam, 3.5 * T)
-    assert traj.T is None and traj.W is None
-    assert traj.segments[-1].ts[-1] == 3.5 * T
-    wrong = integrate_group(dataclasses.replace(sig, period=lambda lam_: T), lam, 3.5 * T)
-    times = np.linspace(0.0, 3.5 * T, 36)
-    assert max(np.linalg.norm(traj.eval_A(t) - sc.closed_form(t, lam)) for t in times) < 1e-8
-    assert max(np.linalg.norm(wrong.eval_A(t) - sc.closed_form(t, lam)) for t in times) > 1e-3
-
-
 def rotation_frame(v):
     """The frame (x0_dir, x1, x2) = columns (2, 0, 1) of exp_rot(v): right-handed."""
     r = exp_rot(v)
@@ -402,9 +382,11 @@ def test_non_unit_ref_dir_fails_before_integrating(monkeypatch):
     monkeypatch.setattr(flow, "solve_ivp", counted_solve)
     with pytest.raises(DomainError, match="unit vector"):
         integrate_group(constant_signal(X0), 0.0, 10.0, ref_dir=[0.0, 0.0, 2.0])
-    sys = SkewProductSystem(x_g=lambda q, lam: X0, x_n=lambda q, lam: np.zeros(2), dim_q=2)
     with pytest.raises(DomainError, match="unit vector"):
-        integrate_skew_product(sys, np.zeros(2), 0.0, 10.0, ref_dir=[0.0, 1e-3, 1.0])
+        integrate_skew_product(
+            lambda q, lam: X0, lambda q, lam: np.zeros(2), np.zeros(2), 0.0, 10.0,
+            ref_dir=[0.0, 1e-3, 1.0],
+        )
     assert calls == []
 
 
@@ -428,11 +410,10 @@ def chain_trajectory(name, lam):
     """
     if name == "skew":
         omega = 2.0
-        system = SkewProductSystem(
-            x_g=lambda q, lam_: X0 + q[0] * EX, x_n=stuart_landau(omega), dim_q=2
-        )
         T = 2 * np.pi / omega
-        traj = integrate_skew_product(system, [np.sqrt(lam), 0.0], lam, 2 * T)
+        traj = integrate_skew_product(
+            lambda q, lam_: X0 + q[0] * EX, stuart_landau(omega), [np.sqrt(lam), 0.0], lam, 2 * T
+        )
         return traj, T, X0, omega
     sc = build(name)
     T = sc.period(lam)
@@ -527,7 +508,6 @@ def sampled_case(name, lam):
         "eval_Z": traj.eval_Z,
         "class_at": lambda t: traj.class_at(t).vector,
         "log_Bf": part.log_Bf,
-        "eval_Bf": part.eval_Bf,
         "eval_B": part.eval_B,
         "tip": lambda t: tip_trajectory(traj, sc.tip_x0, sc.r, [t]).points[0],
     }
@@ -763,21 +743,22 @@ def test_euler_eval_outside_range_raises():
 
 # -------------------------------------------------------------- skew product
 
+def frozen(q, lam):
+    """A normal form whose coordinates never move."""
+    return np.zeros(len(q))
+
+
 def test_skew_product_frozen_coordinates_are_rigid():
-    sys = SkewProductSystem(
-        x_g=lambda q, lam: X0, x_n=lambda q, lam: np.zeros(2), dim_q=2
-    )
-    traj = integrate_skew_product(sys, np.array([0.3, -0.1]), 0.0, 5.0)
+    traj = integrate_skew_product(lambda q, lam: X0, frozen, np.array([0.3, -0.1]), 0.0, 5.0)
     for t in np.linspace(0.0, 5.0, 11):
         assert np.linalg.norm(traj.eval_A(t) - exp_rot(X0 * t)) < 1e-9
         assert np.allclose(traj.eval_q(t), [0.3, -0.1], atol=1e-12)
 
 
 def test_skew_product_without_q_is_the_group_integrator():
-    # one restart loop serves both: with dim_q = 0 and a q-free forcing the
+    # one restart loop serves both: with an empty q and a q-free forcing the
     # skew product must reproduce integrate_group exactly, restart for restart
-    sys = SkewProductSystem(x_g=lambda q, lam: X0, x_n=lambda q, lam: np.zeros(0), dim_q=0)
-    traj_q = integrate_skew_product(sys, np.zeros(0), 0.0, 10.0)
+    traj_q = integrate_skew_product(lambda q, lam: X0, frozen, np.zeros(0), 0.0, 10.0)
     traj = integrate_group(aperiodic(constant_signal(X0)), 0.0, 10.0)
     assert len(traj.segments) > 5
     assert [(s.ts[0], s.ts[-1]) for s in traj_q.segments] == [
@@ -789,13 +770,12 @@ def test_skew_product_without_q_is_the_group_integrator():
 
 def test_skew_product_without_q_is_the_group_integrator_over_one_period():
     # a periodic forcing runs the same loop over [0, T] at the tolerances / 10
-    sys = SkewProductSystem(x_g=lambda q, lam: X0, x_n=lambda q, lam: np.zeros(0), dim_q=0)
     T = np.pi
     cfg = IntegratorConfig()
     tight = IntegratorConfig(
         rtol=cfg.rtol / flow.PERIOD_TOL_FACTOR, atol=cfg.atol / flow.PERIOD_TOL_FACTOR
     )
-    traj_q = integrate_skew_product(sys, np.zeros(0), 0.0, T, tight)
+    traj_q = integrate_skew_product(lambda q, lam: X0, frozen, np.zeros(0), 0.0, T, tight)
     traj = integrate_group(constant_signal(X0), 0.0, 10.0, cfg)
     assert traj.T == T and traj_q.T is None
     assert len(traj.segments) > 1
@@ -809,11 +789,8 @@ def test_skew_product_without_q_is_the_group_integrator_over_one_period():
 def test_stuart_landau_circle():
     lam = 0.25
     omega = 2.0
-    sys = SkewProductSystem(
-        x_g=lambda q, lam_: X0, x_n=stuart_landau(omega), dim_q=2
-    )
     q0 = np.array([np.sqrt(lam), 0.0])
-    traj = integrate_skew_product(sys, q0, lam, 10.0)
+    traj = integrate_skew_product(lambda q, lam_: X0, stuart_landau(omega), q0, lam, 10.0)
     for t in np.linspace(0.0, 10.0, 21):
         q = traj.eval_q(t)
         assert abs(np.linalg.norm(q) - np.sqrt(lam)) < 1e-9
@@ -825,11 +802,10 @@ def test_skew_product_cross_checks_explicit_forcing():
     # forcing driven by the normal form equals the explicit sqrt(lam) cos form
     lam = 0.04
     omega = 2.0
-    sys = SkewProductSystem(
-        x_g=lambda q, lam_: X0 + q[0] * EX, x_n=stuart_landau(omega), dim_q=2
-    )
     q0 = np.array([np.sqrt(lam), 0.0])
-    traj_q = integrate_skew_product(sys, q0, lam, 6.0)
+    traj_q = integrate_skew_product(
+        lambda q, lam_: X0 + q[0] * EX, stuart_landau(omega), q0, lam, 6.0
+    )
     explicit = ForcingSignal(
         eval=lambda t, lam_: X0 + np.sqrt(lam) * np.cos(omega * t) * EX,
         period=lambda lam_: 2 * np.pi / omega,
@@ -840,11 +816,10 @@ def test_skew_product_cross_checks_explicit_forcing():
 
 
 def test_skew_product_shape_checks():
-    sys = SkewProductSystem(
-        x_g=lambda q, lam: X0, x_n=lambda q, lam: np.zeros(2), dim_q=2
-    )
-    with pytest.raises(DomainError):
-        integrate_skew_product(sys, np.zeros(3), 0.0, 1.0)
-    traj = integrate_skew_product(sys, np.zeros(2), 0.0, 1.0)
+    # q's dimension is that of q0, which must be 1-D
+    with pytest.raises(DomainError, match="1-D"):
+        integrate_skew_product(lambda q, lam: X0, frozen, np.zeros((2, 1)), 0.0, 1.0)
+    traj = integrate_skew_product(lambda q, lam: X0, frozen, np.zeros(3), 0.0, 1.0)
+    assert traj.eval_q(0.5).shape == (3,)
     with pytest.raises(DomainError):
         traj.eval_q(5.0)

@@ -23,7 +23,6 @@ from rotwave import (
     MotionClass,
     ResonanceClass,
     ResonanceKind,
-    SkewProductSystem,
     as_rotation,
     bch,
     classify,
@@ -216,7 +215,7 @@ def test_periodic_part_identities():
         assert np.linalg.norm(a - traj.eval_A(t)) < 1e-8
     # B^f is T-periodic
     for t in (0.1 * T, 0.5 * T):
-        assert np.linalg.norm(part.eval_Bf(t + T) - part.eval_Bf(t)) < 1e-7
+        assert np.linalg.norm(exp_rot(part.log_Bf(t + T)) - exp_rot(part.log_Bf(t))) < 1e-7
 
 
 @pytest.mark.parametrize("name, lam", CHAIN_CASES)
@@ -229,10 +228,9 @@ def test_periodic_part_is_the_composition_of_public_pieces(name, lam):
         cls = composed_class(traj, t).vector
         log_bf = bch(-Xf * t, cls).vector
         assert np.array_equal(part.log_Bf(t), log_bf)
-        assert np.array_equal(part.eval_Bf(t), exp_rot(log_bf))
         assert np.array_equal(part.eval_B(t), exp_rot(bch(-X * t, cls).vector))
     for t in (-2e-9, traj.t_end + 2e-9):
-        for f in (part.log_Bf, part.eval_Bf, part.eval_B):
+        for f in (part.log_Bf, part.eval_B):
             with pytest.raises(DomainError):
                 f(t)
 
@@ -240,40 +238,39 @@ def test_periodic_part_is_the_composition_of_public_pieces(name, lam):
 # ----------------------------------------------------------------- classify
 
 def run_report(name, lam):
+    """(X, classify's report) of one period of ``name`` at lam."""
     sc = build(name)
     T = sc.period(lam)
     traj = integrate_group(sc.forcing(lam), lam, T)
     X = primary_frequency(traj, T)
-    return classify(sc.X0, sc.omega_bif, X, T, lam)
+    return X, classify(sc.X0, sc.omega_bif, X, T, lam)
 
 
 def test_classify_case1_meander():
-    rep = run_report("case1", 0.05)
+    X, rep = run_report("case1", 0.05)
     assert rep.resonance.kind is ResonanceKind.NONRESONANT
     assert rep.motion is MotionClass.MEANDER_O1
-    assert rep.k_winding == 0
-    assert np.array_equal(rep.Xf, rep.X)
+    assert np.array_equal(rep.Xf, X)  # no turn to restore off resonance
 
 
 def test_classify_case2_orthogonal_drift():
-    rep = run_report("case2", 0.05)
+    _, rep = run_report("case2", 0.05)
     assert rep.resonance.kind is ResonanceKind.RESONANT and rep.resonance.k == 1
     assert rep.motion is MotionClass.ORTHOGONAL_DRIFT
     assert abs(rep.ortho_defect) < 1e-6
-    assert rep.k_winding == 1
 
 
 def test_classify_case3_slow_meander():
-    rep = run_report("case3", 0.05)
+    _, rep = run_report("case3", 0.05)
     assert rep.resonance.kind is ResonanceKind.RESONANT and rep.resonance.k == 1
     assert rep.motion is MotionClass.SLOW_MEANDER_ABOUT_X0
     assert rep.ortho_defect > 0.1
 
 
 def test_classify_lambda_zero_is_rigid():
-    rep = run_report("case1", 0.0)
+    X, rep = run_report("case1", 0.0)
     assert rep.motion is MotionClass.RIGID_ROTATION
-    assert np.allclose(rep.X, build("case1").X0, atol=1e-9)
+    assert np.allclose(X, build("case1").X0, atol=1e-9)
 
 
 def test_classify_periodic_solution_precedence():
@@ -287,7 +284,7 @@ def test_classify_degenerate():
     rep = classify(np.zeros(3), 20.0, 0.1 * EX, 0.5, 0.3)
     assert rep.resonance.kind is ResonanceKind.DEGENERATE
     assert rep.motion is None and rep.ortho_defect is None
-    assert np.array_equal(rep.Xf, rep.X)
+    assert np.array_equal(rep.Xf, 0.1 * EX)
 
 
 #: each family's (resonance kind, k, motion) at every lambda > 0
@@ -304,7 +301,7 @@ FAMILY_LABELS = {
 def test_labels_hold_as_lambda_vanishes(name):
     # noise must not flip a label as lambda -> 0: at 1e-12 case2's ortho
     # defect is 1.5e-9, against ORTHO_TOL = 1e-6
-    rep = run_report(name, 1e-12)
+    _, rep = run_report(name, 1e-12)
     assert (rep.resonance.kind, rep.resonance.k, rep.motion) == FAMILY_LABELS[name]
 
 
@@ -361,7 +358,7 @@ def test_rotating_the_frame_conjugates_the_flow(name, lam, u, v):
     rep = classify(sc.X0, sc.omega_bif, X, T, lam)
     rep_r = classify(sc_r.X0, sc_r.omega_bif, X_r, T, lam)
     assert rep_r.resonance.kind is rep.resonance.kind and rep_r.resonance.k == rep.resonance.k
-    assert rep_r.motion is rep.motion and rep_r.k_winding == rep.k_winding
+    assert rep_r.motion is rep.motion
 
 
 #: bound on max_t |log B^f(t)| / sqrt(lambda) of the nonresonant families;
@@ -443,10 +440,12 @@ def test_orthogonal_branch_domain_checks():
         find_orthogonal_branch(sc.forcing_family, 1e-2, (0.3, 0.2), sc.X0)
     with pytest.raises(DomainError):
         find_orthogonal_branch(sc.forcing_family, 1e-2, (0.0, 0.3), np.zeros(3))
-    # a g override makes the forcing aperiodic: the per-period objective is undefined
-    sc = build("example4", g=lambda t, lam: np.sin(t), gdot=lambda t, lam: np.cos(t))
+    # an aperiodic forcing: the per-period objective is undefined
+    def family(lam, mu):
+        return ForcingSignal(eval=sc.forcing(lam, mu).eval, period=None)
+
     with pytest.raises(DomainError, match="periodic"):
-        find_orthogonal_branch(sc.forcing_family, 1e-2, (0.0, 0.3), sc.X0)
+        find_orthogonal_branch(family, 1e-2, (0.0, 0.3), sc.X0)
 
 
 # ------------------------------------------------------- array-like inputs
@@ -455,7 +454,11 @@ def unit_z_trajectory():
     return integrate_group(constant_signal(EZ), 0.0, 1.0)
 
 
-FROZEN_Q = SkewProductSystem(x_g=lambda q, lam: EZ, x_n=lambda q, lam: np.zeros(2), dim_q=2)
+def frozen_q(q0):
+    """The skew product with a constant forcing and frozen q, from q0."""
+    return integrate_skew_product(lambda q, lam: EZ, lambda q, lam: np.zeros(len(q)), q0, 0.0, 1.0)
+
+
 RAGGED = [[0.1], [0.2, 0.3]]
 RES = classify_resonance(20.0, 20.0)
 
@@ -465,8 +468,8 @@ RES = classify_resonance(20.0, 20.0)
     [
         lambda: tip_trajectory(unit_z_trajectory(), 3.0 * EZ, 3.0, RAGGED),
         lambda: tip_trajectory(unit_z_trajectory(), 3.0 * EZ, 3.0, ["a", 0.1]),
-        lambda: fit_circle([[0, 0, 1], [0, 1], [1, 0, 0]]),
-        lambda: fit_circle([["a", 0, 1], [0, 1, 0], [1, 0, 0]]),
+        lambda: fit_circle([[0, 0, 1], [0, 1], [1, 0, 0]], EZ),
+        lambda: fit_circle([["a", 0, 1], [0, 1, 0], [1, 0, 0]], EZ),
         lambda: fit_circle([[0, 0, 1], [0, 1, 0], [1, 0, 0]], ref_axis=[[0], [0, 1]]),
         lambda: classify(RAGGED, 20.0, EZ, 0.3, 0.01),
         lambda: classify(20.0 * EZ, 20.0, ["a", 0.0, 1.0], 0.3, 0.01),
@@ -474,8 +477,9 @@ RES = classify_resonance(20.0, 20.0)
         lambda: classify(20.0 * EZ, 20.0, [np.nan, 0.0, 1.0], 0.3, 0.01),
         lambda: lifted_frequency([1.0, 0.0], 0.3, 20.0 * EZ, 20.0, RES),
         lambda: lifted_frequency(EZ, 0.3, RAGGED, 20.0, RES),
-        lambda: integrate_skew_product(FROZEN_Q, RAGGED, 0.0, 1.0),
-        lambda: integrate_skew_product(FROZEN_Q, ["a", 0.1], 0.0, 1.0),
+        lambda: frozen_q(RAGGED),
+        lambda: frozen_q(["a", 0.1]),
+        lambda: frozen_q(np.zeros((2, 2))),
         lambda: vee([[0, 1, 0], [-1, 0], [0, 0, 0]]),
         lambda: as_rotation([["1", 0, 0], [0, 1, 0], [0, 0, 1]]),
     ],
@@ -484,6 +488,7 @@ RES = classify_resonance(20.0, 20.0)
         "fit-ragged-ref_axis",
         "classify-ragged-x0", "classify-string-X", "classify-2-vector-X", "classify-nan-X",
         "lifted-2-vector-X", "lifted-ragged-x0", "skew-ragged-q0", "skew-string-q0",
+        "skew-2-D-q0",
         "vee-ragged", "as_rotation-string",
     ],
 )

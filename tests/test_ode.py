@@ -19,7 +19,6 @@ import rotwave
 from rotwave import (
     ForcingSignal,
     SingularityError,
-    SkewProductSystem,
     integrate_group,
     integrate_skew_product,
     ode,
@@ -74,6 +73,21 @@ def test_step_size_underflow_matches_scipy():
     assert ours.message == ref.message
     assert abs(ours.t[-1] - ref.t[-1]) < 1e-9
     assert abs(len(ours.t) - len(ref.t)) <= 1
+
+
+@pytest.mark.parametrize("atol", [1e-200, 1e-300])
+def test_overflowing_error_norm_fails_the_step_as_in_scipy(atol):
+    # (err / scale)**2 overflows the float range: the step is rejected as
+    # with an infinite error, and the step size underflows as in SciPy
+    ours = ode.solve_ivp(lambda t, y: [1.0 + y[0]], (0.0, 1.0), [0.0], 1e-10, atol)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ref = scipy_solve_ivp(
+            lambda t, y: 1.0 + y, (0.0, 1.0), [0.0], method="DOP853", rtol=1e-10, atol=atol
+        )
+    assert ours.status == ref.status == -1
+    assert ours.message == ref.message
+    assert ours.nfev == ref.nfev == 14
+    assert ours.t == [0.0] and ref.t.tolist() == [0.0]
 
 
 # ------------------------------------------ the generated step kernel, bitwise
@@ -161,14 +175,13 @@ def test_kernel_equals_tableau_loop_on_the_skew_product(monkeypatch):
     # state (Z, q) with dim_q = 2: five components, restarts included
     omega, lam = 20.0, 0.05
     x0 = np.array([0.0, 0.0, 2.0])
-    system = SkewProductSystem(
-        x_g=lambda q, lam_: x0 + q[0] * np.array([1.0, 0.0, 0.0]),
-        x_n=stuart_landau(omega), dim_q=2,
-    )
     T = 2 * np.pi / omega
     ours, ref = _with_reference_step(
         monkeypatch,
-        lambda: integrate_skew_product(system, [np.sqrt(lam), 0.0], lam, 12 * T),
+        lambda: integrate_skew_product(
+            lambda q, lam_: x0 + q[0] * np.array([1.0, 0.0, 0.0]), stuart_landau(omega),
+            [np.sqrt(lam), 0.0], lam, 12 * T,
+        ),
     )
     assert len(ref.segments) > 1
     assert [s.ts[-1] for s in ours.segments] == [s.ts[-1] for s in ref.segments]

@@ -54,6 +54,8 @@ def test_unknown_override_rejected():
         build("case1", lam=0.1)
     with pytest.raises(ConfigError, match="unknown override"):
         build("case1", theta0=0.5)  # the Euler chart's start, which nothing read
+    with pytest.raises(ConfigError, match="unknown override"):
+        build("case1", g=math.sin, gdot=math.cos)  # the waveform is sin((omega + lam) t)
 
 
 def test_tip_seed_is_projected_to_sphere():
@@ -143,23 +145,6 @@ def test_k_restricted_to_example4():
         build("example4", k=0)
 
 
-# ------------------------------------------------------------ g overrides
-
-def test_g_and_gdot_must_pair():
-    with pytest.raises(ConfigError):
-        build("case1", g=lambda t, lam: np.sin(t))
-    with pytest.raises(ConfigError, match="callables"):
-        build("case1", g=0.0, gdot=0.0)  # as a config file's overrides can give them
-    with pytest.raises(ConfigError, match="g\\(0"):
-        build("case1", g=lambda t, lam: np.cos(t), gdot=lambda t, lam: -np.sin(t))
-    sc = build(
-        "case1",
-        g=lambda t, lam: np.sin(2.0 * t),
-        gdot=lambda t, lam: 2.0 * np.cos(2.0 * t),
-    )
-    assert verify_against_closed_form(sc, 0.01) < 1e-7
-
-
 # ----------------------------------------------------- forcing family shape
 
 def test_forcing_at_criticality_is_primary_rotation():
@@ -238,14 +223,12 @@ def reference_pieces(sc, mu=None):
         mu_val = 0.0 if mu is None else float(mu)
         norm_c = math.sqrt(sc.x0_norm**2 + mu_val**2)
         omega_eff = norm_c / sc.k
-    if sc.g_override is not None:
-        g, gdot = sc.g_override, sc.gdot_override
-    else:
-        def g(t, lam):
-            return math.sin((omega_eff + lam) * t)
 
-        def gdot(t, lam):
-            return (omega_eff + lam) * math.cos((omega_eff + lam) * t)
+    def g(t, lam):
+        return math.sin((omega_eff + lam) * t)
+
+    def gdot(t, lam):
+        return (omega_eff + lam) * math.cos((omega_eff + lam) * t)
 
     if sc.family == "example1":
         pdir = 2.0 * (fr.x1 + fr.x2 + fr.x0_dir)
@@ -325,9 +308,6 @@ def guard_cases():
         for mu in mus:
             yield build(name), mu
         yield build(name, frame=SIGNED_ZERO_FRAME), None
-    yield build(
-        "case1", g=lambda t, lam: np.sin(2.0 * t), gdot=lambda t, lam: 2.0 * np.cos(2.0 * t)
-    ), None
 
 
 def assert_bitwise(sc, mu, t, lam, ref_xg, ref_closed, sig):

@@ -122,7 +122,7 @@ def test_tip_equivariance_under_seed_rotation():
 
 def test_fit_circle_recovers_exact_circle():
     pts = oracles.circle_points(EZ, 2.0, 3.0, 12)
-    fit = fit_circle(pts)
+    fit = fit_circle(pts, EZ)
     assert np.allclose(fit.axis, EZ, atol=1e-12)
     assert abs(fit.height - 2.0) < 1e-12
     assert abs(fit.radius - oracles.SQRT_5) < 1e-12
@@ -141,19 +141,19 @@ def test_fit_circle_tilted_axis_orientation():
 
 def test_fit_circle_degenerate_inputs():
     with pytest.raises(FitError):
-        fit_circle(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+        fit_circle(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), EZ)
     with pytest.raises(FitError):
-        fit_circle(np.tile([1.0, 2.0, 3.0], (5, 1)))
+        fit_circle(np.tile([1.0, 2.0, 3.0], (5, 1)), EZ)
     line = np.outer(np.linspace(0.0, 1.0, 6), [1.0, 1.0, 0.0])
     with pytest.raises(FitError):
-        fit_circle(line)
+        fit_circle(line, EZ)
     with pytest.raises(DomainError):
-        fit_circle(np.zeros((4, 2)))
+        fit_circle(np.zeros((4, 2)), EZ)
     for bad in (np.nan, np.inf):
         pts = oracles.circle_points(EZ, 2.0, 3.0, 12)
         pts[4, 1] = bad
         with pytest.raises(DomainError, match="finite"):
-            fit_circle(pts)
+            fit_circle(pts, EZ)
 
 
 # ------------------------------------------------- period samples -> circles
