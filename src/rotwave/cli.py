@@ -12,8 +12,9 @@ drift      locate the orthogonal-drift branch mu*(lambda) for a
 verify     integrate every built-in family against its closed form
 
 All numeric output uses 17 significant digits and fixed key order, so reruns
-are byte-identical. Exit codes: 0 success, 2 configuration error, 3
-numerical failure (integration, bracketing, fitting, or chart singularity).
+are byte-identical. Exit codes: 0 success, 2 configuration or output error
+(an unwritable --out or stdout), 3 numerical failure (integration,
+bracketing, fitting, or chart singularity).
 
 Every subcommand but ``frequency`` runs on Python floats and never imports
 numpy; ``frequency`` loads it for the tip samples and the circle fit.
@@ -52,19 +53,21 @@ class RunConfig:
     mu_bracket: tuple = (0.0, 0.3)
     horizon: int = 5
     samples_per_period: int = 100
-    rtol: float = 1e-10
-    atol: float = 1e-12
+    rtol: float = IntegratorConfig.rtol
+    atol: float = IntegratorConfig.atol
     out: str | None = None
 
-    def validate(self, command: str) -> None:
-        """Raise ConfigError unless every field has its documented type and range.
+    def validate(self, command: str) -> tuple[RunConfig, IntegratorConfig]:
+        """This config with its numbers as floats, and its integrator settings.
 
+        ConfigError unless every field has its documented type and range.
         Config files can put any JSON value in any field, so types are checked
-        here, before anything computes with them. ``horizon`` is at most
+        here, before anything computes with them; a file's integers then
+        become the floats that the same flags give. ``horizon`` is at most
         MAX_SAMPLES for every subcommand, so that ``horizon * T`` stays a
         float; the rows bound ``horizon * samples_per_period`` applies to
         ``command == "simulate"`` only, the one subcommand that samples
-        per period.
+        per period. ``drift`` searches for mu* itself and takes no ``mu``.
         """
         if not isinstance(self.scenario, str):
             raise ConfigError(f"scenario must be a string, got {self.scenario!r}")
@@ -89,6 +92,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if self.mu is not None and not _is_real(self.mu):
             raise ConfigError(f"mu must be a finite number, got {self.mu!r}")
+        if command == "drift" and self.mu is not None:
+            raise ConfigError("drift searches for mu* itself and takes no mu; set --mu-bracket instead")
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError(f"out must be a path string, got {self.out!r}")
         if not isinstance(self.lambda_grid, (list, tuple)):
@@ -107,9 +112,16 @@ class RunConfig:
             )
         if not a < b:
             raise ConfigError(f"mu_bracket must satisfy a < b, got {self.mu_bracket!r}")
-
-    def integrator(self) -> IntegratorConfig:
-        return IntegratorConfig(rtol=self.rtol, atol=self.atol)
+        icfg = IntegratorConfig(rtol=float(self.rtol), atol=float(self.atol))
+        cfg = replace(
+            self,
+            lambda_grid=[float(lam) for lam in self.lambda_grid],
+            mu=None if self.mu is None else float(self.mu),
+            mu_bracket=(float(a), float(b)),
+            rtol=icfg.rtol,
+            atol=icfg.atol,
+        )
+        return cfg, icfg
 
 
 def _is_int(v) -> bool:
@@ -169,29 +181,39 @@ def _write_text(path: str | Path, text: str) -> None:
         raise IoError(f"cannot write {path}: {exc}") from exc
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out is None:
+def _emit(text: str, out: str | None = None) -> None:
+    """Write ``text``, newline-terminated, to the file ``out`` or to stdout.
+
+    Every byte a subcommand prints passes here. A stdout that fails, as a
+    closed pipe or a full device does, or that is None (fd 1 was closed at
+    start-up) is an IoError, as an unwritable ``out`` is. The failed stream
+    is then dropped from ``sys``, so that the interpreter does not flush its
+    bytes again at exit and report that failure a second time.
+    """
+    if not text.endswith("\n"):
+        text += "\n"
+    if out is not None:
+        return _write_text(out, text)
+    if sys.stdout is None:
+        raise IoError("cannot write to stdout: it is closed")
+    try:
         sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        _write_text(out, text if text.endswith("\n") else text + "\n")
+        sys.stdout.flush()
+    except OSError as exc:
+        sys.stdout = None
+        raise IoError(f"cannot write to stdout: {exc}") from None
 
 
 # ------------------------------------------------------------- config loading
 
-_FLAG_FIELDS = (
-    "scenario", "mu", "horizon", "samples_per_period",
-    "rtol", "atol", "out",
-)
-
-
-def _load_config(args: argparse.Namespace) -> tuple[RunConfig, frozenset]:
-    """The run's validated config and the names of the fields that the config
-    file or a flag set (the rest hold their defaults)."""
-    cfg = RunConfig()
+def _load_config(args: argparse.Namespace) -> tuple[RunConfig, IntegratorConfig, frozenset]:
+    """The run's validated config, its integrator settings, and the names of
+    the fields that the config file or a flag set (the rest hold their
+    defaults). Each flag's dest is the field it sets, and an unset flag is
+    None."""
+    known = RunConfig.__dataclass_fields__
     raw = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as fh:
                 raw = json.load(fh)
@@ -201,93 +223,66 @@ def _load_config(args: argparse.Namespace) -> tuple[RunConfig, frozenset]:
             raise ConfigError(f"config file {args.config} is not valid JSON: {exc}") from exc
         if not isinstance(raw, dict):
             raise ConfigError("config file must contain a JSON object")
-        known = set(RunConfig.__dataclass_fields__)
-        unknown = set(raw) - known
+        unknown = set(raw) - set(known)
         if unknown:
             raise ConfigError(f"unknown config key(s) {sorted(unknown)}; known: {sorted(known)}")
-        cfg = replace(cfg, **raw)
-
-    updates = {}
-    for name in _FLAG_FIELDS:
-        val = getattr(args, name, None)
-        if val is not None:
-            updates[name] = val
-    if getattr(args, "lam", None) is not None and getattr(args, "lambda_grid", None) is not None:
-        raise ConfigError("pass either --lambda or --lambda-grid, not both")
-    if getattr(args, "lam", None) is not None:
-        updates["lambda_grid"] = [args.lam]
-    elif getattr(args, "lambda_grid", None) is not None:
-        updates["lambda_grid"] = _parse_float_list(args.lambda_grid, "--lambda-grid")
-    if getattr(args, "mu_bracket", None) is not None:
-        pair = _parse_float_list(args.mu_bracket, "--mu-bracket")
-        if len(pair) != 2:
-            raise ConfigError("--mu-bracket needs exactly two comma-separated numbers")
-        updates["mu_bracket"] = tuple(pair)
-    cfg = replace(cfg, **updates)
-    cfg.validate(args.command)
-    # a config file's integers become the floats that the same flags give
-    cfg = replace(
-        cfg,
-        lambda_grid=[float(lam) for lam in cfg.lambda_grid],
-        mu=None if cfg.mu is None else float(cfg.mu),
-        mu_bracket=tuple(float(v) for v in cfg.mu_bracket),
-        rtol=float(cfg.rtol),
-        atol=float(cfg.atol),
-    )
-    return cfg, frozenset(raw) | frozenset(updates)
+    given = {**raw, **{k: v for k, v in vars(args).items() if k in known and v is not None}}
+    return (*RunConfig(**given).validate(args.command), frozenset(given))
 
 
-def _parse_float_list(text: str, flag: str) -> list:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"{flag} expects comma-separated numbers, got {text!r}") from exc
-
-
-def _load_scenario(args: argparse.Namespace, drift: bool = False):
-    """The run's config and its scenario, checked before anything is run or dumped.
+def _load_scenario(args: argparse.Namespace):
+    """The run's config, integrator settings and scenario, checked before
+    anything is run or dumped.
 
     ConfigError for a config that the subcommand would reject: an unknown
     scenario or bad overrides, ``mu`` on a family without a drift parameter,
-    and (``drift``) a one-parameter family or any ``mu``, since drift
-    searches for mu* itself.
+    drift on a one-parameter family, and constants past the float range. The
+    period is evaluated at every (lambda, mu) that the run uses, which
+    computes the constants: for drift, at both ends of the mu bracket.
     """
-    cfg, _ = _load_config(args)
+    cfg, icfg, _ = _load_config(args)
     sc = scenarios.build(cfg.scenario, **cfg.overrides)
+    drift = args.command == "drift"
     if drift and not sc.takes_mu:
         raise ConfigError(
             f"scenario {sc.name!r} has no drift parameter; use a two-parameter family (example4)"
         )
-    if drift and cfg.mu is not None:
-        raise ConfigError("drift searches for mu* itself and takes no mu; set --mu-bracket instead")
-    _check_mu(cfg, sc)
-    return cfg, sc
+    for lam in cfg.lambda_grid:
+        for mu in cfg.mu_bracket if drift else [cfg.mu]:
+            sc.period(lam, mu)
+    return cfg, icfg, sc
 
 
-def _check_mu(cfg: RunConfig, sc) -> None:
-    if cfg.mu is not None and not sc.takes_mu:
-        raise ConfigError(f"scenario {sc.name!r} takes no mu parameter")
+def _load_verify(args: argparse.Namespace):
+    """The run's config, integrator settings and (scenario, lambda, mu) runs,
+    checked as :func:`_load_scenario` checks one scenario.
 
-
-def _maybe_dump(cfg: RunConfig, args: argparse.Namespace) -> bool:
-    if getattr(args, "dump_config", False):
-        sys.stdout.write(_json_text(asdict(cfg)) + "\n")
-        return True
-    return False
+    The runs take the scenario, lambda grid and mu that the config file or
+    a flag sets; by default every example at lambda = 0, 1e-4 and 1e-2, and
+    example4 at mu = 0, 0.1 and 0.3.
+    """
+    cfg, icfg, given = _load_config(args)
+    names = [cfg.scenario] if "scenario" in given else [
+        n for n in scenarios.available() if n.startswith("example")
+    ]
+    lams = cfg.lambda_grid if "lambda_grid" in given else [0.0, 1e-4, 1e-2]
+    runs = []
+    for sc in [scenarios.build(name, **cfg.overrides) for name in names]:
+        mus = [cfg.mu] if cfg.mu is not None else [0.0, 0.1, 0.3] if sc.takes_mu else [None]
+        runs += [(sc, lam, mu) for lam in lams for mu in mus]
+    for sc, lam, mu in runs:
+        sc.period(lam, mu)
+    return cfg, icfg, runs
 
 
 # ---------------------------------------------------------------- subcommands
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg, sc = _load_scenario(args)
-    if _maybe_dump(cfg, args):
-        return 0
-    icfg = cfg.integrator()
+def cmd_simulate(cfg: RunConfig, icfg: IntegratorConfig, sc) -> int:
     outdir = Path(cfg.out or ".")
     header = "t," + ",".join(f"a{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)) + ",tipx,tipy,tipz"
+    n = cfg.horizon * cfg.samples_per_period
     for lam in cfg.lambda_grid:
         T = sc.period(lam, cfg.mu)
-        n = cfg.horizon * cfg.samples_per_period
         traj = integrate_group(
             sc.forcing(lam, cfg.mu), lam, cfg.horizon * T, icfg, ref_dir=sc.frame.x0_dir
         )
@@ -299,7 +294,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             lines.append(",".join([_fmt(v) for v in row]))
         path = outdir / f"{sc.name}_lambda{lam!r}.csv"
         _write_text(path, "\n".join(lines) + "\n")
-        sys.stdout.write(f"wrote {path} ({n + 1} rows)\n")
+        _emit(f"wrote {path} ({n + 1} rows)")
     return 0
 
 
@@ -336,11 +331,7 @@ def _frequency_entry(sc, lam: float, cfg: RunConfig, icfg: IntegratorConfig) -> 
     }
 
 
-def cmd_frequency(args: argparse.Namespace) -> int:
-    cfg, sc = _load_scenario(args)
-    if _maybe_dump(cfg, args):
-        return 0
-    icfg = cfg.integrator()
+def cmd_frequency(cfg: RunConfig, icfg: IntegratorConfig, sc) -> int:
     entries = [_frequency_entry(sc, lam, cfg, icfg) for lam in cfg.lambda_grid]
     _emit(_json_text(entries), cfg.out)
     return 0
@@ -365,15 +356,11 @@ def cmd_bch(args: argparse.Namespace) -> int:
     if args.check:
         defect = _frob_dist(_exp_entries(w), _matmul3(_exp_entries(x), _exp_entries(y)))
         out.append("check |exp(result) - exp(x) exp(y)|_F: " + _fmt(defect))
-    sys.stdout.write("\n".join(out) + "\n")
+    _emit("\n".join(out))
     return 0
 
 
-def cmd_drift(args: argparse.Namespace) -> int:
-    cfg, sc = _load_scenario(args, drift=True)
-    if _maybe_dump(cfg, args):
-        return 0
-    icfg = cfg.integrator()
+def cmd_drift(cfg: RunConfig, icfg: IntegratorConfig, sc) -> int:
     entries = []
     for lam in cfg.lambda_grid:
         mu_star = find_orthogonal_branch(
@@ -397,43 +384,21 @@ def _ortho_defect(sc, lam: float, mu: float, icfg: IntegratorConfig) -> float | 
     return _dot3(raw, sc.frame.x0_dir) / n
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    """Verify the configured scenario, lambda grid and mu where the config
-    file or a flag sets them; by default every example at lambda = 0, 1e-4
-    and 1e-2, and example4 at mu = 0, 0.1 and 0.3."""
-    cfg, given = _load_config(args)
-    names = [cfg.scenario] if "scenario" in given else [
-        n for n in scenarios.available() if n.startswith("example")
-    ]
-    built = [scenarios.build(name, **cfg.overrides) for name in names]
-    for sc in built:
-        _check_mu(cfg, sc)
-    if _maybe_dump(cfg, args):
-        return 0
-    icfg = cfg.integrator()
-    lams = cfg.lambda_grid if "lambda_grid" in given else [0.0, 1e-4, 1e-2]
+def cmd_verify(cfg: RunConfig, icfg: IntegratorConfig, runs: list) -> int:
     tol = 1e-7
     worst = 0.0
     failed = False
     lines = []
-    for sc in built:
-        if not sc.takes_mu:
-            mus = [None]
-        elif cfg.mu is None:
-            mus = [0.0, 0.1, 0.3]
-        else:
-            mus = [cfg.mu]
-        for lam in lams:
-            for mu in mus:
-                dev = scenarios.verify_against_closed_form(sc, lam, mu, config=icfg)
-                worst = max(worst, dev)
-                ok = dev < tol
-                failed = failed or not ok
-                tag = "" if mu is None else f" mu={_fmt(mu)}"
-                lines.append(
-                    f"{sc.name} lambda={_fmt(lam)}{tag}: max|A_num - A_closed|_F = "
-                    f"{dev:.3e} {'ok' if ok else 'FAIL'}\n"
-                )
+    for sc, lam, mu in runs:
+        dev = scenarios.verify_against_closed_form(sc, lam, mu, config=icfg)
+        worst = max(worst, dev)
+        ok = dev < tol
+        failed = failed or not ok
+        tag = "" if mu is None else f" mu={_fmt(mu)}"
+        lines.append(
+            f"{sc.name} lambda={_fmt(lam)}{tag}: max|A_num - A_closed|_F = "
+            f"{dev:.3e} {'ok' if ok else 'FAIL'}\n"
+        )
     lines.append(f"worst deviation: {worst:.3e} (tolerance {tol:g})\n")
     _emit("".join(lines), cfg.out)
     return 3 if failed else 0
@@ -441,12 +406,32 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------------- parser
 
+def _lambda_point(text: str) -> list:
+    """--lambda's value: a one-point lambda grid."""
+    try:
+        return [float(text)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects a number, got {text!r}") from None
+
+
+def _float_list(text: str) -> list:
+    """--lambda-grid's and --mu-bracket's value: comma-separated numbers
+    (empty entries skipped; validate checks the bracket's length)."""
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expects comma-separated numbers, got {text!r}") from None
+
+
 def _add_common(p: argparse.ArgumentParser, drift: bool = False, horizon: bool = True) -> None:
-    """The shared flags. drift searches for mu* itself, so it takes --mu-bracket, not
-    --mu; ``horizon`` adds --horizon, which only simulate and frequency read."""
+    """The shared flags, each with the dest and value of the RunConfig field it
+    sets. drift searches for mu* itself, so it takes --mu-bracket, not --mu;
+    ``horizon`` adds --horizon, which only simulate and frequency read."""
     p.add_argument("--scenario", help="scenario name (see rotwave verify --help)")
-    p.add_argument("--lambda", dest="lam", type=float, help="single bifurcation parameter")
-    p.add_argument("--lambda-grid", help="comma-separated lambda values")
+    lam = p.add_mutually_exclusive_group()
+    lam.add_argument("--lambda", dest="lambda_grid", metavar="LAM", type=_lambda_point,
+                     help="single bifurcation parameter")
+    lam.add_argument("--lambda-grid", type=_float_list, help="comma-separated lambda values")
     if not drift:
         p.add_argument("--mu", type=float, help="drift parameter (two-parameter scenarios)")
     if horizon:
@@ -454,8 +439,10 @@ def _add_common(p: argparse.ArgumentParser, drift: bool = False, horizon: bool =
             "--horizon", type=int,
             help=f"run length in relative periods (default 5, at most {MAX_SAMPLES})",
         )
-    p.add_argument("--rtol", type=float, help="integrator relative tolerance (default 1e-10)")
-    p.add_argument("--atol", type=float, help="integrator absolute tolerance (default 1e-12)")
+    p.add_argument("--rtol", type=float,
+                   help=f"integrator relative tolerance (default {RunConfig.rtol:g})")
+    p.add_argument("--atol", type=float,
+                   help=f"integrator absolute tolerance (default {RunConfig.atol:g})")
     p.add_argument("--out", help="output file (or directory for simulate)")
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument(
@@ -463,7 +450,8 @@ def _add_common(p: argparse.ArgumentParser, drift: bool = False, horizon: bool =
         help="print the effective configuration as JSON and exit",
     )
     if drift:
-        p.add_argument("--mu-bracket", help="comma-separated bracket for mu* (default 0,0.3)")
+        p.add_argument("--mu-bracket", type=_float_list,
+                       help="comma-separated bracket for mu* (default 0,0.3)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,29 +468,28 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"output samples per period (default 100; horizon x samples-per-period "
         f"<= {MAX_SAMPLES})",
     )
-    p.set_defaults(func=cmd_simulate)
+    p.set_defaults(func=cmd_simulate, load=_load_scenario)
 
     p = sub.add_parser("frequency", help="frequency vectors, resonance, and motion labels")
     _add_common(p)
-    p.set_defaults(func=cmd_frequency)
+    p.set_defaults(func=cmd_frequency, load=_load_scenario)
 
     p = sub.add_parser("bch", help="closed-form composition of two axis vectors")
     p.add_argument("components", type=float, nargs=6, metavar="V",
                    help="x1 x2 x3 y1 y2 y3")
     p.add_argument("--check", action="store_true",
                    help="also print the homomorphism defect of the result")
-    p.set_defaults(func=cmd_bch)
 
     # no abbreviations: drift has no --mu, which would otherwise abbreviate --mu-bracket
     p = sub.add_parser(
         "drift", help="locate the orthogonal-drift branch mu*(lambda)", allow_abbrev=False
     )
     _add_common(p, drift=True, horizon=False)
-    p.set_defaults(func=cmd_drift)
+    p.set_defaults(func=cmd_drift, load=_load_scenario)
 
     p = sub.add_parser("verify", help="check built-in families against their closed forms")
     _add_common(p, horizon=False)
-    p.set_defaults(func=cmd_verify)
+    p.set_defaults(func=cmd_verify, load=_load_verify)
 
     return parser
 
@@ -514,7 +501,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        return args.func(args)
+        if args.command == "bch":
+            return cmd_bch(args)
+        cfg, icfg, target = args.load(args)
+        if args.dump_config:  # every check has passed, and nothing has run
+            _emit(_json_text(asdict(cfg)))
+            return 0
+        return args.func(cfg, icfg, target)
     except (ConfigError, IoError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -1,10 +1,13 @@
 """Command-line interface: flags, outputs, exit codes, determinism."""
 import io
 import json
+import os
 import runpy
+import subprocess
 import sys
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -406,15 +409,25 @@ def test_dump_config(capsys, tmp_path):
         ("frequency", {"overrides": {"x0_norm": -1.0}}),
         ("simulate", {"scenario": "case1", "mu": 0.1}),
         ("drift", {"scenario": "case2"}),
+        # a list is flags: constants that overflow at a (lambda, mu) the run uses
+        ("frequency", ["--scenario", "example4", "--mu", "1e200"]),
+        ("drift", ["--scenario", "example4", "--lambda", "0.01", "--mu-bracket", "0,1e300"]),
+        ("verify", {"scenario": "example4", "overrides": {"k": 400}, "lambda_grid": [100]}),
+        # tolerances that the integrator refuses
+        ("simulate", ["--rtol", "-1"]),
+        ("frequency", ["--atol", "0"]),
+        ("drift", {"scenario": "example4", "rtol": 0}),
     ],
 )
 def test_dump_config_rejects_what_the_run_rejects(tmp_path, capsys, command, doc):
     # unknown scenario, bad overrides, mu without a drift parameter, drift
-    # on a one-parameter family: the dump exits 2 as the run does
+    # on a one-parameter family, overflowing constants, tolerances that are
+    # not positive: the dump exits 2 as the run does
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps(doc))
+    cfg.write_text(json.dumps(doc if isinstance(doc, dict) else {}))
+    flags = doc if isinstance(doc, list) else []
     for extra in (["--dump-config"], ["--out", str(tmp_path / "out")]):
-        assert main([command, "--config", str(cfg), *extra]) == 2
+        assert main([command, "--config", str(cfg), *flags, *extra]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
@@ -485,6 +498,8 @@ def test_config_file_unreadable_or_not_an_object(tmp_path, capsys, text, message
     [
         (["drift", "--scenario", "example4", "--mu-bracket", "0.1"], "exactly two"),
         (["frequency", "--lambda-grid", "a,b"], "comma-separated numbers"),
+        (["frequency", "--lambda", "0.05,0.1"], "expects a number"),
+        (["frequency", "--lambda", "0.05", "--lambda-grid", "0.1"], "not allowed with"),
     ],
 )
 def test_number_list_flags_exit_2(capsys, argv, message):
@@ -502,6 +517,60 @@ def test_out_under_file_is_io_error(tmp_path, capsys):
     rc = main(["simulate", "--scenario", "case1", "--lambda", "0.01",
                "--horizon", "1", "--out", str(blocker / "sub")])
     assert rc == 2
+
+
+BCH = ["bch", "0", "0", "1", "0", "0", "1"]
+
+
+class FullStdout(io.StringIO):
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("stdout", [None, FullStdout()], ids=["none", "full"])
+def test_a_failed_stdout_write_is_an_io_error(stdout):
+    # as an unwritable --out: exit 2 and one error line; the failed stream
+    # is dropped, so the interpreter does not flush it again at exit
+    err = io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(err):
+        assert main(BCH) == 2
+        assert sys.stdout is None
+    assert err.getvalue().startswith("error: cannot write to stdout: ")
+    assert err.getvalue().count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, stdout",
+    [
+        (["frequency", "--scenario", "case2", "--lambda", "0.05", "--horizon", "1"], "pipe"),
+        (BCH, "pipe"),
+        (BCH, "closed"),
+        (BCH, "/dev/full"),
+    ],
+)
+def test_stdout_failures_exit_2_in_a_fresh_interpreter(argv, stdout):
+    # stdout is block-buffered, as it is by default for a pipe or a file
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    fd, preexec = None, None
+    if stdout == "pipe":  # closed by its reader before the child writes
+        read_end, fd = os.pipe()
+        os.close(read_end)
+    elif stdout == "closed":  # the child starts with no fd 1, so sys.stdout is None
+        preexec = lambda: os.close(1)  # noqa: E731
+    elif os.path.exists("/dev/full"):
+        fd = os.open("/dev/full", os.O_WRONLY)
+    else:
+        pytest.skip("no /dev/full")
+    try:
+        proc = subprocess.run([sys.executable, "-m", "rotwave.cli", *argv], env=env, stdout=fd,
+                              stderr=subprocess.PIPE, preexec_fn=preexec, text=True, timeout=120)
+    finally:
+        if fd is not None:
+            os.close(fd)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: cannot write to stdout") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_bad_subcommand_exits_2(capsys):
@@ -702,8 +771,9 @@ def test_config_file_fuzz_exits_0_or_2(tmp_path_factory, doc):
     if rc == 2:
         assert err.getvalue().startswith("error: ")
         return
-    # a config that validates is also run, when its output is a few rows;
-    # exit 3 is a numerical failure that a fuzzed tolerance or lambda may cause
+    # a config whose dump passes has passed every configuration check, so
+    # its run, done when its output is a few rows, exits 0, or 3 for a
+    # numerical failure that a fuzzed tolerance or lambda may cause
     dumped = json.loads(out.getvalue())
     rows = len(dumped["lambda_grid"]) * (dumped["horizon"] * dumped["samples_per_period"] + 1)
     if rows > 12:
@@ -711,7 +781,7 @@ def test_config_file_fuzz_exits_0_or_2(tmp_path_factory, doc):
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp / "out")])
-    assert rc in (0, 2, 3)
+    assert rc in (0, 3)
     assert "Traceback" not in err.getvalue()
     if rc != 0:
         assert err.getvalue().startswith("error: ")
