@@ -1,7 +1,8 @@
 """numpy, imported on first use.
 
-Every subcommand but ``frequency`` runs on Python floats, so a module that
-also builds ndarrays binds ``np = lazy_numpy(globals())``. The first attribute
+Every subcommand runs on Python floats; numpy serves only the library calls
+that take or return ndarrays. So a module that also builds ndarrays binds
+``np = lazy_numpy(globals())``. The first attribute
 read on that stand-in imports numpy and rebinds ``np`` to it in every
 namespace that asked, so later reads cost what any global lookup costs.
 """

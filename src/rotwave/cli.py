@@ -16,8 +16,9 @@ are byte-identical. Exit codes: 0 success, 2 configuration or output error
 (an unwritable --out or stdout), 3 numerical failure (integration,
 bracketing, fitting, or chart singularity).
 
-Every subcommand but ``frequency`` runs on Python floats and never imports
-numpy; ``frequency`` loads it for the tip samples and the circle fit.
+Every subcommand runs on Python floats, and none imports numpy: ``frequency``
+calls the scalar forms behind ``primary_frequency``, ``classify`` and
+``fit_circle``, and takes the tip samples as ``simulate`` does.
 """
 from __future__ import annotations
 
@@ -29,15 +30,12 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import scenarios
-from ._numpy import lazy_numpy
 from .bch import BchBreakdown, _bch_full
 from .errors import ConfigError, DomainError, FitError, IoError, RotwaveError
 from .flow import IntegratorConfig, integrate_group
-from .hopf import _period_class, classify, find_orthogonal_branch, primary_frequency
+from .hopf import _classify, _period_class, _primary_frequency, find_orthogonal_branch
 from .so3 import _ball_vector, _dot3, _exp_entries, _frob_dist, _matmul3, _matvec3, _norm3, _vec3
-from .tip import MAX_SAMPLES, fit_circle, tip_trajectory
-
-np = lazy_numpy(globals())
+from .tip import MAX_SAMPLES, _fit_circle
 
 __all__ = ["RunConfig", "main", "entry"]
 
@@ -303,30 +301,26 @@ def _frequency_entry(sc, lam: float, cfg: RunConfig, icfg: IntegratorConfig) -> 
     traj = integrate_group(
         sc.forcing(lam, cfg.mu), lam, cfg.horizon * T, icfg, ref_dir=sc.frame.x0_dir
     )
-    X = primary_frequency(traj, T)
-    norm_X = float(np.linalg.norm(X))
-    report = classify(sc.X0, sc.omega_bif, X, T, lam)
-    n_ps = min(5, cfg.horizon)
-    track = tip_trajectory(traj, sc.tip_x0, sc.r, [i * T for i in range(n_ps + 1)])
+    X = _primary_frequency(traj, T)
+    norm_X = _norm3(X)
+    Xf, res, ortho, motion = _classify(sc.X0, sc.omega_bif, X, T, lam)
+    # the tip at each period sample, A(iT) x0 (A(0) is the identity)
+    points = [_matvec3(traj._A_entries(i * T), sc.tip_x0) for i in range(min(5, cfg.horizon) + 1)]
     try:
         # the axis points along X (X = 0 gives coincident samples, no fit)
-        fit = fit_circle(track.points, ref_axis=X / norm_X if norm_X else X)
-        circle = {
-            "axis": [float(v) for v in fit.axis],
-            "radius": fit.radius,
-            "rms": fit.rms_residual,
-        }
+        axis, _, radius, rms = _fit_circle(points, [a / norm_X for a in X] if norm_X else X)
+        circle = {"axis": axis, "radius": radius, "rms": rms}
     except FitError:
         circle = None  # e.g. exactly-periodic tip: all period samples coincide
     return {
         "lambda": lam,
-        "X": [float(v) for v in X],
-        "Xf": [float(v) for v in report.Xf],
+        "X": X,
+        "Xf": Xf,
         "norm_X": norm_X,
-        "norm_Xf": float(np.linalg.norm(report.Xf)),
-        "resonance": {"kind": report.resonance.kind.value, "k": report.resonance.k},
-        "ortho_defect": report.ortho_defect,
-        "motion": None if report.motion is None else report.motion.value,
+        "norm_Xf": _norm3(Xf),
+        "resonance": {"kind": res.kind.value, "k": res.k},
+        "ortho_defect": ortho,
+        "motion": None if motion is None else motion.value,
         "circle_fit": circle,
     }
 
@@ -454,8 +448,21 @@ def _add_common(p: argparse.ArgumentParser, drift: bool = False, horizon: bool =
                        help="comma-separated bracket for mu* (default 0,0.3)")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose stdout text, the help, goes through :func:`_emit`.
+
+    argparse's own write ignores a failed write but leaves the text in
+    stdout's buffer, which the interpreter then fails to flush at exit.
+    Subparsers take this class too."""
+
+    def _print_message(self, message, file=None):
+        if message and file is sys.stdout:
+            return _emit(message)
+        return super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rotwave",
         description="Reduced rotation-group dynamics for rotating and meandering waves on a sphere",
     )
@@ -495,12 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
+        args = build_parser().parse_args(argv)
         if args.command == "bch":
             return cmd_bch(args)
         cfg, icfg, target = args.load(args)
@@ -508,6 +511,8 @@ def main(argv=None) -> int:
             _emit(_json_text(asdict(cfg)))
             return 0
         return args.func(cfg, icfg, target)
+    except SystemExit as exc:  # argparse's exit after --help or a usage error
+        return 0 if exc.code in (0, None) else 2
     except (ConfigError, IoError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -29,7 +29,7 @@ from .bch import _bch_full
 from .errors import BracketError, DomainError, InternalInconsistency
 from .flow import ForcingSignal, GroupTrajectory, IntegratorConfig, _period, integrate_group
 from .ode import brentq
-from .so3 import _ball_vector, _dot3, _exp_matrix, _finite3, _float_array, _norm3, _vec3, q_map
+from .so3 import _ball_vector, _dot3, _exp_matrix, _finite3, _float_array, _norm3, _q_map, _vec3
 
 np = lazy_numpy(globals())
 
@@ -137,9 +137,14 @@ def primary_frequency(traj: GroupTrajectory, T: float) -> np.ndarray:
     T : float
         Relative period of the forcing.
     """
+    return np.array(_primary_frequency(traj, T))
+
+
+def _primary_frequency(traj: GroupTrajectory, T: float) -> tuple:
+    """Scalar form of :func:`primary_frequency`: X as a float triple."""
     if not T > 0.0:
         raise DomainError("T must be positive")
-    return q_map(traj.class_at(T), traj.ref_dir) / T
+    return tuple(a / T for a in _q_map(traj._class_vector(T), traj.ref_dir))
 
 
 def lifted_frequency(
@@ -168,19 +173,26 @@ def lifted_frequency(
     """
     X = _float_array(X, (3,), "X")
     x0 = _float_array(x0, (3,), "x0")
+    return np.array(_lifted_frequency(X.tolist(), T0, x0.tolist(), omega_lambda, res))
+
+
+def _lifted_frequency(X, T0: float, x0, omega_lambda: float, res: ResonanceClass) -> tuple:
+    """Scalar form of :func:`lifted_frequency` on float triples, whose shapes it does not check."""
     if not T0 > 0.0:
         raise DomainError("T0 must be positive")
     if not math.isfinite(omega_lambda):
         raise DomainError(f"omega_lambda must be finite, got {omega_lambda!r}")
-    x0_norm = float(np.linalg.norm(x0))
+    x0_norm = _norm3(x0)
     k = _winding(x0_norm, T0)
-    n = float(np.linalg.norm(X))
+    n = _norm3(X)
     if n > ZERO_X_TOL:
-        return ((n + k * abs(omega_lambda)) / n) * X
+        s = (n + k * abs(omega_lambda)) / n
+        return tuple(s * a for a in X)
     if res.kind is ResonanceKind.RESONANT:
         if x0_norm == 0.0:
             raise InternalInconsistency("resonant class with |x0| = 0")
-        return (k * abs(omega_lambda)) * (x0 / x0_norm)
+        s = k * abs(omega_lambda)
+        return tuple(s * (a / x0_norm) for a in x0)
     raise InternalInconsistency(
         f"|X| = {n:.3e} vanished in a {res.kind.value} class; "
         "the logarithm cannot lose a turn off resonance"
@@ -237,27 +249,35 @@ def classify(
     classes split into OrthogonalDrift (|<X_hat, x0_hat>| < ORTHO_TOL) and
     SlowMeanderAboutX0. A degenerate class (|x0| = 0) gets motion None.
     DomainError unless lam is nonnegative and finite, T positive and finite
-    and |X| T finite.
+    and |X| T finite. The labels and X^f come from :func:`_classify` on
+    Python floats; this wrapper checks the arrays and returns X^f as an
+    ndarray.
     """
     x0 = _float_array(x0, (3,), "x0")
     X = _float_array(X, (3,), "X")
+    Xf, res, ortho, motion = _classify(x0.tolist(), omega_bif, X.tolist(), T, lam)
+    return FrequencyReport(np.array(Xf), res, ortho, motion)
+
+
+def _classify(x0, omega_bif: float, X, T: float, lam: float) -> tuple:
+    """Scalar form of :func:`classify` on float triples, whose shapes it does not check:
+    ``(Xf, resonance, ortho_defect, motion)``, Xf a float triple."""
     if not 0.0 < T < math.inf:
         raise DomainError("T must be positive and finite")
     if not 0.0 <= lam < math.inf:
         raise DomainError(f"lambda must be nonnegative and finite, got {lam!r}")
-    x0_norm = float(np.linalg.norm(x0))
+    x0_norm = _norm3(x0)
     res = classify_resonance(x0_norm, omega_bif)
     T0 = 2.0 * math.pi / omega_bif
-    with np.errstate(over="ignore"):
-        n = float(np.linalg.norm(X))
+    n = _norm3(X)  # inf when a square overflows
     if not n * T < math.inf:
         raise DomainError(f"|X| T must be finite, got |X| = {n!r} and T = {T!r}")
 
     if res.kind is ResonanceKind.DEGENERATE:
-        return FrequencyReport(X.copy(), res, None, None)
+        return tuple(X), res, None, None
 
-    Xf = lifted_frequency(X, T0, x0, 2.0 * math.pi / T, res)
-    ortho = float(X @ x0) / (n * x0_norm) if n > 0.0 else None
+    Xf = _lifted_frequency(X, T0, x0, 2.0 * math.pi / T, res)
+    ortho = _dot3(X, x0) / (n * x0_norm) if n > 0.0 else None
 
     if lam == 0.0:
         motion = MotionClass.RIGID_ROTATION
@@ -269,7 +289,7 @@ def classify(
         motion = MotionClass.ORTHOGONAL_DRIFT
     else:
         motion = MotionClass.SLOW_MEANDER_ABOUT_X0
-    return FrequencyReport(Xf, res, ortho, motion)
+    return Xf, res, ortho, motion
 
 
 def _period_class(family, lam: float, mu: float, ref_dir, config=None) -> tuple[tuple, float]:

@@ -190,6 +190,42 @@ def circle_points(axis, height, r, n, phase=0.0):
     )
 
 
+def fit_circle_oracle(points, ref_axis):
+    """(axis, height, radius, rms) of the plane fit through ``points``, or the
+    FitError message as a string: the covariance eigenproblem solved by
+    LAPACK (``np.linalg.eigh``), the axis oriented by the equator rule of the
+    hemisphere map (the sign of ``axis . ref`` off the band |c| <= 1e-9, then
+    +y, -x, +z)."""
+    pts = np.asarray(points, dtype=float)
+    n = pts.shape[0]
+    if n < 3:
+        return f"need at least 3 points to fit a circle, got {n}"
+    centroid = pts.mean(axis=0)
+    centered = pts - centroid
+    evals, evecs = np.linalg.eigh(centered.T @ centered / n)  # ascending
+    scale = max(1.0, float(np.linalg.norm(centroid)))
+    if evals[2] <= (1e-12 * scale) ** 2:
+        return "points coincide; plane is undetermined"
+    if evals[1] <= 1e-14 * evals[2]:
+        return "points are collinear; plane normal is undetermined"
+    axis = evecs[:, 0]
+    c = float(axis @ np.asarray(ref_axis, dtype=float))
+    x, y, z = axis
+    if abs(c) > 1e-9:
+        north = c > 0.0
+    elif abs(y) > 1e-9:
+        north = y > 0.0
+    else:
+        north = x < 0.0 if x != 0.0 else z > 0.0
+    if not north:
+        axis = -axis
+    heights = pts @ axis
+    height = float(heights.mean())
+    radius = float(np.linalg.norm(pts - np.outer(heights, axis), axis=1).mean())
+    rms = float(np.sqrt(np.mean((heights - height) ** 2)))
+    return axis, height, radius, rms
+
+
 def random_axis_vectors(rng, n, max_norm):
     """n axis vectors with directions uniform on S^2 and norms uniform in [0, max_norm]."""
     out = np.empty((n, 3))

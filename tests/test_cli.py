@@ -1,6 +1,7 @@
 """Command-line interface: flags, outputs, exit codes, determinism."""
 import io
 import json
+import math
 import os
 import runpy
 import subprocess
@@ -14,7 +15,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotwave import RotwaveError, cli
+from rotwave import (
+    FitError,
+    RotwaveError,
+    classify,
+    cli,
+    fit_circle,
+    integrate_group,
+    primary_frequency,
+    tip_trajectory,
+)
 from rotwave.cli import MAX_SAMPLES, RunConfig, build_parser, main
 from rotwave.scenarios import _ALLOWED_OVERRIDES, available, build
 
@@ -126,6 +136,62 @@ def test_frequency_resonant_critical_circle_is_null(capsys):
     (entry,) = entries
     assert entry["circle_fit"] is None
     assert entry["motion"] == "RigidRotation"
+
+
+def norm3(v):
+    return math.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+
+
+@pytest.mark.parametrize(
+    "name, lams, mu, horizon",
+    [
+        ("case2", [0.05, 0.1], None, 5),  # the README command
+        ("example4", [0.01], 0.1, 5),
+        ("case1", [0.0, 1e-4, 0.05], None, 3),
+        ("case3", [0.05], None, 1),  # two period samples: no fit
+        ("example5", [1e-6, 0.3], None, 5),
+    ],
+)
+def test_frequency_is_the_library_pipeline(name, lams, mu, horizon, capsys):
+    # primary_frequency -> classify -> tip_trajectory -> fit_circle, per lambda:
+    # X, Xf, the norms, ortho_defect and the labels bit for bit, the circle to 1e-12
+    argv = ["--scenario", name, "--lambda-grid", ",".join(map(repr, lams)),
+            "--horizon", str(horizon)]
+    entries = run_frequency(capsys, argv + ([] if mu is None else ["--mu", repr(mu)]))
+    sc = build(name)
+    for lam, entry in zip(lams, entries, strict=True):
+        T = sc.period(lam, mu)
+        traj = integrate_group(sc.forcing(lam, mu), lam, horizon * T, ref_dir=sc.frame.x0_dir)
+        X = primary_frequency(traj, T)
+        rep = classify(sc.X0, sc.omega_bif, X, T, lam)
+        assert entry["X"] == X.tolist() and entry["Xf"] == rep.Xf.tolist()
+        norm = norm3(entry["X"])
+        assert entry["norm_X"] == norm and entry["norm_Xf"] == norm3(entry["Xf"])
+        assert entry["ortho_defect"] == rep.ortho_defect
+        assert entry["resonance"] == {"kind": rep.resonance.kind.value, "k": rep.resonance.k}
+        assert entry["motion"] == (None if rep.motion is None else rep.motion.value)
+        times = [i * T for i in range(min(5, horizon) + 1)]
+        track = tip_trajectory(traj, sc.tip_x0, sc.r, times)
+        try:
+            fit = fit_circle(track.points, ref_axis=X / norm if norm else X)
+        except FitError:
+            assert entry["circle_fit"] is None
+            continue
+        circle = entry["circle_fit"]
+        assert np.abs(np.array(circle["axis"]) - fit.axis).max() <= 1e-12
+        assert abs(circle["radius"] - fit.radius) <= 1e-12
+        assert abs(circle["rms"] - fit.rms_residual) <= 1e-12
+
+
+def test_frequency_tip_samples_start_at_the_identity():
+    # frequency takes the tip at iT as A(iT) x0, as tip_trajectory's A(0)^T A(iT) x0
+    for name in available():
+        sc = build(name)
+        mu = 0.1 if sc.takes_mu else None
+        for lam in (0.0, 0.05):
+            T = sc.period(lam, mu)
+            traj = integrate_group(sc.forcing(lam, mu), lam, T, ref_dir=sc.frame.x0_dir)
+            assert traj._A_entries(0.0) == (1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0), name
 
 
 def test_frequency_grid_order(capsys):
@@ -539,6 +605,18 @@ def test_a_failed_stdout_write_is_an_io_error(stdout):
     assert err.getvalue().count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["--help"], ["frequency", "--help"]], ids=" ".join)
+def test_help_is_written_through_the_one_sink(argv, capsys):
+    # exit 0 with the help on stdout; a stdout that fails is an IoError, as for any output
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: rotwave") and out.endswith("\n")
+    err = io.StringIO()
+    with redirect_stdout(None), redirect_stderr(err):
+        assert main(argv) == 2
+    assert err.getvalue() == "error: cannot write to stdout: it is closed\n"
+
+
 @pytest.mark.parametrize(
     "argv, stdout",
     [
@@ -546,6 +624,9 @@ def test_a_failed_stdout_write_is_an_io_error(stdout):
         (BCH, "pipe"),
         (BCH, "closed"),
         (BCH, "/dev/full"),
+        # argparse's help text, which it writes itself
+        (["--help"], "pipe"),
+        (["frequency", "--help"], "pipe"),
     ],
 )
 def test_stdout_failures_exit_2_in_a_fresh_interpreter(argv, stdout):

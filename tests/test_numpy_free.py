@@ -1,8 +1,9 @@
-"""Every subcommand but ``frequency`` runs without numpy.
+"""No subcommand imports numpy.
 
-Each README command runs in a fresh interpreter in which ``import numpy``
-fails, and must print and write the same bytes as ``main(argv)`` in this
-process, where numpy is loaded.
+Each README command, and ``frequency`` on a two-parameter family, runs in a
+fresh interpreter in which ``import numpy`` fails, and must print and write
+the same bytes as ``main(argv)`` in this process, where numpy is loaded.
+Where numpy is installed, ``frequency`` still does not import it.
 """
 import io
 import os
@@ -32,6 +33,8 @@ NUMPY_FREE = [
     ["drift", "--scenario", "example4", "--lambda", "0.01"],
     ["bch", "0", "0", "1.5707963267948966", "1.5707963267948966", "0", "0", "--check"],
     ["verify", "--scenario", "example3"],
+    ["frequency", "--scenario", "case2", "--lambda-grid", "0.05,0.1"],
+    ["frequency", "--scenario", "example4", "--mu", "0.1", "--lambda", "0.01"],
     ["simulate", "--dump-config"],
     ["frequency", "--scenario", "case2", "--dump-config"],
     ["drift", "--scenario", "example4", "--dump-config"],
@@ -74,11 +77,17 @@ def test_subcommand_runs_without_numpy(argv, tmp_path, monkeypatch):
     assert_same_run(argv, tmp_path, monkeypatch, block=True)
 
 
-def test_frequency_still_loads_numpy(tmp_path, monkeypatch):
-    assert_same_run(
-        ["frequency", "--scenario", "case2", "--lambda-grid", "0.05,0.1"], tmp_path, monkeypatch,
-        block=False,
+def test_frequency_imports_no_numpy_where_numpy_is_installed(tmp_path, monkeypatch):
+    argv = ["frequency", "--scenario", "case2", "--lambda-grid", "0.05,0.1"]
+    assert_same_run(argv, tmp_path, monkeypatch, block=False)
+    env = dict(os.environ, PYTHONPATH=SRC)
+    code = (
+        "import sys\nfrom rotwave.cli import main\n"
+        "main(sys.argv[1:])\nsys.exit(9 * ('numpy' in sys.modules))"
     )
+    proc = subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_importing_the_package_loads_no_numpy():

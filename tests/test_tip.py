@@ -1,6 +1,10 @@
 """Tip trajectories and circle fits."""
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import oracles
 from rotwave import (
@@ -14,7 +18,7 @@ from rotwave import (
 )
 from rotwave import flow
 from rotwave.scenarios import build
-from rotwave.tip import MAX_SAMPLES
+from rotwave.tip import MAX_SAMPLES, _fit_circle, _sym_eig3
 
 EZ = np.array([0.0, 0.0, 1.0])
 
@@ -154,6 +158,135 @@ def test_fit_circle_degenerate_inputs():
         pts[4, 1] = bad
         with pytest.raises(DomainError, match="finite"):
             fit_circle(pts, EZ)
+
+
+def test_fit_circle_rejects_points_whose_covariance_overflows():
+    # finite points 1e200 apart: the covariance is inf (LAPACK did not converge on it)
+    with pytest.raises(DomainError, match="overflows"):
+        fit_circle(1e200 * np.eye(3), EZ)
+
+
+def unit(v):
+    return np.asarray(v, dtype=float) / np.linalg.norm(v)
+
+
+@given(
+    quat=st.tuples(*[st.floats(-1.0, 1.0)] * 4),
+    r=st.floats(0.1, 10.0),
+    height=st.floats(-0.9, 0.9),
+    n=st.integers(3, 40),
+    span=st.floats(math.pi / 2, 2 * math.pi),
+    log_noise=st.one_of(st.none(), st.floats(-12.0, -6.0)),
+    ref=st.tuples(*[st.floats(-1.0, 1.0)] * 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_circle_agrees_with_the_lapack_fit(quat, r, height, n, span, log_noise, ref, seed):
+    # a noisy circle in a random frame; the Jacobi fit matches eigh's to 1e-12
+    assume(sum(q * q for q in quat) > 0.01 and sum(a * a for a in ref) > 0.01)
+    frame = oracles.quat_to_matrix(np.array(quat))
+    rng = np.random.default_rng(seed)
+    rho = r * math.sqrt(1.0 - height * height)
+    angles = rng.uniform(0.0, 2 * math.pi) + span * np.arange(n) / n
+    local = np.stack([rho * np.cos(angles), rho * np.sin(angles), np.full(n, height * r)], 1)
+    if log_noise is not None:
+        local += 10.0**log_noise * r * rng.standard_normal((n, 3))
+    pts = local @ frame.T
+    axis, h, radius, rms = oracles.fit_circle_oracle(pts, ref)
+    fit = fit_circle(pts, ref)
+    angle = math.atan2(np.linalg.norm(np.cross(fit.axis, axis)), float(fit.axis @ axis))
+    assert angle <= 1e-12
+    assert abs(fit.height - h) <= 1e-12
+    assert abs(fit.radius - radius) <= 1e-12
+    assert abs(fit.rms_residual - rms) <= 1e-12 * r
+    assert abs(np.linalg.norm(fit.axis) - 1.0) <= 1e-15
+
+
+def near_line(offset, n=6):
+    """n points along (1, 2, 2)/3 over length 4, moved off the line by ``offset`` each."""
+    along = np.outer(np.linspace(-2.0, 2.0, n), [1 / 3, 2 / 3, 2 / 3]) + [0.5, -1.0, 2.0]
+    off = np.outer(np.cos(np.arange(n)), unit([2.0, -1.0, 0.0]))
+    return along + offset * off
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        np.zeros((0, 3)),
+        np.eye(3)[:2],
+        np.tile([1.0, 2.0, 3.0], (5, 1)),
+        np.tile([1e6, 2.0, 3.0], (4, 1)) + 1e-8 * np.arange(12).reshape(4, 3) ** 0.5,
+        np.tile([0.3, 0.2, 0.1], (4, 1)) + 1e-14 * np.arange(12).reshape(4, 3) ** 0.5,
+        np.tile([0.3, 0.2, 0.1], (4, 1)) + 1e-10 * np.arange(12).reshape(4, 3) ** 0.5,
+        np.outer(np.linspace(0.0, 1.0, 6), [1.0, 1.0, 0.0]),
+        near_line(0.0),
+        near_line(1e-9),
+        near_line(1e-8),
+        near_line(1e-5),
+        near_line(1e-5, n=3),
+    ],
+    ids=[
+        "none", "two", "coincident", "coincident-far", "near-coincident", "spread-1e-10",
+        "line", "line-offset-0", "near-line-1e-9", "near-line-1e-8", "near-line-1e-5",
+        "near-line-1e-5-three",
+    ],
+)
+def test_fit_circle_refuses_what_the_lapack_fit_refuses(points):
+    # the same FitError decisions for coincident, collinear and near-collinear sets
+    want = oracles.fit_circle_oracle(points, EZ)
+    if isinstance(want, str):
+        with pytest.raises(FitError) as info:
+            _fit_circle(points.tolist(), EZ.tolist())
+        assert str(info.value) == want
+    else:
+        _fit_circle(points.tolist(), EZ.tolist())
+
+
+def check_eig(a):
+    """_sym_eig3 of the symmetric ``a``: ascending, orthonormal, residual and
+    eigenvalues within 1e-14 |a| of eigh's."""
+    values, vectors = _sym_eig3(a[0, 0], a[0, 1], a[0, 2], a[1, 1], a[1, 2], a[2, 2])
+    s = np.abs(a).max() or 1.0  # norms of a / s, which cannot overflow
+    norm = np.linalg.norm(a / s, 2)
+    v = np.array(vectors).T
+    assert values == sorted(values)
+    assert np.abs(v.T @ v - np.eye(3)).max() <= 1e-14
+    assert np.linalg.norm((a @ v - v * values) / s, axis=0).max() <= 1e-14 * norm
+    assert np.abs(np.array(values) - np.linalg.eigh(a)[0]).max() / s <= 1e-14 * norm
+
+
+def rotated(diag, quat):
+    q = oracles.quat_to_matrix(np.array(quat))
+    return q @ np.diag(diag) @ q.T
+
+
+@given(entries=st.tuples(*[st.floats(-10.0, 10.0)] * 6))
+def test_jacobi_on_random_symmetric_matrices(entries):
+    a00, a01, a02, a11, a12, a22 = entries
+    check_eig(np.array([[a00, a01, a02], [a01, a11, a12], [a02, a12, a22]]))
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.zeros((3, 3)),
+        np.diag([3.0, -1.0, 2.0]),
+        np.diag([1e-300, 0.0, -5e-324]),
+        2.5 * np.eye(3),
+        rotated([2.0, 2.0, -1.0], [0.3, -0.5, 0.7, 0.2]),
+        rotated([1.0, 4.0, 4.0], [0.9, 0.1, -0.3, 0.4]),
+        rotated([1e-3, 1e-3, 1e-3], [0.2, 0.2, 0.9, -0.1]),
+        rotated([1e10, 1.0, 1e-10], [0.5, 0.5, -0.5, 0.3]),
+        rotated([1e150, -1e-150, 3.0], [0.1, -0.8, 0.4, 0.6]),
+        rotated([0.0, 1e-20, 1e20], [0.7, 0.7, 0.1, 0.1]),
+        np.array([[1e200, 1e185, 0.0], [1e185, 1.0, 1e-30], [0.0, 1e-30, -1e-200]]),
+    ],
+    ids=[
+        "zero", "diagonal", "diagonal-subnormal", "scalar", "repeated-low", "repeated-high",
+        "near-scalar", "wide-1e20", "wide-1e300", "wide-psd", "wide-raw",
+    ],
+)
+def test_jacobi_on_structured_symmetric_matrices(a):
+    check_eig(a)
 
 
 # ------------------------------------------------- period samples -> circles
