@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
@@ -34,7 +33,9 @@ from .bch import BchBreakdown, _bch_full
 from .errors import ConfigError, DomainError, FitError, IoError, RotwaveError
 from .flow import IntegratorConfig, integrate_group
 from .hopf import _classify, _period_class, _primary_frequency, find_orthogonal_branch
-from .so3 import _ball_vector, _dot3, _exp_entries, _frob_dist, _matmul3, _matvec3, _norm3, _vec3
+from .so3 import (
+    _ball_vector, _dot3, _exp_entries, _finite, _frob_dist, _matmul3, _matvec3, _norm3, _vec3,
+)
 from .tip import MAX_SAMPLES, _fit_circle
 
 __all__ = ["RunConfig", "main", "entry"]
@@ -85,11 +86,7 @@ class RunConfig:
                 f"horizon x samples-per-period must be <= {MAX_SAMPLES} "
                 "(the rows simulate writes per lambda)"
             )
-        for name in ("rtol", "atol"):
-            if not _is_real(getattr(self, name)):
-                raise ConfigError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if self.mu is not None and not _is_real(self.mu):
-            raise ConfigError(f"mu must be a finite number, got {self.mu!r}")
+        mu = None if self.mu is None else _finite(self.mu, "mu", ConfigError)
         if command == "drift" and self.mu is not None:
             raise ConfigError("drift searches for mu* itself and takes no mu; set --mu-bracket instead")
         if self.out is not None and not isinstance(self.out, str):
@@ -98,41 +95,19 @@ class RunConfig:
             raise ConfigError(f"lambda_grid must be a list, got {self.lambda_grid!r}")
         if not self.lambda_grid:
             raise ConfigError("lambda grid is empty")
-        for lam in self.lambda_grid:
-            if not (_is_real(lam) and lam >= 0.0):
-                raise ConfigError(f"lambda values must be finite and >= 0, got {lam!r}")
+        lams = [_finite(lam, "lambda", ConfigError, nonnegative=True) for lam in self.lambda_grid]
         if not isinstance(self.mu_bracket, (list, tuple)) or len(self.mu_bracket) != 2:
             raise ConfigError("mu_bracket must have exactly two entries")
-        a, b = self.mu_bracket
-        if not (_is_real(a) and _is_real(b)):
-            raise ConfigError(
-                f"mu_bracket entries must be finite numbers, got {self.mu_bracket!r}"
-            )
+        a, b = (_finite(m, "mu_bracket entry", ConfigError) for m in self.mu_bracket)
         if not a < b:
-            raise ConfigError(f"mu_bracket must satisfy a < b, got {self.mu_bracket!r}")
-        icfg = IntegratorConfig(rtol=float(self.rtol), atol=float(self.atol))
-        cfg = replace(
-            self,
-            lambda_grid=[float(lam) for lam in self.lambda_grid],
-            mu=None if self.mu is None else float(self.mu),
-            mu_bracket=(float(a), float(b)),
-            rtol=icfg.rtol,
-            atol=icfg.atol,
-        )
+            raise ConfigError(f"mu_bracket must be finite numbers a < b, got {self.mu_bracket!r}")
+        icfg = IntegratorConfig(rtol=self.rtol, atol=self.atol)
+        cfg = replace(self, lambda_grid=lams, mu=mu, mu_bracket=(a, b), rtol=icfg.rtol, atol=icfg.atol)
         return cfg, icfg
 
 
 def _is_int(v) -> bool:
     return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        return False
-    try:
-        return math.isfinite(v)
-    except OverflowError:  # an int past the float range
-        return False
 
 
 # ---------------------------------------------------------------- output fmt

@@ -58,11 +58,14 @@ from .so3 import (
     _dexpinv_apply,
     _exp_entries,
     _exp_entries_arrays,
+    _finite,
     _finite3,
     _float_array,
     _norm3,
+    _positive,
     _q_map,
     _q_map_arrays,
+    _real,
     _vec3,
     rot_x,
     rot_z,
@@ -121,8 +124,8 @@ class IntegratorConfig:
     atol: float = 1e-12
 
     def __post_init__(self):
-        if not (0.0 < self.rtol < math.inf and 0.0 < self.atol < math.inf):
-            raise ConfigError("rtol and atol must be positive and finite")
+        for name in ("rtol", "atol"):
+            object.__setattr__(self, name, _positive(getattr(self, name), name, ConfigError))
 
 
 @dataclass
@@ -173,26 +176,25 @@ def _check_forcing_value(x, t: float) -> Sequence[float]:
 
 
 def _time_in_range(t, t_end: float) -> float:
-    """``t`` as a float; DomainError unless it is one real number in [0, t_end] (to 1e-9)."""
-    try:
-        t = float(t)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"a time must be one real number, got {t!r}") from None
-    if not (-1e-9 <= t <= t_end + 1e-9):
+    """``t`` as a float; DomainError unless it is one number (:func:`_real`) in [0, t_end] (to 1e-9)."""
+    s = t if type(t) is float else _real(t)
+    if s is None:
+        raise DomainError(f"a time must be one real number, got {t!r}")
+    if not (-1e-9 <= s <= t_end + 1e-9):
         raise DomainError(f"t={t!r} outside the integrated range [0, {t_end!r}]")
-    return t
+    return s
 
 
 def _time_list(t) -> list | None:
-    """The times of a 1-D ndarray as Python floats; None for a single time."""
+    """The times of a 1-D ndarray of numbers as Python floats; None for a single time.
+
+    :func:`_float_array` checks the dtype and the shape on an empty slice,
+    so that a non-finite time fails each time's own check, with its message.
+    """
     if not (isinstance(t, np.ndarray) and t.ndim):
         return None
-    if t.ndim != 1:
-        raise DomainError(f"times must be one number or a 1-D array, got shape {t.shape}")
-    try:
-        return t.astype(float).tolist()
-    except (TypeError, ValueError):
-        raise DomainError(f"times must be real numbers, got dtype {t.dtype}") from None
+    _float_array(t[:0], (None,), "times")
+    return t.astype(float).tolist()
 
 
 def _solve_segment(rhs, t_start: float, t_max: float, q, cfg: IntegratorConfig) -> OdeSolution:
@@ -218,14 +220,18 @@ def integrate_z_segment(
     """Solve one Z segment from ``Z(t_start) = 0`` until ``|Z| = pi - RESTART_MARGIN`` or t_max.
 
     Returns its dense output; ``ts[-1]`` is the exit time (== t_max when no restart fired).
+    DomainError unless lam is a number (:func:`_real`) and ``t_start < t_max`` are finite ones.
     """
-
+    _check_lam(lam)
+    t0, t1 = _finite(t_start, "t_start"), _finite(t_max, "t_max")
+    if not t0 < t1:
+        raise DomainError(f"need t_start < t_max, got {t_start!r} and {t_max!r}")
     xg = signal.eval
 
     def rhs(t, z):
         return _dexpinv_apply(z, _check_forcing_value(xg(t, lam), t))
 
-    return _solve_segment(rhs, t_start, t_max, (), config or IntegratorConfig())
+    return _solve_segment(rhs, t0, t1, (), config or IntegratorConfig())
 
 
 @dataclass
@@ -410,12 +416,17 @@ class GroupTrajectory:
         return stack
 
 
-def _reference(t_end: float, ref_dir, forcing_at_origin: Callable, what: str) -> tuple:
-    """Check the horizon; return ``ref_dir`` or the unit direction of the forcing at the origin."""
-    if not t_end > 0.0:
-        raise DomainError("t_end must be positive")
+def _check_lam(lam) -> None:
+    """DomainError unless ``lam`` is a number (:func:`_real`); callers pass on ``lam`` itself,
+    the object that keys the built-in forcings' memo."""
+    if _real(lam) is None:
+        raise DomainError(f"lambda must be a real number, got {lam!r}")
+
+
+def _reference(ref_dir, forcing_at_origin: Callable, what: str) -> tuple:
+    """``ref_dir`` checked, or the unit direction of the forcing at the origin."""
     if ref_dir is not None:
-        return _as_unit3(ref_dir)
+        return _as_unit3(ref_dir, "ref_dir")
     x0 = _check_forcing_value(forcing_at_origin(), 0.0)
     n = _norm3(x0)
     if n < 1e-12:
@@ -455,10 +466,7 @@ def _period(signal: ForcingSignal, lam: float) -> float | None:
     """``signal.period(lam)`` as a positive finite float, or None for an aperiodic signal."""
     if signal.period is None:
         return None
-    T = float(signal.period(lam))
-    if not (math.isfinite(T) and T > 0.0):
-        raise DomainError(f"forcing period must be positive and finite, got {T!r}")
-    return T
+    return _positive(signal.period(lam), "forcing period")
 
 
 def integrate_group(
@@ -494,7 +502,9 @@ def integrate_group(
     GroupTrajectory
     """
     cfg = config or IntegratorConfig()
-    ref = _reference(t_end, ref_dir, lambda: signal.eval(0.0, 0.0), "X^G(0, 0)")
+    _check_lam(lam)
+    t_end = _positive(t_end, "t_end")
+    ref = _reference(ref_dir, lambda: signal.eval(0.0, 0.0), "X^G(0, 0)")
     T = _period(signal, lam)
     t_stop = t_end
     if T is not None:
@@ -523,16 +533,19 @@ def integrate_skew_product(
     q continues across restarts with its event-time value as the next initial
     condition. q need not be periodic, so the whole horizon is integrated at
     the tolerances given and the trajectory has no period (``T`` is None);
-    its ``eval_q`` gives q(t).
+    its ``eval_q`` gives q(t). The value of ``x_n`` must be finite and of
+    length n, as that of ``x_g`` a finite 3-vector; DomainError otherwise.
     """
     cfg = config or IntegratorConfig()
+    _check_lam(lam)
+    t_end = _positive(t_end, "t_end")
     q0 = _float_array(q0, (None,), "q0")
-    ref = _reference(t_end, ref_dir, lambda: x_g(np.zeros(len(q0)), 0.0), "X^G at (q=0, lam=0)")
+    ref = _reference(ref_dir, lambda: x_g(np.zeros(len(q0)), 0.0), "X^G at (q=0, lam=0)")
 
     def rhs(t, y):
         q = np.array(y[3:])
         x = _check_forcing_value(x_g(q, lam), t)
-        dq = np.asarray(x_n(q, lam), dtype=float)
+        dq = _float_array(x_n(q, lam), q.shape, "the value of x_n")
         return [*_dexpinv_apply(y[:3], x), *dq.tolist()]
 
     segments, prefixes = _integrate_restarting(
@@ -545,13 +558,16 @@ def stuart_landau(omega_bif: float) -> Callable[[np.ndarray, float], np.ndarray]
     """Normal-form vector field ``qdot = (lam + i*omega_bif) q - |q|^2 q`` on R^2.
 
     From ``q0 = (sqrt(lam), 0)`` the orbit is exactly the circle of radius
-    sqrt(lam) traversed with angular rate omega_bif.
+    sqrt(lam) traversed with angular rate omega_bif, a finite number
+    (DomainError otherwise). The field is evaluated on Python floats, so a q
+    whose square overflows gives inf or NaN entries without a warning.
     """
+    omega = _finite(omega_bif, "omega_bif")
 
     def x_n(q: np.ndarray, lam: float) -> np.ndarray:
-        u, v = q
+        u, v = np.asarray(q).tolist()
         shrink = lam - (u * u + v * v)
-        return np.array([shrink * u - omega_bif * v, omega_bif * u + shrink * v])
+        return np.array([shrink * u - omega * v, omega * u + shrink * v])
 
     return x_n
 
@@ -595,7 +611,7 @@ def integrate_euler(
 
     with phi(0) = psi(0) = 0 and theta(0) = theta0 in (0, pi). A
     right-hand-side evaluation with sin(theta) < 1e-6, near a pole or past
-    one, raises GimbalLockError (theta0 = 0 raises immediately). Every
+    one, raises GimbalLockError (theta0 = 0 or pi raises at the first one). Every
     accepted step ends in such an evaluation (its last stage is taken at the
     step's end point), so the solve stops with GimbalLockError rather than
     return an angle outside the chart. The dense-output stages 13-15 of a
@@ -606,12 +622,11 @@ def integrate_euler(
     integrator.
     """
     cfg = config or IntegratorConfig()
-    if not t_end > 0.0:
-        raise DomainError("t_end must be positive")
-    if abs(math.sin(theta0)) < GIMBAL_TOL:
-        raise GimbalLockError(f"theta0 = {theta0!r} is at the chart singularity")
-    if not (0.0 < theta0 < math.pi):
-        raise DomainError("theta0 must lie in (0, pi)")
+    _check_lam(lam)
+    t_end = _positive(t_end, "t_end")
+    theta = _real(theta0)
+    if theta is None or not 0.0 <= theta <= math.pi:
+        raise DomainError(f"theta0 must be a real number in (0, pi), got {theta0!r}")
 
     def rhs(t, y):
         phi, theta, _psi = y
@@ -626,7 +641,7 @@ def integrate_euler(
             m / s,
         )
 
-    sol = solve_ivp(rhs, (0.0, t_end), (0.0, theta0, 0.0), cfg.rtol, cfg.atol)
+    sol = solve_ivp(rhs, (0.0, t_end), (0.0, theta, 0.0), cfg.rtol, cfg.atol)
     if sol.status == -1:
         raise IntegrationError(f"euler-chart solve failed at t={sol.t[-1]!r}: {sol.message}")
-    return EulerTrajectory(t_end, theta0, sol.sol)
+    return EulerTrajectory(t_end, theta, sol.sol)

@@ -27,9 +27,11 @@ from typing import Callable
 from ._numpy import lazy_numpy
 from .bch import _bch_full
 from .errors import BracketError, DomainError, InternalInconsistency
-from .flow import ForcingSignal, GroupTrajectory, IntegratorConfig, _period, integrate_group
+from .flow import ForcingSignal, GroupTrajectory, IntegratorConfig, _check_lam, _period, integrate_group
 from .ode import brentq
-from .so3 import _ball_vector, _dot3, _exp_matrix, _finite3, _float_array, _norm3, _q_map, _vec3
+from .so3 import (
+    _ball_vector, _dot3, _exp_matrix, _finite, _finite3, _float_array, _norm3, _positive, _q_map, _real, _vec3,
+)
 
 np = lazy_numpy(globals())
 
@@ -106,14 +108,14 @@ def classify_resonance(x0_norm: float, omega_bif: float) -> ResonanceClass:
     some integer k >= 1; x0_norm == 0 is Degenerate. DomainError unless
     omega_bif is positive, x0_norm nonnegative and their ratio finite.
     """
-    if not 0.0 < omega_bif < math.inf:
-        raise DomainError("omega_bif must be positive and finite")
-    if not 0.0 <= x0_norm / omega_bif < math.inf:
+    omega_bif = _positive(omega_bif, "omega_bif")
+    x = _real(x0_norm)
+    if x is None or not 0.0 <= x / omega_bif < math.inf:
         raise DomainError(f"x0_norm / omega_bif must be finite and nonnegative, got {x0_norm!r}")
-    if x0_norm == 0.0:
+    if x == 0.0:
         return ResonanceClass(ResonanceKind.DEGENERATE, None)
-    k = int(round(x0_norm / omega_bif))
-    if k >= 1 and abs(x0_norm - k * omega_bif) < RES_TOL * omega_bif:
+    k = int(round(x / omega_bif))
+    if k >= 1 and abs(x - k * omega_bif) < RES_TOL * omega_bif:
         return ResonanceClass(ResonanceKind.RESONANT, k)
     return ResonanceClass(ResonanceKind.NONRESONANT, None)
 
@@ -142,8 +144,7 @@ def primary_frequency(traj: GroupTrajectory, T: float) -> np.ndarray:
 
 def _primary_frequency(traj: GroupTrajectory, T: float) -> tuple:
     """Scalar form of :func:`primary_frequency`: X as a float triple."""
-    if not T > 0.0:
-        raise DomainError("T must be positive")
+    T = _positive(T, "T")
     return tuple(a / T for a in _q_map(traj._class_vector(T), traj.ref_dir))
 
 
@@ -178,20 +179,18 @@ def lifted_frequency(
 
 def _lifted_frequency(X, T0: float, x0, omega_lambda: float, res: ResonanceClass) -> tuple:
     """Scalar form of :func:`lifted_frequency` on float triples, whose shapes it does not check."""
-    if not T0 > 0.0:
-        raise DomainError("T0 must be positive")
-    if not math.isfinite(omega_lambda):
-        raise DomainError(f"omega_lambda must be finite, got {omega_lambda!r}")
+    T0 = _positive(T0, "T0")
+    w = _finite(omega_lambda, "omega_lambda")
     x0_norm = _norm3(x0)
     k = _winding(x0_norm, T0)
     n = _norm3(X)
     if n > ZERO_X_TOL:
-        s = (n + k * abs(omega_lambda)) / n
+        s = (n + k * abs(w)) / n
         return tuple(s * a for a in X)
     if res.kind is ResonanceKind.RESONANT:
         if x0_norm == 0.0:
             raise InternalInconsistency("resonant class with |x0| = 0")
-        s = k * abs(omega_lambda)
+        s = k * abs(w)
         return tuple(s * (a / x0_norm) for a in x0)
     raise InternalInconsistency(
         f"|X| = {n:.3e} vanished in a {res.kind.value} class; "
@@ -218,8 +217,7 @@ def periodic_part(
     """
     neg_x = [-a for a in _vec3(X)]
     neg_xf = [-a for a in _vec3(Xf)]
-    if not T > 0.0:
-        raise DomainError("T must be positive")
+    _positive(T, "T")
 
     def log_b(neg: list[float], t: float):
         """Ball vector of ``bch(neg * t, class_at(t).vector)`` as a float triple."""
@@ -262,10 +260,8 @@ def classify(
 def _classify(x0, omega_bif: float, X, T: float, lam: float) -> tuple:
     """Scalar form of :func:`classify` on float triples, whose shapes it does not check:
     ``(Xf, resonance, ortho_defect, motion)``, Xf a float triple."""
-    if not 0.0 < T < math.inf:
-        raise DomainError("T must be positive and finite")
-    if not 0.0 <= lam < math.inf:
-        raise DomainError(f"lambda must be nonnegative and finite, got {lam!r}")
+    T = _positive(T, "T")
+    lam_f = _finite(lam, "lambda", nonnegative=True)
     x0_norm = _norm3(x0)
     res = classify_resonance(x0_norm, omega_bif)
     T0 = 2.0 * math.pi / omega_bif
@@ -279,7 +275,7 @@ def _classify(x0, omega_bif: float, X, T: float, lam: float) -> tuple:
     Xf = _lifted_frequency(X, T0, x0, 2.0 * math.pi / T, res)
     ortho = _dot3(X, x0) / (n * x0_norm) if n > 0.0 else None
 
-    if lam == 0.0:
+    if lam_f == 0.0:
         motion = MotionClass.RIGID_ROTATION
     elif abs(n * T - 2.0 * math.pi * round(n * T / (2.0 * math.pi))) < 1e-9:
         motion = MotionClass.PERIODIC_SOLUTION
@@ -338,11 +334,15 @@ def find_orthogonal_branch(
     if n0 == 0.0:
         raise DomainError("x0 must be nonzero")
     u0 = tuple(a / n0 for a in x0)
+    _check_lam(lam)
+    try:
+        a, b = () if isinstance(mu_bracket, (str, bytes)) else map(_real, mu_bracket)
+    except (TypeError, ValueError):
+        a = b = None
+    if a is None or b is None or not a < b:
+        raise DomainError(f"mu_bracket must be two real numbers a < b, got {mu_bracket!r}")
     if lam == 0.0:
         return 0.0
-    a, b = float(mu_bracket[0]), float(mu_bracket[1])
-    if not a < b:
-        raise DomainError("mu_bracket must satisfy a < b")
 
     def g(mu: float) -> float:
         z, T = _period_class(family, lam, mu, u0, config)

@@ -33,10 +33,12 @@ from .so3 import (
     _exp_apply,
     _exp_entries,
     _exp_matrix,
+    _finite,
     _finite3,
     _frob_dist,
     _matmul3,
     _norm3,
+    _positive,
     _vec3,
 )
 
@@ -64,8 +66,8 @@ class Frame:
         for name in ("x0_dir", "x1", "x2"):
             try:
                 v = _vec3(getattr(self, name))
-            except DomainError:
-                raise ConfigError(f"frame vector {name} must be a finite 3-vector") from None
+            except DomainError as exc:
+                raise ConfigError(f"frame vector {name}: {exc}") from None
             if abs(_norm3(v) - 1.0) > 1e-10:
                 raise ConfigError(f"frame vector {name} must be unit within 1e-10")
             object.__setattr__(self, name, v)
@@ -102,13 +104,17 @@ class Scenario:
         """(xg(t, lam), closed(t, lam, exp, mul), period(lam)) for this family at mu.
 
         Built once per mu; only the latest mu is kept, since a root find asks
-        for a new mu on every evaluation.
+        for a new mu on every evaluation. An unhashable mu (a 0-d array, or
+        one the build refuses) is built on every call.
         """
-        if mu not in self._built:
+        try:
+            return self._built[mu]
+        except (KeyError, TypeError):
             pieces = self._build_pieces(mu)
             self._built.clear()
-            self._built[mu] = pieces
-        return self._built[mu]
+            if getattr(mu, "__hash__", None) is not None:
+                self._built[mu] = pieces
+            return pieces
 
     def _build_pieces(self, mu: float | None):
         """The three closures of :meth:`_pieces`.
@@ -173,7 +179,7 @@ class Scenario:
                 return C, nu, w, 1.0, w
 
         elif self.family == "example4":
-            mu_val = 0.0 if mu is None else float(mu)
+            mu_val = 0.0 if mu is None else _finite(mu, "mu", ConfigError)
             try:
                 norm_c = math.sqrt(self.x0_norm**2 + mu_val**2)
             except OverflowError:
@@ -240,10 +246,8 @@ class Scenario:
             nonlocal memo
             key, c = memo
             if lam is not key:
-                if not 0.0 <= lam < math.inf:
-                    raise DomainError(f"lambda must be nonnegative and finite, got {lam!r}")
                 try:
-                    c = constants(lam)
+                    c = constants(_finite(lam, "lambda", nonnegative=True))
                 except OverflowError:
                     raise ConfigError(f"scenario {self.name} overflows at lambda {lam!r}") from None
                 memo = (lam, c)
@@ -303,25 +307,6 @@ _ALLOWED_OVERRIDES = {
 }
 
 
-def _number(overrides: dict, name: str, default) -> float:
-    """Override ``name`` (or ``default``) as a finite float; ConfigError otherwise."""
-    value = overrides.get(name, default)
-    try:
-        out = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} must be a number, got {value!r}") from None
-    if not math.isfinite(out):
-        raise ConfigError(f"{name} must be finite, got {value!r}")
-    return out
-
-
-def _has_bool(value) -> bool:
-    """Whether ``value`` is a boolean (a numpy one too) or a (nested) list or tuple holding one."""
-    if isinstance(value, (list, tuple)):
-        return any(_has_bool(v) for v in value)
-    return isinstance(value, bool) or getattr(getattr(value, "dtype", None), "kind", "") == "b"
-
-
 def available() -> list[str]:
     """Names accepted by :func:`build`."""
     return sorted(_DEFAULTS)
@@ -341,9 +326,10 @@ def build(name: str, **overrides) -> Scenario:
     Raises
     ------
     ConfigError
-        Unknown name or override, a non-numeric or non-finite value (a
-        boolean, also inside a list, counts as non-numeric),
-        inconsistent resonance parameters, or an invalid frame.
+        Unknown name or override, a value that is not a number
+        (:func:`rotwave.so3._real`: a boolean or a string is none) or not a
+        3-vector of them, a non-finite or non-positive scalar, inconsistent
+        resonance parameters, or an invalid frame.
     """
     if name not in _DEFAULTS:
         raise ConfigError(
@@ -352,34 +338,27 @@ def build(name: str, **overrides) -> Scenario:
     bad = set(overrides) - _ALLOWED_OVERRIDES
     if bad:
         raise ConfigError(f"unknown override(s) {sorted(bad)}; allowed: {sorted(_ALLOWED_OVERRIDES)}")
-    for key, value in overrides.items():
-        if _has_bool(value):  # float(True) would pass as 1.0
-            raise ConfigError(f"{key} must be numeric, not a boolean: {value!r}")
     spec = dict(_DEFAULTS[name])
     family = spec["family"]
 
-    k_val = _number(overrides, "k", 1)
-    if not (k_val.is_integer() and k_val >= 1):
+    k = _positive(overrides.get("k", 1), "k", ConfigError)
+    if not k.is_integer():
         raise ConfigError("k must be a positive integer")
-    k = int(k_val)
+    k = int(k)
     if k != 1 and family != "example4":
         raise ConfigError(f"scenario {name!r} has no resonance order parameter")
 
-    x0_norm = _number(overrides, "x0_norm", spec["x0_norm"])
-    if not x0_norm > 0.0:
-        raise ConfigError("x0_norm must be positive")
+    x0_norm = _positive(overrides.get("x0_norm", spec["x0_norm"]), "x0_norm", ConfigError)
     if family == "example4":
         omega_bif = x0_norm / k
         if "omega_bif" in overrides and not math.isclose(
-            _number(overrides, "omega_bif", omega_bif), omega_bif, rel_tol=1e-12
+            _positive(overrides["omega_bif"], "omega_bif", ConfigError), omega_bif, rel_tol=1e-12
         ):
             raise ConfigError(
                 f"example4 requires omega_bif = x0_norm / k = {omega_bif!r}"
             )
     else:
-        omega_bif = _number(overrides, "omega_bif", spec["omega_bif"])
-        if not omega_bif > 0.0:
-            raise ConfigError("omega_bif must be positive")
+        omega_bif = _positive(overrides.get("omega_bif", spec["omega_bif"]), "omega_bif", ConfigError)
         if family in ("example2", "example3") and not math.isclose(
             x0_norm, omega_bif, rel_tol=1e-12
         ):
@@ -388,24 +367,20 @@ def build(name: str, **overrides) -> Scenario:
                 f"(got {x0_norm!r} vs {omega_bif!r})"
             )
 
-    r = _number(overrides, "r", 3.0)
-    if not r > 0.0:
-        raise ConfigError("r must be positive")
+    r = _positive(overrides.get("r", 3.0), "r", ConfigError)
 
     frame = overrides.get("frame", Frame())
     if not isinstance(frame, Frame):
         try:
-            rows = [_vec3(row) for row in frame]
-        except (TypeError, DomainError):
-            rows = []
-        if len(rows) != 3:
-            raise ConfigError("frame override must be a Frame or three finite row vectors")
-        frame = Frame(*rows)
+            x0_dir, x1, x2 = frame
+        except (TypeError, ValueError):
+            raise ConfigError("frame override must be a Frame or three row vectors") from None
+        frame = Frame(x0_dir, x1, x2)
 
     try:
         tip_raw = _vec3(overrides.get("tip_x0", spec["tip"]))
-    except DomainError:
-        raise ConfigError("tip_x0 must be a finite 3-vector") from None
+    except DomainError as exc:
+        raise ConfigError(f"tip_x0: {exc}") from None
     tn = _norm3(tip_raw)
     if tn == 0.0:
         raise ConfigError("tip_x0 must be nonzero")

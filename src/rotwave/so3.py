@@ -40,6 +40,7 @@ triples of 1-D arrays, with math's sin mapped over the elements
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from ._numpy import lazy_numpy
@@ -88,13 +89,59 @@ def vee(m: np.ndarray) -> np.ndarray:
     return np.array([m[2, 1], m[0, 2], m[1, 0]])
 
 
+def _real(v) -> float | None:
+    """``v`` as a float if it is a number, else None: the one rule for what a number is.
+
+    A number is an int, a float, a numpy real scalar or a 0-d numpy array of
+    one. A bool, a str, bytes and an int past the float range are not. A
+    numpy object can exist only once numpy is loaded, so numpy is looked up,
+    not imported.
+    """
+    numpy = sys.modules.get("numpy")
+    if (isinstance(v, (float, int)) and not isinstance(v, bool)) or (
+        numpy is not None
+        and (
+            isinstance(v, (numpy.integer, numpy.floating))
+            or (isinstance(v, numpy.ndarray) and v.ndim == 0 and v.dtype.kind in "iuf")
+        )
+    ):
+        try:
+            return float(v)
+        except OverflowError:  # an int past the float range
+            pass
+    return None
+
+
+def _positive(v, what: str, error=DomainError) -> float:
+    """``v`` as a float; ``error`` unless it is a positive finite number (:func:`_real`)."""
+    x = _real(v)
+    if x is None or not 0.0 < x < math.inf:
+        rule = "positive and finite" if x is not None else "a real number, not a boolean or a string"
+        raise error(f"{what} must be {rule}, got {v!r}")
+    return x
+
+
+def _finite(v, what: str, error=DomainError, nonnegative: bool = False) -> float:
+    """``v`` as a float; ``error`` unless it is a finite number (:func:`_real`),
+    and not negative if ``nonnegative``."""
+    x = _real(v)
+    if x is None or not math.isfinite(x) or (nonnegative and x < 0.0):
+        rule = "nonnegative and finite" if nonnegative else "finite"
+        rule = rule if x is not None else "a real number, not a boolean or a string"
+        raise error(f"{what} must be {rule}, got {v!r}")
+    return x
+
+
 def _vec3(v) -> tuple[float, float, float]:
-    """``v`` as a float triple; DomainError unless it is a 3-vector with a finite squared norm."""
+    """``v`` as a float triple; DomainError unless it is three numbers (:func:`_real`)
+    with a finite squared norm. A str or bytes is never a 3-vector."""
     try:
-        x, y, z = v
-        x, y, z = r = (float(x), float(y), float(z))
-    except (TypeError, ValueError, OverflowError):
+        x, y, z = () if isinstance(v, (str, bytes)) else v
+    except (TypeError, ValueError):
         raise DomainError(f"expected a 3-vector, got {v!r}") from None
+    x, y, z = r = (_real(x), _real(y), _real(z))
+    if None in r:
+        raise DomainError(f"expected a 3-vector of real numbers, not booleans or strings, got {v!r}")
     if not math.isfinite(x * x + y * y + z * z):
         raise DomainError(f"expected a finite 3-vector with a finite norm, got {v!r}")
     return r
@@ -110,7 +157,7 @@ def _float_array(value, shape: tuple, what: str) -> np.ndarray:
     except (TypeError, ValueError):  # ragged nesting
         a = None
     if a is None or a.dtype.kind not in "iuf":
-        raise DomainError(f"{what} must be an array of numbers")
+        raise DomainError(f"{what} must be an array of real numbers")
     if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
         want = str(shape).replace("None", "n")
         raise DomainError(f"{what} must be {len(shape)}-D with shape {want}, got shape {a.shape}")
@@ -128,11 +175,12 @@ def _finite3(v):
     return v
 
 
-def _as_unit3(v) -> tuple[float, float, float]:
-    """``v`` as a float triple; DomainError unless it is a unit vector to within 1e-10."""
+def _as_unit3(v, what: str) -> tuple[float, float, float]:
+    """``v`` as a float triple; DomainError, naming the parameter ``what``, unless
+    it is a unit vector to within 1e-10."""
     r = _vec3(v)
     if abs(_norm3(r) - 1.0) > 1e-10:
-        raise DomainError("q_map reference direction must be a unit vector")
+        raise DomainError(f"{what} must be a unit vector, got {v!r}")
     return r
 
 
@@ -258,15 +306,21 @@ def exp_rot(v: np.ndarray) -> np.ndarray:
     return _exp_matrix(_vec3(v))
 
 
+def _cos_sin(angle) -> tuple:
+    """numpy's cosine and sine of ``angle``; DomainError unless it is a finite number."""
+    a = _finite(angle, "angle")
+    return np.cos(a), np.sin(a)
+
+
 def rot_x(angle: float) -> np.ndarray:
     """Rotation by ``angle`` about +x."""
-    c, s = np.cos(angle), np.sin(angle)
+    c, s = _cos_sin(angle)
     return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
 
 
 def rot_z(angle: float) -> np.ndarray:
     """Rotation by ``angle`` about +z."""
-    c, s = np.cos(angle), np.sin(angle)
+    c, s = _cos_sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
@@ -278,13 +332,14 @@ def as_rotation(m: np.ndarray) -> np.ndarray:
     anything worse raises DomainError.
     """
     m = _float_array(m, (3, 3), "rotation")
-    err = max(
-        float(np.linalg.norm(m.T @ m - np.eye(3))),
-        abs(float(np.linalg.det(m)) - 1.0),
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # entries far past 1 give inf or NaN
+        err = max(
+            float(np.linalg.norm(m.T @ m - np.eye(3))),
+            abs(float(np.linalg.det(m)) - 1.0),
+        )
     if err <= 1e-12:
         return m
-    if err > 1e-3:
+    if not err <= 1e-3:
         raise DomainError(f"matrix is not a rotation (orthogonality defect {err:.3e})")
     # |det m - 1| <= 1e-3 keeps det m > 0, so the polar factor has det +1
     u, _, vt = np.linalg.svd(m)
@@ -419,8 +474,10 @@ def hemisphere_sign(u: np.ndarray, ref: np.ndarray) -> float:
 
     The sign of ``c = u . ref`` decides when ``|c| > 1e-9``, so any c < -1e-9
     gives -1; on the equator +y wins, then -x, then +z (:func:`_northern`).
+    DomainError unless ``u`` is a unit vector (to 1e-10) and ``ref`` a 3-vector.
     """
-    return 1.0 if _northern(u, float(u @ ref)) else -1.0
+    u = _as_unit3(u, "hemisphere_sign's u")
+    return 1.0 if _northern(u, _dot3(u, _vec3(ref))) else -1.0
 
 
 def q_map(c: BallClass, ref_dir: np.ndarray) -> np.ndarray:
@@ -443,7 +500,7 @@ def q_map(c: BallClass, ref_dir: np.ndarray) -> np.ndarray:
     ndarray, shape (3,)
         Vector with ``exp_rot(result) == exp_rot(c.vector)``.
     """
-    return np.array(_q_map(c.vector.tolist(), _as_unit3(ref_dir)))
+    return np.array(_q_map(c.vector.tolist(), _as_unit3(ref_dir, "q_map's ref_dir")))
 
 
 def _q_map_arrays(v, ref):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ._numpy import lazy_numpy
 from .errors import DomainError, FitError
-from .so3 import _dot3, _float_array, _northern, _norm3, _vec3
+from .so3 import _dot3, _float_array, _northern, _norm3, _positive, _vec3
 
 np = lazy_numpy(globals())
 
@@ -76,14 +76,12 @@ def tip_trajectory(traj, x0, r: float, sample_times, period: float | None = None
         give the matrices, as stacks for one batched matmul each.
     """
     x0 = np.array(_vec3(x0))
-    if not r > 0.0:
-        raise DomainError("r must be positive")
+    r = _positive(r, "r")
     if abs(float(np.linalg.norm(x0)) - r) > 1e-9 * r:
         raise DomainError(f"|x0| = {np.linalg.norm(x0):.12g} is not on the sphere of radius {r!r}")
     times = _float_array(sample_times, (None,), "sample_times")
     if period is not None:
-        if not 0.0 < period < math.inf:
-            raise DomainError(f"period must be positive and finite, got {period!r}")
+        period = _positive(period, "period")
         count = traj.t_end / period + 1e-9
         if not count < MAX_SAMPLES:
             raise DomainError(f"t_end / period asks for more than {MAX_SAMPLES} period samples")

@@ -693,6 +693,10 @@ def test_bad_subcommand_exits_2(capsys):
         ("simulate", {"restart_margin": 0.1}),
         ("frequency", {"overrides": {"theta0": 0.5}}),
         ("frequency", {"overrides": {"g": 0}}),
+        # strings are not numbers, in an override scalar or a vector
+        ("simulate", {"overrides": {"r": "3"}}),
+        ("simulate", {"overrides": {"tip_x0": ["1", "2", "3"]}}),
+        ("simulate", {"overrides": {"frame": ["001", "100", "010"]}}),
     ],
 )
 def test_config_file_bad_values_exit_2(tmp_path, capsys, command, doc):

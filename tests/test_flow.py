@@ -372,6 +372,20 @@ def test_eval_outside_range_raises():
             integrate_group(ForcingSignal(lambda t, lam: EZ, lambda lam: bad), 0.0, 1.0)
 
 
+def test_skew_product_checks_the_value_of_its_vector_field():
+    # a value of the wrong length ended in the step kernel's unpacking ValueError
+    with pytest.raises(DomainError, match="x_n"):
+        integrate_skew_product(lambda q, lam: X0, lambda q, lam: np.zeros(3), np.zeros(2), 0.1, 1.0)
+    # |q|^2 overflows: numpy warned; the field now runs on floats and gives inf and NaN
+    with pytest.raises(DomainError, match="finite"):
+        integrate_skew_product(lambda q, lam: X0, stuart_landau(20.0), (1e200, 0.0), 0.1, 1.0)
+
+
+def test_a_non_unit_direction_is_named_by_its_parameter():
+    with pytest.raises(DomainError, match="^ref_dir must be a unit vector"):
+        integrate_group(constant_signal(X0), 0.0, 1.0, ref_dir=[2.0, 0.0, 0.0])
+
+
 def test_non_unit_ref_dir_fails_before_integrating(monkeypatch):
     calls = []
 

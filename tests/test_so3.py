@@ -330,6 +330,14 @@ def test_northern_breaks_equator_ties_by_fixed_axes(u, ref, north):
     assert hemisphere_sign(u, ref) == (1.0 if north else -1.0)
 
 
+def test_hemisphere_sign_takes_sequences_and_checks_that_u_is_unit():
+    assert hemisphere_sign([0, 0, 1], [0, 0, 1]) == 1.0
+    with pytest.raises(DomainError, match="hemisphere_sign's u must be a unit vector"):
+        hemisphere_sign([0.0, 0.0, 2.0], EZ)
+    with pytest.raises(DomainError, match="finite"):
+        hemisphere_sign([math.nan, 0.0, 1.0], EZ)
+
+
 def test_northern_off_the_equator_follows_the_sign_of_c():
     u = unit([1.0, 0.0, 2e-9])
     assert _northern(u, float(u @ EZ))
