@@ -10,7 +10,8 @@ terminal event on |Z|) well before the dexpinv singularity at 2*pi; a trial
 step whose stages reach that singularity is rejected and halved inside the
 stepper. The right-hand side works on float sequences and applies
 dexpinv as the vector formula ``x + (z cross x)/2 + c2(|z|) z cross (z cross x)``
-without building the matrix. Segments are chained through the
+without building the matrix; a built-in forcing does all of it in one
+generated function per forcing shape (:func:`integrate_z_segment`). Segments are chained through the
 closed-form BCH so that ``A(t) = exp_rot(prefix_i) @ exp_rot(Z_i(t))`` is
 available at any time through dense output, without matrix products drifting
 off the group. This is a Runge-Kutta-Munthe-Kaas (RKMK) method whose
@@ -54,8 +55,9 @@ from .ode import OdeSolution, _horner, solve_ivp
 from .so3 import (
     BallClass,
     _as_unit3,
+    _DEXPINV_APPLY,
     _ball_vector,
-    _dexpinv_apply,
+    _dexpinv_kernels,
     _exp_entries,
     _exp_entries_arrays,
     _finite,
@@ -175,6 +177,15 @@ def _check_forcing_value(x, t: float) -> Sequence[float]:
     raise DomainError(f"forcing returned a non-finite or misshaped value at t={t!r}")
 
 
+#: what follows X^G in a generated Z-equation right-hand side: :func:`_check_forcing_value`'s
+#: test of the forcing value x0, x1, x2 at t (which raises its error), then dexpinv
+_Z_RHS_TAIL = """\
+if not isfinite(x0 * x0 + x1 * x1 + x2 * x2):
+    _check_forcing_value((x0, x1, x2), t)
+z0, z1, z2 = z
+""" + _DEXPINV_APPLY + "return d0, d1, d2\n"
+
+
 def _time_in_range(t, t_end: float) -> float:
     """``t`` as a float; DomainError unless it is one number (:func:`_real`) in [0, t_end] (to 1e-9)."""
     s = t if type(t) is float else _real(t)
@@ -221,15 +232,25 @@ def integrate_z_segment(
 
     Returns its dense output; ``ts[-1]`` is the exit time (== t_max when no restart fired).
     DomainError unless lam is a number (:func:`_real`) and ``t_start < t_max`` are finite ones.
+
+    A built-in forcing's eval carries ``_fused_rhs = (eval, rhs_at)``, where
+    ``rhs_at(lam)`` is the right-hand side generated for its shape, bitwise
+    the composed ``dexpinv(z, check(eval(t, lam)))``; it runs only while
+    ``signal.eval`` is that very eval, and any other takes the composed path.
     """
     _check_lam(lam)
     t0, t1 = _finite(t_start, "t_start"), _finite(t_max, "t_max")
     if not t0 < t1:
         raise DomainError(f"need t_start < t_max, got {t_start!r} and {t_max!r}")
     xg = signal.eval
+    fused = getattr(xg, "_fused_rhs", None)
+    if fused is not None and fused[0] is xg:
+        rhs = fused[1](lam)
+    else:
+        _, dexpinv = _dexpinv_kernels()
 
-    def rhs(t, z):
-        return _dexpinv_apply(z, _check_forcing_value(xg(t, lam), t))
+        def rhs(t, z):
+            return dexpinv(z, _check_forcing_value(xg(t, lam), t))
 
     return _solve_segment(rhs, t0, t1, (), config or IntegratorConfig())
 
@@ -541,12 +562,13 @@ def integrate_skew_product(
     t_end = _positive(t_end, "t_end")
     q0 = _float_array(q0, (None,), "q0")
     ref = _reference(ref_dir, lambda: x_g(np.zeros(len(q0)), 0.0), "X^G at (q=0, lam=0)")
+    _, dexpinv = _dexpinv_kernels()
 
     def rhs(t, y):
         q = np.array(y[3:])
         x = _check_forcing_value(x_g(q, lam), t)
         dq = _float_array(x_n(q, lam), q.shape, "the value of x_n")
-        return [*_dexpinv_apply(y[:3], x), *dq.tolist()]
+        return [*dexpinv(y[:3], x), *dq.tolist()]
 
     segments, prefixes = _integrate_restarting(
         lambda t, q: _solve_segment(rhs, t, t_end, q, cfg), q0.tolist(), t_end

@@ -20,22 +20,25 @@ bed for the integrator, the frequency extraction, and the drift finder:
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable
 
 from .errors import ConfigError, DomainError
-from .flow import ForcingSignal, IntegratorConfig, integrate_group
+from .flow import _Z_RHS_TAIL, ForcingSignal, IntegratorConfig, _check_forcing_value, integrate_group
 from .so3 import (
+    _EXP_APPLY,
     _cross3,
     _dot3,
-    _exp_apply,
     _exp_entries,
     _exp_matrix,
     _finite,
     _finite3,
     _frob_dist,
+    _generated,
+    _indented,
     _matmul3,
     _norm3,
     _positive,
@@ -49,6 +52,62 @@ __all__ = [
     "build",
     "verify_against_closed_form",
 ]
+
+#: X^G of each forcing shape, example1-4's ``C theta' + amp Ad(exp(-C theta)) w`` and
+#: example5's ``(X0 + eps X1)(1 + eps gdot)``: how its constants unpack, and
+#: straight-line source that reads them, t, lam and omega_eff and sets x0, x1, x2
+_SHAPES = {
+    "conjugated": ("(c0, c1, c2), nu, (w0, w1, w2), amp, _", """\
+freq = omega_eff + lam
+phase = freq * t
+g = sin(phase)
+gdot = freq * cos(phase)
+theta = g if nu is None else nu * t + lam * g
+rate = gdot if nu is None else nu + lam * gdot
+v0 = -(c0 * theta)
+v1 = -(c1 * theta)
+v2 = -(c2 * theta)
+""" + _EXP_APPLY + """\
+x0 = c0 * rate + amp * r0
+x1 = c1 * rate + amp * r1
+x2 = c2 * rate + amp * r2
+"""),
+    "collinear": ("eps, (v0, v1, v2)", """\
+freq = omega_eff + lam
+rate = 1.0 + eps * (freq * cos(freq * t))
+x0 = v0 * rate
+x1 = v1 * rate
+x2 = v2 * rate
+"""),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _shape_kernel(shape: str) -> Callable:
+    """``bind(memo, lookup, omega_eff) -> xg`` for one of :data:`_SHAPES`, compiled once,
+    at the shape's first forcing. ``xg._fused_rhs = (xg, rhs_at)``: ``rhs_at(lam)`` is the
+    Z-equation's right-hand side at lam, with the value check and dexpinv
+    (:data:`_Z_RHS_TAIL`), computed with ``float(lam)``, whose floats are lam's."""
+    unpack, xg = _SHAPES[shape]
+    source = f"""\
+def bind(memo, lookup, omega_eff):
+    def xg(t, lam):
+        key, c = memo[0]
+        if lam is not key:
+            c = lookup(lam)
+        {unpack} = c
+{_indented(xg, 2)}        return [x0, x1, x2]
+    def rhs_at(lam):
+        {unpack} = lookup(lam)
+        lam = float(lam)
+        def rhs(t, z):
+{_indented(xg + _Z_RHS_TAIL, 3)}
+        return rhs
+    xg._fused_rhs = (xg, rhs_at)
+    return xg
+"""
+    return _generated(source, f"<{shape} forcing>", _check_forcing_value=_check_forcing_value)["bind"]
+
 
 @dataclass(frozen=True)
 class Frame:
@@ -101,7 +160,7 @@ class Scenario:
         return self.family == "example4"
 
     def _pieces(self, mu: float | None):
-        """(xg(t, lam), closed(t, lam, exp, mul), period(lam)) for this family at mu.
+        """(forcing_eval() -> xg, closed(t, lam, exp, mul), period(lam)) for this family at mu.
 
         Built once per mu; only the latest mu is kept, since a root find asks
         for a new mu on every evaluation. An unhashable mu (a 0-d array, or
@@ -133,7 +192,7 @@ class Scenario:
         negative or non-finite lambda raises DomainError, and constants past
         the float range ConfigError. What depends on lambda alone is
         computed once per lambda by ``constants`` and kept in a last-lambda
-        memo shared by the closures: one ``(lam, constants)`` tuple, read
+        memo shared by the closures, ``memo[0]``: one ``(lam, constants)`` tuple, read
         whole and replaced by one assignment, so a lambda is never paired
         with another lambda's constants. The memo is keyed by the lambda
         object itself (``is``): the integrator passes one object for a whole
@@ -141,11 +200,10 @@ class Scenario:
         sign) never share an entry, and an equal lambda in another object
         only recomputes.
 
-        The forcings xg run once per right-hand-side evaluation, so they work
-        on float lists (``*_l``), apply ``exp_rot(v).T @ w`` as the vector
-        Rodrigues rotation ``_exp_apply(-v, w)`` and return a list of three
-        floats, which the integrator takes without a numpy round trip. The
-        closed forms build their axis vectors as float lists from the same
+        The forcing ``xg``, made by ``forcing_eval()`` at the first
+        :meth:`forcing`, and its fused right-hand side are compiled from the
+        shape's X^G fragment (:func:`_shape_kernel`); ``xg`` returns a list of
+        three floats. The closed forms build their axis vectors as float lists from the same
         constants and return the product ``mul(exp(u), exp(v))`` of their
         Rodrigues matrices: ``exp`` and ``mul`` are ``_exp_matrix`` and
         ``@`` for :meth:`closed_form` and ``_exp_entries`` and ``_matmul3``
@@ -202,62 +260,40 @@ class Scenario:
                 return eps, [a + eps * b for a, b in zip(X0_l, x1_l)]
 
         if self.family == "example5":
-            def xg(t: float, lam: float) -> list[float]:
-                key, c = memo
-                if lam is not key:
-                    c = lookup(lam)
-                eps, (v0, v1, v2) = c
-                freq = omega_eff + lam
-                rate = 1.0 + eps * (freq * math.cos(freq * t))
-                return [v0 * rate, v1 * rate, v2 * rate]
-
             def closed(t: float, lam: float, exp, mul):
                 eps, v = lookup(lam)
                 s = t + eps * math.sin((omega_eff + lam) * t)
                 return exp(_finite3([a * s for a in v]))
 
         else:
-            def xg(t: float, lam: float) -> list[float]:
-                key, c = memo
-                if lam is not key:
-                    c = lookup(lam)
-                (c0, c1, c2), nu, w, amp, _ = c
-                freq = omega_eff + lam
-                phase = freq * t
-                g, gdot = math.sin(phase), freq * math.cos(phase)
-                if nu is None:
-                    theta, rate = g, gdot
-                else:
-                    theta, rate = nu * t + lam * g, nu + lam * gdot
-                r0, r1, r2 = _exp_apply((-(c0 * theta), -(c1 * theta), -(c2 * theta)), w)
-                return [c0 * rate + amp * r0, c1 * rate + amp * r1, c2 * rate + amp * r2]
-
             def closed(t: float, lam: float, exp, mul):
                 C, nu, _, _, u = lookup(lam)
                 g = math.sin((omega_eff + lam) * t)
                 theta = g if nu is None else nu * t + lam * g
                 return mul(exp(_finite3([a * t for a in u])), exp(_finite3([a * theta for a in C])))
 
-        memo = (object(), None)  # a key no caller can pass
+        memo = [(object(), None)]  # one (lam, constants) pair, under a key no caller can pass
 
-        # xg repeats lookup's hit test inline: it runs once per
-        # right-hand-side evaluation, and a call per evaluation costs time
         def lookup(lam: float):
-            nonlocal memo
-            key, c = memo
+            key, c = memo[0]
             if lam is not key:
                 try:
                     c = constants(_finite(lam, "lambda", nonnegative=True))
                 except OverflowError:
                     raise ConfigError(f"scenario {self.name} overflows at lambda {lam!r}") from None
-                memo = (lam, c)
+                memo[0] = (lam, c)
             return c
+
+        @functools.cache
+        def forcing_eval():
+            shape = "collinear" if self.family == "example5" else "conjugated"
+            return _shape_kernel(shape)(memo, lookup, omega_eff)
 
         def period(lam: float) -> float:
             lookup(lam)  # the lambda check
             return 2.0 * math.pi / abs(omega_eff + lam)
 
-        return xg, closed, period
+        return forcing_eval, closed, period
 
     def forcing(self, lam: float = 0.0, mu: float | None = None) -> ForcingSignal:
         """ForcingSignal for this family (mu bound here; the signal's eval
@@ -265,13 +301,18 @@ class Scenario:
 
         The eval is the family's closure itself: it may be called at any
         lambda, computes the lambda-only constants once per lambda (see
-        :meth:`_build_pieces`), and raises DomainError for a negative lambda.
+        :meth:`_build_pieces`), and raises DomainError for a negative lambda,
+        as this method does for a ``lam`` that is not a nonnegative finite number.
         """
-        xg, _, period = self._pieces(mu)
-        return ForcingSignal(eval=xg, period=period)
+        _finite(lam, "lambda", nonnegative=True)
+        forcing_eval, _, period = self._pieces(mu)
+        return ForcingSignal(eval=forcing_eval(), period=period)
 
     def closed_form(self, t: float, lam: float, mu: float | None = None):
-        """Exact A(t, lam[, mu]) for this family, as a 3x3 ndarray."""
+        """Exact A(t, lam[, mu]) for this family, as a 3x3 ndarray; DomainError
+        unless t is a finite number (:func:`rotwave.so3._real`)."""
+        if type(t) is not float or not math.isfinite(t):
+            t = _finite(t, "t")
         return self._pieces(mu)[1](t, lam, _exp_matrix, operator.matmul)
 
     def _closed_entries(self, t: float, lam: float, mu: float | None = None) -> tuple:

@@ -15,33 +15,29 @@ Scalar kernels
 The hot paths work on Python floats through :mod:`math` and build no 3x3
 matrix. :func:`exp_rot`, :func:`dexp_op` and :func:`dexpinv_op` all have the
 shape ``I + a hat(v) + b hat(v)^2``; ``_quadratic_entries`` fills it from
-floats, as a row-major tuple of nine. The two forms that the right-hand side
-of the integrator calls apply it to a vector without building it:
-
-- ``_exp_apply(v, w)``, the scalar form of ``exp_rot(v) @ w`` (vector
-  Rodrigues);
-- ``_dexpinv_apply(z, x)``, the scalar form of ``dexpinv_op(z) @ x``, behind
-  the same DEXPINV_MARGIN guard.
-
-Each is straight-line code whose only call is its coefficient function: it
-unpacks its two triples once and spells out the norm and the two cross
-products ``v x w`` and ``v x (v x w)``. A public function and its scalar form
-take ``a`` and ``b`` from the same coefficient function (``_exp_coeffs``,
-``_dexpinv_c2``). The scalar forms take 3-sequences of floats and skip
+floats, as a row-major tuple of nine. The right-hand side's two products,
+``exp_rot(v) @ w`` and ``dexpinv_op(z) @ x``, are held once, as straight-line
+source fragments (``_EXP_APPLY``; ``_DEXPINV_APPLY`` with ``_DEXPINV_C2``).
+Nothing is compiled on import: a built-in forcing shape compiles them into
+its forcing and its fused right-hand side (:mod:`rotwave.scenarios`), and
+``_dexpinv_kernels`` into :func:`dexpinv_op`'s coefficient and the composed
+right-hand side, at first use. Generated code takes float triples and skips
 validation; :func:`_vec3` runs at the public entry points only. ``_matmul3``,
 ``_matvec3`` and ``_frob_dist`` multiply and compare nine-float matrices,
 summing left to right. numpy is imported by the first call that builds an
 ndarray.
 
 ``_exp_entries_arrays`` and ``_q_map_arrays`` run the same formulas on
-triples of 1-D arrays, with math's sin mapped over the elements
+triples of 1-D arrays, with scalar functions mapped over the elements
 (``_mapped``), so that each element is bitwise its scalar value.
 """
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from ._numpy import lazy_numpy
 from .errors import DomainError, SingularityError
@@ -168,9 +164,10 @@ def _float_array(value, shape: tuple, what: str) -> np.ndarray:
 
 
 def _finite3(v):
-    """The float triple ``v`` itself; DomainError unless all three components are finite."""
+    """The float triple ``v`` itself; DomainError unless its squared norm is finite
+    (:func:`_vec3`'s rule, which Rodrigues needs: an infinite angle has no sine)."""
     x, y, z = v
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+    if not math.isfinite(x * x + y * y + z * z):
         raise DomainError("expected a finite 3-vector")
     return v
 
@@ -234,50 +231,23 @@ def _quadratic_entries(v, a: float, b: float) -> tuple:
 def _exp_coeffs(theta: float) -> tuple[float, float]:
     # sin(t)/t and (1 - cos t)/t^2 = 2 sin^2(t/2)/t^2, series-switched
     if theta < SERIES_RADIUS:
-        return _exp_series(theta * theta)
-    return _exp_closed(theta, math.sin(theta), math.sin(0.5 * theta))
-
-
-def _exp_series(t2):
-    """The Taylor polynomials of the two Rodrigues coefficients in ``t2 = theta^2``."""
-    a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0
-    b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 * t2 * t2 / 40320.0
-    return a, b
-
-
-def _exp_closed(theta, sin_theta, sin_half):
-    """The two Rodrigues coefficients from ``sin(theta)`` and ``sin(theta/2)``."""
-    return sin_theta / theta, 2.0 * sin_half * sin_half / (theta * theta)
+        t2 = theta * theta
+        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0
+        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 * t2 * t2 / 40320.0
+        return a, b
+    sin_half = math.sin(0.5 * theta)
+    return math.sin(theta) / theta, 2.0 * sin_half * sin_half / (theta * theta)
 
 
 def _mapped(f, *arrays) -> np.ndarray:
-    """The math function ``f`` elementwise over 1-D arrays: math's rounding, not numpy's."""
+    """The scalar function ``f`` elementwise over 1-D arrays: math's rounding, not numpy's."""
     return np.array(list(map(f, *(a.tolist() for a in arrays))), dtype=float)
 
 
 def _exp_entries_arrays(v) -> tuple:
     """:func:`_exp_entries` of a triple of arrays, elementwise: nine arrays."""
-    theta = np.sqrt(_dot3(v, v))
-    near = theta < SERIES_RADIUS
-    closed = _exp_closed(theta, _mapped(math.sin, theta), _mapped(math.sin, 0.5 * theta))
-    a, b = (np.where(near, s, c) for s, c in zip(_exp_series(theta * theta), closed))
+    a, b = _mapped(_exp_coeffs, np.sqrt(_dot3(v, v))).reshape(-1, 2).T
     return _quadratic_entries(v, a, b)
-
-
-def _exp_apply(v, w) -> tuple[float, float, float]:
-    """Scalar form of ``exp_rot(v) @ w`` (vector Rodrigues) on float triples:
-    ``w + a v x w + b v x (v x w)``."""
-    v0, v1, v2 = v
-    w0, w1, w2 = w
-    a, b = _exp_coeffs(math.sqrt(v0 * v0 + v1 * v1 + v2 * v2))
-    c0 = v1 * w2 - v2 * w1
-    c1 = v2 * w0 - v0 * w2
-    c2 = v0 * w1 - v1 * w0
-    return (
-        w0 + a * c0 + b * (v1 * c2 - v2 * c1),
-        w1 + a * c1 + b * (v2 * c0 - v0 * c2),
-        w2 + a * c2 + b * (v0 * c1 - v1 * c0),
-    )
 
 
 def _exp_entries(v) -> tuple:
@@ -553,20 +523,6 @@ def dexp_op(z: np.ndarray) -> np.ndarray:
     return np.array(_quadratic_entries(z, *_dexp_coeffs(_norm3(z)))).reshape(3, 3)
 
 
-def _dexpinv_c2(theta: float) -> float:
-    """Coefficient of hat(z)^2 in dexpinv; raises within DEXPINV_MARGIN of 2*pi."""
-    if theta < SERIES_RADIUS:
-        t2 = theta * theta
-        return 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0 + t2 * t2 * t2 / 1209600.0
-    if theta >= 2.0 * math.pi - DEXPINV_MARGIN:
-        raise SingularityError(
-            f"dexpinv evaluated at |z| = {theta:.6f}, within {DEXPINV_MARGIN:g} of 2*pi"
-        )
-    return 1.0 / (theta * theta) - math.cos(0.5 * theta) / (
-        2.0 * math.sin(0.5 * theta) * theta
-    )
-
-
 def dexpinv_op(z: np.ndarray) -> np.ndarray:
     """Inverse of :func:`dexp_op`: ``Zdot = dexpinv_op(Z) @ X`` solves the group ODE.
 
@@ -575,23 +531,64 @@ def dexpinv_op(z: np.ndarray) -> np.ndarray:
     long before reaching it).
     """
     z = _vec3(z)
-    return np.array(_quadratic_entries(z, 0.5, _dexpinv_c2(_norm3(z)))).reshape(3, 3)
+    c2, _ = _dexpinv_kernels()
+    return np.array(_quadratic_entries(z, 0.5, c2(_norm3(z)))).reshape(3, 3)
 
 
-def _dexpinv_apply(z, x) -> tuple[float, float, float]:
-    """Scalar form of ``dexpinv_op(z) @ x``: ``x + (z cross x)/2 + c2 z cross (z cross x)``.
+#: ``exp_rot(v) @ w`` by the vector Rodrigues formula ``w + a v x w + b v x (v x w)``,
+#: as straight-line source: reads the floats v0, v1, v2 and w0, w1, w2, sets r0, r1, r2
+_EXP_APPLY = """\
+ra, rb = _exp_coeffs(sqrt(v0 * v0 + v1 * v1 + v2 * v2))
+rc0 = v1 * w2 - v2 * w1
+rc1 = v2 * w0 - v0 * w2
+rc2 = v0 * w1 - v1 * w0
+r0 = w0 + ra * rc0 + rb * (v1 * rc2 - v2 * rc1)
+r1 = w1 + ra * rc1 + rb * (v2 * rc0 - v0 * rc2)
+r2 = w2 + ra * rc2 + rb * (v0 * rc1 - v1 * rc0)
+"""
 
-    Raises SingularityError within DEXPINV_MARGIN of ``|z| = 2*pi``, as
-    :func:`dexpinv_op` does.
-    """
-    z0, z1, z2 = z
-    x0, x1, x2 = x
-    b = _dexpinv_c2(math.sqrt(z0 * z0 + z1 * z1 + z2 * z2))
-    c0 = z1 * x2 - z2 * x1
-    c1 = z2 * x0 - z0 * x2
-    c2 = z0 * x1 - z1 * x0
-    return (
-        x0 + 0.5 * c0 + b * (z1 * c2 - z2 * c1),
-        x1 + 0.5 * c1 + b * (z2 * c0 - z0 * c2),
-        x2 + 0.5 * c2 + b * (z0 * c1 - z1 * c0),
+#: the coefficient of hat(z)^2 in dexpinv, ``1/t^2 - cos(t/2)/(2 t sin(t/2))``, in the
+#: same form: reads dt = |z|, sets db, raises SingularityError within DEXPINV_MARGIN of 2*pi
+_DEXPINV_C2 = """\
+if dt < SERIES_RADIUS:
+    dt2 = dt * dt
+    db = 1.0 / 12.0 + dt2 / 720.0 + dt2 * dt2 / 30240.0 + dt2 * dt2 * dt2 / 1209600.0
+elif dt >= 2.0 * pi - DEXPINV_MARGIN:
+    raise SingularityError(f"dexpinv evaluated at |z| = {dt:.6f}, within {DEXPINV_MARGIN:g} of 2*pi")
+else:
+    db = 1.0 / (dt * dt) - cos(0.5 * dt) / (2.0 * sin(0.5 * dt) * dt)
+"""
+
+#: ``dexpinv_op(z) @ x = x + (z x x)/2 + c2 z x (z x x)``: reads z0..z2 and x0..x2, sets d0..d2
+_DEXPINV_APPLY = "dt = sqrt(z0 * z0 + z1 * z1 + z2 * z2)\n" + _DEXPINV_C2 + """\
+dc0 = z1 * x2 - z2 * x1
+dc1 = z2 * x0 - z0 * x2
+dc2 = z0 * x1 - z1 * x0
+d0 = x0 + 0.5 * dc0 + db * (z1 * dc2 - z2 * dc1)
+d1 = x1 + 0.5 * dc1 + db * (z2 * dc0 - z0 * dc2)
+d2 = x2 + 0.5 * dc2 + db * (z0 * dc1 - z1 * dc0)
+"""
+
+
+def _indented(fragment: str, depth: int) -> str:
+    """``fragment`` with each line indented ``depth`` levels, to splice into generated source."""
+    return "".join("    " * depth + line for line in fragment.splitlines(True))
+
+
+def _generated(source: str, filename: str, **names) -> dict:
+    """The namespace in which ``source`` ran, with math's names, this module's and ``names``."""
+    namespace = {**vars(math), **globals(), **names}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
+@functools.lru_cache(maxsize=None)
+def _dexpinv_kernels() -> tuple[Callable, Callable]:
+    """``c2(|z|)`` and ``apply(z, x) = dexpinv_op(z) @ x`` on floats, compiled at first use."""
+    namespace = _generated(
+        "def c2(dt):\n" + _indented(_DEXPINV_C2, 1) + "    return db\n\n"
+        "def apply(z, x):\n    z0, z1, z2 = z\n    x0, x1, x2 = x\n"
+        + _indented(_DEXPINV_APPLY, 1) + "    return d0, d1, d2\n",
+        "<dexpinv kernels>",
     )
+    return namespace["c2"], namespace["apply"]

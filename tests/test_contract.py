@@ -179,7 +179,9 @@ SLOTS = [
      lambda v: verify_against_closed_form(EX4, LAM, v), "number", 0.1),
     ("Scenario.period lam", lambda v: EX4.period(v), "number", LAM),
     ("Scenario.period mu", lambda v: EX4.period(LAM, v), "number", 0.1),
+    ("Scenario.forcing lam", lambda v: SC.forcing(v), "number", LAM),
     ("Scenario.forcing mu", lambda v: EX4.forcing(LAM, v), "number", 0.1),
+    ("Scenario.closed_form t", lambda v: SC.closed_form(v, LAM), "time", T),
     # the samplers of the trajectory-like results
     ("GroupTrajectory.class_at", TRAJ.class_at, "time", T),
     ("GroupTrajectory.eval_Z", TRAJ.eval_Z, "time", T),
@@ -273,6 +275,8 @@ def test_every_public_input_succeeds_or_raises_a_rotwave_error(value):
         (ConfigError, lambda: IntegratorConfig(rtol="1e-8")),
         (ConfigError, lambda: build("case1", r="3")),
         (ConfigError, lambda: EX4.forcing(0.01, "0.1")),
+        (DomainError, lambda: SC.forcing("x")),
+        (DomainError, lambda: SC.closed_form("1", 0.1)),
         (ConfigError, lambda: Frame(x0_dir="001", x1="100", x2="010")),
     ],
 )

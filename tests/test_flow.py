@@ -3,6 +3,10 @@ import bisect
 import dataclasses
 import functools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,7 +37,7 @@ from rotwave import (
 from rotwave import flow
 from rotwave.ode import solve_ivp
 from rotwave.scenarios import Frame, build
-from rotwave.so3 import _dexpinv_apply
+from rotwave.so3 import _dexpinv_kernels
 
 EX = np.array([1.0, 0.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
@@ -153,6 +157,7 @@ def test_constant_forcing_reproduces_exponential():
 def count_solves_and_singular_stages(monkeypatch):
     """Lists that grow by one per ``solve_ivp`` call and per singular dexpinv stage."""
     solves, singular = [], []
+    c2, apply = _dexpinv_kernels()
 
     def counted_solve(*args, **kwargs):
         solves.append(1)
@@ -160,13 +165,13 @@ def count_solves_and_singular_stages(monkeypatch):
 
     def counted_apply(z, v):
         try:
-            return _dexpinv_apply(z, v)
+            return apply(z, v)
         except SingularityError:
             singular.append(1)
             raise
 
     monkeypatch.setattr(flow, "solve_ivp", counted_solve)
-    monkeypatch.setattr(flow, "_dexpinv_apply", counted_apply)
+    monkeypatch.setattr(flow, "_dexpinv_kernels", lambda: (c2, counted_apply))
     return solves, singular
 
 
@@ -402,6 +407,127 @@ def test_non_unit_ref_dir_fails_before_integrating(monkeypatch):
             ref_dir=[0.0, 1e-3, 1.0],
         )
     assert calls == []
+
+
+# ------------------------------------------------ the generated right-hand sides
+
+#: (name, overrides, mu) of every forcing family, and example4 at k = 2, 3 off mu = 0
+GENERATED_CASES = [(name, {}, None) for name in (
+    "case1", "case2", "case3", "example1", "example2", "example3", "example4", "example5"
+)] + [("example4", {"k": 2}, 0.1), ("example4", {"k": 3}, 0.2), ("example4", {}, 0.05)]
+
+
+def generated_and_composed(sc, lam, mu):
+    """The right-hand side generated for a built-in forcing at lam, and the composed one."""
+    xg = sc.forcing(lam, mu).eval
+    assert xg._fused_rhs[0] is xg
+    _, apply = _dexpinv_kernels()
+    return xg._fused_rhs[1](lam), lambda t, z: apply(z, flow._check_forcing_value(xg(t, lam), t))
+
+
+def outcome(rhs, t, z):
+    """The bits of ``rhs(t, z)``, or the type and message of what it raises."""
+    try:
+        return [v.hex() for v in rhs(t, z)]
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def random_states(rng, n):
+    """(t, Z) pairs: t on [0, 3] and at or just past 0, where exp's angle is below
+    SERIES_RADIUS; |Z| below SERIES_RADIUS, between it and 2 pi, and within
+    DEXPINV_MARGIN of 2 pi and past it, where dexpinv raises."""
+    ts = np.concatenate([rng.uniform(0.0, 3.0, n), 10.0 ** rng.uniform(-12, -6, n), [0.0]])
+    norms = np.concatenate([
+        10.0 ** rng.uniform(-12, -4, n),
+        rng.uniform(1e-4, 2 * np.pi - 1e-3, n),
+        2 * np.pi + rng.uniform(-2e-6, 1e-6, n),
+        [0.0],
+    ])
+    dirs = rng.normal(size=(len(norms), 3))
+    zs = dirs / np.linalg.norm(dirs, axis=1)[:, None] * norms[:, None]
+    return [(t, z) for t, z in zip(rng.permutation(np.resize(ts, len(zs))).tolist(), zs.tolist())]
+
+
+@pytest.mark.parametrize("name, overrides, mu", GENERATED_CASES)
+def test_generated_rhs_is_bitwise_the_composed_one(name, overrides, mu):
+    rng = np.random.default_rng(22)
+    sc = build(name, **overrides)
+    states = random_states(rng, 60)
+    seen = set()
+    for lam in (0.0, -0.0, 1e-10, 1e-4, 0.05, float(rng.uniform(0.0, 0.1))):
+        fused, composed = generated_and_composed(sc, lam, mu)
+        for t, z in states:
+            got = outcome(fused, t, z)
+            assert got == outcome(composed, t, z), (name, lam, t, z)
+            seen.add(got[0] if isinstance(got, tuple) else float)
+    assert seen == {float, SingularityError}
+
+
+@pytest.mark.parametrize("name", ["case1", "example5"])
+def test_generated_rhs_raises_the_composed_error_for_an_overflowing_forcing(name):
+    # |X^G| ~ 1e300: the squared norm overflows, and the value check fires
+    # before dexpinv's singularity guard
+    sc = build(name, x0_norm=1e300)
+    fused, composed = generated_and_composed(sc, 0.05, None)
+    for t, z in [(0.1, [0.0, 0.0, 0.0]), (0.7, [2 * np.pi, 0.0, 0.0])]:
+        want = (DomainError, f"forcing returned a non-finite or misshaped value at t={t!r}")
+        assert outcome(fused, t, z) == outcome(composed, t, z) == want
+
+
+@pytest.mark.parametrize("name, overrides, mu", GENERATED_CASES)
+def test_integration_takes_the_same_steps_through_the_generated_rhs(name, overrides, mu, monkeypatch):
+    # a wrapped eval, as a tracer makes it, takes the composed path: the same
+    # steps, the same right-hand-side calls and the same samples
+    sc = build(name, **overrides)
+    lam = 0.05
+    sig = sc.forcing(lam, mu)
+    wrapped = dataclasses.replace(sig, eval=functools.wraps(sig.eval)(lambda t, l: sig.eval(t, l)))
+    solves, checks = [], []
+
+    def recorded_solve(*args, **kwargs):
+        solves.append(solve_ivp(*args, **kwargs))
+        return solves[-1]
+
+    def counted_check(x, t):
+        checks.append(t)
+        return check(x, t)
+
+    check = flow._check_forcing_value
+    monkeypatch.setattr(flow, "solve_ivp", recorded_solve)
+    monkeypatch.setattr(flow, "_check_forcing_value", counted_check)
+    runs = []
+    for signal in (sig, wrapped):
+        solves.clear()
+        checks.clear()
+        traj = integrate_group(signal, lam, 3.5 * sc.period(lam, mu), ref_dir=sc.frame.x0_dir)
+        samples = traj.eval_A(np.linspace(0.0, traj.t_end, 97)).tobytes()
+        steps = [(r.nfev, len(r.t) - 1, r.singular_rejections, r.t) for r in solves]
+        runs.append((steps, samples, len(checks)))
+    (fused_steps, fused_samples, fused_checks), (steps, samples, checks_made) = runs
+    assert fused_steps == steps and fused_samples == samples
+    assert fused_checks == 0 < checks_made
+
+
+def test_kernels_compile_at_first_use_once_per_shape():
+    # import rotwave, bch and --dump-config compile nothing; the families'
+    # first integrations compile the DOP853 step and the two forcing shapes
+    code = """if True:
+        import contextlib, io, rotwave
+        from rotwave import ode, scenarios, so3
+        from rotwave.cli import main
+        caches = (ode._step_kernel, so3._dexpinv_kernels, scenarios._shape_kernel)
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["bch", "0", "0", "1", "1", "0", "0", "--check"])
+            main(["simulate", "--dump-config"])
+        print([c.cache_info().currsize for c in caches])
+        for name in scenarios.available():
+            rotwave.verify_against_closed_form(scenarios.build(name), 0.01)
+        print([c.cache_info().currsize for c in caches])
+    """
+    env = dict(os.environ, PYTHONPATH=str(Path(flow.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert run.stdout.splitlines() == ["[0, 0, 0]", "[1, 0, 2]"], run.stderr
 
 
 # --------------------------------------------------------- the sampling chain

@@ -25,7 +25,7 @@ from rotwave import (
     stuart_landau,
 )
 from rotwave.scenarios import build
-from rotwave.so3 import _dexpinv_apply, _norm3
+from rotwave.so3 import _dexpinv_kernels, _norm3
 
 FAMILIES = ("case1", "case2", "case3", "example4", "example5")
 RTOL, ATOL, CUTOFF = 1e-10, 1e-12, math.pi - 0.1
@@ -33,9 +33,10 @@ RTOL, ATOL, CUTOFF = 1e-10, 1e-12, math.pi - 0.1
 
 def _first_segment_problem(family, lam):
     sig = build(family).forcing(lam)
+    _, dexpinv_apply = _dexpinv_kernels()
 
     def rhs(t, z):
-        return _dexpinv_apply(z, np.asarray(sig.eval(t, lam)).tolist())
+        return dexpinv_apply(z, np.asarray(sig.eval(t, lam)).tolist())
 
     def boundary(t, z):
         return _norm3(z[:3]) - CUTOFF

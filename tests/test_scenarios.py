@@ -7,7 +7,9 @@ import pytest
 
 from rotwave import ConfigError, DomainError, exp_rot, hat
 from rotwave.scenarios import Frame, available, build, verify_against_closed_form
-from rotwave.so3 import _exp_apply
+from rotwave.so3 import _exp_coeffs
+
+import oracles
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
@@ -206,6 +208,11 @@ def test_integrator_matches_closed_form():
 
 
 # ------------------------------------------ bitwise guard on the closures
+
+def _exp_apply(v, w):
+    """``exp_rot(v) @ w`` by the vector Rodrigues formula, composed as the library once did."""
+    return oracles.quadratic_apply_composed(v, w, *_exp_coeffs(oracles.norm3_composed(v)))
+
 
 def reference_pieces(sc, mu=None):
     """(xg, closed) recomputing every constant on each call: the forcings

@@ -26,18 +26,27 @@ from rotwave import (
     vee,
 )
 from rotwave.so3 import (
+    _EXP_APPLY,
     SERIES_RADIUS,
     _ball_vector,
+    _dexpinv_kernels,
     _exp_entries,
     _exp_entries_arrays,
+    _generated,
+    _indented,
     _q_map_arrays,
-    _dexpinv_apply,
-    _dexpinv_c2,
-    _exp_apply,
     _exp_coeffs,
     _northern,
     _q_map,
 )
+
+#: the Rodrigues fragment as a function of two float triples, and the dexpinv kernels
+_exp_apply = _generated(
+    "def exp_apply(v, w):\n    v0, v1, v2 = v\n    w0, w1, w2 = w\n"
+    + _indented(_EXP_APPLY, 1) + "    return r0, r1, r2\n",
+    "<exp_apply>",
+)["exp_apply"]
+_dexpinv_c2, _dexpinv_apply = _dexpinv_kernels()
 
 EX = np.array([1.0, 0.0, 0.0])
 EY = np.array([0.0, 1.0, 0.0])
