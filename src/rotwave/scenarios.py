@@ -84,18 +84,15 @@ x2 = v2 * rate
 
 @functools.lru_cache(maxsize=None)
 def _shape_kernel(shape: str) -> Callable:
-    """``bind(memo, lookup, omega_eff) -> xg`` for one of :data:`_SHAPES`, compiled once,
+    """``bind(lookup, omega_eff) -> xg`` for one of :data:`_SHAPES`, compiled once,
     at the shape's first forcing. ``xg._fused_rhs = (xg, rhs_at)``: ``rhs_at(lam)`` is the
     Z-equation's right-hand side at lam, with the value check and dexpinv
     (:data:`_Z_RHS_TAIL`), computed with ``float(lam)``, whose floats are lam's."""
     unpack, xg = _SHAPES[shape]
     source = f"""\
-def bind(memo, lookup, omega_eff):
+def bind(lookup, omega_eff):
     def xg(t, lam):
-        key, c = memo[0]
-        if lam is not key:
-            c = lookup(lam)
-        {unpack} = c
+        {unpack} = lookup(lam)
 {_indented(xg, 2)}        return [x0, x1, x2]
     def rhs_at(lam):
         {unpack} = lookup(lam)
@@ -192,7 +189,7 @@ class Scenario:
         negative or non-finite lambda raises DomainError, and constants past
         the float range ConfigError. What depends on lambda alone is
         computed once per lambda by ``constants`` and kept in a last-lambda
-        memo shared by the closures, ``memo[0]``: one ``(lam, constants)`` tuple, read
+        memo shared by the closures: one ``(lam, constants)`` tuple, read
         whole and replaced by one assignment, so a lambda is never paired
         with another lambda's constants. The memo is keyed by the lambda
         object itself (``is``): the integrator passes one object for a whole
@@ -202,9 +199,9 @@ class Scenario:
 
         The forcing ``xg``, made by ``forcing_eval()`` at the first
         :meth:`forcing`, and its fused right-hand side are compiled from the
-        shape's X^G fragment (:func:`_shape_kernel`); ``xg`` returns a list of
-        three floats. The closed forms build their axis vectors as float lists from the same
-        constants and return the product ``mul(exp(u), exp(v))`` of their
+        shape's X^G fragment (:func:`_shape_kernel`); ``xg`` returns a list
+        of three floats. The closed forms build their axis vectors as float
+        lists from the same constants and return the product ``mul(exp(u), exp(v))`` of their
         Rodrigues matrices: ``exp`` and ``mul`` are ``_exp_matrix`` and
         ``@`` for :meth:`closed_form` and ``_exp_entries`` and ``_matmul3``
         on the float chain. Each float operation is that of the module
@@ -272,22 +269,23 @@ class Scenario:
                 theta = g if nu is None else nu * t + lam * g
                 return mul(exp(_finite3([a * t for a in u])), exp(_finite3([a * theta for a in C])))
 
-        memo = [(object(), None)]  # one (lam, constants) pair, under a key no caller can pass
+        memo = (object(), None)  # a key no caller can pass
 
         def lookup(lam: float):
-            key, c = memo[0]
+            nonlocal memo
+            key, c = memo
             if lam is not key:
                 try:
                     c = constants(_finite(lam, "lambda", nonnegative=True))
                 except OverflowError:
                     raise ConfigError(f"scenario {self.name} overflows at lambda {lam!r}") from None
-                memo[0] = (lam, c)
+                memo = (lam, c)
             return c
 
         @functools.cache
         def forcing_eval():
             shape = "collinear" if self.family == "example5" else "conjugated"
-            return _shape_kernel(shape)(memo, lookup, omega_eff)
+            return _shape_kernel(shape)(lookup, omega_eff)
 
         def period(lam: float) -> float:
             lookup(lam)  # the lambda check

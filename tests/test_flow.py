@@ -455,7 +455,8 @@ def test_generated_rhs_is_bitwise_the_composed_one(name, overrides, mu):
     sc = build(name, **overrides)
     states = random_states(rng, 60)
     seen = set()
-    for lam in (0.0, -0.0, 1e-10, 1e-4, 0.05, float(rng.uniform(0.0, 0.1))):
+    # an int and a numpy lambda give the floats that the float lambda does
+    for lam in (0.0, -0.0, 1e-10, 1e-4, 0.05, float(rng.uniform(0.0, 0.1)), 1, np.float64(0.05)):
         fused, composed = generated_and_composed(sc, lam, mu)
         for t, z in states:
             got = outcome(fused, t, z)
