@@ -10,9 +10,9 @@ terminal event on |Z|) well before the dexpinv singularity at 2*pi; a trial
 step whose stages reach that singularity is rejected and halved inside the
 stepper. The right-hand side works on float sequences and applies
 dexpinv as the vector formula ``x + (z cross x)/2 + c2(|z|) z cross (z cross x)``
-without building the matrix; a built-in forcing does all of it in one
-generated function per forcing shape (:func:`integrate_z_segment`). Segments are chained through the
-closed-form BCH so that ``A(t) = exp_rot(prefix_i) @ exp_rot(Z_i(t))`` is
+without building the matrix; a built-in forcing does all of it in one generated
+function per forcing shape (:func:`integrate_z_segment`). Segments are chained
+through the closed-form BCH so that ``A(t) = exp_rot(prefix_i) @ exp_rot(Z_i(t))`` is
 available at any time through dense output, without matrix products drifting
 off the group. This is a Runge-Kutta-Munthe-Kaas (RKMK) method whose
 exponential coordinates are re-centred at each restart: H. Munthe-Kaas,
@@ -53,9 +53,9 @@ from .errors import (
 )
 from .ode import OdeSolution, _horner, solve_ivp
 from .so3 import (
+    _DEXPINV_APPLY,
     BallClass,
     _as_unit3,
-    _DEXPINV_APPLY,
     _ball_vector,
     _dexpinv_kernels,
     _exp_entries,

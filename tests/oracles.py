@@ -5,8 +5,9 @@ under test: rotation composition goes through unit quaternions, matrices come
 from the quaternion-to-matrix formula, and singular-limit coefficients come
 from extended-precision evaluation or explicit Taylor polynomials. None of
 these functions import from ``rotwave``. The exception to the different
-route is the composed kernel form (:func:`quadratic_apply_composed`), which
-repeats the library's arithmetic in its earlier shape to pin it bit for bit.
+route is the composed kernel form (:func:`quadratic_apply_composed`, with
+:func:`c2_composed`), which repeats the library's arithmetic in its earlier
+shape to pin it bit for bit.
 """
 import math
 
@@ -145,6 +146,15 @@ def c2_ref(theta):
     t = np.longdouble(theta)
     val = 1.0 / (t * t) - np.cos(t / 2.0) / (2.0 * np.sin(t / 2.0) * t)
     return float(val)
+
+
+def c2_composed(theta):
+    """c2 in doubles as the library once computed it, below its singularity guard:
+    the bitwise reference for the generated dexpinv kernels."""
+    if theta < 1e-4:
+        t2 = theta * theta
+        return 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0 + t2 * t2 * t2 / 1209600.0
+    return 1.0 / (theta * theta) - math.cos(0.5 * theta) / (2.0 * math.sin(0.5 * theta) * theta)
 
 
 def norm3_composed(v):

@@ -490,15 +490,15 @@ def test_straight_line_kernels_are_bitwise_the_composed_forms():
         want = oracles.quadratic_apply_composed(v, w, *_exp_coeffs(oracles.norm3_composed(v)))
         assert _bits(_exp_apply(v, w)) == _bits(want)
     for z, x in pairs(dexpinv_vs):
-        want = oracles.quadratic_apply_composed(z, x, 0.5, _dexpinv_c2(oracles.norm3_composed(z)))
+        want = oracles.quadratic_apply_composed(z, x, 0.5, oracles.c2_composed(oracles.norm3_composed(z)))
         assert _bits(_dexpinv_apply(z, x)) == _bits(want)
-    # at 2 pi both raise the same SingularityError
+    # at 2 pi the matrix and the vector form raise the same SingularityError
     z = (2 * np.pi * unit([1.0, 2.0, -0.5])).tolist()
-    with pytest.raises(SingularityError) as composed:
-        oracles.quadratic_apply_composed(z, nonzero, 0.5, _dexpinv_c2(oracles.norm3_composed(z)))
+    with pytest.raises(SingularityError) as matrix:
+        dexpinv_op(z)
     with pytest.raises(SingularityError) as flat:
         _dexpinv_apply(z, nonzero)
-    assert str(flat.value) == str(composed.value)
+    assert str(flat.value) == str(matrix.value) == "dexpinv evaluated at |z| = 6.283185, within 1e-06 of 2*pi"
 
 
 def test_dexp_derivative_property():
