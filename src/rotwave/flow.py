@@ -232,27 +232,24 @@ def integrate_z_segment(
 
     Returns its dense output; ``ts[-1]`` is the exit time (== t_max when no restart fired).
     DomainError unless lam is a number (:func:`_real`) and ``t_start < t_max`` are finite ones.
-
-    A built-in forcing's eval carries ``_fused_rhs = (eval, rhs_at)``, where
-    ``rhs_at(lam)`` is the right-hand side generated for its shape, bitwise
-    the composed ``dexpinv(z, check(eval(t, lam)))``; it runs only while
-    ``signal.eval`` is that very eval, and any other takes the composed path.
     """
     _check_lam(lam)
     t0, t1 = _finite(t_start, "t_start"), _finite(t_max, "t_max")
     if not t0 < t1:
         raise DomainError(f"need t_start < t_max, got {t_start!r} and {t_max!r}")
-    xg = signal.eval
+    return _solve_segment(_z_rhs(signal.eval, lam), t0, t1, (), config or IntegratorConfig())
+
+
+def _z_rhs(xg: Callable, lam: float) -> Callable:
+    """The Z-equation's right-hand side ``dexpinv(z, check(xg(t, lam)))``: the one generated
+    for a built-in forcing's shape (``xg._fused_rhs = (xg, rhs_at)``) while xg is that very
+    eval and lam is an int or a float, whose arithmetic is ``float(lam)``'s; else the
+    composed one (the sums of a numpy.float32 lam stay float32)."""
     fused = getattr(xg, "_fused_rhs", None)
-    if fused is not None and fused[0] is xg:
-        rhs = fused[1](lam)
-    else:
-        _, dexpinv = _dexpinv_kernels()
-
-        def rhs(t, z):
-            return dexpinv(z, _check_forcing_value(xg(t, lam), t))
-
-    return _solve_segment(rhs, t0, t1, (), config or IntegratorConfig())
+    if fused is not None and fused[0] is xg and isinstance(lam, (int, float)):
+        return fused[1](lam)
+    _, dexpinv = _dexpinv_kernels()
+    return lambda t, z: dexpinv(z, _check_forcing_value(xg(t, lam), t))
 
 
 @dataclass

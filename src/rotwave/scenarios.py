@@ -84,15 +84,17 @@ x2 = v2 * rate
 
 @functools.lru_cache(maxsize=None)
 def _shape_kernel(shape: str) -> Callable:
-    """``bind(lookup, omega_eff) -> xg`` for one of :data:`_SHAPES`, compiled once,
-    at the shape's first forcing. ``xg._fused_rhs = (xg, rhs_at)``: ``rhs_at(lam)`` is the
-    Z-equation's right-hand side at lam, with the value check and dexpinv
-    (:data:`_Z_RHS_TAIL`), computed with ``float(lam)``, whose floats are lam's."""
+    """``bind(lookup, memo, omega_eff) -> xg`` for one of :data:`_SHAPES`, compiled once, at
+    the shape's first forcing; ``xg``, run once per right-hand side, tests ``memo[0]`` inline,
+    not by a call. ``xg._fused_rhs = (xg, rhs_at)``: ``rhs_at(lam)`` is the Z-equation's right-hand
+    side at lam with the value check and dexpinv (:data:`_Z_RHS_TAIL`), computed with
+    ``float(lam)``, lam's floats for the int or float lam that ``flow._z_rhs`` gives it."""
     unpack, xg = _SHAPES[shape]
     source = f"""\
-def bind(lookup, omega_eff):
+def bind(lookup, memo, omega_eff):
     def xg(t, lam):
-        {unpack} = lookup(lam)
+        key, c = memo[0]
+        {unpack} = c if lam is key else lookup(lam)
 {_indented(xg, 2)}        return [x0, x1, x2]
     def rhs_at(lam):
         {unpack} = lookup(lam)
@@ -189,8 +191,8 @@ class Scenario:
         negative or non-finite lambda raises DomainError, and constants past
         the float range ConfigError. What depends on lambda alone is
         computed once per lambda by ``constants`` and kept in a last-lambda
-        memo shared by the closures: one ``(lam, constants)`` tuple, read
-        whole and replaced by one assignment, so a lambda is never paired
+        memo shared by the closures: one ``(lam, constants)`` tuple, the
+        one item of a list, read whole and replaced by one assignment, so a lambda is never paired
         with another lambda's constants. The memo is keyed by the lambda
         object itself (``is``): the integrator passes one object for a whole
         run, ``-0.0`` and ``0.0`` (equal, but with constants of different
@@ -269,23 +271,22 @@ class Scenario:
                 theta = g if nu is None else nu * t + lam * g
                 return mul(exp(_finite3([a * t for a in u])), exp(_finite3([a * theta for a in C])))
 
-        memo = (object(), None)  # a key no caller can pass
+        memo = [(object(), None)]  # a key no caller can pass
 
         def lookup(lam: float):
-            nonlocal memo
-            key, c = memo
+            key, c = memo[0]
             if lam is not key:
                 try:
                     c = constants(_finite(lam, "lambda", nonnegative=True))
                 except OverflowError:
                     raise ConfigError(f"scenario {self.name} overflows at lambda {lam!r}") from None
-                memo = (lam, c)
+                memo[0] = (lam, c)
             return c
 
         @functools.cache
         def forcing_eval():
             shape = "collinear" if self.family == "example5" else "conjugated"
-            return _shape_kernel(shape)(lookup, omega_eff)
+            return _shape_kernel(shape)(lookup, memo, omega_eff)
 
         def period(lam: float) -> float:
             lookup(lam)  # the lambda check

@@ -418,11 +418,11 @@ GENERATED_CASES = [(name, {}, None) for name in (
 
 
 def generated_and_composed(sc, lam, mu):
-    """The right-hand side generated for a built-in forcing at lam, and the composed one."""
+    """The right-hand side that the integrator runs for a built-in forcing at lam, and the composed one."""
     xg = sc.forcing(lam, mu).eval
     assert xg._fused_rhs[0] is xg
     _, apply = _dexpinv_kernels()
-    return xg._fused_rhs[1](lam), lambda t, z: apply(z, flow._check_forcing_value(xg(t, lam), t))
+    return flow._z_rhs(xg, lam), lambda t, z: apply(z, flow._check_forcing_value(xg(t, lam), t))
 
 
 def outcome(rhs, t, z):
@@ -455,8 +455,9 @@ def test_generated_rhs_is_bitwise_the_composed_one(name, overrides, mu):
     sc = build(name, **overrides)
     states = random_states(rng, 60)
     seen = set()
-    # an int and a numpy lambda give the floats that the float lambda does
-    for lam in (0.0, -0.0, 1e-10, 1e-4, 0.05, float(rng.uniform(0.0, 0.1)), 1, np.float64(0.05)):
+    # an int and a numpy.float64 lambda give the floats that the float lambda
+    # does; a numpy.float32 one, whose sums stay float32, takes the composed path
+    for lam in (0.0, -0.0, 1e-10, 1e-4, 0.05, float(rng.uniform(0.0, 0.1)), 1, np.float64(0.05), np.float32(0.05)):
         fused, composed = generated_and_composed(sc, lam, mu)
         for t, z in states:
             got = outcome(fused, t, z)
