@@ -11,7 +11,7 @@ step whose stages reach that singularity is rejected and halved inside the
 stepper. The right-hand side works on float sequences and applies
 dexpinv as the vector formula ``x + (z cross x)/2 + c2(|z|) z cross (z cross x)``
 without building the matrix; a built-in forcing does all of it in one generated
-function per forcing shape (:func:`integrate_z_segment`). Segments are chained
+function per forcing shape (:func:`_z_rhs`). Segments are chained
 through the closed-form BCH so that ``A(t) = exp_rot(prefix_i) @ exp_rot(Z_i(t))`` is
 available at any time through dense output, without matrix products drifting
 off the group. This is a Runge-Kutta-Munthe-Kaas (RKMK) method whose
