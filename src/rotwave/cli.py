@@ -250,15 +250,19 @@ def _load_verify(args: argparse.Namespace):
 
 # ---------------------------------------------------------------- subcommands
 
+def _run_lambda(sc, lam: float, cfg: RunConfig, icfg: IntegratorConfig):
+    """(trajectory, T): sc at (lam, cfg.mu) integrated over cfg.horizon relative periods T."""
+    T = sc.period(lam, cfg.mu)
+    traj = integrate_group(sc.forcing(lam, cfg.mu), lam, cfg.horizon * T, icfg, ref_dir=sc.frame.x0_dir)
+    return traj, T
+
+
 def cmd_simulate(cfg: RunConfig, icfg: IntegratorConfig, sc) -> int:
     outdir = Path(cfg.out or ".")
     header = "t," + ",".join(f"a{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)) + ",tipx,tipy,tipz"
     n = cfg.horizon * cfg.samples_per_period
     for lam in cfg.lambda_grid:
-        T = sc.period(lam, cfg.mu)
-        traj = integrate_group(
-            sc.forcing(lam, cfg.mu), lam, cfg.horizon * T, icfg, ref_dir=sc.frame.x0_dir
-        )
+        traj, T = _run_lambda(sc, lam, cfg, icfg)
         lines = [header]
         for i in range(n + 1):
             t = i * T / cfg.samples_per_period
@@ -272,10 +276,7 @@ def cmd_simulate(cfg: RunConfig, icfg: IntegratorConfig, sc) -> int:
 
 
 def _frequency_entry(sc, lam: float, cfg: RunConfig, icfg: IntegratorConfig) -> dict:
-    T = sc.period(lam, cfg.mu)
-    traj = integrate_group(
-        sc.forcing(lam, cfg.mu), lam, cfg.horizon * T, icfg, ref_dir=sc.frame.x0_dir
-    )
+    traj, T = _run_lambda(sc, lam, cfg, icfg)
     X = _primary_frequency(traj, T)
     norm_X = _norm3(X)
     Xf, res, ortho, motion = _classify(sc.X0, sc.omega_bif, X, T, lam)

@@ -140,9 +140,9 @@ class ForcingSignal:
         The axis vector X^G(t, lam) as any sequence of three finite numbers.
         A list or tuple of three Python floats reaches the integrator as it
         is; a numpy array or other numbers are converted once per call. The
-        built-in forcings return float lists; they may be called at any lam,
-        compute what depends on lam alone once per lam, and raise DomainError
-        for a negative lam.
+        built-in forcings return float lists, compute with ``float(lam)`` (any other
+        eval gets lam as it is), may be called at any lam, compute what depends on
+        lam alone once per lam, and raise DomainError for a negative lam.
     period : callable (lam) -> T(lam) > 0, or None
         T(lam) must be an exact period of ``eval(., lam)``:
         :func:`integrate_group` integrates only [0, T] and takes every later
@@ -243,10 +243,9 @@ def integrate_z_segment(
 def _z_rhs(xg: Callable, lam: float) -> Callable:
     """The Z-equation's right-hand side ``dexpinv(z, check(xg(t, lam)))``: the one generated
     for a built-in forcing's shape (``xg._fused_rhs = (xg, rhs_at)``) while xg is that very
-    eval and lam is an int or a float, whose arithmetic is ``float(lam)``'s; else the
-    composed one (the sums of a numpy.float32 lam stay float32)."""
+    eval, else the composed one."""
     fused = getattr(xg, "_fused_rhs", None)
-    if fused is not None and fused[0] is xg and isinstance(lam, (int, float)):
+    if fused is not None and fused[0] is xg:
         return fused[1](lam)
     _, dexpinv = _dexpinv_kernels()
     return lambda t, z: dexpinv(z, _check_forcing_value(xg(t, lam), t))

@@ -54,10 +54,10 @@ __all__ = [
 ]
 
 #: X^G of each forcing shape, example1-4's ``C theta' + amp Ad(exp(-C theta)) w`` and
-#: example5's ``(X0 + eps X1)(1 + eps gdot)``: how its constants unpack, and
-#: straight-line source that reads them, t, lam and omega_eff and sets x0, x1, x2
+#: example5's ``(X0 + eps X1)(1 + eps gdot)``: how float(lam) and its constants unpack, and
+#: straight-line source that reads them, t and omega_eff and sets x0, x1, x2
 _SHAPES = {
-    "conjugated": ("(c0, c1, c2), nu, (w0, w1, w2), amp, _", """\
+    "conjugated": ("lam, (c0, c1, c2), nu, (w0, w1, w2), amp, _", """\
 freq = omega_eff + lam
 phase = freq * t
 g = sin(phase)
@@ -72,7 +72,7 @@ x0 = c0 * rate + amp * r0
 x1 = c1 * rate + amp * r1
 x2 = c2 * rate + amp * r2
 """),
-    "collinear": ("eps, (v0, v1, v2)", """\
+    "collinear": ("lam, eps, (v0, v1, v2)", """\
 freq = omega_eff + lam
 rate = 1.0 + eps * (freq * cos(freq * t))
 x0 = v0 * rate
@@ -87,8 +87,7 @@ def _shape_kernel(shape: str) -> Callable:
     """``bind(lookup, memo, omega_eff) -> xg`` for one of :data:`_SHAPES`, compiled once, at
     the shape's first forcing; ``xg``, run once per right-hand side, tests ``memo[0]`` inline,
     not by a call. ``xg._fused_rhs = (xg, rhs_at)``: ``rhs_at(lam)`` is the Z-equation's right-hand
-    side at lam with the value check and dexpinv (:data:`_Z_RHS_TAIL`), computed with
-    ``float(lam)``, lam's floats for the int or float lam that ``flow._z_rhs`` gives it."""
+    side at lam with the value check and dexpinv (:data:`_Z_RHS_TAIL`); both compute with ``float(lam)``."""
     unpack, xg = _SHAPES[shape]
     source = f"""\
 def bind(lookup, memo, omega_eff):
@@ -98,7 +97,6 @@ def bind(lookup, memo, omega_eff):
 {_indented(xg, 2)}        return [x0, x1, x2]
     def rhs_at(lam):
         {unpack} = lookup(lam)
-        lam = float(lam)
         def rhs(t, z):
 {_indented(xg + _Z_RHS_TAIL, 3)}
         return rhs
@@ -161,18 +159,16 @@ class Scenario:
     def _pieces(self, mu: float | None):
         """(forcing_eval() -> xg, closed(t, lam, exp, mul), period(lam)) for this family at mu.
 
-        Built once per mu; only the latest mu is kept, since a root find asks
-        for a new mu on every evaluation. An unhashable mu (a 0-d array, or
-        one the build refuses) is built on every call.
+        ConfigError unless mu is None or, on example4, a finite number. Built once per ``float(mu)``,
+        which they compute with; only the latest is kept, as a root find asks for a new mu each time.
         """
-        try:
-            return self._built[mu]
-        except (KeyError, TypeError):
-            pieces = self._build_pieces(mu)
+        if mu is not None and not self.takes_mu:
+            raise ConfigError(f"scenario {self.name!r} takes no mu parameter")
+        mu = None if mu is None else _finite(mu, "mu", ConfigError)
+        if mu not in self._built:
             self._built.clear()
-            if getattr(mu, "__hash__", None) is not None:
-                self._built[mu] = pieces
-            return pieces
+            self._built[mu] = self._build_pieces(mu)
+        return self._built[mu]
 
     def _build_pieces(self, mu: float | None):
         """The three closures of :meth:`_pieces`.
@@ -188,33 +184,29 @@ class Scenario:
         its own pair.
 
         ``xg``, ``closed`` and ``period`` may be called at any lambda; a
-        negative or non-finite lambda raises DomainError, and constants past
-        the float range ConfigError. What depends on lambda alone is
-        computed once per lambda by ``constants`` and kept in a last-lambda
-        memo shared by the closures: one ``(lam, constants)`` tuple, the
-        one item of a list, read whole and replaced by one assignment, so a lambda is never paired
-        with another lambda's constants. The memo is keyed by the lambda
-        object itself (``is``): the integrator passes one object for a whole
-        run, ``-0.0`` and ``0.0`` (equal, but with constants of different
-        sign) never share an entry, and an equal lambda in another object
-        only recomputes.
+        lambda that is not a nonnegative finite number raises DomainError, and
+        constants past the float range ConfigError. Each computes with the
+        ``float(lam)`` that ``lookup`` returns with the constants, never with
+        the caller's object. ``lookup`` keeps both in a last-lambda memo, one
+        ``(lam, (float(lam), *constants))`` tuple in a one-item list, read and
+        replaced whole, so a lambda is never paired with another's constants.
+        It is keyed by the lambda object itself (``is``): the integrator passes
+        one object for a whole run, ``-0.0`` and ``0.0`` (equal, but with
+        constants of different sign) never share an entry, and an equal lambda
+        in another object only recomputes.
 
-        The forcing ``xg``, made by ``forcing_eval()`` at the first
-        :meth:`forcing`, and its fused right-hand side are compiled from the
-        shape's X^G fragment (:func:`_shape_kernel`); ``xg`` returns a list
-        of three floats. The closed forms build their axis vectors as float
-        lists from the same constants and return the product ``mul(exp(u), exp(v))`` of their
-        Rodrigues matrices: ``exp`` and ``mul`` are ``_exp_matrix`` and
-        ``@`` for :meth:`closed_form` and ``_exp_entries`` and ``_matmul3``
-        on the float chain. Each float operation is that of the module
-        docstring's formulas evaluated with numpy vectors and ``exp_rot``, in
-        the same order, so the values equal theirs bitwise.
+        ``xg``, made by ``forcing_eval()`` at the first :meth:`forcing`, and its
+        fused right-hand side are compiled from the shape's X^G fragment
+        (:func:`_shape_kernel`); ``xg`` returns a list of three floats. The
+        closed forms return ``mul(exp(u), exp(v))`` of float-list axis vectors
+        built from the same constants, with ``_exp_matrix`` and ``@`` for
+        :meth:`closed_form` and ``_exp_entries`` and ``_matmul3`` on the float
+        chain. Each float operation is that of the module docstring's formulas
+        evaluated with numpy vectors and ``exp_rot``, in the same order, so the
+        values equal theirs bitwise.
         """
         fr = self.frame
         X0_l, x1_l, x2_l = list(self.X0), list(fr.x1), list(fr.x2)
-        if self.family != "example4" and mu is not None:
-            raise ConfigError(f"scenario {self.name!r} takes no mu parameter")
-
         omega_eff = self.omega_bif
         if self.family == "example1":
             pdir_l = [2.0 * (a + b + c) for a, b, c in zip(x1_l, x2_l, fr.x0_dir)]
@@ -236,7 +228,7 @@ class Scenario:
                 return C, nu, w, 1.0, w
 
         elif self.family == "example4":
-            mu_val = 0.0 if mu is None else _finite(mu, "mu", ConfigError)
+            mu_val = 0.0 if mu is None else mu
             try:
                 norm_c = math.sqrt(self.x0_norm**2 + mu_val**2)
             except OverflowError:
@@ -260,13 +252,13 @@ class Scenario:
 
         if self.family == "example5":
             def closed(t: float, lam: float, exp, mul):
-                eps, v = lookup(lam)
+                lam, eps, v = lookup(lam)
                 s = t + eps * math.sin((omega_eff + lam) * t)
                 return exp(_finite3([a * s for a in v]))
 
         else:
             def closed(t: float, lam: float, exp, mul):
-                C, nu, _, _, u = lookup(lam)
+                lam, C, nu, _, _, u = lookup(lam)
                 g = math.sin((omega_eff + lam) * t)
                 theta = g if nu is None else nu * t + lam * g
                 return mul(exp(_finite3([a * t for a in u])), exp(_finite3([a * theta for a in C])))
@@ -276,8 +268,9 @@ class Scenario:
         def lookup(lam: float):
             key, c = memo[0]
             if lam is not key:
+                lam_f = _finite(lam, "lambda", nonnegative=True)
                 try:
-                    c = constants(_finite(lam, "lambda", nonnegative=True))
+                    c = (lam_f, *constants(lam_f))
                 except OverflowError:
                     raise ConfigError(f"scenario {self.name} overflows at lambda {lam!r}") from None
                 memo[0] = (lam, c)
@@ -289,8 +282,7 @@ class Scenario:
             return _shape_kernel(shape)(lookup, memo, omega_eff)
 
         def period(lam: float) -> float:
-            lookup(lam)  # the lambda check
-            return 2.0 * math.pi / abs(omega_eff + lam)
+            return 2.0 * math.pi / abs(omega_eff + lookup(lam)[0])
 
         return forcing_eval, closed, period
 
@@ -299,8 +291,8 @@ class Scenario:
         still takes (t, lam), so the lambda-family stays intact).
 
         The eval is the family's closure itself: it may be called at any
-        lambda, computes the lambda-only constants once per lambda (see
-        :meth:`_build_pieces`), and raises DomainError for a negative lambda,
+        lambda, computes with ``float(lam)`` and the lambda-only constants once per
+        lambda (see :meth:`_build_pieces`), and raises DomainError for a negative lambda,
         as this method does for a ``lam`` that is not a nonnegative finite number.
         """
         _finite(lam, "lambda", nonnegative=True)
@@ -314,14 +306,9 @@ class Scenario:
             t = _finite(t, "t")
         return self._pieces(mu)[1](t, lam, _exp_matrix, operator.matmul)
 
-    def _closed_entries(self, t: float, lam: float, mu: float | None = None) -> tuple:
-        """The nine entries of :meth:`closed_form`, row-major, on the float chain."""
-        return self._pieces(mu)[1](t, lam, _exp_entries, _matmul3)
-
     def period(self, lam: float = 0.0, mu: float | None = None) -> float:
         """Relative forcing period T(lam[, mu]) (DomainError for a negative or non-finite lam)."""
-        _, _, period = self._pieces(mu)
-        return period(lam)
+        return self._pieces(mu)[2](lam)
 
     @property
     def forcing_family(self) -> Callable[[float, float], ForcingSignal]:
@@ -448,15 +435,16 @@ def verify_against_closed_form(
     """Max Frobenius deviation between the integrated and exact trajectories.
 
     Takes 201 samples over two relative periods, spaced as
-    ``numpy.linspace(0, 2T, 201)`` spaces them. The matrices and their
-    difference are formed on the float chain.
+    ``numpy.linspace(0, 2T, 201)`` spaces them. The matrices (the closed form's
+    ``_exp_entries`` and ``_matmul3``) and their difference are formed on the float chain.
     """
     stop = 2.0 * scenario.period(lam, mu)
     step = stop / 200
     t_grid = [i * step for i in range(200)] + [stop]
     signal = scenario.forcing(lam, mu)
     traj = integrate_group(signal, lam, t_grid[-1], config, ref_dir=scenario.frame.x0_dir)
+    closed = scenario._pieces(mu)[1]
     worst = 0.0
     for t in t_grid:
-        worst = max(worst, _frob_dist(traj._A_entries(t), scenario._closed_entries(t, lam, mu)))
+        worst = max(worst, _frob_dist(traj._A_entries(t), closed(t, lam, _exp_entries, _matmul3)))
     return worst

@@ -146,13 +146,13 @@ def _vec3(v) -> tuple[float, float, float]:
 def _float_array(value, shape: tuple, what: str) -> np.ndarray:
     """``value`` as a float ndarray; DomainError unless it is numeric, finite and of ``shape``.
 
-    A None in ``shape`` matches any length; booleans and strings are not numeric.
+    A None in ``shape`` matches any length; booleans and strings, also inside a list, are not numeric.
     """
     try:
         a = np.asarray(value)
     except (TypeError, ValueError):  # ragged nesting
         a = None
-    if a is None or a.dtype.kind not in "iuf":
+    if a is None or a.dtype.kind not in "iuf" or (isinstance(value, (list, tuple)) and _holds_boolean(value)):
         raise DomainError(f"{what} must be an array of real numbers")
     if a.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, a.shape)):
         want = str(shape).replace("None", "n")
@@ -161,6 +161,17 @@ def _float_array(value, shape: tuple, what: str) -> np.ndarray:
     if not np.isfinite(a).all():
         raise DomainError(f"{what} must be finite")
     return a
+
+
+def _holds_boolean(level) -> bool:
+    """Whether nested lists or tuples hold a bool, numpy.bool_ or boolean ndarray (a C type scan per level)."""
+    while level:
+        kinds = set(map(type, level))
+        if bool in kinds or np.bool_ in kinds or np.ndarray in kinds and any(
+                type(x) is np.ndarray and x.dtype.kind == "b" for x in level):  # a 0-d or a row
+            return True
+        level = [y for x in level for y in x] if np.ndim(level[0]) else ()  # numpy nests evenly
+    return False
 
 
 def _finite3(v):

@@ -417,12 +417,23 @@ GENERATED_CASES = [(name, {}, None) for name in (
 )] + [("example4", {"k": 2}, 0.1), ("example4", {"k": 3}, 0.2), ("example4", {}, 0.05)]
 
 
+#: lambda as each kind of number: a float, an int, a numpy.float64, a numpy.float32 and a 0-d array
+LAMBDA_KINDS = [0.05, 1, np.float64(0.05), np.float32(0.05), np.array(0.05)]
+
+
+def is_generated(rhs) -> bool:
+    return rhs.__code__.co_filename in ("<conjugated forcing>", "<collinear forcing>")
+
+
 def generated_and_composed(sc, lam, mu):
-    """The right-hand side that the integrator runs for a built-in forcing at lam, and the composed one."""
+    """The right-hand side that the integrator runs for a built-in forcing at lam, which is the
+    generated one whatever number lam is, and the composed one."""
     xg = sc.forcing(lam, mu).eval
     assert xg._fused_rhs[0] is xg
+    rhs = flow._z_rhs(xg, lam)
+    assert is_generated(rhs)
     _, apply = _dexpinv_kernels()
-    return flow._z_rhs(xg, lam), lambda t, z: apply(z, flow._check_forcing_value(xg(t, lam), t))
+    return rhs, lambda t, z: apply(z, flow._check_forcing_value(xg(t, lam), t))
 
 
 def outcome(rhs, t, z):
@@ -455,9 +466,8 @@ def test_generated_rhs_is_bitwise_the_composed_one(name, overrides, mu):
     sc = build(name, **overrides)
     states = random_states(rng, 60)
     seen = set()
-    # an int and a numpy.float64 lambda give the floats that the float lambda
-    # does; a numpy.float32 one, whose sums stay float32, takes the composed path
-    for lam in (0.0, -0.0, 1e-10, 1e-4, 0.05, float(rng.uniform(0.0, 0.1)), 1, np.float64(0.05), np.float32(0.05)):
+    # both compute with float(lam), whatever kind of number lam is
+    for lam in (0.0, -0.0, 1e-10, 1e-4, float(rng.uniform(0.0, 0.1)), *LAMBDA_KINDS):
         fused, composed = generated_and_composed(sc, lam, mu)
         for t, z in states:
             got = outcome(fused, t, z)
@@ -479,12 +489,10 @@ def test_generated_rhs_raises_the_composed_error_for_an_overflowing_forcing(name
 
 @pytest.mark.parametrize("name, overrides, mu", GENERATED_CASES)
 def test_integration_takes_the_same_steps_through_the_generated_rhs(name, overrides, mu, monkeypatch):
-    # a wrapped eval, as a tracer makes it, takes the composed path: the same
-    # steps, the same right-hand-side calls and the same samples
+    # every kind of number integrates as its float does, and a wrapped eval, as
+    # a tracer makes it, takes the composed path: the same steps, the same
+    # right-hand-side calls and the same samples
     sc = build(name, **overrides)
-    lam = 0.05
-    sig = sc.forcing(lam, mu)
-    wrapped = dataclasses.replace(sig, eval=functools.wraps(sig.eval)(lambda t, l: sig.eval(t, l)))
     solves, checks = [], []
 
     def recorded_solve(*args, **kwargs):
@@ -498,17 +506,32 @@ def test_integration_takes_the_same_steps_through_the_generated_rhs(name, overri
     check = flow._check_forcing_value
     monkeypatch.setattr(flow, "solve_ivp", recorded_solve)
     monkeypatch.setattr(flow, "_check_forcing_value", counted_check)
-    runs = []
-    for signal in (sig, wrapped):
+
+    def segment(signal, lam):
+        return flow.integrate_z_segment(signal, lam, 0.0, 0.01).ts
+
+    def run(signal, lam):
+        """(period, (steps, samples) of 3.5 periods, checks made)."""
         solves.clear()
         checks.clear()
-        traj = integrate_group(signal, lam, 3.5 * sc.period(lam, mu), ref_dir=sc.frame.x0_dir)
+        T = sc.period(lam, mu)
+        traj = integrate_group(signal, lam, 3.5 * T, ref_dir=sc.frame.x0_dir)
         samples = traj.eval_A(np.linspace(0.0, traj.t_end, 97)).tobytes()
         steps = [(r.nfev, len(r.t) - 1, r.singular_rejections, r.t) for r in solves]
-        runs.append((steps, samples, len(checks)))
-    (fused_steps, fused_samples, fused_checks), (steps, samples, checks_made) = runs
-    assert fused_steps == steps and fused_samples == samples
-    assert fused_checks == 0 < checks_made
+        return T, (steps, samples), len(checks)
+
+    for lam in LAMBDA_KINDS:
+        sig = sc.forcing(lam, mu)
+        wrapped = dataclasses.replace(sig, eval=functools.wraps(sig.eval)(lambda t, l: sig.eval(t, l)))
+        reference = sc.forcing(float(lam), mu)
+        # a short segment first: a lambda whose sums stayed float32 would take
+        # thousands of times the steps
+        assert segment(sig, lam) == segment(wrapped, lam) == segment(reference, float(lam)), lam
+        want = run(reference, float(lam))
+        fused, composed = run(sig, lam), run(wrapped, lam)
+        assert type(fused[0]) is float, lam
+        assert fused == want and want[2] == 0, lam
+        assert composed[:2] == want[:2] and composed[2] > 0, lam
 
 
 def test_kernels_compile_at_first_use_once_per_shape():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from rotwave import ConfigError, DomainError, exp_rot, hat
-from rotwave.scenarios import Frame, available, build, verify_against_closed_form
+from rotwave.scenarios import Frame, Scenario, available, build, verify_against_closed_form
 from rotwave.so3 import _exp_coeffs
 
 import oracles
@@ -179,8 +179,37 @@ def test_negative_lambda_rejected_at_eval():
 
 
 def test_mu_rejected_outside_example4():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^scenario 'case1' takes no mu parameter$"):
         build("case1").forcing(0.01, mu=0.1)
+    with pytest.raises(ConfigError, match="^scenario 'example5' takes no mu parameter$"):
+        build("example5").period(0.01, mu=np.array(0.1))
+
+
+@pytest.mark.parametrize("mu", [True, np.True_, "0.1", math.nan])
+def test_mu_that_is_no_finite_number_is_refused(mu):
+    rule = "finite" if mu is math.nan else "a real number, not a boolean or a string"
+    for call in (build("example4").forcing, build("example4").period):
+        with pytest.raises(ConfigError, match=f"^mu must be {rule}, got "):
+            call(0.01, mu)
+
+
+def test_mu_builds_its_pieces_once_per_value(monkeypatch):
+    # any number is keyed by its float: a 0-d array, a numpy scalar and the
+    # float itself share one build; a new mu replaces it
+    built = []
+    build_pieces = Scenario._build_pieces
+
+    def counted(sc, mu):
+        built.append(mu)
+        return build_pieces(sc, mu)
+
+    monkeypatch.setattr(Scenario, "_build_pieces", counted)
+    sc = build("example4")
+    periods = {sc.period(0.05, mu) for mu in (np.array(0.1), np.array(0.1), np.float64(0.1), 0.1)}
+    assert built == [0.1] and type(built[0]) is float and len(periods) == 1
+    sc.forcing(0.05, 0.2)
+    sc.closed_form(0.3, 0.05, np.array(0.1))
+    assert built == [0.1, 0.2, 0.1]
 
 
 # ----------------------------------------------------------- closed forms
