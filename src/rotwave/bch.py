@@ -30,7 +30,6 @@ d1 > BRANCH_TOL / (2*sqrt(2)), so the division by d1 is always well posed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from ._numpy import lazy_numpy
@@ -54,7 +53,6 @@ class BchBranch(Enum):
     IDENTITY_PRODUCT = "IdentityProduct"
 
 
-@dataclass(frozen=True)
 class BchBreakdown:
     """Coefficients and intermediates of one BCH evaluation.
 
@@ -62,17 +60,12 @@ class BchBreakdown:
     exactly (same floating-point operations).
     """
 
-    alpha: float
-    beta: float
-    gamma: float
-    branch: BchBranch
-    e: float
-    a1: float
-    b1: float
-    c1: float
-    d1: float
-    d: float
-    s: float
+    def __init__(
+        self, alpha: float, beta: float, gamma: float, branch: BchBranch,
+        e: float, a1: float, b1: float, c1: float, d1: float, d: float, s: float,
+    ):
+        self.alpha, self.beta, self.gamma, self.branch = alpha, beta, gamma, branch
+        self.e, self.a1, self.b1, self.c1, self.d1, self.d, self.s = e, a1, b1, c1, d1, d, s
 
 
 def _bch_full(x, y) -> tuple[tuple[float, float, float], tuple]:

@@ -18,15 +18,15 @@ bracketing, fitting, or chart singularity).
 
 Every subcommand runs on Python floats, and none imports numpy: ``frequency``
 calls the scalar forms behind ``primary_frequency``, ``classify`` and
-``fit_circle``, and takes the tip samples as ``simulate`` does.
+``fit_circle``, and takes the tip samples as ``simulate`` does. ``json`` and
+``pathlib`` are imported where JSON is read or written and where an output
+path is built, so that ``bch`` loads neither.
 """
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
-from pathlib import Path
 
 from . import scenarios
 from .bch import BchBreakdown, _bch_full
@@ -41,20 +41,39 @@ from .tip import MAX_SAMPLES, _fit_circle
 __all__ = ["RunConfig", "main", "entry"]
 
 
-@dataclass
+#: the default of ``overrides`` and ``lambda_grid``, each made anew for every RunConfig
+_FRESH = object()
+
+
 class RunConfig:
     """Effective settings of one CLI run (defaults < config file < flags)."""
 
-    scenario: str = "case1"
-    overrides: dict = field(default_factory=dict)
-    lambda_grid: list = field(default_factory=lambda: [0.05])
-    mu: float | None = None
-    mu_bracket: tuple = (0.0, 0.3)
-    horizon: int = 5
-    samples_per_period: int = 100
-    rtol: float = IntegratorConfig.rtol
-    atol: float = IntegratorConfig.atol
-    out: str | None = None
+    #: the settings, in the constructor's order: the config file's keys and
+    #: those of ``--dump-config``
+    FIELDS = (
+        "scenario", "overrides", "lambda_grid", "mu", "mu_bracket", "horizon",
+        "samples_per_period", "rtol", "atol", "out",
+    )
+
+    def __init__(
+        self,
+        scenario: str = "case1",
+        overrides: dict = _FRESH,
+        lambda_grid: list = _FRESH,
+        mu: float | None = None,
+        mu_bracket: tuple = (0.0, 0.3),
+        horizon: int = 5,
+        samples_per_period: int = 100,
+        rtol: float = IntegratorConfig.rtol,
+        atol: float = IntegratorConfig.atol,
+        out: str | None = None,
+    ):
+        self.scenario = scenario
+        self.overrides = {} if overrides is _FRESH else overrides
+        self.lambda_grid = [0.05] if lambda_grid is _FRESH else lambda_grid
+        self.mu, self.mu_bracket = mu, mu_bracket
+        self.horizon, self.samples_per_period = horizon, samples_per_period
+        self.rtol, self.atol, self.out = rtol, atol, out
 
     def validate(self, command: str) -> tuple[RunConfig, IntegratorConfig]:
         """This config with its numbers as floats, and its integrator settings.
@@ -101,8 +120,11 @@ class RunConfig:
         a, b = (_finite(m, "mu_bracket entry", ConfigError) for m in self.mu_bracket)
         if not a < b:
             raise ConfigError(f"mu_bracket must be finite numbers a < b, got {self.mu_bracket!r}")
-        icfg = IntegratorConfig(rtol=self.rtol, atol=self.atol)
-        cfg = replace(self, lambda_grid=lams, mu=mu, mu_bracket=(a, b), rtol=icfg.rtol, atol=icfg.atol)
+        icfg = IntegratorConfig(self.rtol, self.atol)
+        cfg = RunConfig(
+            self.scenario, self.overrides, lams, mu, (a, b), self.horizon, self.samples_per_period,
+            icfg.rtol, icfg.atol, self.out,
+        )
         return cfg, icfg
 
 
@@ -120,6 +142,8 @@ def _json_text(obj, indent: int = 0) -> str:
     """Fixed-format JSON: floats at 17 significant digits, insertion key order.
 
     No emitted value is a boolean (validation rejects them) or an empty list."""
+    import json
+
     pad = "  " * indent
     if obj is None:
         return "null"
@@ -144,7 +168,9 @@ def _json_text(obj, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-def _write_text(path: str | Path, text: str) -> None:
+def _write_text(path: str | os.PathLike, text: str) -> None:
+    from pathlib import Path
+
     try:
         p = Path(path)
         p.parent.mkdir(parents=True, exist_ok=True)
@@ -184,9 +210,11 @@ def _load_config(args: argparse.Namespace) -> tuple[RunConfig, IntegratorConfig,
     the fields that the config file or a flag set (the rest hold their
     defaults). Each flag's dest is the field it sets, and an unset flag is
     None."""
-    known = RunConfig.__dataclass_fields__
+    known = RunConfig.FIELDS
     raw = {}
     if args.config:
+        import json
+
         try:
             with open(args.config) as fh:
                 raw = json.load(fh)
@@ -258,6 +286,8 @@ def _run_lambda(sc, lam: float, cfg: RunConfig, icfg: IntegratorConfig):
 
 
 def cmd_simulate(cfg: RunConfig, icfg: IntegratorConfig, sc) -> int:
+    from pathlib import Path
+
     outdir = Path(cfg.out or ".")
     header = "t," + ",".join(f"a{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)) + ",tipx,tipy,tipz"
     n = cfg.horizon * cfg.samples_per_period
@@ -410,9 +440,9 @@ def _add_common(p: argparse.ArgumentParser, drift: bool = False, horizon: bool =
             help=f"run length in relative periods (default 5, at most {MAX_SAMPLES})",
         )
     p.add_argument("--rtol", type=float,
-                   help=f"integrator relative tolerance (default {RunConfig.rtol:g})")
+                   help=f"integrator relative tolerance (default {IntegratorConfig.rtol:g})")
     p.add_argument("--atol", type=float,
-                   help=f"integrator absolute tolerance (default {RunConfig.atol:g})")
+                   help=f"integrator absolute tolerance (default {IntegratorConfig.atol:g})")
     p.add_argument("--out", help="output file (or directory for simulate)")
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument(
@@ -484,7 +514,7 @@ def main(argv=None) -> int:
             return cmd_bch(args)
         cfg, icfg, target = args.load(args)
         if args.dump_config:  # every check has passed, and nothing has run
-            _emit(_json_text(asdict(cfg)))
+            _emit(_json_text({name: getattr(cfg, name) for name in RunConfig.FIELDS}))
             return 0
         return args.func(cfg, icfg, target)
     except SystemExit as exc:  # argparse's exit after --help or a usage error

@@ -40,8 +40,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass
 
 from ._numpy import lazy_numpy
 from .bch import _bch_arrays, _bch_full
@@ -108,7 +108,6 @@ CACHE_SIZE = 1024
 BATCH_MIN = 40
 
 
-@dataclass(frozen=True)
 class IntegratorConfig:
     """Adaptive-integrator settings shared by all formulations.
 
@@ -122,12 +121,14 @@ class IntegratorConfig:
     product are integrated over the whole horizon at ``rtol`` and ``atol``.
     """
 
-    rtol: float = 1e-10
-    atol: float = 1e-12
+    #: the settings, in the constructor's order, and their defaults
+    FIELDS = ("rtol", "atol")
+    rtol = 1e-10
+    atol = 1e-12
 
-    def __post_init__(self):
-        for name in ("rtol", "atol"):
-            object.__setattr__(self, name, _positive(getattr(self, name), name, ConfigError))
+    def __init__(self, rtol: float = rtol, atol: float = atol):
+        self.rtol = _positive(rtol, "rtol", ConfigError)
+        self.atol = _positive(atol, "atol", ConfigError)
 
 
 @dataclass
@@ -251,7 +252,6 @@ def _z_rhs(xg: Callable, lam: float) -> Callable:
     return lambda t, z: dexpinv(z, _check_forcing_value(xg(t, lam), t))
 
 
-@dataclass
 class GroupTrajectory:
     """Piecewise Z representation of the group trajectory with A(0) = I.
 
@@ -293,13 +293,16 @@ class GroupTrajectory:
     hemisphere map and Rodrigues, or one BCH. ``class_at`` bypasses the cache.
     """
 
-    segments: list[OdeSolution]
-    prefixes: list[tuple[float, float, float]]
-    ref_dir: tuple[float, float, float]
-    t_end: float
-    T: float | None = None
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        segments: list[OdeSolution],
+        prefixes: list[tuple[float, float, float]],
+        ref_dir: tuple[float, float, float],
+        t_end: float,
+        T: float | None = None,
+    ):
+        self.segments, self.prefixes, self.ref_dir = segments, prefixes, ref_dir
+        self.t_end, self.T = t_end, T
         self._t_last = self.segments[-1].ts[-1]
         # step k of the table covers (ends[k-1], ends[k]]; the last step of a
         # segment that ends in a restart is keyed one ulp below the restart time
@@ -526,7 +529,7 @@ def integrate_group(
     t_stop = t_end
     if T is not None:
         t_stop = min(t_end, T)
-        cfg = replace(cfg, rtol=cfg.rtol / PERIOD_TOL_FACTOR, atol=cfg.atol / PERIOD_TOL_FACTOR)
+        cfg = IntegratorConfig(cfg.rtol / PERIOD_TOL_FACTOR, cfg.atol / PERIOD_TOL_FACTOR)
     segments, prefixes = _integrate_restarting(
         lambda t, q: integrate_z_segment(signal, lam, t, t_stop, cfg), [], t_stop
     )
@@ -590,13 +593,11 @@ def stuart_landau(omega_bif: float) -> Callable[[np.ndarray, float], np.ndarray]
     return x_n
 
 
-@dataclass
 class EulerTrajectory:
     """Dense Euler-angle chart solution, normalized so that eval_A(0) = I."""
 
-    t_end: float
-    theta0: float
-    _dense: Callable = field(repr=False)
+    def __init__(self, t_end: float, theta0: float, _dense: Callable):
+        self.t_end, self.theta0, self._dense = t_end, theta0, _dense
 
     def eval_angles(self, t: float) -> np.ndarray:
         """(phi, theta, psi) at time t."""

@@ -20,9 +20,8 @@ stays near 0.1 (case3) as lambda -> 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
 from enum import Enum
-from typing import Callable
 
 from ._numpy import lazy_numpy
 from .bch import _bch_full
@@ -74,31 +73,29 @@ class MotionClass(Enum):
     PERIODIC_SOLUTION = "PeriodicSolution"
 
 
-@dataclass(frozen=True)
 class ResonanceClass:
     """Arithmetic relation between |X_0| and the Hopf frequency."""
 
-    kind: ResonanceKind
-    k: int | None
+    def __init__(self, kind: ResonanceKind, k: int | None):
+        self.kind, self.k = kind, k
 
 
-@dataclass(frozen=True)
 class FrequencyReport:
     """Everything the motion classification knows about one (lambda) run."""
 
-    Xf: np.ndarray
-    resonance: ResonanceClass
-    ortho_defect: float | None
-    motion: MotionClass | None
+    def __init__(
+        self, Xf: np.ndarray, resonance: ResonanceClass, ortho_defect: float | None,
+        motion: MotionClass | None,
+    ):
+        self.Xf, self.resonance, self.ortho_defect, self.motion = Xf, resonance, ortho_defect, motion
 
 
-@dataclass(frozen=True)
 class PeriodicPart:
     """Periodic factors of A(t) = exp(X t) B(t) = exp(X^f t) B^f(t); B^f is
     ``exp_rot(log_Bf(t))``."""
 
-    log_Bf: Callable[[float], np.ndarray]
-    eval_B: Callable[[float], np.ndarray]
+    def __init__(self, log_Bf: Callable[[float], np.ndarray], eval_B: Callable[[float], np.ndarray]):
+        self.log_Bf, self.eval_B = log_Bf, eval_B
 
 
 def classify_resonance(x0_norm: float, omega_bif: float) -> ResonanceClass:

@@ -24,8 +24,7 @@ import bisect
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from collections.abc import Callable, Sequence
 
 from .errors import SingularityError
 
@@ -241,7 +240,6 @@ def _rms(v) -> float:
     return math.sqrt(sum(x * x for x in v)) / len(v) ** 0.5
 
 
-@dataclass
 class OdeResult:
     """Outcome of :func:`solve_ivp`.
 
@@ -256,12 +254,12 @@ class OdeResult:
     SingularityError (a probe of the initial-step heuristic is no step).
     """
 
-    t: list[float]
-    nfev: int
-    sol: OdeSolution
-    status: int
-    message: str
-    singular_rejections: int
+    def __init__(
+        self, t: list[float], nfev: int, sol: OdeSolution, status: int, message: str,
+        singular_rejections: int,
+    ):
+        self.t, self.nfev, self.sol, self.status = t, nfev, sol, status
+        self.message, self.singular_rejections = message, singular_rejections
 
 
 class _Interpolant:

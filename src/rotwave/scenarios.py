@@ -23,8 +23,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from dataclasses import dataclass, field
-from typing import Callable
+from collections.abc import Callable
 
 from .errors import ConfigError, DomainError
 from .flow import _Z_RHS_TAIL, ForcingSignal, IntegratorConfig, _check_forcing_value, integrate_group
@@ -106,7 +105,6 @@ def bind(lookup, memo, omega_eff):
     return _generated(source, f"<{shape} forcing>", _check_forcing_value=_check_forcing_value)["bind"]
 
 
-@dataclass(frozen=True)
 class Frame:
     """Orthonormal right-handed frame with ``x0_dir x x1 = x2``.
 
@@ -114,19 +112,17 @@ class Frame:
     drift plane. Each is stored as a float triple.
     """
 
-    x0_dir: tuple = (0.0, 0.0, 1.0)
-    x1: tuple = (1.0, 0.0, 0.0)
-    x2: tuple = (0.0, 1.0, 0.0)
-
-    def __post_init__(self):
-        for name in ("x0_dir", "x1", "x2"):
+    def __init__(
+        self, x0_dir: tuple = (0.0, 0.0, 1.0), x1: tuple = (1.0, 0.0, 0.0), x2: tuple = (0.0, 1.0, 0.0),
+    ):
+        for name, v in (("x0_dir", x0_dir), ("x1", x1), ("x2", x2)):
             try:
-                v = _vec3(getattr(self, name))
+                v = _vec3(v)
             except DomainError as exc:
                 raise ConfigError(f"frame vector {name}: {exc}") from None
             if abs(_norm3(v) - 1.0) > 1e-10:
                 raise ConfigError(f"frame vector {name} must be unit within 1e-10")
-            object.__setattr__(self, name, v)
+            setattr(self, name, v)
         z, x1, x2 = self.x0_dir, self.x1, self.x2
         if max(abs(_dot3(z, x1)), abs(_dot3(z, x2)), abs(_dot3(x1, x2))) > 1e-10:
             raise ConfigError("frame vectors must be mutually orthogonal within 1e-10")
@@ -134,19 +130,16 @@ class Frame:
             raise ConfigError("frame must be right-handed: x0_dir x x1 = x2")
 
 
-@dataclass(frozen=True)
 class Scenario:
     """One forcing family instance; built via :func:`build`."""
 
-    name: str
-    family: str
-    omega_bif: float
-    x0_norm: float
-    r: float
-    tip_x0: tuple
-    frame: Frame
-    k: int = 1
-    _built: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    def __init__(
+        self, name: str, family: str, omega_bif: float, x0_norm: float, r: float,
+        tip_x0: tuple, frame: Frame, k: int = 1,
+    ):
+        self.name, self.family, self.omega_bif, self.x0_norm = name, family, omega_bif, x0_norm
+        self.r, self.tip_x0, self.frame, self.k = r, tip_x0, frame, k
+        self._built = {}  # None or float(mu) -> the closures of _pieces, the latest only
 
     @property
     def X0(self) -> tuple:

@@ -36,8 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable
+from collections.abc import Callable
 
 from ._numpy import lazy_numpy
 from .errors import DomainError, SingularityError
@@ -343,21 +342,18 @@ def _ball_vector(v):
     return v
 
 
-@dataclass(frozen=True, eq=False)
 class BallClass:
     """A point of the closed radius-pi ball with antipodal boundary points identified.
 
-    The stored ``vector`` is one representative; two instances are the same
-    class iff their vectors coincide, or both have norm pi and are negatives
-    of each other.
+    The stored ``vector`` is one representative, a read-only ndarray; two
+    instances are the same class iff their vectors coincide, or both have
+    norm pi and are negatives of each other.
     """
 
-    vector: np.ndarray
-
-    def __post_init__(self):
-        v = np.array(_ball_vector(_vec3(self.vector)))
+    def __init__(self, vector: np.ndarray):
+        v = np.array(_ball_vector(_vec3(vector)))
         v.flags.writeable = False
-        object.__setattr__(self, "vector", v)
+        self.vector = v
 
     @property
     def norm(self) -> float:

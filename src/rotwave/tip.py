@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 
 from ._numpy import lazy_numpy
 from .errors import DomainError, FitError
@@ -26,15 +25,13 @@ __all__ = ["CircleFit", "TipTrack", "fit_circle", "tip_trajectory"]
 MAX_SAMPLES = 1_000_000
 
 
-@dataclass(frozen=True)
 class TipTrack:
     """Sampled tip path: the points at the sample times (plus period samples)."""
 
-    points: np.ndarray
-    period_samples: np.ndarray | None = None
+    def __init__(self, points: np.ndarray, period_samples: np.ndarray | None = None):
+        self.points, self.period_samples = points, period_samples
 
 
-@dataclass(frozen=True)
 class CircleFit:
     """Plane/axis fit of points on a sphere.
 
@@ -44,10 +41,8 @@ class CircleFit:
     of the points from the plane.
     """
 
-    axis: np.ndarray
-    height: float
-    radius: float
-    rms_residual: float
+    def __init__(self, axis: np.ndarray, height: float, radius: float, rms_residual: float):
+        self.axis, self.height, self.radius, self.rms_residual = axis, height, radius, rms_residual
 
 
 def tip_trajectory(traj, x0, r: float, sample_times, period: float | None = None) -> TipTrack:

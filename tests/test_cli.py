@@ -1,4 +1,5 @@
 """Command-line interface: flags, outputs, exit codes, determinism."""
+import inspect
 import io
 import json
 import math
@@ -826,7 +827,13 @@ JSON_VALUES = st.recursive(
 )
 
 
-CONFIG_KEYS = sorted(RunConfig.__dataclass_fields__)
+CONFIG_KEYS = sorted(RunConfig.FIELDS)
+
+
+def test_run_config_fields_are_its_constructor_parameters():
+    # the config file's keys and --dump-config's are RunConfig.FIELDS
+    assert list(inspect.signature(RunConfig).parameters) == list(RunConfig.FIELDS)
+    assert list(vars(RunConfig())) == list(RunConfig.FIELDS)
 
 #: values that validate, so that a share of the fuzzed configs is small
 #: enough (a few rows) to be run for real

@@ -2,6 +2,7 @@
 import bisect
 import dataclasses
 import functools
+import inspect
 import math
 import os
 import subprocess
@@ -67,7 +68,9 @@ def test_config_validation():
             IntegratorConfig(rtol=bad)
         with pytest.raises(ConfigError, match="finite"):
             IntegratorConfig(atol=bad)
-    assert [f.name for f in dataclasses.fields(IntegratorConfig)] == ["rtol", "atol"]
+    assert IntegratorConfig.FIELDS == ("rtol", "atol")
+    assert list(inspect.signature(IntegratorConfig).parameters) == list(IntegratorConfig.FIELDS)
+    assert list(vars(IntegratorConfig())) == list(IntegratorConfig.FIELDS)
 
 
 # ----------------------------------------------------------------- Z segment

@@ -1,0 +1,37 @@
+"""Start-up: what a fresh interpreter builds and loads for the CLI.
+
+The interpreter runs with ``-S``, so no ``.pth`` file of site-packages loads
+modules of its own, and only rotwave's imports decide what ``sys.modules``
+holds. Generating a dataclass execs and compiles its methods in every fresh
+process; ``ForcingSignal`` alone stays one, as code outside the package
+passes it to ``dataclasses.replace``. ``bch`` reads and writes no JSON and
+builds no path.
+"""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import rotwave
+
+SRC = str(Path(rotwave.__file__).resolve().parents[1])
+
+CODE = """if True:
+    import contextlib, io, sys
+    import rotwave.cli
+    print(sorted({
+        f"{obj.__module__}.{obj.__qualname__}"
+        for mod in list(sys.modules.values()) if mod.__name__.startswith("rotwave")
+        for obj in vars(mod).values() if isinstance(obj, type) and hasattr(obj, "__dataclass_fields__")
+    }))
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = rotwave.cli.main(["bch", "0", "0", "1", "1", "0", "0", "--check"])
+    print(rc, [name for name in ("json", "typing", "pathlib") if name in sys.modules])
+"""
+
+
+def test_cli_generates_one_dataclass_and_bch_loads_no_json_typing_or_pathlib():
+    env = dict(os.environ, PYTHONPATH=SRC)
+    run = subprocess.run([sys.executable, "-S", "-c", CODE], env=env, capture_output=True, text=True,
+                         timeout=60)
+    assert run.stdout.splitlines() == ["['rotwave.flow.ForcingSignal']", "0 []"], run.stderr
