@@ -11,6 +11,10 @@ drift      locate the orthogonal-drift branch mu*(lambda) for a
            two-parameter scenario
 verify     integrate every built-in family against its closed form
 
+:func:`_load` works out a run's (scenario, lambda, mu) triples and checks them
+before anything runs; the subcommands loop over them. ``drift`` takes its
+defect from the period class that its root-find integrated at mu*.
+
 All numeric output uses 17 significant digits and fixed key order, so reruns
 are byte-identical. Exit codes: 0 success, 2 configuration or output error
 (an unwritable --out or stdout), 3 numerical failure (integration,
@@ -32,7 +36,7 @@ from . import scenarios
 from .bch import BchBreakdown, _bch_full
 from .errors import ConfigError, DomainError, FitError, IoError, RotwaveError
 from .flow import IntegratorConfig, integrate_group
-from .hopf import _classify, _period_class, _primary_frequency, find_orthogonal_branch
+from .hopf import _classify, _orthogonal_branch, _primary_frequency
 from .so3 import (
     _ball_vector, _dot3, _exp_entries, _finite, _frob_dist, _matmul3, _matvec3, _norm3, _vec3,
 )
@@ -205,11 +209,21 @@ def _emit(text: str, out: str | None = None) -> None:
 
 # ------------------------------------------------------------- config loading
 
-def _load_config(args: argparse.Namespace) -> tuple[RunConfig, IntegratorConfig, frozenset]:
-    """The run's validated config, its integrator settings, and the names of
-    the fields that the config file or a flag set (the rest hold their
-    defaults). Each flag's dest is the field it sets, and an unset flag is
-    None."""
+def _load(args: argparse.Namespace) -> tuple[RunConfig, IntegratorConfig, list]:
+    """The run's validated config, its integrator settings and its
+    (scenario, lambda, mu) runs, checked before anything is run or dumped.
+
+    Config-file keys are RunConfig.FIELDS, and each flag's dest is the field
+    it sets (None when unset). The runs take the scenario, lambda grid and mu
+    set by the file or a flag; verify's defaults are every example at lambda =
+    0, 1e-4 and 1e-2, and example4 at mu = 0, 0.1 and 0.3. drift's mu is None.
+
+    ConfigError for a config that the subcommand would reject: an unknown
+    scenario or bad overrides, ``mu`` on a family without a drift parameter,
+    drift on a one-parameter family, and constants past the float range. The
+    period is evaluated at every run, which computes the constants: for
+    drift, at both ends of the mu bracket.
+    """
     known = RunConfig.FIELDS
     raw = {}
     if args.config:
@@ -228,71 +242,44 @@ def _load_config(args: argparse.Namespace) -> tuple[RunConfig, IntegratorConfig,
         if unknown:
             raise ConfigError(f"unknown config key(s) {sorted(unknown)}; known: {sorted(known)}")
     given = {**raw, **{k: v for k, v in vars(args).items() if k in known and v is not None}}
-    return (*RunConfig(**given).validate(args.command), frozenset(given))
-
-
-def _load_scenario(args: argparse.Namespace):
-    """The run's config, integrator settings and scenario, checked before
-    anything is run or dumped.
-
-    ConfigError for a config that the subcommand would reject: an unknown
-    scenario or bad overrides, ``mu`` on a family without a drift parameter,
-    drift on a one-parameter family, and constants past the float range. The
-    period is evaluated at every (lambda, mu) that the run uses, which
-    computes the constants: for drift, at both ends of the mu bracket.
-    """
-    cfg, icfg, _ = _load_config(args)
-    sc = scenarios.build(cfg.scenario, **cfg.overrides)
-    drift = args.command == "drift"
-    if drift and not sc.takes_mu:
-        raise ConfigError(
-            f"scenario {sc.name!r} has no drift parameter; use a two-parameter family (example4)"
-        )
-    for lam in cfg.lambda_grid:
-        for mu in cfg.mu_bracket if drift else [cfg.mu]:
-            sc.period(lam, mu)
-    return cfg, icfg, sc
-
-
-def _load_verify(args: argparse.Namespace):
-    """The run's config, integrator settings and (scenario, lambda, mu) runs,
-    checked as :func:`_load_scenario` checks one scenario.
-
-    The runs take the scenario, lambda grid and mu that the config file or
-    a flag sets; by default every example at lambda = 0, 1e-4 and 1e-2, and
-    example4 at mu = 0, 0.1 and 0.3.
-    """
-    cfg, icfg, given = _load_config(args)
-    names = [cfg.scenario] if "scenario" in given else [
-        n for n in scenarios.available() if n.startswith("example")
-    ]
-    lams = cfg.lambda_grid if "lambda_grid" in given else [0.0, 1e-4, 1e-2]
+    cfg, icfg = RunConfig(**given).validate(args.command)
+    drift, verify = args.command == "drift", args.command == "verify"
+    names, lams = [cfg.scenario], cfg.lambda_grid
+    if verify and "scenario" not in given:
+        names = [n for n in scenarios.available() if n.startswith("example")]
+    if verify and "lambda_grid" not in given:
+        lams = [0.0, 1e-4, 1e-2]
     runs = []
     for sc in [scenarios.build(name, **cfg.overrides) for name in names]:
-        mus = [cfg.mu] if cfg.mu is not None else [0.0, 0.1, 0.3] if sc.takes_mu else [None]
+        if drift and not sc.takes_mu:
+            raise ConfigError(
+                f"scenario {sc.name!r} has no drift parameter; use a two-parameter family (example4)"
+            )
+        mus = [0.0, 0.1, 0.3] if verify and cfg.mu is None and sc.takes_mu else [cfg.mu]
         runs += [(sc, lam, mu) for lam in lams for mu in mus]
     for sc, lam, mu in runs:
-        sc.period(lam, mu)
+        for probe in cfg.mu_bracket if drift else [mu]:
+            sc.period(lam, probe)
     return cfg, icfg, runs
 
 
 # ---------------------------------------------------------------- subcommands
 
-def _run_lambda(sc, lam: float, cfg: RunConfig, icfg: IntegratorConfig):
-    """(trajectory, T): sc at (lam, cfg.mu) integrated over cfg.horizon relative periods T."""
-    T = sc.period(lam, cfg.mu)
-    traj = integrate_group(sc.forcing(lam, cfg.mu), lam, cfg.horizon * T, icfg, ref_dir=sc.frame.x0_dir)
+def _run(sc, lam: float, mu, cfg: RunConfig, icfg: IntegratorConfig):
+    """(trajectory, T): sc at (lam, mu) integrated over cfg.horizon relative periods T."""
+    T = sc.period(lam, mu)
+    traj = integrate_group(sc.forcing(lam, mu), lam, cfg.horizon * T, icfg, ref_dir=sc.frame.x0_dir)
     return traj, T
 
 
-def cmd_simulate(cfg: RunConfig, icfg: IntegratorConfig, sc) -> int:
+def cmd_simulate(cfg: RunConfig, icfg: IntegratorConfig, runs: list) -> int:
     from pathlib import Path
 
     outdir = Path(cfg.out or ".")
     header = "t," + ",".join(f"a{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)) + ",tipx,tipy,tipz"
     n = cfg.horizon * cfg.samples_per_period
-    for lam in cfg.lambda_grid:
-        traj, T = _run_lambda(sc, lam, cfg, icfg)
+    for sc, lam, mu in runs:
+        traj, T = _run(sc, lam, mu, cfg, icfg)
         lines = [header]
         for i in range(n + 1):
             t = i * T / cfg.samples_per_period
@@ -305,8 +292,8 @@ def cmd_simulate(cfg: RunConfig, icfg: IntegratorConfig, sc) -> int:
     return 0
 
 
-def _frequency_entry(sc, lam: float, cfg: RunConfig, icfg: IntegratorConfig) -> dict:
-    traj, T = _run_lambda(sc, lam, cfg, icfg)
+def _frequency_entry(sc, lam: float, mu, cfg: RunConfig, icfg: IntegratorConfig) -> dict:
+    traj, T = _run(sc, lam, mu, cfg, icfg)
     X = _primary_frequency(traj, T)
     norm_X = _norm3(X)
     Xf, res, ortho, motion = _classify(sc.X0, sc.omega_bif, X, T, lam)
@@ -331,8 +318,8 @@ def _frequency_entry(sc, lam: float, cfg: RunConfig, icfg: IntegratorConfig) -> 
     }
 
 
-def cmd_frequency(cfg: RunConfig, icfg: IntegratorConfig, sc) -> int:
-    entries = [_frequency_entry(sc, lam, cfg, icfg) for lam in cfg.lambda_grid]
+def cmd_frequency(cfg: RunConfig, icfg: IntegratorConfig, runs: list) -> int:
+    entries = [_frequency_entry(sc, lam, mu, cfg, icfg) for sc, lam, mu in runs]
     _emit(_json_text(entries), cfg.out)
     return 0
 
@@ -360,28 +347,25 @@ def cmd_bch(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_drift(cfg: RunConfig, icfg: IntegratorConfig, sc) -> int:
-    entries = []
-    for lam in cfg.lambda_grid:
-        mu_star = find_orthogonal_branch(
-            sc.forcing_family, lam, cfg.mu_bracket, sc.X0, icfg
-        )
-        defect = _ortho_defect(sc, lam, mu_star, icfg)
-        entries.append({"lambda": lam, "mu_star": mu_star, "ortho_defect": defect})
+def _drift_entry(sc, lam: float, cfg: RunConfig, icfg: IntegratorConfig) -> dict:
+    """mu* and the orthogonality defect of Z(T)/T there, from the class that the
+    root-find integrated at mu*. The defect is null at lam = 0 (no drift at
+    criticality) and for Z = 0 (no direction): both are 0/0."""
+    mu_star, found = _orthogonal_branch(sc.forcing_family, lam, cfg.mu_bracket, sc.X0, icfg)
+    defect = None
+    if found is not None:
+        z, T = found
+        raw = [a / T for a in z]
+        n = _norm3(raw)
+        defect = _dot3(raw, sc.frame.x0_dir) / n if n else None
+    return {"lambda": lam, "mu_star": mu_star, "ortho_defect": defect}
+
+
+def cmd_drift(cfg: RunConfig, icfg: IntegratorConfig, runs: list) -> int:
+    entries = [_drift_entry(sc, lam, cfg, icfg) for sc, lam, _ in runs]
     doc = entries[0] if len(entries) == 1 else entries
     _emit(_json_text(doc), cfg.out)
     return 0
-
-
-def _ortho_defect(sc, lam: float, mu: float, icfg: IntegratorConfig) -> float | None:
-    if lam == 0.0:
-        return None  # no drift at criticality; the defect is 0/0
-    z, T = _period_class(sc.forcing_family, lam, mu, sc.frame.x0_dir, icfg)
-    raw = [a / T for a in z]
-    n = _norm3(raw)
-    if n == 0.0:
-        return None
-    return _dot3(raw, sc.frame.x0_dir) / n
 
 
 def cmd_verify(cfg: RunConfig, icfg: IntegratorConfig, runs: list) -> int:
@@ -481,11 +465,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"output samples per period (default 100; horizon x samples-per-period "
         f"<= {MAX_SAMPLES})",
     )
-    p.set_defaults(func=cmd_simulate, load=_load_scenario)
+    p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("frequency", help="frequency vectors, resonance, and motion labels")
     _add_common(p)
-    p.set_defaults(func=cmd_frequency, load=_load_scenario)
+    p.set_defaults(func=cmd_frequency)
 
     p = sub.add_parser("bch", help="closed-form composition of two axis vectors")
     p.add_argument("components", type=float, nargs=6, metavar="V",
@@ -498,11 +482,11 @@ def build_parser() -> argparse.ArgumentParser:
         "drift", help="locate the orthogonal-drift branch mu*(lambda)", allow_abbrev=False
     )
     _add_common(p, drift=True, horizon=False)
-    p.set_defaults(func=cmd_drift, load=_load_scenario)
+    p.set_defaults(func=cmd_drift)
 
     p = sub.add_parser("verify", help="check built-in families against their closed forms")
     _add_common(p, horizon=False)
-    p.set_defaults(func=cmd_verify, load=_load_verify)
+    p.set_defaults(func=cmd_verify)
 
     return parser
 
@@ -512,11 +496,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.command == "bch":
             return cmd_bch(args)
-        cfg, icfg, target = args.load(args)
+        cfg, icfg, runs = _load(args)
         if args.dump_config:  # every check has passed, and nothing has run
             _emit(_json_text({name: getattr(cfg, name) for name in RunConfig.FIELDS}))
             return 0
-        return args.func(cfg, icfg, target)
+        return args.func(cfg, icfg, runs)
     except SystemExit as exc:  # argparse's exit after --help or a usage error
         return 0 if exc.code in (0, None) else 2
     except (ConfigError, IoError) as exc:

@@ -121,8 +121,7 @@ class IntegratorConfig:
     product are integrated over the whole horizon at ``rtol`` and ``atol``.
     """
 
-    #: the settings, in the constructor's order, and their defaults
-    FIELDS = ("rtol", "atol")
+    #: the defaults of the settings
     rtol = 1e-10
     atol = 1e-12
 
@@ -511,7 +510,9 @@ def integrate_group(
     lam : float
         Bifurcation parameter passed through to the forcing.
     t_end : float
-        Final time (> 0).
+        Final time (> 0). A periodic signal with m restart segments per period
+        needs t_end / T < 2**53 / m, so that the batch sampler's int64 key
+        ``n * m + segment`` of period count n stays exact.
     config : IntegratorConfig, optional
     ref_dir : array_like, optional
         Unit reference for the hemisphere map; defaults to the direction of
@@ -533,6 +534,10 @@ def integrate_group(
     segments, prefixes = _integrate_restarting(
         lambda t, q: integrate_z_segment(signal, lam, t, t_stop, cfg), [], t_stop
     )
+    if T is not None and not t_end / T * len(segments) < 2.0**53:
+        raise DomainError(
+            f"t_end / T = {t_end / T!r} must be below 2**53 / {len(segments)}, the segments per period"
+        )
     return GroupTrajectory(segments, prefixes, ref, t_end, T)
 
 

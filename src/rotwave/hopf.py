@@ -326,6 +326,12 @@ def find_orthogonal_branch(
     BracketError
         If g has the same sign at both ends of the bracket.
     """
+    return _orthogonal_branch(family, lam, mu_bracket, x0, config)[0]
+
+
+def _orthogonal_branch(family, lam, mu_bracket, x0, config=None) -> tuple[float, tuple | None]:
+    """:func:`find_orthogonal_branch`'s mu* and the period class ``(z, T)`` that its
+    root-find integrated there; None at lam == 0, where nothing is integrated."""
     x0 = _vec3(x0)
     n0 = _norm3(x0)
     if n0 == 0.0:
@@ -339,10 +345,11 @@ def find_orthogonal_branch(
     if a is None or b is None or not a < b:
         raise DomainError(f"mu_bracket must be two real numbers a < b, got {mu_bracket!r}")
     if lam == 0.0:
-        return 0.0
+        return 0.0, None
+    classes = {}  # mu -> (z, T); brentq returns a point it evaluated
 
     def g(mu: float) -> float:
-        z, T = _period_class(family, lam, mu, u0, config)
+        z, T = classes[mu] = _period_class(family, lam, mu, u0, config)
         return _dot3(z, u0) / T
 
     ga, gb = g(a), g(b)
@@ -350,4 +357,5 @@ def find_orthogonal_branch(
         raise BracketError(
             f"objective does not change sign on [{a!r}, {b!r}]: g(a)={ga:.3e}, g(b)={gb:.3e}"
         )
-    return brentq(g, a, b, 1e-13, fa=ga, fb=gb)
+    mu = brentq(g, a, b, 1e-13, fa=ga, fb=gb)
+    return mu, classes[mu]

@@ -83,16 +83,15 @@ x2 = v2 * rate
 
 @functools.lru_cache(maxsize=None)
 def _shape_kernel(shape: str) -> Callable:
-    """``bind(lookup, memo, omega_eff) -> xg`` for one of :data:`_SHAPES`, compiled once, at
-    the shape's first forcing; ``xg``, run once per right-hand side, tests ``memo[0]`` inline,
-    not by a call. ``xg._fused_rhs = (xg, rhs_at)``: ``rhs_at(lam)`` is the Z-equation's right-hand
-    side at lam with the value check and dexpinv (:data:`_Z_RHS_TAIL`); both compute with ``float(lam)``."""
+    """``bind(lookup, omega_eff) -> xg`` for one of :data:`_SHAPES`, compiled once, at the
+    shape's first forcing. ``xg._fused_rhs = (xg, rhs_at)``: ``rhs_at(lam)`` is the Z-equation's
+    right-hand side at lam with the value check and dexpinv (:data:`_Z_RHS_TAIL`), which the
+    integrator runs in place of ``xg``; both compute with ``float(lam)``."""
     unpack, xg = _SHAPES[shape]
     source = f"""\
-def bind(lookup, memo, omega_eff):
+def bind(lookup, omega_eff):
     def xg(t, lam):
-        key, c = memo[0]
-        {unpack} = c if lam is key else lookup(lam)
+        {unpack} = lookup(lam)
 {_indented(xg, 2)}        return [x0, x1, x2]
     def rhs_at(lam):
         {unpack} = lookup(lam)
@@ -181,8 +180,8 @@ class Scenario:
         constants past the float range ConfigError. Each computes with the
         ``float(lam)`` that ``lookup`` returns with the constants, never with
         the caller's object. ``lookup`` keeps both in a last-lambda memo, one
-        ``(lam, (float(lam), *constants))`` tuple in a one-item list, read and
-        replaced whole, so a lambda is never paired with another's constants.
+        ``(lam, (float(lam), *constants))`` tuple read and replaced whole, so a
+        lambda is never paired with another's constants.
         It is keyed by the lambda object itself (``is``): the integrator passes
         one object for a whole run, ``-0.0`` and ``0.0`` (equal, but with
         constants of different sign) never share an entry, and an equal lambda
@@ -256,23 +255,24 @@ class Scenario:
                 theta = g if nu is None else nu * t + lam * g
                 return mul(exp(_finite3([a * t for a in u])), exp(_finite3([a * theta for a in C])))
 
-        memo = [(object(), None)]  # a key no caller can pass
+        memo = (object(), None)  # a key no caller can pass
 
         def lookup(lam: float):
-            key, c = memo[0]
+            nonlocal memo
+            key, c = memo
             if lam is not key:
                 lam_f = _finite(lam, "lambda", nonnegative=True)
                 try:
                     c = (lam_f, *constants(lam_f))
                 except OverflowError:
                     raise ConfigError(f"scenario {self.name} overflows at lambda {lam!r}") from None
-                memo[0] = (lam, c)
+                memo = (lam, c)
             return c
 
         @functools.cache
         def forcing_eval():
             shape = "collinear" if self.family == "example5" else "conjugated"
-            return _shape_kernel(shape)(lookup, memo, omega_eff)
+            return _shape_kernel(shape)(lookup, omega_eff)
 
         def period(lam: float) -> float:
             return 2.0 * math.pi / abs(omega_eff + lookup(lam)[0])

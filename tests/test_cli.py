@@ -22,6 +22,7 @@ from rotwave import (
     classify,
     cli,
     fit_circle,
+    hopf,
     integrate_group,
     primary_frequency,
     tip_trajectory,
@@ -270,6 +271,16 @@ def test_drift_example4(capsys):
     assert abs(doc["ortho_defect"]) < 1e-6
 
 
+def test_drift_takes_the_defect_from_the_root_finds_own_period_class(capsys, monkeypatch):
+    # the search integrates four periods, and the defect at mu* reuses one
+    calls = []
+    integrate = hopf.integrate_group
+    monkeypatch.setattr(hopf, "integrate_group", lambda *a, **k: calls.append(a) or integrate(*a, **k))
+    assert main(["drift", "--scenario", "example4", "--lambda", "0.01"]) == 0
+    assert len(calls) == 4
+    assert json.loads(capsys.readouterr().out)["ortho_defect"] is not None
+
+
 def test_drift_lambda_zero(capsys):
     rc = main(["drift", "--scenario", "example4", "--lambda", "0"])
     assert rc == 0
@@ -513,7 +524,7 @@ def test_dump_config_runs_nothing(argv, capsys, monkeypatch):
         raise AssertionError("--dump-config integrated")
 
     monkeypatch.setattr(cli, "integrate_group", fail)
-    monkeypatch.setattr(cli, "find_orthogonal_branch", fail)
+    monkeypatch.setattr(cli, "_orthogonal_branch", fail)
     monkeypatch.setattr(cli.scenarios, "verify_against_closed_form", fail)
     assert main([*argv, "--lambda", "0.01", "--dump-config"]) == 0
     doc = json.loads(capsys.readouterr().out)
@@ -734,8 +745,9 @@ def test_parameters_whose_constants_overflow_exit_2(tmp_path, capsys, argv, doc)
 
 def test_ortho_defect_of_a_zero_class_is_none(monkeypatch):
     # X = 0 at mu* has no direction: the defect is 0/0, reported as null
-    monkeypatch.setattr(cli, "_period_class", lambda *args: (np.zeros(3), 0.3))
-    assert cli._ortho_defect(build("example4"), 0.01, 0.1, None) is None
+    monkeypatch.setattr(cli, "_orthogonal_branch", lambda *args: (0.1, ((0.0, 0.0, 0.0), 0.3)))
+    entry = cli._drift_entry(build("example4"), 0.01, RunConfig(), None)
+    assert entry == {"lambda": 0.01, "mu_star": 0.1, "ortho_defect": None}
 
 
 def test_json_text_rejects_what_it_cannot_format():

@@ -68,9 +68,9 @@ def test_config_validation():
             IntegratorConfig(rtol=bad)
         with pytest.raises(ConfigError, match="finite"):
             IntegratorConfig(atol=bad)
-    assert IntegratorConfig.FIELDS == ("rtol", "atol")
-    assert list(inspect.signature(IntegratorConfig).parameters) == list(IntegratorConfig.FIELDS)
-    assert list(vars(IntegratorConfig())) == list(IntegratorConfig.FIELDS)
+    # the constructor's parameters are the attributes, in order
+    assert list(inspect.signature(IntegratorConfig).parameters) == list(vars(IntegratorConfig()))
+    assert list(vars(IntegratorConfig())) == ["rtol", "atol"]
 
 
 # ----------------------------------------------------------------- Z segment
@@ -837,6 +837,23 @@ def test_batch_errors_are_the_per_time_errors():
     for sample in (lambda: cold_each(traj, times.tolist()), lambda: traj.eval_A(times)):
         with pytest.raises(DomainError, match="finite 3-vector"):
             sample()
+
+
+def test_horizons_past_the_exact_period_count_are_refused():
+    # the batch keys each time by n * m + segment (n periods, m segments per
+    # period) in int64: past t_end / T = 2**53 / m it would lose exactness,
+    # and at 1e19 it overflowed, so batched samples differed from the
+    # per-time ones, and those raised ValueError (1e300) or OverflowError (1e308)
+    sc, lam = build("case2"), 0.01
+    T = sc.period(lam)
+    m = len(integrate_group(sc.forcing(lam), lam, 2.0 * T).segments)
+    traj = integrate_group(sc.forcing(lam), lam, 0.99 * 2.0**53 / m * T)
+    times = np.linspace(0.5 * traj.t_end, traj.t_end, flow.BATCH_MIN)
+    each = cold_each(traj, times.tolist())
+    assert traj.eval_A(times).tobytes() == each.tobytes()
+    for t_end in (1.01 * 2.0**53 / m * T, 1e19, 1e300, 1e308):
+        with pytest.raises(DomainError, match="2\\*\\*53"):
+            integrate_group(sc.forcing(lam), lam, t_end)
 
 
 def test_euler_eval_A_takes_an_array_of_times():
