@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 from . import scenarios
@@ -439,11 +440,20 @@ def _add_common(p: argparse.ArgumentParser, drift: bool = False, horizon: bool =
 
 
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser whose stdout text, the help, goes through :func:`_emit`.
+    """An ArgumentParser whose stdout text, the help, goes through :func:`_emit`,
+    and which reads every argument that starts with ``-`` and a digit, ``-.``
+    and a digit, ``-inf`` or ``-nan`` (any case) as a value.
 
     argparse's own write ignores a failed write but leaves the text in
     stdout's buffer, which the interpreter then fails to flush at exit.
-    Subparsers take this class too."""
+    argparse takes only ``-1`` and ``-1.5`` for negative numbers, so a value
+    such as ``-1e-3`` (the form that the outputs print) or the bracket
+    ``-0.001,0.3`` was an unknown option; no rotwave option looks like a
+    number. Subparsers take this class too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
 
     def _print_message(self, message, file=None):
         if message and file is sys.stdout:

@@ -355,8 +355,14 @@ def solve_ivp(
     rtol: float,
     atol: float,
     event: Callable[[float, list[float]], float] | None = None,
+    first_step: float | None = None,
 ) -> OdeResult:
     """Integrate ``y' = fun(t, y)`` forward over ``t_span`` with DOP853.
+
+    The first trial step is ``first_step``, capped at the span, when it is
+    given (a positive float), and otherwise the one of the initial-step
+    heuristic of Hairer et al., sec. II.4 (:func:`_initial_step`), which costs
+    one more right-hand-side call.
 
     Every step is accepted when the scaled error norm (the RMS norm of the
     order-5 error estimate, damped by the order-3 one, with scale
@@ -401,7 +407,9 @@ def solve_ivp(
     y = [float(v) for v in y0]
     step, dense = _step_kernel(len(y))
     fy = f(t, y)
-    h_abs = _initial_step(f, t, y, fy, t_bound, rtol, atol)
+    h_abs = first_step
+    if first_step is None:
+        h_abs = _initial_step(f, t, y, fy, t_bound, rtol, atol)
     g = event(t, y) if event is not None else 0.0
     ts = [t]
     interpolants: list[_Interpolant] = []

@@ -589,6 +589,44 @@ def test_negative_lambda_rejected(capsys):
     assert main(["frequency", "--scenario", "case1", "--lambda", "-0.1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv, same_as",
+    [
+        (["bch", "-1e-3", "0", "0", "0", "0", "1"], ["bch", "-0.001", "0", "0", "0", "0", "1"]),
+        (["bch", "-.5", "0", "0", "0", "0", "-1.1007993545669002e-08"],
+         ["bch", "-0.5", "0", "0", "0", "0", "-0.000000011007993545669002"]),
+        (["verify", "--scenario", "example4", "--mu", "-1e-3"],
+         ["verify", "--scenario", "example4", "--mu", "-0.001"]),
+        (["drift", "--scenario", "example4", "--lambda", "0.01", "--mu-bracket", "-0.001,0.3"],
+         ["drift", "--scenario", "example4", "--lambda", "0.01", "--mu-bracket=-0.001,0.3"]),
+    ],
+    ids=["bch-exponent", "bch-point-and-printed-form", "verify-mu", "drift-bracket"],
+)
+def test_negative_numbers_in_every_form_are_values(capsys, argv, same_as):
+    # argparse took -1e-3 and -0.001,0.3 for unknown options: a usage error, exit 2
+    assert main(same_as) == 0
+    want = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["frequency", "--scenario", "case1", "--lambda", "-1e-3"],
+         "error: lambda must be nonnegative and finite, got -0.001"),
+        (["verify", "--scenario", "example3", "--rtol", "-inf"],
+         "error: rtol must be positive and finite, got -inf"),
+        (["bch", "-inf", "0", "0", "0", "0", "1"], "error: bch components: "),
+        (["verify", "--mu", "-1x"], "argument --mu: invalid float value: '-1x'"),
+        (["verify", "--mu", "-x"], "argument --mu: expected one argument"),
+    ],
+)
+def test_negative_number_like_values_reach_their_own_checks(capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_out_under_file_is_io_error(tmp_path, capsys):
     blocker = tmp_path / "blocker"
     blocker.write_text("")

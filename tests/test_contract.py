@@ -120,6 +120,8 @@ SLOTS = [
     ("integrate_z_segment lam", lambda v: integrate_z_segment(UNIT_Z, v, 0.0, 0.1), "number", LAM),
     ("integrate_z_segment t_start", lambda v: integrate_z_segment(UNIT_Z, LAM, v, 0.1), "number", 0.0),
     ("integrate_z_segment t_max", lambda v: integrate_z_segment(UNIT_Z, LAM, 0.0, v), "number", 0.1),
+    ("integrate_z_segment first_step",
+     lambda v: integrate_z_segment(UNIT_Z, LAM, 0.0, 0.1, first_step=v), "number", 0.05),
     ("integrate_group lam", lambda v: integrate_group(SC.forcing(LAM), v, T), "number", LAM),
     ("integrate_group t_end", lambda v: integrate_group(SC.forcing(LAM), LAM, v), "number", T),
     ("integrate_group ref_dir",

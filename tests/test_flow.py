@@ -275,15 +275,28 @@ def test_period_extension_matches_direct_integration_over_50_periods(name, lam):
         assert np.linalg.norm(a_ext - a_direct) < ERR_50T
 
 
-@pytest.mark.parametrize("lam", [1e-4, 0.1])
+@pytest.mark.parametrize(
+    "lam, periods",
+    [
+        pytest.param(1e-4, 500, id="0.0001"),
+        pytest.param(0.1, 500, id="0.1"),
+        # the error grows as the period count: at 1e5 T the worst is 4.5e-8
+        # (case1, lambda = 1e-2); at lambda = 0.1 case1 and case2 exceed 1e-7 there
+        pytest.param(1e-4, 100_000, id="0.0001-1e5T"),
+        pytest.param(1e-2, 100_000, id="0.01-1e5T"),
+    ],
+)
 @pytest.mark.parametrize("name", FAMILIES)
-def test_period_extension_over_500_periods_meets_the_closed_form_bound(name, lam):
-    # criterion 3's closed-form bound, 1e-7, holds at 500T through the monodromy
+def test_period_extension_over_500_periods_meets_the_closed_form_bound(name, lam, periods):
+    # criterion 3's closed-form bound, 1e-7, holds at 500T, and at 1e5 T for
+    # the smaller lambdas, through the monodromy
     sc = build(name)
     T = sc.period(lam)
-    traj = integrate_group(sc.forcing(lam), lam, 500 * T, ref_dir=sc.frame.x0_dir)
+    t_end = periods * T
+    traj = integrate_group(sc.forcing(lam), lam, t_end, ref_dir=sc.frame.x0_dir)
     assert traj.segments[-1].ts[-1] == T
-    for t in np.linspace(0.0, 500 * T, 2001).tolist():
+    times = np.linspace(0.0, t_end, 2001).tolist() + np.linspace(t_end - T, t_end, 21).tolist()
+    for t in times:
         assert np.linalg.norm(traj.eval_A(t) - sc.closed_form(t, lam)) < 1e-7
 
 
@@ -355,6 +368,41 @@ def test_restart_margin_invariance(monkeypatch):
         for t in np.linspace(0.0, t_end, 17):
             assert np.linalg.norm(a.eval_A(t) - b.eval_A(t)) < 1e-9
     assert [seg.ts[-1] for seg in a.segments] != [seg.ts[-1] for seg in b.segments]
+
+
+def test_each_restart_segment_starts_with_the_last_step_before_it(monkeypatch):
+    # a restart changes the chart, not the dynamics: only the first segment
+    # takes the initial-step heuristic, whose first step at Z = 0 is 1e-4
+    sc, lam = build("case2"), 0.01
+    T = sc.period(lam)
+    first_steps = []
+    solve = flow.solve_ivp
+
+    def recorded_solve(fun, t_span, y0, rtol, atol, event, first_step):
+        first_steps.append(first_step)
+        return solve(fun, t_span, y0, rtol, atol, event, first_step)
+
+    monkeypatch.setattr(flow, "solve_ivp", recorded_solve)
+    segments = integrate_group(sc.forcing(lam), lam, T).segments
+    assert len(segments) == len(first_steps) >= 3
+    assert first_steps[0] is None and math.isclose(segments[0].interpolants[0].h, 1e-4)
+    for before, seg, h in zip(segments, segments[1:], first_steps[1:]):
+        assert h == before.interpolants[-1].h
+        # the first trial step is accepted here; t + h - t rounds h
+        assert math.isclose(seg.interpolants[0].h, min(h, T - seg.ts[0]), rel_tol=1e-12)
+        assert seg.interpolants[0].h > 1e-3
+
+
+def test_a_first_step_replaces_the_initial_step_heuristic():
+    sig = constant_signal(X0)
+    cold = integrate_z_segment(sig, 0.0, 0.0, 2.0)
+    warm = integrate_z_segment(sig, 0.0, 0.0, 2.0, first_step=0.05)
+    capped = integrate_z_segment(sig, 0.0, 0.0, 0.01, first_step=0.05)
+    assert cold.interpolants[0].h < 1e-3 and warm.interpolants[0].h == 0.05
+    assert capped.ts == [0.0, 0.01]
+    assert np.linalg.norm(np.subtract(warm(1.0), cold(1.0))) < 1e-10
+    with pytest.raises(DomainError, match="first_step"):
+        integrate_z_segment(sig, 0.0, 0.0, 2.0, first_step=0.0)
 
 
 def test_class_at_is_unreduced_chain():
