@@ -412,7 +412,7 @@ def _add_common(p: argparse.ArgumentParser, drift: bool = False, horizon: bool =
     """The shared flags, each with the dest and value of the RunConfig field it
     sets. drift searches for mu* itself, so it takes --mu-bracket, not --mu;
     ``horizon`` adds --horizon, which only simulate and frequency read."""
-    p.add_argument("--scenario", help="scenario name (see rotwave verify --help)")
+    p.add_argument("--scenario", help=f"scenario name: {', '.join(scenarios.available())}")
     lam = p.add_mutually_exclusive_group()
     lam.add_argument("--lambda", dest="lambda_grid", metavar="LAM", type=_lambda_point,
                      help="single bifurcation parameter")

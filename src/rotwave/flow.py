@@ -331,27 +331,20 @@ class GroupTrajectory:
             self._ends += ends
             self._steps += seg.interpolants
             self._step_segment += [i] * len(ends)
-        self._arrays = None  # the step table as ndarrays, built by the first batch
         self._classes: dict[float, tuple] = {}
-        self.W = None
-        self._t_extend = math.inf  # times past this come from the monodromy
+        self.W = None  # set: times past T come from the monodromy
         if self.T is not None and self.T < self.t_end:
             self.W = self._class_vector(self.T)
-            self._t_extend = self.T
 
     def _state_at(self, t: float) -> tuple[int, int, list[float]]:
         """Periods n before t, the step k holding tau = t - nT, and the dense state ``(Z, q)``;
         t is a float that :func:`_time_in_range` has checked."""
         n = 0
-        if t > self._t_extend:
-            if t > self.t_end:
-                t = self.t_end
+        if self.W is not None and t > self.T:
+            t = min(t, self.t_end)
             n = math.ceil(t / self.T) - 1
             t -= n * self.T
-        if t < 0.0:
-            t = 0.0
-        elif t > self._t_last:
-            t = self._t_last
+        t = min(max(t, 0.0), self._t_last)
         k = bisect.bisect_left(self._ends, t)
         return n, k, self._steps[k](t)
 
@@ -406,9 +399,11 @@ class GroupTrajectory:
     def _A_batch(self, ts: list[float]) -> np.ndarray:
         """:meth:`eval_A` of many times: the per-time chain, step by step on arrays.
 
-        numpy rounds + - * / and sqrt as Python floats do, and sin, cos and
-        atan2 are math's, so each sample is bitwise its per-time value. A time
-        whose product is the identity or a half turn, needs the snap onto the
+        The times are located on the step ends that the per-time sampler
+        bisects, and only the steps they land in build their dense rows. numpy
+        rounds + - * / and sqrt as Python floats do, and sin, cos and atan2 are
+        math's, so each sample is bitwise its per-time value. A time whose
+        product is the identity or a half turn, needs the snap onto the
         boundary sphere or lies in the hemisphere band is redone alone. The
         class vectors enter the sample-time cache.
         """
@@ -422,18 +417,17 @@ class GroupTrajectory:
             n = np.where(t > self.T, np.ceil(tau / self.T) - 1.0, 0.0)
             tau = tau - n * self.T
         tau = np.where(tau < 0.0, 0.0, np.where(tau > self._t_last, self._t_last, tau))
-        if self._arrays is None:
-            rows = np.array([step.dense_rows()[:3] for step in self._steps]).transpose(2, 1, 0)
-            t0, h = np.array([[step.t0, step.h] for step in self._steps]).T
-            self._arrays = np.array(self._ends), t0, h, rows, np.array(self._step_segment)
-        ends, t0, h, rows, segment = self._arrays
-        k = np.searchsorted(ends, tau)
+        located, k = np.unique(np.searchsorted(self._ends, tau), return_inverse=True)
+        steps = [self._steps[j] for j in located.tolist()]
+        rows = np.array([step.dense_rows()[:3] for step in steps]).transpose(2, 1, 0)
+        t0, h = np.array([[step.t0, step.h] for step in steps]).T
         x = (tau - t0[k]) / h[k]
         z = _horner(x, 1.0 - x, rows[:, :, k])  # Z(tau), one row per component
         if not np.isfinite(z).all():
             raise DomainError("expected a finite 3-vector")
         # the prefix class of each time, from one per (n, segment) pair
         m = len(self.segments)
+        segment = np.array(self._step_segment)[located]
         pairs, which = np.unique(n.astype(int) * m + segment[k], return_inverse=True)
         prefixes = np.array([self._prefix(*divmod(p, m)) for p in pairs.tolist()])
         v, generic = _bch_arrays(prefixes.T[:, which], z)

@@ -210,7 +210,8 @@ def periodic_part(
 
     Each sample composes ``-X t`` with the class of A(t) on Python floats
     through the same chain as ``traj.eval_A``, and shares its cached class
-    vector: a time that ``eval_A`` has already sampled costs one BCH.
+    vector: a time that ``eval_A`` has already sampled costs one BCH. ``T`` is
+    checked, not used: it stays for callers that pass it (``perfbench/jobs.py``).
     """
     neg_x = [-a for a in _vec3(X)]
     neg_xf = [-a for a in _vec3(Xf)]

@@ -59,34 +59,35 @@ def tip_trajectory(traj, x0, r: float, sample_times, period: float | None = None
     sample_times : array_like, 1-D
         Times within the integrated range.
     period : float, optional
-        When given (positive and finite), points at t = 0, period, 2*period,
-        ... (as far as the trajectory reaches, at most ``MAX_SAMPLES``) are
-        collected into ``period_samples``.
+        When given (positive and finite), points at t = n * period for n = 0,
+        1, ... while ``n * period <= t_end + 1e-9``, the trajectory's time check
+        (at most ``MAX_SAMPLES`` of them), are collected into ``period_samples``.
 
     Returns
     -------
     TipTrack
         Points are ``A(0)^-1 A(t) x0``, so the track starts at x0. One
-        ``eval_A`` call on ``[0, *sample_times]`` and one on the period times
-        give the matrices, as stacks for one batched matmul each.
+        ``eval_A`` call on ``[0, *sample_times, *period_times]`` gives the
+        matrices, as one stack for one batched matmul.
     """
     x0 = np.array(_vec3(x0))
     r = _positive(r, "r")
     if abs(float(np.linalg.norm(x0)) - r) > 1e-9 * r:
         raise DomainError(f"|x0| = {np.linalg.norm(x0):.12g} is not on the sphere of radius {r!r}")
     times = _float_array(sample_times, (None,), "sample_times")
+    period_times = ()
     if period is not None:
         period = _positive(period, "period")
-        count = traj.t_end / period + 1e-9
-        if not count < MAX_SAMPLES:
+        t_max = traj.t_end + 1e-9
+        if not t_max / period < MAX_SAMPLES:
             raise DomainError(f"t_end / period asks for more than {MAX_SAMPLES} period samples")
-    stack = traj.eval_A(np.concatenate(([0.0], times)))
-    a0_inv = stack[0].T
-    points = a0_inv @ stack[1:] @ x0
-    period_samples = None
-    if period is not None:
-        period_samples = a0_inv @ traj.eval_A(np.arange(int(count) + 1) * period) @ x0
-    return TipTrack(points, period_samples)
+        n = int(t_max / period) + 1  # the quotient rounds: step down to n * period <= t_max
+        while n * period > t_max:
+            n -= 1
+        period_times = np.arange(n + 1) * period
+    stack = traj.eval_A(np.concatenate(([0.0], times, period_times)))
+    tracks = stack[0].T @ stack[1:] @ x0
+    return TipTrack(tracks[: len(times)], None if period is None else tracks[len(times):])
 
 
 def fit_circle(points, ref_axis) -> CircleFit:

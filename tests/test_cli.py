@@ -667,6 +667,14 @@ def test_help_is_written_through_the_one_sink(argv, capsys):
     assert err.getvalue() == "error: cannot write to stdout: it is closed\n"
 
 
+@pytest.mark.parametrize("command", ["simulate", "frequency", "drift", "verify"])
+def test_scenario_help_names_every_scenario(command, capsys):
+    assert main([command, "--help"]) == 0
+    out = capsys.readouterr().out
+    for name in available():
+        assert name in out, (command, name)
+
+
 @pytest.mark.parametrize(
     "argv, stdout",
     [

@@ -878,13 +878,32 @@ def test_batch_errors_are_the_per_time_errors():
     # a dense state that is not finite: the same error from either chain
     traj = integrate_group(constant_signal(X0), 0.0, 1.0)
     times = np.linspace(0.0, 1.0, flow.BATCH_MIN)
-    traj.eval_A(times)  # builds the step table's arrays
     for step in traj._steps:
-        step.rows = ((math.inf,) * 8, *step.rows[1:])
-    traj._arrays[3][:, 0] = math.inf  # coefficient, component, step
+        step.rows = ((math.inf,) * 8, *step.dense_rows()[1:])
     for sample in (lambda: cold_each(traj, times.tolist()), lambda: traj.eval_A(times)):
         with pytest.raises(DomainError, match="finite 3-vector"):
             sample()
+
+
+def test_batch_builds_the_dense_rows_of_the_steps_it_samples_only():
+    # the batch locates its times in the one step table that the per-time
+    # sampler bisects; a step no time lands in keeps its dense stages deferred
+    sc, lam = build("case2"), 0.01
+    fresh = lambda: integrate_group(sc.forcing(lam), lam, 2 * sc.period(lam), ref_dir=sc.frame.x0_dir)
+    traj = fresh()
+    assert not hasattr(traj, "_arrays") and not hasattr(traj, "_t_extend")
+    built = {j for j, step in enumerate(traj._steps) if step.rows is not None}
+    picked = sorted({1, len(traj._steps) // 2, len(traj._steps) - 2} - built)
+    per_step = -(-flow.BATCH_MIN // len(picked))
+    times = [
+        traj._steps[j].t0 + frac * traj._steps[j].h
+        for j in picked for frac in np.linspace(0.1, 0.9, per_step).tolist()
+    ]
+    assert sorted({bisect.bisect_left(traj._ends, t) for t in times}) == picked
+    each = cold_each(fresh(), times)
+    assert traj.eval_A(np.array(times)).tobytes() == each.tobytes()
+    assert {j for j, step in enumerate(traj._steps) if step.rows is not None} == built | {*picked}
+    assert len(built) + len(picked) < len(traj._steps)
 
 
 def test_horizons_past_the_exact_period_count_are_refused():

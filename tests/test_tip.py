@@ -85,7 +85,7 @@ def test_tip_samples_through_one_array_call_each():
     calls = []
     traj.eval_A = lambda t: calls.append(np.shape(t)) or type(traj).eval_A(traj, t)
     track = tip_trajectory(traj, sc.tip_x0, sc.r, times, period=T)
-    assert calls == [(len(times) + 1,), (3,)]
+    assert calls == [(len(times) + 1 + 3,)]
     del traj.eval_A
     traj._classes.clear()
     a0_inv = traj.eval_A(0.0).T
@@ -106,6 +106,33 @@ def test_tip_period_samples():
     for i, p in enumerate(track.period_samples):
         expected = 3.0 * np.array([np.cos(2.0 * i), np.sin(2.0 * i), 0.0])
         assert np.allclose(p, expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("periods, samples", [(5 - 9e-10, 5), (5, 6)])
+def test_tip_period_samples_stop_at_the_time_check(periods, samples):
+    # the last period sample is the largest n T within the trajectory's time
+    # check, t_end + 1e-9, an absolute slack; T = 5.98 here, so 1e-9 periods
+    # of slack would reach past it
+    sc = build("case1", omega_bif=1.0)
+    lam = 0.05
+    T = sc.period(lam)
+    traj = integrate_group(sc.forcing(lam), lam, periods * T, ref_dir=sc.frame.x0_dir)
+    track = tip_trajectory(traj, sc.tip_x0, sc.r, [0.0], period=T)
+    assert track.period_samples.shape == (samples, 3)
+
+
+def test_tip_period_track_builds_dense_rows_of_the_steps_it_samples():
+    sc = build("case2")
+    lam = 0.01
+    T = sc.period(lam)
+    traj = integrate_group(sc.forcing(lam), lam, 39 * T, ref_dir=sc.frame.x0_dir)
+    calls = []
+    traj.eval_A = lambda t: calls.append(np.shape(t)) or type(traj).eval_A(traj, t)
+    track = tip_trajectory(traj, sc.tip_x0, sc.r, [T / 2], period=T)
+    assert calls == [(1 + 1 + 40,)] and track.period_samples.shape == (40, 3)
+    # the 3 steps that the restarts and W sampled while integrating, and those
+    # that hold 0 and T/2: 5 of 22
+    assert sum(step.rows is not None for step in traj._steps) <= 5 < len(traj._steps)
 
 
 def test_tip_equivariance_under_seed_rotation():
