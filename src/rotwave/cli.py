@@ -80,8 +80,9 @@ class RunConfig:
         self.horizon, self.samples_per_period = horizon, samples_per_period
         self.rtol, self.atol, self.out = rtol, atol, out
 
-    def validate(self, command: str) -> tuple[RunConfig, IntegratorConfig]:
-        """This config with its numbers as floats, and its integrator settings.
+    def validate(self, command: str) -> RunConfig:
+        """This config with its numbers as floats, carrying its integrator settings as
+        ``_integrator``, the IntegratorConfig that every integration of the run takes.
 
         ConfigError unless every field has its documented type and range.
         Config files can put any JSON value in any field, so types are checked
@@ -125,12 +126,13 @@ class RunConfig:
         a, b = (_finite(m, "mu_bracket entry", ConfigError) for m in self.mu_bracket)
         if not a < b:
             raise ConfigError(f"mu_bracket must be finite numbers a < b, got {self.mu_bracket!r}")
-        icfg = IntegratorConfig(self.rtol, self.atol)
+        integrator = IntegratorConfig(self.rtol, self.atol)
         cfg = RunConfig(
             self.scenario, self.overrides, lams, mu, (a, b), self.horizon, self.samples_per_period,
-            icfg.rtol, icfg.atol, self.out,
+            integrator.rtol, integrator.atol, self.out,
         )
-        return cfg, icfg
+        cfg._integrator = integrator
+        return cfg
 
 
 def _is_int(v) -> bool:
@@ -210,9 +212,9 @@ def _emit(text: str, out: str | None = None) -> None:
 
 # ------------------------------------------------------------- config loading
 
-def _load(args: argparse.Namespace) -> tuple[RunConfig, IntegratorConfig, list]:
-    """The run's validated config, its integrator settings and its
-    (scenario, lambda, mu) runs, checked before anything is run or dumped.
+def _load(args: argparse.Namespace) -> tuple[RunConfig, list]:
+    """The run's validated config and its (scenario, lambda, mu) runs, checked
+    before anything is run or dumped.
 
     Config-file keys are RunConfig.FIELDS, and each flag's dest is the field
     it sets (None when unset). The runs take the scenario, lambda grid and mu
@@ -243,7 +245,7 @@ def _load(args: argparse.Namespace) -> tuple[RunConfig, IntegratorConfig, list]:
         if unknown:
             raise ConfigError(f"unknown config key(s) {sorted(unknown)}; known: {sorted(known)}")
     given = {**raw, **{k: v for k, v in vars(args).items() if k in known and v is not None}}
-    cfg, icfg = RunConfig(**given).validate(args.command)
+    cfg = RunConfig(**given).validate(args.command)
     drift, verify = args.command == "drift", args.command == "verify"
     names, lams = [cfg.scenario], cfg.lambda_grid
     if verify and "scenario" not in given:
@@ -261,26 +263,28 @@ def _load(args: argparse.Namespace) -> tuple[RunConfig, IntegratorConfig, list]:
     for sc, lam, mu in runs:
         for probe in cfg.mu_bracket if drift else [mu]:
             sc.period(lam, probe)
-    return cfg, icfg, runs
+    return cfg, runs
 
 
 # ---------------------------------------------------------------- subcommands
 
-def _run(sc, lam: float, mu, cfg: RunConfig, icfg: IntegratorConfig):
+def _run(sc, lam: float, mu, cfg: RunConfig):
     """(trajectory, T): sc at (lam, mu) integrated over cfg.horizon relative periods T."""
     T = sc.period(lam, mu)
-    traj = integrate_group(sc.forcing(lam, mu), lam, cfg.horizon * T, icfg, ref_dir=sc.frame.x0_dir)
+    traj = integrate_group(
+        sc.forcing(lam, mu), lam, cfg.horizon * T, cfg._integrator, ref_dir=sc.frame.x0_dir
+    )
     return traj, T
 
 
-def cmd_simulate(cfg: RunConfig, icfg: IntegratorConfig, runs: list) -> int:
+def cmd_simulate(cfg: RunConfig, runs: list) -> int:
     from pathlib import Path
 
     outdir = Path(cfg.out or ".")
     header = "t," + ",".join(f"a{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3)) + ",tipx,tipy,tipz"
     n = cfg.horizon * cfg.samples_per_period
     for sc, lam, mu in runs:
-        traj, T = _run(sc, lam, mu, cfg, icfg)
+        traj, T = _run(sc, lam, mu, cfg)
         lines = [header]
         for i in range(n + 1):
             t = i * T / cfg.samples_per_period
@@ -293,8 +297,8 @@ def cmd_simulate(cfg: RunConfig, icfg: IntegratorConfig, runs: list) -> int:
     return 0
 
 
-def _frequency_entry(sc, lam: float, mu, cfg: RunConfig, icfg: IntegratorConfig) -> dict:
-    traj, T = _run(sc, lam, mu, cfg, icfg)
+def _frequency_entry(sc, lam: float, mu, cfg: RunConfig) -> dict:
+    traj, T = _run(sc, lam, mu, cfg)
     X = _primary_frequency(traj, T)
     norm_X = _norm3(X)
     Xf, res, ortho, motion = _classify(sc.X0, sc.omega_bif, X, T, lam)
@@ -319,8 +323,8 @@ def _frequency_entry(sc, lam: float, mu, cfg: RunConfig, icfg: IntegratorConfig)
     }
 
 
-def cmd_frequency(cfg: RunConfig, icfg: IntegratorConfig, runs: list) -> int:
-    entries = [_frequency_entry(sc, lam, mu, cfg, icfg) for sc, lam, mu in runs]
+def cmd_frequency(cfg: RunConfig, runs: list) -> int:
+    entries = [_frequency_entry(sc, lam, mu, cfg) for sc, lam, mu in runs]
     _emit(_json_text(entries), cfg.out)
     return 0
 
@@ -348,11 +352,11 @@ def cmd_bch(args: argparse.Namespace) -> int:
     return 0
 
 
-def _drift_entry(sc, lam: float, cfg: RunConfig, icfg: IntegratorConfig) -> dict:
+def _drift_entry(sc, lam: float, cfg: RunConfig) -> dict:
     """mu* and the orthogonality defect of Z(T)/T there, from the class that the
     root-find integrated at mu*. The defect is null at lam = 0 (no drift at
     criticality) and for Z = 0 (no direction): both are 0/0."""
-    mu_star, found = _orthogonal_branch(sc.forcing_family, lam, cfg.mu_bracket, sc.X0, icfg)
+    mu_star, found = _orthogonal_branch(sc.forcing_family, lam, cfg.mu_bracket, sc.X0, cfg._integrator)
     defect = None
     if found is not None:
         z, T = found
@@ -362,20 +366,20 @@ def _drift_entry(sc, lam: float, cfg: RunConfig, icfg: IntegratorConfig) -> dict
     return {"lambda": lam, "mu_star": mu_star, "ortho_defect": defect}
 
 
-def cmd_drift(cfg: RunConfig, icfg: IntegratorConfig, runs: list) -> int:
-    entries = [_drift_entry(sc, lam, cfg, icfg) for sc, lam, _ in runs]
+def cmd_drift(cfg: RunConfig, runs: list) -> int:
+    entries = [_drift_entry(sc, lam, cfg) for sc, lam, _ in runs]
     doc = entries[0] if len(entries) == 1 else entries
     _emit(_json_text(doc), cfg.out)
     return 0
 
 
-def cmd_verify(cfg: RunConfig, icfg: IntegratorConfig, runs: list) -> int:
+def cmd_verify(cfg: RunConfig, runs: list) -> int:
     tol = 1e-7
     worst = 0.0
     failed = False
     lines = []
     for sc, lam, mu in runs:
-        dev = scenarios.verify_against_closed_form(sc, lam, mu, config=icfg)
+        dev = scenarios.verify_against_closed_form(sc, lam, mu, config=cfg._integrator)
         worst = max(worst, dev)
         ok = dev < tol
         failed = failed or not ok
@@ -506,11 +510,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if args.command == "bch":
             return cmd_bch(args)
-        cfg, icfg, runs = _load(args)
+        cfg, runs = _load(args)
         if args.dump_config:  # every check has passed, and nothing has run
             _emit(_json_text({name: getattr(cfg, name) for name in RunConfig.FIELDS}))
             return 0
-        return args.func(cfg, icfg, runs)
+        return args.func(cfg, runs)
     except SystemExit as exc:  # argparse's exit after --help or a usage error
         return 0 if exc.code in (0, None) else 2
     except (ConfigError, IoError) as exc:

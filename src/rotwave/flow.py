@@ -10,8 +10,9 @@ terminal event on |Z|) well before the dexpinv singularity at 2*pi; a trial
 step whose stages reach that singularity is rejected and halved inside the
 stepper. The right-hand side works on float sequences and applies
 dexpinv as the vector formula ``x + (z cross x)/2 + c2(|z|) z cross (z cross x)``
-without building the matrix; a built-in forcing does all of it in one generated
-function per forcing shape (:func:`_z_rhs`). Segments are chained
+without building the matrix. For each built-in forcing shape this module generates
+the eval and a fused right-hand side that does all of it in one function, from the
+X^G fragment that :mod:`rotwave.scenarios` supplies (:func:`_shape_kernel`). Segments are chained
 through the closed-form BCH so that ``A(t) = exp_rot(prefix_i) @ exp_rot(Z_i(t))`` is
 available at any time through dense output, without matrix products drifting
 off the group. This is a Runge-Kutta-Munthe-Kaas (RKMK) method whose
@@ -39,6 +40,7 @@ independent cross-check formulation.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -63,6 +65,8 @@ from .so3 import (
     _finite,
     _finite3,
     _float_array,
+    _generated,
+    _indented,
     _norm3,
     _positive,
     _q_map,
@@ -200,12 +204,12 @@ def _time_in_range(t, t_end: float) -> float:
 def _time_list(t) -> list | None:
     """The times of a 1-D ndarray of numbers as Python floats; None for a single time.
 
-    :func:`_float_array` checks the dtype and the shape on an empty slice,
+    :func:`_float_array` checks the dtype and the shape, of 1-D times on an empty slice,
     so that a non-finite time fails each time's own check, with its message.
     """
     if not (isinstance(t, np.ndarray) and t.ndim):
         return None
-    _float_array(t[:0], (None,), "times")
+    _float_array(t[:0] if t.ndim == 1 else t, (None,), "times")
     return t.astype(float).tolist()
 
 
@@ -255,10 +259,32 @@ def integrate_z_segment(
     )
 
 
+@functools.lru_cache(maxsize=None)
+def _shape_kernel(shape: str, params: str, unpack: str, fragment: str) -> Callable:
+    """``bind(params) -> xg`` for one forcing shape (:data:`rotwave.scenarios._SHAPES`), compiled
+    once, at the shape's first forcing: ``unpack`` and the X^G ``fragment`` set x0, x1, x2 from t
+    and lam. ``xg._fused_rhs = (xg, rhs_at)``: ``rhs_at(lam)`` is the Z-equation's right-hand side
+    at lam, X^G with the value check and dexpinv (:data:`_Z_RHS_TAIL`), which :func:`_z_rhs` runs
+    in place of ``xg``."""
+    source = f"""\
+def bind({params}):
+    def xg(t, lam):
+        {unpack}
+{_indented(fragment, 2)}        return [x0, x1, x2]
+    def rhs_at(lam):
+        {unpack}
+        def rhs(t, z):
+{_indented(fragment + _Z_RHS_TAIL, 3)}
+        return rhs
+    xg._fused_rhs = (xg, rhs_at)
+    return xg
+"""
+    return _generated(source, f"<{shape} forcing>", _check_forcing_value=_check_forcing_value)["bind"]
+
+
 def _z_rhs(xg: Callable, lam: float) -> Callable:
-    """The Z-equation's right-hand side ``dexpinv(z, check(xg(t, lam)))``: the one generated
-    for a built-in forcing's shape (``xg._fused_rhs = (xg, rhs_at)``) while xg is that very
-    eval, else the composed one."""
+    """The Z-equation's right-hand side ``dexpinv(z, check(xg(t, lam)))``: the fused one of
+    :func:`_shape_kernel` while xg is the very eval it was generated with, else the composed one."""
     fused = getattr(xg, "_fused_rhs", None)
     if fused is not None and fused[0] is xg:
         return fused[1](lam)
@@ -477,6 +503,10 @@ def _integrate_restarting(
     only the first segment (``h`` None) takes the solver's initial-step
     heuristic. Returns the segments and their prefixes, as ball vectors
     (float triples).
+
+    The loop runs until t is within ``slack = 1e-12 * max(1, t_stop)`` of t_stop.
+    A segment that restarts short of t_stop after advancing at most ``slack`` has
+    stalled (IntegrationError); one that reaches t_stop has not, however short.
     """
     segments: list[OdeSolution] = []
     prefixes: list[tuple] = [(0.0, 0.0, 0.0)]
@@ -484,7 +514,7 @@ def _integrate_restarting(
     slack = 1e-12 * max(1.0, t_stop)
     while t < t_stop - slack or not segments:
         seg = segment(t, q, h)
-        if seg.ts[-1] <= t + slack:
+        if seg.ts[-1] < t_stop and seg.ts[-1] <= t + slack:
             raise IntegrationError(f"integration stalled at t={t!r} (restart made no progress)")
         segments.append(seg)
         t = seg.ts[-1]

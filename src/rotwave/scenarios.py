@@ -17,6 +17,10 @@ bed for the integrator, the frequency extraction, and the drift finder:
               X^G = (X0 + eps X1)(1 + eps gdot), A = exp((X0+eps X1)(t+eps g)).
 
 ``case1``..``case3`` are examples 1-3 under the names of the study cases.
+
+Each family's forcing is one of two shapes (:data:`_SHAPES`): this module supplies
+the shape's X^G fragment, and :mod:`rotwave.flow` generates from it the forcing's
+eval and its fused Z-equation right-hand side.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ import operator
 from collections.abc import Callable
 
 from .errors import ConfigError, DomainError
-from .flow import _Z_RHS_TAIL, ForcingSignal, IntegratorConfig, _check_forcing_value, integrate_group
+from .flow import ForcingSignal, IntegratorConfig, _shape_kernel, integrate_group
 from .so3 import (
     _EXP_APPLY,
     _cross3,
@@ -36,8 +40,6 @@ from .so3 import (
     _finite,
     _finite3,
     _frob_dist,
-    _generated,
-    _indented,
     _matmul3,
     _norm3,
     _positive,
@@ -52,11 +54,11 @@ __all__ = [
     "verify_against_closed_form",
 ]
 
-#: X^G of each forcing shape, example1-4's ``C theta' + amp Ad(exp(-C theta)) w`` and
-#: example5's ``(X0 + eps X1)(1 + eps gdot)``: how float(lam) and its constants unpack, and
-#: straight-line source that reads them, t and omega_eff and sets x0, x1, x2
+#: example1-4's X^G ``C theta' + amp Ad(exp(-C theta)) w`` and example5's ``(X0 + eps X1)(1 +
+#: eps gdot)`` for :func:`rotwave.flow._shape_kernel`: bind's parameters, how ``lookup(lam)``
+#: unpacks, and straight-line source that reads them and t and sets x0, x1, x2
 _SHAPES = {
-    "conjugated": ("lam, (c0, c1, c2), nu, (w0, w1, w2), amp, _", """\
+    "conjugated": ("lookup, omega_eff", "lam, (c0, c1, c2), nu, (w0, w1, w2), amp, _ = lookup(lam)", """\
 freq = omega_eff + lam
 phase = freq * t
 g = sin(phase)
@@ -71,7 +73,7 @@ x0 = c0 * rate + amp * r0
 x1 = c1 * rate + amp * r1
 x2 = c2 * rate + amp * r2
 """),
-    "collinear": ("lam, eps, (v0, v1, v2)", """\
+    "collinear": ("lookup, omega_eff", "lam, eps, (v0, v1, v2) = lookup(lam)", """\
 freq = omega_eff + lam
 rate = 1.0 + eps * (freq * cos(freq * t))
 x0 = v0 * rate
@@ -79,29 +81,6 @@ x1 = v1 * rate
 x2 = v2 * rate
 """),
 }
-
-
-@functools.lru_cache(maxsize=None)
-def _shape_kernel(shape: str) -> Callable:
-    """``bind(lookup, omega_eff) -> xg`` for one of :data:`_SHAPES`, compiled once, at the
-    shape's first forcing. ``xg._fused_rhs = (xg, rhs_at)``: ``rhs_at(lam)`` is the Z-equation's
-    right-hand side at lam with the value check and dexpinv (:data:`_Z_RHS_TAIL`), which the
-    integrator runs in place of ``xg``; both compute with ``float(lam)``."""
-    unpack, xg = _SHAPES[shape]
-    source = f"""\
-def bind(lookup, omega_eff):
-    def xg(t, lam):
-        {unpack} = lookup(lam)
-{_indented(xg, 2)}        return [x0, x1, x2]
-    def rhs_at(lam):
-        {unpack} = lookup(lam)
-        def rhs(t, z):
-{_indented(xg + _Z_RHS_TAIL, 3)}
-        return rhs
-    xg._fused_rhs = (xg, rhs_at)
-    return xg
-"""
-    return _generated(source, f"<{shape} forcing>", _check_forcing_value=_check_forcing_value)["bind"]
 
 
 class Frame:
@@ -188,8 +167,8 @@ class Scenario:
         in another object only recomputes.
 
         ``xg``, made by ``forcing_eval()`` at the first :meth:`forcing`, and its
-        fused right-hand side are compiled from the shape's X^G fragment
-        (:func:`_shape_kernel`); ``xg`` returns a list of three floats. The
+        fused right-hand side are generated by :mod:`rotwave.flow` from the shape's
+        X^G fragment (:data:`_SHAPES`); ``xg`` returns a list of three floats. The
         closed forms return ``mul(exp(u), exp(v))`` of float-list axis vectors
         built from the same constants, with ``_exp_matrix`` and ``@`` for
         :meth:`closed_form` and ``_exp_entries`` and ``_matmul3`` on the float
@@ -272,7 +251,7 @@ class Scenario:
         @functools.cache
         def forcing_eval():
             shape = "collinear" if self.family == "example5" else "conjugated"
-            return _shape_kernel(shape)(lookup, omega_eff)
+            return _shape_kernel(shape, *_SHAPES[shape])(lookup, omega_eff)
 
         def period(lam: float) -> float:
             return 2.0 * math.pi / abs(omega_eff + lookup(lam)[0])

@@ -792,7 +792,7 @@ def test_parameters_whose_constants_overflow_exit_2(tmp_path, capsys, argv, doc)
 def test_ortho_defect_of_a_zero_class_is_none(monkeypatch):
     # X = 0 at mu* has no direction: the defect is 0/0, reported as null
     monkeypatch.setattr(cli, "_orthogonal_branch", lambda *args: (0.1, ((0.0, 0.0, 0.0), 0.3)))
-    entry = cli._drift_entry(build("example4"), 0.01, RunConfig(), None)
+    entry = cli._drift_entry(build("example4"), 0.01, RunConfig().validate("drift"))
     assert entry == {"lambda": 0.01, "mu_star": 0.1, "ortho_defect": None}
 
 

@@ -15,6 +15,7 @@ in a BracketError after two period solves, and the integrators' forcings
 cannot make a horizon of 1e300 restart without end.
 """
 import math
+import re
 import warnings
 
 import numpy as np
@@ -303,3 +304,11 @@ def test_a_0d_array_of_a_real_dtype_is_the_number_it_holds():
     for bad in (np.array(True), np.array("0.5"), np.array(math.nan)):
         with pytest.raises(DomainError):
             rot_x(bad)
+
+
+@pytest.mark.parametrize("traj", [TRAJ, EULER], ids=["GroupTrajectory", "EulerTrajectory"])
+@pytest.mark.parametrize("shape", [(2, 2), (1, 3, 1), (0, 2)], ids=str)
+def test_eval_A_names_the_shape_of_the_times_it_refuses(traj, shape):
+    # the shape check ran on an empty slice, which reported (0, 2) for a (2, 2) input
+    with pytest.raises(DomainError, match=re.escape(f"got shape {shape}")):
+        traj.eval_A(np.zeros(shape))

@@ -139,6 +139,22 @@ def test_restart_that_makes_no_progress_stalls():
         integrate_group(fast, 0.0, 1.0)
 
 
+@pytest.mark.parametrize("t_end", [1e-12, 1e-13])
+def test_a_horizon_within_the_progress_slack_is_no_stall(t_end):
+    # one segment reaches t_end; at or below the loop's 1e-12 slack that
+    # progress was counted as a stall
+    sc = build("case1")
+    sig = sc.forcing(0.01)
+    runs = [
+        integrate_group(sig, 0.01, t_end),
+        integrate_group(aperiodic(sig), 0.01, t_end),
+        integrate_skew_product(lambda q, lam: [0.0, 0.0, 1.0], stuart_landau(1.0), [0.1, 0.0], 0.01, t_end),
+    ]
+    for traj in runs:
+        assert len(traj.segments) == 1 and traj.segments[0].ts[-1] == t_end
+        assert np.linalg.norm(traj.eval_A(t_end) - np.eye(3)) < 1e-11
+
+
 def test_large_constant_forcing_integrates_through_the_initial_step_probe():
     # the initial-step heuristic probes at h0 = 1e-6, where Z = 10 lies past
     # the dexpinv singularity; the probe is retried at half the step
@@ -590,9 +606,9 @@ def test_kernels_compile_at_first_use_once_per_shape():
     # first integrations compile the DOP853 step and the two forcing shapes
     code = """if True:
         import contextlib, io, rotwave
-        from rotwave import ode, scenarios, so3
+        from rotwave import flow, ode, scenarios, so3
         from rotwave.cli import main
-        caches = (ode._step_kernel, so3._dexpinv_kernels, scenarios._shape_kernel)
+        caches = (ode._step_kernel, so3._dexpinv_kernels, flow._shape_kernel)
         with contextlib.redirect_stdout(io.StringIO()):
             main(["bch", "0", "0", "1", "1", "0", "0", "--check"])
             main(["simulate", "--dump-config"])
