@@ -104,12 +104,14 @@ PERIOD_TOL_FACTOR = 10.0
 #: within 7% of that at 0.1
 RESTART_MARGIN = 0.1
 
-#: sample times whose class vectors a trajectory caches before emptying the cache
+#: sample times whose class vectors (and A) a trajectory caches before emptying the cache
 CACHE_SIZE = 1024
 
 #: fewest times that GroupTrajectory.eval_A samples in one vectorised pass.
-#: The pass costs ~0.3 ms however few times it holds, a time alone ~11 us: they
-#: break even near 40 times (2 cores, Python 3.11, numpy 2.4)
+#: On fresh trajectories of the five families over two periods, with every step's
+#: dense rows built first and the sample-time cache empty, the pass costs ~0.5 ms
+#: however few times it holds and ~4 us per time, a time alone 16-23 us: they break
+#: even near 40 times (2 cores, Python 3.11, numpy 2.4)
 BATCH_MIN = 40
 
 
@@ -328,9 +330,13 @@ class GroupTrajectory:
     to the per-time samples (:meth:`_A_batch`).
 
     ``eval_A``, ``eval_Z`` and :func:`rotwave.hopf.periodic_part` share one
-    class vector per time, cached under ``float(t)`` (at most ``CACHE_SIZE`` =
-    1024 times, emptied when full): a repeated time costs one lookup plus the
-    hemisphere map and Rodrigues, or one BCH. ``class_at`` bypasses the cache.
+    sample-time cache, keyed by ``float(t)`` (at most ``CACHE_SIZE`` = 1024
+    times, emptied when full). Its entry for a time holds the class vector and,
+    once ``eval_A`` (per time or batched) has sampled that time, A's nine
+    entries: a repeated ``eval_A`` costs one lookup, ``eval_Z`` the hemisphere
+    map, and ``log_Bf`` one BCH. The entries are the floats the per-time chain
+    computes, so a hit returns the bits of a cold sample. ``class_at`` bypasses
+    the cache.
     """
 
     def __init__(
@@ -357,7 +363,8 @@ class GroupTrajectory:
             self._ends += ends
             self._steps += seg.interpolants
             self._step_segment += [i] * len(ends)
-        self._classes: dict[float, tuple] = {}
+        # float(t) -> [class vector, A's nine entries or None]
+        self._samples: dict[float, list] = {}
         self.W = None  # set: times past T come from the monodromy
         if self.T is not None and self.T < self.t_end:
             self.W = self._class_vector(self.T)
@@ -385,16 +392,24 @@ class GroupTrajectory:
         n, k, y = self._state_at(t)
         return _bch_full(self._prefix(n, self._step_segment[k]), _finite3(y[:3]))[0]
 
+    def _store(self, t: float, entry: list) -> list:
+        """Cache ``entry`` under the checked float t, emptying a full cache first: the one eviction rule."""
+        if len(self._samples) >= CACHE_SIZE:
+            self._samples.clear()
+        self._samples[t] = entry
+        return entry
+
+    def _entry(self, t: float) -> list:
+        """The cache entry ``[v, a]`` of a float t that :func:`_time_in_range` has checked:
+        v is ``class_at(t).vector``, a the nine entries of A(t) or None until ``eval_A`` asks."""
+        entry = self._samples.get(t)
+        if entry is None:
+            entry = self._store(t, [_ball_vector(self._product(t)), None])
+        return entry
+
     def _class_vector(self, t: float):
         """``class_at(t).vector`` as a float triple, cached per ``float(t)``."""
-        t = _time_in_range(t, self.t_end)
-        v = self._classes.get(t)
-        if v is None:
-            v = _ball_vector(self._product(t))
-            if len(self._classes) >= CACHE_SIZE:
-                self._classes.clear()
-            self._classes[t] = v
-        return v
+        return self._entry(_time_in_range(t, self.t_end))[0]
 
     def class_at(self, t: float) -> BallClass:
         """Ball class of A(t) (no hemisphere reduction)."""
@@ -409,8 +424,12 @@ class GroupTrajectory:
         return np.array(self._state_at(_time_in_range(t, self.t_end))[2][3:])
 
     def _A_entries(self, t: float) -> tuple:
-        """The nine entries of A(t), row-major: the float form of :meth:`eval_A`."""
-        return _exp_entries(_q_map(self._class_vector(t), self.ref_dir))
+        """The nine entries of A(t), row-major: the float form of :meth:`eval_A`, cached per ``float(t)``."""
+        entry = self._entry(_time_in_range(t, self.t_end))
+        a = entry[1]
+        if a is None:
+            a = entry[1] = _exp_entries(_q_map(entry[0], self.ref_dir))
+        return a
 
     def eval_A(self, t) -> np.ndarray:
         """The rotation A(t), or the (m, 3, 3) stack of A at a 1-D ndarray of m times."""
@@ -431,7 +450,7 @@ class GroupTrajectory:
         math's, so each sample is bitwise its per-time value. A time whose
         product is the identity or a half turn, needs the snap onto the
         boundary sphere or lies in the hemisphere band is redone alone. The
-        class vectors enter the sample-time cache.
+        class vectors and the nine entries of A enter the sample-time cache.
         """
         t = np.array(ts)
         ok = (t >= -1e-9) & (t <= self.t_end + 1e-9)
@@ -458,15 +477,15 @@ class GroupTrajectory:
         prefixes = np.array([self._prefix(*divmod(p, m)) for p in pairs.tolist()])
         v, generic = _bch_arrays(prefixes.T[:, which], z)
         w, plain = _q_map_arrays(v, self.ref_dir)
-        stack = np.stack(_exp_entries_arrays(w), axis=-1).reshape(-1, 3, 3)
-        classes, fast = self._classes, (generic & plain).tolist()
-        for i, (ti, vi) in enumerate(zip(ts, zip(*(c.tolist() for c in v)))):
-            if not fast[i]:
+        entries = _exp_entries_arrays(w)
+        stack = np.stack(entries, axis=-1).reshape(-1, 3, 3)
+        fast = (generic & plain).tolist()
+        columns = zip(ts, zip(*(c.tolist() for c in v)), zip(*(e.tolist() for e in entries)))
+        for i, (ti, vi, ai) in enumerate(columns):
+            if fast[i]:
+                self._store(ti, [vi, ai])
+            else:
                 stack[i] = np.reshape(self._A_entries(ti), (3, 3))
-                continue
-            if len(classes) >= CACHE_SIZE:
-                classes.clear()
-            classes[ti] = vi
         return stack
 
 

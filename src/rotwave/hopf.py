@@ -26,7 +26,9 @@ from enum import Enum
 from ._numpy import lazy_numpy
 from .bch import _bch_full
 from .errors import BracketError, DomainError, InternalInconsistency
-from .flow import ForcingSignal, GroupTrajectory, IntegratorConfig, _check_lam, _period, integrate_group
+from .flow import (
+    ForcingSignal, GroupTrajectory, IntegratorConfig, _check_lam, _period, _time_in_range, integrate_group,
+)
 from .ode import brentq
 from .so3 import (
     _ball_vector, _dot3, _exp_matrix, _finite, _finite3, _float_array, _norm3, _positive, _q_map, _real, _vec3,
@@ -210,8 +212,10 @@ def periodic_part(
 
     Each sample composes ``-X t`` with the class of A(t) on Python floats
     through the same chain as ``traj.eval_A``, and shares its cached class
-    vector: a time that ``eval_A`` has already sampled costs one BCH. ``T`` is
-    checked, not used: it stays for callers that pass it (``perfbench/jobs.py``).
+    vector: a time that ``eval_A`` has already sampled costs one BCH. Both the
+    class vector and ``-X t`` are computed with the float that the time check
+    returns, so any number t gives the bits of ``float(t)``. ``T`` is checked,
+    not used: it stays for callers that pass it (``perfbench/jobs.py``).
     """
     neg_x = [-a for a in _vec3(X)]
     neg_xf = [-a for a in _vec3(Xf)]
@@ -219,6 +223,7 @@ def periodic_part(
 
     def log_b(neg: list[float], t: float):
         """Ball vector of ``bch(neg * t, class_at(t).vector)`` as a float triple."""
+        t = _time_in_range(t, traj.t_end)
         w = traj._class_vector(t)
         return _ball_vector(_bch_full(_finite3([a * t for a in neg]), w)[0])
 

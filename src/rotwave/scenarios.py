@@ -26,9 +26,9 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 from collections.abc import Callable
 
+from ._numpy import lazy_numpy
 from .errors import ConfigError, DomainError
 from .flow import ForcingSignal, IntegratorConfig, _shape_kernel, integrate_group
 from .so3 import (
@@ -36,7 +36,6 @@ from .so3 import (
     _cross3,
     _dot3,
     _exp_entries,
-    _exp_matrix,
     _finite,
     _finite3,
     _frob_dist,
@@ -45,6 +44,8 @@ from .so3 import (
     _positive,
     _vec3,
 )
+
+np = lazy_numpy(globals())
 
 __all__ = [
     "Frame",
@@ -128,7 +129,7 @@ class Scenario:
         return self.family == "example4"
 
     def _pieces(self, mu: float | None):
-        """(forcing_eval() -> xg, closed(t, lam, exp, mul), period(lam)) for this family at mu.
+        """(forcing_eval() -> xg, closed(t, lam), period(lam)) for this family at mu.
 
         ConfigError unless mu is None or, on example4, a finite number. Built once per ``float(mu)``,
         which they compute with; only the latest is kept, as a root find asks for a new mu each time.
@@ -168,13 +169,15 @@ class Scenario:
 
         ``xg``, made by ``forcing_eval()`` at the first :meth:`forcing`, and its
         fused right-hand side are generated by :mod:`rotwave.flow` from the shape's
-        X^G fragment (:data:`_SHAPES`); ``xg`` returns a list of three floats. The
-        closed forms return ``mul(exp(u), exp(v))`` of float-list axis vectors
-        built from the same constants, with ``_exp_matrix`` and ``@`` for
-        :meth:`closed_form` and ``_exp_entries`` and ``_matmul3`` on the float
-        chain. Each float operation is that of the module docstring's formulas
-        evaluated with numpy vectors and ``exp_rot``, in the same order, so the
-        values equal theirs bitwise.
+        X^G fragment (:data:`_SHAPES`); ``xg`` returns a list of three floats.
+        ``closed`` returns the nine floats, row-major, of ``exp(u t) exp(C theta)``
+        (``_exp_entries`` of float-list axis vectors built from the same constants,
+        multiplied by ``_matmul3``), and example5's of its one exponential; it is
+        the one path of :meth:`closed_form` and :func:`verify_against_closed_form`.
+        Each float operation is that of the module docstring's formulas evaluated
+        with numpy vectors and ``exp_rot``, in the same order, and the product sums
+        each entry's row-by-column terms left to right, so the values equal those
+        bitwise.
         """
         fr = self.frame
         X0_l, x1_l, x2_l = list(self.X0), list(fr.x1), list(fr.x2)
@@ -222,17 +225,19 @@ class Scenario:
                 return eps, [a + eps * b for a, b in zip(X0_l, x1_l)]
 
         if self.family == "example5":
-            def closed(t: float, lam: float, exp, mul):
+            def closed(t: float, lam: float) -> tuple:
                 lam, eps, v = lookup(lam)
                 s = t + eps * math.sin((omega_eff + lam) * t)
-                return exp(_finite3([a * s for a in v]))
+                return _exp_entries(_finite3([a * s for a in v]))
 
         else:
-            def closed(t: float, lam: float, exp, mul):
+            def closed(t: float, lam: float) -> tuple:
                 lam, C, nu, _, _, u = lookup(lam)
                 g = math.sin((omega_eff + lam) * t)
                 theta = g if nu is None else nu * t + lam * g
-                return mul(exp(_finite3([a * t for a in u])), exp(_finite3([a * theta for a in C])))
+                return _matmul3(
+                    _exp_entries(_finite3([a * t for a in u])), _exp_entries(_finite3([a * theta for a in C]))
+                )
 
         memo = (object(), None)  # a key no caller can pass
 
@@ -273,10 +278,14 @@ class Scenario:
 
     def closed_form(self, t: float, lam: float, mu: float | None = None):
         """Exact A(t, lam[, mu]) for this family, as a 3x3 ndarray; DomainError
-        unless t is a finite number (:func:`rotwave.so3._real`)."""
+        unless t is a finite number (:func:`rotwave.so3._real`).
+
+        The nine entries come from the family's ``closed`` on Python floats
+        (:meth:`_build_pieces`), and one ndarray is built from them at the return.
+        """
         if type(t) is not float or not math.isfinite(t):
             t = _finite(t, "t")
-        return self._pieces(mu)[1](t, lam, _exp_matrix, operator.matmul)
+        return np.array(self._pieces(mu)[1](t, lam)).reshape(3, 3)
 
     def period(self, lam: float = 0.0, mu: float | None = None) -> float:
         """Relative forcing period T(lam[, mu]) (DomainError for a negative or non-finite lam)."""
@@ -407,8 +416,8 @@ def verify_against_closed_form(
     """Max Frobenius deviation between the integrated and exact trajectories.
 
     Takes 201 samples over two relative periods, spaced as
-    ``numpy.linspace(0, 2T, 201)`` spaces them. The matrices (the closed form's
-    ``_exp_entries`` and ``_matmul3``) and their difference are formed on the float chain.
+    ``numpy.linspace(0, 2T, 201)`` spaces them. The matrices (the nine floats of
+    :meth:`Scenario.closed_form`'s one path) and their difference are formed on the float chain.
     """
     stop = 2.0 * scenario.period(lam, mu)
     step = stop / 200
@@ -418,5 +427,5 @@ def verify_against_closed_form(
     closed = scenario._pieces(mu)[1]
     worst = 0.0
     for t in t_grid:
-        worst = max(worst, _frob_dist(traj._A_entries(t), closed(t, lam, _exp_entries, _matmul3)))
+        worst = max(worst, _frob_dist(traj._A_entries(t), closed(t, lam)))
     return worst

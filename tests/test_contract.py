@@ -312,3 +312,26 @@ def test_eval_A_names_the_shape_of_the_times_it_refuses(traj, shape):
     # the shape check ran on an empty slice, which reported (0, 2) for a (2, 2) input
     with pytest.raises(DomainError, match=re.escape(f"got shape {shape}")):
         traj.eval_A(np.zeros(shape))
+
+
+def _sampled(value) -> np.ndarray:
+    """A sampler's result as an ndarray: a ball class by its vector."""
+    return value.vector if isinstance(value, BallClass) else value
+
+
+@pytest.mark.parametrize(
+    "label, call, kind, good",
+    [pytest.param(*slot, id=slot[0]) for slot in SLOTS if slot[2] in ("time", "times")],
+)
+def test_a_time_in_any_number_type_samples_as_its_float(label, call, kind, good):
+    # a good time as np.float32, np.float64, an int or a 0-d array gives the
+    # bits of float(t), as a float64 array: every sampler computes with the
+    # float its time check returns, never with the caller's object
+    forms = [np.float32(good), np.float64(good), round(good), np.int64(round(good)), np.array(good)]
+    if kind == "times":
+        forms.append(np.full(rotwave.flow.BATCH_MIN, good, dtype=np.float32))
+    for t in forms:
+        want = _sampled(call(t.astype(float) if isinstance(t, np.ndarray) and t.ndim else float(t)))
+        got = _sampled(call(t))
+        assert got.dtype == np.float64 and want.dtype == np.float64, (label, t)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), (label, type(t))

@@ -757,8 +757,8 @@ def test_cached_samples_are_bitwise_the_cold_ones(name, lam):
     for key in rng.permutation(sorted(warm)):
         for t in rng.permutation(times):
             warm[key](np.float64(t) if rng.random() < 0.5 else float(t))
-    cached = [c for v in warm_traj._classes.values() for c in v]
-    assert all(type(c) is float for c in [*warm_traj._classes, *cached])
+    cached = [c for v, a in warm_traj._samples.values() for c in (*v, *(a or ()))]
+    assert all(type(c) is float for c in [*warm_traj._samples, *cached])
     for key in sorted(warm):
         cold = sampled_case(name, lam)[1][key]
         for t in times:
@@ -775,7 +775,7 @@ def test_sample_cache_is_bounded_and_refills_with_the_same_values():
     for _ in range(2):
         for t in times:
             z = traj.eval_Z(t)
-            assert len(traj._classes) <= flow.CACHE_SIZE
+            assert len(traj._samples) <= flow.CACHE_SIZE
             assert np.array_equal(z, q_map(traj.class_at(t), traj.ref_dir))
     assert np.array_equal(traj.eval_A(times[0]), exp_rot(traj.eval_Z(times[0])))
 
@@ -788,7 +788,7 @@ def test_out_of_range_time_raises_after_in_range_samples():
             for _ in range(2):
                 with pytest.raises(DomainError):
                     f(t)
-    assert all(math.isfinite(t) and 0.0 <= t <= traj.t_end for t in traj._classes)
+    assert all(math.isfinite(t) and 0.0 <= t <= traj.t_end for t in traj._samples)
 
 
 def test_a_time_that_is_not_one_real_number_raises_domain_error():
@@ -808,9 +808,9 @@ def test_a_time_that_is_not_one_real_number_raises_domain_error():
 
 def cold_each(traj, times):
     """eval_A at each time, one call per time, on an emptied sample-time cache."""
-    traj._classes.clear()
+    traj._samples.clear()
     each = np.array([traj.eval_A(t) for t in times]).reshape(-1, 3, 3)
-    traj._classes.clear()
+    traj._samples.clear()
     return each
 
 
@@ -839,8 +839,45 @@ def test_batch_over_the_probe_times_fills_the_cache(name, lam):
     each = cold_each(traj, times)
     assert traj.eval_A(np.array(times)).tobytes() == each.tobytes()
     # later per-time samples at the same times are cache hits
-    assert {float(t) for t in times} <= set(traj._classes)
+    assert {float(t) for t in times} <= set(traj._samples)
     assert np.array([traj.eval_A(t) for t in times]).tobytes() == each.tobytes()
+
+
+def counted_exp_entries(monkeypatch) -> list:
+    """Record each argument of flow's ``_exp_entries``, the per-time Rodrigues step."""
+    calls = []
+    entries = flow._exp_entries
+    monkeypatch.setattr(flow, "_exp_entries", lambda v: calls.append(v) or entries(v))
+    return calls
+
+
+@pytest.mark.parametrize("name, lam", [("case2", 0.1), ("example4", 1e-3), ("example5", 0.1)])
+def test_a_batch_leaves_A_in_the_cache_for_per_time_samples(name, lam, monkeypatch):
+    # after a batched eval_A or a tip track, eval_A at those times returns
+    # the batch's rows bitwise from the cache, with no Rodrigues step; a
+    # float and an np.float64 time hit one entry
+    sc = build(name)
+    T = sc.period(lam)
+    fresh = lambda: integrate_group(sc.forcing(lam), lam, 2 * T, ref_dir=sc.frame.x0_dir)
+    times = np.linspace(0.01, 2 * T, 2 * flow.BATCH_MIN)
+    traj = fresh()
+    stack = traj.eval_A(times)
+    calls = counted_exp_entries(monkeypatch)
+    for i, t in enumerate(times.tolist()):
+        assert traj.eval_A(t).tobytes() == stack[i].tobytes()
+        assert traj.eval_A(np.float64(t)).tobytes() == stack[i].tobytes()
+    assert calls == [] and set(times.tolist()) <= set(traj._samples)
+    # the tip track's one batched call fills it the same way
+    traj = fresh()
+    tip_trajectory(traj, sc.tip_x0, sc.r, times, period=T)
+    calls.clear()  # the track's A(0), an identity product, is redone alone inside the batch
+    assert np.array([traj.eval_A(t) for t in times.tolist()]).tobytes() == stack.tobytes()
+    assert calls == []
+    # a cold per-time sample runs Rodrigues once, then hits
+    traj = fresh()
+    t = float(times[5])
+    assert traj.eval_A(t).tobytes() == traj.eval_A(np.float64(t)).tobytes() == stack[5].tobytes()
+    assert len(calls) == 1
 
 
 def test_short_arrays_are_sampled_time_by_time(monkeypatch):
@@ -871,12 +908,19 @@ def test_batch_leaves_identity_and_half_turn_products_to_the_per_time_chain(monk
     assert alone == [0.0, math.pi / 2]
 
 
-def test_batch_cache_stays_bounded():
+def test_batch_cache_stays_bounded(monkeypatch):
+    # a batch longer than the cache empties it when full, as per-time samples
+    # do; the times it cached last hold A, so per-time samples there are hits
     traj = chain_trajectory("example4", 0.1)[0]
     times = np.linspace(0.0, traj.t_end, 2 * flow.CACHE_SIZE + 37)
     each = cold_each(traj, times.tolist())
     assert traj.eval_A(times).tobytes() == each.tobytes()
-    assert 0 < len(traj._classes) <= flow.CACHE_SIZE
+    held = len(traj._samples)
+    assert 0 < held <= flow.CACHE_SIZE and set(traj._samples) == set(times[-held:].tolist())
+    calls = counted_exp_entries(monkeypatch)
+    assert np.array([traj.eval_A(t) for t in times[-held:].tolist()]).tobytes() == each[-held:].tobytes()
+    assert calls == [] and len(traj._samples) == held
+    traj._samples.clear()
 
 
 def test_batch_errors_are_the_per_time_errors():

@@ -1,5 +1,6 @@
 """Forcing families: construction, validation, closed forms vs the group ODE."""
 import math
+import operator
 import types
 
 import numpy as np
@@ -243,13 +244,22 @@ def _exp_apply(v, w):
     return oracles.quadratic_apply_composed(v, w, *_exp_coeffs(oracles.norm3_composed(v)))
 
 
-def reference_pieces(sc, mu=None):
+def float_product(a, b):
+    """``a @ b`` of two 3x3 ndarrays, each entry's row-by-column terms summed left to right on Python floats."""
+    a, b = a.tolist(), b.tolist()
+    return np.array(
+        [[a[i][0] * b[0][j] + a[i][1] * b[1][j] + a[i][2] * b[2][j] for j in range(3)] for i in range(3)]
+    )
+
+
+def reference_pieces(sc, mu=None, product=float_product):
     """(xg, closed) recomputing every constant on each call: the forcings
     as float lists with the vector Rodrigues rotation, the closed forms with
     numpy vectors and exp_rot, each float operation in the order the
-    formulas of the module docstring take. The library's closures, which
-    compute the lambda-only constants once per lambda, must give the same
-    bits."""
+    formulas of the module docstring take, and the two exp_rot factors
+    multiplied by ``product``. The library's closures, which compute the
+    lambda-only constants once per lambda, must give the bits of the
+    default product, the row-by-column float sum."""
     # the frame's float triples as numpy vectors
     fr = types.SimpleNamespace(**{k: np.array(v) for k, v in vars(sc.frame).items()})
     X0 = np.array(sc.X0)
@@ -278,7 +288,7 @@ def reference_pieces(sc, mu=None):
 
         def closed(t, lam):
             eps = math.sqrt(lam)
-            return exp_rot((X0 + eps * fr.x1) * t) @ exp_rot(eps * pdir * g(t, lam))
+            return product(exp_rot((X0 + eps * fr.x1) * t), exp_rot(eps * pdir * g(t, lam)))
 
     elif sc.family in ("example2", "example3"):
         def parts(lam):
@@ -296,7 +306,7 @@ def reference_pieces(sc, mu=None):
 
         def closed(t, lam):
             C, nu, w = parts(lam)
-            return exp_rot(w * t) @ exp_rot(C * (nu * t + lam * g(t, lam)))
+            return product(exp_rot(w * t), exp_rot(C * (nu * t + lam * g(t, lam))))
 
     elif sc.family == "example4":
         C = X0 + mu_val * fr.x1
@@ -316,7 +326,7 @@ def reference_pieces(sc, mu=None):
 
         def closed(t, lam):
             eps, nu, w = parts(lam)
-            return exp_rot(eps**sc.k * w * t) @ exp_rot(C * (nu * t + lam * g(t, lam)))
+            return product(exp_rot(eps**sc.k * w * t), exp_rot(C * (nu * t + lam * g(t, lam))))
 
     else:
         def xg(t, lam):
@@ -370,6 +380,20 @@ def test_closures_are_bitwise_the_numpy_formulas():
             # equal lambdas in fresh objects, and 0.0 next to -0.0
             for lam in (GUARD_LAMBDAS[i % 5], float(repr(GUARD_LAMBDAS[(i + 2) % 5])), -0.0, 0.0):
                 assert_bitwise(sc, mu, t, lam, ref_xg, ref_closed, sig)
+
+
+def test_closed_form_is_within_4_ulp_of_numpy_matmul():
+    # the float-order product differs from numpy's `@` of the same exp_rot
+    # factors by rounding alone: no entry by more than 4 ulp of |A|_F
+    ts = np.linspace(0.0, 3.0, 50).tolist()
+    worst = 0.0
+    for sc, mu in guard_cases():
+        ref_closed = reference_pieces(sc, mu, product=operator.matmul)[1]
+        for lam in GUARD_LAMBDAS:
+            for t in ts:
+                got, want = sc.closed_form(t, lam, mu), ref_closed(t, lam)
+                worst = max(worst, np.abs(got - want).max() / (np.spacing(1.0) * np.linalg.norm(want)))
+    assert worst <= 4.0
 
 
 def test_negative_zero_lambda_keeps_its_sign():

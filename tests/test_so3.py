@@ -34,6 +34,7 @@ from rotwave.so3 import (
     _exp_entries_arrays,
     _generated,
     _indented,
+    _matmul3,
     _q_map_arrays,
     _exp_coeffs,
     _northern,
@@ -545,3 +546,21 @@ def test_array_hemisphere_map_leaves_zero_snapped_and_band_vectors_out():
     assert mask.tolist() == [True] * len(plain) + [False] * len(rare)
     got = np.array(w).T[mask]
     assert got.tobytes() == np.array([_q_map(_ball_vector(v), ref) for v in plain]).tobytes()
+
+
+def _matmul3_generator(a, b):
+    """``_matmul3`` as it was first written, a generator expression over the nine entries."""
+    return tuple(
+        a[i] * b[j] + a[i + 1] * b[j + 3] + a[i + 2] * b[j + 6]
+        for i in (0, 3, 6) for j in (0, 1, 2)
+    )
+
+
+@given(st.lists(st.floats(), min_size=18, max_size=18))
+def test_straight_line_matmul3_is_bitwise_the_generator_expression(entries):
+    # the closed forms, verify's deviations and the bch check's defect are
+    # products of this kernel; any float, inf and nan included, gives the same bits
+    a, b = entries[:9], entries[9:]
+    got = _matmul3(a, b)
+    assert type(got) is tuple and len(got) == 9
+    assert np.array(got).tobytes() == np.array(_matmul3_generator(a, b)).tobytes()

@@ -87,7 +87,7 @@ def test_tip_samples_through_one_array_call_each():
     track = tip_trajectory(traj, sc.tip_x0, sc.r, times, period=T)
     assert calls == [(len(times) + 1 + 3,)]
     del traj.eval_A
-    traj._classes.clear()
+    traj._samples.clear()
     a0_inv = traj.eval_A(0.0).T
     each = np.array([traj.eval_A(t) for t in times.tolist()])
     assert track.points.tobytes() == (a0_inv @ each @ np.asarray(sc.tip_x0)).tobytes()
