@@ -33,6 +33,7 @@ import math
 from enum import Enum
 
 from ._numpy import lazy_numpy
+from .errors import DomainError
 from .so3 import BallClass, _cross3, _dot3, _mapped, _vec3
 
 np = lazy_numpy(globals())
@@ -69,11 +70,14 @@ class BchBreakdown:
 
 
 def _bch_full(x, y) -> tuple[tuple[float, float, float], tuple]:
-    """BCH of two float triples: the result triple and the BchBreakdown fields."""
+    """BCH of two float triples: the result triple and the BchBreakdown fields.
+    DomainError unless both squared norms are finite (an infinite angle has no sine)."""
     x0, x1, x2 = x
     y0, y1, y2 = y
     nx = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
     ny = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
+    if not math.isfinite(nx + ny):
+        raise DomainError("expected a finite 3-vector")
     hx, hy = 0.5 * nx, 0.5 * ny
     chx, shx = math.cos(hx), math.sin(hx)
     chy, shy = math.cos(hy), math.sin(hy)

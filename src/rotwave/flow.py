@@ -63,7 +63,6 @@ from .so3 import (
     _exp_entries,
     _exp_entries_arrays,
     _finite,
-    _finite3,
     _float_array,
     _generated,
     _indented,
@@ -149,7 +148,9 @@ class ForcingSignal:
         is; a numpy array or other numbers are converted once per call. The
         built-in forcings return float lists, compute with ``float(lam)`` (any other
         eval gets lam as it is), may be called at any lam, compute what depends on
-        lam alone once per lam, and raise DomainError for a negative lam.
+        lam alone once per lam, and raise DomainError for a negative lam. Where
+        their phase or Rodrigues angle overflows they return a non-finite triple,
+        which the integrator refuses, and never raise math's ValueError.
     period : callable (lam) -> T(lam) > 0, or None
         T(lam) must be an exact period of ``eval(., lam)``:
         :func:`integrate_group` integrates only [0, T] and takes every later
@@ -265,18 +266,21 @@ def integrate_z_segment(
 def _shape_kernel(shape: str, params: str, unpack: str, fragment: str) -> Callable:
     """``bind(params) -> xg`` for one forcing shape (:data:`rotwave.scenarios._SHAPES`), compiled
     once, at the shape's first forcing: ``unpack`` and the X^G ``fragment`` set x0, x1, x2 from t
-    and lam. ``xg._fused_rhs = (xg, rhs_at)``: ``rhs_at(lam)`` is the Z-equation's right-hand side
-    at lam, X^G with the value check and dexpinv (:data:`_Z_RHS_TAIL`), which :func:`_z_rhs` runs
-    in place of ``xg``."""
+    and lam. Where math's sin or cos refuses an infinite phase or angle, the fragment's ValueError
+    sets them to NaN, so ``xg`` returns a non-finite triple. ``xg._fused_rhs = (xg, rhs_at)``:
+    ``rhs_at(lam)`` is the Z-equation's right-hand side at lam, X^G with the value check and
+    dexpinv (:data:`_Z_RHS_TAIL`, outside the ``try``), which :func:`_z_rhs` runs in place of
+    ``xg``."""
+    guarded = "try:\n" + _indented(fragment, 1) + "except ValueError:\n    x0 = x1 = x2 = nan\n"
     source = f"""\
 def bind({params}):
     def xg(t, lam):
         {unpack}
-{_indented(fragment, 2)}        return [x0, x1, x2]
+{_indented(guarded, 2)}        return [x0, x1, x2]
     def rhs_at(lam):
         {unpack}
         def rhs(t, z):
-{_indented(fragment + _Z_RHS_TAIL, 3)}
+{_indented(guarded + _Z_RHS_TAIL, 3)}
         return rhs
     xg._fused_rhs = (xg, rhs_at)
     return xg
@@ -329,14 +333,14 @@ class GroupTrajectory:
     it runs the chain once over them all, elementwise on arrays, bitwise equal
     to the per-time samples (:meth:`_A_batch`).
 
-    ``eval_A``, ``eval_Z`` and :func:`rotwave.hopf.periodic_part` share one
-    sample-time cache, keyed by ``float(t)`` (at most ``CACHE_SIZE`` = 1024
-    times, emptied when full). Its entry for a time holds the class vector and,
-    once ``eval_A`` (per time or batched) has sampled that time, A's nine
-    entries: a repeated ``eval_A`` costs one lookup, ``eval_Z`` the hemisphere
-    map, and ``log_Bf`` one BCH. The entries are the floats the per-time chain
-    computes, so a hit returns the bits of a cold sample. ``class_at`` bypasses
-    the cache.
+    ``eval_A``, ``eval_Z``, :func:`rotwave.hopf.primary_frequency` and
+    :func:`rotwave.hopf.periodic_part` share one sample-time cache, keyed by
+    ``float(t)`` (at most ``CACHE_SIZE`` = 1024 times, emptied when full). Its
+    record for a time is whole, the class vector and A's nine entries,
+    whichever sampler made it: a repeated ``eval_A`` costs one lookup,
+    ``eval_Z`` the hemisphere map, and ``log_Bf`` one BCH. The records are the
+    floats the per-time chain computes, so a hit returns the bits of a cold
+    sample. ``class_at`` bypasses the cache.
     """
 
     def __init__(
@@ -363,8 +367,8 @@ class GroupTrajectory:
             self._ends += ends
             self._steps += seg.interpolants
             self._step_segment += [i] * len(ends)
-        # float(t) -> [class vector, A's nine entries or None]
-        self._samples: dict[float, list] = {}
+        # float(t) -> (class vector, A's nine entries)
+        self._samples: dict[float, tuple] = {}
         self.W = None  # set: times past T come from the monodromy
         if self.T is not None and self.T < self.t_end:
             self.W = self._class_vector(self.T)
@@ -390,26 +394,29 @@ class GroupTrajectory:
     def _product(self, t: float):
         """BCH of the prefix and Z(tau) as a float triple, before the ball check."""
         n, k, y = self._state_at(t)
-        return _bch_full(self._prefix(n, self._step_segment[k]), _finite3(y[:3]))[0]
+        return _bch_full(self._prefix(n, self._step_segment[k]), y[:3])[0]
 
-    def _store(self, t: float, entry: list) -> list:
-        """Cache ``entry`` under the checked float t, emptying a full cache first: the one eviction rule."""
+    def _store(self, t: float, record: tuple) -> tuple:
+        """Cache the record ``(v, a)`` of the checked float t, emptying a full cache first:
+        the one eviction rule. v is ``class_at(t).vector``, a the nine entries of A(t)."""
         if len(self._samples) >= CACHE_SIZE:
             self._samples.clear()
-        self._samples[t] = entry
-        return entry
+        self._samples[t] = record
+        return record
 
-    def _entry(self, t: float) -> list:
-        """The cache entry ``[v, a]`` of a float t that :func:`_time_in_range` has checked:
-        v is ``class_at(t).vector``, a the nine entries of A(t) or None until ``eval_A`` asks."""
-        entry = self._samples.get(t)
-        if entry is None:
-            entry = self._store(t, [_ball_vector(self._product(t)), None])
-        return entry
+    def _record(self, t: float) -> tuple:
+        """The record ``(v, a)`` of the time t (:meth:`_store`): the cached one, or the per-time
+        chain's, cached. DomainError unless :func:`_time_in_range` accepts t."""
+        t = _time_in_range(t, self.t_end)
+        record = self._samples.get(t)
+        if record is None:
+            v = _ball_vector(self._product(t))
+            record = self._store(t, (v, _exp_entries(_q_map(v, self.ref_dir))))
+        return record
 
     def _class_vector(self, t: float):
         """``class_at(t).vector`` as a float triple, cached per ``float(t)``."""
-        return self._entry(_time_in_range(t, self.t_end))[0]
+        return self._record(t)[0]
 
     def class_at(self, t: float) -> BallClass:
         """Ball class of A(t) (no hemisphere reduction)."""
@@ -425,11 +432,7 @@ class GroupTrajectory:
 
     def _A_entries(self, t: float) -> tuple:
         """The nine entries of A(t), row-major: the float form of :meth:`eval_A`, cached per ``float(t)``."""
-        entry = self._entry(_time_in_range(t, self.t_end))
-        a = entry[1]
-        if a is None:
-            a = entry[1] = _exp_entries(_q_map(entry[0], self.ref_dir))
-        return a
+        return self._record(t)[1]
 
     def eval_A(self, t) -> np.ndarray:
         """The rotation A(t), or the (m, 3, 3) stack of A at a 1-D ndarray of m times."""
@@ -483,7 +486,7 @@ class GroupTrajectory:
         columns = zip(ts, zip(*(c.tolist() for c in v)), zip(*(e.tolist() for e in entries)))
         for i, (ti, vi, ai) in enumerate(columns):
             if fast[i]:
-                self._store(ti, [vi, ai])
+                self._store(ti, (vi, ai))
             else:
                 stack[i] = np.reshape(self._A_entries(ti), (3, 3))
         return stack

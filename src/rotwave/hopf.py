@@ -31,7 +31,7 @@ from .flow import (
 )
 from .ode import brentq
 from .so3 import (
-    _ball_vector, _dot3, _exp_matrix, _finite, _finite3, _float_array, _norm3, _positive, _q_map, _real, _vec3,
+    _ball_vector, _dot3, _exp_matrix, _finite, _float_array, _norm3, _positive, _q_map, _real, _vec3,
 )
 
 np = lazy_numpy(globals())
@@ -211,8 +211,9 @@ def periodic_part(
     classes ``|log_Bf|`` is not small (see the module docstring).
 
     Each sample composes ``-X t`` with the class of A(t) on Python floats
-    through the same chain as ``traj.eval_A``, and shares its cached class
-    vector: a time that ``eval_A`` has already sampled costs one BCH. Both the
+    through the same chain as ``traj.eval_A``, and shares its cache: a time
+    already sampled costs one BCH, and a cold one caches the whole record, A
+    included, so a later ``eval_A`` there is a lookup. Both the
     class vector and ``-X t`` are computed with the float that the time check
     returns, so any number t gives the bits of ``float(t)``. ``T`` is checked,
     not used: it stays for callers that pass it (``perfbench/jobs.py``).
@@ -225,7 +226,7 @@ def periodic_part(
         """Ball vector of ``bch(neg * t, class_at(t).vector)`` as a float triple."""
         t = _time_in_range(t, traj.t_end)
         w = traj._class_vector(t)
-        return _ball_vector(_bch_full(_finite3([a * t for a in neg]), w)[0])
+        return _ball_vector(_bch_full([a * t for a in neg], w)[0])
 
     def log_bf(t: float) -> np.ndarray:
         return np.array(log_b(neg_xf, t))

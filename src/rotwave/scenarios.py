@@ -37,7 +37,6 @@ from .so3 import (
     _dot3,
     _exp_entries,
     _finite,
-    _finite3,
     _frob_dist,
     _matmul3,
     _norm3,
@@ -228,16 +227,14 @@ class Scenario:
             def closed(t: float, lam: float) -> tuple:
                 lam, eps, v = lookup(lam)
                 s = t + eps * math.sin((omega_eff + lam) * t)
-                return _exp_entries(_finite3([a * s for a in v]))
+                return _exp_entries([a * s for a in v])
 
         else:
             def closed(t: float, lam: float) -> tuple:
                 lam, C, nu, _, _, u = lookup(lam)
                 g = math.sin((omega_eff + lam) * t)
                 theta = g if nu is None else nu * t + lam * g
-                return _matmul3(
-                    _exp_entries(_finite3([a * t for a in u])), _exp_entries(_finite3([a * theta for a in C]))
-                )
+                return _matmul3(_exp_entries([a * t for a in u]), _exp_entries([a * theta for a in C]))
 
         memo = (object(), None)  # a key no caller can pass
 

@@ -19,7 +19,7 @@ floats, as a row-major tuple of nine. The right-hand side's two products,
 ``exp_rot(v) @ w`` and ``dexpinv_op(z) @ x``, are held once, as straight-line
 source fragments (``_EXP_APPLY``; ``_DEXPINV_APPLY`` with ``_DEXPINV_C2``).
 Nothing is compiled on import: a built-in forcing shape compiles them into
-its forcing and its fused right-hand side (:mod:`rotwave.scenarios`), and
+its forcing and its fused right-hand side (:func:`rotwave.flow._shape_kernel`), and
 ``_dexpinv_kernels`` into :func:`dexpinv_op`'s coefficient and the composed
 right-hand side, at first use. Generated code takes float triples and skips
 validation; :func:`_vec3` runs at the public entry points only. ``_matmul3``,
@@ -173,15 +173,6 @@ def _holds_boolean(level) -> bool:
     return False
 
 
-def _finite3(v):
-    """The float triple ``v`` itself; DomainError unless its squared norm is finite
-    (:func:`_vec3`'s rule, which Rodrigues needs: an infinite angle has no sine)."""
-    x, y, z = v
-    if not math.isfinite(x * x + y * y + z * z):
-        raise DomainError("expected a finite 3-vector")
-    return v
-
-
 def _as_unit3(v, what: str) -> tuple[float, float, float]:
     """``v`` as a float triple; DomainError, naming the parameter ``what``, unless
     it is a unit vector to within 1e-10."""
@@ -264,8 +255,12 @@ def _exp_entries_arrays(v) -> tuple:
 
 
 def _exp_entries(v) -> tuple:
-    """Scalar form of :func:`exp_rot` on a float triple: nine floats, row-major."""
-    return _quadratic_entries(v, *_exp_coeffs(_norm3(v)))
+    """Scalar form of :func:`exp_rot` on a float triple: nine floats, row-major. DomainError
+    unless the squared norm is finite (:func:`_vec3`'s rule: an infinite angle has no sine)."""
+    theta = _norm3(v)
+    if not math.isfinite(theta):
+        raise DomainError("expected a finite 3-vector")
+    return _quadratic_entries(v, *_exp_coeffs(theta))
 
 
 def _exp_matrix(v) -> np.ndarray:

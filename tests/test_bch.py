@@ -1,11 +1,13 @@
 """Closed-form composition: homomorphism, branches, breakdown, chained products."""
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from rotwave import bch, bch_breakdown, exp_rot, log_rot
+from rotwave import DomainError, bch, bch_breakdown, exp_rot, log_rot
 from rotwave.bch import BRANCH_TOL, BchBranch, _bch_arrays, _bch_full
 
 EX = np.array([1.0, 0.0, 0.0])
@@ -270,3 +272,11 @@ def test_array_bch_is_bitwise_the_per_pair_one_off_its_rare_branches():
     assert generic.tolist() == [True] * len(pairs) + [False] * len(rare)
     want = np.array([_bch_full(a, b)[0] for a, b in pairs])
     assert np.array(got).T[generic].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("v", [(math.inf, 0.0, 0.0), (0.0, 0.0, math.nan), (1e154, 1e154, 0.0)])
+def test_scalar_bch_refuses_a_non_finite_factor(v):
+    # either factor, with the batch's per-time message; math's ValueError never leaves it
+    for x, y in [(v, (0.0, 0.0, 1.0)), ((0.0, 0.0, 1.0), v), (v, v)]:
+        with pytest.raises(DomainError, match="^expected a finite 3-vector$"):
+            _bch_full(x, y)

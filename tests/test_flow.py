@@ -543,15 +543,40 @@ def test_generated_rhs_is_bitwise_the_composed_one(name, overrides, mu):
     assert seen == {float, SingularityError}
 
 
-@pytest.mark.parametrize("name", ["case1", "example5"])
-def test_generated_rhs_raises_the_composed_error_for_an_overflowing_forcing(name):
-    # |X^G| ~ 1e300: the squared norm overflows, and the value check fires
-    # before dexpinv's singularity guard
-    sc = build(name, x0_norm=1e300)
-    fused, composed = generated_and_composed(sc, 0.05, None)
-    for t, z in [(0.1, [0.0, 0.0, 0.0]), (0.7, [2 * np.pi, 0.0, 0.0])]:
+#: (name, overrides, lam, mu, times) of a built-in forcing whose value is not a finite
+#: 3-vector: |X^G| ~ 1e300, whose squared norm overflows, and a phase or a Rodrigues
+#: angle that overflows, where math's sin refuses the infinite argument
+OVERFLOWING_FORCINGS = [
+    pytest.param("case1", {"x0_norm": 1e300}, 0.05, None, (0.1, 0.7), id="case1"),
+    pytest.param("example5", {"x0_norm": 1e300}, 0.05, None, (0.1, 0.7), id="example5"),
+    *[
+        pytest.param(name, overrides, lam, mu, (t,), id=f"{name}-{label}")
+        for name, overrides, lam, mu, t, label in [
+            ("example2", {"x0_norm": 1e154, "omega_bif": 1e154}, 0.05, None, 2.0, "x0_norm=1e154"),
+            ("example3", {"x0_norm": 1e154, "omega_bif": 1e154}, 0.05, None, 2.0, "x0_norm=1e154"),
+            ("case2", {}, 1e308, None, 0.3, "lam=1e308"),
+            ("example4", {}, 0.05, 1e154, 2.0, "mu=1e154"),
+            ("example2", {}, 0.05, None, 1e300, "t=1e300"),
+            ("case1", {}, 0.05, None, math.inf, "t=inf"),
+            ("example5", {}, 0.05, None, math.inf, "t=inf"),
+            ("case1", {}, 0.05, None, 1e308, "t=1e308"),
+        ]
+    ],
+]
+
+
+@pytest.mark.parametrize("name, overrides, lam, mu, times", OVERFLOWING_FORCINGS)
+def test_generated_rhs_raises_the_composed_error_for_an_overflowing_forcing(name, overrides, lam, mu, times):
+    # the eval returns a triple with a non-finite squared norm, never math's
+    # ValueError, and the value check fires before dexpinv's singularity guard
+    sc = build(name, **overrides)
+    fused, composed = generated_and_composed(sc, lam, mu)
+    for t in times:
+        x0, x1, x2 = sc.forcing(lam, mu).eval(t, lam)
+        assert not math.isfinite(x0 * x0 + x1 * x1 + x2 * x2)
         want = (DomainError, f"forcing returned a non-finite or misshaped value at t={t!r}")
-        assert outcome(fused, t, z) == outcome(composed, t, z) == want
+        for z in ([0.0, 0.0, 0.0], [2 * np.pi, 0.0, 0.0]):
+            assert outcome(fused, t, z) == outcome(composed, t, z) == want
 
 
 @pytest.mark.parametrize("name, overrides, mu", GENERATED_CASES)
@@ -757,8 +782,8 @@ def test_cached_samples_are_bitwise_the_cold_ones(name, lam):
     for key in rng.permutation(sorted(warm)):
         for t in rng.permutation(times):
             warm[key](np.float64(t) if rng.random() < 0.5 else float(t))
-    cached = [c for v, a in warm_traj._samples.values() for c in (*v, *(a or ()))]
-    assert all(type(c) is float for c in [*warm_traj._samples, *cached])
+    assert all(whole_record(r) for r in warm_traj._samples.values())
+    assert all(type(t) is float for t in warm_traj._samples)
     for key in sorted(warm):
         cold = sampled_case(name, lam)[1][key]
         for t in times:
@@ -767,6 +792,50 @@ def test_cached_samples_are_bitwise_the_cold_ones(name, lam):
             assert cold(t).tobytes() == first and cold(np.float64(t)).tobytes() == first
         zero = sampled_case(name, lam)[1][key]
         assert zero(-0.0).tobytes() == zero(0.0).tobytes() == cold(-0.0).tobytes()
+
+
+def whole_record(record) -> bool:
+    """Whether a sample-time cache record is a tuple ``(v, a)`` of 3 and 9 floats."""
+    return (
+        type(record) is tuple and len(record) == 2 and [len(record[0]), len(record[1])] == [3, 9]
+        and all(type(c) is float for c in (*record[0], *record[1]))
+    )
+
+
+@pytest.mark.parametrize("name, lam", [("case2", 0.1), ("example4", 1e-3), ("example5", 0.1)])
+def test_samplers_that_read_no_A_cache_the_records_eval_A_makes(name, lam):
+    # a fresh trajectory sampled only through eval_Z, log_Bf or primary_frequency
+    # holds whole records, bitwise those that a later eval_A makes, batched or not
+    sc = build(name)
+    T = sc.period(lam)
+    fresh = lambda t_end: integrate_group(sc.forcing(lam), lam, t_end, ref_dir=sc.frame.x0_dir)
+    X = primary_frequency(fresh(2 * T), T)
+
+    def records(traj, times):
+        got = [traj._samples[float(t)] for t in times]
+        assert all(whole_record(r) for r in got)
+        return [np.array([*v, *a]).tobytes() for v, a in got]
+
+    times = probe_times(fresh(2 * T))
+    assert len(times) >= flow.BATCH_MIN
+    batched = fresh(2 * T)
+    batched.eval_A(np.array(times))
+    want = records(batched, times)
+    for sampler in (lambda traj: traj.eval_Z, lambda traj: periodic_part(traj, X, X, T).log_Bf):
+        traj = fresh(2 * T)
+        sample = sampler(traj)
+        for t in times:
+            sample(t)
+        assert records(traj, times) == want
+        for t in times:
+            traj.eval_A(t)
+        assert records(traj, times) == want
+    # over one period no W is sampled at construction: T's record is primary_frequency's
+    traj, later = fresh(T), fresh(T)
+    assert traj._samples == later._samples == {}
+    primary_frequency(traj, T)
+    later.eval_A(T)
+    assert records(traj, [T]) == records(later, [T])
 
 
 def test_sample_cache_is_bounded_and_refills_with_the_same_values():
@@ -873,8 +942,10 @@ def test_a_batch_leaves_A_in_the_cache_for_per_time_samples(name, lam, monkeypat
     calls.clear()  # the track's A(0), an identity product, is redone alone inside the batch
     assert np.array([traj.eval_A(t) for t in times.tolist()]).tobytes() == stack.tobytes()
     assert calls == []
-    # a cold per-time sample runs Rodrigues once, then hits
+    # a cold per-time sample runs Rodrigues once, then hits; the count starts
+    # after construction, which caches the whole record of W's time T
     traj = fresh()
+    calls.clear()
     t = float(times[5])
     assert traj.eval_A(t).tobytes() == traj.eval_A(np.float64(t)).tobytes() == stack[5].tobytes()
     assert len(calls) == 1

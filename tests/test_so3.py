@@ -531,6 +531,15 @@ def test_array_exponential_is_bitwise_the_per_vector_one():
     assert got.tobytes() == np.array([_exp_entries(v) for v in vs.tolist()]).tobytes()
 
 
+@pytest.mark.parametrize("v", [
+    (math.inf, 0.0, 0.0), (0.0, -math.inf, 0.0), (0.0, 0.0, math.nan), (1e154, 1e154, 0.0), (0.0, 1e300, 0.0),
+])
+def test_scalar_exponential_refuses_a_non_finite_vector(v):
+    # the rule lives where the trig runs: math's ValueError never leaves it
+    with pytest.raises(DomainError, match="^expected a finite 3-vector$"):
+        _exp_entries(v)
+
+
 def test_array_hemisphere_map_leaves_zero_snapped_and_band_vectors_out():
     ref = (0.6, 0.0, 0.8)
     rng = np.random.default_rng(13)
