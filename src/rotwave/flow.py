@@ -31,11 +31,9 @@ so every later time costs one BCH more than a time inside the period. The
 error at nT is n times the error of W, which is why the period is integrated
 ten times tighter than the configured tolerances.
 
-The skew product co-integrates normal-form coordinates q alongside Z (q is
-untouched by the Z restarts); :func:`integrate_group` is its case without q.
-Both run through one restart loop into one :class:`GroupTrajectory`, which
-samples A and q. An Euler-angle chart integrator is provided as an
-independent cross-check formulation.
+One restart loop chains the segments into a :class:`GroupTrajectory`, which
+samples A. An Euler-angle chart integrator is provided as an independent
+cross-check formulation.
 """
 from __future__ import annotations
 
@@ -85,9 +83,7 @@ __all__ = [
     "IntegratorConfig",
     "integrate_euler",
     "integrate_group",
-    "integrate_skew_product",
     "integrate_z_segment",
-    "stuart_landau",
 ]
 
 #: |sin(theta)| below which the Euler chart is considered degenerate
@@ -123,8 +119,8 @@ class IntegratorConfig:
     ``A(nT)`` is n times the error of the period map, so the period is
     integrated that much tighter than the tolerances asked for; at the
     defaults the largest error over ten periods is then below that of a
-    direct integration. An aperiodic forcing (``period=None``) and the skew
-    product are integrated over the whole horizon at ``rtol`` and ``atol``.
+    direct integration. An aperiodic forcing (``period=None``) is integrated
+    over the whole horizon at ``rtol`` and ``atol``.
     """
 
     #: the defaults of the settings
@@ -216,24 +212,6 @@ def _time_list(t) -> list | None:
     return t.astype(float).tolist()
 
 
-def _solve_segment(
-    rhs, t_start: float, t_max: float, q, cfg: IntegratorConfig, first_step: float | None
-) -> OdeSolution:
-    """Solve the state ``(Z, q)`` from ``(0, q)`` until ``|Z| = pi - RESTART_MARGIN`` or t_max,
-    starting with ``first_step`` (None: the solver's initial-step heuristic)."""
-    cutoff = math.pi - RESTART_MARGIN
-
-    def boundary(t, y):
-        return _norm3(y[:3]) - cutoff
-
-    sol = solve_ivp(
-        rhs, (t_start, t_max), [0.0, 0.0, 0.0, *q], cfg.rtol, cfg.atol, boundary, first_step
-    )
-    if sol.status == -1:
-        raise IntegrationError(f"segment solve failed at t={sol.t[-1]!r}: {sol.message}")
-    return sol.sol
-
-
 def integrate_z_segment(
     signal: ForcingSignal,
     lam: float,
@@ -257,9 +235,15 @@ def integrate_z_segment(
         raise DomainError(f"need t_start < t_max, got {t_start!r} and {t_max!r}")
     if first_step is not None:
         first_step = _positive(first_step, "first_step")
-    return _solve_segment(
-        _z_rhs(signal.eval, lam), t0, t1, (), config or IntegratorConfig(), first_step
+    cfg = config or IntegratorConfig()
+    cutoff = math.pi - RESTART_MARGIN
+    sol = solve_ivp(
+        _z_rhs(signal.eval, lam), (t0, t1), [0.0, 0.0, 0.0], cfg.rtol, cfg.atol,
+        lambda t, z: _norm3(z) - cutoff, first_step,
     )
+    if sol.status == -1:
+        raise IntegrationError(f"segment solve failed at t={sol.t[-1]!r}: {sol.message}")
+    return sol.sol
 
 
 @functools.lru_cache(maxsize=None)
@@ -301,11 +285,11 @@ def _z_rhs(xg: Callable, lam: float) -> Callable:
 class GroupTrajectory:
     """Piecewise Z representation of the group trajectory with A(0) = I.
 
-    ``segments`` are the dense outputs (``OdeSolution``) of the state ``(Z, q)``
-    from Z = 0 over each restart segment ``[ts[0], ts[-1]]``. ``class_at(t)``
-    is the ball class of the full product up to t (prefix composed with the
-    live segment through BCH); ``eval_Z`` applies the hemisphere map around
-    ``ref_dir``; ``eval_A`` exponentiates; ``eval_q`` gives q (empty if none).
+    ``segments`` are the dense outputs (``OdeSolution``) of Z from Z = 0 over
+    each restart segment ``[ts[0], ts[-1]]``. ``class_at(t)`` is the ball
+    class of the full product up to t (prefix composed with the live segment
+    through BCH); ``eval_Z`` applies the hemisphere map around ``ref_dir``;
+    ``eval_A`` exponentiates.
 
     The segments cover [0, T] when the forcing has period T < t_end, and
     [0, t_end] otherwise (``T`` is None for an aperiodic forcing). The
@@ -349,7 +333,7 @@ class GroupTrajectory:
         prefixes: list[tuple[float, float, float]],
         ref_dir: tuple[float, float, float],
         t_end: float,
-        T: float | None = None,
+        T: float | None,
     ):
         self.segments, self.prefixes, self.ref_dir = segments, prefixes, ref_dir
         self.t_end, self.T = t_end, T
@@ -374,8 +358,8 @@ class GroupTrajectory:
             self.W = self._class_vector(self.T)
 
     def _state_at(self, t: float) -> tuple[int, int, list[float]]:
-        """Periods n before t, the step k holding tau = t - nT, and the dense state ``(Z, q)``;
-        t is a float that :func:`_time_in_range` has checked."""
+        """Periods n before t, the step k holding tau = t - nT, and Z(tau); t is a float
+        that :func:`_time_in_range` has checked."""
         n = 0
         if self.W is not None and t > self.T:
             t = min(t, self.t_end)
@@ -393,8 +377,8 @@ class GroupTrajectory:
 
     def _product(self, t: float):
         """BCH of the prefix and Z(tau) as a float triple, before the ball check."""
-        n, k, y = self._state_at(t)
-        return _bch_full(self._prefix(n, self._step_segment[k]), y[:3])[0]
+        n, k, z = self._state_at(t)
+        return _bch_full(self._prefix(n, self._step_segment[k]), z)[0]
 
     def _store(self, t: float, record: tuple) -> tuple:
         """Cache the record ``(v, a)`` of the checked float t, emptying a full cache first:
@@ -425,10 +409,6 @@ class GroupTrajectory:
     def eval_Z(self, t: float) -> np.ndarray:
         """Hemisphere-mapped logarithm of A(t) around ``ref_dir``."""
         return np.array(_q_map(self._class_vector(t), self.ref_dir))
-
-    def eval_q(self, t: float) -> np.ndarray:
-        """Normal-form coordinates q(t) of a skew product (empty without them)."""
-        return np.array(self._state_at(_time_in_range(t, self.t_end))[2][3:])
 
     def _A_entries(self, t: float) -> tuple:
         """The nine entries of A(t), row-major: the float form of :meth:`eval_A`, cached per ``float(t)``."""
@@ -467,7 +447,7 @@ class GroupTrajectory:
         tau = np.where(tau < 0.0, 0.0, np.where(tau > self._t_last, self._t_last, tau))
         located, k = np.unique(np.searchsorted(self._ends, tau), return_inverse=True)
         steps = [self._steps[j] for j in located.tolist()]
-        rows = np.array([step.dense_rows()[:3] for step in steps]).transpose(2, 1, 0)
+        rows = np.array([step.dense_rows() for step in steps]).transpose(2, 1, 0)
         t0, h = np.array([[step.t0, step.h] for step in steps]).T
         x = (tau - t0[k]) / h[k]
         z = _horner(x, 1.0 - x, rows[:, :, k])  # Z(tau), one row per component
@@ -499,32 +479,29 @@ def _check_lam(lam) -> None:
         raise DomainError(f"lambda must be a real number, got {lam!r}")
 
 
-def _reference(ref_dir, forcing_at_origin: Callable, what: str) -> tuple:
-    """``ref_dir`` checked, or the unit direction of the forcing at the origin."""
+def _reference(ref_dir, signal: ForcingSignal) -> tuple:
+    """``ref_dir`` checked, or the unit direction of ``X^G(0, 0)``."""
     if ref_dir is not None:
         return _as_unit3(ref_dir, "ref_dir")
-    x0 = _check_forcing_value(forcing_at_origin(), 0.0)
+    x0 = _check_forcing_value(signal.eval(0.0, 0.0), 0.0)
     n = _norm3(x0)
     if n < 1e-12:
         raise DomainError(
-            f"cannot derive a reference direction: {what} is zero; pass ref_dir explicitly"
+            "cannot derive a reference direction: X^G(0, 0) is zero; pass ref_dir explicitly"
         )
     return tuple(a / n for a in x0)
 
 
 def _integrate_restarting(
-    segment: Callable[[float, list[float], float | None], OdeSolution],
-    q0: list[float],
-    t_stop: float,
+    signal: ForcingSignal, lam: float, t_stop: float, cfg: IntegratorConfig
 ) -> tuple[list[OdeSolution], list[tuple]]:
-    """Chain segments ``segment(t, q, h)``, each from ``Z(t) = 0`` and ``q(t) = q``, up to t_stop.
+    """Chain :func:`integrate_z_segment` segments of ``signal`` at lam, each from ``Z(t) = 0``, up to t_stop.
 
     Each restart folds the exit value of Z into the BCH prefix chain and hands
-    the exit value of q on to the next segment, and the last accepted step as
-    its first step ``h``: a restart changes the chart, not the dynamics, so
-    only the first segment (``h`` None) takes the solver's initial-step
-    heuristic. Returns the segments and their prefixes, as ball vectors
-    (float triples).
+    the last accepted step on to the next segment as its first step ``h``: a
+    restart changes the chart, not the dynamics, so only the first segment
+    (``h`` None) takes the solver's initial-step heuristic. Returns the
+    segments and their prefixes, as ball vectors (float triples).
 
     The loop runs until t is within ``slack = 1e-12 * max(1, t_stop)`` of t_stop.
     A segment that restarts short of t_stop after advancing at most ``slack`` has
@@ -532,18 +509,16 @@ def _integrate_restarting(
     """
     segments: list[OdeSolution] = []
     prefixes: list[tuple] = [(0.0, 0.0, 0.0)]
-    t, q, h = 0.0, q0, None
+    t, h = 0.0, None
     slack = 1e-12 * max(1.0, t_stop)
     while t < t_stop - slack or not segments:
-        seg = segment(t, q, h)
+        seg = integrate_z_segment(signal, lam, t, t_stop, cfg, h)
         if seg.ts[-1] < t_stop and seg.ts[-1] <= t + slack:
             raise IntegrationError(f"integration stalled at t={t!r} (restart made no progress)")
         segments.append(seg)
         t = seg.ts[-1]
         if t < t_stop:
-            y = seg(t)
-            prefixes.append(_ball_vector(_bch_full(prefixes[-1], y[:3])[0]))
-            q = y[3:]
+            prefixes.append(_ball_vector(_bch_full(prefixes[-1], seg(t))[0]))
             h = seg.interpolants[-1].h
     return segments, prefixes[: len(segments)]
 
@@ -564,12 +539,12 @@ def integrate_group(
 ) -> GroupTrajectory:
     """Integrate ``Adot = A hat(X^G(t, lam))``, ``A(0) = I`` over [0, t_end].
 
-    This is the skew product without normal-form coordinates: each restart
-    segment is one call of :func:`integrate_z_segment`. A periodic signal is
-    integrated over [0, min(t_end, T)] only, at the tolerances divided by
-    ``PERIOD_TOL_FACTOR``; the trajectory reaches later times through the
-    monodromy (see :class:`GroupTrajectory`). An aperiodic signal
-    (``period=None``) is integrated over [0, t_end] at the tolerances given.
+    Each restart segment is one call of :func:`integrate_z_segment`. A
+    periodic signal is integrated over [0, min(t_end, T)] only, at the
+    tolerances divided by ``PERIOD_TOL_FACTOR``; the trajectory reaches later
+    times through the monodromy (see :class:`GroupTrajectory`). An aperiodic
+    signal (``period=None``) is integrated over [0, t_end] at the tolerances
+    given.
 
     Parameters
     ----------
@@ -592,77 +567,18 @@ def integrate_group(
     cfg = config or IntegratorConfig()
     _check_lam(lam)
     t_end = _positive(t_end, "t_end")
-    ref = _reference(ref_dir, lambda: signal.eval(0.0, 0.0), "X^G(0, 0)")
+    ref = _reference(ref_dir, signal)
     T = _period(signal, lam)
     t_stop = t_end
     if T is not None:
         t_stop = min(t_end, T)
         cfg = IntegratorConfig(cfg.rtol / PERIOD_TOL_FACTOR, cfg.atol / PERIOD_TOL_FACTOR)
-    segments, prefixes = _integrate_restarting(
-        lambda t, q, h: integrate_z_segment(signal, lam, t, t_stop, cfg, h), [], t_stop
-    )
+    segments, prefixes = _integrate_restarting(signal, lam, t_stop, cfg)
     if T is not None and not t_end / T * len(segments) < 2.0**53:
         raise DomainError(
             f"t_end / T = {t_end / T!r} must be below 2**53 / {len(segments)}, the segments per period"
         )
     return GroupTrajectory(segments, prefixes, ref, t_end, T)
-
-
-def integrate_skew_product(
-    x_g: Callable[[np.ndarray, float], Sequence[float]],
-    x_n: Callable[[np.ndarray, float], np.ndarray],
-    q0: np.ndarray,
-    lam: float,
-    t_end: float,
-    config: IntegratorConfig | None = None,
-    ref_dir: np.ndarray | None = None,
-) -> GroupTrajectory:
-    """Co-integrate the group equation with normal-form coordinates.
-
-    ``x_g(q, lam)`` is the axis-vector forcing and ``x_n(q, lam)`` the
-    vector field of q, on R^n with n = ``len(q0)``; q0 must be a finite 1-D
-    array. The combined state is ``(Z, q)``; the terminal event restarts only Z, and
-    q continues across restarts with its event-time value as the next initial
-    condition. q need not be periodic, so the whole horizon is integrated at
-    the tolerances given and the trajectory has no period (``T`` is None);
-    its ``eval_q`` gives q(t). The value of ``x_n`` must be finite and of
-    length n, as that of ``x_g`` a finite 3-vector; DomainError otherwise.
-    """
-    cfg = config or IntegratorConfig()
-    _check_lam(lam)
-    t_end = _positive(t_end, "t_end")
-    q0 = _float_array(q0, (None,), "q0")
-    ref = _reference(ref_dir, lambda: x_g(np.zeros(len(q0)), 0.0), "X^G at (q=0, lam=0)")
-    _, dexpinv = _dexpinv_kernels()
-
-    def rhs(t, y):
-        q = np.array(y[3:])
-        x = _check_forcing_value(x_g(q, lam), t)
-        dq = _float_array(x_n(q, lam), q.shape, "the value of x_n")
-        return [*dexpinv(y[:3], x), *dq.tolist()]
-
-    segments, prefixes = _integrate_restarting(
-        lambda t, q, h: _solve_segment(rhs, t, t_end, q, cfg, h), q0.tolist(), t_end
-    )
-    return GroupTrajectory(segments, prefixes, ref, t_end)
-
-
-def stuart_landau(omega_bif: float) -> Callable[[np.ndarray, float], np.ndarray]:
-    """Normal-form vector field ``qdot = (lam + i*omega_bif) q - |q|^2 q`` on R^2.
-
-    From ``q0 = (sqrt(lam), 0)`` the orbit is exactly the circle of radius
-    sqrt(lam) traversed with angular rate omega_bif, a finite number
-    (DomainError otherwise). The field is evaluated on Python floats, so a q
-    whose square overflows gives inf or NaN entries without a warning.
-    """
-    omega = _finite(omega_bif, "omega_bif")
-
-    def x_n(q: np.ndarray, lam: float) -> np.ndarray:
-        u, v = np.asarray(q).tolist()
-        shrink = lam - (u * u + v * v)
-        return np.array([shrink * u - omega * v, omega * u + shrink * v])
-
-    return x_n
 
 
 class EulerTrajectory:

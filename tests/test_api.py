@@ -10,9 +10,9 @@ PUBLIC = [
     "as_rotation", "available", "bch", "bch_breakdown", "build", "classify",
     "classify_resonance", "dexp_op", "dexpinv_op", "exp_rot", "find_orthogonal_branch",
     "fit_circle", "hat", "hemisphere_sign", "integrate_euler", "integrate_group",
-    "integrate_skew_product", "integrate_z_segment", "lifted_frequency", "log_rot",
-    "periodic_part", "primary_frequency", "q_map", "rot_x", "rot_z", "stuart_landau",
-    "tip_trajectory", "vee", "verify_against_closed_form",
+    "integrate_z_segment", "lifted_frequency", "log_rot", "periodic_part",
+    "primary_frequency", "q_map", "rot_x", "rot_z", "tip_trajectory", "vee",
+    "verify_against_closed_form",
 ]
 
 

@@ -45,7 +45,6 @@ from rotwave import (
     hemisphere_sign,
     integrate_euler,
     integrate_group,
-    integrate_skew_product,
     integrate_z_segment,
     lifted_frequency,
     log_rot,
@@ -54,7 +53,6 @@ from rotwave import (
     q_map,
     rot_x,
     rot_z,
-    stuart_landau,
     tip_trajectory,
     vee,
     verify_against_closed_form,
@@ -92,8 +90,6 @@ PART = periodic_part(TRAJ, X, X, T)
 EX4 = build("example4")
 UNIT_Z = ForcingSignal(lambda t, lam: [0.0, 0.0, 1.0], None)
 EULER = integrate_euler(UNIT_Z, LAM, 1.0, 0.5)
-ZERO3 = lambda q, lam: [0.0, 0.0, 0.0]  # noqa: E731
-ZERO2 = lambda q, lam: np.zeros(2)  # noqa: E731
 ROT = exp_rot([0.1, 0.2, 0.3]).tolist()
 POINTS = [[math.cos(a), math.sin(a), 0.5] for a in np.linspace(0.0, 5.0, 6)]
 RES = classify_resonance(2.0, 20.0)
@@ -127,15 +123,6 @@ SLOTS = [
     ("integrate_group t_end", lambda v: integrate_group(SC.forcing(LAM), LAM, v), "number", T),
     ("integrate_group ref_dir",
      lambda v: integrate_group(SC.forcing(LAM), LAM, T, ref_dir=v), "vec3", E),
-    ("integrate_skew_product q0",
-     lambda v: integrate_skew_product(ZERO3, ZERO2, v, LAM, 0.1, ref_dir=E), "array", [0.1, 0.0]),
-    ("integrate_skew_product lam",
-     lambda v: integrate_skew_product(ZERO3, ZERO2, [0.1, 0.0], v, 0.1, ref_dir=E), "number", LAM),
-    ("integrate_skew_product t_end",
-     lambda v: integrate_skew_product(ZERO3, ZERO2, [0.1, 0.0], LAM, v, ref_dir=E), "number", 0.1),
-    ("integrate_skew_product ref_dir",
-     lambda v: integrate_skew_product(ZERO3, ZERO2, [0.1, 0.0], LAM, 0.1, ref_dir=v), "vec3", E),
-    ("stuart_landau", stuart_landau, "number", 20.0),
     ("integrate_euler lam", lambda v: integrate_euler(UNIT_Z, v, 0.1, 0.5), "number", LAM),
     ("integrate_euler t_end", lambda v: integrate_euler(UNIT_Z, LAM, v, 0.5), "number", 0.1),
     ("integrate_euler theta0", lambda v: integrate_euler(UNIT_Z, LAM, 0.1, v), "number", 0.5),
@@ -189,7 +176,6 @@ SLOTS = [
     ("GroupTrajectory.class_at", TRAJ.class_at, "time", T),
     ("GroupTrajectory.eval_Z", TRAJ.eval_Z, "time", T),
     ("GroupTrajectory.eval_A", TRAJ.eval_A, "times", T),
-    ("GroupTrajectory.eval_q", TRAJ.eval_q, "time", T),
     ("EulerTrajectory.eval_A", EULER.eval_A, "times", 0.5),
     ("EulerTrajectory.eval_angles", EULER.eval_angles, "time", 0.5),
     ("PeriodicPart.log_Bf", PART.log_Bf, "time", T),

@@ -1,4 +1,4 @@
-"""Lie-group integration: Z segments, restart chaining, charts, skew products."""
+"""Lie-group integration: Z segments, restart chaining, charts and the sampling chain."""
 import bisect
 import dataclasses
 import functools
@@ -27,12 +27,10 @@ from rotwave import (
     exp_rot,
     integrate_euler,
     integrate_group,
-    integrate_skew_product,
     integrate_z_segment,
     periodic_part,
     primary_frequency,
     q_map,
-    stuart_landau,
     tip_trajectory,
 )
 from rotwave import flow
@@ -148,7 +146,6 @@ def test_a_horizon_within_the_progress_slack_is_no_stall(t_end):
     runs = [
         integrate_group(sig, 0.01, t_end),
         integrate_group(aperiodic(sig), 0.01, t_end),
-        integrate_skew_product(lambda q, lam: [0.0, 0.0, 1.0], stuart_landau(1.0), [0.1, 0.0], 0.01, t_end),
     ]
     for traj in runs:
         assert len(traj.segments) == 1 and traj.segments[0].ts[-1] == t_end
@@ -444,15 +441,6 @@ def test_eval_outside_range_raises():
             integrate_group(ForcingSignal(lambda t, lam: EZ, lambda lam: bad), 0.0, 1.0)
 
 
-def test_skew_product_checks_the_value_of_its_vector_field():
-    # a value of the wrong length ended in the step kernel's unpacking ValueError
-    with pytest.raises(DomainError, match="x_n"):
-        integrate_skew_product(lambda q, lam: X0, lambda q, lam: np.zeros(3), np.zeros(2), 0.1, 1.0)
-    # |q|^2 overflows: numpy warned; the field now runs on floats and gives inf and NaN
-    with pytest.raises(DomainError, match="finite"):
-        integrate_skew_product(lambda q, lam: X0, stuart_landau(20.0), (1e200, 0.0), 0.1, 1.0)
-
-
 def test_a_non_unit_direction_is_named_by_its_parameter():
     with pytest.raises(DomainError, match="^ref_dir must be a unit vector"):
         integrate_group(constant_signal(X0), 0.0, 1.0, ref_dir=[2.0, 0.0, 0.0])
@@ -468,11 +456,6 @@ def test_non_unit_ref_dir_fails_before_integrating(monkeypatch):
     monkeypatch.setattr(flow, "solve_ivp", counted_solve)
     with pytest.raises(DomainError, match="unit vector"):
         integrate_group(constant_signal(X0), 0.0, 10.0, ref_dir=[0.0, 0.0, 2.0])
-    with pytest.raises(DomainError, match="unit vector"):
-        integrate_skew_product(
-            lambda q, lam: X0, lambda q, lam: np.zeros(2), np.zeros(2), 0.0, 10.0,
-            ref_dir=[0.0, 1e-3, 1.0],
-        )
     assert calls == []
 
 
@@ -649,12 +632,12 @@ def test_kernels_compile_at_first_use_once_per_shape():
 
 # --------------------------------------------------------- the sampling chain
 
-#: the five families at a small and a large lambda, and a dim_q = 2 skew product
+#: the five families at a small and a large lambda, and case2 passed as aperiodic
 CHAIN_CASES = [
     (name, lam)
     for name in ("case1", "case2", "case3", "example4", "example5")
     for lam in (1e-3, 0.1)
-] + [("skew", 0.04)]
+] + [("case2-aperiodic", 0.04)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -662,19 +645,15 @@ def chain_trajectory(name, lam):
     """(GroupTrajectory, T, X0, omega_bif).
 
     The horizon spans two periods T and at least 5 time units, so that the
-    samples of every family reach past its integrated period and the
-    Stuart-Landau skew product (integrated over its whole horizon) restarts.
+    samples of every family reach past its integrated period. case2 passed as
+    aperiodic is integrated directly over two periods, and restarts there.
     """
-    if name == "skew":
-        omega = 2.0
-        T = 2 * np.pi / omega
-        traj = integrate_skew_product(
-            lambda q, lam_: X0 + q[0] * EX, stuart_landau(omega), [np.sqrt(lam), 0.0], lam, 2 * T
-        )
-        return traj, T, X0, omega
-    sc = build(name)
+    sc = build(name.removesuffix("-aperiodic"))
     T = sc.period(lam)
-    traj = integrate_group(sc.forcing(lam), lam, max(2 * T, 5.0), ref_dir=sc.frame.x0_dir)
+    if name == "case2-aperiodic":
+        traj = integrate_group(aperiodic(sc.forcing(lam)), lam, 2 * T, ref_dir=sc.frame.x0_dir)
+    else:
+        traj = integrate_group(sc.forcing(lam), lam, max(2 * T, 5.0), ref_dir=sc.frame.x0_dir)
     return traj, T, sc.X0, sc.omega_bif
 
 
@@ -732,8 +711,8 @@ def composed_class(traj, t):
 def test_sampling_chain_is_the_composition_of_public_pieces(name, lam):
     traj, _, _, _ = chain_trajectory(name, lam)
     # the families sample past their period; all but the slow ones (|X0| = 2)
-    # restart within it, and the skew product restarts over its horizon
-    assert (traj.W is None) == (name == "skew")
+    # restart within it, and aperiodic case2 restarts over its horizon
+    assert (traj.W is None) == (name == "case2-aperiodic")
     assert len(traj.segments) > 1 or name in ("case1", "example5")
     for t in probe_times(traj):
         cls = composed_class(traj, t)
@@ -741,10 +720,7 @@ def test_sampling_chain_is_the_composition_of_public_pieces(name, lam):
         assert np.array_equal(traj.class_at(t).vector, cls.vector)
         assert np.array_equal(traj.eval_Z(t), z)
         assert np.array_equal(traj.eval_A(t), exp_rot(z))
-        # q of the skew product; an empty array for the q-free families
-        i, s = locate(traj, split(traj, t)[1])
-        assert np.array_equal(traj.eval_q(t), traj.segments[i](s)[3:])
-    evals = [traj.class_at, traj.eval_Z, traj.eval_A, traj.eval_q]
+    evals = [traj.class_at, traj.eval_Z, traj.eval_A]
     for t in (-2e-9, traj.t_end + 2e-9):
         for f in evals:
             with pytest.raises(DomainError):
@@ -863,7 +839,7 @@ def test_out_of_range_time_raises_after_in_range_samples():
 def test_a_time_that_is_not_one_real_number_raises_domain_error():
     traj, samplers = sampled_case("case2", 0.1)
     euler = integrate_euler(constant_signal(EZ), 0.0, 1.0, 0.5)
-    samplers.update(eval_q=traj.eval_q, euler_A=euler.eval_A, euler_angles=euler.eval_angles)
+    samplers.update(euler_A=euler.eval_A, euler_angles=euler.eval_angles)
     for f in samplers.values():
         for t in ([0.1, 0.2], "a", None, 1j, 10**400):
             with pytest.raises(DomainError):
@@ -1122,87 +1098,3 @@ def test_euler_eval_outside_range_raises():
     tr = integrate_euler(constant_signal(EZ), 0.0, 1.0, 0.5)
     with pytest.raises(DomainError):
         tr.eval_angles(2.0)
-
-
-# -------------------------------------------------------------- skew product
-
-def frozen(q, lam):
-    """A normal form whose coordinates never move."""
-    return np.zeros(len(q))
-
-
-def test_skew_product_frozen_coordinates_are_rigid():
-    traj = integrate_skew_product(lambda q, lam: X0, frozen, np.array([0.3, -0.1]), 0.0, 5.0)
-    for t in np.linspace(0.0, 5.0, 11):
-        assert np.linalg.norm(traj.eval_A(t) - exp_rot(X0 * t)) < 1e-9
-        assert np.allclose(traj.eval_q(t), [0.3, -0.1], atol=1e-12)
-
-
-def test_skew_product_without_q_is_the_group_integrator():
-    # one restart loop serves both: with an empty q and a q-free forcing the
-    # skew product must reproduce integrate_group exactly, restart for restart
-    traj_q = integrate_skew_product(lambda q, lam: X0, frozen, np.zeros(0), 0.0, 10.0)
-    traj = integrate_group(aperiodic(constant_signal(X0)), 0.0, 10.0)
-    assert len(traj.segments) > 5
-    assert [(s.ts[0], s.ts[-1]) for s in traj_q.segments] == [
-        (s.ts[0], s.ts[-1]) for s in traj.segments
-    ]
-    for t in np.linspace(0.0, 10.0, 41):
-        assert np.array_equal(traj_q.class_at(t).vector, traj.class_at(t).vector)
-
-
-def test_skew_product_without_q_is_the_group_integrator_over_one_period():
-    # a periodic forcing runs the same loop over [0, T] at the tolerances / 10
-    T = np.pi
-    cfg = IntegratorConfig()
-    tight = IntegratorConfig(
-        rtol=cfg.rtol / flow.PERIOD_TOL_FACTOR, atol=cfg.atol / flow.PERIOD_TOL_FACTOR
-    )
-    traj_q = integrate_skew_product(lambda q, lam: X0, frozen, np.zeros(0), 0.0, T, tight)
-    traj = integrate_group(constant_signal(X0), 0.0, 10.0, cfg)
-    assert traj.T == T and traj_q.T is None
-    assert len(traj.segments) > 1
-    assert [(s.ts[0], s.ts[-1]) for s in traj_q.segments] == [
-        (s.ts[0], s.ts[-1]) for s in traj.segments
-    ]
-    for t in np.linspace(0.0, T, 41):
-        assert np.array_equal(traj_q.class_at(t).vector, traj.class_at(t).vector)
-
-
-def test_stuart_landau_circle():
-    lam = 0.25
-    omega = 2.0
-    q0 = np.array([np.sqrt(lam), 0.0])
-    traj = integrate_skew_product(lambda q, lam_: X0, stuart_landau(omega), q0, lam, 10.0)
-    for t in np.linspace(0.0, 10.0, 21):
-        q = traj.eval_q(t)
-        assert abs(np.linalg.norm(q) - np.sqrt(lam)) < 1e-9
-    # one revolution takes 2 pi / omega
-    assert np.allclose(traj.eval_q(2 * np.pi / omega), q0, atol=1e-8)
-
-
-def test_skew_product_cross_checks_explicit_forcing():
-    # forcing driven by the normal form equals the explicit sqrt(lam) cos form
-    lam = 0.04
-    omega = 2.0
-    q0 = np.array([np.sqrt(lam), 0.0])
-    traj_q = integrate_skew_product(
-        lambda q, lam_: X0 + q[0] * EX, stuart_landau(omega), q0, lam, 6.0
-    )
-    explicit = ForcingSignal(
-        eval=lambda t, lam_: X0 + np.sqrt(lam) * np.cos(omega * t) * EX,
-        period=lambda lam_: 2 * np.pi / omega,
-    )
-    traj_e = integrate_group(explicit, lam, 6.0)
-    for t in np.linspace(0.0, 6.0, 13):
-        assert np.linalg.norm(traj_q.eval_A(t) - traj_e.eval_A(t)) < 1e-8
-
-
-def test_skew_product_shape_checks():
-    # q's dimension is that of q0, which must be 1-D
-    with pytest.raises(DomainError, match="1-D"):
-        integrate_skew_product(lambda q, lam: X0, frozen, np.zeros((2, 1)), 0.0, 1.0)
-    traj = integrate_skew_product(lambda q, lam: X0, frozen, np.zeros(3), 0.0, 1.0)
-    assert traj.eval_q(0.5).shape == (3,)
-    with pytest.raises(DomainError):
-        traj.eval_q(5.0)

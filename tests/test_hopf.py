@@ -31,7 +31,6 @@ from rotwave import (
     find_orthogonal_branch,
     fit_circle,
     integrate_group,
-    integrate_skew_product,
     lifted_frequency,
     periodic_part,
     primary_frequency,
@@ -454,11 +453,6 @@ def unit_z_trajectory():
     return integrate_group(constant_signal(EZ), 0.0, 1.0)
 
 
-def frozen_q(q0):
-    """The skew product with a constant forcing and frozen q, from q0."""
-    return integrate_skew_product(lambda q, lam: EZ, lambda q, lam: np.zeros(len(q)), q0, 0.0, 1.0)
-
-
 RAGGED = [[0.1], [0.2, 0.3]]
 RES = classify_resonance(20.0, 20.0)
 
@@ -477,9 +471,6 @@ RES = classify_resonance(20.0, 20.0)
         lambda: classify(20.0 * EZ, 20.0, [np.nan, 0.0, 1.0], 0.3, 0.01),
         lambda: lifted_frequency([1.0, 0.0], 0.3, 20.0 * EZ, 20.0, RES),
         lambda: lifted_frequency(EZ, 0.3, RAGGED, 20.0, RES),
-        lambda: frozen_q(RAGGED),
-        lambda: frozen_q(["a", 0.1]),
-        lambda: frozen_q(np.zeros((2, 2))),
         lambda: vee([[0, 1, 0], [-1, 0], [0, 0, 0]]),
         lambda: as_rotation([["1", 0, 0], [0, 1, 0], [0, 0, 1]]),
     ],
@@ -487,8 +478,7 @@ RES = classify_resonance(20.0, 20.0)
         "tip-ragged-times", "tip-string-times", "fit-ragged-points", "fit-string-points",
         "fit-ragged-ref_axis",
         "classify-ragged-x0", "classify-string-X", "classify-2-vector-X", "classify-nan-X",
-        "lifted-2-vector-X", "lifted-ragged-x0", "skew-ragged-q0", "skew-string-q0",
-        "skew-2-D-q0",
+        "lifted-2-vector-X", "lifted-ragged-x0",
         "vee-ragged", "as_rotation-string",
     ],
 )

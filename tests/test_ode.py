@@ -16,14 +16,7 @@ from scipy.integrate import solve_ivp as scipy_solve_ivp
 from scipy.optimize import brentq as scipy_brentq
 
 import rotwave
-from rotwave import (
-    ForcingSignal,
-    SingularityError,
-    integrate_group,
-    integrate_skew_product,
-    ode,
-    stuart_landau,
-)
+from rotwave import ForcingSignal, SingularityError, integrate_group, ode
 from rotwave.scenarios import build
 from rotwave.so3 import _dexpinv_kernels, _norm3
 
@@ -172,23 +165,28 @@ def test_kernel_equals_tableau_loop_on_a_first_segment(family, monkeypatch):
     _assert_same_solution(ours.sol, ref.sol, ref.t[-1])
 
 
-def test_kernel_equals_tableau_loop_on_the_skew_product(monkeypatch):
-    # state (Z, q) with dim_q = 2: five components, restarts included
+def test_kernel_equals_tableau_loop_on_a_five_component_state(monkeypatch):
+    # Z driven by X = (u, 0, 2), with (u, v) on a Stuart-Landau orbit of radius
+    # sqrt(lam): a state past the three components the program generates
     omega, lam = 20.0, 0.05
-    x0 = np.array([0.0, 0.0, 2.0])
-    T = 2 * np.pi / omega
+    _, dexpinv_apply = _dexpinv_kernels()
+
+    def rhs(t, y):
+        z0, z1, z2, u, v = y
+        shrink = lam - (u * u + v * v)
+        dz = dexpinv_apply((z0, z1, z2), (u, 0.0, 2.0))
+        return [*dz, shrink * u - omega * v, omega * u + shrink * v]
+
     ours, ref = _with_reference_step(
         monkeypatch,
-        lambda: integrate_skew_product(
-            lambda q, lam_: x0 + q[0] * np.array([1.0, 0.0, 0.0]), stuart_landau(omega),
-            [np.sqrt(lam), 0.0], lam, 12 * T,
+        lambda: ode.solve_ivp(
+            rhs, (0.0, 10.0), [0.0, 0.0, 0.0, math.sqrt(lam), 0.0], RTOL, ATOL,
+            event=lambda t, y: _norm3(y[:3]) - CUTOFF,
         ),
     )
-    assert len(ref.segments) > 1
-    assert [s.ts[-1] for s in ours.segments] == [s.ts[-1] for s in ref.segments]
-    for a, b in zip(ours.segments, ref.segments):
-        assert len(a(a.ts[0])) == 5
-        _assert_same_solution(a, b, a.ts[-1])
+    assert ref.status == 1 and len(ref.sol(0.5)) == 5
+    assert (ours.status, ours.nfev, ours.t) == (ref.status, ref.nfev, ref.t)
+    _assert_same_solution(ours.sol, ref.sol, ref.t[-1])
 
 
 def test_singular_stage_rejects_the_step_and_halves_it(monkeypatch):
