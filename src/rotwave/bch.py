@@ -29,7 +29,7 @@ d1 > BRANCH_TOL / (2*sqrt(2)), so the division by d1 is always well posed.
 """
 from __future__ import annotations
 
-import math
+from math import atan2, cos, isfinite, pi, sin, sqrt
 from enum import Enum
 
 from ._numpy import lazy_numpy
@@ -44,7 +44,7 @@ __all__ = ["BchBranch", "BchBreakdown", "bch", "bch_breakdown"]
 BRANCH_TOL = 1e-10
 
 #: |prod - I|_F per unit of d1
-_FROB_PER_D1 = 2.0 * math.sqrt(2.0)
+_FROB_PER_D1 = 2.0 * sqrt(2.0)
 
 
 class BchBranch(Enum):
@@ -52,6 +52,10 @@ class BchBranch(Enum):
     GENERIC_NON_POSITIVE = "GenericNonPositive"
     HALF_TURN_PRODUCT = "HalfTurnProduct"
     IDENTITY_PRODUCT = "IdentityProduct"
+
+
+# the members as module constants for _bch_full: reading one off the Enum class costs ~0.2 us
+_GENERIC_POSITIVE, _GENERIC_NON_POSITIVE, _HALF_TURN_PRODUCT, _IDENTITY_PRODUCT = BchBranch
 
 
 class BchBreakdown:
@@ -71,75 +75,77 @@ class BchBreakdown:
 
 def _bch_full(x, y) -> tuple[tuple[float, float, float], tuple]:
     """BCH of two float triples: the result triple and the BchBreakdown fields.
-    DomainError unless both squared norms are finite (an infinite angle has no sine)."""
+    DomainError unless both squared norms are finite (an infinite angle has no sine).
+
+    Straight-line code: the quaternion is :func:`_quaternion`'s, X x Y is ``_cross3``'s
+    (numpy.cross's operation order, so the breakdown contract holds) and both combinations
+    are :func:`_combine`'s, each float operation in the order that those helpers take."""
     x0, x1, x2 = x
     y0, y1, y2 = y
-    nx = math.sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-    ny = math.sqrt(y0 * y0 + y1 * y1 + y2 * y2)
-    if not math.isfinite(nx + ny):
+    nx = sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+    ny = sqrt(y0 * y0 + y1 * y1 + y2 * y2)
+    if not isfinite(nx + ny):
         raise DomainError("expected a finite 3-vector")
     hx, hy = 0.5 * nx, 0.5 * ny
-    chx, shx = math.cos(hx), math.sin(hx)
-    chy, shy = math.cos(hy), math.sin(hy)
+    chx, shx = cos(hx), sin(hx)
+    chy, shy = cos(hy), sin(hy)
+    a1, b1, c1 = shx * chy, chx * shy, shx * shy
     if nx > 0.0 and ny > 0.0:
         cos_ang = (x0 * y0 + x1 * y1 + x2 * y2) / (nx * ny)
-        cos_ang = min(1.0, max(-1.0, cos_ang))
+        # min(1.0, max(-1.0, cos_ang)), NaN included
+        cos_ang = (cos_ang if cos_ang < 1.0 else 1.0) if cos_ang > -1.0 else -1.0
+        h_alpha, h_beta, h_gamma = a1 / nx, b1 / ny, c1 / (nx * ny)
     else:
         cos_ang = 0.0  # unused: the degenerate terms vanish with sin(0)
+        h_alpha = a1 / nx if nx > 0.0 else chy
+        h_beta = b1 / ny if ny > 0.0 else chx
+        h_gamma = shy / ny if ny > 0.0 else shx / nx if nx > 0.0 else 1.0
+    e = chx * chy - c1 * cos_ang
 
-    e, a1, b1, c1 = _quaternion(chx, shx, chy, shy, cos_ang)
-
-    h_alpha = a1 / nx if nx > 0.0 else chy
-    h_beta = b1 / ny if ny > 0.0 else chx
-    if nx > 0.0 and ny > 0.0:
-        h_gamma = c1 / (nx * ny)
-    elif ny > 0.0:
-        h_gamma = shy / ny
-    elif nx > 0.0:
-        h_gamma = shx / nx
-    else:
-        h_gamma = 1.0
-
-    kxy = _cross3(x, y)  # numpy.cross's operation order: the breakdown contract holds
-    q0, q1, q2 = _combine(x, y, kxy, h_alpha, h_beta, h_gamma)
-    d1 = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2)
+    k0, k1, k2 = x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0
+    q0 = h_alpha * x0 + h_beta * y0 + h_gamma * k0
+    q1 = h_alpha * x1 + h_beta * y1 + h_gamma * k1
+    q2 = h_alpha * x2 + h_beta * y2 + h_gamma * k2
+    d1 = sqrt(q0 * q0 + q1 * q1 + q2 * q2)
     d = 2.0 * d1 * abs(e)
     s = 1.0 if e >= 0.0 else -1.0
 
     if _FROB_PER_D1 * d1 <= BRANCH_TOL:
-        fields = (0.0, 0.0, 0.0, BchBranch.IDENTITY_PRODUCT, e, a1, b1, c1, d1, d, s)
+        fields = (0.0, 0.0, 0.0, _IDENTITY_PRODUCT, e, a1, b1, c1, d1, d, s)
         return (0.0, 0.0, 0.0), fields
 
     # Ball angle of the product from the quaternion pair (d1, e): atan2 is
     # uniformly well conditioned, while asin(d) near d = 1 (quarter-turn
     # products) and arccos near -1 (half-turn products) both lose ~sqrt(eps).
-    theta_q = 2.0 * math.atan2(d1, e)
-    theta_ball = theta_q if theta_q <= math.pi else 2.0 * math.pi - theta_q
+    theta_q = 2.0 * atan2(d1, e)
+    theta_ball = theta_q if theta_q <= pi else 2.0 * pi - theta_q
 
-    if theta_ball >= math.pi - BRANCH_TOL:
-        k = math.pi
-        branch = BchBranch.HALF_TURN_PRODUCT
+    if theta_ball >= pi - BRANCH_TOL:
+        k = pi
+        branch = _HALF_TURN_PRODUCT
     else:
         k = s * theta_ball / d1
         if e * e - d1 * d1 > BRANCH_TOL:
-            branch = BchBranch.GENERIC_POSITIVE
+            branch = _GENERIC_POSITIVE
         else:
-            branch = BchBranch.GENERIC_NON_POSITIVE
+            branch = _GENERIC_NON_POSITIVE
 
-    alpha = k * h_alpha
-    beta = k * h_beta
-    gamma = k * h_gamma
-    result = _combine(x, y, kxy, alpha, beta, gamma)
+    alpha, beta, gamma = k * h_alpha, k * h_beta, k * h_gamma
+    result = (
+        alpha * x0 + beta * y0 + gamma * k0,
+        alpha * x1 + beta * y1 + gamma * k1,
+        alpha * x2 + beta * y2 + gamma * k2,
+    )
     return result, (alpha, beta, gamma, branch, e, a1, b1, c1, d1, d, s)
 
 
 def _quaternion(chx, shx, chy, shy, cos_ang):
-    """e, a1, b1 and c1 of the product quaternion; floats or arrays alike."""
+    """e, a1, b1 and c1 of the product quaternion over arrays, as :func:`_bch_full` forms them."""
     return chx * chy - shx * shy * cos_ang, shx * chy, chx * shy, shx * shy
 
 
 def _combine(x, y, k, a, b, c):
-    """``a x + b y + c k`` for triples of floats or of arrays (k is X x Y)."""
+    """``a x + b y + c k`` for triples of arrays (k is X x Y), as :func:`_bch_full` forms it."""
     return (
         a * x[0] + b * y[0] + c * k[0],
         a * x[1] + b * y[1] + c * k[1],
@@ -155,8 +161,8 @@ def _bch_arrays(x, y):
     left out of it for the caller to redo alone.
     """
     nx, ny = np.sqrt(_dot3(x, x)), np.sqrt(_dot3(y, y))
-    chx, shx = _mapped(math.cos, 0.5 * nx), _mapped(math.sin, 0.5 * nx)
-    chy, shy = _mapped(math.cos, 0.5 * ny), _mapped(math.sin, 0.5 * ny)
+    chx, shx = _mapped(cos, 0.5 * nx), _mapped(sin, 0.5 * nx)
+    chy, shy = _mapped(cos, 0.5 * ny), _mapped(sin, 0.5 * ny)
     px, py = nx > 0.0, ny > 0.0
     cos_ang = np.where(px & py, np.clip(_dot3(x, y) / (nx * ny), -1.0, 1.0), 0.0)
     e, a1, b1, c1 = _quaternion(chx, shx, chy, shy, cos_ang)
@@ -166,10 +172,10 @@ def _bch_arrays(x, y):
     kxy = _cross3(x, y)
     q = _combine(x, y, kxy, h_alpha, h_beta, h_gamma)
     d1 = np.sqrt(_dot3(q, q))
-    theta_q = 2.0 * _mapped(math.atan2, d1, e)
-    theta_ball = np.where(theta_q <= math.pi, theta_q, 2.0 * math.pi - theta_q)
+    theta_q = 2.0 * _mapped(atan2, d1, e)
+    theta_ball = np.where(theta_q <= pi, theta_q, 2.0 * pi - theta_q)
     k = np.where(e >= 0.0, 1.0, -1.0) * theta_ball / d1
-    generic = (_FROB_PER_D1 * d1 > BRANCH_TOL) & (theta_ball < math.pi - BRANCH_TOL)
+    generic = (_FROB_PER_D1 * d1 > BRANCH_TOL) & (theta_ball < pi - BRANCH_TOL)
     return _combine(x, y, kxy, k * h_alpha, k * h_beta, k * h_gamma), generic
 
 

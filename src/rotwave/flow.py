@@ -389,9 +389,8 @@ class GroupTrajectory:
         return record
 
     def _record(self, t: float) -> tuple:
-        """The record ``(v, a)`` of the time t (:meth:`_store`): the cached one, or the per-time
-        chain's, cached. DomainError unless :func:`_time_in_range` accepts t."""
-        t = _time_in_range(t, self.t_end)
+        """The record ``(v, a)`` of the float t that :func:`_time_in_range` returned (:meth:`_store`):
+        the cached one, or the per-time chain's, cached."""
         record = self._samples.get(t)
         if record is None:
             v = _ball_vector(self._product(t))
@@ -400,7 +399,7 @@ class GroupTrajectory:
 
     def _class_vector(self, t: float):
         """``class_at(t).vector`` as a float triple, cached per ``float(t)``."""
-        return self._record(t)[0]
+        return self._record(_time_in_range(t, self.t_end))[0]
 
     def class_at(self, t: float) -> BallClass:
         """Ball class of A(t) (no hemisphere reduction)."""
@@ -412,7 +411,7 @@ class GroupTrajectory:
 
     def _A_entries(self, t: float) -> tuple:
         """The nine entries of A(t), row-major: the float form of :meth:`eval_A`, cached per ``float(t)``."""
-        return self._record(t)[1]
+        return self._record(_time_in_range(t, self.t_end))[1]
 
     def eval_A(self, t) -> np.ndarray:
         """The rotation A(t), or the (m, 3, 3) stack of A at a 1-D ndarray of m times."""

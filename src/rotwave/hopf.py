@@ -225,8 +225,8 @@ def periodic_part(
     def log_b(neg: list[float], t: float):
         """Ball vector of ``bch(neg * t, class_at(t).vector)`` as a float triple."""
         t = _time_in_range(t, traj.t_end)
-        w = traj._class_vector(t)
-        return _ball_vector(_bch_full([a * t for a in neg], w)[0])
+        n0, n1, n2 = neg
+        return _ball_vector(_bch_full((n0 * t, n1 * t, n2 * t), traj._record(t)[0])[0])
 
     def log_bf(t: float) -> np.ndarray:
         return np.array(log_b(neg_xf, t))

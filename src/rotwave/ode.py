@@ -27,6 +27,7 @@ import sys
 from collections.abc import Callable, Sequence
 
 from .errors import SingularityError
+from .so3 import _generated
 
 __all__ = ["OdeResult", "OdeSolution", "brentq", "solve_ivp"]
 
@@ -231,8 +232,7 @@ def _step_source(n: int) -> str:
 def _step_kernel(n: int) -> tuple[Callable, Callable]:
     """The compiled :func:`_step_source` kernels ``(step, dense)`` for n-component states,
     built once per n."""
-    namespace = {"sqrt": math.sqrt, "inf": math.inf}
-    exec(compile(_step_source(n), f"<DOP853 step, n={n}>", "exec"), namespace)
+    namespace = _generated(_step_source(n), f"<DOP853 step, n={n}>")
     return namespace["step"], namespace["dense"]
 
 

@@ -20,7 +20,8 @@ bed for the integrator, the frequency extraction, and the drift finder:
 
 Each family's forcing is one of two shapes (:data:`_SHAPES`): this module supplies
 the shape's X^G fragment, and :mod:`rotwave.flow` generates from it the forcing's
-eval and its fused Z-equation right-hand side.
+eval and its fused Z-equation right-hand side. The shape's closed form is generated
+here, from the Rodrigues and product fragments of :mod:`rotwave.so3` (:func:`_closed_kernel`).
 """
 from __future__ import annotations
 
@@ -33,14 +34,18 @@ from .errors import ConfigError, DomainError
 from .flow import ForcingSignal, IntegratorConfig, _shape_kernel, integrate_group
 from .so3 import (
     _EXP_APPLY,
+    _EXP_MATRIX,
+    _MATMUL3,
     _cross3,
     _dot3,
-    _exp_entries,
     _finite,
     _frob_dist,
-    _matmul3,
+    _generated,
+    _indented,
+    _nine,
     _norm3,
     _positive,
+    _renamed,
     _vec3,
 )
 
@@ -54,16 +59,22 @@ __all__ = [
     "verify_against_closed_form",
 ]
 
+#: the modulation phase of the conjugated shape, ``theta = g`` (nu None) or ``nu t + lam g`` with
+#: ``g = sin((omega_eff + lam) t)``: reads omega_eff, lam, nu and t, sets freq, phase, g and theta
+_THETA = """\
+freq = omega_eff + lam
+phase = freq * t
+g = sin(phase)
+theta = g if nu is None else nu * t + lam * g
+"""
+
 #: example1-4's X^G ``C theta' + amp Ad(exp(-C theta)) w`` and example5's ``(X0 + eps X1)(1 +
 #: eps gdot)`` for :func:`rotwave.flow._shape_kernel`: bind's parameters, how ``lookup(lam)``
 #: unpacks, and straight-line source that reads them and t and sets x0, x1, x2
 _SHAPES = {
-    "conjugated": ("lookup, omega_eff", "lam, (c0, c1, c2), nu, (w0, w1, w2), amp, _ = lookup(lam)", """\
-freq = omega_eff + lam
-phase = freq * t
-g = sin(phase)
+    "conjugated": ("lookup, omega_eff", "lam, (c0, c1, c2), nu, (w0, w1, w2), amp, _ = lookup(lam)",
+                   _THETA + """\
 gdot = freq * cos(phase)
-theta = g if nu is None else nu * t + lam * g
 rate = gdot if nu is None else nu + lam * gdot
 v0 = -(c0 * theta)
 v1 = -(c1 * theta)
@@ -81,6 +92,31 @@ x1 = v1 * rate
 x2 = v2 * rate
 """),
 }
+
+
+@functools.lru_cache(maxsize=None)
+def _closed_kernel(shape: str) -> Callable:
+    """``bind(lookup, omega_eff) -> closed`` for one shape, compiled once, at the shape's first
+    closed form: ``closed(t, lam)`` returns the nine floats of A(t), row-major, in straight-line
+    code from the Rodrigues and product fragments of :mod:`rotwave.so3`. The conjugated shape's
+    A is ``exp(u t) exp(C theta)``, the collinear one's ``exp((X0 + eps X1)(t + eps g))``."""
+    if shape == "conjugated":
+        unpack = "lam, (c0, c1, c2), nu, _, _, (u0, u1, u2) = lookup(lam)"
+        body = (_THETA + "v0 = u0 * t\nv1 = u1 * t\nv2 = u2 * t\n" + _renamed(_EXP_MATRIX, "e", "a")
+                + "v0 = c0 * theta\nv1 = c1 * theta\nv2 = c2 * theta\n" + _renamed(_EXP_MATRIX, "e", "b")
+                + _MATMUL3)
+    else:
+        unpack = "lam, eps, (c0, c1, c2) = lookup(lam)"
+        body = ("s = t + eps * sin((omega_eff + lam) * t)\nv0 = c0 * s\nv1 = c1 * s\nv2 = c2 * s\n"
+                + _renamed(_EXP_MATRIX, "e", "m"))
+    source = f"""\
+def bind(lookup, omega_eff):
+    def closed(t, lam):
+        {unpack}
+{_indented(body, 2)}        return {_nine("m")}
+    return closed
+"""
+    return _generated(source, f"<{shape} closed form>")["bind"]
 
 
 class Frame:
@@ -128,7 +164,7 @@ class Scenario:
         return self.family == "example4"
 
     def _pieces(self, mu: float | None):
-        """(forcing_eval() -> xg, closed(t, lam), period(lam)) for this family at mu.
+        """(forcing_eval() -> xg, closed_eval() -> closed(t, lam), period(lam)) for this family at mu.
 
         ConfigError unless mu is None or, on example4, a finite number. Built once per ``float(mu)``,
         which they compute with; only the latest is kept, as a root find asks for a new mu each time.
@@ -169,14 +205,13 @@ class Scenario:
         ``xg``, made by ``forcing_eval()`` at the first :meth:`forcing`, and its
         fused right-hand side are generated by :mod:`rotwave.flow` from the shape's
         X^G fragment (:data:`_SHAPES`); ``xg`` returns a list of three floats.
-        ``closed`` returns the nine floats, row-major, of ``exp(u t) exp(C theta)``
-        (``_exp_entries`` of float-list axis vectors built from the same constants,
-        multiplied by ``_matmul3``), and example5's of its one exponential; it is
-        the one path of :meth:`closed_form` and :func:`verify_against_closed_form`.
-        Each float operation is that of the module docstring's formulas evaluated
-        with numpy vectors and ``exp_rot``, in the same order, and the product sums
-        each entry's row-by-column terms left to right, so the values equal those
-        bitwise.
+        ``closed``, made by ``closed_eval()`` at the first closed form, is generated by
+        :func:`_closed_kernel`. It returns the nine floats, row-major, of ``exp(u t)
+        exp(C theta)``, and example5's of its one exponential, and it is the one path of
+        :meth:`closed_form` and :func:`verify_against_closed_form`. Each float operation
+        is that of the module docstring's formulas evaluated with numpy vectors and
+        ``exp_rot``, in the same order, and the product sums each entry's row-by-column
+        terms left to right, so the values equal those bitwise.
         """
         fr = self.frame
         X0_l, x1_l, x2_l = list(self.X0), list(fr.x1), list(fr.x2)
@@ -223,19 +258,6 @@ class Scenario:
                 eps = math.sqrt(lam)
                 return eps, [a + eps * b for a, b in zip(X0_l, x1_l)]
 
-        if self.family == "example5":
-            def closed(t: float, lam: float) -> tuple:
-                lam, eps, v = lookup(lam)
-                s = t + eps * math.sin((omega_eff + lam) * t)
-                return _exp_entries([a * s for a in v])
-
-        else:
-            def closed(t: float, lam: float) -> tuple:
-                lam, C, nu, _, _, u = lookup(lam)
-                g = math.sin((omega_eff + lam) * t)
-                theta = g if nu is None else nu * t + lam * g
-                return _matmul3(_exp_entries([a * t for a in u]), _exp_entries([a * theta for a in C]))
-
         memo = (object(), None)  # a key no caller can pass
 
         def lookup(lam: float):
@@ -250,15 +272,20 @@ class Scenario:
                 memo = (lam, c)
             return c
 
+        shape = "collinear" if self.family == "example5" else "conjugated"
+
         @functools.cache
         def forcing_eval():
-            shape = "collinear" if self.family == "example5" else "conjugated"
             return _shape_kernel(shape, *_SHAPES[shape])(lookup, omega_eff)
+
+        @functools.cache
+        def closed_eval():
+            return _closed_kernel(shape)(lookup, omega_eff)
 
         def period(lam: float) -> float:
             return 2.0 * math.pi / abs(omega_eff + lookup(lam)[0])
 
-        return forcing_eval, closed, period
+        return forcing_eval, closed_eval, period
 
     def forcing(self, lam: float = 0.0, mu: float | None = None) -> ForcingSignal:
         """ForcingSignal for this family (mu bound here; the signal's eval
@@ -277,12 +304,12 @@ class Scenario:
         """Exact A(t, lam[, mu]) for this family, as a 3x3 ndarray; DomainError
         unless t is a finite number (:func:`rotwave.so3._real`).
 
-        The nine entries come from the family's ``closed`` on Python floats
+        The nine entries come from the family's generated ``closed`` on Python floats
         (:meth:`_build_pieces`), and one ndarray is built from them at the return.
         """
         if type(t) is not float or not math.isfinite(t):
             t = _finite(t, "t")
-        return np.array(self._pieces(mu)[1](t, lam)).reshape(3, 3)
+        return np.array(self._pieces(mu)[1]()(t, lam)).reshape(3, 3)
 
     def period(self, lam: float = 0.0, mu: float | None = None) -> float:
         """Relative forcing period T(lam[, mu]) (DomainError for a negative or non-finite lam)."""
@@ -421,7 +448,7 @@ def verify_against_closed_form(
     t_grid = [i * step for i in range(200)] + [stop]
     signal = scenario.forcing(lam, mu)
     traj = integrate_group(signal, lam, t_grid[-1], config, ref_dir=scenario.frame.x0_dir)
-    closed = scenario._pieces(mu)[1]
+    closed = scenario._pieces(mu)[1]()
     worst = 0.0
     for t in t_grid:
         worst = max(worst, _frob_dist(traj._A_entries(t), closed(t, lam)))

@@ -13,19 +13,24 @@ equivalence class.
 Scalar kernels
 --------------
 The hot paths work on Python floats through :mod:`math` and build no 3x3
-matrix. :func:`exp_rot`, :func:`dexp_op` and :func:`dexpinv_op` all have the
-shape ``I + a hat(v) + b hat(v)^2``; ``_quadratic_entries`` fills it from
-floats, as a row-major tuple of nine. The right-hand side's two products,
-``exp_rot(v) @ w`` and ``dexpinv_op(z) @ x``, are held once, as straight-line
-source fragments (``_EXP_APPLY``; ``_DEXPINV_APPLY`` with ``_DEXPINV_C2``).
-Nothing is compiled on import: a built-in forcing shape compiles them into
-its forcing and its fused right-hand side (:func:`rotwave.flow._shape_kernel`), and
+matrix. Each formula they share is held once, as a straight-line source
+fragment: the Rodrigues coefficients (``_EXP_COEFFS``), the nine entries of
+``I + a hat(v) + b hat(v)^2``, the shape of :func:`exp_rot`, :func:`dexp_op`
+and :func:`dexpinv_op` (``_EXP_ENTRIES``; ``_EXP_MATRIX`` is all of exp_rot),
+the left-to-right 3x3 product (``_MATMUL3``), and the right-hand side's two
+products, ``exp_rot(v) @ w`` and ``dexpinv_op(z) @ x`` (``_EXP_APPLY``;
+``_DEXPINV_APPLY`` with ``_DEXPINV_C2``). Import compiles the first three, with
+the angle and its finite check (``_EXP_ANGLE``), into the float kernels
+``_exp_coeffs``, ``_quadratic_entries``, ``_exp_entries`` and ``_matmul3``.
+Everything else compiles at first use: a built-in forcing shape into its
+forcing and fused right-hand side (:func:`rotwave.flow._shape_kernel`) and into
+its closed form (:func:`rotwave.scenarios._closed_kernel`), and
 ``_dexpinv_kernels`` into :func:`dexpinv_op`'s coefficient and the composed
-right-hand side, at first use. Generated code takes float triples and skips
-validation; :func:`_vec3` runs at the public entry points only. ``_matmul3``,
-``_matvec3`` and ``_frob_dist`` multiply and compare nine-float matrices,
-summing left to right. numpy is imported by the first call that builds an
-ndarray.
+right-hand side. :func:`_generated` compiles all of them and enters their
+source in :mod:`linecache`. Generated code takes float triples and skips
+validation; :func:`_vec3` runs at the public entry points only. ``_matvec3``
+and ``_frob_dist`` apply and compare nine-float matrices, summing left to
+right. numpy is imported by the first call that builds an ndarray.
 
 ``_exp_entries_arrays`` and ``_q_map_arrays`` run the same formulas on
 triples of 1-D arrays, with scalar functions mapped over the elements
@@ -34,7 +39,10 @@ triples of 1-D arrays, with scalar functions mapped over the elements
 from __future__ import annotations
 
 import functools
+import linecache
 import math
+import operator
+import re
 import sys
 from collections.abc import Callable
 
@@ -195,17 +203,6 @@ def _cross3(u, v) -> tuple[float, float, float]:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
 
 
-def _matmul3(a, b) -> tuple:
-    """Product of two row-major 3x3 matrices of nine floats each, each entry summed left to right."""
-    a0, a1, a2, a3, a4, a5, a6, a7, a8 = a
-    b0, b1, b2, b3, b4, b5, b6, b7, b8 = b
-    return (
-        a0 * b0 + a1 * b3 + a2 * b6, a0 * b1 + a1 * b4 + a2 * b7, a0 * b2 + a1 * b5 + a2 * b8,
-        a3 * b0 + a4 * b3 + a5 * b6, a3 * b1 + a4 * b4 + a5 * b7, a3 * b2 + a4 * b5 + a5 * b8,
-        a6 * b0 + a7 * b3 + a8 * b6, a6 * b1 + a7 * b4 + a8 * b7, a6 * b2 + a7 * b5 + a8 * b8,
-    )
-
-
 def _matvec3(a, v) -> tuple[float, float, float]:
     """A row-major 3x3 matrix of nine floats applied to a float triple."""
     x, y, z = v
@@ -221,26 +218,96 @@ def _frob_dist(a, b) -> float:
     return math.sqrt(s)
 
 
-def _quadratic_entries(v, a: float, b: float) -> tuple:
-    """``I + a hat(v) + b hat(v)^2`` as nine floats, row-major (hat(v)^2 = v v^T - |v|^2 I)."""
-    x, y, z = v
-    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
-    return (
-        1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y,
-        bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x,
-        bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y),
-    )
+def _indented(fragment: str, depth: int) -> str:
+    """``fragment`` with each line indented ``depth`` levels, to splice into generated source."""
+    return "".join("    " * depth + line for line in fragment.splitlines(True))
 
 
-def _exp_coeffs(theta: float) -> tuple[float, float]:
-    # sin(t)/t and (1 - cos t)/t^2 = 2 sin^2(t/2)/t^2, series-switched
-    if theta < SERIES_RADIUS:
-        t2 = theta * theta
-        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0
-        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 * t2 * t2 / 40320.0
-        return a, b
-    sin_half = math.sin(0.5 * theta)
-    return math.sin(theta) / theta, 2.0 * sin_half * sin_half / (theta * theta)
+def _renamed(fragment: str, old: str, new: str) -> str:
+    """``fragment`` with its variables ``old0``, ``old1``, ... renamed ``new0``, ``new1``, ..."""
+    return re.sub(rf"\b{old}(\d)\b", rf"{new}\1", fragment)
+
+
+def _generated(source: str, filename: str, **names) -> dict:
+    """The namespace in which ``source`` ran, with math's names, this module's and ``names``.
+
+    The source is entered in :mod:`linecache` under ``filename``, so that tracebacks and
+    line tracers can show the generated lines."""
+    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
+    namespace = {**vars(math), **globals(), **names}
+    exec(compile(source, filename, "exec"), namespace)
+    return namespace
+
+
+#: the Rodrigues coefficients ``sin(t)/t`` and ``(1 - cos t)/t^2 = 2 sin^2(t/2)/t^2``,
+#: series-switched, as straight-line source: reads rt = |v|, sets ra and rb
+_EXP_COEFFS = """\
+if rt < SERIES_RADIUS:
+    rt2 = rt * rt
+    ra = 1.0 - rt2 / 6.0 + rt2 * rt2 / 120.0 - rt2 * rt2 * rt2 / 5040.0
+    rb = 0.5 - rt2 / 24.0 + rt2 * rt2 / 720.0 - rt2 * rt2 * rt2 / 40320.0
+else:
+    rs = sin(0.5 * rt)
+    ra = sin(rt) / rt
+    rb = 2.0 * rs * rs / (rt * rt)
+"""
+
+#: ``I + ra hat(v) + rb hat(v)^2`` (hat(v)^2 = v v^T - |v|^2 I), row-major, in the same
+#: form: reads v0, v1, v2, ra and rb, sets e0..e8
+_EXP_ENTRIES = """\
+rbxy = rb * v0 * v1
+rbxz = rb * v0 * v2
+rbyz = rb * v1 * v2
+e0 = 1.0 - rb * (v1 * v1 + v2 * v2)
+e1 = rbxy - ra * v2
+e2 = rbxz + ra * v1
+e3 = rbxy + ra * v2
+e4 = 1.0 - rb * (v0 * v0 + v2 * v2)
+e5 = rbyz - ra * v0
+e6 = rbxz - ra * v1
+e7 = rbyz + ra * v0
+e8 = 1.0 - rb * (v0 * v0 + v1 * v1)
+"""
+
+#: the angle |v|: reads v0, v1, v2, sets rt; DomainError unless it is finite (:func:`_vec3`'s
+#: rule: an infinite angle has no sine)
+_EXP_ANGLE = """\
+rt = sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+if not isfinite(rt):
+    raise DomainError("expected a finite 3-vector")
+"""
+
+#: ``exp_rot(v)`` by the Rodrigues formula: reads v0, v1, v2, sets e0..e8
+_EXP_MATRIX = _EXP_ANGLE + _EXP_COEFFS + _EXP_ENTRIES
+
+#: the product of two row-major 3x3 matrices, each entry summed left to right: reads
+#: a0..a8 and b0..b8, sets m0..m8
+_MATMUL3 = "".join(
+    f"m{3 * i + j} = a{3 * i} * b{j} + a{3 * i + 1} * b{3 + j} + a{3 * i + 2} * b{6 + j}\n"
+    for i in range(3) for j in range(3)
+)
+
+
+def _nine(name: str) -> str:
+    """The variables ``name0, ..., name8`` of a nine-float matrix, for generated source."""
+    return ", ".join(f"{name}{i}" for i in range(9))
+
+
+# the float kernels of the fragments: _exp_coeffs(|v|) -> (ra, rb); _quadratic_entries(v, a, b),
+# the nine floats of I + a hat(v) + b hat(v)^2; _exp_entries(v), the scalar form of exp_rot
+# (DomainError unless |v| is finite); _matmul3(a, b), the product of two nine-float matrices
+_exp_coeffs, _quadratic_entries, _exp_entries, _matmul3 = operator.itemgetter(
+    "_exp_coeffs", "_quadratic_entries", "_exp_entries", "_matmul3"
+)(_generated(
+    "def _exp_coeffs(rt):\n" + _indented(_EXP_COEFFS, 1) + "    return ra, rb\n\n"
+    "def _quadratic_entries(v, ra, rb):\n    v0, v1, v2 = v\n" + _indented(_EXP_ENTRIES, 1)
+    + f"    return {_nine('e')}\n\n"
+    "def _exp_entries(v):\n    v0, v1, v2 = v\n" + _indented(_EXP_ANGLE, 1)
+    + "    return _quadratic_entries(v, *_exp_coeffs(rt))\n\n"
+    f"def _matmul3(a, b):\n    {_nine('a')} = a\n    {_nine('b')} = b\n"
+    + _indented(_MATMUL3, 1) + f"    return {_nine('m')}\n",
+    "<so3 kernels>",
+))
 
 
 def _mapped(f, *arrays) -> np.ndarray:
@@ -252,15 +319,6 @@ def _exp_entries_arrays(v) -> tuple:
     """:func:`_exp_entries` of a triple of arrays, elementwise: nine arrays."""
     a, b = _mapped(_exp_coeffs, np.sqrt(_dot3(v, v))).reshape(-1, 2).T
     return _quadratic_entries(v, a, b)
-
-
-def _exp_entries(v) -> tuple:
-    """Scalar form of :func:`exp_rot` on a float triple: nine floats, row-major. DomainError
-    unless the squared norm is finite (:func:`_vec3`'s rule: an infinite angle has no sine)."""
-    theta = _norm3(v)
-    if not math.isfinite(theta):
-        raise DomainError("expected a finite 3-vector")
-    return _quadratic_entries(v, *_exp_coeffs(theta))
 
 
 def _exp_matrix(v) -> np.ndarray:
@@ -542,8 +600,7 @@ def dexpinv_op(z: np.ndarray) -> np.ndarray:
 
 #: ``exp_rot(v) @ w`` by the vector Rodrigues formula ``w + a v x w + b v x (v x w)``,
 #: as straight-line source: reads the floats v0, v1, v2 and w0, w1, w2, sets r0, r1, r2
-_EXP_APPLY = """\
-ra, rb = _exp_coeffs(sqrt(v0 * v0 + v1 * v1 + v2 * v2))
+_EXP_APPLY = "rt = sqrt(v0 * v0 + v1 * v1 + v2 * v2)\n" + _EXP_COEFFS + """\
 rc0 = v1 * w2 - v2 * w1
 rc1 = v2 * w0 - v0 * w2
 rc2 = v0 * w1 - v1 * w0
@@ -573,18 +630,6 @@ d0 = x0 + 0.5 * dc0 + db * (z1 * dc2 - z2 * dc1)
 d1 = x1 + 0.5 * dc1 + db * (z2 * dc0 - z0 * dc2)
 d2 = x2 + 0.5 * dc2 + db * (z0 * dc1 - z1 * dc0)
 """
-
-
-def _indented(fragment: str, depth: int) -> str:
-    """``fragment`` with each line indented ``depth`` levels, to splice into generated source."""
-    return "".join("    " * depth + line for line in fragment.splitlines(True))
-
-
-def _generated(source: str, filename: str, **names) -> dict:
-    """The namespace in which ``source`` ran, with math's names, this module's and ``names``."""
-    namespace = {**vars(math), **globals(), **names}
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace
 
 
 @functools.lru_cache(maxsize=None)

@@ -182,6 +182,89 @@ def quadratic_apply_composed(v, w, a, b):
     )
 
 
+def exp_coeffs_composed(theta):
+    """``sin(t)/t`` and ``(1 - cos t)/t^2``, series-switched at 1e-4, as the library once
+    computed them in a function of their own: the bitwise reference for the Rodrigues kernels."""
+    if theta < 1e-4:
+        t2 = theta * theta
+        a = 1.0 - t2 / 6.0 + t2 * t2 / 120.0 - t2 * t2 * t2 / 5040.0
+        b = 0.5 - t2 / 24.0 + t2 * t2 / 720.0 - t2 * t2 * t2 / 40320.0
+        return a, b
+    sin_half = math.sin(0.5 * theta)
+    return math.sin(theta) / theta, 2.0 * sin_half * sin_half / (theta * theta)
+
+
+def exp_entries_composed(v):
+    """``exp_rot(v)`` as nine floats, row-major, through ``I + a hat(v) + b hat(v)^2`` as the library
+    once composed it; ValueError where the library raises DomainError (a non-finite |v|)."""
+    theta = norm3_composed(v)
+    if not math.isfinite(theta):
+        raise ValueError("expected a finite 3-vector")
+    return quadratic_entries_composed(v, *exp_coeffs_composed(theta))
+
+
+def quadratic_entries_composed(v, a, b):
+    """``I + a hat(v) + b hat(v)^2`` as nine floats, row-major (hat(v)^2 = v v^T - |v|^2 I)."""
+    x, y, z = v
+    bxy, bxz, byz = b * x * y, b * x * z, b * y * z
+    return (
+        1.0 - b * (y * y + z * z), bxy - a * z, bxz + a * y,
+        bxy + a * z, 1.0 - b * (x * x + z * z), byz - a * x,
+        bxz - a * y, byz + a * x, 1.0 - b * (x * x + y * y),
+    )
+
+
+def bch_composed(x, y):
+    """The library's scalar BCH of two float triples as it was once composed from helpers (the
+    quaternion, the cross product and the linear combination): ``(result, fields)`` with the
+    fields of ``rotwave.bch.BchBreakdown`` in order, the branch as its label. ValueError where
+    the library raises DomainError (a non-finite norm)."""
+
+    def quaternion(chx, shx, chy, shy, cos_ang):
+        return chx * chy - shx * shy * cos_ang, shx * chy, chx * shy, shx * shy
+
+    def cross(u, v):
+        return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+    def combine(a, b, c, k):
+        return tuple(a * x[i] + b * y[i] + c * k[i] for i in range(3))
+
+    nx, ny = norm3_composed(x), norm3_composed(y)
+    if not math.isfinite(nx + ny):
+        raise ValueError("expected a finite 3-vector")
+    hx, hy = 0.5 * nx, 0.5 * ny
+    chx, shx, chy, shy = math.cos(hx), math.sin(hx), math.cos(hy), math.sin(hy)
+    cos_ang = 0.0
+    if nx > 0.0 and ny > 0.0:
+        cos_ang = min(1.0, max(-1.0, (x[0] * y[0] + x[1] * y[1] + x[2] * y[2]) / (nx * ny)))
+    e, a1, b1, c1 = quaternion(chx, shx, chy, shy, cos_ang)
+    h_alpha = a1 / nx if nx > 0.0 else chy
+    h_beta = b1 / ny if ny > 0.0 else chx
+    if nx > 0.0 and ny > 0.0:
+        h_gamma = c1 / (nx * ny)
+    elif ny > 0.0:
+        h_gamma = shy / ny
+    elif nx > 0.0:
+        h_gamma = shx / nx
+    else:
+        h_gamma = 1.0
+    kxy = cross(x, y)
+    d1 = norm3_composed(combine(h_alpha, h_beta, h_gamma, kxy))
+    d = 2.0 * d1 * abs(e)
+    s = 1.0 if e >= 0.0 else -1.0
+    if 2.0 * math.sqrt(2.0) * d1 <= BCH_BRANCH_TOL:
+        return (0.0, 0.0, 0.0), (0.0, 0.0, 0.0, "IdentityProduct", e, a1, b1, c1, d1, d, s)
+    theta_q = 2.0 * math.atan2(d1, e)
+    theta_ball = theta_q if theta_q <= math.pi else 2.0 * math.pi - theta_q
+    if theta_ball >= math.pi - BCH_BRANCH_TOL:
+        k, branch = math.pi, "HalfTurnProduct"
+    else:
+        k = s * theta_ball / d1
+        branch = "GenericPositive" if e * e - d1 * d1 > BCH_BRANCH_TOL else "GenericNonPositive"
+    alpha, beta, gamma = k * h_alpha, k * h_beta, k * h_gamma
+    return combine(alpha, beta, gamma, kxy), (alpha, beta, gamma, branch, e, a1, b1, c1, d1, d, s)
+
+
 def circle_points(axis, height, r, n, phase=0.0):
     """n exact points of the circle at signed height along axis on the r-sphere."""
     axis = np.asarray(axis, dtype=float)

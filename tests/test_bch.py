@@ -280,3 +280,82 @@ def test_scalar_bch_refuses_a_non_finite_factor(v):
     for x, y in [(v, (0.0, 0.0, 1.0)), ((0.0, 0.0, 1.0), v), (v, v)]:
         with pytest.raises(DomainError, match="^expected a finite 3-vector$"):
             _bch_full(x, y)
+
+
+# ----------------------------------- the straight-line kernel against its helpers
+
+def bits(result_and_fields):
+    """The float bits of ``_bch_full``'s result and fields, the branch as its label."""
+    result, fields = result_and_fields
+    return [v.hex() for v in result], [f.value if isinstance(f, BchBranch) else f if isinstance(f, str) else f.hex()
+                                       for f in fields]
+
+
+def assert_bitwise_composed(x, y):
+    """``_bch_full(x, y)`` equals :func:`oracles.bch_composed` bit for bit, or both refuse; the branch."""
+    try:
+        want = oracles.bch_composed(x, y)
+    except ValueError:
+        with pytest.raises(DomainError, match="^expected a finite 3-vector$"):
+            _bch_full(x, y)
+        return None
+    got = _bch_full(x, y)
+    assert bits(got) == bits(want), (x, y)
+    return got[1][3]
+
+
+#: an eighth turn about z composed with a turn about z short of an eighth by delta: the product
+#: angle is pi/2 - delta, so cos(theta) = e^2 - d1^2 is about delta
+def near_quarter_turn(delta):
+    return (0.0, 0.0, math.pi / 4.0), (0.0, 0.0, math.pi / 4.0 - delta)
+
+
+@pytest.mark.parametrize("x, y, branch", [
+    ((0.0, 0.0, 0.0), (0.3, -0.2, 1.1), BchBranch.GENERIC_POSITIVE),  # zero x
+    ((0.3, -0.2, 1.1), (0.0, 0.0, 0.0), BchBranch.GENERIC_POSITIVE),  # zero y
+    ((0.0, -0.0, 0.0), (-0.0, 0.0, 0.0), BchBranch.IDENTITY_PRODUCT),  # both zero
+    ((0.3, 0.4, 0.5), (-0.3, -0.4, -0.5), BchBranch.IDENTITY_PRODUCT),  # an inverse pair, d1 = 0
+    ((0.3, 0.4, 0.5), (-0.3, -0.4, -0.5 + 2e-13), BchBranch.IDENTITY_PRODUCT),  # d1 near 1e-13
+    ((0.3, 0.4, 0.5), (-0.3, -0.4, -0.5 + 1e-9), BchBranch.GENERIC_POSITIVE),  # just off the identity
+    ((math.pi / 2.0, 0.0, 0.0), (math.pi / 2.0, 0.0, 0.0), BchBranch.HALF_TURN_PRODUCT),
+    ((0.0, 0.0, 2.0), (0.0, 0.0, math.pi - 2.0), BchBranch.HALF_TURN_PRODUCT),
+    ((math.pi, 0.0, 0.0), (0.0, 0.0, 0.0), BchBranch.HALF_TURN_PRODUCT),  # a half turn and zero y
+    (*near_quarter_turn(4.0 * BRANCH_TOL), BchBranch.GENERIC_POSITIVE),  # e^2 - d1^2 above BRANCH_TOL
+    (*near_quarter_turn(0.5 * BRANCH_TOL), BchBranch.GENERIC_NON_POSITIVE),  # below it, positive
+    (*near_quarter_turn(0.0), BchBranch.GENERIC_NON_POSITIVE),
+    (*near_quarter_turn(-4.0 * BRANCH_TOL), BchBranch.GENERIC_NON_POSITIVE),
+    ((1.0, 2.0, -2.0), (-3.0, 0.5, 2.5), BchBranch.GENERIC_NON_POSITIVE),
+    ((40.0, 0.0, 0.0), (0.0, 0.0, -7.0), None),  # factors past 2 pi
+])
+def test_straight_line_bch_is_bitwise_the_composed_helpers_on_every_branch(x, y, branch):
+    got = assert_bitwise_composed(x, y)
+    if branch is not None:
+        assert got is branch
+    if (x, y) == near_quarter_turn(0.5 * BRANCH_TOL):
+        fields = _bch_full(x, y)[1]
+        e, d1 = fields[4], fields[8]
+        assert 0.0 < e * e - d1 * d1 <= BRANCH_TOL
+
+
+@pytest.mark.parametrize("v", [(math.inf, 0.0, 0.0), (0.0, -math.inf, 0.0), (0.0, 0.0, math.nan),
+                               (1e154, 1e154, 0.0)])
+def test_straight_line_bch_refuses_what_the_composed_helpers_refuse(v):
+    for x, y in [(v, (0.0, 0.0, 1.0)), ((0.0, 0.0, 1.0), v), (v, v), (v, (0.0, 0.0, 0.0))]:
+        assert assert_bitwise_composed(x, y) is None
+
+
+component = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.sampled_from([0.0, -0.0, 1e-300, -1e-170, 1e-13, math.pi, -math.pi / 2.0, 1e150, math.inf, math.nan]),
+)
+triple = st.tuples(component, component, component)
+
+
+@given(triple, triple)
+def test_straight_line_bch_is_bitwise_the_composed_helpers(x, y):
+    assert_bitwise_composed(x, y)
+
+
+@given(triple, st.floats(-1e-12, 1e-12))
+def test_straight_line_bch_is_bitwise_the_composed_helpers_near_the_identity(x, shift):
+    assert_bitwise_composed(x, (-x[0], -x[1], -x[2] + shift))

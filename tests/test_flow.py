@@ -611,12 +611,13 @@ def test_integration_takes_the_same_steps_through_the_generated_rhs(name, overri
 
 def test_kernels_compile_at_first_use_once_per_shape():
     # import rotwave, bch and --dump-config compile nothing; the families'
-    # first integrations compile the DOP853 step and the two forcing shapes
+    # first verifications compile the DOP853 step, the two forcing shapes
+    # and the two closed forms
     code = """if True:
         import contextlib, io, rotwave
         from rotwave import flow, ode, scenarios, so3
         from rotwave.cli import main
-        caches = (ode._step_kernel, so3._dexpinv_kernels, flow._shape_kernel)
+        caches = (ode._step_kernel, so3._dexpinv_kernels, flow._shape_kernel, scenarios._closed_kernel)
         with contextlib.redirect_stdout(io.StringIO()):
             main(["bch", "0", "0", "1", "1", "0", "0", "--check"])
             main(["simulate", "--dump-config"])
@@ -627,7 +628,7 @@ def test_kernels_compile_at_first_use_once_per_shape():
     """
     env = dict(os.environ, PYTHONPATH=str(Path(flow.__file__).resolve().parents[1]))
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert run.stdout.splitlines() == ["[0, 0, 0]", "[1, 0, 2]"], run.stderr
+    assert run.stdout.splitlines() == ["[0, 0, 0, 0]", "[1, 0, 2, 2]"], run.stderr
 
 
 # --------------------------------------------------------- the sampling chain

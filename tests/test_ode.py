@@ -402,6 +402,18 @@ def test_zero_derivative_takes_the_fallback_initial_step():
     assert sol.sol(0.5) == [1.0]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_every_generated_step_kernel_takes_a_zero_and_an_overflowing_error_norm(n):
+    # the kernels differ in the state size alone: n copies of the one-component
+    # problems above fail the step on an overflowing norm and take the fallback
+    # initial step on a zero one, with the same steps and evaluations
+    over = ode.solve_ivp(lambda t, y: [1.0 + v for v in y], (0.0, 1.0), [0.0] * n, 1e-10, 1e-300)
+    assert (over.status, over.nfev, over.t) == (-1, 14, [0.0])
+    zero = ode.solve_ivp(lambda t, y: [0.0] * n, (0.0, 1.0), [1.0] * n, RTOL, ATOL)
+    assert zero.status == 0 and zero.t[:3] == [0.0, 1e-6, 1.1e-5]
+    assert zero.sol(0.5) == [1.0] * n
+
+
 def test_singular_initial_probe_is_retried_at_half_the_step():
     # the heuristic's probe at t0 + h0 raises; it is retried at half the
     # step, and the solve matches the one whose probe did not raise

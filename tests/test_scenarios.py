@@ -8,7 +8,6 @@ import pytest
 
 from rotwave import ConfigError, DomainError, exp_rot, hat
 from rotwave.scenarios import Frame, Scenario, available, build, verify_against_closed_form
-from rotwave.so3 import _exp_coeffs
 
 import oracles
 
@@ -241,7 +240,7 @@ def test_integrator_matches_closed_form():
 
 def _exp_apply(v, w):
     """``exp_rot(v) @ w`` by the vector Rodrigues formula, composed as the library once did."""
-    return oracles.quadratic_apply_composed(v, w, *_exp_coeffs(oracles.norm3_composed(v)))
+    return oracles.quadratic_apply_composed(v, w, *oracles.exp_coeffs_composed(oracles.norm3_composed(v)))
 
 
 def float_product(a, b):
@@ -252,11 +251,11 @@ def float_product(a, b):
     )
 
 
-def reference_pieces(sc, mu=None, product=float_product):
+def reference_pieces(sc, mu=None, product=float_product, exp=exp_rot):
     """(xg, closed) recomputing every constant on each call: the forcings
     as float lists with the vector Rodrigues rotation, the closed forms with
     numpy vectors and exp_rot, each float operation in the order the
-    formulas of the module docstring take, and the two exp_rot factors
+    formulas of the module docstring take, and the two exp_rot factors (``exp``)
     multiplied by ``product``. The library's closures, which compute the
     lambda-only constants once per lambda, must give the bits of the
     default product, the row-by-column float sum."""
@@ -288,7 +287,7 @@ def reference_pieces(sc, mu=None, product=float_product):
 
         def closed(t, lam):
             eps = math.sqrt(lam)
-            return product(exp_rot((X0 + eps * fr.x1) * t), exp_rot(eps * pdir * g(t, lam)))
+            return product(exp((X0 + eps * fr.x1) * t), exp(eps * pdir * g(t, lam)))
 
     elif sc.family in ("example2", "example3"):
         def parts(lam):
@@ -306,7 +305,7 @@ def reference_pieces(sc, mu=None, product=float_product):
 
         def closed(t, lam):
             C, nu, w = parts(lam)
-            return product(exp_rot(w * t), exp_rot(C * (nu * t + lam * g(t, lam))))
+            return product(exp(w * t), exp(C * (nu * t + lam * g(t, lam))))
 
     elif sc.family == "example4":
         C = X0 + mu_val * fr.x1
@@ -326,7 +325,7 @@ def reference_pieces(sc, mu=None, product=float_product):
 
         def closed(t, lam):
             eps, nu, w = parts(lam)
-            return product(exp_rot(eps**sc.k * w * t), exp_rot(C * (nu * t + lam * g(t, lam))))
+            return product(exp(eps**sc.k * w * t), exp(C * (nu * t + lam * g(t, lam))))
 
     else:
         def xg(t, lam):
@@ -336,7 +335,7 @@ def reference_pieces(sc, mu=None, product=float_product):
 
         def closed(t, lam):
             eps = math.sqrt(lam)
-            return exp_rot((X0 + eps * fr.x1) * (t + eps * g(t, lam)))
+            return exp((X0 + eps * fr.x1) * (t + eps * g(t, lam)))
 
     return xg, closed
 
@@ -394,6 +393,32 @@ def test_closed_form_is_within_4_ulp_of_numpy_matmul():
                 got, want = sc.closed_form(t, lam, mu), ref_closed(t, lam)
                 worst = max(worst, np.abs(got - want).max() / (np.spacing(1.0) * np.linalg.norm(want)))
     assert worst <= 4.0
+
+
+def composed_exp(v):
+    """``exp_rot(v)`` through the Rodrigues helpers as the library once composed them; ValueError
+    where the library raises DomainError (a non-finite angle)."""
+    return np.array(oracles.exp_entries_composed(v.tolist())).reshape(3, 3)
+
+
+#: t = 0, times at which each factor of every closed form crosses the series switch, and times
+#: at which one factor's angle (1e154: the second only, on case2-3) or both overflow
+SWITCH_TIMES = [0.0, *np.geomspace(1e-9, 1e-2, 43).tolist(), 0.7, 1e154, 1e200]
+
+
+def test_generated_closed_forms_are_bitwise_the_composed_helpers():
+    for sc, mu in guard_cases():
+        ref_closed = reference_pieces(sc, mu, exp=composed_exp)[1]
+        for lam in GUARD_LAMBDAS:
+            for t in SWITCH_TIMES:
+                try:
+                    want = ref_closed(t, lam)
+                except ValueError:
+                    with pytest.raises(DomainError, match="^expected a finite 3-vector$"):
+                        sc.closed_form(t, lam, mu)
+                else:
+                    got = sc.closed_form(t, lam, mu)
+                    assert got.tobytes() == want.tobytes(), (sc.name, mu, t, lam, got, want)
 
 
 def test_negative_zero_lambda_keeps_its_sign():

@@ -36,6 +36,7 @@ from rotwave.so3 import (
     _indented,
     _matmul3,
     _q_map_arrays,
+    _quadratic_entries,
     _exp_coeffs,
     _northern,
     _q_map,
@@ -488,7 +489,7 @@ def test_straight_line_kernels_are_bitwise_the_composed_forms():
     dexpinv_vs = small + oracles.random_axis_vectors(rng, 1500, 2 * np.pi - 1e-3).tolist()
     dexpinv_vs.append(((2 * np.pi - 1e-3) * unit([1.0, -2.0, 0.5])).tolist())
     for v, w in pairs(exp_vs):
-        want = oracles.quadratic_apply_composed(v, w, *_exp_coeffs(oracles.norm3_composed(v)))
+        want = oracles.quadratic_apply_composed(v, w, *oracles.exp_coeffs_composed(oracles.norm3_composed(v)))
         assert _bits(_exp_apply(v, w)) == _bits(want)
     for z, x in pairs(dexpinv_vs):
         want = oracles.quadratic_apply_composed(z, x, 0.5, oracles.c2_composed(oracles.norm3_composed(z)))
@@ -538,6 +539,34 @@ def test_scalar_exponential_refuses_a_non_finite_vector(v):
     # the rule lives where the trig runs: math's ValueError never leaves it
     with pytest.raises(DomainError, match="^expected a finite 3-vector$"):
         _exp_entries(v)
+
+
+#: angles on both sides of the series switch and far from it
+ANGLES = [0.0, 5e-324, 1e-200, 1e-8, math.nextafter(SERIES_RADIUS, 0.0), SERIES_RADIUS,
+          math.nextafter(SERIES_RADIUS, 1.0), 1e-3, 1.0, math.pi, 2 * math.pi, 40.0, 1e300]
+
+
+@given(st.one_of(st.sampled_from(ANGLES), st.floats(0.0, 2 * SERIES_RADIUS), st.floats(0.0, 1e3)))
+def test_generated_rodrigues_coefficients_are_bitwise_the_composed_ones(theta):
+    assert _bits(_exp_coeffs(theta)) == _bits(oracles.exp_coeffs_composed(theta))
+
+
+def test_generated_rodrigues_coefficients_of_a_non_finite_angle():
+    # nan passes through; math's sin refuses inf (the forcing turns that into a NaN value)
+    assert all(math.isnan(c) for c in _exp_coeffs(math.nan))
+    with pytest.raises(ValueError):
+        _exp_coeffs(math.inf)
+
+
+@given(
+    st.tuples(*(st.floats(-1.0, 1.0) for _ in range(3))).filter(lambda d: sum(c * c for c in d) > 1e-6),
+    st.one_of(st.sampled_from(ANGLES), st.floats(0.0, 2 * SERIES_RADIUS), st.floats(0.0, 10.0)),
+    st.floats(-2.0, 2.0), st.floats(-2.0, 2.0),
+)
+def test_generated_rodrigues_entries_are_bitwise_the_composed_ones(direction, angle, a, b):
+    v = [angle * c / math.sqrt(sum(c * c for c in direction)) for c in direction]
+    assert _bits(_exp_entries(v)) == _bits(oracles.exp_entries_composed(v))
+    assert _bits(_quadratic_entries(v, a, b)) == _bits(oracles.quadratic_entries_composed(v, a, b))
 
 
 def test_array_hemisphere_map_leaves_zero_snapped_and_band_vectors_out():

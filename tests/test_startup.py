@@ -5,7 +5,9 @@ modules of its own, and only rotwave's imports decide what ``sys.modules``
 holds. Generating a dataclass execs and compiles its methods in every fresh
 process; ``ForcingSignal`` alone stays one, as code outside the package
 passes it to ``dataclasses.replace``. ``bch`` reads and writes no JSON and
-builds no path.
+builds no path, and generates no kernel: the straight-line kernels of the
+integrator, the forcings and the closed forms compile at their first use, so
+a process that neither integrates nor samples spends no compile time on them.
 """
 import os
 import subprocess
@@ -30,8 +32,30 @@ CODE = """if True:
 """
 
 
-def test_cli_generates_one_dataclass_and_bch_loads_no_json_typing_or_pathlib():
+#: the caches of the kernel generators after ``bch``
+KERNELS = """if True:
+    import contextlib, io
+    import rotwave.cli
+    from rotwave import flow, ode, scenarios, so3
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = rotwave.cli.main(["bch", "0", "0", "1", "1", "0", "0", "--check"])
+    caches = (ode._step_kernel, flow._shape_kernel, so3._dexpinv_kernels, scenarios._closed_kernel)
+    print(rc, [c.cache_info().currsize for c in caches])
+"""
+
+
+def fresh(code: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh ``python -S`` that imports rotwave from this checkout."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    run = subprocess.run([sys.executable, "-S", "-c", CODE], env=env, capture_output=True, text=True,
-                         timeout=60)
+    return subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
+                          timeout=60)
+
+
+def test_cli_generates_one_dataclass_and_bch_loads_no_json_typing_or_pathlib():
+    run = fresh(CODE)
     assert run.stdout.splitlines() == ["['rotwave.flow.ForcingSignal']", "0 []"], run.stderr
+
+
+def test_bch_generates_no_kernel():
+    run = fresh(KERNELS)
+    assert run.stdout.splitlines() == ["0 [0, 0, 0, 0]"], run.stderr
