@@ -153,15 +153,19 @@ def _combine(x, y, k, a, b, c):
     )
 
 
-def _bch_arrays(x, y):
+def _bch_arrays(xs, which, y):
     """:func:`_bch_full`'s result over triples of arrays, and the mask of its generic elements.
 
-    The zero-norm branches run through ``np.where``, so a zero prefix stays
-    in the mask. An identity or half-turn product, or a non-finite one, is
-    left out of it for the caller to redo alone.
+    The left factors are ``x = xs[:, which]``: a few distinct vectors (the
+    prefixes of a batch), whose norms and half-angle cosines and sines are
+    taken once each. The zero-norm branches run through ``np.where``, so a
+    zero prefix stays in the mask. An identity or half-turn product, or a
+    non-finite one, is left out of it for the caller to redo alone.
     """
-    nx, ny = np.sqrt(_dot3(x, x)), np.sqrt(_dot3(y, y))
-    chx, shx = _mapped(cos, 0.5 * nx), _mapped(sin, 0.5 * nx)
+    nxs = np.sqrt(_dot3(xs, xs))
+    x = [a[which] for a in xs]
+    nx, ny = nxs[which], np.sqrt(_dot3(y, y))
+    chx, shx = _mapped(cos, 0.5 * nxs)[which], _mapped(sin, 0.5 * nxs)[which]
     chy, shy = _mapped(cos, 0.5 * ny), _mapped(sin, 0.5 * ny)
     px, py = nx > 0.0, ny > 0.0
     cos_ang = np.where(px & py, np.clip(_dot3(x, y) / (nx * ny), -1.0, 1.0), 0.0)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import bisect
 import functools
+import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -99,14 +100,14 @@ PERIOD_TOL_FACTOR = 10.0
 #: within 7% of that at 0.1
 RESTART_MARGIN = 0.1
 
-#: sample times whose class vectors (and A) a trajectory caches before emptying the cache
+#: sample times whose records (class vector and A) a trajectory's cache holds at most
 CACHE_SIZE = 1024
 
 #: fewest times that GroupTrajectory.eval_A samples in one vectorised pass.
-#: On fresh trajectories of the five families over two periods, with every step's
-#: dense rows built first and the sample-time cache empty, the pass costs ~0.5 ms
-#: however few times it holds and ~4 us per time, a time alone 16-23 us: they break
-#: even near 40 times (2 cores, Python 3.11, numpy 2.4)
+#: On fresh trajectories of the five families over two periods, with the sample-time
+#: cache empty, the pass costs 0.45-0.6 ms however few times it holds and 2-4 us per
+#: time, a time alone 12-20 us: they break even at 35-50 times by family, near 40
+#: (one pinned core, Python 3.11, numpy 2.4)
 BATCH_MIN = 40
 
 
@@ -247,17 +248,17 @@ def integrate_z_segment(
 
 
 @functools.lru_cache(maxsize=None)
-def _shape_kernel(shape: str, params: str, unpack: str, fragment: str) -> Callable:
-    """``bind(params) -> xg`` for one forcing shape (:data:`rotwave.scenarios._SHAPES`), compiled
-    once, at the shape's first forcing: ``unpack`` and the X^G ``fragment`` set x0, x1, x2 from t
-    and lam. Where math's sin or cos refuses an infinite phase or angle, the fragment's ValueError
+def _shape_kernel(shape: str, unpack: str, fragment: str) -> Callable:
+    """``bind(lookup) -> xg`` for one forcing shape (:data:`rotwave.scenarios._SHAPES`), compiled
+    once, at the shape's first forcing: ``unpack``, which reads ``lookup(lam)``, and the X^G
+    ``fragment`` set x0, x1, x2 from t and lam. Where math's sin or cos refuses an infinite phase or angle, the fragment's ValueError
     sets them to NaN, so ``xg`` returns a non-finite triple. ``xg._fused_rhs = (xg, rhs_at)``:
     ``rhs_at(lam)`` is the Z-equation's right-hand side at lam, X^G with the value check and
     dexpinv (:data:`_Z_RHS_TAIL`, outside the ``try``), which :func:`_z_rhs` runs in place of
     ``xg``."""
     guarded = "try:\n" + _indented(fragment, 1) + "except ValueError:\n    x0 = x1 = x2 = nan\n"
     source = f"""\
-def bind({params}):
+def bind(lookup):
     def xg(t, lam):
         {unpack}
 {_indented(guarded, 2)}        return [x0, x1, x2]
@@ -319,12 +320,13 @@ class GroupTrajectory:
 
     ``eval_A``, ``eval_Z``, :func:`rotwave.hopf.primary_frequency` and
     :func:`rotwave.hopf.periodic_part` share one sample-time cache, keyed by
-    ``float(t)`` (at most ``CACHE_SIZE`` = 1024 times, emptied when full). Its
+    ``float(t)`` (at most ``CACHE_SIZE`` = 1024 times; :meth:`_store` evicts). Its
     record for a time is whole, the class vector and A's nine entries,
     whichever sampler made it: a repeated ``eval_A`` costs one lookup,
     ``eval_Z`` the hemisphere map, and ``log_Bf`` one BCH. The records are the
     floats the per-time chain computes, so a hit returns the bits of a cold
-    sample. ``class_at`` bypasses the cache.
+    sample, and ``eval_A`` of a float time reads it before any check: a cached
+    time is a checked one. ``class_at`` bypasses the cache.
     """
 
     def __init__(
@@ -380,13 +382,15 @@ class GroupTrajectory:
         n, k, z = self._state_at(t)
         return _bch_full(self._prefix(n, self._step_segment[k]), z)[0]
 
-    def _store(self, t: float, record: tuple) -> tuple:
-        """Cache the record ``(v, a)`` of the checked float t, emptying a full cache first:
-        the one eviction rule. v is ``class_at(t).vector``, a the nine entries of A(t)."""
-        if len(self._samples) >= CACHE_SIZE:
+    def _store(self, items: list) -> None:
+        """Cache the records ``(t, (v, a))`` of checked float times, v ``class_at(t).vector`` and
+        a the nine entries of A(t), under the one eviction rule: a fill that would take the
+        cache past ``CACHE_SIZE`` records empties it first, and keeps the last ``CACHE_SIZE``
+        of its own. A per-time sample fills one record, so a full cache is emptied before it."""
+        if len(self._samples) + len(items) > CACHE_SIZE:
             self._samples.clear()
-        self._samples[t] = record
-        return record
+            items = items[-CACHE_SIZE:]
+        self._samples.update(items)
 
     def _record(self, t: float) -> tuple:
         """The record ``(v, a)`` of the float t that :func:`_time_in_range` returned (:meth:`_store`):
@@ -394,7 +398,8 @@ class GroupTrajectory:
         record = self._samples.get(t)
         if record is None:
             v = _ball_vector(self._product(t))
-            record = self._store(t, (v, _exp_entries(_q_map(v, self.ref_dir))))
+            record = (v, _exp_entries(_q_map(v, self.ref_dir)))
+            self._store([(t, record)])
         return record
 
     def _class_vector(self, t: float):
@@ -415,6 +420,9 @@ class GroupTrajectory:
 
     def eval_A(self, t) -> np.ndarray:
         """The rotation A(t), or the (m, 3, 3) stack of A at a 1-D ndarray of m times."""
+        record = self._samples.get(t) if type(t) is float else None  # a cached time is a checked one
+        if record is not None:
+            return np.array(record[1]).reshape(3, 3)
         ts = _time_list(t)
         if ts is None:
             return np.array(self._A_entries(t)).reshape(3, 3)
@@ -429,10 +437,14 @@ class GroupTrajectory:
         The times are located on the step ends that the per-time sampler
         bisects, and only the steps they land in build their dense rows. numpy
         rounds + - * / and sqrt as Python floats do, and sin, cos and atan2 are
-        math's, so each sample is bitwise its per-time value. A time whose
-        product is the identity or a half turn, needs the snap onto the
-        boundary sphere or lies in the hemisphere band is redone alone. The
-        class vectors and the nine entries of A enter the sample-time cache.
+        math's, so each sample is bitwise its per-time value. The prefix of
+        each time is one of a few (period count, segment) pairs, so the BCH
+        takes the prefix side once per pair. A time whose product is the
+        identity (t = 0 always) or a half turn, needs the snap onto the
+        boundary sphere or lies in the hemisphere band is redone alone first,
+        by the per-time sampler, which caches it; the records of all the other
+        times, class vector and A's nine entries, then enter the sample-time
+        cache in one fill (:meth:`_store`).
         """
         t = np.array(ts)
         ok = (t >= -1e-9) & (t <= self.t_end + 1e-9)
@@ -457,17 +469,15 @@ class GroupTrajectory:
         segment = np.array(self._step_segment)[located]
         pairs, which = np.unique(n.astype(int) * m + segment[k], return_inverse=True)
         prefixes = np.array([self._prefix(*divmod(p, m)) for p in pairs.tolist()])
-        v, generic = _bch_arrays(prefixes.T[:, which], z)
+        v, generic = _bch_arrays(prefixes.T, which, z)
         w, plain = _q_map_arrays(v, self.ref_dir)
         entries = _exp_entries_arrays(w)
         stack = np.stack(entries, axis=-1).reshape(-1, 3, 3)
-        fast = (generic & plain).tolist()
-        columns = zip(ts, zip(*(c.tolist() for c in v)), zip(*(e.tolist() for e in entries)))
-        for i, (ti, vi, ai) in enumerate(columns):
-            if fast[i]:
-                self._store(ti, (vi, ai))
-            else:
-                stack[i] = np.reshape(self._A_entries(ti), (3, 3))
+        fast = generic & plain
+        for i in np.flatnonzero(~fast).tolist():
+            stack[i] = np.reshape(self._A_entries(ts[i]), (3, 3))
+        records = zip(ts, zip(zip(*(c.tolist() for c in v)), zip(*(e.tolist() for e in entries))))
+        self._store(list(itertools.compress(records, fast.tolist())))
         return stack
 
 

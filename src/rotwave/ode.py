@@ -164,7 +164,10 @@ def _step_source(n: int) -> str:
     says when it runs); its floats and their order are those of one kernel
     doing both.
 
-    Stage s of component i is the local ``k{s}_{i}`` in both.
+    Stage s of component i is the local ``k{s}_{i}`` in both. Each call of
+    ``f`` is one line, and a SingularityError that one raises leaves either
+    kernel with ``rhs_calls`` set to the calls it made, that one included:
+    ``RHS_CALLS`` maps the line of each call to that count (:func:`_step_kernel`).
     """
     comps = range(n)
 
@@ -173,20 +176,27 @@ def _step_source(n: int) -> str:
 
     def stage(s: int, c: float, row) -> str:
         args = ", ".join(f"y_{i} + ({_terms(row, i)}) * h" for i in comps)
-        return f"    {names(f'k{s}')} = f(t + {c!r} * h, [{args}])"
+        return f"        {names(f'k{s}')} = f(t + {c!r} * h, [{args}])"
 
+    reported = [
+        "    except SingularityError as exc:",
+        "        exc.rhs_calls = RHS_CALLS[exc.__traceback__.tb_lineno]",
+        "        raise",
+    ]
     kept = " ".join(names(f"k{s}") for s in _DENSE_INPUTS)
     lines = [
         "def step(f, t, y, fy, h, rtol, atol):",
         f"    {names('y')} = y",
         f"    {names('k0')} = fy",
+        "    try:",
     ]
     lines += [stage(s, c, row) for s, (c, row) in enumerate(zip(_C, _A), start=1)]
     for i in comps:
-        lines.append(f"    yn_{i} = y_{i} + h * ({_terms(_B, i)})")
+        lines.append(f"        yn_{i} = y_{i} + h * ({_terms(_B, i)})")
     lines += [
-        f"    yn = [{', '.join(f'yn_{i}' for i in comps)}]",
-        "    fn = f(t + h, yn)",
+        f"        yn = [{', '.join(f'yn_{i}' for i in comps)}]",
+        "        fn = f(t + h, yn)",
+        *reported,
         f"    {names('k12')} = fn",
     ]
     for i in comps:
@@ -215,8 +225,10 @@ def _step_source(n: int) -> str:
         f"    {names('y')} = y",
         f"    {names('yn')} = yn",
         f"    {kept} = stages",
+        "    try:",
     ]
     lines += [stage(s, c, row) for s, (c, row) in enumerate(zip(_C_EXTRA, _A_EXTRA), start=13)]
+    lines += reported
     rows = []
     for i in comps:
         dense = ", ".join(f"h * ({_terms(row, i)})" for row in _D)
@@ -232,7 +244,15 @@ def _step_source(n: int) -> str:
 def _step_kernel(n: int) -> tuple[Callable, Callable]:
     """The compiled :func:`_step_source` kernels ``(step, dense)`` for n-component states,
     built once per n."""
-    namespace = _generated(_step_source(n), f"<DOP853 step, n={n}>")
+    source = _step_source(n)
+    calls, made = {}, 0
+    for number, line in enumerate(source.splitlines(), start=1):
+        if line.startswith("def "):
+            made = 0
+        elif " = f(" in line:
+            made += 1
+            calls[number] = made
+    namespace = _generated(source, f"<DOP853 step, n={n}>", RHS_CALLS=calls)
     return namespace["step"], namespace["dense"]
 
 
@@ -247,7 +267,8 @@ class OdeResult:
     is the event time when the event fired), ``nfev`` counts the
     right-hand-side calls made inside :func:`solve_ivp`, including ones that
     raised (the dense-output stages that ``sol`` evaluates later, when a step
-    other than the last is first sampled, are not counted), ``sol`` is the dense
+    other than the last is first sampled, are not counted; :func:`solve_ivp`
+    says how it counts), ``sol`` is the dense
     output over the integrated range, ``status`` is 0 (reached the end),
     1 (terminal event) or -1 (step size underflow). ``singular_rejections``
     counts the trial steps rejected because the right-hand side raised
@@ -321,8 +342,9 @@ class OdeSolution:
         return self.interpolants[min(max(i, 0), len(self.interpolants) - 1)](t)
 
 
-def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
-    """Starting step from the local-error heuristic of Hairer et al., sec. II.4.
+def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> tuple[float, int]:
+    """Starting step from the local-error heuristic of Hairer et al., sec. II.4, and the
+    number of probes ``fun(t0 + h0, ...)`` it took.
 
     A probe that raises SingularityError is retried at half the step; below
     ten ulps of ``t0`` that step is returned, for the stepper to report."""
@@ -332,20 +354,22 @@ def _initial_step(fun, t0, y0, f0, t_bound, rtol, atol) -> float:
     d1 = _rms([v / s for v, s in zip(f0, scale)])
     h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
     h0 = min(h0, span)
+    probes = 0
     while True:
+        probes += 1
         try:
             f1 = fun(t0 + h0, [v + h0 * f for v, f in zip(y0, f0)])
             break
         except SingularityError:
             h0 *= 0.5
             if h0 < 10.0 * (math.nextafter(t0, math.inf) - t0):
-                return h0
+                return h0, probes
     d2 = _rms([(a - b) / s for a, b, s in zip(f1, f0, scale)]) / h0
     if d1 <= 1e-15 and d2 <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** -ERROR_EXPONENT
-    return min(100.0 * h0, h1, span)
+    return min(100.0 * h0, h1, span), probes
 
 
 def solve_ivp(
@@ -392,24 +416,28 @@ def solve_ivp(
     counts in ``nfev``, and the step in ``singular_rejections``. That holds
     for the dense stages of the last step too. An error that ``event``
     raises reaches the caller.
+
+    ``fun`` goes to the kernels as it is, with no counting wrapper, and
+    ``nfev`` is counted by what each part of the solve calls: 1 for the start
+    value, one per probe of the initial-step heuristic (each halved retry
+    included), 12 per trial step and 3 for the last step's dense stages. A
+    step or dense run that a SingularityError ends counts the calls it made up
+    to and including the one that raised, which the kernel reports as the
+    exception's ``rhs_calls`` (:func:`_step_source`).
     """
     t, t_bound = float(t_span[0]), float(t_span[1])
     if not t_bound > t:
         raise ValueError("t_span must be increasing")
     rtol = max(rtol, 100.0 * EPS)
-    nfev = singular = 0
-
-    def f(s: float, y: list[float]):
-        nonlocal nfev
-        nfev += 1
-        return fun(s, y)
-
+    singular = 0
     y = [float(v) for v in y0]
     step, dense = _step_kernel(len(y))
-    fy = f(t, y)
+    fy = fun(t, y)
+    nfev = 1
     h_abs = first_step
     if first_step is None:
-        h_abs = _initial_step(f, t, y, fy, t_bound, rtol, atol)
+        h_abs, probes = _initial_step(fun, t, y, fy, t_bound, rtol, atol)
+        nfev += probes
     g = event(t, y) if event is not None else 0.0
     ts = [t]
     interpolants: list[_Interpolant] = []
@@ -427,14 +455,16 @@ def solve_ivp(
             h = t_new - t
             h_abs = h
             try:
-                y_new, f_new, err, stages = step(f, t, y, fy, h, rtol, atol)
-            except SingularityError:
+                y_new, f_new, err, stages = step(fun, t, y, fy, h, rtol, atol)
+            except SingularityError as exc:
+                nfev += exc.rhs_calls
                 h_abs *= 0.5
                 rejected = True
                 singular += 1
                 continue
+            nfev += 12
             if err < 1.0:
-                interp = _Interpolant(t, h, (f, dense, y, y_new, stages))
+                interp = _Interpolant(t, h, (fun, dense, y, y_new, stages))
                 if event is not None:
                     g_new = event(t_new, y_new)
                     fired = g < 0.0 <= g_new
@@ -443,11 +473,13 @@ def solve_ivp(
                     # (brentq, a restart state, A(T)) from its dense output
                     try:
                         interp.dense_rows()
-                    except SingularityError:
+                    except SingularityError as exc:
+                        nfev += exc.rhs_calls
                         h_abs *= 0.5
                         rejected = True
                         singular += 1
                         continue
+                    nfev += 3
                 factor = MAX_FACTOR
                 if err > 0.0:
                     factor = min(MAX_FACTOR, SAFETY * err**ERROR_EXPONENT)

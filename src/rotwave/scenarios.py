@@ -60,19 +60,18 @@ __all__ = [
 ]
 
 #: the modulation phase of the conjugated shape, ``theta = g`` (nu None) or ``nu t + lam g`` with
-#: ``g = sin((omega_eff + lam) t)``: reads omega_eff, lam, nu and t, sets freq, phase, g and theta
+#: ``g = sin(freq t)``, ``freq = omega_eff + lam``: reads freq, lam, nu and t, sets phase, g and theta
 _THETA = """\
-freq = omega_eff + lam
 phase = freq * t
 g = sin(phase)
 theta = g if nu is None else nu * t + lam * g
 """
 
 #: example1-4's X^G ``C theta' + amp Ad(exp(-C theta)) w`` and example5's ``(X0 + eps X1)(1 +
-#: eps gdot)`` for :func:`rotwave.flow._shape_kernel`: bind's parameters, how ``lookup(lam)``
-#: unpacks, and straight-line source that reads them and t and sets x0, x1, x2
+#: eps gdot)`` for :func:`rotwave.flow._shape_kernel`: how ``lookup(lam)`` unpacks, and
+#: straight-line source that reads its values and t and sets x0, x1, x2
 _SHAPES = {
-    "conjugated": ("lookup, omega_eff", "lam, (c0, c1, c2), nu, (w0, w1, w2), amp, _ = lookup(lam)",
+    "conjugated": ("lam, freq, (c0, c1, c2), nu, (w0, w1, w2), amp, _ = lookup(lam)",
                    _THETA + """\
 gdot = freq * cos(phase)
 rate = gdot if nu is None else nu + lam * gdot
@@ -84,8 +83,7 @@ x0 = c0 * rate + amp * r0
 x1 = c1 * rate + amp * r1
 x2 = c2 * rate + amp * r2
 """),
-    "collinear": ("lookup, omega_eff", "lam, eps, (v0, v1, v2) = lookup(lam)", """\
-freq = omega_eff + lam
+    "collinear": ("lam, freq, eps, (v0, v1, v2) = lookup(lam)", """\
 rate = 1.0 + eps * (freq * cos(freq * t))
 x0 = v0 * rate
 x1 = v1 * rate
@@ -96,24 +94,29 @@ x2 = v2 * rate
 
 @functools.lru_cache(maxsize=None)
 def _closed_kernel(shape: str) -> Callable:
-    """``bind(lookup, omega_eff) -> closed`` for one shape, compiled once, at the shape's first
-    closed form: ``closed(t, lam)`` returns the nine floats of A(t), row-major, in straight-line
-    code from the Rodrigues and product fragments of :mod:`rotwave.so3`. The conjugated shape's
-    A is ``exp(u t) exp(C theta)``, the collinear one's ``exp((X0 + eps X1)(t + eps g))``."""
+    """``bind(lookup) -> closed`` for one shape, compiled once, at the shape's first closed
+    form: ``closed(t, lam)`` returns the nine floats of A(t), row-major, in straight-line code
+    from the Rodrigues and product fragments of :mod:`rotwave.so3`. The conjugated shape's A is
+    ``exp(u t) exp(C theta)``, the collinear one's ``exp((X0 + eps X1)(t + eps g))``. Where
+    math's sin refuses an infinite phase, the phase raises the DomainError that a factor with
+    an infinite angle raises."""
     if shape == "conjugated":
-        unpack = "lam, (c0, c1, c2), nu, _, _, (u0, u1, u2) = lookup(lam)"
-        body = (_THETA + "v0 = u0 * t\nv1 = u1 * t\nv2 = u2 * t\n" + _renamed(_EXP_MATRIX, "e", "a")
+        unpack = "lam, freq, (c0, c1, c2), nu, _, _, (u0, u1, u2) = lookup(lam)"
+        phase = _THETA
+        body = ("v0 = u0 * t\nv1 = u1 * t\nv2 = u2 * t\n" + _renamed(_EXP_MATRIX, "e", "a")
                 + "v0 = c0 * theta\nv1 = c1 * theta\nv2 = c2 * theta\n" + _renamed(_EXP_MATRIX, "e", "b")
                 + _MATMUL3)
     else:
-        unpack = "lam, eps, (c0, c1, c2) = lookup(lam)"
-        body = ("s = t + eps * sin((omega_eff + lam) * t)\nv0 = c0 * s\nv1 = c1 * s\nv2 = c2 * s\n"
-                + _renamed(_EXP_MATRIX, "e", "m"))
+        unpack = "lam, freq, eps, (c0, c1, c2) = lookup(lam)"
+        phase = "s = t + eps * sin(freq * t)\n"
+        body = "v0 = c0 * s\nv1 = c1 * s\nv2 = c2 * s\n" + _renamed(_EXP_MATRIX, "e", "m")
+    guarded = ("try:\n" + _indented(phase, 1)
+               + 'except ValueError:\n    raise DomainError("expected a finite 3-vector") from None\n')
     source = f"""\
-def bind(lookup, omega_eff):
+def bind(lookup):
     def closed(t, lam):
         {unpack}
-{_indented(body, 2)}        return {_nine("m")}
+{_indented(guarded + body, 2)}        return {_nine("m")}
     return closed
 """
     return _generated(source, f"<{shape} closed form>")["bind"]
@@ -154,6 +157,7 @@ class Scenario:
         self.name, self.family, self.omega_bif, self.x0_norm = name, family, omega_bif, x0_norm
         self.r, self.tip_x0, self.frame, self.k = r, tip_x0, frame, k
         self._built = {}  # None or float(mu) -> the closures of _pieces, the latest only
+        self._closed = (None, None)  # a mu that is None or a float, and its closed form
 
     @property
     def X0(self) -> tuple:
@@ -194,9 +198,10 @@ class Scenario:
         lambda that is not a nonnegative finite number raises DomainError, and
         constants past the float range ConfigError. Each computes with the
         ``float(lam)`` that ``lookup`` returns with the constants, never with
-        the caller's object. ``lookup`` keeps both in a last-lambda memo, one
-        ``(lam, (float(lam), *constants))`` tuple read and replaced whole, so a
-        lambda is never paired with another's constants.
+        the caller's object. The modulation frequency ``omega_eff + lam`` is one
+        of them. ``lookup`` keeps them in a last-lambda memo, one
+        ``(lam, (float(lam), omega_eff + float(lam), *constants))`` tuple read and
+        replaced whole, so a lambda is never paired with another's constants.
         It is keyed by the lambda object itself (``is``): the integrator passes
         one object for a whole run, ``-0.0`` and ``0.0`` (equal, but with
         constants of different sign) never share an entry, and an equal lambda
@@ -266,7 +271,7 @@ class Scenario:
             if lam is not key:
                 lam_f = _finite(lam, "lambda", nonnegative=True)
                 try:
-                    c = (lam_f, *constants(lam_f))
+                    c = (lam_f, omega_eff + lam_f, *constants(lam_f))
                 except OverflowError:
                     raise ConfigError(f"scenario {self.name} overflows at lambda {lam!r}") from None
                 memo = (lam, c)
@@ -276,14 +281,14 @@ class Scenario:
 
         @functools.cache
         def forcing_eval():
-            return _shape_kernel(shape, *_SHAPES[shape])(lookup, omega_eff)
+            return _shape_kernel(shape, *_SHAPES[shape])(lookup)
 
         @functools.cache
         def closed_eval():
-            return _closed_kernel(shape)(lookup, omega_eff)
+            return _closed_kernel(shape)(lookup)
 
         def period(lam: float) -> float:
-            return 2.0 * math.pi / abs(omega_eff + lookup(lam)[0])
+            return 2.0 * math.pi / abs(lookup(lam)[1])
 
         return forcing_eval, closed_eval, period
 
@@ -302,14 +307,22 @@ class Scenario:
 
     def closed_form(self, t: float, lam: float, mu: float | None = None):
         """Exact A(t, lam[, mu]) for this family, as a 3x3 ndarray; DomainError
-        unless t is a finite number (:func:`rotwave.so3._real`).
+        unless t is a finite number (:func:`rotwave.so3._real`) at which the phase
+        and the rotation angles are finite.
 
         The nine entries come from the family's generated ``closed`` on Python floats
         (:meth:`_build_pieces`), and one ndarray is built from them at the return.
+        The ``closed`` of the last mu that was None or a float is kept, and a call
+        with that very object reaches it without :meth:`_pieces`.
         """
         if type(t) is not float or not math.isfinite(t):
             t = _finite(t, "t")
-        return np.array(self._pieces(mu)[1]()(t, lam)).reshape(3, 3)
+        key, closed = self._closed
+        if closed is None or mu is not key:
+            closed = self._pieces(mu)[1]()
+            if mu is None or type(mu) is float:
+                self._closed = (mu, closed)
+        return np.array(closed(t, lam)).reshape(3, 3)
 
     def period(self, lam: float = 0.0, mu: float | None = None) -> float:
         """Relative forcing period T(lam[, mu]) (DomainError for a negative or non-finite lam)."""

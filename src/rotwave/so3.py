@@ -34,7 +34,8 @@ right. numpy is imported by the first call that builds an ndarray.
 
 ``_exp_entries_arrays`` and ``_q_map_arrays`` run the same formulas on
 triples of 1-D arrays, with scalar functions mapped over the elements
-(``_mapped``), so that each element is bitwise its scalar value.
+(``_mapped``), so that each element is bitwise its scalar value; the first
+batch compiles the array form of ``_EXP_COEFFS`` (``_exp_coeffs_arrays``).
 """
 from __future__ import annotations
 
@@ -72,6 +73,8 @@ SERIES_RADIUS = 1e-4
 
 #: dexpinv is singular at |Z| = 2*pi; refuse evaluation inside this margin
 DEXPINV_MARGIN = 1e-6
+#: the |z| from which dexpinv is refused
+_DEXPINV_LIMIT = 2.0 * math.pi - DEXPINV_MARGIN
 
 #: half-width of the band around the equator of the reference hemisphere in
 #: which a direction counts as "boundary" for the hemisphere map
@@ -239,18 +242,22 @@ def _generated(source: str, filename: str, **names) -> dict:
     return namespace
 
 
-#: the Rodrigues coefficients ``sin(t)/t`` and ``(1 - cos t)/t^2 = 2 sin^2(t/2)/t^2``,
-#: series-switched, as straight-line source: reads rt = |v|, sets ra and rb
-_EXP_COEFFS = """\
-if rt < SERIES_RADIUS:
-    rt2 = rt * rt
-    ra = 1.0 - rt2 / 6.0 + rt2 * rt2 / 120.0 - rt2 * rt2 * rt2 / 5040.0
-    rb = 0.5 - rt2 / 24.0 + rt2 * rt2 / 720.0 - rt2 * rt2 * rt2 / 40320.0
-else:
-    rs = sin(0.5 * rt)
-    ra = sin(rt) / rt
-    rb = 2.0 * rs * rs / (rt * rt)
+#: the Rodrigues coefficients ``sin(t)/t`` and ``(1 - cos t)/t^2 = 2 sin^2(t/2)/t^2`` as
+#: straight-line source, each branch of the series switch apart: reads rt = |v|, sets ra and rb
+_EXP_SERIES = """\
+rt2 = rt * rt
+ra = 1.0 - rt2 / 6.0 + rt2 * rt2 / 120.0 - rt2 * rt2 * rt2 / 5040.0
+rb = 0.5 - rt2 / 24.0 + rt2 * rt2 / 720.0 - rt2 * rt2 * rt2 / 40320.0
 """
+_EXP_CLOSED = """\
+rs = sin(0.5 * rt)
+ra = sin(rt) / rt
+rb = 2.0 * rs * rs / (rt * rt)
+"""
+
+#: the two branches joined at SERIES_RADIUS (the closed forms lose relative accuracy to cancellation)
+_EXP_COEFFS = ("if rt < SERIES_RADIUS:\n" + _indented(_EXP_SERIES, 1)
+               + "else:\n" + _indented(_EXP_CLOSED, 1))
 
 #: ``I + ra hat(v) + rb hat(v)^2`` (hat(v)^2 = v v^T - |v|^2 I), row-major, in the same
 #: form: reads v0, v1, v2, ra and rb, sets e0..e8
@@ -315,10 +322,23 @@ def _mapped(f, *arrays) -> np.ndarray:
     return np.array(list(map(f, *(a.tolist() for a in arrays))), dtype=float)
 
 
+@functools.lru_cache(maxsize=None)
+def _exp_coeffs_arrays() -> Callable:
+    """``coeffs(rt) -> (ra, rb)``, :func:`_exp_coeffs` of a 1-D array, compiled at the first batch.
+
+    Both branches of ``_EXP_COEFFS`` run on the whole array, sin mapped through math
+    (:func:`_mapped`), and ``np.where`` picks each element's; numpy rounds + - * / as
+    Python floats do, so each element is bitwise its scalar value."""
+    source = ("def coeffs(rt):\n" + _indented(_EXP_SERIES, 1) + "    sa, sb = ra, rb\n"
+              + _indented(_EXP_CLOSED, 1) + "    series = rt < SERIES_RADIUS\n"
+              "    return where(series, sa, ra), where(series, sb, rb)\n")
+    sin = functools.partial(_mapped, math.sin)
+    return _generated(source, "<so3 array coefficients>", sin=sin, where=np.where)["coeffs"]
+
+
 def _exp_entries_arrays(v) -> tuple:
     """:func:`_exp_entries` of a triple of arrays, elementwise: nine arrays."""
-    a, b = _mapped(_exp_coeffs, np.sqrt(_dot3(v, v))).reshape(-1, 2).T
-    return _quadratic_entries(v, a, b)
+    return _quadratic_entries(v, *_exp_coeffs_arrays()(np.sqrt(_dot3(v, v))))
 
 
 def _exp_matrix(v) -> np.ndarray:
@@ -615,7 +635,7 @@ _DEXPINV_C2 = """\
 if dt < SERIES_RADIUS:
     dt2 = dt * dt
     db = 1.0 / 12.0 + dt2 / 720.0 + dt2 * dt2 / 30240.0 + dt2 * dt2 * dt2 / 1209600.0
-elif dt >= 2.0 * pi - DEXPINV_MARGIN:
+elif dt >= _DEXPINV_LIMIT:
     raise SingularityError(f"dexpinv evaluated at |z| = {dt:.6f}, within {DEXPINV_MARGIN:g} of 2*pi")
 else:
     db = 1.0 / (dt * dt) - cos(0.5 * dt) / (2.0 * sin(0.5 * dt) * dt)

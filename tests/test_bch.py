@@ -268,9 +268,18 @@ def test_array_bch_is_bitwise_the_per_pair_one_off_its_rare_branches():
         assert _bch_full(a, b)[1][3] in (BchBranch.IDENTITY_PRODUCT, BchBranch.HALF_TURN_PRODUCT)
     xs, ys = (np.array(v).T for v in zip(*(pairs + rare)))
     with np.errstate(divide="ignore", invalid="ignore"):
-        got, generic = _bch_arrays(xs, ys)
+        got, generic = _bch_arrays(xs, np.arange(len(pairs + rare)), ys)
     assert generic.tolist() == [True] * len(pairs) + [False] * len(rare)
     want = np.array([_bch_full(a, b)[0] for a, b in pairs])
+    assert np.array(got).T[generic].tobytes() == want.tobytes()
+    # a few distinct left factors, zero ones among them, each repeated, as a batch's prefixes are
+    which = rng.integers(5, 15, len(y))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got, generic = _bch_arrays(x.T, which, y.T)
+    full = [_bch_full(a, b) for a, b in zip(x[which].tolist(), y.tolist())]
+    rare_branch = (BchBranch.IDENTITY_PRODUCT, BchBranch.HALF_TURN_PRODUCT)
+    assert generic.tolist() == [fields[3] not in rare_branch for _, fields in full]
+    want = np.array([result for result, fields in full if fields[3] not in rare_branch])
     assert np.array(got).T[generic].tobytes() == want.tobytes()
 
 

@@ -971,6 +971,61 @@ def test_batch_cache_stays_bounded(monkeypatch):
     traj._samples.clear()
 
 
+def per_time_records(traj, times) -> list:
+    """The cache records of ``times`` as a cold per-time chain makes them, one after another."""
+    traj._samples.clear()
+    records = [traj._record(float(t)) for t in times]
+    traj._samples.clear()
+    return records
+
+
+def fill_per_time(traj, count: int) -> list[float]:
+    """Cache ``count`` per-time samples at times that no later batch here holds."""
+    times = np.linspace(0.005, 0.009, count).tolist()
+    for t in times:
+        traj.eval_A(t)
+    return times
+
+
+def test_a_batch_into_a_cache_with_room_adds_its_records():
+    traj = chain_trajectory("example4", 0.1)[0]
+    times = np.linspace(0.01, traj.t_end, flow.BATCH_MIN + 10).tolist()
+    want = per_time_records(traj, times)
+    earlier = fill_per_time(traj, 100)
+    traj.eval_A(np.array(times))
+    assert list(traj._samples) == earlier + times
+    assert [traj._samples[t] for t in times] == want
+    traj._samples.clear()
+
+
+def test_a_batch_that_would_overfill_the_cache_empties_it_first():
+    # the one eviction rule, for a batch into a nearly full cache: only the batch's records are left
+    traj = chain_trajectory("example4", 0.1)[0]
+    times = np.linspace(0.01, traj.t_end, flow.BATCH_MIN + 10).tolist()
+    want = per_time_records(traj, times)
+    fill_per_time(traj, flow.CACHE_SIZE - len(times) + 1)
+    traj.eval_A(np.array(times))
+    assert list(traj._samples) == times and [traj._samples[t] for t in times] == want
+    # and for a per-time sample into a full cache
+    traj._samples.clear()
+    fill_per_time(traj, flow.CACHE_SIZE)
+    traj.eval_A(times[0])
+    assert list(traj._samples) == times[:1] and traj._samples[times[0]] == want[0]
+    traj._samples.clear()
+
+
+def test_a_batch_longer_than_the_cache_keeps_its_last_records():
+    # t = 0, an identity product, is redone alone first and then emptied out with the rest
+    traj = chain_trajectory("example4", 0.1)[0]
+    times = np.linspace(0.0, traj.t_end, flow.CACHE_SIZE + 300).tolist()
+    kept = times[-flow.CACHE_SIZE:]
+    want = per_time_records(traj, kept)
+    fill_per_time(traj, 10)
+    traj.eval_A(np.array(times))
+    assert list(traj._samples) == kept and [traj._samples[t] for t in kept] == want
+    traj._samples.clear()
+
+
 def test_batch_errors_are_the_per_time_errors():
     traj = chain_trajectory("case3", 1e-3)[0]
     good = np.linspace(0.0, traj.t_end, flow.BATCH_MIN).tolist()

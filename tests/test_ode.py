@@ -128,11 +128,31 @@ def _reference_dense(f, t, y, y_new, h, K):
     return tuple(zip(y, *F))
 
 
+def _reporting(kernel):
+    """``kernel`` on a counting right-hand side, reporting the calls it made as the generated
+    kernels do: as the ``rhs_calls`` of a SingularityError that ends it."""
+    def run(f, *args):
+        calls = 0
+
+        def counted(t, y):
+            nonlocal calls
+            calls += 1
+            return f(t, y)
+
+        try:
+            return kernel(counted, *args)
+        except SingularityError as exc:
+            exc.rhs_calls = calls
+            raise
+
+    return run
+
+
 def _with_reference_step(monkeypatch, run):
     """``run()`` once with the generated kernels and once with the tableau loop."""
     ours = run()
     with monkeypatch.context() as m:
-        m.setattr(ode, "_step_kernel", lambda n: (_reference_step, _reference_dense))
+        m.setattr(ode, "_step_kernel", lambda n: (_reporting(_reference_step), _reporting(_reference_dense)))
         ref = run()
     return ours, ref
 
@@ -247,6 +267,82 @@ def test_singular_dense_stage_of_the_last_step_rejects_the_step(event, monkeypat
     else:
         assert ours.status == plain.status == 1 and abs(ours.t[-1] - 2.5) < 1e-12
     _assert_same_solution(ours.sol, ref.sol, ours.t[-1])
+
+
+# ------------------------------------------------------------- counting nfev
+
+def counted_solve(raise_at=(), event=None, first_step=None):
+    """A two-component solve whose right-hand side records each call and raises
+    SingularityError at the call numbers in ``raise_at``: the solve and the calls."""
+    calls = []
+
+    def rhs(t, y):
+        calls.append(t)
+        if len(calls) in raise_at:
+            raise SingularityError("counted call at the singularity")
+        return [math.cos(t) * y[1], -y[0]]
+
+    return ode.solve_ivp(rhs, (0.0, 5.0), [1.0, 0.5], RTOL, ATOL, event=event, first_step=first_step), calls
+
+
+@pytest.mark.parametrize("first_step", [None, 0.01])
+def test_nfev_is_every_call_of_a_plain_solve(first_step):
+    # the start value, the initial-step probe, 12 per trial step and 3 for the last step's dense stages
+    sol, calls = counted_solve(first_step=first_step)
+    probes = 1 if first_step is None else 0
+    assert sol.nfev == len(calls) and (sol.nfev - 1 - probes - 3) % 12 == 0
+
+
+def test_nfev_counts_a_halved_initial_step_probe():
+    plain, _ = counted_solve()
+    sol, calls = counted_solve(raise_at={2})
+    assert sol.nfev == len(calls) == plain.nfev + 1 and sol.singular_rejections == 0
+
+
+@pytest.mark.parametrize("stage", [1, 6, 12])
+def test_nfev_counts_a_singular_trial_step_up_to_the_call_that_raised(stage):
+    # calls 1 and 2 are the start value and the probe; call 2 + s is stage s of the first trial step
+    sol, calls = counted_solve(raise_at={2 + stage})
+    assert sol.singular_rejections == 1 and sol.nfev == len(calls)
+    h = sol.sol.interpolants[0].h
+    assert calls[2 + stage] == 0.0 + ode._C[0] * h  # the halved step starts over at stage 1
+
+
+@pytest.mark.parametrize("stage", [13, 14, 15])
+@pytest.mark.parametrize("event", [_event_at_2_5, None], ids=["event", "end"])
+def test_nfev_counts_the_last_steps_dense_stages_up_to_a_singular_one(event, stage):
+    plain, _ = counted_solve(event=event)
+    sol, calls = counted_solve(raise_at={plain.nfev - 15 + stage}, event=event)
+    assert sol.singular_rejections == 1 and sol.nfev == len(calls)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5])
+def test_every_generated_kernel_reports_the_calls_of_a_singular_run(n):
+    # the step and the dense kernel of each state size the suite generates: stage 6 of the
+    # first trial step raises in one solve, stage 14 of the last step in another
+    def solve(raise_at):
+        calls = []
+
+        def rhs(t, y):
+            calls.append(t)
+            if len(calls) == raise_at:
+                raise SingularityError("counted call at the singularity")
+            return [math.cos(t) - v for v in y]
+
+        return ode.solve_ivp(rhs, (0.0, 3.0), [1.0] * n, RTOL, ATOL), calls
+
+    plain, _ = solve(None)
+    for raise_at in (2 + 6, plain.nfev - 1):
+        sol, calls = solve(raise_at)
+        assert sol.singular_rejections == 1 and sol.nfev == len(calls)
+
+
+def test_nfev_leaves_out_deferred_dense_stages():
+    sol, calls = counted_solve()
+    made = len(calls)
+    assert sol.nfev == made and len(sol.t) > 3
+    sol.sol(0.5 * (sol.t[1] + sol.t[2]))  # inside the second step, whose dense stages waited
+    assert len(calls) == made + 3 and sol.nfev == made
 
 
 def test_an_event_that_raises_reaches_the_caller():

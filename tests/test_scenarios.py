@@ -421,6 +421,33 @@ def test_generated_closed_forms_are_bitwise_the_composed_helpers():
                     assert got.tobytes() == want.tobytes(), (sc.name, mu, t, lam, got, want)
 
 
+@pytest.mark.parametrize("t", [1e300, 1e307, 1e308, -1e308])
+@pytest.mark.parametrize("name", ["case2", "example5"])
+def test_closed_form_refuses_an_overflowing_phase_with_domain_error(name, t):
+    # at 1e300 a factor's angle overflows; from 1e307 on the phase (omega_eff + lam) t itself does,
+    # which math's sin refuses: both shapes raise the one DomainError, never math's ValueError
+    with pytest.raises(DomainError, match="^expected a finite 3-vector$"):
+        build(name).closed_form(t, 0.01)
+
+
+def test_closed_form_reaches_the_closed_form_of_its_last_mu(monkeypatch):
+    # the very None or float object of the last call reaches the kept closed form; any other
+    # mu, a 0-d array included, asks _pieces, which checks it
+    sc = build("example4")
+    mu = 0.1
+    want = sc.closed_form(0.3, 0.05, mu)
+    sc.forcing(0.05, 0.2)  # _pieces now holds mu = 0.2 only
+    asked = []
+    pieces = Scenario._pieces
+    monkeypatch.setattr(Scenario, "_pieces", lambda s, m: asked.append(m) or pieces(s, m))
+    assert sc.closed_form(0.3, 0.05, mu).tobytes() == want.tobytes() and asked == []
+    assert sc.closed_form(0.3, 0.05, np.array(0.1)).tobytes() == want.tobytes() and len(asked) == 1
+    assert sc.closed_form(0.3, 0.05).tobytes() == sc.closed_form(0.3, 0.05).tobytes()
+    assert asked[1:] == [None]
+    with pytest.raises(ConfigError):
+        build("case2").closed_form(0.3, 0.05, 0.1)
+
+
 def test_negative_zero_lambda_keeps_its_sign():
     # 0.0 and -0.0 compare equal but must not share the memo's constants
     sig = build("example5", frame=SIGNED_ZERO_FRAME).forcing(0.0)

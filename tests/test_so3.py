@@ -30,6 +30,7 @@ from rotwave.so3 import (
     SERIES_RADIUS,
     _ball_vector,
     _dexpinv_kernels,
+    _exp_coeffs_arrays,
     _exp_entries,
     _exp_entries_arrays,
     _generated,
@@ -556,6 +557,47 @@ def test_generated_rodrigues_coefficients_of_a_non_finite_angle():
     assert all(math.isnan(c) for c in _exp_coeffs(math.nan))
     with pytest.raises(ValueError):
         _exp_coeffs(math.inf)
+
+
+#: angles of the array form: the series switch with its neighbouring floats, and 0, 5e-324, pi and 1e3
+ARRAY_ANGLES = [0.0, 5e-324, math.nextafter(SERIES_RADIUS, 0.0), SERIES_RADIUS,
+                math.nextafter(SERIES_RADIUS, 1.0), math.pi, 1e3]
+
+
+def test_array_rodrigues_coefficients_are_bitwise_the_scalar_ones():
+    # each element takes its own branch of the series switch; nan passes through as in the scalar form
+    angles = ARRAY_ANGLES + [1e-8, 1e-3, 1.0, 2 * math.pi, 40.0, math.nan]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = _exp_coeffs_arrays()(np.array(angles))
+    assert [_bits(c) for c in zip(*(a.tolist() for a in got))] == [_bits(_exp_coeffs(t)) for t in angles]
+
+
+def _entries_bits(vs) -> tuple[list, list]:
+    """``float.hex`` of the nine entries of each vector, from the array form and from the scalar one."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        got = np.stack(_exp_entries_arrays(np.array(vs, dtype=float).reshape(-1, 3).T), axis=-1)
+    return [_bits(row) for row in got.tolist()], [_bits(_exp_entries(v)) for v in vs]
+
+
+def test_array_exponential_of_the_switch_angles_is_bitwise_the_scalar_one():
+    vs = [[s * angle if i == axis else 0.0 for i in range(3)]
+          for angle in ARRAY_ANGLES for axis in range(3) for s in (1.0, -1.0)]
+    vs += [[angle / math.sqrt(3.0)] * 3 for angle in ARRAY_ANGLES]
+    got, want = _entries_bits(vs)
+    assert got == want
+
+
+@given(st.lists(
+    st.tuples(
+        st.tuples(*(st.floats(-1.0, 1.0) for _ in range(3))).filter(lambda d: sum(c * c for c in d) > 1e-6),
+        st.one_of(st.sampled_from(ARRAY_ANGLES), st.floats(0.0, 2 * SERIES_RADIUS), st.floats(0.0, 1e3)),
+    ),
+    min_size=1, max_size=30,
+))
+def test_array_exponential_is_bitwise_the_scalar_one_element_by_element(cases):
+    vs = [[angle * c / math.sqrt(sum(c * c for c in direction)) for c in direction] for direction, angle in cases]
+    got, want = _entries_bits(vs)
+    assert got == want
 
 
 @given(

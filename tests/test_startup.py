@@ -6,8 +6,9 @@ holds. Generating a dataclass execs and compiles its methods in every fresh
 process; ``ForcingSignal`` alone stays one, as code outside the package
 passes it to ``dataclasses.replace``. ``bch`` reads and writes no JSON and
 builds no path, and generates no kernel: the straight-line kernels of the
-integrator, the forcings and the closed forms compile at their first use, so
-a process that neither integrates nor samples spends no compile time on them.
+integrator, the forcings and the closed forms, and the array coefficients of
+the batched sampler, compile at their first use, so a process that neither
+integrates nor samples spends no compile time on them.
 """
 import os
 import subprocess
@@ -39,7 +40,8 @@ KERNELS = """if True:
     from rotwave import flow, ode, scenarios, so3
     with contextlib.redirect_stdout(io.StringIO()):
         rc = rotwave.cli.main(["bch", "0", "0", "1", "1", "0", "0", "--check"])
-    caches = (ode._step_kernel, flow._shape_kernel, so3._dexpinv_kernels, scenarios._closed_kernel)
+    caches = (ode._step_kernel, flow._shape_kernel, so3._dexpinv_kernels, scenarios._closed_kernel,
+              so3._exp_coeffs_arrays)
     print(rc, [c.cache_info().currsize for c in caches])
 """
 
@@ -58,4 +60,4 @@ def test_cli_generates_one_dataclass_and_bch_loads_no_json_typing_or_pathlib():
 
 def test_bch_generates_no_kernel():
     run = fresh(KERNELS)
-    assert run.stdout.splitlines() == ["0 [0, 0, 0, 0]"], run.stderr
+    assert run.stdout.splitlines() == ["0 [0, 0, 0, 0, 0]"], run.stderr
