@@ -12,7 +12,7 @@ stepper. The right-hand side works on float sequences and applies
 dexpinv as the vector formula ``x + (z cross x)/2 + c2(|z|) z cross (z cross x)``
 without building the matrix. For each built-in forcing shape this module generates
 the eval and a fused right-hand side that does all of it in one function, from the
-X^G fragment that :mod:`rotwave.scenarios` supplies (:func:`_shape_kernel`). Segments are chained
+shape's record in :mod:`rotwave.scenarios` (:func:`_shape_kernel`). Segments are chained
 through the closed-form BCH so that ``A(t) = exp_rot(prefix_i) @ exp_rot(Z_i(t))`` is
 available at any time through dense output, without matrix products drifting
 off the group. This is a Runge-Kutta-Munthe-Kaas (RKMK) method whose
@@ -33,7 +33,9 @@ ten times tighter than the configured tolerances.
 
 One restart loop chains the segments into a :class:`GroupTrajectory`, which
 samples A. An Euler-angle chart integrator is provided as an independent
-cross-check formulation.
+cross-check formulation. Both trajectories take the sample times that the time
+rule of :mod:`rotwave.so3` admits (:func:`rotwave.so3._time_in_range`, and
+``_time_list`` for an array of them).
 """
 from __future__ import annotations
 
@@ -55,6 +57,7 @@ from .errors import (
 from .ode import OdeSolution, _horner, solve_ivp
 from .so3 import (
     _DEXPINV_APPLY,
+    _TIME_SLACK,
     BallClass,
     _as_unit3,
     _ball_vector,
@@ -62,7 +65,6 @@ from .so3 import (
     _exp_entries,
     _exp_entries_arrays,
     _finite,
-    _float_array,
     _generated,
     _indented,
     _norm3,
@@ -70,6 +72,8 @@ from .so3 import (
     _q_map,
     _q_map_arrays,
     _real,
+    _time_in_range,
+    _time_list,
     _vec3,
     rot_x,
     rot_z,
@@ -191,28 +195,6 @@ z0, z1, z2 = z
 """ + _DEXPINV_APPLY + "return d0, d1, d2\n"
 
 
-def _time_in_range(t, t_end: float) -> float:
-    """``t`` as a float; DomainError unless it is one number (:func:`_real`) in [0, t_end] (to 1e-9)."""
-    s = t if type(t) is float else _real(t)
-    if s is None:
-        raise DomainError(f"a time must be one real number, got {t!r}")
-    if not (-1e-9 <= s <= t_end + 1e-9):
-        raise DomainError(f"t={t!r} outside the integrated range [0, {t_end!r}]")
-    return s
-
-
-def _time_list(t) -> list | None:
-    """The times of a 1-D ndarray of numbers as Python floats; None for a single time.
-
-    :func:`_float_array` checks the dtype and the shape, of 1-D times on an empty slice,
-    so that a non-finite time fails each time's own check, with its message.
-    """
-    if not (isinstance(t, np.ndarray) and t.ndim):
-        return None
-    _float_array(t[:0] if t.ndim == 1 else t, (None,), "times")
-    return t.astype(float).tolist()
-
-
 def integrate_z_segment(
     signal: ForcingSignal,
     lam: float,
@@ -248,11 +230,11 @@ def integrate_z_segment(
 
 
 @functools.lru_cache(maxsize=None)
-def _shape_kernel(shape: str, unpack: str, fragment: str) -> Callable:
-    """``bind(lookup) -> xg`` for one forcing shape (:data:`rotwave.scenarios._SHAPES`), compiled
-    once, at the shape's first forcing: ``unpack``, which reads ``lookup(lam)``, and the X^G
-    ``fragment`` set x0, x1, x2 from t and lam. Where math's sin or cos refuses an infinite phase or angle, the fragment's ValueError
-    sets them to NaN, so ``xg`` returns a non-finite triple. ``xg._fused_rhs = (xg, rhs_at)``:
+def _shape_kernel(shape: str, layout: str, fragment: str) -> Callable:
+    """``bind(lookup) -> xg`` for one forcing shape, compiled once, at the shape's first forcing,
+    from the ``layout`` and X^G ``fragment`` of its record in :data:`rotwave.scenarios._SHAPES`.
+    Where math's sin or cos refuses an infinite phase or angle, the fragment's ValueError sets
+    x0, x1, x2 to NaN, so ``xg`` returns a non-finite triple. ``xg._fused_rhs = (xg, rhs_at)``:
     ``rhs_at(lam)`` is the Z-equation's right-hand side at lam, X^G with the value check and
     dexpinv (:data:`_Z_RHS_TAIL`, outside the ``try``), which :func:`_z_rhs` runs in place of
     ``xg``."""
@@ -260,10 +242,10 @@ def _shape_kernel(shape: str, unpack: str, fragment: str) -> Callable:
     source = f"""\
 def bind(lookup):
     def xg(t, lam):
-        {unpack}
+        {layout} = lookup(lam)
 {_indented(guarded, 2)}        return [x0, x1, x2]
     def rhs_at(lam):
-        {unpack}
+        {layout} = lookup(lam)
         def rhs(t, z):
 {_indented(guarded + _Z_RHS_TAIL, 3)}
         return rhs
@@ -447,7 +429,7 @@ class GroupTrajectory:
         cache in one fill (:meth:`_store`).
         """
         t = np.array(ts)
-        ok = (t >= -1e-9) & (t <= self.t_end + 1e-9)
+        ok = (t >= -_TIME_SLACK) & (t <= self.t_end + _TIME_SLACK)
         if not ok.all():
             _time_in_range(ts[int(ok.argmin())], self.t_end)
         n, tau = np.zeros(len(ts)), t

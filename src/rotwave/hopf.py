@@ -27,11 +27,12 @@ from ._numpy import lazy_numpy
 from .bch import _bch_full
 from .errors import BracketError, DomainError, InternalInconsistency
 from .flow import (
-    ForcingSignal, GroupTrajectory, IntegratorConfig, _check_lam, _period, _time_in_range, integrate_group,
+    ForcingSignal, GroupTrajectory, IntegratorConfig, _check_lam, _period, integrate_group,
 )
 from .ode import brentq
 from .so3 import (
-    _ball_vector, _dot3, _exp_matrix, _finite, _float_array, _norm3, _positive, _q_map, _real, _vec3,
+    _ball_vector, _dot3, _exp_matrix, _finite, _float_array, _norm3, _positive, _q_map, _real,
+    _time_in_range, _vec3,
 )
 
 np = lazy_numpy(globals())

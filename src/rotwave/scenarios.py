@@ -18,10 +18,12 @@ bed for the integrator, the frequency extraction, and the drift finder:
 
 ``case1``..``case3`` are examples 1-3 under the names of the study cases.
 
-Each family's forcing is one of two shapes (:data:`_SHAPES`): this module supplies
-the shape's X^G fragment, and :mod:`rotwave.flow` generates from it the forcing's
-eval and its fused Z-equation right-hand side. The shape's closed form is generated
-here, from the Rodrigues and product fragments of :mod:`rotwave.so3` (:func:`_closed_kernel`).
+Each family's forcing is one of two shapes: conjugated (example1-4), X^G = C theta' +
+amp Ad(exp(-C theta)) w with A = exp(u t) exp(C theta), and collinear (example5). Each
+shape is one record of :data:`_SHAPES`: the layout of the per-lambda constants, the X^G
+fragment from which :mod:`rotwave.flow` generates the forcing's eval and its fused
+Z-equation right-hand side, and the closed form's phase and body, built from the
+Rodrigues and product fragments of :mod:`rotwave.so3` (:func:`_closed_kernel`).
 """
 from __future__ import annotations
 
@@ -36,6 +38,7 @@ from .so3 import (
     _EXP_APPLY,
     _EXP_MATRIX,
     _MATMUL3,
+    _as_unit3,
     _cross3,
     _dot3,
     _finite,
@@ -67,12 +70,12 @@ g = sin(phase)
 theta = g if nu is None else nu * t + lam * g
 """
 
-#: example1-4's X^G ``C theta' + amp Ad(exp(-C theta)) w`` and example5's ``(X0 + eps X1)(1 +
-#: eps gdot)`` for :func:`rotwave.flow._shape_kernel`: how ``lookup(lam)`` unpacks, and
-#: straight-line source that reads its values and t and sets x0, x1, x2
+#: each forcing shape as one record ``(layout, xg, phase, body)``. ``layout`` names the tuple
+#: that ``lookup(lam)`` returns, and the forcing, its fused right-hand side and the closed form
+#: all unpack it; ``xg`` sets X^G's x0, x1, x2 (:func:`rotwave.flow._shape_kernel`); ``phase``
+#: and ``body`` set the closed form's m0..m8 (:func:`_closed_kernel`)
 _SHAPES = {
-    "conjugated": ("lam, freq, (c0, c1, c2), nu, (w0, w1, w2), amp, _ = lookup(lam)",
-                   _THETA + """\
+    "conjugated": ("lam, freq, eps, (c0, c1, c2), nu, (w0, w1, w2), amp, (u0, u1, u2)", _THETA + """\
 gdot = freq * cos(phase)
 rate = gdot if nu is None else nu + lam * gdot
 v0 = -(c0 * theta)
@@ -82,40 +85,37 @@ v2 = -(c2 * theta)
 x0 = c0 * rate + amp * r0
 x1 = c1 * rate + amp * r1
 x2 = c2 * rate + amp * r2
-"""),
-    "collinear": ("lam, freq, eps, (v0, v1, v2) = lookup(lam)", """\
+""",
+        _THETA,
+        "v0 = u0 * t\nv1 = u1 * t\nv2 = u2 * t\n" + _renamed(_EXP_MATRIX, "e", "a")
+        + "v0 = c0 * theta\nv1 = c1 * theta\nv2 = c2 * theta\n" + _renamed(_EXP_MATRIX, "e", "b")
+        + _MATMUL3,
+    ),
+    "collinear": ("lam, freq, eps, (c0, c1, c2)", """\
 rate = 1.0 + eps * (freq * cos(freq * t))
-x0 = v0 * rate
-x1 = v1 * rate
-x2 = v2 * rate
-"""),
+x0 = c0 * rate
+x1 = c1 * rate
+x2 = c2 * rate
+""",
+        "s = t + eps * sin(freq * t)\n",
+        "v0 = c0 * s\nv1 = c1 * s\nv2 = c2 * s\n" + _renamed(_EXP_MATRIX, "e", "m"),
+    ),
 }
 
 
 @functools.lru_cache(maxsize=None)
 def _closed_kernel(shape: str) -> Callable:
-    """``bind(lookup) -> closed`` for one shape, compiled once, at the shape's first closed
-    form: ``closed(t, lam)`` returns the nine floats of A(t), row-major, in straight-line code
-    from the Rodrigues and product fragments of :mod:`rotwave.so3`. The conjugated shape's A is
-    ``exp(u t) exp(C theta)``, the collinear one's ``exp((X0 + eps X1)(t + eps g))``. Where
-    math's sin refuses an infinite phase, the phase raises the DomainError that a factor with
-    an infinite angle raises."""
-    if shape == "conjugated":
-        unpack = "lam, freq, (c0, c1, c2), nu, _, _, (u0, u1, u2) = lookup(lam)"
-        phase = _THETA
-        body = ("v0 = u0 * t\nv1 = u1 * t\nv2 = u2 * t\n" + _renamed(_EXP_MATRIX, "e", "a")
-                + "v0 = c0 * theta\nv1 = c1 * theta\nv2 = c2 * theta\n" + _renamed(_EXP_MATRIX, "e", "b")
-                + _MATMUL3)
-    else:
-        unpack = "lam, freq, eps, (c0, c1, c2) = lookup(lam)"
-        phase = "s = t + eps * sin(freq * t)\n"
-        body = "v0 = c0 * s\nv1 = c1 * s\nv2 = c2 * s\n" + _renamed(_EXP_MATRIX, "e", "m")
+    """``bind(lookup) -> closed`` for one shape, compiled from its record in :data:`_SHAPES` at
+    the shape's first closed form: ``closed(t, lam)`` returns the nine floats of A(t),
+    row-major. Where math's sin refuses an infinite phase, the phase raises the DomainError
+    that a factor with an infinite angle raises."""
+    layout, _, phase, body = _SHAPES[shape]
     guarded = ("try:\n" + _indented(phase, 1)
                + 'except ValueError:\n    raise DomainError("expected a finite 3-vector") from None\n')
     source = f"""\
 def bind(lookup):
     def closed(t, lam):
-        {unpack}
+        {layout} = lookup(lam)
 {_indented(guarded + body, 2)}        return {_nine("m")}
     return closed
 """
@@ -134,12 +134,9 @@ class Frame:
     ):
         for name, v in (("x0_dir", x0_dir), ("x1", x1), ("x2", x2)):
             try:
-                v = _vec3(v)
+                setattr(self, name, _as_unit3(v, name))
             except DomainError as exc:
                 raise ConfigError(f"frame vector {name}: {exc}") from None
-            if abs(_norm3(v) - 1.0) > 1e-10:
-                raise ConfigError(f"frame vector {name} must be unit within 1e-10")
-            setattr(self, name, v)
         z, x1, x2 = self.x0_dir, self.x1, self.x2
         if max(abs(_dot3(z, x1)), abs(_dot3(z, x2)), abs(_dot3(x1, x2))) > 1e-10:
             raise ConfigError("frame vectors must be mutually orthogonal within 1e-10")
@@ -184,35 +181,26 @@ class Scenario:
     def _build_pieces(self, mu: float | None):
         """The three closures of :meth:`_pieces`.
 
-        example1-4 share one shape, ``A = exp(u t) exp(C theta(t))`` with the
-        forcing ``X^G = C theta' + amp Ad(exp(-C theta)) w``, so one forcing
-        ``xg`` and one closed form ``closed`` serve all four, and each family
-        supplies only ``constants(lam) -> (C, nu, w, amp, u)``. With the
-        modulation ``g = sin((omega_eff + lam) t)``, theta = g when nu is
-        None (example1), else ``nu t + lam g``; u = amp w, and
-        example1-3 take amp = 1.0 and u = w, exact since ``1.0 * x == x``.
-        example5, whose modulation is collinear with ``X0 + eps X1``, has
-        its own pair.
+        Each family is one shape of :data:`_SHAPES`, whose forcing ``xg`` and closed form
+        ``closed`` it shares, and supplies only ``constants(lam, eps, freq)``, the tail of the
+        shape's layout: ``(C, nu, w, amp, u)`` on the conjugated shape (example1-4), where
+        theta = g when nu is None (example1), else ``nu t + lam g``, and u = amp w, exact as
+        u = w with amp = 1.0 on example1-3; ``(X0 + eps X1,)`` on the collinear one (example5).
 
-        ``xg``, ``closed`` and ``period`` may be called at any lambda; a
-        lambda that is not a nonnegative finite number raises DomainError, and
-        constants past the float range ConfigError. Each computes with the
-        ``float(lam)`` that ``lookup`` returns with the constants, never with
-        the caller's object. The modulation frequency ``omega_eff + lam`` is one
-        of them. ``lookup`` keeps them in a last-lambda memo, one
-        ``(lam, (float(lam), omega_eff + float(lam), *constants))`` tuple read and
-        replaced whole, so a lambda is never paired with another's constants.
-        It is keyed by the lambda object itself (``is``): the integrator passes
-        one object for a whole run, ``-0.0`` and ``0.0`` (equal, but with
-        constants of different sign) never share an entry, and an equal lambda
-        in another object only recomputes.
+        ``lookup(lam)`` returns the whole layout, ``(float(lam), freq, eps, *constants)``:
+        eps = sqrt(lam) and the modulation frequency freq = omega_eff + lam are computed
+        there, once per lambda, and every closure computes with this ``float(lam)``, never
+        with the caller's object. They may be called at any lambda; one that is not a
+        nonnegative finite number raises DomainError, and constants past the float range
+        ConfigError. The tuple sits in a last-lambda memo, read and replaced whole, so a
+        lambda is never paired with another's constants. It is keyed by the lambda object
+        itself (``is``): the integrator passes one object for a whole run, ``-0.0`` and
+        ``0.0`` (equal, but with constants of different sign) never share an entry, and an
+        equal lambda in another object only recomputes.
 
-        ``xg``, made by ``forcing_eval()`` at the first :meth:`forcing`, and its
-        fused right-hand side are generated by :mod:`rotwave.flow` from the shape's
-        X^G fragment (:data:`_SHAPES`); ``xg`` returns a list of three floats.
-        ``closed``, made by ``closed_eval()`` at the first closed form, is generated by
-        :func:`_closed_kernel`. It returns the nine floats, row-major, of ``exp(u t)
-        exp(C theta)``, and example5's of its one exponential, and it is the one path of
+        ``forcing_eval()`` makes ``xg`` and its fused right-hand side at the first
+        :meth:`forcing` (:func:`rotwave.flow._shape_kernel`), ``closed_eval()`` makes
+        ``closed`` at the first closed form (:func:`_closed_kernel`), the one path of
         :meth:`closed_form` and :func:`verify_against_closed_form`. Each float operation
         is that of the module docstring's formulas evaluated with numpy vectors and
         ``exp_rot``, in the same order, and the product sums each entry's row-by-column
@@ -224,8 +212,7 @@ class Scenario:
         if self.family == "example1":
             pdir_l = [2.0 * (a + b + c) for a, b, c in zip(x1_l, x2_l, fr.x0_dir)]
 
-            def constants(lam: float):
-                eps = math.sqrt(lam)
+            def constants(lam: float, eps: float, freq: float):
                 # C = P = eps pdir; u = w = X0 + eps X1
                 w = [a + eps * b for a, b in zip(X0_l, x1_l)]
                 return [eps * p for p in pdir_l], None, w, 1.0, w
@@ -233,10 +220,9 @@ class Scenario:
         elif self.family in ("example2", "example3"):
             wdir_l = x1_l if self.family == "example2" else [a + b for a, b in zip(X0_l, x1_l)]
 
-            def constants(lam: float):
-                eps = math.sqrt(lam)
+            def constants(lam: float, eps: float, freq: float):
                 C = [a + eps * b for a, b in zip(X0_l, x2_l)]
-                nu = abs(self.omega_bif + lam) / math.sqrt(self.x0_norm**2 + lam)
+                nu = abs(freq) / math.sqrt(self.x0_norm**2 + lam)
                 w = [eps * b for b in wdir_l]
                 return C, nu, w, 1.0, w
 
@@ -251,17 +237,15 @@ class Scenario:
             omega_eff = norm_c / self.k
             C_l = [a + mu_val * b for a, b in zip(X0_l, x1_l)]
 
-            def constants(lam: float):
-                eps = math.sqrt(lam)
-                nu = self.k * abs(omega_eff + lam) / norm_c
+            def constants(lam: float, eps: float, freq: float):
+                nu = self.k * abs(freq) / norm_c
                 w = [(eps - mu_val) * a + b + c for a, b, c in zip(X0_l, x1_l, x2_l)]
                 amp = eps**self.k
                 return C_l, nu, w, amp, [amp * a for a in w]
 
         else:  # example5
-            def constants(lam: float):
-                eps = math.sqrt(lam)
-                return eps, [a + eps * b for a, b in zip(X0_l, x1_l)]
+            def constants(lam: float, eps: float, freq: float):
+                return ([a + eps * b for a, b in zip(X0_l, x1_l)],)
 
         memo = (object(), None)  # a key no caller can pass
 
@@ -270,8 +254,9 @@ class Scenario:
             key, c = memo
             if lam is not key:
                 lam_f = _finite(lam, "lambda", nonnegative=True)
+                eps, freq = math.sqrt(lam_f), omega_eff + lam_f
                 try:
-                    c = (lam_f, omega_eff + lam_f, *constants(lam_f))
+                    c = (lam_f, freq, eps, *constants(lam_f, eps, freq))
                 except OverflowError:
                     raise ConfigError(f"scenario {self.name} overflows at lambda {lam!r}") from None
                 memo = (lam, c)
@@ -281,7 +266,7 @@ class Scenario:
 
         @functools.cache
         def forcing_eval():
-            return _shape_kernel(shape, *_SHAPES[shape])(lookup)
+            return _shape_kernel(shape, *_SHAPES[shape][:2])(lookup)
 
         @functools.cache
         def closed_eval():
@@ -330,8 +315,8 @@ class Scenario:
 
     @property
     def forcing_family(self) -> Callable[[float, float], ForcingSignal]:
-        """(lam, mu) -> ForcingSignal, the shape the drift finder consumes."""
-        return lambda lam, mu: self.forcing(lam, mu)
+        """(lam, mu) -> ForcingSignal, the shape the drift finder consumes: :meth:`forcing`, bound."""
+        return self.forcing
 
 
 _TIP_A = (0.0, 0.92, 2.85)

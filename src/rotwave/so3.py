@@ -10,6 +10,18 @@ rotation about +z). The matrix logarithm lives in the closed ball of radius pi
 with antipodal boundary points identified; :class:`BallClass` models one such
 equivalence class.
 
+Input rules
+-----------
+Each rule for a caller's input has its home here: a number (:func:`_real`; ``_positive``
+and ``_finite`` narrow it), a 3-vector (:func:`_vec3`), a unit vector to 1e-10
+(:func:`_as_unit3`, also for a ``Frame``'s rows), an array (:func:`_float_array`) and a
+sample time, one number in [0, t_end] to ``_TIME_SLACK`` (:func:`_time_in_range`) or a
+1-D array of them (:func:`_time_list`), which the trajectories, the batch sampler and
+:func:`rotwave.tip.tip_trajectory`'s period samples read. ``_BALL_SLACK`` is the one
+tolerance at the ball's boundary: :func:`_ball_vector` snaps a norm that far past pi back
+onto the sphere, and :func:`_q_map` and :func:`_q_map_arrays` count a norm that close
+below pi as on it.
+
 Scalar kernels
 --------------
 The hot paths work on Python floats through :mod:`math` and build no 3x3
@@ -79,6 +91,13 @@ _DEXPINV_LIMIT = 2.0 * math.pi - DEXPINV_MARGIN
 #: half-width of the band around the equator of the reference hemisphere in
 #: which a direction counts as "boundary" for the hemisphere map
 HEMI_BAND = 1e-6
+
+#: how far past pi a ball vector's norm is rounding noise, and how close below pi it is on the
+#: boundary sphere
+_BALL_SLACK = 1e-12
+
+#: how far outside [0, t_end] a sample time may lie and still count as inside it
+_TIME_SLACK = 1e-9
 
 
 def hat(v: np.ndarray) -> np.ndarray:
@@ -182,6 +201,29 @@ def _holds_boolean(level) -> bool:
             return True
         level = [y for x in level for y in x] if np.ndim(level[0]) else ()  # numpy nests evenly
     return False
+
+
+def _time_in_range(t, t_end: float) -> float:
+    """``t`` as a float; DomainError unless it is one number (:func:`_real`) in [0, t_end],
+    to ``_TIME_SLACK``."""
+    s = t if type(t) is float else _real(t)
+    if s is None:
+        raise DomainError(f"a time must be one real number, got {t!r}")
+    if not (-_TIME_SLACK <= s <= t_end + _TIME_SLACK):
+        raise DomainError(f"t={t!r} outside the integrated range [0, {t_end!r}]")
+    return s
+
+
+def _time_list(t) -> list | None:
+    """The times of a 1-D ndarray of numbers as Python floats; None for a single time.
+
+    :func:`_float_array` checks the dtype and the shape, of 1-D times on an empty slice,
+    so that a non-finite time fails each time's own check, with its message.
+    """
+    if not (isinstance(t, np.ndarray) and t.ndim):
+        return None
+    _float_array(t[:0] if t.ndim == 1 else t, (None,), "times")
+    return t.astype(float).tolist()
 
 
 def _as_unit3(v, what: str) -> tuple[float, float, float]:
@@ -405,12 +447,12 @@ def as_rotation(m: np.ndarray) -> np.ndarray:
 def _ball_vector(v):
     """The ball representative of the finite float triple ``v`` (BallClass's check).
 
-    Raises DomainError when ``|v| > pi + 1e-12``; a smaller overshoot past pi
+    Raises DomainError when ``|v| > pi + _BALL_SLACK``; a smaller overshoot past pi
     is floating-point noise and is snapped back onto the boundary sphere.
     """
     n = _norm3(v)
-    if not n <= math.pi + 1e-12:
-        raise DomainError(f"ball-class vector has norm {n:.17g} > pi + 1e-12")
+    if not n <= math.pi + _BALL_SLACK:
+        raise DomainError(f"ball-class vector has norm {n:.17g} > pi + {_BALL_SLACK:g}")
     if n > math.pi:
         s = math.pi / n
         x, y, z = v
@@ -563,7 +605,7 @@ def _q_map_arrays(v, ref):
     within the equator band) is left for the caller to redo alone."""
     n = np.sqrt(_dot3(v, v))
     c = _dot3([a / n for a in v], ref)
-    band = (n >= math.pi - 1e-12) & (np.abs(c) <= HEMI_BAND)
+    band = (n >= math.pi - _BALL_SLACK) & (np.abs(c) <= HEMI_BAND)
     s = 1.0 - 2.0 * math.pi / n
     return [np.where(c >= -HEMI_BAND, a, s * a) for a in v], (n > 0.0) & (n <= math.pi) & ~band
 
@@ -577,7 +619,7 @@ def _q_map(v, ref):
     u = (x / n, y / n, z / n)
     t = u[0] * ref[0] + u[1] * ref[1] + u[2] * ref[2]
     if t >= -HEMI_BAND:
-        if n >= math.pi - 1e-12 and abs(t) <= HEMI_BAND and not _northern(u, t):
+        if n >= math.pi - _BALL_SLACK and abs(t) <= HEMI_BAND and not _northern(u, t):
             # antipodal class with boundary direction: canonicalize the rep
             return (-x, -y, -z)
         return v

@@ -13,7 +13,7 @@ import sys
 
 from ._numpy import lazy_numpy
 from .errors import DomainError, FitError
-from .so3 import _dot3, _float_array, _northern, _norm3, _positive, _vec3
+from .so3 import _TIME_SLACK, _dot3, _float_array, _northern, _norm3, _positive, _vec3
 
 np = lazy_numpy(globals())
 
@@ -78,7 +78,7 @@ def tip_trajectory(traj, x0, r: float, sample_times, period: float | None = None
     period_times = ()
     if period is not None:
         period = _positive(period, "period")
-        t_max = traj.t_end + 1e-9
+        t_max = traj.t_end + _TIME_SLACK
         if not t_max / period < MAX_SAMPLES:
             raise DomainError(f"t_end / period asks for more than {MAX_SAMPLES} period samples")
         n = int(t_max / period) + 1  # the quotient rounds: step down to n * period <= t_max

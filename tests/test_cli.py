@@ -767,6 +767,20 @@ def test_config_file_bad_values_exit_2(tmp_path, capsys, command, doc):
         assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("row, name", [(0, "x0_dir"), (1, "x1"), (2, "x2")])
+def test_config_file_frame_row_off_the_unit_sphere_exits_2(tmp_path, capsys, row, name):
+    rows = [[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    rows[row] = [a * (1.0 + 2e-10) for a in rows[row]]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"overrides": {"frame": rows}}))
+    for extra in ([], ["--dump-config"]):
+        assert main(["frequency", "--config", str(cfg), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: frame vector {name}: {name} must be a unit vector")
+        assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize(
     "argv, doc",
     [

@@ -33,7 +33,7 @@ from rotwave import (
     q_map,
     tip_trajectory,
 )
-from rotwave import flow
+from rotwave import flow, so3
 from rotwave.ode import solve_ivp
 from rotwave.scenarios import Frame, build
 from rotwave.so3 import _dexpinv_kernels
@@ -830,7 +830,7 @@ def test_out_of_range_time_raises_after_in_range_samples():
     traj, samplers = sampled_case("example4", 0.01)
     for f in samplers.values():
         f(0.5 * traj.t_end)
-        for t in (traj.t_end + 2e-9, -2e-9, math.nan, math.inf):
+        for t in (traj.t_end + 2 * so3._TIME_SLACK, -2 * so3._TIME_SLACK, math.nan, math.inf):
             for _ in range(2):
                 with pytest.raises(DomainError):
                     f(t)
@@ -1027,9 +1027,15 @@ def test_a_batch_longer_than_the_cache_keeps_its_last_records():
 
 
 def test_batch_errors_are_the_per_time_errors():
+    # the batch's range mask and the per-time check read one time slack: times within
+    # it outside [0, t_end] give the per-time bits, and times past it the per-time error
     traj = chain_trajectory("case3", 1e-3)[0]
+    slack = so3._TIME_SLACK
     good = np.linspace(0.0, traj.t_end, flow.BATCH_MIN).tolist()
-    for bad in (traj.t_end + 2e-9, -2e-9, math.nan, math.inf):
+    edges = good[1:-1] + [-0.5 * slack, traj.t_end + 0.5 * slack]
+    each = cold_each(traj, edges)
+    assert traj.eval_A(np.array(edges)).tobytes() == each.tobytes()
+    for bad in (traj.t_end + 2 * slack, -2 * slack, math.nan, math.inf):
         times = good[:7] + [bad] + good[7:] + [-1.0]
         with pytest.raises(DomainError) as per_time:
             cold_each(traj, times)

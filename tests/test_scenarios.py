@@ -1,4 +1,5 @@
 """Forcing families: construction, validation, closed forms vs the group ODE."""
+import inspect
 import math
 import operator
 import types
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from rotwave import ConfigError, DomainError, exp_rot, hat
-from rotwave.scenarios import Frame, Scenario, available, build, verify_against_closed_form
+from rotwave.scenarios import _SHAPES, Frame, Scenario, available, build, verify_against_closed_form
 
 import oracles
 
@@ -92,6 +93,20 @@ def test_frame_validation():
         Frame(x0_dir=EZ, x1=EY, x2=EX)  # left-handed
     with pytest.raises(ConfigError, match="finite"):
         Frame(x0_dir=[0.0, math.nan, 1.0])
+
+
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_a_frame_row_off_the_unit_sphere_is_refused_by_name(row):
+    # the unit-vector rule of so3 (to 1e-10), named by the row, through Frame and build
+    name = ("x0_dir", "x1", "x2")[row]
+    rows = [EZ, EX, EY]
+    for scale in (1.0 + 2e-10, 1.0 - 2e-10):
+        rows[row] = [EZ, EX, EY][row] * scale
+        for make in (lambda: Frame(*rows), lambda: build("case1", frame=rows)):
+            with pytest.raises(ConfigError, match=f"^frame vector {name}: {name} must be a unit vector"):
+                make()
+    rows[row] = [EZ, EX, EY][row] * (1.0 + 0.5e-10)  # within 1e-10 of the sphere
+    assert getattr(build("case1", frame=rows).frame, name) == tuple(rows[row].tolist())
 
 
 def test_frame_override_as_rows():
@@ -212,6 +227,16 @@ def test_mu_builds_its_pieces_once_per_value(monkeypatch):
     assert built == [0.1, 0.2, 0.1]
 
 
+def test_forcing_family_is_the_bound_forcing(monkeypatch):
+    # the drift finder calls Scenario.forcing with no layer between, and sees a patched one
+    sc = build("example4")
+    assert sc.forcing_family == sc.forcing
+    assert sc.forcing_family(0.05, 0.1).eval(0.3, 0.05) == sc.forcing(0.05, 0.1).eval(0.3, 0.05)
+    patched = lambda self, lam=0.0, mu=None: (lam, mu)
+    monkeypatch.setattr(Scenario, "forcing", patched)
+    assert sc.forcing_family.__func__ is patched and sc.forcing_family(0.05, 0.1) == (0.05, 0.1)
+
+
 # ----------------------------------------------------------- closed forms
 
 def test_closed_form_starts_at_identity():
@@ -234,6 +259,29 @@ def test_closed_form_satisfies_group_ode():
 def test_integrator_matches_closed_form():
     assert verify_against_closed_form(build("example1"), 0.01) < 1e-7
     assert verify_against_closed_form(build("example4"), 0.01, mu=0.1) < 1e-7
+
+
+# ------------------------------------------------------------ shape records
+
+#: the shape of each family's forcing and closed form
+SHAPE_OF = {"example1": "conjugated", "example2": "conjugated", "example3": "conjugated",
+            "example4": "conjugated", "example5": "collinear"}
+
+
+@pytest.mark.parametrize("name", ALL_NAMES)
+def test_every_family_unpacks_into_its_shapes_one_layout(name):
+    # lookup(lam) returns the layout that the forcing, its fused right-hand side and the
+    # closed form all unpack: float(lam), freq = omega_eff + lam and eps = sqrt(lam) first
+    sc, mu = build(name), (0.1 if name == "example4" else None)
+    lookup = inspect.getclosurevars(sc._pieces(mu)[2]).nonlocals["lookup"]
+    layout = _SHAPES[SHAPE_OF[name]][0]
+    for lam in (0.0, 1e-4, 0.05):
+        got = {}
+        exec(f"{layout} = lookup(lam)", {"lookup": lookup, "lam": lam}, got)
+        assert (got["lam"], got["eps"]) == (lam, math.sqrt(lam))
+        assert 2.0 * math.pi / abs(got["freq"]) == sc.period(lam, mu)
+        nu_none = name == "example1"
+        assert all(type(v) is float or (k == "nu" and nu_none and v is None) for k, v in got.items())
 
 
 # ------------------------------------------ bitwise guard on the closures

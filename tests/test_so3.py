@@ -26,6 +26,7 @@ from rotwave import (
     vee,
 )
 from rotwave.so3 import (
+    _BALL_SLACK,
     _EXP_APPLY,
     SERIES_RADIUS,
     _ball_vector,
@@ -612,13 +613,21 @@ def test_generated_rodrigues_entries_are_bitwise_the_composed_ones(direction, an
 
 
 def test_array_hemisphere_map_leaves_zero_snapped_and_band_vectors_out():
+    # the mask and the scalar map read one ball slack: a norm within it of pi is on the
+    # boundary sphere for both, so the batch keeps no element that _q_map canonicalizes
     ref = (0.6, 0.0, 0.8)
+    near, far = np.pi - 0.5 * _BALL_SLACK, np.pi - 2.0 * _BALL_SLACK
     rng = np.random.default_rng(13)
-    plain = oracles.random_axis_vectors(rng, 60, np.pi - 1e-6).tolist()
+    plain = oracles.random_axis_vectors(rng, 60, np.pi - 1e-6).tolist() + [
+        (0.6 * near, 0.0, 0.8 * near),  # within the slack of pi, off the equator
+        (0.8 * far, 0.0, -0.6 * far),  # on the equator, outside the slack
+    ]
     rare = [
         (0.0, 0.0, 0.0),  # zero
         (0.0, np.pi * (1 + 1e-13), 0.0),  # past pi: snapped onto the sphere
+        (0.0, np.pi + 0.5 * _BALL_SLACK, 0.0),  # past pi within the slack: snapped
         (0.8 * np.pi, 0.0, -0.6 * np.pi),  # boundary sphere, on the equator
+        (0.8 * near, 0.0, -0.6 * near),  # on the equator within the slack of pi
     ]
     vs = plain + rare
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -626,6 +635,12 @@ def test_array_hemisphere_map_leaves_zero_snapped_and_band_vectors_out():
     assert mask.tolist() == [True] * len(plain) + [False] * len(rare)
     got = np.array(w).T[mask]
     assert got.tobytes() == np.array([_q_map(_ball_vector(v), ref) for v in plain]).tobytes()
+    # the two left out on the equator take _q_map's boundary branch, which the array map has not
+    for v in rare[-2:]:
+        assert _q_map(_ball_vector(v), ref) == tuple(-a for a in v)
+    assert abs(_ball_vector(rare[2])[1] - np.pi) < 1e-15  # snapped, not refused
+    with pytest.raises(DomainError, match="> pi \\+ 1e-12"):
+        _ball_vector((0.0, np.pi + 2.0 * _BALL_SLACK, 0.0))
 
 
 def _matmul3_generator(a, b):
