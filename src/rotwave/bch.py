@@ -34,7 +34,7 @@ from enum import Enum
 
 from ._numpy import lazy_numpy
 from .errors import DomainError
-from .so3 import BallClass, _cross3, _dot3, _mapped, _vec3
+from .so3 import BallClass, _cross3, _dot_columns, _mapped, _vec3
 
 np = lazy_numpy(globals())
 
@@ -145,37 +145,35 @@ def _quaternion(chx, shx, chy, shy, cos_ang):
 
 
 def _combine(x, y, k, a, b, c):
-    """``a x + b y + c k`` for triples of arrays (k is X x Y), as :func:`_bch_full` forms it."""
-    return (
-        a * x[0] + b * y[0] + c * k[0],
-        a * x[1] + b * y[1] + c * k[1],
-        a * x[2] + b * y[2] + c * k[2],
-    )
+    """``a x + b y + c k`` for (3, m) arrays x, y and k (X x Y) and 1-D a, b and c, as
+    :func:`_bch_full` forms it."""
+    return a * x + b * y + c * k
 
 
 def _bch_arrays(xs, which, y):
-    """:func:`_bch_full`'s result over triples of arrays, and the mask of its generic elements.
+    """:func:`_bch_full`'s result over the columns of (3, m) arrays, and the mask of its generic
+    columns.
 
     The left factors are ``x = xs[:, which]``: a few distinct vectors (the
-    prefixes of a batch), whose norms and half-angle cosines and sines are
-    taken once each. The zero-norm branches run through ``np.where``, so a
-    zero prefix stays in the mask. An identity or half-turn product, or a
-    non-finite one, is left out of it for the caller to redo alone.
+    prefixes of a batch, the columns of xs), whose norms and half-angle cosines
+    and sines are taken once each. The zero-norm branches run through
+    ``np.where``, so a zero prefix stays in the mask. An identity or half-turn
+    product, or a non-finite one, is left out of it for the caller to redo alone.
     """
-    nxs = np.sqrt(_dot3(xs, xs))
-    x = [a[which] for a in xs]
-    nx, ny = nxs[which], np.sqrt(_dot3(y, y))
+    nxs = np.sqrt(_dot_columns(xs, xs))
+    x = xs.take(which, axis=1)
+    nx, ny = nxs[which], np.sqrt(_dot_columns(y, y))
     chx, shx = _mapped(cos, 0.5 * nxs)[which], _mapped(sin, 0.5 * nxs)[which]
     chy, shy = _mapped(cos, 0.5 * ny), _mapped(sin, 0.5 * ny)
     px, py = nx > 0.0, ny > 0.0
-    cos_ang = np.where(px & py, np.clip(_dot3(x, y) / (nx * ny), -1.0, 1.0), 0.0)
+    cos_ang = np.where(px & py, np.clip(_dot_columns(x, y) / (nx * ny), -1.0, 1.0), 0.0)
     e, a1, b1, c1 = _quaternion(chx, shx, chy, shy, cos_ang)
     h_alpha = np.where(px, a1 / nx, chy)
     h_beta = np.where(py, b1 / ny, chx)
     h_gamma = np.where(px & py, c1 / (nx * ny), np.where(py, shy / ny, np.where(px, shx / nx, 1.0)))
-    kxy = _cross3(x, y)
+    kxy = np.array(_cross3(x, y))
     q = _combine(x, y, kxy, h_alpha, h_beta, h_gamma)
-    d1 = np.sqrt(_dot3(q, q))
+    d1 = np.sqrt(_dot_columns(q, q))
     theta_q = 2.0 * _mapped(atan2, d1, e)
     theta_ball = np.where(theta_q <= pi, theta_q, 2.0 * pi - theta_q)
     k = np.where(e >= 0.0, 1.0, -1.0) * theta_ball / d1

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
@@ -109,9 +108,9 @@ CACHE_SIZE = 1024
 
 #: fewest times that GroupTrajectory.eval_A samples in one vectorised pass.
 #: On fresh trajectories of the five families over two periods, with the sample-time
-#: cache empty, the pass costs 0.45-0.6 ms however few times it holds and 2-4 us per
-#: time, a time alone 12-20 us: they break even at 35-50 times by family, near 40
-#: (one pinned core, Python 3.11, numpy 2.4)
+#: cache empty, the pass costs 0.23-0.29 ms at one time and 0.43-0.55 ms at 40, times
+#: alone 22-27 us at one and 0.44-0.55 ms at 40: linear fits over 1-80 times break even
+#: at 38-43 times by family (one pinned core of a Xeon, Python 3.11, numpy 2.4)
 BATCH_MIN = 40
 
 
@@ -304,11 +303,12 @@ class GroupTrajectory:
     :func:`rotwave.hopf.periodic_part` share one sample-time cache, keyed by
     ``float(t)`` (at most ``CACHE_SIZE`` = 1024 times; :meth:`_store` evicts). Its
     record for a time is whole, the class vector and A's nine entries,
-    whichever sampler made it: a repeated ``eval_A`` costs one lookup,
-    ``eval_Z`` the hemisphere map, and ``log_Bf`` one BCH. The records are the
-    floats the per-time chain computes, so a hit returns the bits of a cold
-    sample, and ``eval_A`` of a float time reads it before any check: a cached
-    time is a checked one. ``class_at`` bypasses the cache.
+    whichever sampler made it, and A as an ndarray where a batch made it: a
+    repeated ``eval_A`` costs a lookup and a copy, ``eval_Z`` the hemisphere
+    map, and ``log_Bf`` one BCH. The records are the floats the per-time
+    chain computes, so a hit returns the bits of a cold sample, and ``eval_A``
+    of a float time reads it before any check: a cached time is a checked
+    one. ``class_at`` bypasses the cache.
     """
 
     def __init__(
@@ -335,7 +335,7 @@ class GroupTrajectory:
             self._ends += ends
             self._steps += seg.interpolants
             self._step_segment += [i] * len(ends)
-        # float(t) -> (class vector, A's nine entries)
+        # float(t) -> (class vector, A's nine entries, A as an ndarray or None): see _store
         self._samples: dict[float, tuple] = {}
         self.W = None  # set: times past T come from the monodromy
         if self.T is not None and self.T < self.t_end:
@@ -365,22 +365,26 @@ class GroupTrajectory:
         return _bch_full(self._prefix(n, self._step_segment[k]), z)[0]
 
     def _store(self, items: list) -> None:
-        """Cache the records ``(t, (v, a))`` of checked float times, v ``class_at(t).vector`` and
-        a the nine entries of A(t), under the one eviction rule: a fill that would take the
-        cache past ``CACHE_SIZE`` records empties it first, and keeps the last ``CACHE_SIZE``
-        of its own. A per-time sample fills one record, so a full cache is emptied before it."""
+        """Cache the records ``(t, (v, a, row))`` of checked float times under the one eviction
+        rule: a fill that would take the cache past ``CACHE_SIZE`` records empties it first, and
+        keeps the last ``CACHE_SIZE`` of its own. A per-time sample fills one record, so a full
+        cache is emptied before it.
+
+        v is ``class_at(t).vector`` and a the nine entries of A(t), as floats. row is A(t) as a
+        (3, 3) ndarray that no caller holds, a row of the cache's own copy of a batch's stack
+        (:meth:`_A_batch`), or None in a record of the per-time chain, which builds no array."""
         if len(self._samples) + len(items) > CACHE_SIZE:
             self._samples.clear()
             items = items[-CACHE_SIZE:]
         self._samples.update(items)
 
     def _record(self, t: float) -> tuple:
-        """The record ``(v, a)`` of the float t that :func:`_time_in_range` returned (:meth:`_store`):
-        the cached one, or the per-time chain's, cached."""
+        """The record ``(v, a, row)`` of the float t that :func:`_time_in_range` returned
+        (:meth:`_store`): the cached one, or the per-time chain's, cached with no row."""
         record = self._samples.get(t)
         if record is None:
             v = _ball_vector(self._product(t))
-            record = (v, _exp_entries(_q_map(v, self.ref_dir)))
+            record = (v, _exp_entries(_q_map(v, self.ref_dir)), None)
             self._store([(t, record)])
         return record
 
@@ -401,10 +405,17 @@ class GroupTrajectory:
         return self._record(_time_in_range(t, self.t_end))[1]
 
     def eval_A(self, t) -> np.ndarray:
-        """The rotation A(t), or the (m, 3, 3) stack of A at a 1-D ndarray of m times."""
-        record = self._samples.get(t) if type(t) is float else None  # a cached time is a checked one
+        """The rotation A(t), or the (m, 3, 3) stack of A at a 1-D ndarray of m times.
+
+        A float time in the cache is read before any check (a cached time is a checked one):
+        a copy of its record's row, or an array built from its nine entries where the record
+        has no row. Every returned array is the caller's own."""
+        record = self._samples.get(t) if type(t) is float else None
         if record is not None:
-            return np.array(record[1]).reshape(3, 3)
+            row = record[2]
+            if row is None:
+                return np.array(record[1]).reshape(3, 3)
+            return row.copy()
         ts = _time_list(t)
         if ts is None:
             return np.array(self._A_entries(t)).reshape(3, 3)
@@ -416,17 +427,18 @@ class GroupTrajectory:
     def _A_batch(self, ts: list[float]) -> np.ndarray:
         """:meth:`eval_A` of many times: the per-time chain, step by step on arrays.
 
-        The times are located on the step ends that the per-time sampler
-        bisects, and only the steps they land in build their dense rows. numpy
-        rounds + - * / and sqrt as Python floats do, and sin, cos and atan2 are
-        math's, so each sample is bitwise its per-time value. The prefix of
+        Each vector of the m times is one (3, m) array. The times are located
+        on the step ends that the per-time sampler bisects, and only the steps
+        they land in build their dense rows. numpy rounds + - * / and sqrt as
+        Python floats do, and sin, cos and atan2 are math's, so each sample is
+        bitwise its per-time value. The prefix of
         each time is one of a few (period count, segment) pairs, so the BCH
         takes the prefix side once per pair. A time whose product is the
         identity (t = 0 always) or a half turn, needs the snap onto the
         boundary sphere or lies in the hemisphere band is redone alone first,
         by the per-time sampler, which caches it; the records of all the other
-        times, class vector and A's nine entries, then enter the sample-time
-        cache in one fill (:meth:`_store`).
+        times, class vector, A's nine entries and A's row of a copy of the
+        stack, then enter the sample-time cache in one fill (:meth:`_store`).
         """
         t = np.array(ts)
         ok = (t >= -_TIME_SLACK) & (t <= self.t_end + _TIME_SLACK)
@@ -450,16 +462,18 @@ class GroupTrajectory:
         m = len(self.segments)
         segment = np.array(self._step_segment)[located]
         pairs, which = np.unique(n.astype(int) * m + segment[k], return_inverse=True)
-        prefixes = np.array([self._prefix(*divmod(p, m)) for p in pairs.tolist()])
-        v, generic = _bch_arrays(prefixes.T, which, z)
+        prefixes = np.array([self._prefix(*divmod(p, m)) for p in pairs.tolist()]).T
+        v, generic = _bch_arrays(prefixes, which, z)
         w, plain = _q_map_arrays(v, self.ref_dir)
         entries = _exp_entries_arrays(w)
-        stack = np.stack(entries, axis=-1).reshape(-1, 3, 3)
+        stack = entries.T.reshape(-1, 3, 3)
         fast = generic & plain
         for i in np.flatnonzero(~fast).tolist():
             stack[i] = np.reshape(self._A_entries(ts[i]), (3, 3))
-        records = zip(ts, zip(zip(*(c.tolist() for c in v)), zip(*(e.tolist() for e in entries))))
-        self._store(list(itertools.compress(records, fast.tolist())))
+        # the records of the other times hold rows of a copy of the stack: the stack is the caller's
+        keep = np.flatnonzero(fast)[-CACHE_SIZE:]
+        vs, es = zip(*v.take(keep, axis=1).tolist()), zip(*entries.take(keep, axis=1).tolist())
+        self._store(list(zip(t.take(keep).tolist(), zip(vs, es, stack.take(keep, axis=0)))))
         return stack
 
 

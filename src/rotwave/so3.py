@@ -44,8 +44,8 @@ validation; :func:`_vec3` runs at the public entry points only. ``_matvec3``
 and ``_frob_dist`` apply and compare nine-float matrices, summing left to
 right. numpy is imported by the first call that builds an ndarray.
 
-``_exp_entries_arrays`` and ``_q_map_arrays`` run the same formulas on
-triples of 1-D arrays, with scalar functions mapped over the elements
+``_exp_entries_arrays`` and ``_q_map_arrays`` run the same formulas on the
+columns of a (3, m) array, with scalar functions mapped over the elements
 (``_mapped``), so that each element is bitwise its scalar value; the first
 batch compiles the array form of ``_EXP_COEFFS`` (``_exp_coeffs_arrays``).
 """
@@ -227,11 +227,12 @@ def _time_list(t) -> list | None:
 
 
 def _as_unit3(v, what: str) -> tuple[float, float, float]:
-    """``v`` as a float triple; DomainError, naming the parameter ``what``, unless
-    it is a unit vector to within 1e-10."""
+    """``v`` as a float triple; DomainError, naming the parameter ``what`` and the norm to 17
+    significant digits, unless it is a unit vector to within 1e-10."""
     r = _vec3(v)
-    if abs(_norm3(r) - 1.0) > 1e-10:
-        raise DomainError(f"{what} must be a unit vector, got {v!r}")
+    n = _norm3(r)
+    if abs(n - 1.0) > 1e-10:
+        raise DomainError(f"{what} must be a unit vector to within 1e-10, got norm {n:.17g}")
     return r
 
 
@@ -246,6 +247,12 @@ def _dot3(u, v) -> float:
 
 def _cross3(u, v) -> tuple[float, float, float]:
     return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot_columns(u, v) -> np.ndarray:
+    """:func:`_dot3` of each column of (3, m) arrays: the three products summed from -0.0, the
+    identity of IEEE addition, one after another, so each column is bitwise its scalar value."""
+    return np.add.reduce(u * v, axis=0, initial=-0.0)
 
 
 def _matvec3(a, v) -> tuple[float, float, float]:
@@ -361,7 +368,7 @@ _exp_coeffs, _quadratic_entries, _exp_entries, _matmul3 = operator.itemgetter(
 
 def _mapped(f, *arrays) -> np.ndarray:
     """The scalar function ``f`` elementwise over 1-D arrays: math's rounding, not numpy's."""
-    return np.array(list(map(f, *(a.tolist() for a in arrays))), dtype=float)
+    return np.fromiter(map(f, *(a.tolist() for a in arrays)), float, len(arrays[0]))
 
 
 @functools.lru_cache(maxsize=None)
@@ -378,9 +385,9 @@ def _exp_coeffs_arrays() -> Callable:
     return _generated(source, "<so3 array coefficients>", sin=sin, where=np.where)["coeffs"]
 
 
-def _exp_entries_arrays(v) -> tuple:
-    """:func:`_exp_entries` of a triple of arrays, elementwise: nine arrays."""
-    return _quadratic_entries(v, *_exp_coeffs_arrays()(np.sqrt(_dot3(v, v))))
+def _exp_entries_arrays(v) -> np.ndarray:
+    """:func:`_exp_entries` of each column of a (3, m) array: the (9, m) array of the entries."""
+    return np.array(_quadratic_entries(v, *_exp_coeffs_arrays()(np.sqrt(_dot_columns(v, v)))))
 
 
 def _exp_matrix(v) -> np.ndarray:
@@ -599,15 +606,16 @@ def q_map(c: BallClass, ref_dir: np.ndarray) -> np.ndarray:
 
 
 def _q_map_arrays(v, ref):
-    """:func:`_q_map` of :func:`_ball_vector` over a triple of arrays, and the mask of its elements.
+    """:func:`_q_map` of :func:`_ball_vector` over the columns of a (3, m) array, and the mask of
+    the columns it maps.
 
-    An element outside the mask (zero, past pi, or on the boundary sphere
+    A column outside the mask (zero, past pi, or on the boundary sphere
     within the equator band) is left for the caller to redo alone."""
-    n = np.sqrt(_dot3(v, v))
-    c = _dot3([a / n for a in v], ref)
+    n = np.sqrt(_dot_columns(v, v))
+    c = _dot3(v / n, ref)
     band = (n >= math.pi - _BALL_SLACK) & (np.abs(c) <= HEMI_BAND)
     s = 1.0 - 2.0 * math.pi / n
-    return [np.where(c >= -HEMI_BAND, a, s * a) for a in v], (n > 0.0) & (n <= math.pi) & ~band
+    return np.where(c >= -HEMI_BAND, v, s * v), (n > 0.0) & (n <= math.pi) & ~band
 
 
 def _q_map(v, ref):

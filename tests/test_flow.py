@@ -446,6 +446,13 @@ def test_a_non_unit_direction_is_named_by_its_parameter():
         integrate_group(constant_signal(X0), 0.0, 1.0, ref_dir=[2.0, 0.0, 0.0])
 
 
+def test_a_ref_dir_off_the_unit_sphere_is_refused_with_its_norm():
+    # numpy prints the vector to 8 digits, as [0, 0, 1]; the message states the norm to 17
+    with pytest.raises(DomainError) as refused:
+        integrate_group(constant_signal(X0), 0.0, 1.0, ref_dir=EZ * (1.0 - 2e-10))
+    assert str(refused.value) == "ref_dir must be a unit vector to within 1e-10, got norm 0.99999999979999998"
+
+
 def test_non_unit_ref_dir_fails_before_integrating(monkeypatch):
     calls = []
 
@@ -772,10 +779,15 @@ def test_cached_samples_are_bitwise_the_cold_ones(name, lam):
 
 
 def whole_record(record) -> bool:
-    """Whether a sample-time cache record is a tuple ``(v, a)`` of 3 and 9 floats."""
+    """Whether a sample-time cache record is a tuple ``(v, a, row)`` of 3 floats, 9 floats and a
+    row that is None or a float64 (3, 3) ndarray whose bytes are the 9 floats."""
+    if not (type(record) is tuple and len(record) == 3):
+        return False
+    v, a, row = record
     return (
-        type(record) is tuple and len(record) == 2 and [len(record[0]), len(record[1])] == [3, 9]
-        and all(type(c) is float for c in (*record[0], *record[1]))
+        [len(v), len(a)] == [3, 9] and all(type(c) is float for c in (*v, *a))
+        and (row is None or type(row) is np.ndarray and row.dtype == np.float64
+             and row.shape == (3, 3) and row.tobytes() == np.array(a).tobytes())
     )
 
 
@@ -791,7 +803,7 @@ def test_samplers_that_read_no_A_cache_the_records_eval_A_makes(name, lam):
     def records(traj, times):
         got = [traj._samples[float(t)] for t in times]
         assert all(whole_record(r) for r in got)
-        return [np.array([*v, *a]).tobytes() for v, a in got]
+        return [np.array([*v, *a]).tobytes() for v, a, _ in got]
 
     times = probe_times(fresh(2 * T))
     assert len(times) >= flow.BATCH_MIN
@@ -889,6 +901,43 @@ def test_batch_over_the_probe_times_fills_the_cache(name, lam):
     assert np.array([traj.eval_A(t) for t in times]).tobytes() == each.tobytes()
 
 
+@pytest.mark.parametrize("name, lam", CHAIN_CASES)
+def test_a_hit_after_a_batch_is_bitwise_the_cold_sample(name, lam):
+    # the probe times reach both periods and every segment end; -0.0 and 0.0, identity
+    # products, are redone alone and cached with no row, the other times with the batch's
+    traj = chain_trajectory(name, lam)[0]
+    times = probe_times(traj) + [-0.0]
+    cold = [a.tobytes() for a in cold_each(traj, times)]
+    traj.eval_A(np.array(times))
+    rows = {t: traj._samples[t][2] is not None for t in times}
+    assert rows[0.0] is rows[-0.0] is False and sum(rows.values()) > len(rows) - 5
+    for t, want in zip(times, cold):
+        assert traj.eval_A(t).tobytes() == traj.eval_A(np.float64(t)).tobytes() == want, t
+    traj._samples.clear()
+
+
+@pytest.mark.parametrize("name, lam", [("case2", 0.1), ("example4", 1e-3), ("case2-aperiodic", 0.04)])
+def test_an_array_that_eval_A_returned_is_the_callers_own(name, lam):
+    # overwriting what eval_A returned, for one time (cold, or a hit with or without
+    # a row), for a list shorter than BATCH_MIN or a batch's stack, changes no later sample
+    traj = chain_trajectory(name, lam)[0]
+    times = probe_times(traj)
+    want = cold_each(traj, times).tobytes()
+    short = np.array(times[: flow.BATCH_MIN - 1])
+    for fill in (lambda: traj.eval_A(np.array(times)), lambda: traj.eval_A(short), lambda: None):
+        traj._samples.clear()
+        got = fill()
+        if got is not None:
+            got.fill(math.nan)
+        for _ in range(2):  # cold or a hit, then a hit
+            each = [traj.eval_A(t) for t in times]
+            assert np.array(each).tobytes() == want
+            for a in each:
+                a.fill(math.nan)
+        assert traj.eval_A(np.array(times)).tobytes() == want
+    traj._samples.clear()
+
+
 def counted_exp_entries(monkeypatch) -> list:
     """Record each argument of flow's ``_exp_entries``, the per-time Rodrigues step."""
     calls = []
@@ -972,11 +1021,20 @@ def test_batch_cache_stays_bounded(monkeypatch):
 
 
 def per_time_records(traj, times) -> list:
-    """The cache records of ``times`` as a cold per-time chain makes them, one after another."""
+    """The cache records of ``times`` as a cold per-time chain makes them, one after another:
+    whole, with no row."""
     traj._samples.clear()
     records = [traj._record(float(t)) for t in times]
     traj._samples.clear()
-    return records
+    assert all(whole_record(r) and r[2] is None for r in records)
+    return [r[:2] for r in records]
+
+
+def cached_floats(traj, times) -> list:
+    """The class vector and nine entries of the cache records of ``times``, each record whole."""
+    records = [traj._samples[t] for t in times]
+    assert all(whole_record(r) for r in records)
+    return [r[:2] for r in records]
 
 
 def fill_per_time(traj, count: int) -> list[float]:
@@ -994,7 +1052,7 @@ def test_a_batch_into_a_cache_with_room_adds_its_records():
     earlier = fill_per_time(traj, 100)
     traj.eval_A(np.array(times))
     assert list(traj._samples) == earlier + times
-    assert [traj._samples[t] for t in times] == want
+    assert cached_floats(traj, times) == want
     traj._samples.clear()
 
 
@@ -1005,12 +1063,12 @@ def test_a_batch_that_would_overfill_the_cache_empties_it_first():
     want = per_time_records(traj, times)
     fill_per_time(traj, flow.CACHE_SIZE - len(times) + 1)
     traj.eval_A(np.array(times))
-    assert list(traj._samples) == times and [traj._samples[t] for t in times] == want
+    assert list(traj._samples) == times and cached_floats(traj, times) == want
     # and for a per-time sample into a full cache
     traj._samples.clear()
     fill_per_time(traj, flow.CACHE_SIZE)
     traj.eval_A(times[0])
-    assert list(traj._samples) == times[:1] and traj._samples[times[0]] == want[0]
+    assert list(traj._samples) == times[:1] and cached_floats(traj, times[:1]) == want[:1]
     traj._samples.clear()
 
 
@@ -1022,7 +1080,7 @@ def test_a_batch_longer_than_the_cache_keeps_its_last_records():
     want = per_time_records(traj, kept)
     fill_per_time(traj, 10)
     traj.eval_A(np.array(times))
-    assert list(traj._samples) == kept and [traj._samples[t] for t in kept] == want
+    assert list(traj._samples) == kept and cached_floats(traj, kept) == want
     traj._samples.clear()
 
 

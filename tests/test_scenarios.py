@@ -109,6 +109,19 @@ def test_a_frame_row_off_the_unit_sphere_is_refused_by_name(row):
     assert getattr(build("case1", frame=rows).frame, name) == tuple(rows[row].tolist())
 
 
+@pytest.mark.parametrize("row", [0, 1, 2])
+def test_a_frame_row_off_the_unit_sphere_is_refused_with_its_norm(row):
+    # numpy prints the row to 8 digits, as [0, 0, 1]; the message states the norm to 17
+    name = ("x0_dir", "x1", "x2")[row]
+    rows = [EZ, EX, EY]
+    rows[row] = rows[row] * (1.0 + 2e-10)
+    with pytest.raises(ConfigError) as refused:
+        build("case1", frame=rows)
+    assert str(refused.value) == (
+        f"frame vector {name}: {name} must be a unit vector to within 1e-10, got norm 1.0000000002"
+    )
+
+
 def test_frame_override_as_rows():
     # a rotated but right-handed frame is accepted
     c, s = np.cos(0.3), np.sin(0.3)

@@ -31,6 +31,8 @@ from rotwave.so3 import (
     SERIES_RADIUS,
     _ball_vector,
     _dexpinv_kernels,
+    _dot3,
+    _dot_columns,
     _exp_coeffs_arrays,
     _exp_entries,
     _exp_entries_arrays,
@@ -374,6 +376,21 @@ def test_q_map_requires_unit_ref():
         q_map(BallClass([0.0, 0.0, 0.5]), 2.0 * EZ)
 
 
+def test_a_q_map_ref_dir_off_the_unit_sphere_is_refused_with_its_norm():
+    # numpy prints the vector to 8 digits, as [0, 0, 1]; the message states the norm to 17
+    with pytest.raises(DomainError) as refused:
+        q_map(BallClass([0.0, 0.0, 0.5]), EZ * (1.0 + 2e-10))
+    assert str(refused.value) == "q_map's ref_dir must be a unit vector to within 1e-10, got norm 1.0000000002"
+
+
+def test_a_hemisphere_sign_u_off_the_unit_sphere_is_refused_with_its_norm():
+    with pytest.raises(DomainError) as refused:
+        hemisphere_sign(EX * (1.0 + 2e-10), EZ)
+    assert str(refused.value) == (
+        "hemisphere_sign's u must be a unit vector to within 1e-10, got norm 1.0000000002"
+    )
+
+
 # ------------------------------------------------------------- dexp, dexpinv
 
 def test_dexp_limits_at_zero():
@@ -520,6 +537,18 @@ def test_dexp_derivative_property():
 
 
 # ------------------------------------------------------------- array forms
+
+def test_column_dot_is_bitwise_the_scalar_one_with_signed_zeros():
+    # a column whose three products are all -0.0 sums to -0.0, as _dot3 sums it
+    rng = np.random.default_rng(14)
+    u = rng.standard_normal((3, 60)) * 10.0 ** rng.integers(-8, 9, (3, 60))
+    v = rng.standard_normal((3, 60)) * 10.0 ** rng.integers(-8, 9, (3, 60))
+    u[:, :4], v[:, :4] = -0.0, [[1.0, -0.0, 0.0, -1.0]]
+    v[:, 4:8], u[:, 4:8] = -0.0, 0.0
+    want = np.array([_dot3(a, b) for a, b in zip(u.T.tolist(), v.T.tolist())])
+    assert np.signbit(want[:8]).any()
+    assert _dot_columns(u, v).tobytes() == want.tobytes()
+
 
 def test_array_exponential_is_bitwise_the_per_vector_one():
     rng = np.random.default_rng(12)
