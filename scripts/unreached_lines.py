@@ -23,7 +23,7 @@ Usage, from the repository root::
 
     python scripts/unreached_lines.py
 
-Tracing slows the suite about 3.5-fold.
+Tracing slows the suite about 3.3-fold (74 s against 22 s on a 2-core machine).
 """
 from __future__ import annotations
 

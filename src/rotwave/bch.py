@@ -26,15 +26,20 @@ when ``|prod - I|_F = 2*sqrt(2)*d1 <= BRANCH_TOL``, a half turn when the ball
 angle is within BRANCH_TOL of pi, and otherwise generic, split by the sign
 of ``cos(theta_q) = e^2 - d1^2``. A generic product therefore has
 d1 > BRANCH_TOL / (2*sqrt(2)), so the division by d1 is always well posed.
+
+The scalar formula is written once, as the straight-line source fragment
+``_BCH``: import generates ``_bch_full``, behind :func:`bch` and
+:func:`bch_breakdown`, from it, and :func:`rotwave.hopf.periodic_part` splices
+it into its sampler. ``_bch_arrays`` runs the same operations over arrays.
 """
 from __future__ import annotations
 
-from math import atan2, cos, isfinite, pi, sin, sqrt
+from math import atan2, cos, pi, sin, sqrt
 from enum import Enum
 
 from ._numpy import lazy_numpy
 from .errors import DomainError
-from .so3 import BallClass, _cross3, _dot_columns, _mapped, _vec3
+from .so3 import BallClass, _cross3, _dot_columns, _generated, _indented, _mapped, _vec3
 
 np = lazy_numpy(globals())
 
@@ -54,7 +59,7 @@ class BchBranch(Enum):
     IDENTITY_PRODUCT = "IdentityProduct"
 
 
-# the members as module constants for _bch_full: reading one off the Enum class costs ~0.2 us
+# the members as module constants for _BCH: reading one off the Enum class costs ~0.2 us
 _GENERIC_POSITIVE, _GENERIC_NON_POSITIVE, _HALF_TURN_PRODUCT, _IDENTITY_PRODUCT = BchBranch
 
 
@@ -73,70 +78,80 @@ class BchBreakdown:
         self.e, self.a1, self.b1, self.c1, self.d1, self.d, self.s = e, a1, b1, c1, d1, d, s
 
 
-def _bch_full(x, y) -> tuple[tuple[float, float, float], tuple]:
-    """BCH of two float triples: the result triple and the BchBreakdown fields.
-    DomainError unless both squared norms are finite (an infinite angle has no sine).
-
-    Straight-line code: the quaternion is :func:`_quaternion`'s, X x Y is ``_cross3``'s
-    (numpy.cross's operation order, so the breakdown contract holds) and both combinations
-    are :func:`_combine`'s, each float operation in the order that those helpers take."""
-    x0, x1, x2 = x
-    y0, y1, y2 = y
-    nx = sqrt(x0 * x0 + x1 * x1 + x2 * x2)
-    ny = sqrt(y0 * y0 + y1 * y1 + y2 * y2)
-    if not isfinite(nx + ny):
-        raise DomainError("expected a finite 3-vector")
-    hx, hy = 0.5 * nx, 0.5 * ny
-    chx, shx = cos(hx), sin(hx)
-    chy, shy = cos(hy), sin(hy)
-    a1, b1, c1 = shx * chy, chx * shy, shx * shy
-    if nx > 0.0 and ny > 0.0:
-        cos_ang = (x0 * y0 + x1 * y1 + x2 * y2) / (nx * ny)
-        # min(1.0, max(-1.0, cos_ang)), NaN included
-        cos_ang = (cos_ang if cos_ang < 1.0 else 1.0) if cos_ang > -1.0 else -1.0
-        h_alpha, h_beta, h_gamma = a1 / nx, b1 / ny, c1 / (nx * ny)
-    else:
-        cos_ang = 0.0  # unused: the degenerate terms vanish with sin(0)
-        h_alpha = a1 / nx if nx > 0.0 else chy
-        h_beta = b1 / ny if ny > 0.0 else chx
-        h_gamma = shy / ny if ny > 0.0 else shx / nx if nx > 0.0 else 1.0
-    e = chx * chy - c1 * cos_ang
-
-    k0, k1, k2 = x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0
-    q0 = h_alpha * x0 + h_beta * y0 + h_gamma * k0
-    q1 = h_alpha * x1 + h_beta * y1 + h_gamma * k1
-    q2 = h_alpha * x2 + h_beta * y2 + h_gamma * k2
-    d1 = sqrt(q0 * q0 + q1 * q1 + q2 * q2)
-    d = 2.0 * d1 * abs(e)
-    s = 1.0 if e >= 0.0 else -1.0
-
-    if _FROB_PER_D1 * d1 <= BRANCH_TOL:
-        fields = (0.0, 0.0, 0.0, _IDENTITY_PRODUCT, e, a1, b1, c1, d1, d, s)
-        return (0.0, 0.0, 0.0), fields
-
+#: Engo's closed form as straight-line source: reads x0..x2 and y0..y2, sets r0..r2, the
+#: result, and the breakdown locals alpha, beta, gamma, branch, e, a1, b1, c1, d1, d and s.
+#: DomainError unless both squared norms are finite (an infinite angle has no sine). The
+#: quaternion is :func:`_quaternion`'s, X x Y is ``_cross3``'s (numpy.cross's operation order,
+#: so the breakdown contract holds) and both combinations are :func:`_combine`'s, each float
+#: operation in the order that those helpers take.
+_BCH = """\
+nx = sqrt(x0 * x0 + x1 * x1 + x2 * x2)
+ny = sqrt(y0 * y0 + y1 * y1 + y2 * y2)
+if not isfinite(nx + ny):
+    raise DomainError("expected a finite 3-vector")
+hx, hy = 0.5 * nx, 0.5 * ny
+chx, shx = cos(hx), sin(hx)
+chy, shy = cos(hy), sin(hy)
+a1, b1, c1 = shx * chy, chx * shy, shx * shy
+if nx > 0.0 and ny > 0.0:
+    cos_ang = (x0 * y0 + x1 * y1 + x2 * y2) / (nx * ny)
+    # min(1.0, max(-1.0, cos_ang)), NaN included
+    cos_ang = (cos_ang if cos_ang < 1.0 else 1.0) if cos_ang > -1.0 else -1.0
+    h_alpha, h_beta, h_gamma = a1 / nx, b1 / ny, c1 / (nx * ny)
+else:
+    cos_ang = 0.0  # unused: the degenerate terms vanish with sin(0)
+    h_alpha = a1 / nx if nx > 0.0 else chy
+    h_beta = b1 / ny if ny > 0.0 else chx
+    h_gamma = shy / ny if ny > 0.0 else shx / nx if nx > 0.0 else 1.0
+e = chx * chy - c1 * cos_ang
+k0, k1, k2 = x1 * y2 - x2 * y1, x2 * y0 - x0 * y2, x0 * y1 - x1 * y0
+q0 = h_alpha * x0 + h_beta * y0 + h_gamma * k0
+q1 = h_alpha * x1 + h_beta * y1 + h_gamma * k1
+q2 = h_alpha * x2 + h_beta * y2 + h_gamma * k2
+d1 = sqrt(q0 * q0 + q1 * q1 + q2 * q2)
+d = 2.0 * d1 * abs(e)
+s = 1.0 if e >= 0.0 else -1.0
+if _FROB_PER_D1 * d1 <= BRANCH_TOL:
+    alpha = beta = gamma = r0 = r1 = r2 = 0.0
+    branch = _IDENTITY_PRODUCT
+else:
     # Ball angle of the product from the quaternion pair (d1, e): atan2 is
     # uniformly well conditioned, while asin(d) near d = 1 (quarter-turn
     # products) and arccos near -1 (half-turn products) both lose ~sqrt(eps).
     theta_q = 2.0 * atan2(d1, e)
     theta_ball = theta_q if theta_q <= pi else 2.0 * pi - theta_q
-
     if theta_ball >= pi - BRANCH_TOL:
-        k = pi
+        kq = pi
         branch = _HALF_TURN_PRODUCT
     else:
-        k = s * theta_ball / d1
+        kq = s * theta_ball / d1
         if e * e - d1 * d1 > BRANCH_TOL:
             branch = _GENERIC_POSITIVE
         else:
             branch = _GENERIC_NON_POSITIVE
+    alpha, beta, gamma = kq * h_alpha, kq * h_beta, kq * h_gamma
+    r0 = alpha * x0 + beta * y0 + gamma * k0
+    r1 = alpha * x1 + beta * y1 + gamma * k1
+    r2 = alpha * x2 + beta * y2 + gamma * k2
+"""
 
-    alpha, beta, gamma = k * h_alpha, k * h_beta, k * h_gamma
-    result = (
-        alpha * x0 + beta * y0 + gamma * k0,
-        alpha * x1 + beta * y1 + gamma * k1,
-        alpha * x2 + beta * y2 + gamma * k2,
-    )
-    return result, (alpha, beta, gamma, branch, e, a1, b1, c1, d1, d, s)
+#: the names that :data:`_BCH` reads besides math's and :mod:`rotwave.so3`'s, for the kernels
+#: generated from it
+_BCH_NAMES = dict(
+    BRANCH_TOL=BRANCH_TOL, _FROB_PER_D1=_FROB_PER_D1, _GENERIC_POSITIVE=_GENERIC_POSITIVE,
+    _GENERIC_NON_POSITIVE=_GENERIC_NON_POSITIVE, _HALF_TURN_PRODUCT=_HALF_TURN_PRODUCT,
+    _IDENTITY_PRODUCT=_IDENTITY_PRODUCT,
+)
+
+_bch_full = _generated(
+    "def _bch_full(x, y):\n"
+    '    """BCH of two float triples: the result triple and the BchBreakdown fields. The\n'
+    "    formula lives in rotwave.bch._BCH, from which this function is generated; DomainError\n"
+    '    unless both squared norms are finite."""\n'
+    "    x0, x1, x2 = x\n    y0, y1, y2 = y\n" + _indented(_BCH, 1)
+    + "    return (r0, r1, r2), (alpha, beta, gamma, branch, e, a1, b1, c1, d1, d, s)\n",
+    "<bch kernel>", **_BCH_NAMES,
+)["_bch_full"]
 
 
 def _quaternion(chx, shx, chy, shy, cos_ang):

@@ -19,20 +19,21 @@ stays near 0.1 (case3) as lambda -> 0.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from enum import Enum
 
 from ._numpy import lazy_numpy
-from .bch import _bch_full
+from .bch import _BCH, _BCH_NAMES
 from .errors import BracketError, DomainError, InternalInconsistency
 from .flow import (
     ForcingSignal, GroupTrajectory, IntegratorConfig, _check_lam, _period, integrate_group,
 )
 from .ode import brentq
 from .so3 import (
-    _ball_vector, _dot3, _exp_matrix, _finite, _float_array, _norm3, _positive, _q_map, _real,
-    _time_in_range, _vec3,
+    _dot3, _exp_matrix, _finite, _float_array, _generated, _indented, _norm3, _positive, _q_map,
+    _real, _vec3,
 )
 
 np = lazy_numpy(globals())
@@ -214,28 +215,47 @@ def periodic_part(
     Each sample composes ``-X t`` with the class of A(t) on Python floats
     through the same chain as ``traj.eval_A``, and shares its cache: a time
     already sampled costs one BCH, and a cold one caches the whole record, A
-    included, so a later ``eval_A`` there is a lookup. Both the
-    class vector and ``-X t`` are computed with the float that the time check
-    returns, so any number t gives the bits of ``float(t)``. ``T`` is checked,
-    not used: it stays for callers that pass it (``perfbench/jobs.py``).
+    included, so a later ``eval_A`` there is a lookup. ``log_Bf`` and ``eval_B``
+    are one sampler generated at the first call (:func:`_periodic_sampler`):
+    the BCH is :data:`rotwave.bch._BCH`, the formula's one home, spliced in
+    inline, and a float time reads its cache record before any check, as
+    ``eval_A`` does. Both the class vector and ``-X t`` are computed with the
+    float that the time check returns, so any number t gives the bits of
+    ``float(t)``. ``T`` is checked, not used: it stays for callers that pass it
+    (``perfbench/jobs.py``).
     """
     neg_x = [-a for a in _vec3(X)]
     neg_xf = [-a for a in _vec3(Xf)]
     _positive(T, "T")
+    sampler = _periodic_sampler()
+    return PeriodicPart(sampler(traj, neg_xf, np.array), sampler(traj, neg_x, _exp_matrix))
 
-    def log_b(neg: list[float], t: float):
-        """Ball vector of ``bch(neg * t, class_at(t).vector)`` as a float triple."""
-        t = _time_in_range(t, traj.t_end)
-        n0, n1, n2 = neg
-        return _ball_vector(_bch_full((n0 * t, n1 * t, n2 * t), traj._record(t)[0])[0])
 
-    def log_bf(t: float) -> np.ndarray:
-        return np.array(log_b(neg_xf, t))
+@functools.lru_cache(maxsize=None)
+def _periodic_sampler() -> Callable:
+    """``sampler(traj, neg, out) -> sample``, compiled at the first :func:`periodic_part`.
 
-    def eval_b(t: float) -> np.ndarray:
-        return _exp_matrix(log_b(neg_x, t))
-
-    return PeriodicPart(log_bf, eval_b)
+    ``sample(t)`` is ``out`` of the ball vector of ``bch(neg * t, traj.class_at(t).vector)``,
+    the float triple ``neg`` scaled by the checked time. A float time in the sample-time
+    cache is a checked one, and its record is read first; any other time goes through
+    :func:`_time_in_range` and the trajectory's per-time chain, which caches it. The BCH
+    runs inline, and ``out`` takes the float triple: ``np.array`` for ``log_Bf``,
+    ``_exp_matrix`` for ``eval_B``."""
+    source = f"""\
+def sampler(traj, neg, out):
+    samples, t_end, record_at = traj._samples, traj.t_end, traj._record
+    n0, n1, n2 = neg
+    def sample(t):
+        record = samples.get(t) if type(t) is float else None
+        if record is None:
+            t = _time_in_range(t, t_end)
+            record = record_at(t)
+        x0, x1, x2 = n0 * t, n1 * t, n2 * t
+        y0, y1, y2 = record[0]
+{_indented(_BCH, 2)}        return out(_ball_vector((r0, r1, r2)))
+    return sample
+"""
+    return _generated(source, "<periodic part sampler>", **_BCH_NAMES)["sampler"]
 
 
 def classify(

@@ -191,12 +191,12 @@ class Scenario:
         eps = sqrt(lam) and the modulation frequency freq = omega_eff + lam are computed
         there, once per lambda, and every closure computes with this ``float(lam)``, never
         with the caller's object. They may be called at any lambda; one that is not a
-        nonnegative finite number raises DomainError, and constants past the float range
-        ConfigError. The tuple sits in a last-lambda memo, read and replaced whole, so a
-        lambda is never paired with another's constants. It is keyed by the lambda object
-        itself (``is``): the integrator passes one object for a whole run, ``-0.0`` and
-        ``0.0`` (equal, but with constants of different sign) never share an entry, and an
-        equal lambda in another object only recomputes.
+        nonnegative finite number raises DomainError, and constants past the float range, or
+        a norm that underflows to 0, ConfigError. The tuple sits in a last-lambda memo, read
+        and replaced whole, so a lambda is never paired with another's constants. It is
+        keyed by the lambda object itself (``is``): the integrator passes one object for a
+        whole run, ``-0.0`` and ``0.0`` (equal, but with constants of different sign) never
+        share an entry, and an equal lambda in another object only recomputes.
 
         ``forcing_eval()`` makes ``xg`` and its fused right-hand side at the first
         :meth:`forcing` (:func:`rotwave.flow._shape_kernel`), ``closed_eval()`` makes
@@ -235,6 +235,10 @@ class Scenario:
             # the effective Hopf frequency shifts with mu so that
             # X^G(t, 0, mu) = X0 + mu X1 holds exactly
             omega_eff = norm_c / self.k
+            if omega_eff == 0.0:
+                raise ConfigError(
+                    f"scenario {self.name}: |X0 + mu X1| / k underflows to 0 at mu = {mu_val!r}"
+                )
             C_l = [a + mu_val * b for a, b in zip(X0_l, x1_l)]
 
             def constants(lam: float, eps: float, freq: float):
@@ -259,6 +263,10 @@ class Scenario:
                     c = (lam_f, freq, eps, *constants(lam_f, eps, freq))
                 except OverflowError:
                     raise ConfigError(f"scenario {self.name} overflows at lambda {lam!r}") from None
+                except ZeroDivisionError:  # example2-3: sqrt(|X0|^2 + lambda) underflows to 0
+                    raise ConfigError(
+                        f"scenario {self.name}: a norm underflows to 0 at lambda {lam!r}"
+                    ) from None
                 memo = (lam, c)
             return c
 

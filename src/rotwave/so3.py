@@ -38,7 +38,10 @@ Everything else compiles at first use: a built-in forcing shape into its
 forcing and fused right-hand side (:func:`rotwave.flow._shape_kernel`) and into
 its closed form (:func:`rotwave.scenarios._closed_kernel`), and
 ``_dexpinv_kernels`` into :func:`dexpinv_op`'s coefficient and the composed
-right-hand side. :func:`_generated` compiles all of them and enters their
+right-hand side. The closed-form BCH is a fragment of :mod:`rotwave.bch`
+(``_BCH``), compiled at its import into the scalar BCH and at the first
+:func:`rotwave.hopf.periodic_part` into the periodic part's sampler.
+:func:`_generated` compiles all of them and enters their
 source in :mod:`linecache`. Generated code takes float triples and skips
 validation; :func:`_vec3` runs at the public entry points only. ``_matvec3``
 and ``_frob_dist`` apply and compare nine-float matrices, summing left to

@@ -7,9 +7,12 @@ from extended-precision evaluation or explicit Taylor polynomials. None of
 these functions import from ``rotwave``. The exception to the different
 route is the composed kernel form (:func:`quadratic_apply_composed`, with
 :func:`c2_composed`), which repeats the library's arithmetic in its earlier
-shape to pin it bit for bit.
+shape to pin it bit for bit. The generic normal-form family
+(:func:`generic_normal_form`) is a forcing, not an oracle: it is built as a
+user of the library builds one, through ``rotwave.ForcingSignal``.
 """
 import math
+import random
 
 import numpy as np
 
@@ -327,6 +330,39 @@ def random_axis_vectors(rng, n, max_norm):
         d /= max(float(np.linalg.norm(d)), 1e-300)
         out[i] = rng.uniform(0.0, max_norm) * d
     return out
+
+
+def generic_normal_form(seed, k):
+    """The generic normal-form family ``(lam, mu) -> ForcingSignal`` of resonance order k.
+
+    X^G(t) = (1 + mu) X0 + lam a + eps Re(e^{i Omega t} c) + lam Re(e^{2 i Omega t} e), with
+    X0 = e_z, omega = 1/k, Omega = omega (1 + 0.3 lam), eps = sqrt(lam) and period
+    T = 2 pi / Omega: the first terms of a center-manifold skew product A' = A X(v),
+    v' = f(v), on the Hopf orbit v = eps e^{i Omega t}. The coefficients are not chosen to
+    satisfy anything: a is 3 draws of ``random.Random(seed)`` in [-1, 1], then the real and
+    imaginary parts of c, then those of e. It has no closed form, and it is built as a caller
+    of the library builds a forcing, so it imports :class:`rotwave.ForcingSignal`.
+    """
+    from rotwave import ForcingSignal
+
+    rng = random.Random(seed)
+    a, cr, ci, er, ei = ([rng.uniform(-1.0, 1.0) for _ in range(3)] for _ in range(5))
+    omega = 1.0 / k
+
+    def family(lam, mu):
+        freq = omega * (1.0 + 0.3 * lam)
+        eps = math.sqrt(lam)
+        base = [(1.0 + mu) * x + lam * y for x, y in zip((0.0, 0.0, 1.0), a)]
+
+        def xg(t, lam_):
+            c1, s1 = math.cos(freq * t), math.sin(freq * t)
+            c2, s2 = math.cos(2.0 * freq * t), math.sin(2.0 * freq * t)
+            return [b + eps * (c1 * p - s1 * q) + lam * (c2 * u - s2 * w)
+                    for b, p, q, u, w in zip(base, cr, ci, er, ei)]
+
+        return ForcingSignal(eval=xg, period=lambda lam_: 2.0 * math.pi / freq)
+
+    return family
 
 
 # Frozen values used across the suite (derivations in comments):

@@ -803,6 +803,35 @@ def test_parameters_whose_constants_overflow_exit_2(tmp_path, capsys, argv, doc)
     assert err.startswith("error: ") and err.count("\n") == 1 and "overflows" in err
 
 
+@pytest.mark.parametrize("command", ["frequency", "drift", "verify", "simulate"])
+@pytest.mark.parametrize("overrides", [{"x0_norm": 1e-200}, {"x0_norm": 1e-320, "k": 3}])
+def test_an_example4_norm_that_underflows_exits_2(tmp_path, capsys, command, overrides):
+    # the division by |X0 + mu X1| or by |X0| / k raised ZeroDivisionError with a traceback
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"scenario": "example4", "overrides": overrides}))
+    for extra in ([], ["--dump-config"]):
+        assert main([command, "--config", str(cfg), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: scenario example4: |X0 + mu X1| / k underflows to 0")
+
+
+@pytest.mark.parametrize("command", ["frequency", "verify", "simulate"])
+@pytest.mark.parametrize("name", ["example2", "example3"])
+def test_a_resonant_norm_that_underflows_at_lambda_zero_exits_2(tmp_path, capsys, command, name):
+    # verify's default grid holds lambda = 0, where sqrt(|X0|^2 + lambda) is 0
+    doc = {"scenario": name, "overrides": {"x0_norm": 1e-320, "omega_bif": 1e-320}}
+    if command != "verify":
+        doc["lambda_grid"] = [0.01, 0.0]
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    for extra in ([], ["--dump-config"]):
+        assert main([command, "--config", str(cfg), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err == f"error: scenario {name}: a norm underflows to 0 at lambda 0.0\n"
+
+
 def test_ortho_defect_of_a_zero_class_is_none(monkeypatch):
     # X = 0 at mu* has no direction: the defect is 0/0, reported as null
     monkeypatch.setattr(cli, "_orthogonal_branch", lambda *args: (0.1, ((0.0, 0.0, 0.0), 0.3)))

@@ -1,5 +1,6 @@
 """Frequency extraction, resonance/motion classification, drift branches."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,8 +38,10 @@ from rotwave import (
     tip_trajectory,
     vee,
 )
+from rotwave.bch import BchBranch, _bch_full
 from rotwave.hopf import ORTHO_TOL
 from rotwave.scenarios import Frame, build
+from rotwave.so3 import _ball_vector, _exp_matrix, _time_in_range
 
 EX = np.array([1.0, 0.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
@@ -232,6 +235,87 @@ def test_periodic_part_is_the_composition_of_public_pieces(name, lam):
         for f in (part.log_Bf, part.eval_B):
             with pytest.raises(DomainError):
                 f(t)
+
+
+def scalar_log_b(traj, neg, t):
+    """The per-time chain that the periodic-part sampler inlines: the ball vector of
+    ``_bch_full(neg * t, class vector at t)`` at the checked float t."""
+    t = _time_in_range(t, traj.t_end)
+    return _ball_vector(_bch_full([a * t for a in neg], traj._record(t)[0])[0])
+
+
+def assert_sampled_as_the_scalar_chain(traj, X, Xf, t):
+    """``log_Bf(t)`` and ``eval_B(t)`` are bitwise the scalar chain's, or refuse with its error;
+    the BCH branch of ``log_Bf``'s product, None where it refused."""
+    part = periodic_part(traj, X, Xf, 1.0)
+    for f, neg, out in ((part.log_Bf, -np.asarray(Xf), np.array), (part.eval_B, -np.asarray(X), _exp_matrix)):
+        try:
+            want = out(scalar_log_b(traj, neg.tolist(), t))
+        except DomainError as exc:
+            with pytest.raises(DomainError, match=f"^{re.escape(str(exc))}$"):
+                f(t)
+            continue
+        got = f(t)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), t
+    s = _time_in_range(t, traj.t_end)
+    try:
+        return _bch_full([-a * s for a in np.asarray(Xf).tolist()], traj._record(s)[0])[1][3]
+    except DomainError:
+        return None
+
+
+def test_periodic_part_sampler_reaches_every_bch_branch_bitwise():
+    # a rigid rotation about X composed with exp(X t): the product angle is 2 |X| t, so t = 0 is
+    # the identity with two zero factors, then generic products with cos(theta) > 0 and <= 0,
+    # and a half turn at t = pi / (2 |X|)
+    x = np.array([0.6, -0.8, 1.2])
+    n = float(np.linalg.norm(x))
+    traj = integrate_group(constant_signal(x), 0.0, 3.0)
+    half = math.pi / (2.0 * n)
+    times = (0.0, 0.1 * half, 0.7 * half, half)
+    branches = {assert_sampled_as_the_scalar_chain(traj, x, -x, t) for t in times}
+    assert branches == set(BchBranch)
+    # a zero factor on either side: X = 0 leaves -X t zero, and t = 0 leaves A(0) the identity
+    for t in (0.0, 0.3):
+        assert_sampled_as_the_scalar_chain(traj, np.zeros(3), np.zeros(3), t)
+    # X^f has a finite squared norm, -X^f t does not: both refuse with the BCH's message
+    big = np.array([1.2e154, 0.0, 0.0])
+    with pytest.raises(DomainError, match="^expected a finite 3-vector$"):
+        periodic_part(traj, x, big, 1.0).log_Bf(2.0)
+    assert assert_sampled_as_the_scalar_chain(traj, big, big, 2.0) is None
+
+
+def test_periodic_part_sampler_on_a_scenario_is_the_scalar_chain_at_every_kind_of_time():
+    sc = build("case2")
+    lam = 0.05
+    T = sc.period(lam)
+    for warm in (False, True):
+        traj = integrate_group(sc.forcing(lam), lam, 2.0, ref_dir=sc.frame.x0_dir)  # past 6 T
+        X = primary_frequency(traj, T)
+        Xf = classify(sc.X0, sc.omega_bif, X, T, lam).Xf
+        times = [float(t) for t in np.linspace(0.0, 2.0, 40)]
+        if warm:  # the batch caches every time it samples
+            traj.eval_A(np.array(times))
+        cached = [t in traj._samples for t in times]
+        assert all(cached) if warm else not any(cached)
+        for t in times:
+            assert_sampled_as_the_scalar_chain(traj, X, Xf, t)
+        assert all(t in traj._samples for t in times)
+        # np.float64, int and -0.0 times are sampled at float(t), -0.0 with its sign in -X t
+        for t in (np.float64(0.3 * T), 1, -0.0, np.float64(-0.0), np.int64(1)):
+            assert_sampled_as_the_scalar_chain(traj, X, Xf, t)
+        part = periodic_part(traj, X, Xf, T)
+        assert part.log_Bf(np.float64(0.3 * T)).tobytes() == part.log_Bf(0.3 * T).tobytes()
+        assert part.log_Bf(1).tobytes() == part.log_Bf(1.0).tobytes()
+        # times out of range, or not one number, refuse with the time check's message
+        for t in (-2e-9, traj.t_end + 2e-9, math.nan, math.inf, np.float64(-1.0), 10**6, True, "1.0",
+                  np.array([0.1, 0.2])):
+            for f in (part.log_Bf, part.eval_B):
+                with pytest.raises(DomainError) as refused:
+                    f(t)
+                with pytest.raises(DomainError) as checked:
+                    _time_in_range(t, traj.t_end)
+                assert str(refused.value) == str(checked.value)
 
 
 # ----------------------------------------------------------------- classify
@@ -445,6 +529,51 @@ def test_orthogonal_branch_domain_checks():
 
     with pytest.raises(DomainError, match="periodic"):
         find_orthogonal_branch(family, 1e-2, (0.0, 0.3), sc.X0)
+
+
+#: lambdas of the generic normal-form grid, and those small enough for the exponent of mu*: its
+#: ratio to lambda converges as sqrt(lambda), and seed 3 at k = 2 leads with -0.07 lambda, under
+#: its correction at lambda = 1e-2 (see CHANGES.md)
+GENERIC_LAMS = (1e-2, 1e-3, 1e-4, 1e-5, 1e-6)
+ASYMPTOTIC_LAMS = (1e-4, 1e-5, 1e-6)
+
+
+def generic_branch(family, lam):
+    """mu* of ``family`` at lam, the bracket widened from +-lam until the objective changes
+    sign, and X(mu*)."""
+    width = lam
+    while True:
+        try:
+            mu = find_orthogonal_branch(family, lam, (-width, width), EZ)
+            break
+        except BracketError:
+            width *= 2.0
+            assert width < 1.0, "no sign change within |mu| < 1"
+    sig = family(lam, mu)
+    T = sig.period(lam)
+    return mu, primary_frequency(integrate_group(sig, lam, T, ref_dir=EZ), T)
+
+
+def slope(lams, values):
+    """The least-squares exponent of |values| against lams, on log-log axes."""
+    return float(np.polyfit(np.log(lams), np.log(np.abs(values)), 1)[0])
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("seed", range(5))
+def test_resonant_claim_on_generic_normal_form_coefficients(seed, k):
+    # the paper's resonant claim on coefficients not built to satisfy it: a branch mu*(lambda)
+    # exists on which the drift is orthogonal to X0, mu* grows like lambda and the drift speed
+    # |X(mu*)| like lambda^(k/2) = eps^k
+    family = oracles.generic_normal_form(seed, k)
+    mus, speeds = [], []
+    for lam in GENERIC_LAMS:
+        mu, X = generic_branch(family, lam)
+        assert abs(X[2]) < 1e-12  # X . X0, X0 = e_z
+        mus.append(mu)
+        speeds.append(float(np.linalg.norm(X)))
+    assert abs(slope(ASYMPTOTIC_LAMS, mus[2:]) - 1.0) < 0.05
+    assert abs(slope(GENERIC_LAMS, speeds) - k / 2) < 0.05
 
 
 # ------------------------------------------------------- array-like inputs

@@ -76,6 +76,25 @@ def test_tip_seed_whose_norm_overflows_is_refused():
         build("case1", tip_x0=[1e200, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("name, overrides, lam", [
+    ("example4", {"x0_norm": 1e-200}, 0.01),  # |X0 + mu X1|^2 underflows: the frequency divided by 0
+    ("example4", {"x0_norm": 1e-150, "k": 10**200}, 0.0),  # |X0| / k underflows: the period did
+    ("example2", {"x0_norm": 1e-320, "omega_bif": 1e-320}, 0.0),  # sqrt(|X0|^2 + lambda) at 0
+    ("example3", {"x0_norm": 1e-320, "omega_bif": 1e-320}, 0.0),
+])
+def test_a_norm_that_underflows_is_a_config_error(name, overrides, lam):
+    sc = build(name, **overrides)
+    for use in (sc.period, lambda lam: sc.forcing(lam).eval(0.0, lam), lambda lam: sc.closed_form(0.0, lam)):
+        with pytest.raises(ConfigError, match=f"^scenario {name}: .* underflows to 0 at "):
+            use(lam)
+
+
+def test_a_subnormal_norm_that_does_not_underflow_keeps_its_period():
+    # lambda > 0 keeps sqrt(|X0|^2 + lambda) off 0, and the period finite
+    sc = build("example2", x0_norm=1e-320, omega_bif=1e-320)
+    assert sc.period(1e-300) == 2.0 * math.pi / (1e-320 + 1e-300)
+
+
 def test_takes_mu_flag():
     assert build("example4").takes_mu
     assert not build("case1").takes_mu

@@ -6,9 +6,10 @@ holds. Generating a dataclass execs and compiles its methods in every fresh
 process; ``ForcingSignal`` alone stays one, as code outside the package
 passes it to ``dataclasses.replace``. ``bch`` reads and writes no JSON and
 builds no path, and generates no kernel: the straight-line kernels of the
-integrator, the forcings and the closed forms, and the array coefficients of
-the batched sampler, compile at their first use, so a process that neither
-integrates nor samples spends no compile time on them.
+integrator, the forcings and the closed forms, the array coefficients of the
+batched sampler and the periodic-part sampler, compile at their first use, so
+a process that neither integrates nor samples spends no compile time on them.
+No README subcommand calls ``periodic_part``, so none compiles its sampler.
 """
 import os
 import subprocess
@@ -37,20 +38,39 @@ CODE = """if True:
 KERNELS = """if True:
     import contextlib, io
     import rotwave.cli
-    from rotwave import flow, ode, scenarios, so3
+    from rotwave import flow, hopf, ode, scenarios, so3
     with contextlib.redirect_stdout(io.StringIO()):
         rc = rotwave.cli.main(["bch", "0", "0", "1", "1", "0", "0", "--check"])
     caches = (ode._step_kernel, flow._shape_kernel, so3._dexpinv_kernels, scenarios._closed_kernel,
-              so3._exp_coeffs_arrays)
+              so3._exp_coeffs_arrays, hopf._periodic_sampler)
     print(rc, [c.cache_info().currsize for c in caches])
 """
 
+#: the README's subcommands, run one after another in one process, and the periodic-part
+#: sampler's cache after each; the first argument is a directory for simulate's files
+README_RUNS = """if True:
+    import contextlib, io, sys
+    import rotwave.cli
+    from rotwave import hopf
+    out = sys.argv[1]
+    for argv in (["simulate", "--scenario", "case1", "--lambda", "0.05", "--horizon", "5", "--out", out],
+                 ["frequency", "--scenario", "case2", "--lambda-grid", "0.05,0.1"],
+                 ["drift", "--scenario", "example4", "--lambda", "0.01"],
+                 ["bch", "0", "0", "1.5707963267948966", "1.5707963267948966", "0", "0", "--check"],
+                 ["verify", "--scenario", "example3"],
+                 ["simulate", "--dump-config"]):
+        with contextlib.redirect_stdout(io.StringIO()):
+            rc = rotwave.cli.main(argv)
+        print(argv[0], rc, hopf._periodic_sampler.cache_info().currsize)
+"""
 
-def fresh(code: str) -> subprocess.CompletedProcess:
-    """``code`` run by a fresh ``python -S`` that imports rotwave from this checkout."""
+
+def fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """``code`` run by a fresh ``python -S`` that imports rotwave from this checkout, with ``args``
+    as its arguments."""
     env = dict(os.environ, PYTHONPATH=SRC)
-    return subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True,
-                          timeout=60)
+    return subprocess.run([sys.executable, "-S", "-c", code, *args], env=env, capture_output=True,
+                          text=True, timeout=60)
 
 
 def test_cli_generates_one_dataclass_and_bch_loads_no_json_typing_or_pathlib():
@@ -60,4 +80,10 @@ def test_cli_generates_one_dataclass_and_bch_loads_no_json_typing_or_pathlib():
 
 def test_bch_generates_no_kernel():
     run = fresh(KERNELS)
-    assert run.stdout.splitlines() == ["0 [0, 0, 0, 0, 0]"], run.stderr
+    assert run.stdout.splitlines() == ["0 [0, 0, 0, 0, 0, 0]"], run.stderr
+
+
+def test_no_readme_subcommand_compiles_the_periodic_part_sampler(tmp_path):
+    run = fresh(README_RUNS, str(tmp_path / "sim"))
+    commands = ("simulate", "frequency", "drift", "bch", "verify", "simulate")
+    assert run.stdout.splitlines() == [f"{command} 0 0" for command in commands], run.stderr
