@@ -25,6 +25,15 @@ calls the scalar forms behind ``primary_frequency``, ``classify`` and
 ``fit_circle``, and takes the tip samples as ``simulate`` does. ``json`` and
 ``pathlib`` are imported where JSON is read or written and where an output
 path is built, so that ``bch`` loads neither.
+
+At module level this module imports only what every subcommand uses,
+``errors`` and the float helpers of ``so3``; each subcommand imports the rest
+where it calls into it. Since ``import rotwave`` runs no submodule, ``bch``
+runs ``errors``, ``so3`` and ``bch`` alone; ``--dump-config``, ``verify`` and
+``simulate`` add ``scenarios``, ``flow`` and ``ode``; ``drift`` adds ``hopf``,
+and ``frequency`` ``hopf`` and ``tip``. So that building the parser runs none
+of them, the help's scenario names are restated here, and the default
+tolerances are read from ``so3``.
 """
 from __future__ import annotations
 
@@ -33,17 +42,19 @@ import os
 import re
 import sys
 
-from . import scenarios
-from .bch import BchBreakdown, _bch_full
 from .errors import ConfigError, DomainError, FitError, IoError, RotwaveError
-from .flow import IntegratorConfig, integrate_group
-from .hopf import _classify, _orthogonal_branch, _primary_frequency
 from .so3 import (
-    _ball_vector, _dot3, _exp_entries, _finite, _frob_dist, _matmul3, _matvec3, _norm3, _vec3,
+    _DEFAULT_ATOL, _DEFAULT_RTOL, MAX_SAMPLES, _ball_vector, _dot3, _exp_entries, _finite,
+    _frob_dist, _matmul3, _matvec3, _norm3, _vec3,
 )
-from .tip import MAX_SAMPLES, _fit_circle
 
 __all__ = ["RunConfig", "main", "entry"]
+
+#: ``scenarios.available()``, restated for the ``--scenario`` help so that building the parser
+#: runs neither ``scenarios`` nor ``flow`` (a test pins it equal to its home)
+_SCENARIOS = (
+    "case1", "case2", "case3", "example1", "example2", "example3", "example4", "example5",
+)
 
 
 #: the default of ``overrides`` and ``lambda_grid``, each made anew for every RunConfig
@@ -69,8 +80,8 @@ class RunConfig:
         mu_bracket: tuple = (0.0, 0.3),
         horizon: int = 5,
         samples_per_period: int = 100,
-        rtol: float = IntegratorConfig.rtol,
-        atol: float = IntegratorConfig.atol,
+        rtol: float = _DEFAULT_RTOL,
+        atol: float = _DEFAULT_ATOL,
         out: str | None = None,
     ):
         self.scenario = scenario
@@ -126,6 +137,8 @@ class RunConfig:
         a, b = (_finite(m, "mu_bracket entry", ConfigError) for m in self.mu_bracket)
         if not a < b:
             raise ConfigError(f"mu_bracket must be finite numbers a < b, got {self.mu_bracket!r}")
+        from .flow import IntegratorConfig
+
         integrator = IntegratorConfig(self.rtol, self.atol)
         cfg = RunConfig(
             self.scenario, self.overrides, lams, mu, (a, b), self.horizon, self.samples_per_period,
@@ -227,6 +240,8 @@ def _load(args: argparse.Namespace) -> tuple[RunConfig, list]:
     period is evaluated at every run, which computes the constants: for
     drift, at both ends of the mu bracket.
     """
+    from . import scenarios
+
     known = RunConfig.FIELDS
     raw = {}
     if args.config:
@@ -270,6 +285,8 @@ def _load(args: argparse.Namespace) -> tuple[RunConfig, list]:
 
 def _run(sc, lam: float, mu, cfg: RunConfig):
     """(trajectory, T): sc at (lam, mu) integrated over cfg.horizon relative periods T."""
+    from .flow import integrate_group
+
     T = sc.period(lam, mu)
     traj = integrate_group(
         sc.forcing(lam, mu), lam, cfg.horizon * T, cfg._integrator, ref_dir=sc.frame.x0_dir
@@ -298,6 +315,9 @@ def cmd_simulate(cfg: RunConfig, runs: list) -> int:
 
 
 def _frequency_entry(sc, lam: float, mu, cfg: RunConfig) -> dict:
+    from .hopf import _classify, _primary_frequency
+    from .tip import _fit_circle
+
     traj, T = _run(sc, lam, mu, cfg)
     X = _primary_frequency(traj, T)
     norm_X = _norm3(X)
@@ -330,6 +350,8 @@ def cmd_frequency(cfg: RunConfig, runs: list) -> int:
 
 
 def cmd_bch(args: argparse.Namespace) -> int:
+    from .bch import BchBreakdown, _bch_full
+
     try:
         x = _vec3(args.components[:3])
         y = _vec3(args.components[3:])
@@ -356,6 +378,8 @@ def _drift_entry(sc, lam: float, cfg: RunConfig) -> dict:
     """mu* and the orthogonality defect of Z(T)/T there, from the class that the
     root-find integrated at mu*. The defect is null at lam = 0 (no drift at
     criticality) and for Z = 0 (no direction): both are 0/0."""
+    from .hopf import _orthogonal_branch
+
     mu_star, found = _orthogonal_branch(sc.forcing_family, lam, cfg.mu_bracket, sc.X0, cfg._integrator)
     defect = None
     if found is not None:
@@ -374,12 +398,14 @@ def cmd_drift(cfg: RunConfig, runs: list) -> int:
 
 
 def cmd_verify(cfg: RunConfig, runs: list) -> int:
+    from .scenarios import verify_against_closed_form
+
     tol = 1e-7
     worst = 0.0
     failed = False
     lines = []
     for sc, lam, mu in runs:
-        dev = scenarios.verify_against_closed_form(sc, lam, mu, config=cfg._integrator)
+        dev = verify_against_closed_form(sc, lam, mu, config=cfg._integrator)
         worst = max(worst, dev)
         ok = dev < tol
         failed = failed or not ok
@@ -416,7 +442,7 @@ def _add_common(p: argparse.ArgumentParser, drift: bool = False, horizon: bool =
     """The shared flags, each with the dest and value of the RunConfig field it
     sets. drift searches for mu* itself, so it takes --mu-bracket, not --mu;
     ``horizon`` adds --horizon, which only simulate and frequency read."""
-    p.add_argument("--scenario", help=f"scenario name: {', '.join(scenarios.available())}")
+    p.add_argument("--scenario", help=f"scenario name: {', '.join(_SCENARIOS)}")
     lam = p.add_mutually_exclusive_group()
     lam.add_argument("--lambda", dest="lambda_grid", metavar="LAM", type=_lambda_point,
                      help="single bifurcation parameter")
@@ -429,9 +455,9 @@ def _add_common(p: argparse.ArgumentParser, drift: bool = False, horizon: bool =
             help=f"run length in relative periods (default 5, at most {MAX_SAMPLES})",
         )
     p.add_argument("--rtol", type=float,
-                   help=f"integrator relative tolerance (default {IntegratorConfig.rtol:g})")
+                   help=f"integrator relative tolerance (default {_DEFAULT_RTOL:g})")
     p.add_argument("--atol", type=float,
-                   help=f"integrator absolute tolerance (default {IntegratorConfig.atol:g})")
+                   help=f"integrator absolute tolerance (default {_DEFAULT_ATOL:g})")
     p.add_argument("--out", help="output file (or directory for simulate)")
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument(

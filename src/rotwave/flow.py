@@ -55,6 +55,8 @@ from .errors import (
 )
 from .ode import OdeSolution, _horner, solve_ivp
 from .so3 import (
+    _DEFAULT_ATOL,
+    _DEFAULT_RTOL,
     _DEXPINV_APPLY,
     _TIME_SLACK,
     BallClass,
@@ -128,8 +130,8 @@ class IntegratorConfig:
     """
 
     #: the defaults of the settings
-    rtol = 1e-10
-    atol = 1e-12
+    rtol = _DEFAULT_RTOL
+    atol = _DEFAULT_ATOL
 
     def __init__(self, rtol: float = rtol, atol: float = atol):
         self.rtol = _positive(rtol, "rtol", ConfigError)

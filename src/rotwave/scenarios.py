@@ -281,7 +281,13 @@ class Scenario:
             return _closed_kernel(shape)(lookup)
 
         def period(lam: float) -> float:
-            return 2.0 * math.pi / abs(lookup(lam)[1])
+            T = 2.0 * math.pi / abs(lookup(lam)[1])
+            if T == math.inf:  # |omega + lambda| is subnormal
+                raise ConfigError(
+                    f"scenario {self.name}: the period 2 pi / |omega + lambda| overflows at "
+                    f"lambda {lam!r}"
+                )
+            return T
 
         return forcing_eval, closed_eval, period
 
@@ -318,7 +324,8 @@ class Scenario:
         return np.array(closed(t, lam)).reshape(3, 3)
 
     def period(self, lam: float = 0.0, mu: float | None = None) -> float:
-        """Relative forcing period T(lam[, mu]) (DomainError for a negative or non-finite lam)."""
+        """Relative forcing period T(lam[, mu]) (DomainError for a negative or non-finite lam,
+        ConfigError where 2 pi / |omega + lam| overflows)."""
         return self._pieces(mu)[2](lam)
 
     @property

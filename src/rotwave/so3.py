@@ -102,6 +102,15 @@ _BALL_SLACK = 1e-12
 #: how far outside [0, t_end] a sample time may lie and still count as inside it
 _TIME_SLACK = 1e-9
 
+#: most samples one request may ask for: tip_trajectory's period samples, and
+#: the CLI's horizon x samples-per-period, the rows simulate writes per lambda
+#: (one more with t = 0), which also bounds the frequency horizon
+MAX_SAMPLES = 1_000_000
+
+#: the integrator's default relative and absolute tolerances: ``flow.IntegratorConfig``'s, and
+#: the CLI's, whose help reads them here without running ``flow``
+_DEFAULT_RTOL, _DEFAULT_ATOL = 1e-10, 1e-12
+
 
 def hat(v: np.ndarray) -> np.ndarray:
     """Skew-symmetric matrix of the axis vector ``v`` (so ``hat(v) @ w = v x w``)."""

@@ -13,17 +13,11 @@ import sys
 
 from ._numpy import lazy_numpy
 from .errors import DomainError, FitError
-from .so3 import _TIME_SLACK, _dot3, _float_array, _northern, _norm3, _positive, _vec3
+from .so3 import MAX_SAMPLES, _TIME_SLACK, _dot3, _float_array, _northern, _norm3, _positive, _vec3
 
 np = lazy_numpy(globals())
 
 __all__ = ["CircleFit", "TipTrack", "fit_circle", "tip_trajectory"]
-
-#: most samples one request may ask for: tip_trajectory's period samples, and
-#: the CLI's horizon x samples-per-period, the rows simulate writes per lambda
-#: (one more with t = 0), which also bounds the frequency horizon
-MAX_SAMPLES = 1_000_000
-
 
 class TipTrack:
     """Sampled tip path: the points at the sample times (plus period samples)."""

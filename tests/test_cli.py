@@ -22,9 +22,11 @@ from rotwave import (
     classify,
     cli,
     fit_circle,
+    flow,
     hopf,
     integrate_group,
     primary_frequency,
+    scenarios,
     tip_trajectory,
 )
 from rotwave.cli import MAX_SAMPLES, RunConfig, build_parser, main
@@ -523,9 +525,10 @@ def test_dump_config_runs_nothing(argv, capsys, monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("--dump-config integrated")
 
-    monkeypatch.setattr(cli, "integrate_group", fail)
-    monkeypatch.setattr(cli, "_orthogonal_branch", fail)
-    monkeypatch.setattr(cli.scenarios, "verify_against_closed_form", fail)
+    # each subcommand imports these from their modules when it runs
+    monkeypatch.setattr(flow, "integrate_group", fail)
+    monkeypatch.setattr(hopf, "_orthogonal_branch", fail)
+    monkeypatch.setattr(scenarios, "verify_against_closed_form", fail)
     assert main([*argv, "--lambda", "0.01", "--dump-config"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["scenario"] == argv[2] and doc["lambda_grid"] == [0.01]
@@ -832,9 +835,30 @@ def test_a_resonant_norm_that_underflows_at_lambda_zero_exits_2(tmp_path, capsys
         assert captured.err == f"error: scenario {name}: a norm underflows to 0 at lambda 0.0\n"
 
 
+@pytest.mark.parametrize("command", ["frequency", "verify", "simulate"])
+def test_a_period_that_overflows_exits_2(tmp_path, capsys, command):
+    # the infinite period reached the integrator, which exited 3 for t_end = inf
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(
+        {"scenario": "case1", "overrides": {"omega_bif": 1e-320}, "lambda_grid": [0.0]}
+    ))
+    for extra in ([], ["--dump-config"]):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "error: scenario case1: the period 2 pi / |omega + lambda| overflows at lambda 0.0\n"
+        )
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_parser_scenario_names_equal_available():
+    # restated in cli so that building the parser runs neither scenarios nor flow
+    assert list(cli._SCENARIOS) == available()
+
+
 def test_ortho_defect_of_a_zero_class_is_none(monkeypatch):
     # X = 0 at mu* has no direction: the defect is 0/0, reported as null
-    monkeypatch.setattr(cli, "_orthogonal_branch", lambda *args: (0.1, ((0.0, 0.0, 0.0), 0.3)))
+    monkeypatch.setattr(hopf, "_orthogonal_branch", lambda *args: (0.1, ((0.0, 0.0, 0.0), 0.3)))
     entry = cli._drift_entry(build("example4"), 0.01, RunConfig().validate("drift"))
     assert entry == {"lambda": 0.01, "mu_star": 0.1, "ortho_defect": None}
 

@@ -95,6 +95,22 @@ def test_a_subnormal_norm_that_does_not_underflow_keeps_its_period():
     assert sc.period(1e-300) == 2.0 * math.pi / (1e-320 + 1e-300)
 
 
+@pytest.mark.parametrize("name, overrides", [
+    ("case1", {"omega_bif": 1e-320}),
+    ("example1", {"x0_norm": 1e-320, "omega_bif": 1e-320}),
+    ("example5", {"omega_bif": 1e-320}),
+])
+def test_a_period_that_overflows_is_a_config_error(name, overrides):
+    # 2 pi / |omega + lambda| at a subnormal omega + lambda was inf, which the integrator refused
+    sc = build(name, **overrides)
+    with pytest.raises(
+        ConfigError,
+        match=fr"^scenario {name}: the period 2 pi / \|omega \+ lambda\| overflows at lambda 0\.0$",
+    ):
+        sc.period(0.0)
+    assert sc.period(1e-300) == 2.0 * math.pi / (1e-320 + 1e-300)
+
+
 def test_takes_mu_flag():
     assert build("example4").takes_mu
     assert not build("case1").takes_mu

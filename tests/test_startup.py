@@ -2,10 +2,16 @@
 
 The interpreter runs with ``-S``, so no ``.pth`` file of site-packages loads
 modules of its own, and only rotwave's imports decide what ``sys.modules``
-holds. Generating a dataclass execs and compiles its methods in every fresh
-process; ``ForcingSignal`` alone stays one, as code outside the package
-passes it to ``dataclasses.replace``. ``bch`` reads and writes no JSON and
-builds no path, and generates no kernel: the straight-line kernels of the
+holds. ``import rotwave`` runs no submodule, and each subcommand runs only the
+modules it calls into. A lazy module that has not run is an instance of a
+subclass of ``types.ModuleType`` whose first attribute read runs it, so these
+checks tell the two apart by ``type(m) is types.ModuleType`` and read no
+attribute of a module (``isinstance`` reads ``__class__``). Generating a
+dataclass execs and compiles its methods; ``ForcingSignal`` alone stays one, as
+code outside the package passes it to ``dataclasses.replace``, and ``bch``,
+which runs no ``flow``, generates none and imports no ``dataclasses``. ``bch``
+reads and writes no JSON and builds no path, and generates no kernel: the
+straight-line kernels of the
 integrator, the forcings and the closed forms, the array coefficients of the
 batched sampler and the periodic-part sampler, compile at their first use, so
 a process that neither integrates nor samples spends no compile time on them.
@@ -16,21 +22,41 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import rotwave
 
 SRC = str(Path(rotwave.__file__).resolve().parents[1])
 
-CODE = """if True:
-    import contextlib, io, sys
+#: the rotwave modules that have run, by their names in ``sys.modules``
+RAN = """[
+    name for name, m in sys.modules.items() if name.startswith("rotwave") and type(m) is types.ModuleType
+]"""
+
+#: ``import rotwave``, then each rotwave module in ``sys.modules``, those that have run, and those
+#: that have run once ``rotwave.exp_rot`` is read
+IMPORT = f"""if True:
+    import sys, types
+    import rotwave
+    print(sorted(name for name in sys.modules if name.startswith("rotwave")))
+    print(sorted({RAN}))
+    rotwave.exp_rot
+    print(sorted({RAN}))
+"""
+
+#: the dataclasses generated and the modules loaded by the subcommand in the arguments
+CODE = f"""if True:
+    import contextlib, io, sys, types
     import rotwave.cli
-    print(sorted({
-        f"{obj.__module__}.{obj.__qualname__}"
-        for mod in list(sys.modules.values()) if mod.__name__.startswith("rotwave")
-        for obj in vars(mod).values() if isinstance(obj, type) and hasattr(obj, "__dataclass_fields__")
-    }))
     with contextlib.redirect_stdout(io.StringIO()):
-        rc = rotwave.cli.main(["bch", "0", "0", "1", "1", "0", "0", "--check"])
-    print(rc, [name for name in ("json", "typing", "pathlib") if name in sys.modules])
+        rc = rotwave.cli.main(sys.argv[1:])
+    print(sorted({{
+        f"{{obj.__module__}}.{{obj.__qualname__}}"
+        for mod in [sys.modules[name] for name in {RAN}]
+        for obj in vars(mod).values() if issubclass(type(obj), type) and hasattr(obj, "__dataclass_fields__")
+    }}))
+    print(rc, [name for name in ("dataclasses", "json", "typing", "pathlib") if name in sys.modules])
+    print(sorted({RAN}))
 """
 
 
@@ -74,8 +100,45 @@ def fresh(code: str, *args: str) -> subprocess.CompletedProcess:
 
 
 def test_cli_generates_one_dataclass_and_bch_loads_no_json_typing_or_pathlib():
-    run = fresh(CODE)
-    assert run.stdout.splitlines() == ["['rotwave.flow.ForcingSignal']", "0 []"], run.stderr
+    run = fresh(CODE, "bch", "0", "0", "1", "1", "0", "0", "--check")
+    assert run.stdout.splitlines()[:2] == ["[]", "0 []"], run.stderr
+    run = fresh(CODE, "simulate", "--dump-config")
+    assert run.stdout.splitlines()[:2] == [
+        "['rotwave.flow.ForcingSignal']", "0 ['dataclasses', 'json']",
+    ], run.stderr
+
+
+def test_import_rotwave_registers_each_re_exporting_submodule_and_runs_none():
+    # perfbench/run.py (the cli round and its set-up probe) and perfbench/jobs.Runner read
+    # sys.modules["rotwave.<name>"] after a bare ``import rotwave``: each must be there. A public
+    # name runs the modules before its own in rotwave._MODULES: so3's exp_rot runs errors and so3
+    run = fresh(IMPORT)
+    names = ["bch", "errors", "flow", "hopf", "scenarios", "so3", "tip"]
+    assert run.stdout.splitlines() == [
+        str(["rotwave", *(f"rotwave.{name}" for name in names)]), "['rotwave']",
+        "['rotwave', 'rotwave._numpy', 'rotwave.errors', 'rotwave.so3']",
+    ], run.stderr
+
+
+#: the modules that every subcommand but bch runs: building a scenario runs flow, and flow ode
+INTEGRATES = ["_numpy", "bch", "cli", "errors", "flow", "ode", "scenarios", "so3"]
+
+
+@pytest.mark.parametrize("argv, ran", [
+    ("bch 0 0 1.5707963267948966 1.5707963267948966 0 0 --check", ["_numpy", "bch", "cli", "errors", "so3"]),
+    ("simulate --dump-config", INTEGRATES),
+    ("verify --scenario example3", INTEGRATES),
+    ("simulate --scenario case1 --lambda 0.05 --horizon 5 --out {out}", INTEGRATES),
+    ("drift --scenario example4 --lambda 0.01", sorted([*INTEGRATES, "hopf"])),
+    ("frequency --scenario case2 --lambda-grid 0.05,0.1", sorted([*INTEGRATES, "hopf", "tip"])),
+], ids=["bch", "dump-config", "verify", "simulate", "drift", "frequency"])
+def test_each_readme_subcommand_runs_only_the_modules_it_calls(argv, ran, tmp_path):
+    run = fresh(CODE, *argv.format(out=tmp_path / "sim").split())
+    lines = run.stdout.splitlines()
+    assert lines[1].startswith("0 "), run.stderr
+    # frequency runs every module, so a dataclass added to any of them shows here
+    assert lines[0] == ("[]" if argv.startswith("bch") else "['rotwave.flow.ForcingSignal']")
+    assert lines[2] == str(["rotwave", *(f"rotwave.{name}" for name in ran)])
 
 
 def test_bch_generates_no_kernel():
