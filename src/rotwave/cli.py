@@ -27,25 +27,28 @@ calls the scalar forms behind ``primary_frequency``, ``classify`` and
 path is built, so that ``bch`` loads neither.
 
 At module level this module imports only what every subcommand uses,
-``errors`` and the float helpers of ``so3``; each subcommand imports the rest
-where it calls into it. Since ``import rotwave`` runs no submodule, ``bch``
-runs ``errors``, ``so3`` and ``bch`` alone; ``--dump-config``, ``verify`` and
-``simulate`` add ``scenarios``, ``flow`` and ``ode``; ``drift`` adds ``hopf``,
+``errors`` and the float helpers and ``IntegratorConfig`` of ``so3``; each
+subcommand imports the rest where it calls into it. Since ``import rotwave``
+runs no submodule, ``bch`` runs ``errors``, ``so3`` and ``bch`` alone;
+``--dump-config``, and a run that stops at a configuration error, run at most
+``scenarios`` besides, which imports ``flow`` where it integrates; ``verify``
+and ``simulate`` add ``bch``, ``flow`` and ``ode``; ``drift`` adds ``hopf``,
 and ``frequency`` ``hopf`` and ``tip``. So that building the parser runs none
 of them, the help's scenario names are restated here, and the default
-tolerances are read from ``so3``.
+tolerances are read from ``IntegratorConfig``.
 """
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
 
 from .errors import ConfigError, DomainError, FitError, IoError, RotwaveError
 from .so3 import (
-    _DEFAULT_ATOL, _DEFAULT_RTOL, MAX_SAMPLES, _ball_vector, _dot3, _exp_entries, _finite,
-    _frob_dist, _matmul3, _matvec3, _norm3, _vec3,
+    MAX_SAMPLES, IntegratorConfig, _ball_vector, _dot3, _exp_entries, _finite, _frob_dist,
+    _matmul3, _matvec3, _norm3, _vec3,
 )
 
 __all__ = ["RunConfig", "main", "entry"]
@@ -80,8 +83,8 @@ class RunConfig:
         mu_bracket: tuple = (0.0, 0.3),
         horizon: int = 5,
         samples_per_period: int = 100,
-        rtol: float = _DEFAULT_RTOL,
-        atol: float = _DEFAULT_ATOL,
+        rtol: float = IntegratorConfig.rtol,
+        atol: float = IntegratorConfig.atol,
         out: str | None = None,
     ):
         self.scenario = scenario
@@ -137,8 +140,6 @@ class RunConfig:
         a, b = (_finite(m, "mu_bracket entry", ConfigError) for m in self.mu_bracket)
         if not a < b:
             raise ConfigError(f"mu_bracket must be finite numbers a < b, got {self.mu_bracket!r}")
-        from .flow import IntegratorConfig
-
         integrator = IntegratorConfig(self.rtol, self.atol)
         cfg = RunConfig(
             self.scenario, self.overrides, lams, mu, (a, b), self.horizon, self.samples_per_period,
@@ -236,9 +237,11 @@ def _load(args: argparse.Namespace) -> tuple[RunConfig, list]:
 
     ConfigError for a config that the subcommand would reject: an unknown
     scenario or bad overrides, ``mu`` on a family without a drift parameter,
-    drift on a one-parameter family, and constants past the float range. The
-    period is evaluated at every run, which computes the constants: for
-    drift, at both ends of the mu bracket.
+    drift on a one-parameter family, constants past the float range, and an
+    end time that overflows. The period is evaluated at every run, which
+    computes the constants (for drift, at both ends of the mu bracket), and so
+    is the end time that the run integrates to: ``horizon`` periods for
+    ``simulate`` and ``frequency``, ``scenarios.VERIFY_PERIODS`` for ``verify``.
     """
     from . import scenarios
 
@@ -275,9 +278,14 @@ def _load(args: argparse.Namespace) -> tuple[RunConfig, list]:
             )
         mus = [0.0, 0.1, 0.3] if verify and cfg.mu is None and sc.takes_mu else [cfg.mu]
         runs += [(sc, lam, mu) for lam in lams for mu in mus]
+    # the relative periods that a run integrates over: drift's root-find integrates one at a time
+    periods = scenarios.VERIFY_PERIODS if verify else 1 if drift else cfg.horizon
     for sc, lam, mu in runs:
         for probe in cfg.mu_bracket if drift else [mu]:
-            sc.period(lam, probe)
+            if periods * sc.period(lam, probe) == math.inf:
+                raise ConfigError(
+                    f"scenario {sc.name}: the end time {_fmt(periods)} T overflows at lambda {lam!r}"
+                )
     return cfg, runs
 
 
@@ -455,9 +463,9 @@ def _add_common(p: argparse.ArgumentParser, drift: bool = False, horizon: bool =
             help=f"run length in relative periods (default 5, at most {MAX_SAMPLES})",
         )
     p.add_argument("--rtol", type=float,
-                   help=f"integrator relative tolerance (default {_DEFAULT_RTOL:g})")
+                   help=f"integrator relative tolerance (default {IntegratorConfig.rtol:g})")
     p.add_argument("--atol", type=float,
-                   help=f"integrator absolute tolerance (default {_DEFAULT_ATOL:g})")
+                   help=f"integrator absolute tolerance (default {IntegratorConfig.atol:g})")
     p.add_argument("--out", help="output file (or directory for simulate)")
     p.add_argument("--config", help="JSON config file (flags override it)")
     p.add_argument(

@@ -47,19 +47,13 @@ from dataclasses import dataclass
 
 from ._numpy import lazy_numpy
 from .bch import _bch_arrays, _bch_full
-from .errors import (
-    ConfigError,
-    DomainError,
-    GimbalLockError,
-    IntegrationError,
-)
+from .errors import DomainError, GimbalLockError, IntegrationError
 from .ode import OdeSolution, _horner, solve_ivp
 from .so3 import (
-    _DEFAULT_ATOL,
-    _DEFAULT_RTOL,
     _DEXPINV_APPLY,
     _TIME_SLACK,
     BallClass,
+    IntegratorConfig,
     _as_unit3,
     _ball_vector,
     _dexpinv_kernels,
@@ -114,28 +108,6 @@ CACHE_SIZE = 1024
 #: alone 22-27 us at one and 0.44-0.55 ms at 40: linear fits over 1-80 times break even
 #: at 38-43 times by family (one pinned core of a Xeon, Python 3.11, numpy 2.4)
 BATCH_MIN = 40
-
-
-class IntegratorConfig:
-    """Adaptive-integrator settings shared by all formulations.
-
-    :func:`integrate_group` integrates a periodic forcing over one relative
-    period at ``rtol / PERIOD_TOL_FACTOR`` and ``atol / PERIOD_TOL_FACTOR``
-    and reaches every later time through the monodromy. The error of
-    ``A(nT)`` is n times the error of the period map, so the period is
-    integrated that much tighter than the tolerances asked for; at the
-    defaults the largest error over ten periods is then below that of a
-    direct integration. An aperiodic forcing (``period=None``) is integrated
-    over the whole horizon at ``rtol`` and ``atol``.
-    """
-
-    #: the defaults of the settings
-    rtol = _DEFAULT_RTOL
-    atol = _DEFAULT_ATOL
-
-    def __init__(self, rtol: float = rtol, atol: float = atol):
-        self.rtol = _positive(rtol, "rtol", ConfigError)
-        self.atol = _positive(atol, "atol", ConfigError)
 
 
 @dataclass

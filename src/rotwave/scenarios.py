@@ -24,6 +24,11 @@ shape is one record of :data:`_SHAPES`: the layout of the per-lambda constants, 
 fragment from which :mod:`rotwave.flow` generates the forcing's eval and its fused
 Z-equation right-hand side, and the closed form's phase and body, built from the
 Rodrigues and product fragments of :mod:`rotwave.so3` (:func:`_closed_kernel`).
+
+Each name of :mod:`rotwave.flow` is imported where it is called: in :meth:`Scenario.forcing`,
+in the forcing's eval builder and in :func:`verify_against_closed_form`. :func:`build`,
+:meth:`Scenario.period` and :meth:`Scenario.closed_form` run no ``flow``, so the CLI checks a
+configuration without loading the integrator.
 """
 from __future__ import annotations
 
@@ -33,11 +38,11 @@ from collections.abc import Callable
 
 from ._numpy import lazy_numpy
 from .errors import ConfigError, DomainError
-from .flow import ForcingSignal, IntegratorConfig, _shape_kernel, integrate_group
 from .so3 import (
     _EXP_APPLY,
     _EXP_MATRIX,
     _MATMUL3,
+    IntegratorConfig,
     _as_unit3,
     _cross3,
     _dot3,
@@ -274,6 +279,8 @@ class Scenario:
 
         @functools.cache
         def forcing_eval():
+            from .flow import _shape_kernel
+
             return _shape_kernel(shape, *_SHAPES[shape][:2])(lookup)
 
         @functools.cache
@@ -291,8 +298,8 @@ class Scenario:
 
         return forcing_eval, closed_eval, period
 
-    def forcing(self, lam: float = 0.0, mu: float | None = None) -> ForcingSignal:
-        """ForcingSignal for this family (mu bound here; the signal's eval
+    def forcing(self, lam: float = 0.0, mu: float | None = None):
+        """:class:`rotwave.flow.ForcingSignal` for this family (mu bound here; the signal's eval
         still takes (t, lam), so the lambda-family stays intact).
 
         The eval is the family's closure itself: it may be called at any
@@ -300,6 +307,8 @@ class Scenario:
         lambda (see :meth:`_build_pieces`), and raises DomainError for a negative lambda,
         as this method does for a ``lam`` that is not a nonnegative finite number.
         """
+        from .flow import ForcingSignal
+
         _finite(lam, "lambda", nonnegative=True)
         forcing_eval, _, period = self._pieces(mu)
         return ForcingSignal(eval=forcing_eval(), period=period)
@@ -329,7 +338,7 @@ class Scenario:
         return self._pieces(mu)[2](lam)
 
     @property
-    def forcing_family(self) -> Callable[[float, float], ForcingSignal]:
+    def forcing_family(self) -> Callable:
         """(lam, mu) -> ForcingSignal, the shape the drift finder consumes: :meth:`forcing`, bound."""
         return self.forcing
 
@@ -444,6 +453,11 @@ def build(name: str, **overrides) -> Scenario:
     )
 
 
+#: the relative periods over which :func:`verify_against_closed_form` integrates, also read by
+#: the CLI, which checks before a run that the end time it reaches is finite
+VERIFY_PERIODS = 2.0
+
+
 def verify_against_closed_form(
     scenario: Scenario,
     lam: float,
@@ -452,11 +466,13 @@ def verify_against_closed_form(
 ) -> float:
     """Max Frobenius deviation between the integrated and exact trajectories.
 
-    Takes 201 samples over two relative periods, spaced as
-    ``numpy.linspace(0, 2T, 201)`` spaces them. The matrices (the nine floats of
+    Takes 201 samples over ``VERIFY_PERIODS`` relative periods, spaced as
+    ``numpy.linspace(0, VERIFY_PERIODS * T, 201)`` spaces them. The matrices (the nine floats of
     :meth:`Scenario.closed_form`'s one path) and their difference are formed on the float chain.
     """
-    stop = 2.0 * scenario.period(lam, mu)
+    from .flow import integrate_group
+
+    stop = VERIFY_PERIODS * scenario.period(lam, mu)
     step = stop / 200
     t_grid = [i * step for i in range(200)] + [stop]
     signal = scenario.forcing(lam, mu)

@@ -20,7 +20,8 @@ sample time, one number in [0, t_end] to ``_TIME_SLACK`` (:func:`_time_in_range`
 :func:`rotwave.tip.tip_trajectory`'s period samples read. ``_BALL_SLACK`` is the one
 tolerance at the ball's boundary: :func:`_ball_vector` snaps a norm that far past pi back
 onto the sphere, and :func:`_q_map` and :func:`_q_map_arrays` count a norm that close
-below pi as on it.
+below pi as on it. The integrator's tolerances, two positive numbers and their defaults,
+are :class:`IntegratorConfig`, which :mod:`rotwave.flow` re-exports.
 
 Scalar kernels
 --------------
@@ -63,7 +64,7 @@ import sys
 from collections.abc import Callable
 
 from ._numpy import lazy_numpy
-from .errors import DomainError, SingularityError
+from .errors import ConfigError, DomainError, SingularityError
 
 np = lazy_numpy(globals())
 
@@ -106,10 +107,6 @@ _TIME_SLACK = 1e-9
 #: the CLI's horizon x samples-per-period, the rows simulate writes per lambda
 #: (one more with t = 0), which also bounds the frequency horizon
 MAX_SAMPLES = 1_000_000
-
-#: the integrator's default relative and absolute tolerances: ``flow.IntegratorConfig``'s, and
-#: the CLI's, whose help reads them here without running ``flow``
-_DEFAULT_RTOL, _DEFAULT_ATOL = 1e-10, 1e-12
 
 
 def hat(v: np.ndarray) -> np.ndarray:
@@ -167,6 +164,32 @@ def _finite(v, what: str, error=DomainError, nonnegative: bool = False) -> float
         rule = rule if x is not None else "a real number, not a boolean or a string"
         raise error(f"{what} must be {rule}, got {v!r}")
     return x
+
+
+class IntegratorConfig:
+    """Adaptive-integrator settings shared by all formulations; ConfigError unless each
+    tolerance is a positive finite number (:func:`_positive`).
+
+    :func:`rotwave.flow.integrate_group` integrates a periodic forcing over one relative
+    period at ``rtol / PERIOD_TOL_FACTOR`` and ``atol / PERIOD_TOL_FACTOR``
+    (:data:`rotwave.flow.PERIOD_TOL_FACTOR`) and reaches every later time through the
+    monodromy. The error of ``A(nT)`` is n times the error of the period map, so the period
+    is integrated that much tighter than the tolerances asked for; at the defaults the
+    largest error over ten periods is then below that of a direct integration. An
+    aperiodic forcing (``period=None``) is integrated over the whole horizon at ``rtol``
+    and ``atol``.
+
+    It lives here, with the input rules, so that the CLI checks and prints a configuration,
+    and its help reads the defaults, without running :mod:`rotwave.flow`.
+    """
+
+    #: the defaults of the settings
+    rtol = 1e-10
+    atol = 1e-12
+
+    def __init__(self, rtol: float = rtol, atol: float = atol):
+        self.rtol = _positive(rtol, "rtol", ConfigError)
+        self.atol = _positive(atol, "atol", ConfigError)
 
 
 def _vec3(v) -> tuple[float, float, float]:

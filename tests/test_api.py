@@ -42,6 +42,18 @@ def test_every_public_name_resolves_to_its_modules_object():
         assert getattr(rotwave, name) is getattr(owner, name) is namespace[name], name
 
 
+def test_integrator_config_is_one_class_that_flow_re_exports():
+    # it lives in so3, so that the CLI checks tolerances without running flow
+    from rotwave import flow, so3
+
+    assert rotwave.IntegratorConfig is flow.IntegratorConfig is so3.IntegratorConfig
+    assert "IntegratorConfig" not in so3.__all__
+    assert flow.__all__ == [
+        "EulerTrajectory", "ForcingSignal", "GroupTrajectory", "IntegratorConfig",
+        "integrate_euler", "integrate_group", "integrate_z_segment",
+    ]
+
+
 def test_bch_is_the_function_and_the_other_submodules_are_modules():
     assert isinstance(rotwave.bch, types.FunctionType) and rotwave.bch.__module__ == "rotwave.bch"
     from rotwave import flow, ode, scenarios, so3

@@ -514,6 +514,20 @@ def test_dump_config_rejects_what_the_run_rejects(tmp_path, capsys, command, doc
 
 
 @pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--rtol", "0"], "error: rtol must be positive and finite, got 0.0\n"),
+        (["--atol", "nan"], "error: atol must be positive and finite, got nan\n"),
+    ],
+)
+def test_a_tolerance_the_integrator_refuses_prints_its_rule(capsys, flags, message):
+    # the CLI checks the tolerances with the integrator's own IntegratorConfig
+    for extra in ([], ["--dump-config"]):
+        assert main(["simulate", *flags, *extra]) == 2
+        assert capsys.readouterr() == ("", message)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["frequency", "--scenario", "case2"],
@@ -849,6 +863,25 @@ def test_a_period_that_overflows_exits_2(tmp_path, capsys, command):
             "error: scenario case1: the period 2 pi / |omega + lambda| overflows at lambda 0.0\n"
         )
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, periods", [("frequency", 5), ("verify", 2), ("simulate", 5)])
+def test_an_end_time_that_overflows_exits_2(tmp_path, capsys, command, periods):
+    # T = 2 pi / 5e-308 is finite, but the horizon's 5 T and verify's 2 T are not: the run
+    # reached the integrator, which exited 3 for t_end = inf, and the dump exited 0
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(
+        {"scenario": "case1", "overrides": {"omega_bif": 5e-308}, "lambda_grid": [0.0]}
+    ))
+    for extra in ([], ["--dump-config"]):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path / "out"), *extra]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            f"error: scenario case1: the end time {periods} T overflows at lambda 0.0\n"
+        )
+    assert not (tmp_path / "out").exists()
+    # a horizon of one period ends at T, which is finite
+    assert main(["simulate", "--config", str(cfg), "--horizon", "1", "--dump-config"]) == 0
 
 
 def test_the_parser_scenario_names_equal_available():

@@ -6,10 +6,14 @@ holds. ``import rotwave`` runs no submodule, and each subcommand runs only the
 modules it calls into. A lazy module that has not run is an instance of a
 subclass of ``types.ModuleType`` whose first attribute read runs it, so these
 checks tell the two apart by ``type(m) is types.ModuleType`` and read no
-attribute of a module (``isinstance`` reads ``__class__``). Generating a
+attribute of a module (``isinstance`` reads ``__class__``). A run that
+integrates nothing runs no ``flow``: besides ``cli``, ``errors``, ``so3`` and
+``_numpy``, ``bch`` runs ``bch``, and ``--dump-config`` and a configuration
+error at most ``scenarios`` (``IntegratorConfig`` lives in ``so3``, and
+``scenarios`` imports each ``flow`` name where it calls it). Generating a
 dataclass execs and compiles its methods; ``ForcingSignal`` alone stays one, as
-code outside the package passes it to ``dataclasses.replace``, and ``bch``,
-which runs no ``flow``, generates none and imports no ``dataclasses``. ``bch``
+code outside the package passes it to ``dataclasses.replace``, and a run
+without ``flow`` generates none and imports no ``dataclasses``. ``bch``
 reads and writes no JSON and builds no path, and generates no kernel: the
 straight-line kernels of the
 integrator, the forcings and the closed forms, the array coefficients of the
@@ -99,12 +103,14 @@ def fresh(code: str, *args: str) -> subprocess.CompletedProcess:
                           text=True, timeout=60)
 
 
-def test_cli_generates_one_dataclass_and_bch_loads_no_json_typing_or_pathlib():
+def test_cli_generates_one_dataclass_and_bch_loads_no_json_typing_or_pathlib(tmp_path):
     run = fresh(CODE, "bch", "0", "0", "1", "1", "0", "0", "--check")
     assert run.stdout.splitlines()[:2] == ["[]", "0 []"], run.stderr
     run = fresh(CODE, "simulate", "--dump-config")
+    assert run.stdout.splitlines()[:2] == ["[]", "0 ['json']"], run.stderr
+    run = fresh(CODE, "simulate", "--horizon", "1", "--out", str(tmp_path))
     assert run.stdout.splitlines()[:2] == [
-        "['rotwave.flow.ForcingSignal']", "0 ['dataclasses', 'json']",
+        "['rotwave.flow.ForcingSignal']", "0 ['dataclasses', 'pathlib']",
     ], run.stderr
 
 
@@ -120,13 +126,16 @@ def test_import_rotwave_registers_each_re_exporting_submodule_and_runs_none():
     ], run.stderr
 
 
-#: the modules that every subcommand but bch runs: building a scenario runs flow, and flow ode
-INTEGRATES = ["_numpy", "bch", "cli", "errors", "flow", "ode", "scenarios", "so3"]
+#: the modules that --dump-config runs: checking a configuration builds its scenarios
+CONFIG = ["_numpy", "cli", "errors", "scenarios", "so3"]
+
+#: the modules that every subcommand that integrates runs: integrating runs flow, and flow ode
+INTEGRATES = sorted([*CONFIG, "bch", "flow", "ode"])
 
 
 @pytest.mark.parametrize("argv, ran", [
     ("bch 0 0 1.5707963267948966 1.5707963267948966 0 0 --check", ["_numpy", "bch", "cli", "errors", "so3"]),
-    ("simulate --dump-config", INTEGRATES),
+    ("simulate --dump-config", CONFIG),
     ("verify --scenario example3", INTEGRATES),
     ("simulate --scenario case1 --lambda 0.05 --horizon 5 --out {out}", INTEGRATES),
     ("drift --scenario example4 --lambda 0.01", sorted([*INTEGRATES, "hopf"])),
@@ -137,8 +146,32 @@ def test_each_readme_subcommand_runs_only_the_modules_it_calls(argv, ran, tmp_pa
     lines = run.stdout.splitlines()
     assert lines[1].startswith("0 "), run.stderr
     # frequency runs every module, so a dataclass added to any of them shows here
-    assert lines[0] == ("[]" if argv.startswith("bch") else "['rotwave.flow.ForcingSignal']")
+    assert lines[0] == ("['rotwave.flow.ForcingSignal']" if "flow" in ran else "[]")
     assert lines[2] == str(["rotwave", *(f"rotwave.{name}" for name in ran)])
+
+
+@pytest.mark.parametrize("argv, ran", [
+    ("simulate --scenario nope", CONFIG),
+    # _load checks the flags before it reads a name of the lazy scenarios module
+    ("simulate --rtol 0", ["_numpy", "cli", "errors", "so3"]),
+], ids=["unknown-scenario", "rtol-0"])
+def test_a_configuration_error_runs_no_flow(argv, ran):
+    run = fresh(CODE, *argv.split())
+    assert run.stdout.splitlines() == ["[]", "2 []", str(["rotwave", *(f"rotwave.{name}" for name in ran)])]
+    assert run.stderr.startswith("error: ") and run.stderr.count("\n") == 1
+
+
+def test_a_scenario_period_runs_no_flow():
+    code = f"""if True:
+        import sys, types
+        import rotwave.scenarios
+        print(rotwave.scenarios.build("case1").period(0.01) > 0.0)
+        print(sorted({RAN}), "dataclasses" in sys.modules)
+    """
+    run = fresh(code)
+    assert run.stdout.splitlines() == [
+        "True", "['rotwave', 'rotwave._numpy', 'rotwave.errors', 'rotwave.scenarios', 'rotwave.so3'] False",
+    ], run.stderr
 
 
 def test_bch_generates_no_kernel():
