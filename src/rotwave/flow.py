@@ -35,7 +35,7 @@ One restart loop chains the segments into a :class:`GroupTrajectory`, which
 samples A. An Euler-angle chart integrator is provided as an independent
 cross-check formulation. Both trajectories take the sample times that the time
 rule of :mod:`rotwave.so3` admits (:func:`rotwave.so3._time_in_range`, and
-``_time_list`` for an array of them).
+``_time_array`` for an array of them).
 """
 from __future__ import annotations
 
@@ -44,6 +44,7 @@ import functools
 import math
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
+from itertools import repeat
 
 from ._numpy import lazy_numpy
 from .bch import _bch_arrays, _bch_full
@@ -68,7 +69,7 @@ from .so3 import (
     _q_map_arrays,
     _real,
     _time_in_range,
-    _time_list,
+    _time_array,
     _vec3,
     rot_x,
     rot_z,
@@ -276,13 +277,13 @@ class GroupTrajectory:
     ``eval_A``, ``eval_Z``, :func:`rotwave.hopf.primary_frequency` and
     :func:`rotwave.hopf.periodic_part` share one sample-time cache, keyed by
     ``float(t)`` (at most ``CACHE_SIZE`` = 1024 times; :meth:`_store` evicts). Its
-    record for a time is whole, the class vector and A's nine entries,
-    whichever sampler made it, and A as an ndarray where a batch made it: a
-    repeated ``eval_A`` costs a lookup and a copy, ``eval_Z`` the hemisphere
-    map, and ``log_Bf`` one BCH. The records are the floats the per-time
-    chain computes, so a hit returns the bits of a cold sample, and ``eval_A``
-    of a float time reads it before any check: a cached time is a checked
-    one. ``class_at`` bypasses the cache.
+    record for a time holds the class vector and A, whichever sampler made
+    it: A's nine entries as floats where the per-time chain made it, A's row
+    of the batch's stack where a batch made it. A repeated ``eval_A`` costs a
+    lookup and a copy, ``eval_Z`` the hemisphere map, and ``log_Bf`` one BCH.
+    The records hold the floats the per-time chain computes, so a hit returns
+    the bits of a cold sample, and ``eval_A`` of a float time reads it before
+    any check: a cached time is a checked one. ``class_at`` bypasses the cache.
     """
 
     def __init__(
@@ -309,7 +310,7 @@ class GroupTrajectory:
             self._ends += ends
             self._steps += seg.interpolants
             self._step_segment += [i] * len(ends)
-        # float(t) -> (class vector, A's nine entries, A as an ndarray or None): see _store
+        # float(t) -> (class vector, A's nine entries or None, A as an ndarray or None): see _store
         self._samples: dict[float, tuple] = {}
         self.W = None  # set: times past T come from the monodromy
         if self.T is not None and self.T < self.t_end:
@@ -344,9 +345,11 @@ class GroupTrajectory:
         keeps the last ``CACHE_SIZE`` of its own. A per-time sample fills one record, so a full
         cache is emptied before it.
 
-        v is ``class_at(t).vector`` and a the nine entries of A(t), as floats. row is A(t) as a
-        (3, 3) ndarray that no caller holds, a row of the cache's own copy of a batch's stack
-        (:meth:`_A_batch`), or None in a record of the per-time chain, which builds no array."""
+        v is ``class_at(t).vector`` as three floats. A record holds A(t) in one of two forms:
+        the per-time chain's ``(v, a, None)``, a the nine entries of A(t) as floats, or a
+        batch's ``(v, None, row)``, row A(t) as a (3, 3) ndarray that no caller holds, a row of
+        the cache's own copy of the batch's stack (:meth:`_A_batch`). :meth:`_A_entries` reads
+        the nine entries from either."""
         if len(self._samples) + len(items) > CACHE_SIZE:
             self._samples.clear()
             items = items[-CACHE_SIZE:]
@@ -354,7 +357,7 @@ class GroupTrajectory:
 
     def _record(self, t: float) -> tuple:
         """The record ``(v, a, row)`` of the float t that :func:`_time_in_range` returned
-        (:meth:`_store`): the cached one, or the per-time chain's, cached with no row."""
+        (:meth:`_store`): the cached one, or the per-time chain's ``(v, a, None)``, cached."""
         record = self._samples.get(t)
         if record is None:
             v = _ball_vector(self._product(t))
@@ -375,8 +378,10 @@ class GroupTrajectory:
         return np.array(_q_map(self._class_vector(t), self.ref_dir))
 
     def _A_entries(self, t: float) -> tuple:
-        """The nine entries of A(t), row-major: the float form of :meth:`eval_A`, cached per ``float(t)``."""
-        return self._record(_time_in_range(t, self.t_end))[1]
+        """The nine entries of A(t), row-major: the float form of :meth:`eval_A`, cached per
+        ``float(t)``; read off the row where a batch made the record."""
+        _, a, row = self._record(_time_in_range(t, self.t_end))
+        return a if row is None else tuple(row.ravel().tolist())
 
     def eval_A(self, t) -> np.ndarray:
         """The rotation A(t), or the (m, 3, 3) stack of A at a 1-D ndarray of m times.
@@ -390,15 +395,15 @@ class GroupTrajectory:
             if row is None:
                 return np.array(record[1]).reshape(3, 3)
             return row.copy()
-        ts = _time_list(t)
+        ts = _time_array(t)
         if ts is None:
             return np.array(self._A_entries(t)).reshape(3, 3)
         if len(ts) < BATCH_MIN:
-            return np.array([self._A_entries(s) for s in ts]).reshape(-1, 3, 3)
+            return np.array([self._A_entries(s) for s in ts.tolist()]).reshape(-1, 3, 3)
         with np.errstate(divide="ignore", invalid="ignore"):
             return self._A_batch(ts)
 
-    def _A_batch(self, ts: list[float]) -> np.ndarray:
+    def _A_batch(self, t: np.ndarray) -> np.ndarray:
         """:meth:`eval_A` of many times: the per-time chain, step by step on arrays.
 
         Each vector of the m times is one (3, m) array. The times are located
@@ -411,14 +416,14 @@ class GroupTrajectory:
         identity (t = 0 always) or a half turn, needs the snap onto the
         boundary sphere or lies in the hemisphere band is redone alone first,
         by the per-time sampler, which caches it; the records of all the other
-        times, class vector, A's nine entries and A's row of a copy of the
-        stack, then enter the sample-time cache in one fill (:meth:`_store`).
+        times, the class vector and A's row of a copy of the stack, then enter
+        the sample-time cache in one fill (:meth:`_store`). They hold no nine
+        floats of A: :meth:`_A_entries` reads those off the row when asked.
         """
-        t = np.array(ts)
         ok = (t >= -_TIME_SLACK) & (t <= self.t_end + _TIME_SLACK)
         if not ok.all():
-            _time_in_range(ts[int(ok.argmin())], self.t_end)
-        n, tau = np.zeros(len(ts)), t
+            _time_in_range(t[ok.argmin()].item(), self.t_end)
+        n, tau = np.zeros(len(t)), t
         if self.W is not None:
             tau = np.minimum(t, self.t_end)
             n = np.where(t > self.T, np.ceil(tau / self.T) - 1.0, 0.0)
@@ -442,12 +447,13 @@ class GroupTrajectory:
         entries = _exp_entries_arrays(w)
         stack = entries.T.reshape(-1, 3, 3)
         fast = generic & plain
-        for i in np.flatnonzero(~fast).tolist():
-            stack[i] = np.reshape(self._A_entries(ts[i]), (3, 3))
+        alone = np.flatnonzero(~fast)
+        for i, s in zip(alone.tolist(), t.take(alone).tolist()):
+            stack[i] = np.reshape(self._A_entries(s), (3, 3))
         # the records of the other times hold rows of a copy of the stack: the stack is the caller's
         keep = np.flatnonzero(fast)[-CACHE_SIZE:]
-        vs, es = zip(*v.take(keep, axis=1).tolist()), zip(*entries.take(keep, axis=1).tolist())
-        self._store(list(zip(t.take(keep).tolist(), zip(vs, es, stack.take(keep, axis=0)))))
+        vs = v.take(keep, axis=1).T.tolist()
+        self._store(list(zip(t.take(keep).tolist(), zip(vs, repeat(None), stack.take(keep, axis=0)))))
         return stack
 
 
@@ -573,9 +579,9 @@ class EulerTrajectory:
 
     def eval_A(self, t) -> np.ndarray:
         """A(t), or the (m, 3, 3) stack of A at a 1-D ndarray of m times, one time after another."""
-        ts = _time_list(t)
+        ts = _time_array(t)
         if ts is not None:
-            return np.array([self.eval_A(s) for s in ts]).reshape(-1, 3, 3)
+            return np.array([self.eval_A(s) for s in ts.tolist()]).reshape(-1, 3, 3)
         phi, theta, psi = self.eval_angles(t)
         return rot_x(self.theta0).T @ rot_z(psi) @ rot_x(theta) @ rot_z(phi)
 

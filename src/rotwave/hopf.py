@@ -214,8 +214,9 @@ def periodic_part(
 
     Each sample composes ``-X t`` with the class of A(t) on Python floats
     through the same chain as ``traj.eval_A``, and shares its cache: a time
-    already sampled costs one BCH, and a cold one caches the whole record, A
-    included, so a later ``eval_A`` there is a lookup. ``log_Bf`` and ``eval_B``
+    already sampled costs one BCH, reading only the record's class vector,
+    and a cold one caches the whole record, A's nine entries included, so a
+    later ``eval_A`` there is a lookup. ``log_Bf`` and ``eval_B``
     are one sampler generated at the first call (:func:`_periodic_sampler`):
     the BCH is :data:`rotwave.bch._BCH`, the formula's one home, spliced in
     inline, and a float time reads its cache record before any check, as
@@ -237,9 +238,12 @@ def _periodic_sampler() -> Callable:
 
     ``sample(t)`` is ``out`` of the ball vector of ``bch(neg * t, traj.class_at(t).vector)``,
     the float triple ``neg`` scaled by the checked time. A float time in the sample-time
-    cache is a checked one, and its record is read first; any other time goes through
-    :func:`_time_in_range` and the trajectory's per-time chain, which caches it. The BCH
-    runs inline, and ``out`` takes the float triple: ``np.array`` for ``log_Bf``,
+    cache is a checked one, and its record is read first, for its class vector alone; any
+    other time goes through :func:`_time_in_range` and the trajectory's per-time chain, which
+    caches it. The BCH runs inline, and so does the ball check: a product whose norm, the
+    expression of :func:`_norm3`, is at most pi is its own ball vector, and only one past pi
+    (a snap onto the boundary sphere, or a refusal, NaN included) goes to
+    :func:`_ball_vector`. ``out`` takes the float triple: ``np.array`` for ``log_Bf``,
     ``_exp_matrix`` for ``eval_B``."""
     source = f"""\
 def sampler(traj, neg, out):
@@ -252,7 +256,9 @@ def sampler(traj, neg, out):
             record = record_at(t)
         x0, x1, x2 = n0 * t, n1 * t, n2 * t
         y0, y1, y2 = record[0]
-{_indented(_BCH, 2)}        return out(_ball_vector((r0, r1, r2)))
+{_indented(_BCH, 2)}        if sqrt(r0 * r0 + r1 * r1 + r2 * r2) <= pi:
+            return out((r0, r1, r2))
+        return out(_ball_vector((r0, r1, r2)))
     return sample
 """
     return _generated(source, "<periodic part sampler>", **_BCH_NAMES)["sampler"]
@@ -271,6 +277,15 @@ def classify(
     1e-9) is PeriodicSolution; nonresonant classes are MeanderO1; resonant
     classes split into OrthogonalDrift (|<X_hat, x0_hat>| < ORTHO_TOL) and
     SlowMeanderAboutX0. A degenerate class (|x0| = 0) gets motion None.
+
+    OrthogonalDrift asks for |<X_hat, x0_hat>| < ORTHO_TOL = 1e-6: orthogonality
+    as it holds on a tuned branch (mu = mu*, :func:`find_orthogonal_branch`),
+    not at leading order in lambda. A generic one-parameter 1:1 wave at
+    mu = 0 has a defect of O(sqrt(lambda)) (0.47 to 2.0 sqrt(lambda) on seeds
+    0-4 of the tests' generic normal-form family at k = 1), so it earns the
+    label only below lambda ~ 3e-12 (2.5e-13 to 4.6e-12 by seed), and
+    SlowMeanderAboutX0 is the label to expect at mu = 0.
+
     DomainError unless lam is nonnegative and finite, T positive and finite
     and |X| T finite. The labels and X^f come from :func:`_classify` on
     Python floats; this wrapper checks the arrays and returns X^f as an

@@ -16,7 +16,7 @@ Each rule for a caller's input has its home here: a number (:func:`_real`; ``_po
 and ``_finite`` narrow it), a 3-vector (:func:`_vec3`), a unit vector to 1e-10
 (:func:`_as_unit3`, also for a ``Frame``'s rows), an array (:func:`_float_array`) and a
 sample time, one number in [0, t_end] to ``_TIME_SLACK`` (:func:`_time_in_range`) or a
-1-D array of them (:func:`_time_list`), which the trajectories, the batch sampler and
+1-D array of them (:func:`_time_array`), which the trajectories, the batch sampler and
 :func:`rotwave.tip.tip_trajectory`'s period samples read. ``_BALL_SLACK`` is the one
 tolerance at the ball's boundary: :func:`_ball_vector` snaps a norm that far past pi back
 onto the sphere, and :func:`_q_map` and :func:`_q_map_arrays` count a norm that close
@@ -249,8 +249,8 @@ def _time_in_range(t, t_end: float) -> float:
     return s
 
 
-def _time_list(t) -> list | None:
-    """The times of a 1-D ndarray of numbers as Python floats; None for a single time.
+def _time_array(t) -> np.ndarray | None:
+    """The times of a 1-D ndarray of numbers as a float ndarray; None for a single time.
 
     :func:`_float_array` checks the dtype and the shape, of 1-D times on an empty slice,
     so that a non-finite time fails each time's own check, with its message.
@@ -258,7 +258,7 @@ def _time_list(t) -> list | None:
     if not (isinstance(t, np.ndarray) and t.ndim):
         return None
     _float_array(t[:0] if t.ndim == 1 else t, (None,), "times")
-    return t.astype(float).tolist()
+    return t.astype(float, copy=False)
 
 
 def _as_unit3(v, what: str) -> tuple[float, float, float]:

@@ -779,16 +779,25 @@ def test_cached_samples_are_bitwise_the_cold_ones(name, lam):
 
 
 def whole_record(record) -> bool:
-    """Whether a sample-time cache record is a tuple ``(v, a, row)`` of 3 floats, 9 floats and a
-    row that is None or a float64 (3, 3) ndarray whose bytes are the 9 floats."""
+    """Whether a sample-time cache record is a tuple ``(v, a, row)`` of 3 floats and A in one of
+    its two forms: the per-time chain's 9 floats with row None, or a batch's row, a float64
+    (3, 3) ndarray, with a None."""
     if not (type(record) is tuple and len(record) == 3):
         return False
     v, a, row = record
-    return (
-        [len(v), len(a)] == [3, 9] and all(type(c) is float for c in (*v, *a))
-        and (row is None or type(row) is np.ndarray and row.dtype == np.float64
-             and row.shape == (3, 3) and row.tobytes() == np.array(a).tobytes())
-    )
+    if not (len(v) == 3 and all(type(c) is float for c in v)):
+        return False
+    if row is None:
+        return type(a) is tuple and len(a) == 9 and all(type(c) is float for c in a)
+    return a is None and type(row) is np.ndarray and row.dtype == np.float64 and row.shape == (3, 3)
+
+
+def record_bytes(record) -> bytes:
+    """The bytes of a whole record's class vector and A's nine entries, read off the row in a
+    batch's record."""
+    assert whole_record(record)
+    v, a, row = record
+    return np.array([*v, *(a if row is None else row.ravel().tolist())]).tobytes()
 
 
 @pytest.mark.parametrize("name, lam", [("case2", 0.1), ("example4", 1e-3), ("example5", 0.1)])
@@ -801,9 +810,7 @@ def test_samplers_that_read_no_A_cache_the_records_eval_A_makes(name, lam):
     X = primary_frequency(fresh(2 * T), T)
 
     def records(traj, times):
-        got = [traj._samples[float(t)] for t in times]
-        assert all(whole_record(r) for r in got)
-        return [np.array([*v, *a]).tobytes() for v, a, _ in got]
+        return [record_bytes(traj._samples[float(t)]) for t in times]
 
     times = probe_times(fresh(2 * T))
     assert len(times) >= flow.BATCH_MIN
@@ -904,15 +911,23 @@ def test_batch_over_the_probe_times_fills_the_cache(name, lam):
 @pytest.mark.parametrize("name, lam", CHAIN_CASES)
 def test_a_hit_after_a_batch_is_bitwise_the_cold_sample(name, lam):
     # the probe times reach both periods and every segment end; -0.0 and 0.0, identity
-    # products, are redone alone and cached with no row, the other times with the batch's
+    # products, are redone alone and cached with no row, the other times with the batch's.
+    # eval_A and the nine floats of _A_entries, at a float or an np.float64 time, give the
+    # bits of the cold per-time sample, those of a batch's record read off its row
     traj = chain_trajectory(name, lam)[0]
     times = probe_times(traj) + [-0.0]
     cold = [a.tobytes() for a in cold_each(traj, times)]
+    cold_entries = [traj._A_entries(t) for t in times]
+    traj._samples.clear()
     traj.eval_A(np.array(times))
     rows = {t: traj._samples[t][2] is not None for t in times}
     assert rows[0.0] is rows[-0.0] is False and sum(rows.values()) > len(rows) - 5
-    for t, want in zip(times, cold):
+    for t, want, entries in zip(times, cold, cold_entries):
         assert traj.eval_A(t).tobytes() == traj.eval_A(np.float64(t)).tobytes() == want, t
+        for s in (t, np.float64(t)):
+            got = traj._A_entries(s)
+            assert type(got) is tuple and len(got) == 9 and all(type(c) is float for c in got)
+            assert np.array(got).tobytes() == np.array(entries).tobytes() == want, t
     traj._samples.clear()
 
 
@@ -990,6 +1005,24 @@ def test_short_arrays_are_sampled_time_by_time(monkeypatch):
     assert [len(ts) for ts in batches] == [flow.BATCH_MIN]
 
 
+def test_a_batch_samples_times_of_any_real_dtype_at_their_floats():
+    # the batch reads the checked times as one float array: int and float32 times, a strided
+    # view and a read-only array give the per-time samples at each float(t), and the caller's
+    # array is left as it was
+    traj = chain_trajectory("case2", 0.1)[0]
+    grid = np.linspace(0.0, 0.9 * traj.t_end, 2 * flow.BATCH_MIN + 1)
+    readonly = grid.copy()
+    readonly.flags.writeable = False
+    ints = np.tile(np.arange(int(traj.t_end) + 1), flow.BATCH_MIN)
+    for times in (ints, grid.astype(np.float32), grid[::2], readonly):
+        assert len(times) >= flow.BATCH_MIN
+        before = times.tobytes()
+        each = cold_each(traj, times.tolist())
+        assert traj.eval_A(times).tobytes() == each.tobytes()
+        assert times.tobytes() == before
+    traj._samples.clear()
+
+
 def test_batch_leaves_identity_and_half_turn_products_to_the_per_time_chain(monkeypatch):
     # rotation at rate 2 about z: A(0) is the identity product and A(pi/2) a
     # half turn whose vector lies on the equator of ref_dir = e_x
@@ -1021,20 +1054,21 @@ def test_batch_cache_stays_bounded(monkeypatch):
 
 
 def per_time_records(traj, times) -> list:
-    """The cache records of ``times`` as a cold per-time chain makes them, one after another:
-    whole, with no row."""
+    """The bytes of the cache records of ``times`` as a cold per-time chain makes them, one after
+    another: whole, with nine floats and no row."""
     traj._samples.clear()
     records = [traj._record(float(t)) for t in times]
     traj._samples.clear()
     assert all(whole_record(r) and r[2] is None for r in records)
-    return [r[:2] for r in records]
+    return [record_bytes(r) for r in records]
 
 
-def cached_floats(traj, times) -> list:
-    """The class vector and nine entries of the cache records of ``times``, each record whole."""
+def cached_floats(traj, times, batched=True) -> list:
+    """The bytes of the class vector and nine entries of the cache records of ``times``, each
+    record whole: a batch's ``(v, None, row)`` where ``batched``, else the per-time chain's."""
     records = [traj._samples[t] for t in times]
-    assert all(whole_record(r) for r in records)
-    return [r[:2] for r in records]
+    assert all((r[1] is None) is batched for r in records)
+    return [record_bytes(r) for r in records]
 
 
 def fill_per_time(traj, count: int) -> list[float]:
@@ -1050,9 +1084,10 @@ def test_a_batch_into_a_cache_with_room_adds_its_records():
     times = np.linspace(0.01, traj.t_end, flow.BATCH_MIN + 10).tolist()
     want = per_time_records(traj, times)
     earlier = fill_per_time(traj, 100)
+    kept = cached_floats(traj, earlier, batched=False)
     traj.eval_A(np.array(times))
     assert list(traj._samples) == earlier + times
-    assert cached_floats(traj, times) == want
+    assert cached_floats(traj, times) == want and cached_floats(traj, earlier, batched=False) == kept
     traj._samples.clear()
 
 
@@ -1068,7 +1103,7 @@ def test_a_batch_that_would_overfill_the_cache_empties_it_first():
     traj._samples.clear()
     fill_per_time(traj, flow.CACHE_SIZE)
     traj.eval_A(times[0])
-    assert list(traj._samples) == times[:1] and cached_floats(traj, times[:1]) == want[:1]
+    assert list(traj._samples) == times[:1] and cached_floats(traj, times[:1], batched=False) == want[:1]
     traj._samples.clear()
 
 

@@ -35,13 +35,14 @@ from rotwave import (
     lifted_frequency,
     periodic_part,
     primary_frequency,
+    so3,
     tip_trajectory,
     vee,
 )
 from rotwave.bch import BchBranch, _bch_full
 from rotwave.hopf import ORTHO_TOL
 from rotwave.scenarios import Frame, build
-from rotwave.so3 import _ball_vector, _exp_matrix, _time_in_range
+from rotwave.so3 import _ball_vector, _exp_matrix, _norm3, _time_in_range
 
 EX = np.array([1.0, 0.0, 0.0])
 EZ = np.array([0.0, 0.0, 1.0])
@@ -283,6 +284,34 @@ def test_periodic_part_sampler_reaches_every_bch_branch_bitwise():
     with pytest.raises(DomainError, match="^expected a finite 3-vector$"):
         periodic_part(traj, x, big, 1.0).log_Bf(2.0)
     assert assert_sampled_as_the_scalar_chain(traj, big, big, 2.0) is None
+
+
+def test_periodic_part_sampler_checks_the_ball_inline(monkeypatch):
+    # the product of x t with the class x t of the rigid rotation is a half turn at
+    # t = pi / (2 |x|), where the BCH rounds its norm to pi or one ulp either side. A norm
+    # up to pi is its own ball vector, with no _ball_vector call; one past it is snapped onto
+    # the sphere by _ball_vector, or refused with its message, here under a zero slack (a
+    # finite product never lies further past pi, and a non-finite one the BCH refuses first)
+    x = np.array([0.6, -0.8, 1.2])
+    half = math.pi / (2.0 * float(np.linalg.norm(x)))
+    traj = integrate_group(constant_signal(x), 0.0, 3.0)
+    times = [half + k * 4e-16 for k in range(-8, 9)] + [0.1, 1.0]
+    past = [t for t in times if _norm3(_bch_full((x * t).tolist(), traj._record(t)[0])[0]) > math.pi]
+    assert 0 < len(past) < len(times) - 2
+    sample = periodic_part(traj, x, -x, 1.0).log_Bf
+    calls = []
+    ball_vector = sample.__globals__["_ball_vector"]
+    monkeypatch.setitem(sample.__globals__, "_ball_vector", lambda v: calls.append(v) or ball_vector(v))
+    for t in times:  # every time is cached
+        assert_sampled_as_the_scalar_chain(traj, x, -x, t)
+        assert float(np.linalg.norm(sample(t))) <= math.pi
+    assert len(calls) == 2 * len(past)
+    monkeypatch.setattr(so3, "_BALL_SLACK", 0.0)
+    for t in times:
+        assert_sampled_as_the_scalar_chain(traj, x, -x, t)
+    for t in past:
+        with pytest.raises(DomainError, match=r"^ball-class vector has norm 3\.14159265358979[0-9]* > pi \+ 0$"):
+            sample(t)
 
 
 def test_periodic_part_sampler_on_a_scenario_is_the_scalar_chain_at_every_kind_of_time():
